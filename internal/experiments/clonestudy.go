@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/ccd"
 	"repro/internal/dataset"
+	"repro/internal/index"
 	"repro/internal/service"
 )
 
@@ -35,9 +37,14 @@ func CloneStudy(eng *service.Engine, contracts []dataset.DeployedContract, cfg c
 		fps[i], _ = eng.Fingerprint(contracts[i].Source)
 	})
 
+	// Either way the corpus ingests in one batch call.
 	if viaService {
+		entries := make([]service.CorpusEntry, len(contracts))
 		for i := range contracts {
-			if err := eng.CorpusAddFingerprint(contracts[i].Address, fps[i]); err != nil {
+			entries[i] = service.CorpusEntry{ID: contracts[i].Address, Fingerprint: fps[i]}
+		}
+		for i, err := range eng.CorpusAddBatch(entries) {
+			if errors.Is(err, service.ErrPersist) {
 				return nil, fmt.Errorf("experiments: ingest %s: %w", contracts[i].Address, err)
 			}
 		}
@@ -45,10 +52,12 @@ func CloneStudy(eng *service.Engine, contracts []dataset.DeployedContract, cfg c
 	}
 
 	corpus := service.NewCorpus(cfg, 1)
+	docs := make([]index.Doc, len(contracts))
 	for i := range contracts {
-		if err := corpus.Add(contracts[i].Address, fps[i]); err != nil {
-			return nil, fmt.Errorf("experiments: ingest %s: %w", contracts[i].Address, err)
-		}
+		docs[i] = index.Doc{ID: contracts[i].Address, FP: fps[i]}
+	}
+	if err := corpus.AddDocsCtx(context.Background(), docs); err != nil {
+		return nil, fmt.Errorf("experiments: ingest: %w", err)
 	}
 	join, err := service.NewSelfJoin(corpus, corpus, limit)
 	if err != nil {

@@ -97,17 +97,18 @@ func (b *ccdBackend) Epsilon() float64 {
 	return b.cfg.CCD.Epsilon
 }
 
-func (b *ccdBackend) Merge(other Backend) (Backend, error) {
-	o, ok := other.(*ccdBackend)
-	if !ok {
-		return nil, fmt.Errorf("index: merge ccd with %s", other.Name())
-	}
+// Merge re-indexes every entry once: the n-gram index cannot be spliced, so
+// one build over all inputs replaces a build per cascade step.
+func (b *ccdBackend) Merge(others ...Backend) (Backend, error) {
 	out := ccd.NewCorpus(b.cfg.CCD)
-	for _, e := range b.c.Entries() {
-		out.Add(e.ID, e.FP)
-	}
-	for _, e := range o.c.Entries() {
-		out.Add(e.ID, e.FP)
+	for _, part := range append([]Backend{b}, others...) {
+		p, ok := part.(*ccdBackend)
+		if !ok {
+			return nil, fmt.Errorf("index: merge ccd with %s", part.Name())
+		}
+		for _, e := range p.c.Entries() {
+			out.Add(e.ID, e.FP)
+		}
 	}
 	return &ccdBackend{cfg: b.cfg, c: out}, nil
 }

@@ -121,8 +121,9 @@ type Backend interface {
 	// ascending) plus per-stage pruning statistics.
 	MatchTopK(q *Query) ([]ccd.Match, ccd.MatchStats)
 	// Merge returns a new backend of the same kind holding every document
-	// of the receiver followed by every document of other (compaction).
-	Merge(other Backend) (Backend, error)
+	// of the receiver followed by every document of each of others, in
+	// argument order (compaction: a whole merge cascade is one build).
+	Merge(others ...Backend) (Backend, error)
 	// Snapshot writes the backend's documents in its binary format.
 	Snapshot(w io.Writer) error
 	// Restore replaces the backend's state (which must be empty) with a

@@ -148,17 +148,22 @@ func TestBackendSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBackendMerge: merging two segments preserves every document and
-// refuses cross-kind merges.
+// TestBackendMerge: merging segments — two, or a whole cascade in one build
+// — preserves every document in argument order, and refuses cross-kind
+// merges.
 func TestBackendMerge(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			a := mustBackend(t, name, Config{})
 			b := mustBackend(t, name, Config{})
+			c := mustBackend(t, name, Config{})
 			if err := a.Add(sourceDoc(t, "a", parsableSrc)); err != nil {
 				t.Fatal(err)
 			}
 			if err := b.Add(sourceDoc(t, "b", otherSrc)); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Add(sourceDoc(t, "c", parsableSrc)); err != nil {
 				t.Fatal(err)
 			}
 			m, err := a.Merge(b)
@@ -167,6 +172,16 @@ func TestBackendMerge(t *testing.T) {
 			}
 			if m.Len() != 2 {
 				t.Fatalf("merged len %d", m.Len())
+			}
+			all, err := a.Merge(b, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ids := all.(IDLister).IDs(); fmt.Sprint(ids) != "[a b c]" {
+				t.Fatalf("three-way merge holds %v, want [a b c]", ids)
+			}
+			if a.Len() != 1 || m.Len() != 2 {
+				t.Fatalf("merge changed its inputs: %d and %d docs", a.Len(), m.Len())
 			}
 			ms, _ := m.MatchTopK(&Query{Doc: sourceDoc(t, "", otherSrc), K: 1})
 			if len(ms) != 1 || ms[0].ID != "b" {

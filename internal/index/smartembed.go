@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/baseline"
@@ -119,15 +120,15 @@ func (b *smartEmbedBackend) WithoutIDs(dead map[string]struct{}) (Backend, int) 
 	return &smartEmbedBackend{cfg: b.cfg, se: b.se, entries: live}, removed
 }
 
-func (b *smartEmbedBackend) Merge(other Backend) (Backend, error) {
-	o, ok := other.(*smartEmbedBackend)
-	if !ok {
-		return nil, fmt.Errorf("index: merge smartembed with %s", other.Name())
+func (b *smartEmbedBackend) Merge(others ...Backend) (Backend, error) {
+	out := &smartEmbedBackend{cfg: b.cfg, se: b.se, entries: slices.Clone(b.entries)}
+	for _, other := range others {
+		o, ok := other.(*smartEmbedBackend)
+		if !ok {
+			return nil, fmt.Errorf("index: merge smartembed with %s", other.Name())
+		}
+		out.entries = append(out.entries, o.entries...)
 	}
-	out := &smartEmbedBackend{cfg: b.cfg, se: b.se,
-		entries: make([]embEntry, 0, len(b.entries)+len(o.entries))}
-	out.entries = append(out.entries, b.entries...)
-	out.entries = append(out.entries, o.entries...)
 	return out, nil
 }
 

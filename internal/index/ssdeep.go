@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -184,14 +185,15 @@ func (b *ssdeepBackend) WithoutIDs(dead map[string]struct{}) (Backend, int) {
 	return &ssdeepBackend{cfg: b.cfg, entries: live}, removed
 }
 
-func (b *ssdeepBackend) Merge(other Backend) (Backend, error) {
-	o, ok := other.(*ssdeepBackend)
-	if !ok {
-		return nil, fmt.Errorf("index: merge ssdeep with %s", other.Name())
+func (b *ssdeepBackend) Merge(others ...Backend) (Backend, error) {
+	out := &ssdeepBackend{cfg: b.cfg, entries: slices.Clone(b.entries)}
+	for _, other := range others {
+		o, ok := other.(*ssdeepBackend)
+		if !ok {
+			return nil, fmt.Errorf("index: merge ssdeep with %s", other.Name())
+		}
+		out.entries = append(out.entries, o.entries...)
 	}
-	out := &ssdeepBackend{cfg: b.cfg, entries: make([]ssdEntry, 0, len(b.entries)+len(o.entries))}
-	out.entries = append(out.entries, b.entries...)
-	out.entries = append(out.entries, o.entries...)
 	return out, nil
 }
 

@@ -17,8 +17,9 @@ import (
 const (
 	// maxBulkLineBytes bounds a single NDJSON line (one contract).
 	maxBulkLineBytes = 1 << 20 // 1 MiB
-	// bulkChunk is how many parsed lines are fanned out through the engine
-	// at a time; bounded so a huge stream never materializes in memory.
+	// bulkChunk is how many parsed lines go through the engine as one batch
+	// (one WAL write, one fsync, one publish per shard); bounded so a huge
+	// stream never materializes in memory.
 	bulkChunk = 256
 	// maxBulkErrors caps how many per-line error details are reported back.
 	maxBulkErrors = 10
@@ -58,13 +59,13 @@ type BulkResponse struct {
 }
 
 // handleCorpusBulk streams NDJSON — {"id": ..., "source": ...} or
-// {"id": ..., "fingerprint": ...} per line — into the serving corpus,
-// fanning chunks out through the engine's worker pool. Malformed lines are
-// skipped and counted; a persistence failure aborts the stream with 500
-// (earlier chunks remain ingested: the stream is not transactional). The
-// failure response still carries the per-entry accounting: a partially
-// committed chunk reports exactly the entries that were journaled, never
-// the whole chunk, so the response and a boot-time WAL replay agree.
+// {"id": ..., "fingerprint": ...} per line — into the serving corpus, one
+// engine batch per chunk. Malformed lines are skipped and counted; a
+// persistence failure aborts the stream with 500 (earlier chunks remain
+// ingested: the stream is not transactional). A chunk is journaled whole or
+// not at all, so the failure response's accounting — added up to the chunk
+// that failed, persist failures for all of that one — and a boot-time WAL
+// replay agree.
 func (s *Server) handleCorpusBulk(w http.ResponseWriter, r *http.Request) {
 	if s.router != nil {
 		s.routerBulk(w, r)

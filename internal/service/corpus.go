@@ -66,7 +66,7 @@ type Corpus struct {
 	cancelledReads atomic.Int64
 	degradedReads  atomic.Int64
 
-	// store, when non-nil, intercepts Add for write-ahead logging. Set once
+	// store, when non-nil, intercepts adds for write-ahead logging. Set once
 	// during OpenStore, before the corpus serves traffic.
 	store *Store
 }
@@ -177,28 +177,33 @@ func (c *Corpus) Add(id string, fp ccd.Fingerprint) error {
 // not journaled (the ccd backend — the only one a store attaches to — does
 // not index it).
 func (c *Corpus) AddDoc(doc index.Doc) error {
-	return c.AddDocCtx(context.Background(), doc)
+	return c.AddDocsCtx(context.Background(), []index.Doc{doc})
 }
 
-// AddDocCtx is AddDoc carrying a request context, so a traced ingest's WAL
-// append and fsync wait land in the request's span tree. Cancellation is not
-// observed: an add that reached the WAL is journaled and must publish.
-func (c *Corpus) AddDocCtx(ctx context.Context, doc index.Doc) error {
-	if c.store != nil {
-		return c.store.add(ctx, doc.ID, doc.FP)
+// AddDocsCtx indexes docs, in order, as one batch: with a Store attached,
+// one journal write and one group-commit fsync for all of them — a non-nil
+// error means none was acknowledged, journaled or made visible — then one
+// new segment and one publish per touched shard. Of several docs sharing an
+// id the last one is live afterwards, as if they had been added one by one.
+// The context carries the request's trace (WAL append and fsync wait land in
+// its span tree); cancellation is not observed: a batch that reached the WAL
+// is journaled and must publish.
+func (c *Corpus) AddDocsCtx(ctx context.Context, docs []index.Doc) error {
+	if c.store == nil {
+		c.addDocsLocal(docs)
+		return nil
 	}
-	c.addDocsLocal([]index.Doc{doc})
-	return nil
+	// The store deals in what it journals: (id, fingerprint) pairs. Memory
+	// indexes exactly those, so it always equals a replay of the log.
+	entries := make([]ccd.Entry, len(docs))
+	for i, d := range docs {
+		entries[i] = ccd.Entry{ID: d.ID, FP: d.FP}
+	}
+	return c.store.addBatch(ctx, entries)
 }
 
-// addLocal inserts without journaling (direct ingest, WAL replay, snapshot
-// restore). It returns once the entry is published and visible to readers.
-func (c *Corpus) addLocal(id string, fp ccd.Fingerprint) {
-	c.addDocsLocal([]index.Doc{{ID: id, FP: fp}})
-}
-
-// addLocalBatch enqueues fingerprint entries as per-shard deltas and
-// publishes each shard through its group-commit path (WAL boot replay).
+// addLocalBatch inserts fingerprint entries without journaling (a journaled
+// batch, WAL boot replay). It returns once they are published.
 func (c *Corpus) addLocalBatch(entries []ccd.Entry) {
 	docs := make([]index.Doc, len(entries))
 	for i, e := range entries {
@@ -207,30 +212,34 @@ func (c *Corpus) addLocalBatch(entries []ccd.Entry) {
 	c.addDocsLocal(docs)
 }
 
-// addDocsLocal partitions docs to their home shards and publishes every
-// touched shard, in parallel when the batch spans several. Empty batches are
-// no-ops.
+// addDocsLocal partitions docs to their home shards, keeping their order,
+// and publishes every touched shard, in parallel when the batch spans
+// several. It returns once the docs are visible to readers. Empty batches
+// are no-ops.
 func (c *Corpus) addDocsLocal(docs []index.Doc) {
 	if len(docs) == 0 {
 		return
 	}
-	if len(docs) == 1 {
+	if len(docs) == 1 || len(c.shards) == 1 {
 		sh := c.shardFor(docs[0].ID)
 		c.publish(sh, sh.enqueue(docs))
 		return
 	}
-	parts := make(map[*shard][]index.Doc, len(c.shards))
+	parts := make([][]index.Doc, len(c.shards))
 	for _, d := range docs {
-		sh := c.shardFor(d.ID)
-		parts[sh] = append(parts[sh], d)
+		i := c.shardIndex(d.ID)
+		parts[i] = append(parts[i], d)
 	}
 	var wg sync.WaitGroup
-	for sh, part := range parts {
+	for i, part := range parts {
+		if len(part) == 0 {
+			continue
+		}
 		wg.Add(1)
 		go func(sh *shard, part []index.Doc) {
 			defer wg.Done()
 			c.publish(sh, sh.enqueue(part))
-		}(sh, part)
+		}(c.shards[i], part)
 	}
 	wg.Wait()
 }
@@ -358,23 +367,31 @@ func (c *Corpus) publish(sh *shard, upTo uint64) {
 	if indexed > 0 {
 		segs = append(segs, seg)
 	}
-	// Logarithmic compaction: merge the tail while the newest segment has
+	// Logarithmic compaction: the tail merges while the newest segment has
 	// reached at least half its predecessor, keeping sizes strictly
-	// geometric and the segment count O(log n). Mapped segments are a
-	// compaction floor: merging one would rebuild it on the heap and drop
-	// the zero-copy mapping, so deltas above a mapped segment only merge
-	// among themselves — the next snapshot remap is what collapses the
-	// whole shard back onto a single mapping.
-	for len(segs) >= 2 && 2*segs[len(segs)-1].Len() >= segs[len(segs)-2].Len() {
-		if mr, ok := segs[len(segs)-2].(index.MappedReporter); ok && mr.MappedSegment() {
-			break
+	// geometric and the segment count O(log n). How far that cascade reaches
+	// follows from the segment sizes alone, so it is worked out first and
+	// the merged segment built once, instead of re-indexing the same docs
+	// at every step. Mapped segments are a compaction floor: merging one
+	// would rebuild it on the heap and drop the zero-copy mapping, so deltas
+	// above a mapped segment only merge among themselves — the next snapshot
+	// remap is what collapses the whole shard back onto a single mapping.
+	if last := len(segs) - 1; last >= 1 {
+		lo, tail := last, segs[last].Len()
+		for lo >= 1 && 2*tail >= segs[lo-1].Len() {
+			if mr, ok := segs[lo-1].(index.MappedReporter); ok && mr.MappedSegment() {
+				break
+			}
+			lo--
+			tail += segs[lo].Len()
 		}
-		merged, err := segs[len(segs)-2].Merge(segs[len(segs)-1])
-		if err != nil {
-			break // same-kind merges cannot fail; keep segments unmerged
+		if lo < last {
+			// Same-kind merges cannot fail; on error keep segments unmerged.
+			if merged, err := segs[lo].Merge(segs[lo+1:]...); err == nil {
+				segs = append(segs[:lo], merged)
+				c.compactions.Add(1)
+			}
 		}
-		segs = append(segs[:len(segs)-2], merged)
-		c.compactions.Add(1)
 	}
 	sh.gen.Store(&generation{
 		segments: segs,

@@ -384,7 +384,7 @@ func (e *Engine) CorpusAdd(id, src string) error {
 }
 
 // CorpusAddCtx is CorpusAdd carrying a request context: a traced ingest
-// decomposes into fingerprint, per-backend insert and WAL fsync-wait spans.
+// decomposes into fingerprint, corpus insert, WAL append and fsync-wait spans.
 func (e *Engine) CorpusAddCtx(ctx context.Context, id, src string) error {
 	_, fsp := trace.Start(ctx, "match.fingerprint")
 	fp, ferr := e.Fingerprint(src)
@@ -407,46 +407,61 @@ func (e *Engine) CorpusAddFingerprintCtx(ctx context.Context, id string, fp ccd.
 	return e.corpusAddDoc(ctx, index.Doc{ID: id, FP: fp})
 }
 
-// corpusAddDoc fans one document out to every loaded backend corpus. The
-// durable ccd corpus goes first: if its journaled add fails the document is
-// nowhere; per-backend skips of the in-memory corpora are absorbed (they are
-// counted on the corpus).
+// corpusAddDoc ingests one document: a batch of one.
 func (e *Engine) corpusAddDoc(ctx context.Context, doc index.Doc) error {
+	return e.corpusAddDocs(ctx, []index.Doc{doc})
+}
+
+// corpusAddDocs fans a batch of documents, in order, out to every loaded
+// backend corpus — one batch add each. The durable ccd corpus goes first: if
+// its journaled add fails the documents are nowhere; per-backend skips of the
+// in-memory corpora are absorbed (they are counted on the corpus).
+func (e *Engine) corpusAddDocs(ctx context.Context, docs []index.Doc) error {
+	if len(docs) == 0 {
+		return nil
+	}
 	ctx, sp := trace.Start(ctx, "corpus.add")
 	defer sp.End()
-	if err := e.corpus.AddDocCtx(ctx, doc); err != nil {
+	sp.AnnotateInt("docs", int64(len(docs)))
+	if err := e.corpus.AddDocsCtx(ctx, docs); err != nil {
 		return err
 	}
 	for name, c := range e.corpora {
 		if name == index.BackendCCD {
 			continue
 		}
-		_ = c.AddDoc(doc) // in-memory; unsupported docs are counted as skips
+		c.addDocsLocal(docs) // in-memory; unsupported docs are counted as skips
 	}
-	e.ctr.corpusAdds.Add(1)
-	if e.clusters != nil {
-		// Live clustering: the freshly published document (read-your-writes)
-		// matches against the ccd corpus and its top clone edges land in the
-		// union-find. Best-effort and additive — the /v1/study corpus mode
-		// recomputes exactly.
+	e.ctr.corpusAdds.Add(int64(len(docs)))
+	if e.clusters == nil {
+		return nil
+	}
+	// Live clustering: each freshly published document (read-your-writes)
+	// matches against the ccd corpus and its top clone edges land in the
+	// union-find. Best-effort and additive — the /v1/study corpus mode
+	// recomputes exactly. WithoutCancel: the trace rides along, but a
+	// disconnecting client cannot skip the cluster link of a journaled add.
+	linkCtx := context.WithoutCancel(ctx)
+	for _, doc := range docs {
 		e.clusters.Add(doc.ID)
 		// +1: the freshly published doc takes one slot with its self-match.
 		// Trim back after the self-filter — on an exact-clone plateau the
 		// doc's own ID can tie-break out of the k+1 slots, leaving k+1
-		// non-self matches. WithoutCancel: the trace rides along, but a
-		// disconnecting client cannot skip the cluster link of a journaled add.
-		if ms, _, err := e.corpus.MatchDocTopK(context.WithoutCancel(ctx), doc, onlineClusterK+1); err == nil {
-			edges := 0
-			for _, m := range ms {
-				if m.ID == doc.ID {
-					continue
-				}
-				if edges == onlineClusterK {
-					break
-				}
-				edges++
-				e.clusters.Union(doc.ID, m.ID)
+		// non-self matches.
+		ms, _, err := e.corpus.MatchDocTopK(linkCtx, doc, onlineClusterK+1)
+		if err != nil {
+			continue
+		}
+		edges := 0
+		for _, m := range ms {
+			if m.ID == doc.ID {
+				continue
 			}
+			if edges == onlineClusterK {
+				break
+			}
+			edges++
+			e.clusters.Union(doc.ID, m.ID)
 		}
 	}
 	return nil
@@ -610,25 +625,43 @@ type CorpusEntry struct {
 	Fingerprint ccd.Fingerprint
 }
 
-// CorpusAddBatch ingests entries into the serving corpus across the worker
-// pool. The i-th error reports the i-th entry's parse status (persistence
-// failures satisfy errors.Is ErrPersist and mean the entry was dropped).
+// CorpusAddBatch ingests entries into the serving corpus as one batch. The
+// i-th error reports the i-th entry's parse status (persistence failures
+// satisfy errors.Is ErrPersist and mean the entry was dropped).
 func (e *Engine) CorpusAddBatch(entries []CorpusEntry) []error {
 	return e.CorpusAddBatchCtx(context.Background(), entries)
 }
 
-// CorpusAddBatchCtx is CorpusAddBatch carrying a request context; each
-// entry's fingerprint/insert/fsync spans land in the request's trace (up to
-// the trace's span cap). The context does not cancel journaled work.
+// CorpusAddBatchCtx is CorpusAddBatch carrying a request context. The
+// entries that need it are fingerprinted across the worker pool — the only
+// part of an ingest that parallelises — and the documents then go, in input
+// order, through one batch add: journaled whole or not at all (on a
+// persistence failure every entry reports it), one publish per touched shard,
+// and of several entries sharing an id the last one is live. The context
+// carries the trace (corpus.add, wal.append and wal.fsync_wait appear once
+// per batch); it does not cancel journaled work.
 func (e *Engine) CorpusAddBatchCtx(ctx context.Context, entries []CorpusEntry) []error {
 	errs := make([]error, len(entries))
-	e.Map(len(entries), func(i int) {
-		if entries[i].Fingerprint != "" {
-			errs[i] = e.CorpusAddFingerprintCtx(ctx, entries[i].ID, entries[i].Fingerprint)
-		} else {
-			errs[i] = e.CorpusAddCtx(ctx, entries[i].ID, entries[i].Source)
+	docs := make([]index.Doc, len(entries))
+	var unprinted []int
+	for i, en := range entries {
+		docs[i] = index.Doc{ID: en.ID, FP: en.Fingerprint}
+		if en.Fingerprint == "" {
+			docs[i].Source = en.Source
+			unprinted = append(unprinted, i)
 		}
+	}
+	e.Map(len(unprinted), func(k int) {
+		i := unprinted[k]
+		_, fsp := trace.Start(ctx, "match.fingerprint")
+		docs[i].FP, errs[i] = e.Fingerprint(docs[i].Source)
+		fsp.End()
 	})
+	if err := e.corpusAddDocs(ctx, docs); err != nil {
+		for i := range errs {
+			errs[i] = err
+		}
+	}
 	return errs
 }
 

@@ -94,7 +94,7 @@ func FuzzWALReplay(f *testing.F) {
 		for i := 0; i+1 < len(fields); i += 2 {
 			e := ccd.Entry{ID: string(fields[i]), FP: ccd.Fingerprint(fields[i+1])}
 			entries = append(entries, e)
-			log = append(log, encodeWALRecord(e.ID, e.FP)...)
+			log = appendWALRecord(log, e.ID, e.FP)
 		}
 
 		// Damage it: truncate, then flip bits in one surviving byte.

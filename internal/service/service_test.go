@@ -263,38 +263,51 @@ func TestCorpusShardPartitioning(t *testing.T) {
 
 // TestCorpusReadersNeverBlockOnWriters: a reader loaded generation stays
 // fully usable while writers publish new ones, and reads observe
-// monotonically growing corpora (no torn or shrinking states).
+// monotonically growing corpora (no torn or shrinking states). The writer's
+// work is fixed — every document here carries the same fingerprint, so each
+// match scores the whole corpus, and a writer left unbounded makes every read
+// slower the faster it publishes.
 func TestCorpusReadersNeverBlockOnWriters(t *testing.T) {
+	const writes = 400
 	c := NewCorpus(ccd.DefaultConfig, 0)
 	fp := ccd.Fingerprint("QxRtYuIoPAbCdEfGh.ZxCvBnMQwErTy")
-	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // writer: continuous single adds (worst-case publish churn)
+	go func() { // writer: single adds (worst-case publish churn)
 		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-done:
-				return
-			default:
-				_ = c.Add(fmt.Sprintf("w-%d", i), fp)
-			}
+		for i := 0; i < writes; i++ {
+			_ = c.Add(fmt.Sprintf("w-%d", i), fp)
 		}
 	}()
-	prev := 0
-	for i := 0; i < 2000; i++ {
+	read := func(prev int) int {
+		n := c.Len()
+		if n < prev {
+			t.Fatalf("corpus shrank: %d after %d", n, prev)
+		}
 		ms, _ := c.MatchTopK(fp, 5)
 		if len(ms) > 5 {
 			t.Fatalf("top-5 returned %d matches", len(ms))
 		}
-		if n := c.Len(); n < prev {
-			t.Fatalf("corpus shrank: %d after %d", n, prev)
-		} else {
-			prev = n
+		if len(ms) < min(n, 5) {
+			t.Fatalf("top-5 returned %d matches over a corpus of at least %d clones", len(ms), n)
 		}
+		return n
 	}
-	close(done)
+	prev := 0
+	for prev < writes { // reads overlap the writer for as long as it runs
+		prev = read(prev)
+	}
 	wg.Wait()
+
+	// Readers hold no lock a writer needs, and the other way round: with
+	// every shard's publish lock held, matching still answers.
+	for _, sh := range c.shards {
+		sh.pubMu.Lock()
+	}
+	read(prev)
+	for _, sh := range c.shards {
+		sh.pubMu.Unlock()
+	}
 }
 
 func TestMapCoversAllIndicesOnce(t *testing.T) {

@@ -84,11 +84,12 @@ type Store struct {
 }
 
 // BackpressureConfig slows ingest acknowledgements when WAL fsyncs degrade:
-// once the rolling-window fsync p99 crosses FsyncP99, every durable Add
-// sleeps for the excess (capped at MaxDelay) before acknowledging. Write
-// bursts then degrade smoothly — clients are paced at the disk's actual
-// speed — instead of piling work onto a drowning log until the admission
-// queue cliffs into 429s.
+// once the rolling-window fsync p99 crosses FsyncP99, every durable add — a
+// single document or a whole batch, one delay either way — sleeps for the
+// excess (capped at MaxDelay) before acknowledging. Write bursts then
+// degrade smoothly — clients are paced at the disk's actual speed — instead
+// of piling work onto a drowning log until the admission queue cliffs into
+// 429s.
 type BackpressureConfig struct {
 	// FsyncP99 is the rolling-window fsync p99 above which acks slow.
 	// 0 disables backpressure.
@@ -114,10 +115,10 @@ func (s *Store) SetBackpressure(cfg BackpressureConfig) {
 	s.bp.Store(&cfg)
 }
 
-// backpressureDelay slows one acknowledged add when the rolling fsync p99
-// is over the configured threshold. The record is already durable and
-// visible — the delay only paces the client — so a cancelled ctx simply
-// skips the wait.
+// backpressureDelay slows one acknowledged batch of adds when the rolling
+// fsync p99 is over the configured threshold. The records are already
+// durable and visible — the delay only paces the client — so a cancelled ctx
+// simply skips the wait.
 func (s *Store) backpressureDelay(ctx context.Context) {
 	cfg := s.bp.Load()
 	if cfg == nil {
@@ -269,18 +270,24 @@ func (s *Store) Ready() bool {
 	return s.wal != nil && !s.wal.rollbackPending()
 }
 
-// add journals the entry, then makes it visible. Called by Corpus.Add. The
-// backpressure delay runs after the shared lock is released: slowing an ack
-// must never hold up a Snapshot waiting for the exclusive lock.
-func (s *Store) add(ctx context.Context, id string, fp ccd.Fingerprint) error {
+// addBatch journals the entries, then makes them visible: one WAL write and
+// one place in the group commit for the whole batch, then one publish per
+// touched shard — journaled whole or not at all. Every Corpus add funnels
+// through here. The backpressure delay runs once per acknowledged batch,
+// after the shared lock is released: slowing an ack must never hold up a
+// Snapshot waiting for the exclusive lock.
+func (s *Store) addBatch(ctx context.Context, entries []ccd.Entry) error {
+	if len(entries) == 0 {
+		return nil
+	}
 	if err := func() error {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		if err := s.wal.appendRecord(ctx, id, fp); err != nil {
+		if err := s.wal.appendBatch(ctx, entries); err != nil {
 			return fmt.Errorf("%w: wal append: %v", ErrPersist, err)
 		}
-		s.corpus.addLocal(id, fp)
-		s.pendingAdds.Add(1)
+		s.corpus.addLocalBatch(entries)
+		s.pendingAdds.Add(int64(len(entries)))
 		return nil
 	}(); err != nil {
 		return err

@@ -17,6 +17,11 @@ func testFP(i int) ccd.Fingerprint {
 	return ccd.Fingerprint(fmt.Sprintf("QxRtYuIoP%dAbCdEfGh.ZxCvBnM%dQwErTy", i, i*7))
 }
 
+// appendRecord journals one entry: a batch of one.
+func (w *wal) appendRecord(ctx context.Context, id string, fp ccd.Fingerprint) error {
+	return w.appendBatch(ctx, []ccd.Entry{{ID: id, FP: fp}})
+}
+
 func mustAdd(t *testing.T, c *Corpus, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -162,9 +167,9 @@ func TestWALCutAppenderNotFalselyAcknowledged(t *testing.T) {
 	}
 
 	// Appender A: record written, acknowledgement pending — exactly the
-	// state of a goroutine that has left writeRecord but not yet entered the
+	// state of a goroutine that has left writeRecords but not yet entered the
 	// group-commit section.
-	seqA, err := w.writeRecord(encodeWALRecord("stalled", testFP(2)))
+	seqA, err := w.writeRecords(appendWALRecord(nil, "stalled", testFP(2)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +225,7 @@ func TestWALGarbageCutFailureSyncsAnyway(t *testing.T) {
 
 	// Appender A has written its record but not yet reached the group
 	// commit; then another appender's short write poisons the log.
-	seqA, err := w.writeRecord(encodeWALRecord("stalled", testFP(2)))
+	seqA, err := w.writeRecords(appendWALRecord(nil, "stalled", testFP(2)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +233,15 @@ func TestWALGarbageCutFailureSyncsAnyway(t *testing.T) {
 		_, _ = w.f.Write([]byte{0xde, 0xad})
 		return errors.New("injected: device error")
 	}
+	// The failed write cannot cut its own garbage either, so the log stays
+	// poisoned.
+	w.truncHook = func() error { return errors.New("injected: truncate refused") }
 	if err := w.appendRecord(context.Background(), "garbage-maker", testFP(3)); err == nil {
 		t.Fatal("append with failing write succeeded")
 	}
 	w.writeHook = nil
 
-	// A's garbage cut fails, but its record must still be acknowledged.
-	w.truncHook = func() error { return errors.New("injected: truncate refused") }
+	// A's garbage cut fails too, but its record must still be acknowledged.
 	errA := w.awaitDurable(seqA)
 	w.release(seqA)
 	if errA != nil {
@@ -302,10 +309,10 @@ func TestWALRollbackTruncateFailureBlocksNewAppends(t *testing.T) {
 }
 
 // TestWALWriteFailurePoisonsAndRecovers: a failed record write (short write
-// leaving garbage in the file) must never truncate the log in place — an
-// in-flight group commit could lose acknowledged records — but poison it,
-// so the NEXT append cuts exactly the garbage beyond the last complete
-// record and the log carries on with no torn tail.
+// leaving garbage in the file) must never truncate the log to its durable
+// prefix — an in-flight group commit could lose acknowledged records — but
+// cut exactly the garbage beyond the last complete record, so the log
+// carries on with no torn tail.
 func TestWALWriteFailurePoisonsAndRecovers(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
 	w, err := openWAL(path)

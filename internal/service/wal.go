@@ -30,11 +30,13 @@ var ErrPersist = errors.New("corpus persistence failed")
 //	uint32  CRC-32 (IEEE, little-endian) of the payload
 //	payload: uvarint id length, id, uvarint fingerprint length, fingerprint
 //
-// Records are synced to disk before Add is acknowledged, so a crash loses at
-// most un-acknowledged writes. Replay stops at the first torn or corrupt
-// record — a crash mid-append leaves a truncated tail, never a reordered
-// one — and reports the byte offset of the last intact record so the tail
-// can be cut before new appends.
+// A batch of adds is n such records back to back — the log has no batch
+// framing, so stream positions count records whatever the batching. Records
+// are synced to disk before Add is acknowledged, so a crash loses at most
+// un-acknowledged writes. Replay stops at the first torn or corrupt record —
+// a crash mid-append leaves a truncated tail, never a reordered one — and
+// reports the byte offset of the last intact record so the tail can be cut
+// before new appends.
 type wal struct {
 	mu   sync.Mutex // guards writes to f, writeSeq and writtenBytes
 	f    *os.File
@@ -46,7 +48,7 @@ type wal struct {
 	// N concurrent appends coalesce into ~2 fsyncs instead of N.
 	syncMu   sync.Mutex
 	writeSeq int64 // monotonic append counter; never reused, even across rollbacks (mu)
-	syncSeq  int64 // highest seq known durable (written under syncMu+mu, read under either)
+	syncSeq  int64 // highest seq settled: durable or, if in cuts, condemned (written under syncMu+mu, read under either)
 
 	// Byte offsets mirroring the sequence counters: writtenBytes is the file
 	// length after the last append (mu), syncedBytes the length of the
@@ -63,11 +65,11 @@ type wal struct {
 	// is a permanent verdict: an appender waiting on syncMu distinguishes
 	// "my record is durable" (syncSeq ≥ seq AND seq not cut) from "my record
 	// was cut and syncSeq moved past it on the strength of someone else's
-	// bytes". pending holds the seq of every appender between write and
-	// acknowledgement; a range retires as soon as no pending seq can still
-	// fall inside it (every future append gets a larger seq than its hi), so
-	// cuts stays empty except in the wake of an fsync failure. Both guarded
-	// by mu.
+	// bytes". pending holds the last seq of every appender's batch between
+	// write and acknowledgement; a range retires as soon as no pending seq
+	// can still fall inside it (every future append gets a larger seq than
+	// its hi), so cuts stays empty except in the wake of an fsync failure.
+	// Both guarded by mu.
 	cuts    []seqRange
 	pending map[int64]struct{}
 
@@ -78,12 +80,13 @@ type wal struct {
 	// retries the truncate before appending anything. Guarded by mu.
 	rollbackNeeded bool
 
-	// failed marks a write error that may have left garbage bytes beyond
-	// writtenBytes (a short write). While set, the file needs a truncate to
-	// writtenBytes before the next append; the flag — never a truncate —
-	// is all the write-failure path touches, because truncating to the
-	// durable prefix under mu alone could cut records of a group whose
-	// fsync is in flight under syncMu and let them be acknowledged anyway.
+	// failed marks a write error whose leftovers beyond writtenBytes (a short
+	// write: garbage, or whole leading records of a refused batch) could not
+	// be cut on the spot. While set, the file needs a truncate to
+	// writtenBytes before the next append. The write-failure path only ever
+	// cuts to writtenBytes, never to the durable prefix: that, under mu
+	// alone, could cut records of a group whose fsync is in flight under
+	// syncMu and let them be acknowledged anyway.
 	failed bool // guarded by mu
 
 	// syncHook / writeHook / truncHook, when set, inject faults into the
@@ -167,49 +170,67 @@ func openWAL(path string) (*wal, error) {
 	return &wal{f: f, path: path, writtenBytes: st.Size(), syncedBytes: st.Size()}, nil
 }
 
-// encodeWALRecord renders one entry in the on-disk record layout. Pure, so
-// the replay fuzzer can synthesize valid logs without touching a file.
-func encodeWALRecord(id string, fp ccd.Fingerprint) []byte {
-	payload := make([]byte, 0, 2*binary.MaxVarintLen64+len(id)+len(fp))
-	payload = binary.AppendUvarint(payload, uint64(len(id)))
-	payload = append(payload, id...)
-	payload = binary.AppendUvarint(payload, uint64(len(fp)))
-	payload = append(payload, fp...)
-
-	rec := make([]byte, 0, binary.MaxVarintLen64+4+len(payload))
-	rec = binary.AppendUvarint(rec, uint64(len(payload)))
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
-	return append(rec, payload...)
+// appendWALRecord appends one entry in the on-disk record layout to dst.
+// Pure, so the replay fuzzer can synthesize valid logs without touching a
+// file.
+func appendWALRecord(dst []byte, id string, fp ccd.Fingerprint) []byte {
+	var lens [2 * binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(lens[:], uint64(len(id)))
+	m := binary.PutUvarint(lens[n:], uint64(len(fp)))
+	dst = binary.AppendUvarint(dst, uint64(n+len(id)+m+len(fp)))
+	crcAt := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	dst = append(dst, lens[:n]...)
+	dst = append(dst, id...)
+	dst = append(dst, lens[n:n+m]...)
+	dst = append(dst, fp...)
+	binary.LittleEndian.PutUint32(dst[crcAt:], crc32.ChecksumIEEE(dst[crcAt+4:]))
+	return dst
 }
 
 // seqRange is a half-open-below interval (lo, hi] of sequence numbers
 // removed from the log by a failed-group-commit rollback.
 type seqRange struct{ lo, hi int64 }
 
-// appendRecord journals one entry and returns once it is on stable storage.
-// On a write or fsync failure the log is rolled back to its durable prefix,
-// so an errored append leaves no record behind for replay — and concurrent
-// appenders whose records were cut by the rollback get an error of their
-// own instead of a false acknowledgement.
-func (w *wal) appendRecord(ctx context.Context, id string, fp ccd.Fingerprint) error {
+// appendBatch journals the entries, in order, and returns once all of them
+// are on stable storage: one buffer, one write, one place in the group
+// commit. On a write or fsync failure the log is rolled back to its durable
+// prefix, so an errored batch leaves none of its records behind for replay —
+// and concurrent appenders whose records were cut by the rollback get an
+// error of their own instead of a false acknowledgement.
+func (w *wal) appendBatch(ctx context.Context, entries []ccd.Entry) error {
 	ctx, sp := trace.Start(ctx, "wal.append")
 	defer sp.End()
-	seq, err := w.writeRecord(encodeWALRecord(id, fp))
+	size := 0
+	for _, e := range entries {
+		size += len(e.ID) + len(e.FP) + 3*binary.MaxVarintLen64 + 4 // upper bound
+	}
+	buf := make([]byte, 0, size)
+	for _, e := range entries {
+		buf = appendWALRecord(buf, e.ID, e.FP)
+	}
+	sp.AnnotateInt("records", int64(len(entries)))
+	sp.AnnotateInt("bytes", int64(len(buf)))
+	seq, err := w.writeRecords(buf, len(entries))
 	if err != nil {
 		return err
 	}
 	defer w.release(seq)
 	_, wait := trace.Start(ctx, "wal.fsync_wait")
 	wait.AnnotateInt("seq", seq)
+	wait.AnnotateInt("records", int64(len(entries)))
 	err = w.awaitDurable(seq)
 	wait.End()
 	return err
 }
 
-// writeRecord appends one encoded record and registers the caller as a
-// pending appender, returning the record's sequence number. The caller must
-// follow up with awaitDurable(seq) and then release(), in that order.
-func (w *wal) writeRecord(rec []byte) (int64, error) {
+// writeRecords appends n encoded records in one write and registers the
+// caller as a pending appender, returning the sequence number of the last
+// record (the batch holds seqs (seq-n, seq]). A batch is written, fsynced and
+// cut as a unit — every syncSeq and every cut range ends on a batch boundary
+// — so its last seq stands for all of it. The caller must follow up with
+// awaitDurable(seq) and then release(seq), in that order.
+func (w *wal) writeRecords(recs []byte, n int) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.rollbackNeeded {
@@ -228,8 +249,8 @@ func (w *wal) writeRecord(rec []byte) (int64, error) {
 	}
 	if w.failed {
 		// An earlier append died mid-write and may have left garbage beyond
-		// the last complete record. writtenBytes counts only fully-written
-		// records and is never below any concurrent syncer's covered
+		// the last complete batch. writtenBytes counts only fully-written
+		// batches and is never below any concurrent syncer's covered
 		// snapshot, so cutting to it cannot remove a record that could
 		// still be acknowledged.
 		if err := w.truncate(w.writtenBytes); err != nil {
@@ -237,12 +258,17 @@ func (w *wal) writeRecord(rec []byte) (int64, error) {
 		}
 		w.failed = false
 	}
-	if err := w.write(rec); err != nil {
-		w.failed = true
+	if err := w.write(recs); err != nil {
+		// A short write of a batch can leave whole records of it in the
+		// file, which no CRC check would cut at boot: remove them now, or
+		// poison the log so the next append does.
+		if terr := w.truncate(w.writtenBytes); terr != nil {
+			w.failed = true
+		}
 		return 0, err
 	}
-	w.writeSeq++
-	w.writtenBytes += int64(len(rec))
+	w.writeSeq += int64(n)
+	w.writtenBytes += int64(len(recs))
 	if w.pending == nil {
 		w.pending = make(map[int64]struct{})
 	}
@@ -250,17 +276,17 @@ func (w *wal) writeRecord(rec []byte) (int64, error) {
 	return w.writeSeq, nil
 }
 
-// awaitDurable returns once the record holding seq is on stable storage,
+// awaitDurable returns once the batch ending at seq is on stable storage,
 // either because a concurrent appender's group fsync covered it or because
 // this call performed the fsync itself. It returns an error when a rollback
-// cut the record from the log.
+// cut the batch from the log.
 func (w *wal) awaitDurable(seq int64) error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	if w.cutLocked(seq) {
-		// A rollback between our write and now removed this record. Its seq
-		// was never reassigned, so syncSeq having moved past it can only
+		// A rollback between our write and now removed this batch. Its seqs
+		// were never reassigned, so syncSeq having moved past them can only
 		// reflect other appenders' records — not ours.
 		w.mu.Unlock()
 		return fmt.Errorf("wal: record lost in failed group commit")
@@ -362,6 +388,9 @@ func (w *wal) rollbackLocked() {
 	if w.writeSeq > w.syncSeq {
 		w.cuts = append(w.cuts, seqRange{lo: w.syncSeq, hi: w.writeSeq})
 		w.condemned.Add(w.writeSeq - w.syncSeq)
+		// The condemned seqs are settled: the next group commit (or the next
+		// rollback) starts counting its records after them.
+		w.syncSeq = w.writeSeq
 	}
 	if err := w.truncate(w.syncedBytes); err != nil {
 		w.rollbackNeeded = true // bytes still present; cut before the next append
@@ -391,7 +420,8 @@ func (w *wal) truncate(n int64) error {
 	return w.f.Truncate(n)
 }
 
-// write appends one record (or fails through the injected test hook).
+// write appends one batch of records (or fails through the injected test
+// hook).
 func (w *wal) write(rec []byte) error {
 	if w.writeHook != nil {
 		if err := w.writeHook(); err != nil {
@@ -403,7 +433,7 @@ func (w *wal) write(rec []byte) error {
 }
 
 // reset truncates the log after a successful snapshot: everything it held is
-// now covered by the snapshot file. Lock order matches appendRecord (syncMu
+// now covered by the snapshot file. Lock order matches awaitDurable (syncMu
 // before mu).
 func (w *wal) reset() error {
 	w.syncMu.Lock()
