@@ -31,9 +31,11 @@ import (
 // documented. Grown deliberately: add a package here once its godoc is
 // clean, and doclint keeps it that way.
 var auditedPackages = []string{
+	"internal/ccd",
 	"internal/cluster",
-	"internal/index",
+	"internal/editdist",
 	"internal/loadgen",
+	"internal/ngram",
 	"internal/remote",
 	"internal/service",
 	"internal/service/api",

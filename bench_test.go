@@ -24,7 +24,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/editdist"
 	"repro/internal/experiments"
-	"repro/internal/index"
 	"repro/internal/loadgen"
 	"repro/internal/pipeline"
 	"repro/internal/query"
@@ -35,6 +34,15 @@ import (
 	"repro/internal/ssdeep"
 	"repro/internal/trace"
 )
+
+// addFP and addSrc ingest one entry through the engine: a batch of one.
+func addFP(e *service.Engine, id string, fp ccd.Fingerprint) error {
+	return e.CorpusAddBatch([]service.CorpusEntry{{ID: id, Fingerprint: fp}})[0]
+}
+
+func addSrc(e *service.Engine, id, src string) error {
+	return e.CorpusAddBatch([]service.CorpusEntry{{ID: id, Source: src}})[0]
+}
 
 // --- Table 1: CCC vs 8 tools ---------------------------------------------------
 
@@ -731,15 +739,28 @@ func BenchmarkMatchTopK1M(b *testing.B) {
 	heap, mapped, queries := fixture1M()
 	run := func(name string, c *ccd.Corpus) {
 		b.Run(name, func(b *testing.B) {
+			// The serving layer's shape: queries prepared once, one warm
+			// buffer, one collector re-armed per match.
 			var mb ccd.MatchBuffer
-			for _, q := range queries { // warm the full rotation, untimed
-				if ms, _ := c.MatchTopKBuf(q, 10, &mb); len(ms) == 0 {
+			var col ccd.TopK
+			var out []ccd.Match
+			prepared := make([]*ccd.PreparedQuery, len(queries))
+			for i, q := range queries {
+				prepared[i] = ccd.PrepareQuery(c.Config(), q)
+			}
+			match := func(i int) []ccd.Match {
+				c.MatchInto(prepared[i%len(prepared)], col.Reset(10, c.Config().Epsilon), &mb, ccd.MatchOpts{})
+				out = col.AppendResults(out[:0])
+				return out
+			}
+			for i := range prepared { // warm the full rotation, untimed
+				if len(match(i)) == 0 {
 					b.Fatal("warm-up query matched nothing")
 				}
 			}
 			i := 0
 			allocs := testing.AllocsPerRun(100, func() {
-				c.MatchTopKBuf(queries[i%len(queries)], 10, &mb)
+				match(i)
 				i++
 			})
 			if allocs != 0 {
@@ -749,8 +770,7 @@ func BenchmarkMatchTopK1M(b *testing.B) {
 			b.ResetTimer()
 			total := 0
 			for j := 0; j < b.N; j++ {
-				ms, _ := c.MatchTopKBuf(queries[j%len(queries)], 10, &mb)
-				total += len(ms)
+				total += len(match(j))
 			}
 			b.ReportMetric(float64(total)/float64(b.N), "matches/query")
 		})
@@ -768,7 +788,7 @@ func BenchmarkMatchTopK1M(b *testing.B) {
 func BenchmarkTracedMatch10k(b *testing.B) {
 	c, fps := matchBenchCorpus(b)
 	query := func(ctx context.Context, i int) {
-		ms, _, err := c.MatchDocTopK(ctx, index.Doc{FP: fps[i%len(fps)]}, 10)
+		ms, _, err := c.MatchTopKCtx(ctx, fps[i%len(fps)], 10, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -876,47 +896,6 @@ func BenchmarkMatchScatterGather10k(b *testing.B) {
 	}
 }
 
-// BenchmarkBackendCompare pits the three similarity backends against each
-// other on one 2k-document corpus: same documents, same top-10 query, each
-// backend scoring with its own scheme (posting-list pre-filter + Algorithm 1
-// vs CTPH digest edit distance vs AST-embedding cosine).
-func BenchmarkBackendCompare(b *testing.B) {
-	entries, _ := persistFixture(b)
-	const docs = 2000
-	eng := service.New(service.Options{})
-	docsPrepared := make([]index.Doc, docs)
-	for i, e := range entries[:docs] {
-		fp, _ := eng.Fingerprint(e.Source)
-		docsPrepared[i] = index.Doc{ID: e.ID, Source: e.Source, FP: fp}
-	}
-	query := index.Doc{Source: entries[0].Source, FP: docsPrepared[0].FP}
-	for _, backend := range index.Names() {
-		b.Run(backend, func(b *testing.B) {
-			c, err := service.NewBackendCorpus(backend, index.Config{}, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, d := range docsPrepared {
-				_ = c.AddDoc(d) // smartembed skips unparsable docs
-			}
-			if c.Len() == 0 {
-				b.Fatalf("backend %s indexed nothing", backend)
-			}
-			b.ResetTimer()
-			total := 0
-			for i := 0; i < b.N; i++ {
-				ms, _, err := c.MatchDocTopK(context.Background(), query, 10)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += len(ms)
-			}
-			b.ReportMetric(float64(total)/float64(b.N), "matches/query")
-			b.ReportMetric(float64(c.Len()), "docs")
-		})
-	}
-}
-
 // --- corpus-wide clone study: self-join planner vs naive all-pairs ---------------
 
 // selfJoinFixture builds a deterministic 10k-document corpus of clone
@@ -954,13 +933,13 @@ func BenchmarkSelfJoin10k(b *testing.B) {
 	b.Run("planner", func(b *testing.B) {
 		eng := service.New(service.Options{})
 		for _, e := range entries {
-			if err := eng.CorpusAddFingerprint(e.ID, e.FP); err != nil {
+			if err := addFP(eng, e.ID, e.FP); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rep, err := eng.RunCloneStudy(context.Background(), "", 0, 0)
+			rep, err := eng.RunCloneStudy(context.Background(), 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -996,7 +975,7 @@ func BenchmarkCorpusMatchParallel(b *testing.B) {
 	srcs := engineBenchSources(64)
 	eng := service.New(service.Options{})
 	for i, src := range srcs {
-		_ = eng.CorpusAdd(fmt.Sprintf("doc-%d", i), src)
+		_ = addSrc(eng, fmt.Sprintf("doc-%d", i), src)
 	}
 	fp, err := eng.Fingerprint(srcs[0])
 	if err != nil {
@@ -1005,7 +984,7 @@ func BenchmarkCorpusMatchParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			eng.MatchFingerprint(fp)
+			_, _, _ = eng.MatchFingerprint(context.Background(), fp, 0)
 		}
 	})
 }
@@ -1048,7 +1027,7 @@ func BenchmarkDistributedMatch(b *testing.B) {
 		targets[i] = ts.URL
 	}
 	for _, e := range all {
-		if err := engines[ring.Owner(e.ID)].CorpusAddFingerprint(e.ID, e.FP); err != nil {
+		if err := addFP(engines[ring.Owner(e.ID)], e.ID, e.FP); err != nil {
 			b.Fatal(err)
 		}
 	}

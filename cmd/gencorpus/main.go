@@ -115,9 +115,7 @@ func main() {
 
 	// Fingerprint the deployed-contract corpora in parallel and emit the
 	// snapshot the service restores from. Written via temp + rename so a
-	// killed run never leaves a half-snapshot behind. The snapshot is always
-	// ccd-backed: the only restore path (serve -corpus-dir) attaches a store
-	// to the ccd corpus; the other backends re-index live traffic instead.
+	// killed run never leaves a half-snapshot behind.
 	engine := service.New(service.Options{
 		CCD:    ccd.Config{N: *snapN, Eta: *snapEta, Epsilon: *snapEps},
 		Shards: *snapShards,
@@ -147,6 +145,6 @@ func main() {
 	die(err)
 	die(tmp.Close())
 	die(os.Rename(tmp.Name(), *snapshot))
-	fmt.Printf("snapshot: %s (backend %s, %d shards, %d entries, %d bytes, %d parse issues)\n",
-		*snapshot, corpus.Backend(), corpus.Shards(), corpus.Len(), st.Size(), parseIssues)
+	fmt.Printf("snapshot: %s (%d shards, %d entries, %d bytes, %d parse issues)\n",
+		*snapshot, corpus.Shards(), corpus.Len(), st.Size(), parseIssues)
 }

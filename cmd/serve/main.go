@@ -4,7 +4,7 @@
 //
 //	serve -addr :8070 -workers 8 -cache 4096
 //	serve -corpus-dir ./data -snapshot-interval 5m     # durable corpus
-//	serve -shards 8 -backend ccd,ssdeep,smartembed     # scatter-gather width + extra matchers
+//	serve -shards 8                                    # scatter-gather width
 //	serve -admission-queue 64 -rate-limit 50 -rate-burst 100   # overload controls
 //
 // Multi-node topology (-role): the in-process scatter-gather generalizes to
@@ -24,10 +24,9 @@
 // The serving corpus is hash-partitioned into -shards generation-shards
 // (default GOMAXPROCS): each /v1/match scatter-gathers across all shards in
 // parallel under one shared admission bound, so query latency drops roughly
-// with the shard count on multi-core hosts. -backend loads additional
-// similarity backends (the paper's comparison tools) next to the always-on
-// ccd matcher; select one per query with /v1/match?backend=ssdeep. Only the
-// ccd corpus is durable — the extra backends re-index live traffic.
+// with the shard count on multi-core hosts. The matcher is the paper's ccd
+// clone detector; the comparison tools (SmartEmbed) run offline only, in
+// soddstudy -table 3.
 //
 // With -corpus-dir the serving corpus survives restarts: on boot the binary
 // snapshot (corpus.snap) is restored and the write-ahead log (corpus.wal)
@@ -48,10 +47,10 @@
 //	POST /v1/match            {"source": "..."} or {"fingerprint": "..."};
 //	                          optional "limit": k keeps the top K; batch form
 //	                          {"sources": [...]} / {"fingerprints": [...]};
-//	                          ?backend=ccd|ssdeep|smartembed selects the
-//	                          matcher, ?explain=1 attaches the pruning funnel
+//	                          ?explain=1 attaches the pruning funnel; a
+//	                          "backend" other than "ccd" is a 400
 //	POST /v1/study            {"seed": 1, "scale": 0.01}   (async; poll the id)
-//	                          {"mode": "corpus", "backend": "ccd", "limit": 0}
+//	                          {"mode": "corpus", "limit": 0}
 //	                          runs the corpus-wide clone study — posting-list
 //	                          self-join + clustering — over the live serving
 //	                          corpus instead of a regenerated one
@@ -89,7 +88,7 @@
 // how to size the knobs.
 //
 // With -clusters (default on) every ingested document is matched against
-// the ccd corpus and its clone edges folded into an incremental union-find,
+// the corpus and its clone edges folded into an incremental union-find,
 // so /v1/clusters answers from memory at any time; the /v1/study corpus
 // mode recomputes the exact distribution on demand. The live view covers
 // documents ingested since boot — after a -corpus-dir restore, run one
@@ -115,7 +114,6 @@ import (
 	"time"
 
 	"repro/internal/ccd"
-	"repro/internal/index"
 	"repro/internal/ngram"
 	"repro/internal/remote"
 	"repro/internal/service"
@@ -174,9 +172,7 @@ func main() {
 	replicas := flag.String("replicas", "", "comma-separated replica base URLs aligned with the -shards list (with -role router; empty slots allowed)")
 	hedgeP99 := flag.Duration("hedge-p99", 0, "per-shard rolling p99 above which the router hedges reads to the shard's replica (0 = no hedging)")
 	waves := flag.Int("waves", 0, "router fanout waves: later waves ship the bound tightened by earlier ones (0 = default)")
-	noBoundShip := flag.Bool("no-bound-ship", false, "router: do not ship the admission bound to shards (for measuring what bound shipping saves)")
 	bootstrapFrom := flag.String("bootstrap-from", "", "peer base URL to bootstrap the corpus from: snapshot download + WAL tail replay (with -role shard|replica; requires -corpus-dir)")
-	backends := flag.String("backend", "ccd", "comma-separated similarity backends to load (ccd always on; e.g. ccd,ssdeep,smartembed)")
 	n := flag.Int("ccd-n", ccd.DefaultConfig.N, "CCD n-gram size")
 	eta := flag.Float64("ccd-eta", ccd.DefaultConfig.Eta, "CCD n-gram containment threshold")
 	eps := flag.Float64("ccd-eps", ccd.DefaultConfig.Epsilon, "CCD similarity threshold (0-100)")
@@ -278,23 +274,10 @@ func main() {
 		logger.Info("debug listener up", "addr", *debugAddr)
 	}
 
-	var extraBackends []string
-	for _, name := range strings.Split(*backends, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if !index.Known(name) {
-			die(fmt.Errorf("unknown backend %q (known: %v)", name, index.Names()))
-		}
-		extraBackends = append(extraBackends, name)
-	}
-
 	engine := service.New(service.Options{
 		Workers:       *workers,
 		CacheEntries:  *cache,
 		Shards:        shardCount,
-		Backends:      extraBackends,
 		CCD:           ccd.Config{N: *n, Eta: *eta, Epsilon: *eps},
 		TrackClusters: *clusters,
 		Admission:     service.AdmissionConfig{MaxQueue: *admissionQueue},
@@ -311,12 +294,11 @@ func main() {
 	var router *remote.Router
 	if *role == "router" {
 		router = remote.NewRouter(remote.Config{
-			Targets:     shardURLs,
-			Replicas:    splitList(*replicas),
-			Waves:       *waves,
-			HedgeP99:    *hedgeP99,
-			NoBoundShip: *noBoundShip,
-			Epsilon:     *eps,
+			Targets:  shardURLs,
+			Replicas: splitList(*replicas),
+			Waves:    *waves,
+			HedgeP99: *hedgeP99,
+			Epsilon:  *eps,
 		})
 		opts = append(opts, api.WithRouter(router))
 	}
@@ -409,7 +391,6 @@ func main() {
 	logAttrs := []any{"addr", *addr, "role", *role,
 		"workers", engine.Workers(),
 		"shards", engine.Corpus().Shards(),
-		"backends", engine.Backends(),
 		"corpus_entries", engine.Corpus().Len()}
 	if router != nil {
 		logAttrs = append(logAttrs, "remote_shards", len(shardURLs))

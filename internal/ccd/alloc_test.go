@@ -63,29 +63,48 @@ func idFor(i int) string {
 	return string(b)
 }
 
-// TestMatchTopKBufZeroAllocs pins the headline property of the pooled match
-// path: a steady-state MatchTopKBuf at k=10 performs zero heap allocations.
-// The buffer is held explicitly rather than drawn from the pool inside the
-// measured loop — a GC during AllocsPerRun may clear sync.Pool, and a cold
-// buffer's scratch growth is setup cost, not steady-state cost. Warm-up runs
-// every query in the rotation first so all scratch reaches its high-water
-// mark before measurement.
+// matchBuf runs the streaming entry the way the service's shard scan does —
+// a query prepared once, a collector re-armed in place, caller-owned scratch —
+// and drains the collector into out.
+func matchBuf(c *Corpus, q *PreparedQuery, k int, col *TopK, mb *MatchBuffer, out []Match) ([]Match, MatchStats) {
+	stats := c.MatchInto(q, col.Reset(k, c.Config().Epsilon), mb, MatchOpts{})
+	return col.AppendResults(out[:0]), stats
+}
+
+func prepareAll(c *Corpus, fps []Fingerprint) []*PreparedQuery {
+	out := make([]*PreparedQuery, len(fps))
+	for i, fp := range fps {
+		out[i] = PrepareQuery(c.Config(), fp)
+	}
+	return out
+}
+
+// TestMatchTopKBufZeroAllocs pins the headline property of the buffered match
+// path: a steady-state MatchInto at k=10 — prepared query, warm buffer,
+// re-armed collector — performs zero heap allocations. The buffer is held
+// explicitly rather than drawn from the pool inside the measured loop — a GC
+// during AllocsPerRun may clear sync.Pool, and a cold buffer's scratch growth
+// is setup cost, not steady-state cost. Warm-up runs every query in the
+// rotation first so all scratch reaches its high-water mark before
+// measurement.
 func TestMatchTopKBufZeroAllocs(t *testing.T) {
 	corpus, fps := allocCorpus(t, 2000)
-	queries := fps[:16]
+	queries := prepareAll(corpus, fps[:16])
 	var mb MatchBuffer
+	var col TopK
+	var out []Match
 	for _, q := range queries {
-		if ms, _ := corpus.MatchTopKBuf(q, 10, &mb); len(ms) == 0 {
+		if out, _ = matchBuf(corpus, q, 10, &col, &mb, out); len(out) == 0 {
 			t.Fatalf("query matched nothing; fixture is not exercising the scoring loop")
 		}
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		corpus.MatchTopKBuf(queries[i%len(queries)], 10, &mb)
+		out, _ = matchBuf(corpus, queries[i%len(queries)], 10, &col, &mb, out)
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("MatchTopKBuf k=10: %.1f allocs/op, want 0", allocs)
+		t.Fatalf("MatchInto k=10: %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -94,18 +113,20 @@ func TestMatchTopKBufZeroAllocs(t *testing.T) {
 // the assertion leaves slack only for incidental runtime noise.
 func TestMatchTopKBufBoundedAllocsLargeK(t *testing.T) {
 	corpus, fps := allocCorpus(t, 2000)
-	queries := fps[:8]
+	queries := prepareAll(corpus, fps[:8])
 	var mb MatchBuffer
+	var col TopK
+	var out []Match
 	for _, q := range queries {
-		corpus.MatchTopKBuf(q, 1000, &mb)
+		out, _ = matchBuf(corpus, q, 1000, &col, &mb, out)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(50, func() {
-		corpus.MatchTopKBuf(queries[i%len(queries)], 1000, &mb)
+		out, _ = matchBuf(corpus, queries[i%len(queries)], 1000, &col, &mb, out)
 		i++
 	})
 	if allocs > 2 {
-		t.Fatalf("MatchTopKBuf k=1000: %.1f allocs/op, want <= 2", allocs)
+		t.Fatalf("MatchInto k=1000: %.1f allocs/op, want <= 2", allocs)
 	}
 }
 
@@ -128,7 +149,8 @@ func TestMatchBufferPoolConcurrent(t *testing.T) {
 			for rep := 0; rep < 40; rep++ {
 				qi := (g + rep) % len(queries)
 				mb := GetMatchBuffer()
-				got, _ := corpus.MatchTopKBuf(queries[qi], 10, mb)
+				var col TopK
+				got, _ := matchBuf(corpus, PrepareQuery(corpus.Config(), queries[qi]), 10, &col, mb, nil)
 				if !matchesEqual(got, want[qi]) {
 					select {
 					case errs <- "pooled result diverged from cold result":
@@ -146,21 +168,22 @@ func TestMatchBufferPoolConcurrent(t *testing.T) {
 	}
 }
 
-// TestMatchTopKBufMatchesStats: the zero-alloc path and the allocating
-// convenience wrapper return identical matches and stats counts.
+// TestMatchTopKBufMatchesStats: the buffered streaming path and the pooled
+// convenience wrapper return identical matches, and the stats account for
+// every candidate.
 func TestMatchTopKBufMatchesStats(t *testing.T) {
 	corpus, fps := allocCorpus(t, 800)
 	var mb MatchBuffer
+	var col TopK
 	for _, q := range fps[:12] {
 		for _, k := range []int{1, 10, 0} {
-			gotB, stB := corpus.MatchTopKBuf(q, k, &mb)
-			gotS, stS := corpus.MatchTopKStats(q, k)
+			gotB, st := matchBuf(corpus, PrepareQuery(corpus.Config(), q), k, &col, &mb, nil)
+			gotS := corpus.MatchTopK(q, k)
 			if !matchesEqual(gotB, gotS) {
-				t.Fatalf("k=%d: buf %v != stats %v", k, gotB, gotS)
+				t.Fatalf("k=%d: buf %v != MatchTopK %v", k, gotB, gotS)
 			}
-			if stB.Candidates != stS.Candidates || stB.Scored != stS.Scored ||
-				stB.CutoffSkipped != stS.CutoffSkipped || stB.FilterPruned != stS.FilterPruned {
-				t.Fatalf("k=%d: stats diverged: %+v vs %+v", k, stB, stS)
+			if st.Scored+st.CutoffSkipped != st.Candidates || st.Scored < len(gotB) {
+				t.Fatalf("k=%d: stats do not add up for %d matches: %+v", k, len(gotB), st)
 			}
 		}
 	}

@@ -7,8 +7,9 @@ import (
 
 // FuzzSnapshotLoad: Load on arbitrary bytes must return an error or a valid
 // corpus — never panic, never allocate absurdly, never hand back a corpus
-// that cannot round-trip. Seeded with valid snapshots (both index layouts)
-// plus truncations and header mutations; the committed corpus lives in
+// that cannot round-trip. Seeded with valid snapshots plus truncations and
+// header mutations (a version-1 header among them: refused by version, kept
+// as a must-error input); the committed corpus lives in
 // testdata/fuzz/FuzzSnapshotLoad.
 func FuzzSnapshotLoad(f *testing.F) {
 	seed := func(build func(c *Corpus)) []byte {
@@ -25,8 +26,8 @@ func FuzzSnapshotLoad(f *testing.F) {
 		c.Add("a", "QxRtYuIoPAbCdEfGh.ZxCvBnMQwErTy")
 		c.Add("b", "MmMmMmMmMm.NnNnNnNnNn:PpPpPpPp")
 	})
-	// Long repetitive fingerprints make the encoded n-gram index smaller
-	// than the fingerprint payload, forcing the embedded-index layout.
+	// Long repetitive fingerprints: an index section smaller than the
+	// fingerprint payload.
 	embedded := seed(func(c *Corpus) {
 		for i := 0; i < 4; i++ {
 			fp := bytes.Repeat([]byte("abcabcabcabc"), 200)

@@ -26,6 +26,8 @@ var DefaultConfig = Config{N: 3, Eta: 0.5, Epsilon: 70}
 // large-scale study (Section 6.3: N=3, η=0.5, ε=0.9).
 var ConservativeConfig = Config{N: 3, Eta: 0.5, Epsilon: 90}
 
+// String renders the parameters in the order the paper's Table 9 sweeps
+// them, for table headers and log lines.
 func (c Config) String() string {
 	return fmt.Sprintf("N=%d eta=%.1f eps=%.2f", c.N, c.Eta, c.Epsilon)
 }
@@ -80,6 +82,44 @@ func (c *Corpus) Add(id string, fp Fingerprint) {
 	}
 	c.index.Add(id, string(fp))
 	c.entries = append(c.entries, Entry{ID: id, FP: fp})
+}
+
+// Merge returns a new corpus holding every entry of parts (at least one), in
+// argument order, under the first part's configuration — compaction builds a
+// whole merge cascade in one call. The n-gram index cannot be spliced, so
+// every entry is re-indexed once.
+func Merge(parts ...*Corpus) *Corpus {
+	out := NewCorpus(parts[0].cfg)
+	for _, p := range parts {
+		for _, e := range p.entries {
+			out.Add(e.ID, e.FP)
+		}
+	}
+	return out
+}
+
+// WithoutIDs returns the corpus rebuilt without the entries whose id is in
+// dead, and how many were dropped. This is how a re-ingested id supersedes
+// its earlier copy in an older segment: the n-gram index cannot delete in
+// place, so the survivors re-index into a fresh corpus. A corpus holding
+// none of the ids returns itself with 0.
+func (c *Corpus) WithoutIDs(dead map[string]struct{}) (*Corpus, int) {
+	removed := 0
+	for _, e := range c.entries {
+		if _, ok := dead[e.ID]; ok {
+			removed++
+		}
+	}
+	if removed == 0 {
+		return c, 0
+	}
+	out := NewCorpus(c.cfg)
+	for _, e := range c.entries {
+		if _, ok := dead[e.ID]; !ok {
+			out.Add(e.ID, e.FP)
+		}
+	}
+	return out, removed
 }
 
 // Mapped reports whether this corpus reads its index zero-copy out of
@@ -152,35 +192,22 @@ func (s *MatchStats) Add(other MatchStats) {
 // pre-filter, so the top-K lower bound tightens quickly and most of the
 // tail is rejected by bounded edit distance instead of being scored.
 func (c *Corpus) MatchTopK(fp Fingerprint, k int) []Match {
-	out, _ := c.MatchTopKStats(fp, k)
-	return out
-}
-
-// MatchTopKStats is MatchTopK plus the per-stage pruning counts.
-func (c *Corpus) MatchTopKStats(fp Fingerprint, k int) ([]Match, MatchStats) {
 	mb := GetMatchBuffer()
 	defer mb.Release()
-	ms, stats := c.MatchTopKBuf(fp, k, mb)
-	if len(ms) == 0 {
-		return nil, stats
-	}
-	return slices.Clone(ms), stats
+	col := NewTopK(k, c.cfg.Epsilon)
+	c.MatchInto(PrepareQuery(c.cfg, fp), col, mb, MatchOpts{})
+	return col.Results()
 }
 
-// MatchBuffer bundles every piece of scratch one match needs — the n-gram
-// retrieval buffers, the query/candidate sub-fingerprint slices, the
-// edit-distance DP rows, the top-K heap, and the result slice. A zero
-// MatchBuffer is ready to use; a warm one makes the steady-state MatchTopKBuf
-// path allocation-free. Not safe for concurrent use — pool per goroutine via
-// GetMatchBuffer/Release.
+// MatchBuffer bundles the scratch one match pass needs — the n-gram
+// retrieval buffers, the candidate sub-fingerprint slice and the
+// edit-distance DP rows. A zero MatchBuffer is ready to use; a warm one makes
+// the steady-state MatchInto path allocation-free. Not safe for concurrent
+// use — pool per goroutine via GetMatchBuffer/Release.
 type MatchBuffer struct {
 	ng    ngram.Scratch
-	grams []string
-	qsubs []string
 	csubs []string
 	ed    editdist.Scratch
-	col   TopK
-	out   []Match
 }
 
 var matchBufPool = sync.Pool{New: func() any { return new(MatchBuffer) }}
@@ -188,22 +215,8 @@ var matchBufPool = sync.Pool{New: func() any { return new(MatchBuffer) }}
 // GetMatchBuffer hands out a pooled match buffer; pair with Release.
 func GetMatchBuffer() *MatchBuffer { return matchBufPool.Get().(*MatchBuffer) }
 
-// Release returns the buffer to the pool. The results of the buffer's last
-// MatchTopKBuf alias its memory and must not be used afterwards.
+// Release returns the buffer to the pool.
 func (mb *MatchBuffer) Release() { matchBufPool.Put(mb) }
-
-// MatchTopKBuf is MatchTopK through caller-owned scratch: with a warm buffer
-// the whole match — pre-filter, scoring, top-K collection — performs zero
-// heap allocations. The returned slice aliases mb and is valid until mb's
-// next use (or Release).
-func (c *Corpus) MatchTopKBuf(fp Fingerprint, k int, mb *MatchBuffer) ([]Match, MatchStats) {
-	mb.grams = ngram.AppendGrams(mb.grams[:0], string(fp), c.cfg.N)
-	mb.qsubs = appendMatchSubs(mb.qsubs[:0], fp)
-	col := mb.col.Reset(k, c.cfg.Epsilon)
-	stats := c.matchInto(mb.grams, mb.qsubs, fp, col, mb, MatchOpts{})
-	mb.out = col.AppendResults(mb.out[:0])
-	return mb.out, stats
-}
 
 // PreparedQuery is one query fingerprint with its derived forms — distinct
 // n-grams for the pre-filter, sub-fingerprints for Algorithm 1 — computed
@@ -226,30 +239,6 @@ func PrepareQuery(cfg Config, fp Fingerprint) *PreparedQuery {
 	}
 }
 
-// MatchTopKInto streams this corpus's candidates into an external collector.
-func (c *Corpus) MatchTopKInto(fp Fingerprint, col *TopK) MatchStats {
-	return c.MatchPreparedInto(PrepareQuery(c.cfg, fp), col)
-}
-
-// MatchPreparedInto streams this corpus's candidates for a prepared query
-// into an external collector, so callers holding several corpora (the
-// service's generation segments) can share one top-K bound — and one
-// prepared query — across all of them. Returns this corpus's stats. Scratch
-// comes from the pool; callers owning a MatchBuffer for the whole query (the
-// service's shard scans) use MatchPreparedBuf instead.
-func (c *Corpus) MatchPreparedInto(q *PreparedQuery, col *TopK) MatchStats {
-	mb := GetMatchBuffer()
-	defer mb.Release()
-	return c.matchInto(q.grams, q.subs, q.FP, col, mb, MatchOpts{})
-}
-
-// MatchPreparedBuf is MatchPreparedInto with caller-owned scratch. The
-// collector is caller-owned too (mb.col is not touched), so one buffer plus
-// one collector can stream any number of segments.
-func (c *Corpus) MatchPreparedBuf(q *PreparedQuery, col *TopK, mb *MatchBuffer) MatchStats {
-	return c.matchInto(q.grams, q.subs, q.FP, col, mb, MatchOpts{})
-}
-
 // MatchOpts tunes one match pass without changing corpus state — the
 // request-budget and degradation knobs the serving layer threads per query.
 type MatchOpts struct {
@@ -268,22 +257,22 @@ type MatchOpts struct {
 // enough that the poll (a time read) never shows up in profiles.
 const abandonStride = 64
 
-// MatchPreparedOptsBuf is MatchPreparedBuf with per-query match options.
-func (c *Corpus) MatchPreparedOptsBuf(q *PreparedQuery, col *TopK, mb *MatchBuffer, opts MatchOpts) MatchStats {
-	return c.matchInto(q.grams, q.subs, q.FP, col, mb, opts)
-}
-
-// matchInto runs the match pipeline — n-gram pre-filter, per-candidate
-// Algorithm-1 verification against the collector's admission bound — with
-// every buffer drawn from mb.
-func (c *Corpus) matchInto(grams, qsubs []string, fp Fingerprint, col *TopK, mb *MatchBuffer, opts MatchOpts) MatchStats {
+// MatchInto is the streaming match entry: the n-gram pre-filter, then
+// per-candidate Algorithm-1 verification against the collector's admission
+// bound, with every buffer drawn from mb. Query, collector and scratch are
+// all caller-owned, so a caller holding several corpora (the service's
+// generation segments) prepares the query once, shares one top-K bound
+// across all of them and streams any number of segments through one buffer.
+// With a warm buffer the pass performs zero heap allocations. Returns this
+// corpus's per-stage stats.
+func (c *Corpus) MatchInto(q *PreparedQuery, col *TopK, mb *MatchBuffer, opts MatchOpts) MatchStats {
 	var stats MatchStats
 	eta := c.cfg.Eta
 	if opts.Eta > eta {
 		eta = opts.Eta
 	}
 	start := time.Now()
-	cands, qst := c.index.QueryGramsScratch(grams, eta, &mb.ng)
+	cands, qst := c.index.QueryGramsScratch(q.grams, eta, &mb.ng)
 	scoreStart := time.Now()
 	stats.FilterNs = scoreStart.Sub(start).Nanoseconds()
 	stats.Candidates = len(cands)
@@ -295,7 +284,7 @@ func (c *Corpus) matchInto(grams, qsubs []string, fp Fingerprint, col *TopK, mb 
 		}
 		entry := c.entries[cand.Doc]
 		mb.csubs = appendMatchSubs(mb.csubs[:0], entry.FP)
-		score, ok := similarityAtLeast(qsubs, fp, mb.csubs, entry.FP, col.Bound(), &mb.ed)
+		score, ok := similarityAtLeast(q.subs, q.FP, mb.csubs, entry.FP, col.Bound(), &mb.ed)
 		if !ok {
 			stats.CutoffSkipped++
 			continue

@@ -53,6 +53,7 @@ func TestPropertySharedBoundPartitionEquivalence(t *testing.T) {
 		}
 		segParts[i] = seg
 	}
+	var mb MatchBuffer
 	for _, form := range []struct {
 		name  string
 		parts []*Corpus
@@ -66,7 +67,7 @@ func TestPropertySharedBoundPartitionEquivalence(t *testing.T) {
 				final := NewTopK(k, 0)
 				for _, p := range form.parts {
 					col := NewTopK(k, DefaultConfig.Epsilon).Share(shared)
-					p.MatchTopKInto(q, col)
+					p.MatchInto(PrepareQuery(DefaultConfig, q), col, &mb, MatchOpts{})
 					for _, m := range col.Results() {
 						final.Offer(m)
 					}
@@ -258,6 +259,7 @@ func TestPropertyMatchTopKAgreesWithMatch(t *testing.T) {
 			t.Fatalf("trial %d: open segment: %v", trial, err)
 		}
 		var mb MatchBuffer
+		var col TopK
 		for q := 0; q < 10; q++ {
 			fp, _ := FingerprintSource(srcs[rng.Intn(len(srcs))])
 			want := corpus.Match(fp)
@@ -282,9 +284,9 @@ func TestPropertyMatchTopKAgreesWithMatch(t *testing.T) {
 				if !matchesEqual(fromSeg, expect) {
 					t.Fatalf("trial %d k=%d: segment diverged:\n got %v\nwant %v", trial, k, fromSeg, expect)
 				}
-				buffered, _ := corpus.MatchTopKBuf(fp, k, &mb)
+				buffered, _ := matchBuf(corpus, PrepareQuery(corpus.Config(), fp), k, &col, &mb, nil)
 				if !matchesEqual(buffered, expect) {
-					t.Fatalf("trial %d k=%d: MatchTopKBuf diverged:\n got %v\nwant %v", trial, k, buffered, expect)
+					t.Fatalf("trial %d k=%d: MatchInto diverged:\n got %v\nwant %v", trial, k, buffered, expect)
 				}
 			}
 		}

@@ -20,27 +20,20 @@ import (
 //	uvarint N, float64 Eta, float64 Epsilon   (the matcher Config)
 //	uvarint entry count
 //	per entry: string id, string fingerprint  (uvarint-length-prefixed)
-//	byte    index flag: 0 = rebuild on load, 1 = embedded ngram codec follows
-//	[flag 1: uvarint index byte length, index bytes (ngram codec format)]
+//	byte    index flag: always 1 (an embedded ngram codec follows)
+//	uvarint index byte length, index bytes (ngram codec format)
 //	uint32  CRC-32 (IEEE, little-endian) of every preceding byte
 //
-// Version 2 (current) is the segment format: the flag byte is always 1 and
-// the embedded index is the docless block-compressed ngram codec (NGIX v2) —
-// the same bytes the runtime queries. OpenSegmentBytes opens such a snapshot
+// Version 2 is the segment format and the only one read or written: the
+// embedded index is the docless block-compressed ngram codec (NGIX v2) — the
+// same bytes the runtime queries. OpenSegmentBytes opens such a snapshot
 // zero-copy over a memory-mapped file: posting lists are read in place, so
-// restore skips the index rebuild entirely.
-//
-// Version 1 (legacy, still loadable) embedded the encoded index only when it
-// was smaller than the fingerprint payload (the index is derivable: replaying
-// Add in entry order reproduces doc numbering exactly) and rebuilt it
-// otherwise.
+// restore skips the index rebuild entirely. Any other version is refused
+// with an "unsupported version" error.
 const (
 	snapshotMagic = "CCDSNAP\x00"
-	// SnapshotVersion is the current corpus snapshot format version.
+	// SnapshotVersion is the corpus snapshot format version.
 	SnapshotVersion = 2
-	// snapshotVersionLegacy is the version-1 format (uncompressed embedded
-	// index, rebuild-on-load allowed).
-	snapshotVersionLegacy = 1
 )
 
 // maxSnapshotString bounds any single length-prefixed string in a snapshot,
@@ -213,8 +206,8 @@ func Load(r io.Reader) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != snapshotVersionLegacy && version != SnapshotVersion {
-		return nil, fmt.Errorf("ccd: snapshot: unsupported version %d (want <= %d)", version, SnapshotVersion)
+	if version != SnapshotVersion {
+		return nil, fmt.Errorf("ccd: snapshot: unsupported version %d (want %d)", version, SnapshotVersion)
 	}
 	n, err := cr.readUvarint("config N")
 	if err != nil {
@@ -249,42 +242,30 @@ func Load(r io.Reader) (*Corpus, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ccd: snapshot: read index flag: %w", corruptEOF(err))
 	}
-	if version == SnapshotVersion && flag != 1 {
+	if flag != 1 {
 		return nil, fmt.Errorf("ccd: snapshot: version %d requires an embedded index, flag %d", version, flag)
 	}
-	var index *ngram.Index
-	switch flag {
-	case 0:
-		// Rebuilt below, after the CRC check.
-	case 1:
-		size, err := cr.readUvarint("index length")
-		if err != nil {
-			return nil, err
-		}
-		limit := uint64(maxSnapshotString)
-		if version == SnapshotVersion {
-			limit = maxIndexSection
-		}
-		if size > limit {
-			return nil, fmt.Errorf("ccd: snapshot: index length %d exceeds limit", size)
-		}
-		section := io.LimitReader(cr, int64(size))
-		index, err = ngram.Load(section)
-		if err != nil {
-			return nil, fmt.Errorf("ccd: snapshot: embedded index: %w", err)
-		}
-		// Keep stream (and CRC) alignment even if the codec left padding.
-		if _, err := io.Copy(io.Discard, section); err != nil {
-			return nil, fmt.Errorf("ccd: snapshot: embedded index: %w", err)
-		}
-		if index.N() != cfg.N {
-			return nil, fmt.Errorf("ccd: snapshot: embedded index N=%d does not match config N=%d", index.N(), cfg.N)
-		}
-		if index.Len() != len(entries) {
-			return nil, fmt.Errorf("ccd: snapshot: embedded index has %d docs, corpus has %d entries", index.Len(), len(entries))
-		}
-	default:
-		return nil, fmt.Errorf("ccd: snapshot: unknown index flag %d", flag)
+	size, err := cr.readUvarint("index length")
+	if err != nil {
+		return nil, err
+	}
+	if size > maxIndexSection {
+		return nil, fmt.Errorf("ccd: snapshot: index length %d exceeds limit", size)
+	}
+	section := io.LimitReader(cr, int64(size))
+	index, err := ngram.Load(section)
+	if err != nil {
+		return nil, fmt.Errorf("ccd: snapshot: embedded index: %w", err)
+	}
+	// Keep stream (and CRC) alignment even if the codec left padding.
+	if _, err := io.Copy(io.Discard, section); err != nil {
+		return nil, fmt.Errorf("ccd: snapshot: embedded index: %w", err)
+	}
+	if index.N() != cfg.N {
+		return nil, fmt.Errorf("ccd: snapshot: embedded index N=%d does not match config N=%d", index.N(), cfg.N)
+	}
+	if index.Len() != len(entries) {
+		return nil, fmt.Errorf("ccd: snapshot: embedded index has %d docs, corpus has %d entries", index.Len(), len(entries))
 	}
 	sum := cr.crc.Sum32()
 	var trailer [4]byte
@@ -295,16 +276,7 @@ func Load(r io.Reader) (*Corpus, error) {
 		return nil, fmt.Errorf("ccd: snapshot: checksum mismatch (stored %08x, computed %08x)", got, sum)
 	}
 
-	c := NewCorpus(cfg)
-	if index != nil {
-		c.index = index
-		c.entries = entries
-		return c, nil
-	}
-	for _, e := range entries {
-		c.Add(e.ID, e.FP)
-	}
-	return c, nil
+	return &Corpus{cfg: cfg, index: index, entries: entries}, nil
 }
 
 // OpenSegmentBytes opens a version-2 snapshot as an immutable segment
@@ -314,8 +286,7 @@ func Load(r io.Reader) (*Corpus, error) {
 // place, so opening a million-document segment costs a validation pass, not
 // a rebuild. ref is retained for the corpus's lifetime to pin data's owner
 // (the mapping holder); the caller must not mutate data afterwards. The
-// returned corpus is sealed: Add panics. Version-1 input falls back to a
-// heap decode and retains no reference to data.
+// returned corpus is sealed: Add panics.
 func OpenSegmentBytes(data []byte, ref any) (*Corpus, error) {
 	if len(data) < len(snapshotMagic)+1+4 {
 		return nil, fmt.Errorf("ccd: segment: %d bytes is too short for a snapshot", len(data))
@@ -327,12 +298,8 @@ func OpenSegmentBytes(data []byte, ref any) (*Corpus, error) {
 	if w <= 0 {
 		return nil, fmt.Errorf("ccd: segment: bad version")
 	}
-	if version == snapshotVersionLegacy {
-		// Legacy snapshots predate the zero-copy layout; heap-decode them.
-		return Load(bytes.NewReader(data))
-	}
 	if version != SnapshotVersion {
-		return nil, fmt.Errorf("ccd: segment: unsupported version %d (want <= %d)", version, SnapshotVersion)
+		return nil, fmt.Errorf("ccd: segment: unsupported version %d (want %d)", version, SnapshotVersion)
 	}
 	// The CRC trailer covers the whole body; checking it up front also
 	// bounds every length field below by construction — a bit flip anywhere

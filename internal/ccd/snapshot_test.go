@@ -321,8 +321,9 @@ func TestSegmentOpenOverdeclaredCounts(t *testing.T) {
 	}
 }
 
-// TestSegmentOpenLegacyFallback: a hand-built version-1 snapshot (flag 0 —
-// rebuild on load) opens through the heap fallback and stays mutable.
+// TestSegmentOpenLegacyFallback: a hand-built, CRC-valid version-1 snapshot
+// (flag 0 — rebuild on load) once opened through a heap fallback; there is
+// one format generation now, and both readers refuse it by version.
 func TestSegmentOpenLegacyFallback(t *testing.T) {
 	var body []byte
 	body = append(body, snapshotMagic...)
@@ -339,18 +340,10 @@ func TestSegmentOpenLegacyFallback(t *testing.T) {
 	body = append(body, 0) // flag 0: rebuild index on load
 	body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 
-	seg, err := OpenSegmentBytes(body, nil)
-	if err != nil {
-		t.Fatalf("legacy fallback: %v", err)
+	if _, err := OpenSegmentBytes(body, nil); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("OpenSegmentBytes on a version-1 snapshot: %v, want an unsupported-version error", err)
 	}
-	if seg.Mapped() {
-		t.Fatal("legacy snapshot came back sealed")
+	if _, err := Load(bytes.NewReader(body)); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("Load on a version-1 snapshot: %v, want an unsupported-version error", err)
 	}
-	if seg.Len() != 1 {
-		t.Fatalf("len %d, want 1", seg.Len())
-	}
-	if ms := seg.Match(Fingerprint(fp)); len(ms) != 1 || ms[0].ID != "doc-a" {
-		t.Fatalf("legacy corpus does not match itself: %v", ms)
-	}
-	seg.Add("more", Fingerprint("ZxCvBnMAsDfGhJkL")) // must not panic
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/ccd"
 	"repro/internal/dataset"
-	"repro/internal/index"
 	"repro/internal/service"
 )
 
@@ -48,21 +47,18 @@ func CloneStudy(eng *service.Engine, contracts []dataset.DeployedContract, cfg c
 				return nil, fmt.Errorf("experiments: ingest %s: %w", contracts[i].Address, err)
 			}
 		}
-		return eng.RunCloneStudy(context.Background(), "", limit, 10)
+		return eng.RunCloneStudy(context.Background(), limit, 10)
 	}
 
 	corpus := service.NewCorpus(cfg, 1)
-	docs := make([]index.Doc, len(contracts))
+	entries := make([]ccd.Entry, len(contracts))
 	for i := range contracts {
-		docs[i] = index.Doc{ID: contracts[i].Address, FP: fps[i]}
+		entries[i] = ccd.Entry{ID: contracts[i].Address, FP: fps[i]}
 	}
-	if err := corpus.AddDocsCtx(context.Background(), docs); err != nil {
+	if err := corpus.AddBatch(context.Background(), entries); err != nil {
 		return nil, fmt.Errorf("experiments: ingest: %w", err)
 	}
-	join, err := service.NewSelfJoin(corpus, corpus, limit)
-	if err != nil {
-		return nil, err
-	}
+	join := service.NewSelfJoin(corpus, limit)
 	if err := join.Run(context.Background()); err != nil {
 		return nil, err
 	}

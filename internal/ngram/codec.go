@@ -2,7 +2,6 @@ package ngram
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -15,9 +14,9 @@ import (
 //	magic   "NGIX"
 //	uvarint version
 //
-// Version 2 (current) stores posting lists in their runtime block-compressed
-// form, so an index can be opened zero-copy over the encoded bytes
-// (FromBytes) — the on-disk format IS the in-memory format:
+// Version 2, the only one read or written, stores posting lists in their
+// runtime block-compressed form, so an index can be opened zero-copy over the
+// encoded bytes (FromBytes) — the on-disk format IS the in-memory format:
 //
 //	uvarint n-gram size
 //	uvarint posting block size
@@ -33,11 +32,8 @@ import (
 // postings.go: one 8-byte (first id, byte offset) entry per block, then the
 // concatenated per-block varint delta streams. Strings are
 // uvarint-length-prefixed. Flag bit 0 off is the "docless" embedding used
-// inside corpus snapshots whose owner resolves ids itself.
-//
-// Version 1 (legacy, still loadable) stored one flat delta-encoded uvarint
-// run per gram and always carried the doc table; Load re-blocks it under the
-// current default block size.
+// inside corpus snapshots whose owner resolves ids itself. Any other version
+// is refused with an "unsupported version" error.
 const (
 	codecMagic   = "NGIX"
 	codecVersion = 2
@@ -141,9 +137,9 @@ func (ix *Index) save(w io.Writer, withDocs bool) error {
 	return bw.Flush()
 }
 
-// Load reads an index written by Save (either codec version). The result is
-// mutable: further Adds continue from the loaded doc count (docless indexes
-// stay docless — their owner resolves ids by doc number).
+// Load reads an index written by Save. The result is mutable: further Adds
+// continue from the loaded doc count (docless indexes stay docless — their
+// owner resolves ids by doc number).
 func Load(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(codecMagic))
@@ -157,26 +153,22 @@ func Load(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ngram: read version: %w", err)
 	}
-	switch version {
-	case 1:
-		return loadV1(br)
-	case codecVersion:
-		rest, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("ngram: read index body: %w", err)
-		}
-		ix, err := parseBody(&byteReader{b: rest})
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range ix.postings {
-			p.unseal(ix.blockSize)
-		}
-		ix.sealed = false
-		return ix, nil
-	default:
-		return nil, fmt.Errorf("ngram: unsupported codec version %d (want <= %d)", version, codecVersion)
+	if version != codecVersion {
+		return nil, fmt.Errorf("ngram: unsupported version %d (want %d)", version, codecVersion)
 	}
+	rest, err := io.ReadAll(br)
+	if err != nil {
+		return nil, fmt.Errorf("ngram: read index body: %w", err)
+	}
+	ix, err := parseBody(&byteReader{b: rest})
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range ix.postings {
+		p.unseal(ix.blockSize)
+	}
+	ix.sealed = false
+	return ix, nil
 }
 
 // FromBytes opens an encoded index (codec version 2) zero-copy: posting
@@ -184,8 +176,7 @@ func Load(r io.Reader) (*Index, error) {
 // how memory-mapped segment files become live indexes without a decode pass.
 // Gram and doc-id strings are copied to the heap (they outlive remaps), and
 // every posting list is fully validated up front so query-time decoding has
-// no error paths. The returned index is sealed: Add panics. Version 1 input
-// falls back to a heap decode.
+// no error paths. The returned index is sealed: Add panics.
 func FromBytes(data []byte) (*Index, error) {
 	r := &byteReader{b: data}
 	magic := r.take(uint64(len(codecMagic)), "magic")
@@ -199,11 +190,8 @@ func FromBytes(data []byte) (*Index, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if version == 1 {
-		return Load(bytes.NewReader(data))
-	}
 	if version != codecVersion {
-		return nil, fmt.Errorf("ngram: unsupported codec version %d (want <= %d)", version, codecVersion)
+		return nil, fmt.Errorf("ngram: unsupported version %d (want %d)", version, codecVersion)
 	}
 	return parseBody(r)
 }
@@ -275,83 +263,6 @@ func parseBody(r *byteReader) (*Index, error) {
 	}
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("ngram: %d trailing bytes after index", len(r.b))
-	}
-	return ix, nil
-}
-
-// loadV1 reads the legacy flat-delta format (the magic and version are
-// already consumed), re-blocking postings under the current default size.
-func loadV1(br *bufio.Reader) (*Index, error) {
-	readString := func(what string, max uint64) (string, error) {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return "", fmt.Errorf("ngram: read %s length: %w", what, err)
-		}
-		if n > max {
-			return "", fmt.Errorf("ngram: %s length %d exceeds limit %d", what, n, max)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", fmt.Errorf("ngram: read %s: %w", what, err)
-		}
-		return string(buf), nil
-	}
-
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("ngram: read n: %w", err)
-	}
-	ix := New(int(n))
-	numDocs, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("ngram: read doc count: %w", err)
-	}
-	ix.docs = make([]doc, 0, min(numDocs, 1<<20))
-	for i := uint64(0); i < numDocs; i++ {
-		id, err := readString("doc id", maxDocIDLen)
-		if err != nil {
-			return nil, err
-		}
-		grams, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("ngram: read doc gram count: %w", err)
-		}
-		ix.docs = append(ix.docs, doc{id: id, ngrams: int(grams)})
-	}
-	ix.docCount = len(ix.docs)
-	numGrams, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("ngram: read gram count: %w", err)
-	}
-	for i := uint64(0); i < numGrams; i++ {
-		g, err := readString("gram", maxGramLen)
-		if err != nil {
-			return nil, err
-		}
-		count, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("ngram: read posting count: %w", err)
-		}
-		p := &postings{}
-		prev := uint64(0)
-		for j := uint64(0); j < count; j++ {
-			delta, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("ngram: read posting: %w", err)
-			}
-			// Posting lists are strictly increasing (the query merge relies
-			// on it); a zero delta after the first entry means a corrupt or
-			// crafted stream that would duplicate a document.
-			if j > 0 && delta == 0 {
-				return nil, fmt.Errorf("ngram: non-increasing posting list for gram %q", g)
-			}
-			prev += delta
-			if prev >= numDocs {
-				return nil, fmt.Errorf("ngram: posting doc %d out of range (%d docs)", prev, numDocs)
-			}
-			p.add(uint32(prev), ix.blockSize)
-		}
-		ix.postings[g] = p
 	}
 	return ix, nil
 }

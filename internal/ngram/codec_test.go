@@ -2,9 +2,11 @@ package ngram
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -83,5 +85,29 @@ func TestCodecRejectsGarbage(t *testing.T) {
 		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestCodecRejectsVersion1: a well-formed version-1 stream (flat delta runs,
+// doc table always present — the format Load once re-blocked) is refused by
+// version on both readers; there is one format generation.
+func TestCodecRejectsVersion1(t *testing.T) {
+	v1 := []byte(codecMagic)
+	v1 = binary.AppendUvarint(v1, 1) // version
+	v1 = binary.AppendUvarint(v1, 3) // n
+	v1 = binary.AppendUvarint(v1, 1) // one doc
+	v1 = binary.AppendUvarint(v1, 1)
+	v1 = append(v1, 'a')
+	v1 = binary.AppendUvarint(v1, 1) // its distinct-gram count
+	v1 = binary.AppendUvarint(v1, 1) // one gram
+	v1 = binary.AppendUvarint(v1, 3)
+	v1 = append(v1, "abc"...)
+	v1 = binary.AppendUvarint(v1, 1) // one posting
+	v1 = binary.AppendUvarint(v1, 0) // doc 0
+	if _, err := Load(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Errorf("Load on a version-1 index: %v, want an unsupported-version error", err)
+	}
+	if _, err := FromBytes(v1); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Errorf("FromBytes on a version-1 index: %v, want an unsupported-version error", err)
 	}
 }

@@ -8,6 +8,7 @@
 package pipeline
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"time"
@@ -189,21 +190,23 @@ func RunWith(cfg Config, qa dataset.QACorpus, contracts []dataset.DeployedContra
 		}
 	}
 
-	// Step 3: clone mapping (CCD). Contracts are fingerprinted and
-	// ingested into a sharded study corpus in parallel, then every unique
-	// snippet matches against it in parallel. Matches land in per-snippet
-	// slots; the sharded corpus returns them in deterministic
-	// (score, address) order regardless of ingest interleaving.
+	// Step 3: clone mapping (CCD). Contracts are fingerprinted in parallel
+	// and ingested into a sharded study corpus as one batch — one publish per
+	// shard, a deterministic segment layout — then every unique snippet
+	// matches against it in parallel. Matches land in per-snippet slots; the
+	// sharded corpus returns them in deterministic (score, address) order.
 	corpus := service.NewCorpus(cfg.CCD, 0)
 	contractByID := make(map[string]*dataset.DeployedContract, len(contracts))
+	entries := make([]ccd.Entry, len(contracts))
 	for i := range contracts {
 		contractByID[contracts[i].Address] = &contracts[i]
+		entries[i].ID = contracts[i].Address
 	}
 	eng.Map(len(contracts), func(i int) {
-		c := &contracts[i]
-		fp, _ := eng.Fingerprint(c.Source) // partial fingerprints still index
-		corpus.Add(c.Address, fp)
+		entries[i].FP, _ = eng.Fingerprint(contracts[i].Source) // partial fingerprints still index
 	})
+	// A storeless corpus journals nothing, so the batch add cannot fail.
+	_ = corpus.AddBatch(context.Background(), entries)
 	matches := make([][]ContractMatch, len(res.Unique))
 	eng.Map(len(res.Unique), func(i int) {
 		sn := &res.Unique[i]

@@ -182,7 +182,7 @@ func TestBackgroundYieldCancellable(t *testing.T) {
 func TestCloneStudyYieldsToInteractive(t *testing.T) {
 	e := New(Options{Workers: 1, Shards: 2})
 	for i := 0; i < 4; i++ {
-		if err := e.CorpusAddFingerprint(fmt.Sprintf("doc-%d", i), testFP(i)); err != nil {
+		if err := addFP(e, fmt.Sprintf("doc-%d", i), testFP(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,7 +202,7 @@ func TestCloneStudyYieldsToInteractive(t *testing.T) {
 
 	studyDone := make(chan error, 1)
 	go func() {
-		_, err := e.RunCloneStudy(context.Background(), "", 0, 3)
+		_, err := e.RunCloneStudy(context.Background(), 0, 3)
 		order <- "study"
 		studyDone <- err
 	}()

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/ccc"
 	"repro/internal/ccd"
-	"repro/internal/index"
 	"repro/internal/pipeline"
 	"repro/internal/remote"
 	"repro/internal/service"
@@ -248,11 +247,12 @@ type CorpusAddResponse struct {
 }
 
 // MatchRequest matches one query — a source or a precomputed fingerprint —
-// or a batch of them against a serving corpus. Limit keeps only the k
-// best candidates per query (0 = all). Backend selects the similarity
-// backend ("ccd", "ssdeep", "smartembed"; empty = ccd) and Explain attaches
-// the per-stage pruning funnel to each result; both are also accepted as
-// query parameters (?backend=...&explain=1), which win over the body.
+// or a batch of them against the serving corpus. Limit keeps only the k
+// best candidates per query (0 = all). Backend names the similarity backend:
+// empty or "ccd", the one this service runs; any other name is a 400. Explain
+// attaches the per-stage pruning funnel to each result; both are also
+// accepted as query parameters (?backend=...&explain=1), which win over the
+// body.
 type MatchRequest struct {
 	Source      string `json:"source,omitempty"`
 	Fingerprint string `json:"fingerprint,omitempty"`
@@ -272,7 +272,7 @@ type Match struct {
 }
 
 // MatchExplain is the per-query pruning funnel attached by explain=1: how
-// many candidates the backend's pre-filter produced, how many it abandoned
+// many candidates the n-gram pre-filter produced, how many it abandoned
 // in-filter, how many were fully scored, and how many the shared top-K
 // admission bound cut short, plus the scatter-gather fan-out width.
 type MatchExplain struct {
@@ -317,9 +317,9 @@ type MatchBatchResponse struct {
 // computes: "pipeline" (the default) regenerates the paper's Figure 6
 // snippet→contract pipeline at Scale, while "corpus" runs the corpus-wide
 // clone study — posting-list self-join plus incremental clustering — over
-// the live serving corpus of the selected backend. The corpus mode ignores
-// Seed/Scale (it measures what is actually indexed) and accepts Limit, the
-// per-document match cap (0 = exact join at the backend's ε).
+// the live serving corpus. The corpus mode ignores Seed/Scale (it measures
+// what is actually indexed) and accepts Limit, the per-document match cap
+// (0 = exact join at ε), and Backend under MatchRequest's rule.
 type StudyRequest struct {
 	Seed    int64   `json:"seed"`
 	Scale   float64 `json:"scale"`
@@ -459,26 +459,18 @@ func (s *Server) handleCorpusAdd(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCorpusInfo(w http.ResponseWriter, r *http.Request) {
-	cfg := s.engine.Corpus().Config()
-	backends := map[string]any{}
-	for _, name := range s.engine.Backends() {
-		c, err := s.engine.CorpusFor(name)
-		if err != nil {
-			continue
-		}
-		backends[name] = map[string]any{
+	c := s.engine.Corpus()
+	cfg := c.Config()
+	info := map[string]any{
+		"size":    c.Len(),
+		"n":       cfg.N,
+		"eta":     cfg.Eta,
+		"epsilon": cfg.Epsilon,
+		"corpus": map[string]any{
 			"size":   c.Len(),
 			"shards": c.Shards(),
 			"adds":   c.Adds(),
-			"skips":  c.Skips(),
-		}
-	}
-	info := map[string]any{
-		"size":     s.engine.Corpus().Len(),
-		"n":        cfg.N,
-		"eta":      cfg.Eta,
-		"epsilon":  cfg.Epsilon,
-		"backends": backends,
+		},
 	}
 	if s.store != nil {
 		info["persistence"] = s.store.Info()
@@ -491,7 +483,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	// Query parameters override the body: ?backend=ssdeep&explain=1.
+	// Query parameters override the body: ?backend=ccd&explain=1.
 	if qp := r.URL.Query(); qp.Has("backend") || qp.Has("explain") {
 		if qp.Has("backend") {
 			req.Backend = qp.Get("backend")
@@ -504,12 +496,12 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "\"limit\" must be ≥ 0")
 		return
 	}
-	if s.router != nil {
-		s.routerMatch(w, r, req)
+	if err := service.CheckBackend(req.Backend); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if _, err := s.engine.CorpusFor(req.Backend); err != nil {
-		writeBackendError(w, err)
+	if s.router != nil {
+		s.routerMatch(w, r, req)
 		return
 	}
 	batch := len(req.Sources) > 0 || len(req.Fingerprints) > 0
@@ -571,10 +563,9 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 		if err := s.engine.DoCtx(ctx, func() {
 			for i, fp := range req.Fingerprints {
-				doc := index.Doc{FP: ccd.Fingerprint(fp)}
-				ms, st, err := s.engine.MatchDoc(ctx, req.Backend, doc, req.Limit)
+				ms, st, err := s.engine.MatchFingerprint(ctx, ccd.Fingerprint(fp), req.Limit)
 				if err != nil && !errors.Is(err, service.ErrBudgetExhausted) {
-					return // only ctx errors reach here (backend pre-validated)
+					return // only ctx errors reach here
 				}
 				resp.Results[len(req.Sources)+i] = s.toMatchResponse(req, ms, st, err)
 			}
@@ -613,7 +604,7 @@ func (s *Server) matchOne(ctx context.Context, req MatchRequest) MatchResponse {
 	if req.Source != "" {
 		ms, st, err = s.engine.MatchSource(ctx, req.Backend, req.Source, limit)
 	} else {
-		ms, st, err = s.engine.MatchDoc(ctx, req.Backend, index.Doc{FP: ccd.Fingerprint(req.Fingerprint)}, limit)
+		ms, st, err = s.engine.MatchFingerprint(ctx, ccd.Fingerprint(req.Fingerprint), limit)
 	}
 	resp := s.toMatchResponse(req, ms, st, err)
 	if halved {
@@ -650,32 +641,18 @@ func (s *Server) toMatchResponse(req MatchRequest, ms []ccd.Match, st ccd.MatchS
 		resp.Error = err.Error()
 	}
 	if req.Explain {
-		corpus, cerr := s.engine.CorpusFor(req.Backend)
-		if cerr == nil {
-			resp.Explain = &MatchExplain{
-				Backend:       corpus.Backend(),
-				Shards:        corpus.Shards(),
-				Limit:         req.Limit,
-				Candidates:    st.Candidates,
-				FilterPruned:  st.FilterPruned,
-				Scored:        st.Scored,
-				CutoffSkipped: st.CutoffSkipped,
-				Abandoned:     st.Abandoned,
-			}
+		resp.Explain = &MatchExplain{
+			Backend:       service.BackendCCD,
+			Shards:        s.engine.Corpus().Shards(),
+			Limit:         req.Limit,
+			Candidates:    st.Candidates,
+			FilterPruned:  st.FilterPruned,
+			Scored:        st.Scored,
+			CutoffSkipped: st.CutoffSkipped,
+			Abandoned:     st.Abandoned,
 		}
 	}
 	return resp
-}
-
-// writeBackendError maps backend-routing failures: unknown names are client
-// errors (400), known-but-not-loaded backends are a deployment state the
-// client cannot fix in the request (409).
-func writeBackendError(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
-	if errors.Is(err, service.ErrBackendNotLoaded) {
-		status = http.StatusConflict
-	}
-	writeError(w, status, err.Error())
 }
 
 func (s *Server) handleStudyStart(w http.ResponseWriter, r *http.Request) {
@@ -740,14 +717,8 @@ func (s *Server) startCorpusStudy(w http.ResponseWriter, req StudyRequest) {
 		writeError(w, http.StatusBadRequest, "\"limit\" must be ≥ 0")
 		return
 	}
-	if s.router != nil {
-		if req.Backend != "" && req.Backend != "ccd" {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("backend %q: router mode serves the default ccd backend", req.Backend))
-			return
-		}
-	} else if _, err := s.engine.CorpusFor(req.Backend); err != nil {
-		writeBackendError(w, err)
+	if err := service.CheckBackend(req.Backend); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	job, ok := s.jobs.start(time.Now())
@@ -774,7 +745,7 @@ func (s *Server) startCorpusStudy(w http.ResponseWriter, req StudyRequest) {
 		if s.router != nil {
 			rep, err = s.routerCloneStudy(context.Background(), req.Limit, defaultTopClusters)
 		} else {
-			rep, err = s.engine.RunCloneStudy(context.Background(), req.Backend, req.Limit, defaultTopClusters)
+			rep, err = s.engine.RunCloneStudy(context.Background(), req.Limit, defaultTopClusters)
 		}
 		if err != nil {
 			s.jobs.finish(job.ID, nil, err)

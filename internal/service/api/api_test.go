@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/index"
+	"repro/internal/ccd"
 	"repro/internal/service"
 )
 
@@ -31,19 +31,17 @@ const (
 }`
 )
 
-// newTestServer runs every registered backend with a pinned shard count and
-// live cluster tracking, so responses (including the golden fixtures) are
-// machine-independent.
+// newTestServer runs with a pinned shard count and live cluster tracking, so
+// responses (including the golden fixtures) are machine-independent.
 func newTestServer(t *testing.T) (*httptest.Server, *Server) {
 	t.Helper()
-	return newTestServerOpts(t, service.Options{Workers: 4, Shards: 4, Backends: index.Names(), TrackClusters: true})
+	return newTestServerOpts(t, service.Options{Workers: 4, Shards: 4, TrackClusters: true})
 }
 
-// newCCDOnlyServer runs with just the default backend (the
-// backend-not-loaded error shape).
-func newCCDOnlyServer(t *testing.T) (*httptest.Server, *Server) {
-	t.Helper()
-	return newTestServerOpts(t, service.Options{Workers: 4, Shards: 4})
+// addFP ingests one pre-fingerprinted entry through the engine: a batch of
+// one.
+func addFP(e *service.Engine, id string, fp ccd.Fingerprint) error {
+	return e.CorpusAddBatch([]service.CorpusEntry{{ID: id, Fingerprint: fp}})[0]
 }
 
 func newTestServerOpts(t *testing.T, opts service.Options) (*httptest.Server, *Server) {

@@ -99,7 +99,7 @@ func TestDeadlineMidScanLocal(t *testing.T) {
 	entries := studyFingerprints(17, 800)
 	ts, srv := newTestServerOpts(t, service.Options{Workers: 2, Shards: 4, CCD: ccd.ConservativeConfig})
 	for _, e := range entries {
-		if err := srv.engine.CorpusAddFingerprint(e.ID, e.FP); err != nil {
+		if err := addFP(srv.engine, e.ID, e.FP); err != nil {
 			t.Fatal(err)
 		}
 	}

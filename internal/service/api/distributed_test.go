@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -111,7 +112,7 @@ func TestDistributedMatchEqualsSingleProcess(t *testing.T) {
 
 	single, singleSrv := newTestServerOpts(t, service.Options{Workers: 2, Shards: 4, CCD: ccd.ConservativeConfig})
 	for _, e := range entries {
-		if err := singleSrv.engine.CorpusAddFingerprint(e.ID, e.FP); err != nil {
+		if err := addFP(singleSrv.engine, e.ID, e.FP); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,7 +238,7 @@ func TestWALStreamEndpoint(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	for i := 0; i < 5; i++ {
-		if err := engine.CorpusAddFingerprint(fmt.Sprintf("w-%d", i), ccd.Fingerprint(strings.Repeat("Ab", 10+i))); err != nil {
+		if err := addFP(engine, fmt.Sprintf("w-%d", i), ccd.Fingerprint(strings.Repeat("Ab", 10+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,7 +311,7 @@ func TestWALStreamEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 5; i < 12; i++ {
-		if err := engine.CorpusAddFingerprint(fmt.Sprintf("w-%d", i), ccd.Fingerprint(strings.Repeat("Cd", 10+i))); err != nil {
+		if err := addFP(engine, fmt.Sprintf("w-%d", i), ccd.Fingerprint(strings.Repeat("Cd", 10+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -335,7 +336,7 @@ func TestCorpusExportCursorPagination(t *testing.T) {
 	for i := 0; i < 57; i++ {
 		id := fmt.Sprintf("e-%02d", i)
 		fp := ccd.Fingerprint(strings.Repeat("Zy", 8+i%7))
-		if err := srv.engine.CorpusAddFingerprint(id, fp); err != nil {
+		if err := addFP(srv.engine, id, fp); err != nil {
 			t.Fatal(err)
 		}
 		want[id] = string(fp)
@@ -399,7 +400,7 @@ func TestClustersExportCursorPagination(t *testing.T) {
 	for g, size := range []int{4, 3, 2} {
 		fp := ccd.Fingerprint(strings.Repeat(fmt.Sprintf("Qw%dEr", g), 6))
 		for m := 0; m < size; m++ {
-			if err := srv.engine.CorpusAddFingerprint(fmt.Sprintf("g%d-m%d", g, m), fp); err != nil {
+			if err := addFP(srv.engine, fmt.Sprintf("g%d-m%d", g, m), fp); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -467,4 +468,49 @@ func decodeClusterIDs(t *testing.T, resp *http.Response) []string {
 		ids = append(ids, c.Rep)
 	}
 	return ids
+}
+
+// TestBackendNameRejected: a request naming any backend other than "ccd" —
+// the retired comparison backends included — gets a 400 that names the value
+// and starts no work, in the body and as a query parameter (which wins over
+// the body), for source, fingerprint and batch matches and for corpus
+// studies, on a single node and on a router alike. Naming "ccd" is accepted.
+func TestBackendNameRejected(t *testing.T) {
+	single, _ := newTestServer(t)
+	cluster := newTestCluster(t, 2, remote.Config{})
+	for role, base := range map[string]string{"single": single.URL, "router": cluster.router.URL} {
+		for _, name := range []string{"ssdeep", "smartembed", "nope", "CCD"} {
+			for what, send := range map[string]func() (*http.Response, map[string]any){
+				"match body": func() (*http.Response, map[string]any) {
+					return post(t, base+"/v1/match", map[string]any{"source": benignSrc, "backend": name})
+				},
+				"match query over body": func() (*http.Response, map[string]any) {
+					return post(t, base+"/v1/match?backend="+name, map[string]any{"source": benignSrc, "backend": "ccd"})
+				},
+				"match fingerprint": func() (*http.Response, map[string]any) {
+					return post(t, base+"/v1/match", map[string]any{"fingerprint": "QxRtYuIoPAbCdEfGh", "backend": name})
+				},
+				"match batch": func() (*http.Response, map[string]any) {
+					return post(t, base+"/v1/match?backend="+name, map[string]any{"sources": []string{benignSrc}})
+				},
+				"study": func() (*http.Response, map[string]any) {
+					return post(t, base+"/v1/study", map[string]any{"mode": "corpus", "backend": name})
+				},
+			} {
+				resp, body := send()
+				msg, _ := body["error"].(string)
+				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, strconv.Quote(name)) {
+					t.Errorf("%s, %s, backend %q: status %d, error %q; want a 400 naming the value", role, what, name, resp.StatusCode, msg)
+				}
+			}
+		}
+		if resp, body := post(t, base+"/v1/match?backend=ccd", map[string]any{"source": benignSrc, "explain": true}); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: backend=ccd refused: %d %v", role, resp.StatusCode, body)
+		} else if ex, _ := body["explain"].(map[string]any); ex["backend"] != "ccd" {
+			t.Errorf("%s: explain %v, want backend ccd", role, body["explain"])
+		}
+		if resp, body := post(t, base+"/v1/study", map[string]any{"mode": "corpus", "backend": "ccd"}); resp.StatusCode != http.StatusAccepted {
+			t.Errorf("%s: study with backend=ccd refused: %d %v", role, resp.StatusCode, body)
+		}
+	}
 }

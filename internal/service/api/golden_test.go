@@ -56,20 +56,16 @@ func TestGoldenResponses(t *testing.T) {
 		{"match_fingerprint_miss", http.MethodPost, "/v1/match", map[string]any{"fingerprint": "zzzzzzzzzzzz"}},
 		{"match_bad_limit", http.MethodPost, "/v1/match", map[string]any{"source": benignSrc, "limit": -1}},
 		{"match_mixed_forms", http.MethodPost, "/v1/match", map[string]any{"source": benignSrc, "sources": []string{benignSrc}}},
-		// Backend selection and explain, as query parameters.
-		{"match_backend_ssdeep", http.MethodPost, "/v1/match?backend=ssdeep", map[string]any{"source": reentrantSrc, "limit": 1}},
-		{"match_backend_smartembed", http.MethodPost, "/v1/match?backend=smartembed", map[string]any{"source": reentrantSrc, "limit": 1}},
-		{"match_backend_unknown", http.MethodPost, "/v1/match?backend=nope", map[string]any{"source": benignSrc}},
+		// Any backend name but "ccd" is refused, the retired comparison
+		// backends included; explain as a query parameter.
+		{"match_backend_unknown", http.MethodPost, "/v1/match?backend=ssdeep", map[string]any{"source": benignSrc}},
 		{"match_explain", http.MethodPost, "/v1/match?explain=1", map[string]any{"source": reentrantSrc, "limit": 2}},
-		{"match_explain_body_backend", http.MethodPost, "/v1/match", map[string]any{
-			"source": reentrantSrc, "backend": "ssdeep", "explain": true, "limit": 1,
-		}},
 		// Live clone-cluster view (the two seeded docs are unrelated: two
 		// singletons, no clusters).
 		{"clusters", http.MethodGet, "/v1/clusters?top=5", nil},
 		// Study-mode validation shapes.
 		{"study_bad_mode", http.MethodPost, "/v1/study", map[string]any{"mode": "nope"}},
-		{"study_corpus_bad_backend", http.MethodPost, "/v1/study", map[string]any{"mode": "corpus", "backend": "nope"}},
+		{"study_corpus_bad_backend", http.MethodPost, "/v1/study", map[string]any{"mode": "corpus", "backend": "smartembed"}},
 		{"study_corpus_bad_limit", http.MethodPost, "/v1/study", map[string]any{"mode": "corpus", "limit": -1}},
 	}
 
@@ -80,13 +76,10 @@ func TestGoldenResponses(t *testing.T) {
 	}
 }
 
-// TestGoldenBackendNotLoaded pins the error shape of a registered backend
-// the server was not started with (serve without -backend ssdeep), plus the
-// cluster endpoints' disabled shapes (serve -clusters=false).
-func TestGoldenBackendNotLoaded(t *testing.T) {
-	ts, _ := newCCDOnlyServer(t)
-	runGoldenCase(t, ts, "match_backend_not_loaded", http.MethodPost,
-		"/v1/match?backend=ssdeep", map[string]any{"source": benignSrc})
+// TestGoldenClustersDisabled pins the cluster endpoints' disabled shapes
+// (serve -clusters=false).
+func TestGoldenClustersDisabled(t *testing.T) {
+	ts, _ := newTestServerOpts(t, service.Options{Workers: 4, Shards: 4})
 	runGoldenCase(t, ts, "clusters_disabled", http.MethodGet, "/v1/clusters", nil)
 	runGoldenCase(t, ts, "clusters_export_disabled", http.MethodGet, "/v1/clusters/export", nil)
 }

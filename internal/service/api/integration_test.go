@@ -59,10 +59,7 @@ func TestCorpusStudy10kOnlineEqualsOffline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	offline, err := service.NewSelfJoin(offCorpus, offCorpus, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	offline := service.NewSelfJoin(offCorpus, 0)
 	if err := offline.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +71,7 @@ func TestCorpusStudy10kOnlineEqualsOffline(t *testing.T) {
 		Workers: 4, Shards: 4, CCD: ccd.ConservativeConfig, TrackClusters: true,
 	})
 	for _, e := range entries {
-		if err := srv.engine.CorpusAddFingerprint(e.ID, e.FP); err != nil {
+		if err := addFP(srv.engine, e.ID, e.FP); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/index"
 	"repro/internal/service"
 )
 
@@ -589,7 +588,7 @@ func TestMetricsDefaultStaysJSON(t *testing.T) {
 // must survive -race, the ring must stay bounded, and every response must
 // echo its request id.
 func TestTracedHammer(t *testing.T) {
-	ts, s := newTestServerOpts(t, service.Options{Workers: 4, Shards: 4, Backends: index.Names()})
+	ts, s := newTestServerOpts(t, service.Options{Workers: 4, Shards: 4})
 	if resp, _ := post(t, ts.URL+"/v1/corpus", map[string]any{"entries": []map[string]string{
 		{"id": "victim-1", "source": reentrantSrc},
 		{"id": "safe-1", "source": benignSrc},

@@ -275,17 +275,6 @@ func (s *Server) writePrometheus(w io.Writer, snap service.Snapshot, uptimeSec f
 		p.metric("ccd_cache_misses_total", label("cache", c.name), float64(c.stats.Misses))
 	}
 
-	// Backends.
-	backends := make([]string, 0, len(snap.Backends))
-	for name := range snap.Backends {
-		backends = append(backends, name)
-	}
-	sort.Strings(backends)
-	p.header("ccd_backend_size", "Documents per similarity backend.", "gauge")
-	for _, name := range backends {
-		p.metric("ccd_backend_size", label("backend", name), float64(snap.Backends[name].Size))
-	}
-
 	// HTTP per-endpoint stats.
 	patterns := make([]string, 0, len(s.endpoints))
 	for pat := range s.endpoints {

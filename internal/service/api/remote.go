@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/ccd"
 	"repro/internal/cluster"
-	"repro/internal/index"
 	"repro/internal/remote"
 	"repro/internal/service"
 )
@@ -90,8 +89,7 @@ func (s *Server) handleShardMatch(w http.ResponseWriter, r *http.Request) {
 	var st ccd.MatchStats
 	var err error
 	if derr := s.engine.DoCtx(ctx, func() {
-		doc := index.Doc{FP: ccd.Fingerprint(req.Fingerprint)}
-		ms, st, err = s.engine.Corpus().MatchDocTopKBound(ctx, doc, req.K, bound)
+		ms, st, err = s.engine.Corpus().MatchTopKCtx(ctx, ccd.Fingerprint(req.Fingerprint), req.K, bound)
 	}); derr != nil {
 		if req.BudgetMs > 0 && errors.Is(derr, context.DeadlineExceeded) {
 			// The shipped budget drained while queued: an honest (empty)
@@ -228,11 +226,6 @@ func writeRemoteError(w http.ResponseWriter, err error) {
 // the router's pool); only fingerprints and bounds cross the network.
 func (s *Server) routerMatch(w http.ResponseWriter, r *http.Request, req MatchRequest) {
 	ctx := r.Context()
-	if req.Backend != "" && req.Backend != "ccd" {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("backend %q: router mode serves the default ccd backend", req.Backend))
-		return
-	}
 	batch := len(req.Sources) > 0 || len(req.Fingerprints) > 0
 	if batch && (req.Source != "" || req.Fingerprint != "") {
 		writeError(w, http.StatusBadRequest, "mix of single and batch fields: use either \"source\"/\"fingerprint\" or \"sources\"/\"fingerprints\"")
@@ -323,7 +316,7 @@ func (s *Server) routerMatchFP(ctx context.Context, req MatchRequest, fp string)
 	}
 	if req.Explain {
 		resp.Explain = &MatchExplain{
-			Backend:       "ccd",
+			Backend:       service.BackendCCD,
 			Shards:        s.router.N(),
 			Limit:         req.Limit,
 			Candidates:    res.Stats.Candidates,
@@ -461,7 +454,7 @@ func (s *Server) routerCloneStudy(ctx context.Context, limit, topN int) (*servic
 	cfg := s.engine.Corpus().Config()
 	eps := s.engine.Corpus().Epsilon()
 	rep := &service.CloneReport{
-		Backend: s.engine.Corpus().Backend(),
+		Backend: service.BackendCCD,
 		Eta:     cfg.Eta,
 		Epsilon: eps,
 		Limit:   limit,

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/ccd"
-	"repro/internal/index"
 )
 
 // Working benchmarks of the write path, beside the package (ROADMAP 1d). The
@@ -27,16 +26,16 @@ func BenchmarkStoreAddBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer store.Close()
-			docs := make([]index.Doc, size)
+			docs := make([]ccd.Entry, size)
 			ctx := context.Background()
 			n := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := range docs {
-					docs[j] = index.Doc{ID: fmt.Sprintf("doc-%d", n), FP: fps[n%len(fps)]}
+					docs[j] = ccd.Entry{ID: fmt.Sprintf("doc-%d", n), FP: fps[n%len(fps)]}
 					n++
 				}
-				if err := c.AddDocsCtx(ctx, docs); err != nil {
+				if err := c.AddBatch(ctx, docs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -55,15 +54,15 @@ func BenchmarkPublishCascade(b *testing.B) {
 	for _, size := range []int{1, 32} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
 			c := NewCorpus(ccd.DefaultConfig, 1)
-			docs := make([]index.Doc, size)
+			docs := make([]ccd.Entry, size)
 			n := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := range docs {
-					docs[j] = index.Doc{ID: fmt.Sprintf("doc-%d", n), FP: fps[n%len(fps)]}
+					docs[j] = ccd.Entry{ID: fmt.Sprintf("doc-%d", n), FP: fps[n%len(fps)]}
 					n++
 				}
-				c.addDocsLocal(docs)
+				c.addLocalBatch(docs)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "docs/s")

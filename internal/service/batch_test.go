@@ -3,16 +3,20 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/ccd"
-	"repro/internal/index"
 	"repro/internal/trace"
 )
 
@@ -115,13 +119,7 @@ func TestBatchSameIDOrdering(t *testing.T) {
 
 	seq := New(Options{Workers: 1, Shards: 2})
 	for _, en := range entries {
-		var err error
-		if en.Fingerprint != "" {
-			err = seq.CorpusAddFingerprint(en.ID, en.Fingerprint)
-		} else {
-			err = seq.CorpusAdd(en.ID, en.Source)
-		}
-		if err != nil {
+		if err := seq.CorpusAddBatch([]CorpusEntry{en})[0]; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -417,7 +415,7 @@ func TestBatchBackpressureOncePerBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if err := e.CorpusAddFingerprint("warm", testFP(0)); err != nil { // one fsync in the window
+	if err := e.CorpusAddBatch([]CorpusEntry{{ID: "warm", Fingerprint: testFP(0)}})[0]; err != nil { // one fsync in the window
 		t.Fatal(err)
 	}
 	store.SetBackpressure(BackpressureConfig{FsyncP99: 1, MaxDelay: 1}) // any fsync is over 1ns
@@ -477,13 +475,9 @@ func TestBatchLayoutDeterministic(t *testing.T) {
 // pairwiseCascade is the compaction publish used to run, kept as the
 // reference: merge the last two segments while the newest has reached half
 // its predecessor, one rebuild per step.
-func pairwiseCascade(t *testing.T, segs []index.Backend) []index.Backend {
-	t.Helper()
+func pairwiseCascade(segs []*ccd.Corpus) []*ccd.Corpus {
 	for len(segs) >= 2 && 2*segs[len(segs)-1].Len() >= segs[len(segs)-2].Len() {
-		merged, err := segs[len(segs)-2].Merge(segs[len(segs)-1])
-		if err != nil {
-			t.Fatal(err)
-		}
+		merged := ccd.Merge(segs[len(segs)-2], segs[len(segs)-1])
 		segs = append(segs[:len(segs)-2], merged)
 	}
 	return segs
@@ -510,74 +504,66 @@ func sameTopK(got, want []ccd.Match) bool {
 // TestSingleBuildCascadeEqualsPairwise is the compaction property: building
 // the merged segment once, over however many segments the geometric cascade
 // reaches, leaves after every publish the segment sizes — and in the end the
-// segments, byte for byte — that the step-by-step cascade left, for every
-// backend; and a corpus fed batches
-// answers MatchTopK as one fed the same documents one by one.
+// segments, byte for byte — that the step-by-step cascade left; and a corpus
+// fed batches answers MatchTopK as one fed the same documents one by one.
 func TestSingleBuildCascadeEqualsPairwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	fps := randomFingerprints(17, 700)
-	for _, backend := range index.Names() {
-		c, err := NewBackendCorpus(backend, index.Config{}, 1)
-		if err != nil {
+	c := NewCorpus(ccd.DefaultConfig, 1)
+	var ref []*ccd.Corpus
+	for at := 0; at < len(fps); {
+		n := min(1+rng.Intn(24), len(fps)-at)
+		if rng.Intn(3) == 0 {
+			n = 1 // single adds keep the cascade deep
+		}
+		seg := ccd.NewCorpus(c.Config())
+		docs := make([]ccd.Entry, n)
+		for i := range docs {
+			docs[i] = ccd.Entry{ID: fmt.Sprintf("doc-%d", at+i), FP: fps[at+i]}
+			seg.Add(docs[i].ID, docs[i].FP)
+		}
+		ref = pairwiseCascade(append(ref, seg))
+		c.addLocalBatch(docs)
+		at += n
+
+		got := c.shards[0].gen.Load().segments
+		if len(got) != len(ref) {
+			t.Fatalf("%d segments after %d docs, pairwise cascade leaves %d", len(got), at, len(ref))
+		}
+		for i := range got {
+			if got[i].Len() != ref[i].Len() {
+				t.Fatalf("segment %d after %d docs holds %d docs, pairwise cascade %d",
+					i, at, got[i].Len(), ref[i].Len())
+			}
+		}
+	}
+	for i, seg := range c.shards[0].gen.Load().segments {
+		var a, b bytes.Buffer
+		if err := seg.Save(&a); err != nil {
 			t.Fatal(err)
 		}
-		var ref []index.Backend
-		for at := 0; at < len(fps); {
-			n := min(1+rng.Intn(24), len(fps)-at)
-			if rng.Intn(3) == 0 {
-				n = 1 // single adds keep the cascade deep
-			}
-			seg := c.newSegment()
-			docs := make([]index.Doc, n)
-			for i := range docs {
-				docs[i] = index.Doc{ID: fmt.Sprintf("doc-%d", at+i), FP: fps[at+i], Source: benignSrc}
-				if err := seg.Add(docs[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ref = pairwiseCascade(t, append(ref, seg))
-			c.addDocsLocal(docs)
-			at += n
-
-			got := c.shards[0].gen.Load().segments
-			if len(got) != len(ref) {
-				t.Fatalf("%s: %d segments after %d docs, pairwise cascade leaves %d", backend, len(got), at, len(ref))
-			}
-			for i := range got {
-				if got[i].Len() != ref[i].Len() {
-					t.Fatalf("%s: segment %d after %d docs holds %d docs, pairwise cascade %d",
-						backend, i, at, got[i].Len(), ref[i].Len())
-				}
-			}
+		if err := ref[i].Save(&b); err != nil {
+			t.Fatal(err)
 		}
-		for i, seg := range c.shards[0].gen.Load().segments {
-			var a, b bytes.Buffer
-			if err := seg.Snapshot(&a); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref[i].Snapshot(&b); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Fatalf("%s: segment %d differs from the pairwise cascade's, byte for byte", backend, i)
-			}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("segment %d differs from the pairwise cascade's, byte for byte", i)
 		}
-		if c.Compactions() >= c.Publishes() {
-			t.Errorf("%s: %d compactions over %d publishes: more than one build per publish", backend, c.Compactions(), c.Publishes())
-		}
+	}
+	if c.Compactions() >= c.Publishes() {
+		t.Errorf("%d compactions over %d publishes: more than one build per publish", c.Compactions(), c.Publishes())
 	}
 
 	batched, oneByOne := NewCorpus(ccd.DefaultConfig, 3), NewCorpus(ccd.DefaultConfig, 3)
 	for at := 0; at < len(fps); {
 		n := min(1+rng.Intn(50), len(fps)-at)
-		docs := make([]index.Doc, n)
+		docs := make([]ccd.Entry, n)
 		for i := range docs {
-			docs[i] = index.Doc{ID: fmt.Sprintf("doc-%d", (at+i)%600), FP: fps[at+i]}
-			if err := oneByOne.AddDoc(docs[i]); err != nil {
+			docs[i] = ccd.Entry{ID: fmt.Sprintf("doc-%d", (at+i)%600), FP: fps[at+i]}
+			if err := oneByOne.Add(docs[i].ID, docs[i].FP); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := batched.AddDocsCtx(context.Background(), docs); err != nil {
+		if err := batched.AddBatch(context.Background(), docs); err != nil {
 			t.Fatal(err)
 		}
 		at += n
@@ -593,6 +579,109 @@ func TestSingleBuildCascadeEqualsPairwise(t *testing.T) {
 			if !sameTopK(got, want) {
 				t.Fatalf("query %d, k=%d: batched corpus answers\n%v\none-by-one corpus\n%v", qi, k, got, want)
 			}
+		}
+	}
+}
+
+// TestEmptyFingerprintAckedIsIndexed: an entry whose fingerprint is empty (a
+// comment-only source) is acknowledged, so it is indexed — with and without a
+// store alike, and again after a crash-copy reopen, before and after a
+// snapshot. An acknowledged entry once vanished on the durable path only: the
+// store strips the source, and the segment then refused a document with
+// neither source nor fingerprint, while /v1/corpus had answered "added: 1".
+func TestEmptyFingerprintAckedIsIndexed(t *testing.T) {
+	const commentOnly = "// just a comment\n"
+	if fp, err := ccd.FingerprintSource(commentOnly); fp != "" || err != nil {
+		t.Fatalf("fixture: fingerprint %q, error %v; want an empty fingerprint and no error", fp, err)
+	}
+	batch := []CorpusEntry{
+		{ID: "a", Source: commentOnly},
+		{ID: "b", Fingerprint: testFP(1)},
+	}
+	heap := New(Options{Workers: 2, Shards: 2})
+	durable := New(Options{Workers: 2, Shards: 2})
+	dir := t.TempDir()
+	store, err := OpenStore(dir, durable.Corpus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	for name, e := range map[string]*Engine{"heap": heap, "durable": durable} {
+		for i, err := range e.CorpusAddBatch(batch) {
+			if err != nil {
+				t.Fatalf("%s: entry %d: %v", name, i, err)
+			}
+		}
+	}
+
+	want := []ccd.Entry{{ID: "a", FP: ""}, {ID: "b", FP: testFP(1)}}
+	check := func(name string, c *Corpus) {
+		t.Helper()
+		if c.Len() != len(want) {
+			t.Fatalf("%s: Len %d, want %d: an acknowledged entry is not indexed", name, c.Len(), len(want))
+		}
+		var got []ccd.Entry
+		for i := 0; i < c.Shards(); i++ {
+			es, _ := c.ShardEntries(i)
+			got = append(got, es...)
+		}
+		slices.SortFunc(got, func(a, b ccd.Entry) int { return strings.Compare(a.ID, b.ID) })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: entries %v, want %v", name, got, want)
+		}
+		// An empty fingerprint has no n-grams: it matches nothing and nothing
+		// matches it.
+		if ms := c.Match(""); len(ms) != 0 {
+			t.Fatalf("%s: the empty fingerprint matched %v", name, ms)
+		}
+		if ms := c.Match(testFP(1)); len(ms) != 1 || ms[0].ID != "b" {
+			t.Fatalf("%s: match of b: %v", name, ms)
+		}
+	}
+	check("heap", heap.Corpus())
+	check("durable", durable.Corpus())
+	replayed, _ := reopen(t, dir, 2)
+	check("reopened from the WAL", replayed)
+	if _, err := store.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	restored, _ := reopen(t, dir, 2)
+	check("reopened from the snapshot", restored)
+}
+
+// TestSnapshotBytesPinned pins the on-disk bytes: WriteSnapshot over a fixed
+// single-batch fixture hashes to the value recorded on a checkout of commit
+// e105987 (the parent of the change that made the serving corpus a ccd corpus
+// and dropped the version-1 loaders), for a 1-shard and a 4-shard layout —
+// so a -corpus-dir written before that change still loads, and no later
+// change moves SVCSNAP v2, CCDSNAP v2 or NGIX v2 bytes unnoticed. A batch's
+// layout is a function of the batch alone, so the hash is stable.
+func TestSnapshotBytesPinned(t *testing.T) {
+	fps := randomFingerprints(7, 240)
+	entries := make([]ccd.Entry, len(fps))
+	for i, fp := range fps {
+		entries[i] = ccd.Entry{ID: fmt.Sprintf("doc-%03d", i), FP: fp}
+	}
+	for shards, want := range map[int]string{
+		1: "95f2ae7e2acbec9e46e1c1a8385a3c7d59c29f001e09560abcf2ccf231cd4d04",
+		4: "e906d8cee12b9f9f7790ed2c800facdea03707cbe73dd1332bab82137cc52593",
+	} {
+		c := NewCorpus(ccd.DefaultConfig, shards)
+		if err := c.AddBatch(context.Background(), entries); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := c.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("shards=%d: snapshot of the fixture (%d bytes) hashes to %s, want %s", shards, buf.Len(), got, want)
+		}
+		// And the pinned bytes load.
+		back := NewCorpus(ccd.DefaultConfig, shards)
+		if err := back.ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil || back.Len() != len(entries) {
+			t.Errorf("shards=%d: heap restore: %d entries, %v", shards, back.Len(), err)
 		}
 	}
 }

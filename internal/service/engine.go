@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,7 +21,6 @@ import (
 	"repro/internal/ccd"
 	"repro/internal/cluster"
 	"repro/internal/cpg"
-	"repro/internal/index"
 	"repro/internal/trace"
 )
 
@@ -38,18 +36,14 @@ type Options struct {
 	// 0 selects DefaultCacheEntries; < 0 disables caching (benchmarks use
 	// this to measure the uncached path).
 	CacheEntries int
-	// CCD configures the engine's serving corpora (zero value:
+	// CCD configures the engine's serving corpus (zero value:
 	// ccd.DefaultConfig).
 	CCD ccd.Config
-	// Shards is the generation-shard count of each serving corpus (the
+	// Shards is the generation-shard count of the serving corpus (the
 	// scatter-gather fan-out width); ≤ 0 selects GOMAXPROCS.
 	Shards int
-	// Backends lists extra similarity backends to serve alongside the
-	// always-on ccd corpus (see index.Names). Unknown names panic — validate
-	// with index.Known first when the list comes from user input.
-	Backends []string
 	// TrackClusters maintains the live clone-cluster view online: every
-	// ingested document is matched against the ccd serving corpus and its
+	// ingested document is matched against the serving corpus and its
 	// clone edges folded into an incremental union-find (GET /v1/clusters).
 	// The live view is an additive approximation — supersedes don't unlink,
 	// and each ingest contributes its top onlineClusterK edges — while the
@@ -69,15 +63,19 @@ type Options struct {
 // the cluster's best matches, which are already linked to each other.
 const onlineClusterK = 8
 
-// Backend-routing errors, wrapped by CorpusFor and the match paths so the
-// API layer can map them to distinct HTTP statuses.
-var (
-	// ErrUnknownBackend marks a backend name absent from the registry.
-	ErrUnknownBackend = errors.New("unknown backend")
-	// ErrBackendNotLoaded marks a registered backend this engine was not
-	// started with.
-	ErrBackendNotLoaded = errors.New("backend not loaded")
-)
+// ErrUnknownBackend marks a request that names a similarity backend other
+// than ccd; the API layer maps it to a 400.
+var ErrUnknownBackend = errors.New("unknown backend")
+
+// CheckBackend validates a request-supplied backend name: empty or "ccd"
+// select the one matcher this service runs, anything else is
+// ErrUnknownBackend naming the value — never a silent fallback to ccd.
+func CheckBackend(name string) error {
+	if name == "" || name == BackendCCD {
+		return nil
+	}
+	return fmt.Errorf("%w: %q (this service matches with %q only)", ErrUnknownBackend, name, BackendCCD)
+}
 
 // Engine wraps CCC and CCD behind a worker pool and content-addressed
 // caches. The cached primitives (Graph, Analyze, Fingerprint, Match, ...)
@@ -96,11 +94,8 @@ type Engine struct {
 	reports *lru[reportEntry]
 	prints  *lru[fpEntry]
 
-	// corpus is the always-on ccd serving corpus; corpora maps every loaded
-	// backend name (including "ccd") to its sharded corpus. Both are fixed
-	// at construction — reads need no locking.
-	corpus  *Corpus
-	corpora map[string]*Corpus
+	// corpus is the serving corpus, fixed at construction.
+	corpus *Corpus
 
 	// clusters is the live clone-cluster view (nil unless
 	// Options.TrackClusters), updated as ingest lands.
@@ -146,20 +141,6 @@ func New(opts Options) *Engine {
 		eta = ccd.DefaultConfig.Eta
 	}
 	e.deg = &degrade{cfg: opts.Degrade.withDefaults(), raisedEta: eta + (1-eta)/2}
-	e.corpora = map[string]*Corpus{index.BackendCCD: e.corpus}
-	for _, name := range opts.Backends {
-		if name == index.BackendCCD {
-			continue // always on
-		}
-		if _, dup := e.corpora[name]; dup {
-			continue
-		}
-		c, err := NewBackendCorpus(name, index.Config{CCD: opts.CCD}, opts.Shards)
-		if err != nil {
-			panic(fmt.Sprintf("service: Options.Backends: %v", err))
-		}
-		e.corpora[name] = c
-	}
 	if opts.TrackClusters {
 		e.clusters = cluster.New()
 	}
@@ -172,16 +153,6 @@ func (e *Engine) Clusters() *cluster.Set { return e.clusters }
 
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return e.workers }
-
-// Backends returns the loaded backend names, sorted.
-func (e *Engine) Backends() []string {
-	out := make([]string, 0, len(e.corpora))
-	for name := range e.corpora {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // --- worker pool --------------------------------------------------------------
 
@@ -354,114 +325,52 @@ func (e *Engine) Fingerprint(src string) (ccd.Fingerprint, error) {
 
 // --- serving corpus -----------------------------------------------------------
 
-// Corpus exposes the engine's always-on ccd serving corpus.
+// Corpus exposes the engine's serving corpus.
 func (e *Engine) Corpus() *Corpus { return e.corpus }
 
-// CorpusFor resolves a backend name to its serving corpus. The empty name
-// selects ccd. Errors wrap ErrUnknownBackend (not in the registry) or
-// ErrBackendNotLoaded (registered but not enabled on this engine).
-func (e *Engine) CorpusFor(backend string) (*Corpus, error) {
-	if backend == "" {
-		return e.corpus, nil
-	}
-	if c, ok := e.corpora[backend]; ok {
-		return c, nil
-	}
-	if index.Known(backend) {
-		return nil, fmt.Errorf("%w: %q (loaded: %v; start serve with -backend %s)",
-			ErrBackendNotLoaded, backend, e.Backends(), backend)
-	}
-	return nil, fmt.Errorf("%w: %q (known: %v)", ErrUnknownBackend, backend, index.Names())
-}
-
-// CorpusAdd fingerprints src and indexes it in every loaded serving corpus
-// under id. A partial fingerprint is indexed even on parse errors (the
-// ccd.AddSource contract); the parse error is returned for reporting. A
-// persistence failure (errors.Is ErrPersist) means the entry was NOT
-// indexed.
-func (e *Engine) CorpusAdd(id, src string) error {
-	return e.CorpusAddCtx(context.Background(), id, src)
-}
-
-// CorpusAddCtx is CorpusAdd carrying a request context: a traced ingest
-// decomposes into fingerprint, corpus insert, WAL append and fsync-wait spans.
-func (e *Engine) CorpusAddCtx(ctx context.Context, id, src string) error {
-	_, fsp := trace.Start(ctx, "match.fingerprint")
-	fp, ferr := e.Fingerprint(src)
-	fsp.End()
-	if err := e.corpusAddDoc(ctx, index.Doc{ID: id, Source: src, FP: fp}); err != nil {
-		return err
-	}
-	return ferr
-}
-
-// CorpusAddFingerprint indexes a precomputed fingerprint under id, skipping
-// parsing entirely (bulk ingest of pre-fingerprinted corpora). Backends that
-// need source (SmartEmbed) count it as a skip.
-func (e *Engine) CorpusAddFingerprint(id string, fp ccd.Fingerprint) error {
-	return e.corpusAddDoc(context.Background(), index.Doc{ID: id, FP: fp})
-}
-
-// CorpusAddFingerprintCtx is CorpusAddFingerprint carrying a request context.
-func (e *Engine) CorpusAddFingerprintCtx(ctx context.Context, id string, fp ccd.Fingerprint) error {
-	return e.corpusAddDoc(ctx, index.Doc{ID: id, FP: fp})
-}
-
-// corpusAddDoc ingests one document: a batch of one.
-func (e *Engine) corpusAddDoc(ctx context.Context, doc index.Doc) error {
-	return e.corpusAddDocs(ctx, []index.Doc{doc})
-}
-
-// corpusAddDocs fans a batch of documents, in order, out to every loaded
-// backend corpus — one batch add each. The durable ccd corpus goes first: if
-// its journaled add fails the documents are nowhere; per-backend skips of the
-// in-memory corpora are absorbed (they are counted on the corpus).
-func (e *Engine) corpusAddDocs(ctx context.Context, docs []index.Doc) error {
-	if len(docs) == 0 {
+// corpusAddEntries ingests fingerprinted entries, in order, through one batch
+// add, then links them into the live cluster view. If the journaled add fails
+// the entries are nowhere.
+func (e *Engine) corpusAddEntries(ctx context.Context, entries []ccd.Entry) error {
+	if len(entries) == 0 {
 		return nil
 	}
 	ctx, sp := trace.Start(ctx, "corpus.add")
 	defer sp.End()
-	sp.AnnotateInt("docs", int64(len(docs)))
-	if err := e.corpus.AddDocsCtx(ctx, docs); err != nil {
+	sp.AnnotateInt("docs", int64(len(entries)))
+	if err := e.corpus.AddBatch(ctx, entries); err != nil {
 		return err
 	}
-	for name, c := range e.corpora {
-		if name == index.BackendCCD {
-			continue
-		}
-		c.addDocsLocal(docs) // in-memory; unsupported docs are counted as skips
-	}
-	e.ctr.corpusAdds.Add(int64(len(docs)))
+	e.ctr.corpusAdds.Add(int64(len(entries)))
 	if e.clusters == nil {
 		return nil
 	}
 	// Live clustering: each freshly published document (read-your-writes)
-	// matches against the ccd corpus and its top clone edges land in the
+	// matches against the corpus and its top clone edges land in the
 	// union-find. Best-effort and additive — the /v1/study corpus mode
 	// recomputes exactly. WithoutCancel: the trace rides along, but a
 	// disconnecting client cannot skip the cluster link of a journaled add.
 	linkCtx := context.WithoutCancel(ctx)
-	for _, doc := range docs {
-		e.clusters.Add(doc.ID)
+	for _, en := range entries {
+		e.clusters.Add(en.ID)
 		// +1: the freshly published doc takes one slot with its self-match.
 		// Trim back after the self-filter — on an exact-clone plateau the
 		// doc's own ID can tie-break out of the k+1 slots, leaving k+1
 		// non-self matches.
-		ms, _, err := e.corpus.MatchDocTopK(linkCtx, doc, onlineClusterK+1)
+		ms, _, err := e.corpus.MatchTopKCtx(linkCtx, en.FP, onlineClusterK+1, nil)
 		if err != nil {
 			continue
 		}
 		edges := 0
 		for _, m := range ms {
-			if m.ID == doc.ID {
+			if m.ID == en.ID {
 				continue
 			}
 			if edges == onlineClusterK {
 				break
 			}
 			edges++
-			e.clusters.Union(doc.ID, m.ID)
+			e.clusters.Union(en.ID, m.ID)
 		}
 	}
 	return nil
@@ -469,36 +378,24 @@ func (e *Engine) corpusAddDocs(ctx context.Context, docs []index.Doc) error {
 
 // --- corpus-wide clone study ----------------------------------------------------
 
-// NewCloneStudy plans a corpus-wide clone self-join: documents enumerate
-// from the durable ccd corpus and clone queries run against the named
-// backend's serving corpus (empty = ccd itself). The join fans out through
-// the engine's worker pool at ClassBackground — every per-document query
-// yields to waiting interactive traffic, and the join's (shard, segment)
-// checkpoints make the resulting pauses free. It is context-cancellable and
-// resumable (see SelfJoin.Run).
-func (e *Engine) NewCloneStudy(backend string, limit int) (*SelfJoin, error) {
-	target, err := e.CorpusFor(backend)
-	if err != nil {
-		return nil, err
-	}
-	j, err := NewSelfJoin(e.corpus, target, limit)
-	if err != nil {
-		return nil, err
-	}
+// NewCloneStudy plans a corpus-wide clone self-join over the serving corpus.
+// The join fans out through the engine's worker pool at ClassBackground —
+// every per-document query yields to waiting interactive traffic, and the
+// join's (shard, segment) checkpoints make the resulting pauses free. It is
+// context-cancellable and resumable (see SelfJoin.Run).
+func (e *Engine) NewCloneStudy(limit int) *SelfJoin {
+	j := NewSelfJoin(e.corpus, limit)
 	j.par = func(ctx context.Context, n int, fn func(int)) error {
 		return e.MapCtx(WithClass(ctx, ClassBackground), n, fn)
 	}
-	return j, nil
+	return j
 }
 
 // RunCloneStudy plans and runs a clone study to completion, folding its
 // funnel into the engine's study metrics and returning the report with the
 // topN largest clusters attached.
-func (e *Engine) RunCloneStudy(ctx context.Context, backend string, limit, topN int) (*CloneReport, error) {
-	j, err := e.NewCloneStudy(backend, limit)
-	if err != nil {
-		return nil, err
-	}
+func (e *Engine) RunCloneStudy(ctx context.Context, limit, topN int) (*CloneReport, error) {
+	j := e.NewCloneStudy(limit)
 	e.ctr.studiesStarted.Add(1)
 	if err := j.Run(ctx); err != nil {
 		e.ctr.observeStudy(j.Stats(), err)
@@ -508,25 +405,16 @@ func (e *Engine) RunCloneStudy(ctx context.Context, backend string, limit, topN 
 	return j.Report(topN), nil
 }
 
-// Match fingerprints src and returns its clone candidates from the ccd
-// serving corpus, best first.
-func (e *Engine) Match(src string) ([]ccd.Match, error) {
-	return e.MatchTopK(src, 0)
-}
-
-// MatchTopK fingerprints src and returns its k best clone candidates (k ≤ 0:
-// all of them), best first.
-func (e *Engine) MatchTopK(src string, k int) ([]ccd.Match, error) {
-	ms, _, err := e.MatchSource(context.Background(), "", src, k)
-	return ms, err
-}
-
 // MatchSource fingerprints src (through the cache) and scatter-gathers its k
-// best candidates on the named backend's corpus. The returned stats are the
-// query's pruning funnel; the error reports parse problems (matches still
-// returned when a partial fingerprint exists), backend-routing failures, or
-// ctx cancellation.
+// best candidates (k ≤ 0: all of them), best first. backend is the
+// request-supplied backend name, checked here (see CheckBackend). The
+// returned stats are the query's pruning funnel; the error reports parse
+// problems (matches still returned when a partial fingerprint exists), an
+// unknown backend, or ctx cancellation.
 func (e *Engine) MatchSource(ctx context.Context, backend, src string, k int) ([]ccd.Match, ccd.MatchStats, error) {
+	if err := CheckBackend(backend); err != nil {
+		return nil, ccd.MatchStats{}, err
+	}
 	_, fsp := trace.Start(ctx, "match.fingerprint")
 	fp, ferr := e.Fingerprint(src)
 	fsp.AnnotateInt("source_bytes", int64(len(src)))
@@ -534,7 +422,7 @@ func (e *Engine) MatchSource(ctx context.Context, backend, src string, k int) ([
 	if ferr != nil && len(fp) == 0 {
 		return nil, ccd.MatchStats{}, ferr
 	}
-	ms, stats, err := e.MatchDoc(ctx, backend, index.Doc{Source: src, FP: fp}, k)
+	ms, stats, err := e.MatchFingerprint(ctx, fp, k)
 	if err != nil {
 		// A budget-exhausted scan still carries its best-effort partial
 		// matches; everything else fails empty.
@@ -543,24 +431,18 @@ func (e *Engine) MatchSource(ctx context.Context, backend, src string, k int) ([
 	return ms, stats, ferr
 }
 
-// MatchDoc scatter-gathers doc's k best candidates on the named backend's
-// corpus (empty name: ccd). Latency and pruning counts feed the /metrics
-// histogram; cancelled queries return ctx.Err() and are not observed as
-// completed matches. A query whose deadline budget expires mid-scan returns
-// its best-effort partial top-K alongside ErrBudgetExhausted — observed in
-// the latency histogram (the client waited that long either way).
+// MatchFingerprint scatter-gathers a precomputed fingerprint's k best
+// candidates (k ≤ 0: all) on the serving corpus, lock-free against concurrent
+// ingest. Latency and pruning counts feed the /metrics histogram; cancelled
+// queries return ctx.Err() and are not observed as completed matches. A
+// query whose deadline budget expires mid-scan returns its best-effort
+// partial top-K alongside ErrBudgetExhausted — observed in the latency
+// histogram (the client waited that long either way).
 //
 // At degradation tier ≥ 2 the scan runs with the raised pre-filter η, so
 // fewer candidates survive to the expensive exact scoring.
-func (e *Engine) MatchDoc(ctx context.Context, backend string, doc index.Doc, k int) ([]ccd.Match, ccd.MatchStats, error) {
-	c, err := e.CorpusFor(backend)
-	if err != nil {
-		return nil, ccd.MatchStats{}, err
-	}
+func (e *Engine) MatchFingerprint(ctx context.Context, fp ccd.Fingerprint, k int) ([]ccd.Match, ccd.MatchStats, error) {
 	ctx, sp := trace.Start(ctx, "match")
-	if backend != "" {
-		sp.Annotate("backend", backend)
-	}
 	if tier := e.DegradeTier(); tier > 0 {
 		sp.AnnotateInt("degrade.tier", int64(tier))
 		if tier >= 2 && EtaOverrideOf(ctx) == 0 {
@@ -569,7 +451,7 @@ func (e *Engine) MatchDoc(ctx context.Context, backend string, doc index.Doc, k 
 		}
 	}
 	start := time.Now()
-	ms, stats, err := c.MatchDocTopK(ctx, doc, k)
+	ms, stats, err := e.corpus.MatchTopKCtx(ctx, fp, k, nil)
 	sp.AnnotateInt("candidates", int64(stats.Candidates))
 	sp.AnnotateInt("scored", int64(stats.Scored))
 	sp.End()
@@ -583,20 +465,6 @@ func (e *Engine) MatchDoc(ctx context.Context, backend string, doc index.Doc, k 
 	}
 	e.ctr.observeMatch(stats, time.Since(start))
 	return ms, stats, nil
-}
-
-// MatchFingerprint matches a precomputed fingerprint against the ccd serving
-// corpus.
-func (e *Engine) MatchFingerprint(fp ccd.Fingerprint) []ccd.Match {
-	return e.MatchFingerprintTopK(fp, 0)
-}
-
-// MatchFingerprintTopK matches a precomputed fingerprint against the ccd
-// serving corpus, returning the k best candidates (k ≤ 0: all). The call is
-// lock-free against concurrent ingest.
-func (e *Engine) MatchFingerprintTopK(fp ccd.Fingerprint, k int) []ccd.Match {
-	ms, _, _ := e.MatchDoc(context.Background(), "", index.Doc{FP: fp}, k)
-	return ms
 }
 
 // --- pooled batch helpers -----------------------------------------------------
@@ -642,55 +510,24 @@ func (e *Engine) CorpusAddBatch(entries []CorpusEntry) []error {
 // per batch); it does not cancel journaled work.
 func (e *Engine) CorpusAddBatchCtx(ctx context.Context, entries []CorpusEntry) []error {
 	errs := make([]error, len(entries))
-	docs := make([]index.Doc, len(entries))
+	batch := make([]ccd.Entry, len(entries))
 	var unprinted []int
 	for i, en := range entries {
-		docs[i] = index.Doc{ID: en.ID, FP: en.Fingerprint}
+		batch[i] = ccd.Entry{ID: en.ID, FP: en.Fingerprint}
 		if en.Fingerprint == "" {
-			docs[i].Source = en.Source
 			unprinted = append(unprinted, i)
 		}
 	}
 	e.Map(len(unprinted), func(k int) {
 		i := unprinted[k]
 		_, fsp := trace.Start(ctx, "match.fingerprint")
-		docs[i].FP, errs[i] = e.Fingerprint(docs[i].Source)
+		batch[i].FP, errs[i] = e.Fingerprint(entries[i].Source)
 		fsp.End()
 	})
-	if err := e.corpusAddDocs(ctx, docs); err != nil {
+	if err := e.corpusAddEntries(ctx, batch); err != nil {
 		for i := range errs {
 			errs[i] = err
 		}
 	}
 	return errs
-}
-
-// MatchBatch matches every source against the ccd serving corpus across the
-// worker pool, preserving input order.
-func (e *Engine) MatchBatch(srcs []string) ([][]ccd.Match, []error) {
-	return e.MatchBatchTopK(srcs, 0)
-}
-
-// MatchBatchTopK matches every source across the worker pool, keeping the k
-// best candidates per source (k ≤ 0: all), preserving input order.
-func (e *Engine) MatchBatchTopK(srcs []string, k int) ([][]ccd.Match, []error) {
-	out, errs, _ := e.MatchBatchCtx(context.Background(), "", srcs, k)
-	return out, errs
-}
-
-// MatchBatchCtx matches every source on the named backend across the worker
-// pool, preserving input order. A cancelled ctx stops dispatching further
-// sources, cancels in-flight scatter-gathers at their next segment boundary,
-// and is returned; per-source errors report parse problems. Backend-routing
-// failures surface as the overall error before any work is dispatched.
-func (e *Engine) MatchBatchCtx(ctx context.Context, backend string, srcs []string, k int) ([][]ccd.Match, []error, error) {
-	if _, err := e.CorpusFor(backend); err != nil {
-		return nil, nil, err
-	}
-	out := make([][]ccd.Match, len(srcs))
-	errs := make([]error, len(srcs))
-	mapErr := e.MapCtx(ctx, len(srcs), func(i int) {
-		out[i], _, errs[i] = e.MatchSource(ctx, backend, srcs[i], k)
-	})
-	return out, errs, mapErr
 }

@@ -15,8 +15,9 @@ import (
 // a valid corpus — never panic, never allocate absurdly, never hand back a
 // corpus that cannot round-trip through WriteSnapshot. Seeded with valid
 // version-2 envelopes (matching and mismatching shard counts), a pre-shard
-// legacy (version 1) envelope, a truncated shard directory, and a
-// shard-count header that over-declares its payload.
+// version-1 header (refused by version now; it stays as a must-error input),
+// a truncated shard directory, and a shard-count header that over-declares
+// its payload.
 func FuzzSnapshotLoad(f *testing.F) {
 	encode := func(shards, docs int) []byte {
 		c := NewCorpus(ccd.DefaultConfig, shards)
@@ -41,7 +42,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(append([]byte{}, small[:14]...)) // cut inside the config block
 	// Over-declared shard count: keep the v2 preamble, bump the count byte.
 	f.Add(bytes.Replace(small, []byte{2, 0}, []byte{63, 0}, 1))
-	// Pre-shard legacy header with garbage body.
+	// Pre-shard version-1 header with garbage body.
 	f.Add([]byte("SVCSNAP\x00\x01\x03garbage"))
 	f.Add([]byte("SVCSNAP\x00\x02"))
 	f.Add([]byte{})

@@ -190,20 +190,20 @@ type Snapshot struct {
 	CorpusAdds   int64 `json:"corpus_adds"`
 	CorpusSize   int   `json:"corpus_size"`
 
-	// Read-path shape of the ccd corpus: the generations the lock-free
-	// readers currently see, across all shards.
+	// Read-path shape of the corpus: the generations the lock-free readers
+	// currently see, across all shards.
 	CorpusShardCount  int    `json:"corpus_shard_count"`
 	CorpusSegments    int    `json:"corpus_segments"`
 	CorpusGeneration  uint64 `json:"corpus_generation"`
 	CorpusPublishes   int64  `json:"corpus_publishes"`
 	CorpusCompactions int64  `json:"corpus_compactions"`
 
-	// CorpusShards breaks the ccd corpus down per generation-shard.
+	// CorpusShards breaks the corpus down per generation-shard.
 	CorpusShards []ShardSnapshot `json:"corpus_shards"`
 
-	// Backends reports every loaded similarity backend's corpus: size,
-	// shard layout, ingest accounting and its own match funnel.
-	Backends map[string]BackendSnapshot `json:"backends"`
+	// Corpus reports the serving corpus as one object: size, shard layout,
+	// ingest accounting and its cumulative match funnel.
+	Corpus CorpusSnapshot `json:"corpus"`
 
 	// Match pruning funnel: candidates from the n-gram pre-filter, how many
 	// the η cutoff abandoned inside the filter, how many were fully scored,
@@ -222,7 +222,7 @@ type Snapshot struct {
 	Deadline DeadlineSnapshot `json:"deadline"`
 
 	// Durability reports the WAL/snapshot instrumentation (present only when
-	// the ccd corpus has a store attached).
+	// the corpus has a store attached).
 	Durability *DurabilityStats `json:"durability,omitempty"`
 
 	// SelfJoin is the cumulative per-phase funnel of the corpus-wide clone
@@ -257,31 +257,18 @@ type StudyFunnel struct {
 	Errors        int64 `json:"errors"`
 }
 
-// BackendSnapshot is the /metrics view of one loaded backend's corpus.
-type BackendSnapshot struct {
+// CorpusSnapshot is the /metrics view of the serving corpus.
+type CorpusSnapshot struct {
 	Size       int          `json:"size"`
 	Shards     int          `json:"shards"`
 	Segments   int          `json:"segments"`
 	Adds       int64        `json:"adds"`
-	Skips      int64        `json:"skips,omitempty"`
 	Supersedes int64        `json:"supersedes,omitempty"`
 	Funnel     CorpusFunnel `json:"funnel"`
 }
 
 // Metrics returns a snapshot of the engine's counters and caches.
 func (e *Engine) Metrics() Snapshot {
-	backends := make(map[string]BackendSnapshot, len(e.corpora))
-	for name, c := range e.corpora {
-		backends[name] = BackendSnapshot{
-			Size:       c.Len(),
-			Shards:     c.Shards(),
-			Segments:   c.Segments(),
-			Adds:       c.Adds(),
-			Skips:      c.Skips(),
-			Supersedes: c.Supersedes(),
-			Funnel:     c.Funnel(),
-		}
-	}
 	s := Snapshot{
 		Workers:         e.workers,
 		BusyWorkers:     e.ctr.busy.Load(),
@@ -296,18 +283,25 @@ func (e *Engine) Metrics() Snapshot {
 			Shed:               e.ctr.shed.Load(),
 			BackgroundYields:   e.ctr.yields.Load(),
 		},
-		Analyses:           e.ctr.analyses.Load(),
-		Fingerprints:       e.ctr.fingerprints.Load(),
-		Matches:            e.ctr.matches.Load(),
-		CorpusAdds:         e.ctr.corpusAdds.Load(),
-		CorpusSize:         e.corpus.Len(),
-		CorpusShardCount:   e.corpus.Shards(),
-		CorpusSegments:     e.corpus.Segments(),
-		CorpusGeneration:   e.corpus.Generation(),
-		CorpusPublishes:    e.corpus.Publishes(),
-		CorpusCompactions:  e.corpus.Compactions(),
-		CorpusShards:       e.corpus.ShardStats(),
-		Backends:           backends,
+		Analyses:          e.ctr.analyses.Load(),
+		Fingerprints:      e.ctr.fingerprints.Load(),
+		Matches:           e.ctr.matches.Load(),
+		CorpusAdds:        e.ctr.corpusAdds.Load(),
+		CorpusSize:        e.corpus.Len(),
+		CorpusShardCount:  e.corpus.Shards(),
+		CorpusSegments:    e.corpus.Segments(),
+		CorpusGeneration:  e.corpus.Generation(),
+		CorpusPublishes:   e.corpus.Publishes(),
+		CorpusCompactions: e.corpus.Compactions(),
+		CorpusShards:      e.corpus.ShardStats(),
+		Corpus: CorpusSnapshot{
+			Size:       e.corpus.Len(),
+			Shards:     e.corpus.Shards(),
+			Segments:   e.corpus.Segments(),
+			Adds:       e.corpus.Adds(),
+			Supersedes: e.corpus.Supersedes(),
+			Funnel:     e.corpus.Funnel(),
+		},
 		MatchCandidates:    e.ctr.matchCandidates.Load(),
 		MatchFilterPruned:  e.ctr.matchFilterPruned.Load(),
 		MatchScored:        e.ctr.matchScored.Load(),

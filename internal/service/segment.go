@@ -1,33 +1,21 @@
 package service
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 
-	"repro/internal/index"
+	"repro/internal/ccd"
 )
 
-// This file is the zero-copy boot path: instead of streaming a snapshot
-// through ReadSnapshot (which decodes every posting list to the heap), the
-// snapshot file is memory-mapped and each backend segment opens directly over
-// its framed byte range. For the ccd backend that makes restore a validation
-// pass — posting lists are queried in place out of the page cache — so a
-// million-document corpus boots in the time it takes to checksum the file,
-// and cold pages are only faulted in when queries touch them.
-
-// mappedOpener opens segments zero-copy over data owned by ref when the
-// backend supports it (index.SegmentOpener), falling back to a heap decode.
-func mappedOpener(ref any) segmentOpener {
-	return func(seg index.Backend, data []byte) error {
-		if so, ok := seg.(index.SegmentOpener); ok {
-			return so.OpenSegment(data, ref)
-		}
-		return seg.Restore(bytes.NewReader(data))
-	}
-}
+// This file is the zero-copy boot path: instead of decoding a snapshot
+// through ReadSnapshot (every posting list to the heap), the snapshot file is
+// memory-mapped and each segment opens directly over its framed byte range.
+// That makes restore a validation pass — posting lists are queried in place
+// out of the page cache — so a million-document corpus boots in the time it
+// takes to checksum the file, and cold pages are only faulted in when queries
+// touch them.
 
 // snapCursor walks a snapshot envelope held fully in memory. take hands out
 // 3-index subslices, so no downstream append can write into a read-only
@@ -71,90 +59,89 @@ func (r *snapCursor) float(what string) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-// parseSnapshotEnvelope splits a version-2 snapshot held in data into its
-// backend name, configuration and per-shard framed segment byte ranges. The
-// returned slices alias data. Version-1 envelopes and other formats return
-// an error; the caller decides whether to fall back to the streaming reader.
-func parseSnapshotEnvelope(data []byte) (backend string, cfg index.Config, perShard [][][]byte, err error) {
+// parseSnapshotEnvelope splits a snapshot held in data into its
+// configuration and per-shard framed segment byte ranges. The returned slices
+// alias data. This is the one envelope parser: the heap restore
+// (ReadSnapshot), the mapped boot (OpenSnapshotFile) and the live remap all
+// go through it.
+func parseSnapshotEnvelope(data []byte) (cfg ccd.Config, perShard [][][]byte, err error) {
 	if len(data) < len(corpusSnapshotMagic)+1 {
-		return "", cfg, nil, fmt.Errorf("service: snapshot: %d bytes is too short", len(data))
+		return cfg, nil, fmt.Errorf("service: snapshot: %d bytes is too short", len(data))
 	}
 	if string(data[:len(corpusSnapshotMagic)]) != corpusSnapshotMagic {
-		return "", cfg, nil, fmt.Errorf("service: snapshot: bad magic %q", data[:len(corpusSnapshotMagic)])
+		return cfg, nil, fmt.Errorf("service: snapshot: bad magic %q", data[:len(corpusSnapshotMagic)])
 	}
 	r := &snapCursor{b: data[len(corpusSnapshotMagic):]}
 	version := r.uvarint("version")
 	if r.err != nil {
-		return "", cfg, nil, r.err
+		return cfg, nil, r.err
 	}
 	if version != CorpusSnapshotVersion {
-		return "", cfg, nil, fmt.Errorf("service: snapshot: version %d has no zero-copy layout", version)
+		return cfg, nil, fmt.Errorf("service: snapshot: unsupported version %d (want %d)", version, CorpusSnapshotVersion)
 	}
 	nameLen := r.uvarint("backend name length")
 	if r.err == nil && nameLen > 256 {
-		return "", cfg, nil, fmt.Errorf("service: snapshot: implausible backend name length %d", nameLen)
+		return cfg, nil, fmt.Errorf("service: snapshot: implausible backend name length %d", nameLen)
 	}
-	backend = string(r.take(nameLen, "backend name"))
-	cfg.CCD.N = int(r.uvarint("config N"))
-	cfg.CCD.Eta = r.float("config Eta")
-	cfg.CCD.Epsilon = r.float("config Epsilon")
-	cfg.Epsilon = r.float("backend Epsilon")
+	backend := string(r.take(nameLen, "backend name"))
+	cfg.N = int(r.uvarint("config N"))
+	cfg.Eta = r.float("config Eta")
+	cfg.Epsilon = r.float("config Epsilon")
+	override := r.float("backend Epsilon")
 	shardCount := r.uvarint("shard count")
 	if r.err != nil {
-		return "", cfg, nil, r.err
+		return cfg, nil, r.err
+	}
+	if backend != BackendCCD {
+		return cfg, nil, fmt.Errorf("service: snapshot holds backend %q, this corpus serves %q only", backend, BackendCCD)
+	}
+	if override != 0 {
+		return cfg, nil, fmt.Errorf("service: snapshot: non-zero backend threshold override %v", override)
 	}
 	if shardCount == 0 || shardCount > maxSnapshotShards {
-		return "", cfg, nil, fmt.Errorf("service: snapshot: implausible shard count %d", shardCount)
+		return cfg, nil, fmt.Errorf("service: snapshot: implausible shard count %d", shardCount)
 	}
 	perShard = make([][][]byte, shardCount)
 	for i := range perShard {
 		segCount := r.uvarint("segment count")
 		if r.err == nil && segCount > 1<<16 {
-			return "", cfg, nil, fmt.Errorf("service: snapshot: shard %d implausible segment count %d", i, segCount)
+			return cfg, nil, fmt.Errorf("service: snapshot: shard %d implausible segment count %d", i, segCount)
 		}
 		perShard[i] = make([][]byte, segCount)
 		for j := range perShard[i] {
 			size := r.uvarint("segment length")
 			if r.err == nil && size > maxSegmentBytes {
-				return "", cfg, nil, fmt.Errorf("service: snapshot: shard %d segment %d length %d exceeds limit", i, j, size)
+				return cfg, nil, fmt.Errorf("service: snapshot: shard %d segment %d length %d exceeds limit", i, j, size)
 			}
 			perShard[i][j] = r.take(size, "segment")
 		}
 		if r.err != nil {
-			return "", cfg, nil, r.err
+			return cfg, nil, r.err
 		}
 	}
 	if len(r.b) != 0 {
-		return "", cfg, nil, fmt.Errorf("service: snapshot: %d trailing bytes", len(r.b))
+		return cfg, nil, fmt.Errorf("service: snapshot: %d trailing bytes", len(r.b))
 	}
-	return backend, cfg, perShard, nil
+	return cfg, perShard, nil
 }
 
 // OpenSnapshotFile restores a snapshot file into this (empty) corpus through
 // the zero-copy path: the file is memory-mapped (heap-read on platforms
-// without mmap support) and version-2 segments open directly over the mapped
-// bytes — for the ccd backend, restore then costs a validation pass instead
-// of an index rebuild. Version-1 snapshots fall back to the streaming
-// ReadSnapshot. The mapping stays referenced for as long as any segment
-// reads from it.
+// without mmap support) and segments open directly over the mapped bytes, so
+// restore costs a validation pass instead of an index rebuild. The mapping
+// stays referenced for as long as any segment reads from it.
 func (c *Corpus) OpenSnapshotFile(path string) error {
 	data, ref, err := mapFile(path)
 	if err != nil {
 		return err
 	}
-	backend, cfg, perShard, perr := parseSnapshotEnvelope(data)
-	if perr != nil {
-		// Not a v2 envelope (or corrupt): let the streaming reader decide —
-		// it accepts version 1 and produces precise errors otherwise.
-		return c.ReadSnapshot(bytes.NewReader(data))
+	cfg, perShard, err := parseSnapshotEnvelope(data)
+	if err != nil {
+		return err
 	}
-	if backend != c.backend {
-		return fmt.Errorf("service: snapshot holds backend %q, corpus runs %q", backend, c.backend)
-	}
-	if c.Len() != 0 {
-		return fmt.Errorf("service: restore into non-empty corpus (%d entries)", c.Len())
-	}
-	return c.installSnapshotWith(cfg, perShard, mappedOpener(ref))
+	return c.installSnapshotWith(cfg, perShard, func(seg []byte) (*ccd.Corpus, error) {
+		return ccd.OpenSegmentBytes(seg, ref) // each segment retains ref, pinning the mapping
+	})
 }
 
 // remapSnapshot atomically swaps the corpus's published generations for
@@ -168,12 +155,9 @@ func (c *Corpus) remapSnapshot(path string) error {
 	if err != nil {
 		return err
 	}
-	backend, cfg, perShard, err := parseSnapshotEnvelope(data)
+	cfg, perShard, err := parseSnapshotEnvelope(data)
 	if err != nil {
 		return err
-	}
-	if backend != c.backend {
-		return fmt.Errorf("service: remap: snapshot holds backend %q, corpus runs %q", backend, c.backend)
 	}
 	if cfg != c.cfg {
 		return fmt.Errorf("service: remap: snapshot config %+v differs from corpus %+v", cfg, c.cfg)
@@ -181,20 +165,19 @@ func (c *Corpus) remapSnapshot(path string) error {
 	if len(perShard) != len(c.shards) {
 		return fmt.Errorf("service: remap: snapshot has %d shards, corpus %d", len(perShard), len(c.shards))
 	}
-	open := mappedOpener(ref)
-	install := make([][]index.Backend, len(c.shards))
+	install := make([][]*ccd.Corpus, len(c.shards))
 	for i := range perShard {
-		segs := make([]index.Backend, 0, len(perShard[i]))
+		segs := make([]*ccd.Corpus, 0, len(perShard[i]))
 		for j := range perShard[i] {
-			seg := c.newSegment()
-			if err := open(seg, perShard[i][j]); err != nil {
+			seg, err := ccd.OpenSegmentBytes(perShard[i][j], ref)
+			if err != nil {
 				return fmt.Errorf("service: remap: shard %d segment %d: %w", i, j, err)
 			}
 			if seg.Len() > 0 {
 				segs = append(segs, seg)
 			}
 		}
-		slices.SortStableFunc(segs, func(a, b index.Backend) int { return b.Len() - a.Len() })
+		slices.SortStableFunc(segs, func(a, b *ccd.Corpus) int { return b.Len() - a.Len() })
 		install[i] = segs
 	}
 	// Verify every shard before swinging any pointer.
@@ -227,7 +210,7 @@ func (c *Corpus) MappedSegments() int {
 	n := 0
 	for _, sh := range c.shards {
 		for _, seg := range sh.gen.Load().segments {
-			if mr, ok := seg.(index.MappedReporter); ok && mr.MappedSegment() {
+			if seg.Mapped() {
 				n++
 			}
 		}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/ccd"
 	"repro/internal/cluster"
-	"repro/internal/index"
 	"repro/internal/trace"
 )
 
@@ -29,25 +28,24 @@ func isCancellation(err error) bool {
 // document of the serving corpus and finds its clones by running each one
 // through the posting-list match planner, feeding the resulting edges into
 // an incremental union-find. Candidate pairs come from the n-gram
-// pigeonhole blocking inside each backend segment — no O(n²) scoring pass —
+// pigeonhole blocking inside each segment — no O(n²) scoring pass —
 // and the per-query verification scatter-gathers across the generation-
 // shards under the shared ccd.AtomicBound admission machinery, exactly like
 // interactive /v1/match traffic.
 //
 // The join is context-cancellable and resumable: work is checkpointed by
 // (shard, segment) of the enumeration plan, which is captured once from the
-// source corpus's immutable generations at construction and therefore
+// corpus's immutable generations at construction and therefore
 // stable across pauses, compactions and concurrent ingest. Cancelling Run
 // mid-segment loses nothing — re-running a segment re-derives the same
 // edges, and union-find is idempotent — so Resume simply calls Run again.
 type SelfJoin struct {
-	source *Corpus // enumerated corpus (must expose entries — ccd)
-	target *Corpus // corpus queried for clones (any loaded backend)
+	corpus *Corpus // enumerated, and queried for each document's clones
 	limit  int     // per-query match cap (0 = every clone at ε)
 
 	// plan is the captured enumeration snapshot: one immutable segment list
-	// per source shard.
-	plan [][]index.Backend
+	// per shard.
+	plan [][]*ccd.Corpus
 
 	// par fans a segment's queries out; the engine wires its pooled MapCtx
 	// here, the standalone (offline) join runs serially.
@@ -100,16 +98,13 @@ func (s *SelfJoinStats) add(st ccd.MatchStats, matches, unions int64) {
 	s.Unions += unions
 }
 
-// NewSelfJoin plans a clone self-join: source supplies the documents (it
-// must be able to enumerate entries — the ccd system-of-record corpus),
-// target answers the clone queries (any backend; pass source itself for the
-// plain ccd study). limit caps the matches per query (0 = every clone at the
-// backend's ε; a cap bounds the quadratic blow-up of giant clusters while
-// preserving their connectivity through shared top matches).
-func NewSelfJoin(source, target *Corpus, limit int) (*SelfJoin, error) {
+// NewSelfJoin plans a clone self-join over corpus, which supplies the
+// documents and answers their clone queries. limit caps the matches per query
+// (0 = every clone at ε; a cap bounds the quadratic blow-up of giant clusters
+// while preserving their connectivity through shared top matches).
+func NewSelfJoin(corpus *Corpus, limit int) *SelfJoin {
 	j := &SelfJoin{
-		source: source,
-		target: target,
+		corpus: corpus,
 		limit:  limit,
 		set:    cluster.New(),
 		par: func(ctx context.Context, n int, fn func(int)) error {
@@ -122,23 +117,12 @@ func NewSelfJoin(source, target *Corpus, limit int) (*SelfJoin, error) {
 			return ctx.Err()
 		},
 	}
-	if _, ok := target.newSegment().(index.SourceOnlyMatcher); ok {
-		return nil, fmt.Errorf("service: self-join target backend %q cannot match the enumerated fingerprint-only queries (it needs document source)", target.Backend())
+	j.plan = make([][]*ccd.Corpus, len(corpus.shards))
+	for i, sh := range corpus.shards {
+		j.plan[i] = sh.gen.Load().segments
+		j.stats.SegmentsTotal += len(j.plan[i])
 	}
-	total := 0
-	j.plan = make([][]index.Backend, len(source.shards))
-	for i, sh := range source.shards {
-		segs := sh.gen.Load().segments
-		for _, seg := range segs {
-			if _, ok := seg.(index.EntryLister); !ok {
-				return nil, fmt.Errorf("service: self-join source backend %q cannot enumerate entries", seg.Name())
-			}
-		}
-		j.plan[i] = segs
-		total += len(segs)
-	}
-	j.stats.SegmentsTotal = total
-	return j, nil
+	return j
 }
 
 // Clusters exposes the join's (partial, while running) cluster set.
@@ -210,10 +194,10 @@ func (j *SelfJoin) Run(ctx context.Context) error {
 }
 
 // runSegment self-joins every document of one enumeration segment.
-func (j *SelfJoin) runSegment(ctx context.Context, seg index.Backend) error {
+func (j *SelfJoin) runSegment(ctx context.Context, seg *ccd.Corpus) error {
 	ctx, sp := trace.Start(ctx, "selfjoin.segment")
 	defer sp.End()
-	entries := seg.(index.EntryLister).Entries()
+	entries := seg.Entries()
 	sp.AnnotateInt("docs", int64(len(entries)))
 	j.mu.Lock()
 	j.stats.Docs += int64(len(entries))
@@ -223,17 +207,17 @@ func (j *SelfJoin) runSegment(ctx context.Context, seg index.Backend) error {
 	for _, e := range entries {
 		j.set.Add(e.ID)
 	}
-	// The query document is itself in the target corpus and occupies one
-	// TopK slot with its self-match, so ask the backend for one more than
-	// the edge cap and trim after the self-filter — otherwise the effective
-	// cap is limit-1 and limit=1 finds no clones at all.
+	// The query document is itself in the corpus and occupies one TopK slot
+	// with its self-match, so ask for one more than the edge cap and trim
+	// after the self-filter — otherwise the effective cap is limit-1 and
+	// limit=1 finds no clones at all.
 	k := j.limit
 	if k > 0 {
 		k++
 	}
 	err := j.par(ctx, len(entries), func(i int) {
 		e := entries[i]
-		ms, st, err := j.target.MatchDocTopK(ctx, index.Doc{ID: e.ID, FP: e.FP}, k)
+		ms, st, err := j.corpus.MatchTopKCtx(ctx, e.FP, k, nil)
 		if err != nil {
 			j.recordQueryFailure(e.ID, err)
 			return
@@ -305,9 +289,9 @@ type CloneReport struct {
 // clusters attached (topN ≤ 0 omits them).
 func (j *SelfJoin) Report(topN int) *CloneReport {
 	rep := &CloneReport{
-		Backend: j.target.Backend(),
-		Eta:     j.target.Config().Eta,
-		Epsilon: j.target.Epsilon(),
+		Backend: BackendCCD,
+		Eta:     j.corpus.Config().Eta,
+		Epsilon: j.corpus.Epsilon(),
 		Limit:   j.limit,
 		Stats:   j.Stats(),
 		Summary: j.set.Summary(),
@@ -321,9 +305,6 @@ func (j *SelfJoin) Report(topN int) *CloneReport {
 	}
 	return rep
 }
-
-// Epsilon returns the corpus backend's effective admission threshold.
-func (c *Corpus) Epsilon() float64 { return c.newSegment().Epsilon() }
 
 // NaiveSelfJoin is the ablation baseline the planner is benchmarked
 // against: an all-pairs scoring pass with no posting-list blocking. Returns

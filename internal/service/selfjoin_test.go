@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/ccd"
-	"repro/internal/index"
 )
 
 // clusteredFingerprints builds a corpus with a known ground-truth partition:
@@ -66,10 +65,7 @@ func TestSelfJoinFindsGroundTruthClusters(t *testing.T) {
 
 	for _, shards := range []int{1, 4} {
 		c := seedCorpus(t, shards, entries)
-		j, err := NewSelfJoin(c, c, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		j := NewSelfJoin(c, 0)
 		if err := j.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -111,19 +107,13 @@ func TestSelfJoinCancelAndResume(t *testing.T) {
 	entries, _ := clusteredFingerprints(9, 30, 5)
 	c := seedCorpus(t, 3, entries)
 
-	ref, err := NewSelfJoin(c, c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := NewSelfJoin(c, 0)
 	if err := ref.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	want := ref.Clusters().Clusters(1, true)
 
-	j, err := NewSelfJoin(c, c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := NewSelfJoin(c, 0)
 	// Cancel from inside the fan-out after a handful of queries.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -166,10 +156,7 @@ func TestSelfJoinCancelAndResume(t *testing.T) {
 func TestSelfJoinRejectsOverlappingRun(t *testing.T) {
 	entries, _ := clusteredFingerprints(21, 10, 4)
 	c := seedCorpus(t, 2, entries)
-	j, err := NewSelfJoin(c, c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := NewSelfJoin(c, 0)
 	inner := j.par
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -208,10 +195,7 @@ func TestSelfJoinRejectsOverlappingRun(t *testing.T) {
 func TestSelfJoinQueryErrorFailsSegment(t *testing.T) {
 	entries, _ := clusteredFingerprints(27, 8, 4)
 	c := seedCorpus(t, 2, entries)
-	j, err := NewSelfJoin(c, c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := NewSelfJoin(c, 0)
 
 	// Cancellations are pauses, tallied but never fatal.
 	j.recordQueryFailure("doc-x", context.Canceled)
@@ -255,10 +239,7 @@ func TestEngineCloneStudyMatchesOfflineJoin(t *testing.T) {
 	entries, _ := clusteredFingerprints(13, 40, 6)
 	for _, limit := range []int{0, 1, 3} {
 		offlineCorpus := seedCorpus(t, 1, entries)
-		offline, err := NewSelfJoin(offlineCorpus, offlineCorpus, limit)
-		if err != nil {
-			t.Fatal(err)
-		}
+		offline := NewSelfJoin(offlineCorpus, limit)
 		if err := offline.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -266,11 +247,11 @@ func TestEngineCloneStudyMatchesOfflineJoin(t *testing.T) {
 
 		eng := New(Options{Workers: 4, Shards: 3})
 		for _, e := range entries {
-			if err := eng.CorpusAddFingerprint(e.ID, e.FP); err != nil {
+			if err := addFP(eng, e.ID, e.FP); err != nil {
 				t.Fatal(err)
 			}
 		}
-		onRep, err := eng.RunCloneStudy(context.Background(), "", limit, 5)
+		onRep, err := eng.RunCloneStudy(context.Background(), limit, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,28 +276,6 @@ func TestEngineCloneStudyMatchesOfflineJoin(t *testing.T) {
 				t.Fatalf("limit=%d: no clones found on a clustered corpus: %+v", limit, onRep.Stats)
 			}
 		}
-	}
-}
-
-// TestCloneStudyRejectsSourceOnlyBackend: a corpus study against smartembed
-// must fail up front — its queries need document source, the enumeration
-// carries only fingerprints, and every query would silently match nothing,
-// reporting an all-singleton distribution indistinguishable from a genuinely
-// clone-free corpus.
-func TestCloneStudyRejectsSourceOnlyBackend(t *testing.T) {
-	e := New(Options{Workers: 2, Shards: 2, Backends: []string{index.BackendSmartEmbed}})
-	if err := e.CorpusAdd("c1", reentrantSrc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.NewCloneStudy(index.BackendSmartEmbed, 0); err == nil {
-		t.Fatal("clone study against a source-only backend accepted")
-	}
-	if _, err := e.RunCloneStudy(context.Background(), index.BackendSmartEmbed, 0, 5); err == nil {
-		t.Fatal("RunCloneStudy against a source-only backend succeeded")
-	}
-	// The ccd study on the same engine still runs.
-	if _, err := e.RunCloneStudy(context.Background(), "", 0, 5); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -349,11 +308,11 @@ func TestEngineOnlineClusterTracking(t *testing.T) {
 	e := New(Options{Workers: 2, Shards: 2, TrackClusters: true})
 	fp := ccd.Fingerprint("QxRtYuIoPAbCdEfGhZvNmQwErTyUiOp")
 	for i := 0; i < 5; i++ {
-		if err := e.CorpusAddFingerprint(fmt.Sprintf("dup-%d", i), fp); err != nil {
+		if err := addFP(e, fmt.Sprintf("dup-%d", i), fp); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.CorpusAddFingerprint("lone", ccd.Fingerprint("ZmNvBqWsEdRfTgYhUjMkOlPa")); err != nil {
+	if err := addFP(e, "lone", ccd.Fingerprint("ZmNvBqWsEdRfTgYhUjMkOlPa")); err != nil {
 		t.Fatal(err)
 	}
 	set := e.Clusters()

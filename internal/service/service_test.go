@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -159,7 +160,7 @@ func TestConcurrentIngestAndMatch(t *testing.T) {
 			defer wg.Done()
 			for d := 0; d < docsPerWriter; d++ {
 				id := fmt.Sprintf("c-%d-%d", w, d)
-				if err := e.CorpusAdd(id, reentrantSrc); err != nil {
+				if err := addSrc(e, id, reentrantSrc); err != nil {
 					t.Errorf("add %s: %v", id, err)
 				}
 			}
@@ -170,7 +171,7 @@ func TestConcurrentIngestAndMatch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if _, err := e.Match(reentrantSrc); err != nil {
+				if _, _, err := e.MatchSource(context.Background(), "", reentrantSrc, 0); err != nil {
 					t.Errorf("match: %v", err)
 				}
 			}
@@ -181,7 +182,7 @@ func TestConcurrentIngestAndMatch(t *testing.T) {
 	if n := e.Corpus().Len(); n != writers*docsPerWriter {
 		t.Fatalf("corpus size %d, want %d", n, writers*docsPerWriter)
 	}
-	ms, err := e.Match(reentrantSrc)
+	ms, _, err := e.MatchSource(context.Background(), "", reentrantSrc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,8 +369,8 @@ func TestMetricsSnapshot(t *testing.T) {
 	if _, err := e.Analyze(benignSrc); err != nil {
 		t.Fatal(err)
 	}
-	_ = e.CorpusAdd("a", benignSrc)
-	if _, err := e.Match(benignSrc); err != nil {
+	_ = addSrc(e, "a", benignSrc)
+	if _, _, err := e.MatchSource(context.Background(), "", benignSrc, 0); err != nil {
 		t.Fatal(err)
 	}
 	m := e.Metrics()

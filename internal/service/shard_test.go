@@ -9,11 +9,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/ccd"
-	"repro/internal/index"
 )
 
 // randomFingerprints builds a deterministic set of fingerprints with heavy
@@ -170,50 +173,6 @@ func TestShardedTopKTieAtBound(t *testing.T) {
 	}
 }
 
-// TestShardedMatchAcrossBackends runs the same prefix property on the ssdeep
-// backend (whose scoring has no n-gram pre-filter): k-truncation must be a
-// prefix of the unbounded result for any shard count.
-func TestShardedMatchAcrossBackends(t *testing.T) {
-	fps := randomFingerprints(31, 60)
-	one, err := NewBackendCorpus(index.BackendSSDeep, index.Config{Epsilon: 20}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	many, err := NewBackendCorpus(index.BackendSSDeep, index.Config{Epsilon: 20}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, fp := range fps {
-		id := fmt.Sprintf("doc-%03d", i)
-		for _, c := range []*Corpus{one, many} {
-			if err := c.AddDoc(index.Doc{ID: id, FP: fp}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	q := index.Doc{FP: fps[7]}
-	ref, _, err := one.MatchDocTopK(context.Background(), q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref) == 0 {
-		t.Fatal("ssdeep reference query matched nothing")
-	}
-	for k := 0; k <= len(ref)+1; k++ {
-		got, _, err := many.MatchDocTopK(context.Background(), q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ref
-		if k > 0 && k < len(want) {
-			want = want[:k]
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("k=%d:\n got %v\nwant %v", k, got, want)
-		}
-	}
-}
-
 // TestDuplicateAddSupersedes is the duplicate-ingest regression: re-adding
 // an existing id must replace the earlier copy — across generation-segments,
 // in Len, the ingest stats and match results — never double-count it.
@@ -271,8 +230,8 @@ func TestDuplicateAddSupersedes(t *testing.T) {
 		// Same-batch duplicates collapse too (last write wins).
 		c2 := NewCorpus(ccd.DefaultConfig, shards)
 		c2.addLocalBatch([]ccd.Entry{{ID: "x", FP: fp1}, {ID: "x", FP: fp2}, {ID: "y", FP: fp1}})
-		if c2.Len() != 2 {
-			t.Fatalf("shards=%d: batch dup Len %d, want 2", shards, c2.Len())
+		if c2.Len() != 2 || c2.Supersedes() != 1 {
+			t.Fatalf("shards=%d: batch dup Len %d supersedes %d, want 2/1", shards, c2.Len(), c2.Supersedes())
 		}
 		if got := c2.entryMultiset()["x\x00"+string(fp2)]; got != 1 {
 			t.Fatalf("shards=%d: batch dup kept wrong version (%d)", shards, got)
@@ -303,100 +262,27 @@ func TestDuplicateAddSupersedes(t *testing.T) {
 	if got := dst.entryMultiset()["dup\x00"+string(fp1)]; got != 0 {
 		t.Fatal("post-restore re-ingest did not supersede the restored copy")
 	}
-
-	// The ssdeep backend rebuilds through the same EntryRemover path.
-	ssd, err := NewBackendCorpus(index.BackendSSDeep, index.Config{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if err := ssd.AddDoc(index.Doc{ID: fmt.Sprintf("s-%d", i), FP: testFP(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ssd.AddDoc(index.Doc{ID: "s-3", FP: testFP(3)}); err != nil {
-		t.Fatal(err)
-	}
-	if ssd.Len() != 6 {
-		t.Fatalf("ssdeep Len %d after duplicate add, want 6", ssd.Len())
-	}
-	ms, _, err := ssd.MatchDocTopK(context.Background(), index.Doc{FP: testFP(3)}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	for _, m := range ms {
-		if m.ID == "s-3" {
-			seen++
-		}
-	}
-	if seen != 1 {
-		t.Fatalf("ssdeep duplicate id matched %d times, want 1", seen)
-	}
 }
 
-// TestBatchDuplicateKeepsLastAcceptedCopy: when one publish batch holds two
-// copies of an id and the backend refuses the later one (smartembed cannot
-// index a fingerprint-only doc), the earlier indexable copy must win — the
-// same outcome sequential ingest of the two Adds produces — instead of the
-// blind last-write-wins dedup dropping the indexable copy and losing the id.
+// TestBatchDuplicateKeepsLastAcceptedCopy: when one publish batch holds
+// several copies of an id, every copy is accepted (an empty fingerprint
+// included), so the last one wins and each copy under it counts as a
+// supersede — the same outcome sequential ingest of the Adds produces.
 func TestBatchDuplicateKeepsLastAcceptedCopy(t *testing.T) {
-	se, err := NewBackendCorpus(index.BackendSmartEmbed, index.Config{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	se.addDocsLocal([]index.Doc{
-		{ID: "x", Source: reentrantSrc},
-		{ID: "x", FP: testFP(1)}, // refused: smartembed needs source
-		{ID: "y", Source: reentrantSrc},
-	})
-	if se.Len() != 2 {
-		t.Fatalf("Len %d, want 2 (indexable copy of x dropped)", se.Len())
-	}
-	if se.Skips() != 1 || se.Supersedes() != 0 {
-		t.Fatalf("skips=%d supersedes=%d, want 1/0 (refused copy is a skip, not a supersede)", se.Skips(), se.Supersedes())
-	}
-	ms, _, err := se.MatchDocTopK(context.Background(), index.Doc{Source: reentrantSrc}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits := 0
-	for _, m := range ms {
-		if m.ID == "x" {
-			hits++
-		}
-	}
-	if hits != 1 {
-		t.Fatalf("x matched %d times, want 1", hits)
-	}
-
-	// When the later copy IS indexable, last write still wins in one batch.
 	c := NewCorpus(ccd.DefaultConfig, 1)
 	fp1, fp2 := testFP(1), testFP(2)
-	c.addDocsLocal([]index.Doc{{ID: "x", FP: fp1}, {ID: "x", FP: fp2}})
-	if c.Len() != 1 || c.Supersedes() != 1 {
-		t.Fatalf("len=%d supersedes=%d, want 1/1", c.Len(), c.Supersedes())
+	c.addLocalBatch([]ccd.Entry{{ID: "x", FP: fp1}, {ID: "x", FP: ""}, {ID: "x", FP: fp2}})
+	if c.Len() != 1 || c.Supersedes() != 2 {
+		t.Fatalf("len=%d supersedes=%d, want 1/2", c.Len(), c.Supersedes())
 	}
 	if got := c.entryMultiset()["x\x00"+string(fp2)]; got != 1 {
-		t.Fatalf("last indexable copy kept %d times, want 1", got)
+		t.Fatalf("last copy kept %d times, want 1", got)
 	}
 }
 
 // writeLegacySnapshot encodes entries in the pre-shard (version 1) envelope:
 // a flat framed list of ccd corpus snapshots, all under one config.
 func writeLegacySnapshot(t *testing.T, cfg ccd.Config, segments [][]ccd.Entry) []byte {
-	t.Helper()
-	cfgs := make([]ccd.Config, len(segments))
-	for i := range cfgs {
-		cfgs[i] = cfg
-	}
-	return writeLegacySnapshotConfigs(t, cfgs, segments)
-}
-
-// writeLegacySnapshotConfigs is writeLegacySnapshot with one config per
-// segment, so tests can forge the mixed-config envelopes a correct writer
-// never produces.
-func writeLegacySnapshotConfigs(t *testing.T, cfgs []ccd.Config, segments [][]ccd.Entry) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
@@ -408,8 +294,8 @@ func writeLegacySnapshotConfigs(t *testing.T, cfgs []ccd.Config, segments [][]cc
 	bw.WriteString(corpusSnapshotMagic)
 	writeUvarint(1) // legacy version
 	writeUvarint(uint64(len(segments)))
-	for i, seg := range segments {
-		c := ccd.NewCorpus(cfgs[i])
+	for _, seg := range segments {
+		c := ccd.NewCorpus(cfg)
 		for _, e := range seg {
 			c.Add(e.ID, e.FP)
 		}
@@ -426,65 +312,42 @@ func writeLegacySnapshotConfigs(t *testing.T, cfgs []ccd.Config, segments [][]cc
 	return buf.Bytes()
 }
 
-// TestLegacySnapshotRestores: pre-shard (version 1) snapshots still restore
-// into the sharded corpus — byte-identically when the corpus has one shard
-// (segments install as-is), re-partitioned by id hash otherwise — with the
-// snapshot's matcher configuration adopted in both cases.
+// TestLegacySnapshotRestores: pre-shard (version 1) envelopes — once
+// restored as a one-shard layout — are refused by version, on the heap
+// restore and the mapped boot alike, and leave the corpus empty and usable.
+// There is one format generation.
 func TestLegacySnapshotRestores(t *testing.T) {
-	cfg := ccd.ConservativeConfig
 	segments := [][]ccd.Entry{nil, nil, nil}
-	want := map[string]int{}
 	for i := 0; i < 45; i++ {
-		e := ccd.Entry{ID: fmt.Sprintf("doc-%d", i), FP: testFP(i)}
-		segments[i%3] = append(segments[i%3], e)
-		want[e.ID+"\x00"+string(e.FP)]++
+		segments[i%3] = append(segments[i%3], ccd.Entry{ID: fmt.Sprintf("doc-%d", i), FP: testFP(i)})
 	}
-	raw := writeLegacySnapshot(t, cfg, segments)
+	raw := writeLegacySnapshot(t, ccd.ConservativeConfig, segments)
+	path := filepath.Join(t.TempDir(), SnapshotFile)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, shards := range []int{1, 4} {
 		c := NewCorpus(ccd.DefaultConfig, shards)
-		if err := c.ReadSnapshot(bytes.NewReader(raw)); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if c.Config() != cfg {
-			t.Fatalf("shards=%d: config %v, want %v", shards, c.Config(), cfg)
-		}
-		if c.Len() != 45 {
-			t.Fatalf("shards=%d: restored %d entries, want 45", shards, c.Len())
-		}
-		if got := c.entryMultiset(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: restored entry multiset differs", shards)
-		}
-		if shards == 1 {
-			// Byte-identical install: the three legacy segments survive as-is.
-			if got := c.Segments(); got != 3 {
-				t.Fatalf("1-shard legacy restore rebuilt segments: %d, want 3", got)
+		for name, err := range map[string]error{
+			"ReadSnapshot":     c.ReadSnapshot(bytes.NewReader(raw)),
+			"OpenSnapshotFile": c.OpenSnapshotFile(path),
+		} {
+			if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+				t.Fatalf("shards=%d: %s on a version-1 envelope: %v, want an unsupported-version error", shards, name, err)
 			}
 		}
-	}
-
-	// Mixed-config segments must be refused: every segment is matched with
-	// one prepared query derived under a single config, so a snapshot whose
-	// segments disagree would silently score wrong.
-	mixed := writeLegacySnapshotConfigs(t,
-		[]ccd.Config{{N: 3, Eta: 0.5, Epsilon: 70}, {N: 5, Eta: 0.5, Epsilon: 70}},
-		segments[:2])
-	if err := NewCorpus(ccd.DefaultConfig, 1).ReadSnapshot(bytes.NewReader(mixed)); err == nil {
-		t.Fatal("mixed-config legacy snapshot accepted")
-	}
-
-	// A non-ccd corpus must refuse a legacy (implicitly ccd) snapshot.
-	ssd, err := NewBackendCorpus(index.BackendSSDeep, index.Config{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ssd.ReadSnapshot(bytes.NewReader(raw)); err == nil {
-		t.Fatal("ssdeep corpus accepted a legacy ccd snapshot")
+		if c.Len() != 0 || c.Config() != ccd.DefaultConfig {
+			t.Fatalf("shards=%d: refused restore left %d entries, config %v", shards, c.Len(), c.Config())
+		}
+		mustAdd(t, c, 3)
+		verifyEntries(t, c, 3)
 	}
 }
 
 // TestSnapshotRoundTripShardAware: the version-2 envelope round-trips across
-// matching and mismatching shard counts and refuses a backend mismatch.
+// matching and mismatching shard counts and refuses a forged backend name or
+// threshold override.
 func TestSnapshotRoundTripShardAware(t *testing.T) {
 	src := NewCorpus(ccd.DefaultConfig, 4)
 	mustAdd(t, src, 64)
@@ -519,32 +382,32 @@ func TestSnapshotRoundTripShardAware(t *testing.T) {
 	}
 	verifyEntries(t, reshard, 64)
 
-	// ssdeep round-trip through the same envelope.
-	ssrc, err := NewBackendCorpus(index.BackendSSDeep, index.Config{}, 3)
-	if err != nil {
-		t.Fatal(err)
+	// The envelope still names its backend and carries a fourth float, and
+	// a reader refuses any name but "ccd" and any non-zero override.
+	raw := buf.Bytes()
+	name := bytes.Index(raw, []byte("\x03ccd"))
+	if name != len(corpusSnapshotMagic)+1 {
+		t.Fatalf("backend name at offset %d, want right after magic and version", name)
 	}
-	for i := 0; i < 20; i++ {
-		if err := ssrc.AddDoc(index.Doc{ID: fmt.Sprintf("s-%d", i), FP: testFP(i)}); err != nil {
+	override := name + 4 + 1 + 8 + 8 // name, uvarint N=3, Eta, Epsilon
+	if got := binary.LittleEndian.Uint64(raw[override:]); got != 0 {
+		t.Fatalf("fourth config float is %#x, want zero", got)
+	}
+	otherName := bytes.Clone(raw)
+	copy(otherName[name+1:], "abc")
+	nonZero := bytes.Clone(raw)
+	binary.LittleEndian.PutUint64(nonZero[override:], math.Float64bits(20))
+	for what, forged := range map[string][]byte{"backend name": otherName, "threshold override": nonZero} {
+		path := filepath.Join(t.TempDir(), SnapshotFile)
+		if err := os.WriteFile(path, forged, 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	buf.Reset()
-	if err := ssrc.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sdst, err := NewBackendCorpus(index.BackendSSDeep, index.Config{}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sdst.ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if sdst.Len() != 20 {
-		t.Fatalf("ssdeep restore: %d entries, want 20", sdst.Len())
-	}
-	if err := NewCorpus(ccd.DefaultConfig, 3).ReadSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("ccd corpus accepted an ssdeep snapshot")
+		if err := NewCorpus(ccd.DefaultConfig, 4).ReadSnapshot(bytes.NewReader(forged)); err == nil {
+			t.Fatalf("ReadSnapshot accepted a forged %s", what)
+		}
+		if err := NewCorpus(ccd.DefaultConfig, 4).OpenSnapshotFile(path); err == nil {
+			t.Fatalf("OpenSnapshotFile accepted a forged %s", what)
+		}
 	}
 }
 
@@ -552,19 +415,17 @@ func TestSnapshotRoundTripShardAware(t *testing.T) {
 // parameters must fail the restore instead of installing a corpus that
 // panics on first use (negative N, NaN thresholds).
 func TestValidateSnapshotConfig(t *testing.T) {
-	ok := index.Config{CCD: ccd.DefaultConfig}
-	if err := validateSnapshotConfig(ok); err != nil {
+	if err := validateSnapshotConfig(ccd.DefaultConfig); err != nil {
 		t.Fatalf("default config rejected: %v", err)
 	}
 	nan := math.NaN()
-	bad := []index.Config{
-		{CCD: ccd.Config{N: -3, Eta: 0.5, Epsilon: 70}},
-		{CCD: ccd.Config{N: 1 << 20, Eta: 0.5, Epsilon: 70}},
-		{CCD: ccd.Config{N: 3, Eta: nan, Epsilon: 70}},
-		{CCD: ccd.Config{N: 3, Eta: 1.5, Epsilon: 70}},
-		{CCD: ccd.Config{N: 3, Eta: 0.5, Epsilon: -1}},
-		{CCD: ccd.Config{N: 3, Eta: 0.5, Epsilon: nan}},
-		{CCD: ccd.DefaultConfig, Epsilon: 1000},
+	bad := []ccd.Config{
+		{N: -3, Eta: 0.5, Epsilon: 70},
+		{N: 1 << 20, Eta: 0.5, Epsilon: 70},
+		{N: 3, Eta: nan, Epsilon: 70},
+		{N: 3, Eta: 1.5, Epsilon: 70},
+		{N: 3, Eta: 0.5, Epsilon: -1},
+		{N: 3, Eta: 0.5, Epsilon: nan},
 	}
 	for i, cfg := range bad {
 		if err := validateSnapshotConfig(cfg); err == nil {
@@ -581,7 +442,7 @@ func TestMatchCancellation(t *testing.T) {
 	mustAdd(t, c, 40)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.MatchDocTopK(ctx, index.Doc{FP: testFP(3)}, 5); err != context.Canceled {
+	if _, _, err := c.MatchTopKCtx(ctx, testFP(3), 5, nil); err != context.Canceled {
 		t.Fatalf("corpus match error %v, want context.Canceled", err)
 	}
 	if got := c.Funnel().CancelledReads; got != 1 {
@@ -589,14 +450,14 @@ func TestMatchCancellation(t *testing.T) {
 	}
 
 	e := New(Options{Workers: 2, Shards: 4})
-	if err := e.CorpusAdd("a", reentrantSrc); err != nil {
+	if err := addSrc(e, "a", reentrantSrc); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := e.MatchSource(ctx, "", reentrantSrc, 5); err != context.Canceled {
 		t.Fatalf("engine match error %v, want context.Canceled", err)
 	}
 	// Batch dispatch stops: with a pre-cancelled ctx no source runs.
-	_, _, err := e.MatchBatchCtx(ctx, "", []string{reentrantSrc, benignSrc}, 0)
+	err := e.MapCtx(ctx, 2, func(int) { t.Error("batch item ran on cancelled ctx") })
 	if err != context.Canceled {
 		t.Fatalf("batch error %v, want context.Canceled", err)
 	}
@@ -606,41 +467,22 @@ func TestMatchCancellation(t *testing.T) {
 	}
 }
 
-// TestEngineBackendRouting covers CorpusFor and the multi-backend ingest
-// fan-out: every loaded backend indexes source docs, SmartEmbed skips
-// fingerprint-only docs, and routing errors are typed.
+// TestEngineBackendRouting covers the one place a request-supplied backend
+// name is checked: empty and "ccd" reach the serving corpus, any other name —
+// the retired comparison backends included — is a typed error naming the
+// value, never a silent fallback. /metrics reports the corpus as one object.
 func TestEngineBackendRouting(t *testing.T) {
-	e := New(Options{Workers: 2, Shards: 2, Backends: []string{index.BackendSSDeep, index.BackendSmartEmbed}})
-	if got := e.Backends(); len(got) != 3 {
-		t.Fatalf("backends %v, want 3", got)
-	}
-	if err := e.CorpusAdd("src-1", reentrantSrc); err != nil {
+	e := New(Options{Workers: 2, Shards: 2})
+	if err := addSrc(e, "src-1", reentrantSrc); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.CorpusAddFingerprint("fp-1", testFP(1)); err != nil {
+	if err := addFP(e, "fp-1", testFP(1)); err != nil {
 		t.Fatal(err)
 	}
-	ccdCorpus, _ := e.CorpusFor("")
-	if ccdCorpus.Len() != 2 {
-		t.Fatalf("ccd corpus %d entries, want 2", ccdCorpus.Len())
+	if e.Corpus().Len() != 2 {
+		t.Fatalf("corpus %d entries, want 2", e.Corpus().Len())
 	}
-	se, err := e.CorpusFor(index.BackendSmartEmbed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if se.Len() != 1 || se.Skips() != 1 {
-		t.Fatalf("smartembed len=%d skips=%d, want 1/1", se.Len(), se.Skips())
-	}
-	ssd, err := e.CorpusFor(index.BackendSSDeep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ssd.Len() != 2 {
-		t.Fatalf("ssdeep corpus %d entries, want 2", ssd.Len())
-	}
-
-	// Matching on each backend end to end.
-	for _, backend := range []string{"", index.BackendSSDeep, index.BackendSmartEmbed} {
+	for _, backend := range []string{"", BackendCCD} {
 		ms, _, err := e.MatchSource(context.Background(), backend, reentrantSrc, 1)
 		if err != nil {
 			t.Fatalf("match on %q: %v", backend, err)
@@ -649,18 +491,19 @@ func TestEngineBackendRouting(t *testing.T) {
 			t.Fatalf("match on %q: %v, want src-1", backend, ms)
 		}
 	}
-
-	if _, err := e.CorpusFor("bogus"); !errors.Is(err, ErrUnknownBackend) {
-		t.Fatalf("bogus backend error %v", err)
-	}
-	e2 := New(Options{Workers: 1})
-	if _, err := e2.CorpusFor(index.BackendSSDeep); !errors.Is(err, ErrBackendNotLoaded) {
-		t.Fatalf("not-loaded error %v", err)
+	for _, backend := range []string{"bogus", "ssdeep", "smartembed", "CCD"} {
+		ms, _, err := e.MatchSource(context.Background(), backend, reentrantSrc, 1)
+		if !errors.Is(err, ErrUnknownBackend) || !strings.Contains(err.Error(), strconv.Quote(backend)) || len(ms) != 0 {
+			t.Fatalf("match on %q: %v, %v; want ErrUnknownBackend naming the value and no matches", backend, ms, err)
+		}
+		if err := CheckBackend(backend); !errors.Is(err, ErrUnknownBackend) {
+			t.Fatalf("CheckBackend(%q) = %v", backend, err)
+		}
 	}
 
 	m := e.Metrics()
-	if len(m.Backends) != 3 || m.Backends[index.BackendCCD].Size != 2 {
-		t.Fatalf("metrics backends %+v", m.Backends)
+	if m.Corpus.Size != 2 || m.Corpus.Shards != 2 || m.Corpus.Adds != 2 || m.Corpus.Funnel.Matches != 2 {
+		t.Fatalf("metrics corpus %+v", m.Corpus)
 	}
 	if m.CorpusShardCount != 2 || len(m.CorpusShards) != 2 {
 		t.Fatalf("metrics shard view: count=%d shards=%d", m.CorpusShardCount, len(m.CorpusShards))

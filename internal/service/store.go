@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/ccd"
-	"repro/internal/index"
 	"repro/internal/trace"
 )
 
@@ -166,9 +165,6 @@ func OpenStore(dir string, c *Corpus) (*Store, error) {
 func OpenStoreWith(dir string, c *Corpus, opts StoreOptions) (*Store, error) {
 	if c.store != nil {
 		return nil, fmt.Errorf("service: corpus already has a store attached")
-	}
-	if c.Backend() != index.BackendCCD {
-		return nil, fmt.Errorf("service: store requires a ccd-backed corpus (got %q): the WAL journals (id, fingerprint) pairs", c.Backend())
 	}
 	if c.Len() != 0 {
 		return nil, fmt.Errorf("service: OpenStore needs an empty corpus (%d entries)", c.Len())

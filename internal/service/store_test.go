@@ -22,6 +22,15 @@ func (w *wal) appendRecord(ctx context.Context, id string, fp ccd.Fingerprint) e
 	return w.appendBatch(ctx, []ccd.Entry{{ID: id, FP: fp}})
 }
 
+// addFP and addSrc ingest one entry through the engine: a batch of one.
+func addFP(e *Engine, id string, fp ccd.Fingerprint) error {
+	return e.CorpusAddBatch([]CorpusEntry{{ID: id, Fingerprint: fp}})[0]
+}
+
+func addSrc(e *Engine, id, src string) error {
+	return e.CorpusAddBatch([]CorpusEntry{{ID: id, Source: src}})[0]
+}
+
 func mustAdd(t *testing.T, c *Corpus, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -695,10 +704,10 @@ func TestEngineWithStore(t *testing.T) {
 	if _, err := OpenStore(dir, e1.Corpus()); err != nil {
 		t.Fatal(err)
 	}
-	if err := e1.CorpusAdd("reentrant", reentrantSrc); err != nil {
+	if err := addSrc(e1, "reentrant", reentrantSrc); err != nil {
 		t.Fatal(err)
 	}
-	if err := e1.CorpusAddFingerprint("pre", testFP(1)); err != nil {
+	if err := addFP(e1, "pre", testFP(1)); err != nil {
 		t.Fatal(err)
 	}
 	// Crash.
@@ -710,7 +719,7 @@ func TestEngineWithStore(t *testing.T) {
 	if e2.Corpus().Len() != 2 {
 		t.Fatalf("recovered %d entries, want 2", e2.Corpus().Len())
 	}
-	ms, err := e2.Match(reentrantSrc)
+	ms, _, err := e2.MatchSource(context.Background(), "", reentrantSrc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
