@@ -650,8 +650,10 @@ func matchBenchCorpus(b *testing.B) (*service.Corpus, []ccd.Fingerprint) {
 // BenchmarkMatchTopK10k is the headline read-path benchmark on a 10k-doc
 // corpus: the full scoring pass (every pre-filter candidate runs Algorithm 1
 // — the seed `Match` behavior) against the top-K planner at k=10, whose heap
-// bound feeds back into the bounded edit distance. The acceptance floor is a
-// 3x ns/op ratio between the fullscan and top10 sub-benchmarks.
+// bound feeds back into the bounded edit distance. No floor is set on the
+// ratio: it measured 7.9x (37.7 against 4.8 ms) while a distance cost one DP
+// row per character and 1.8x (7.4 against 4.2 ms) with the bit-parallel
+// kernel, which made the scoring the planner skips five times cheaper.
 //
 // The whole query rotation runs once before any timer starts: the first
 // match over a freshly restored corpus pays one-time costs (posting-block

@@ -137,8 +137,11 @@ func (c *Ctx) fieldWrittenOutsideConstructor(fd *cpg.Node) bool {
 }
 
 // reentrancyLocked detects the mutex mitigation: before the call there is a
-// rollback-guarded branch reading a field that is also written before the
-// call (lock acquisition).
+// branch whose condition reads contract state, and every field it reads is
+// also written before the call (lock acquisition). The verdict is a function
+// of the set of fields read, never of the order a map yields them in: a
+// balance check such as require(balances[msg.sender] >= amount) after a
+// deposit reads a written field and an unwritten one, and is no lock.
 func (c *Ctx) reentrancyLocked(fn, call *cpg.Node) bool {
 	before := map[*cpg.Node]bool{}
 	for n := range c.eogReach(fn) {
@@ -146,25 +149,27 @@ func (c *Ctx) reentrancyLocked(fn, call *cpg.Node) bool {
 			before[n] = true
 		}
 	}
+	writtenBefore := func(field *cpg.Node) bool {
+		for _, w := range field.In(cpg.DFG) {
+			if before[w] {
+				return true
+			}
+		}
+		return false
+	}
 	for n := range before {
 		if !isBranch(n) {
 			continue
 		}
-		// Branch condition reads a bool-ish field...
-		var lockField *cpg.Node
+		fields, locked := 0, true
 		for src := range c.q.ReachRev(n, cpg.DFG) {
 			if src.Is(cpg.LFieldDeclaration) {
-				lockField = src
+				fields++
+				locked = locked && writtenBefore(src)
 			}
 		}
-		if lockField == nil {
-			continue
-		}
-		// ...that is also written before the call (lock set).
-		for _, w := range lockField.In(cpg.DFG) {
-			if before[w] {
-				return true
-			}
+		if fields > 0 && locked {
+			return true
 		}
 	}
 	return false

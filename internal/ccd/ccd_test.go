@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/dataset"
 )
 
 // The paper's Section 5.2 example.
@@ -176,6 +178,11 @@ func TestSimilarityContainmentSymmetric(t *testing.T) {
 	}
 }
 
+// TestSimilarityAtLeastMatchesExact: the early-exit form says ok exactly when
+// the exact Algorithm 1 score reaches the threshold, and then returns the
+// same float. Checked on four hand-written sources and on every pair of a
+// small generated world, snippets against deployed contracts included, which
+// is where sub-fingerprints have the lengths a corpus match sees.
 func TestSimilarityAtLeastMatchesExact(t *testing.T) {
 	srcs := []string{
 		paperSnippet,
@@ -183,10 +190,18 @@ func TestSimilarityAtLeastMatchesExact(t *testing.T) {
 		`contract B { function g() public { msg.sender.transfer(1); } function h() public {} }`,
 		`function lone(address a) public { a.send(2); }`,
 	}
-	var fps []Fingerprint
+	qa := dataset.GenerateQA(dataset.QAConfig{Seed: 19, Scale: 0.002})
+	for _, sn := range qa.Snippets {
+		srcs = append(srcs, sn.Source)
+	}
+	for _, dc := range dataset.GenerateSanctuary(dataset.SanctuaryConfig{Seed: 20, Scale: 0.0004}, qa) {
+		srcs = append(srcs, dc.Source)
+	}
+	fps := []Fingerprint{""} // one empty fingerprint; prose snippets would add many
 	for _, s := range srcs {
-		fp, _ := FingerprintSource(s)
-		fps = append(fps, fp)
+		if fp, _ := FingerprintSource(s); fp != "" {
+			fps = append(fps, fp)
+		}
 	}
 	for _, f1 := range fps {
 		for _, f2 := range fps {
@@ -202,6 +217,7 @@ func TestSimilarityAtLeastMatchesExact(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d fingerprints, %d pairs", len(fps), len(fps)*len(fps))
 }
 
 func TestFingerprintSeparators(t *testing.T) {

@@ -165,7 +165,8 @@ func SimilarityAtLeast(f1, f2 Fingerprint, threshold float64) (float64, bool) {
 
 // similarityAtLeast is SimilarityAtLeast over pre-split sub-fingerprints and
 // caller-owned edit-distance scratch, letting the matcher derive the query's
-// subs once and reuse one pair of DP rows across every candidate.
+// subs once and reuse one scratch across every candidate; within a candidate
+// the scratch keeps s1's match masks for the whole run of s2.
 func similarityAtLeast(subs1 []string, f1 Fingerprint, subs2 []string, f2 Fingerprint, threshold float64, ed *editdist.Scratch) (float64, bool) {
 	if len(subs1) > len(subs2) || (len(subs1) == len(subs2) && f1 > f2) {
 		subs1, subs2 = subs2, subs1
@@ -180,7 +181,7 @@ func similarityAtLeast(subs1 []string, f1 Fingerprint, subs2 []string, f2 Finger
 		// Lower bound on what this sub must contribute for the threshold to
 		// stay reachable, assuming every remaining sub scores a perfect 100.
 		// It feeds the bounded edit distance, so hopeless sub comparisons
-		// stop after a few rows instead of filling the whole matrix. The
+		// stop early instead of running to the end. The
 		// small slack keeps float rounding from ever rejecting a candidate
 		// scoring exactly the threshold (thresholds are often prior means);
 		// over-admitted borderline subs are settled exactly below.

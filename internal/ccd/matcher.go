@@ -201,7 +201,7 @@ func (c *Corpus) MatchTopK(fp Fingerprint, k int) []Match {
 
 // MatchBuffer bundles the scratch one match pass needs — the n-gram
 // retrieval buffers, the candidate sub-fingerprint slice and the
-// edit-distance DP rows. A zero MatchBuffer is ready to use; a warm one makes
+// edit-distance scratch. A zero MatchBuffer is ready to use; a warm one makes
 // the steady-state MatchInto path allocation-free. Not safe for concurrent
 // use — pool per goroutine via GetMatchBuffer/Release.
 type MatchBuffer struct {

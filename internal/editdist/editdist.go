@@ -2,15 +2,40 @@
 // similarity score δ used by the paper's clone detector (Section 5.5):
 //
 //	δ(s1,s2) = (max(len(s1),len(s2)) − d(s1,s2)) / max(len(s1),len(s2)) · 100
+//
+// Distance is the plain two-row dynamic program and the reference the tests
+// hold everything else to. DistanceBounded, which scores every candidate of
+// a corpus match, runs Myers' bit-vector algorithm instead whenever one of
+// the two strings fits a 64-bit word: one word operation per character of
+// the other string in place of one DP row.
 package editdist
 
-// Scratch holds the two rolling DP rows so repeated distance computations
-// (one per candidate pair in a corpus match) reuse one allocation. A zero
-// Scratch is ready to use; methods grow the rows on demand. Not safe for
-// concurrent use.
+import "sync"
+
+// wordBits is the longest pattern the bit-parallel kernel takes: one bit of
+// a uint64 per pattern byte.
+const wordBits = 64
+
+// Scratch holds what repeated distance computations (one per candidate pair
+// in a corpus match) reuse: the two rolling DP rows, and the match masks of
+// the last pattern the bit-parallel kernel ran, so comparing one string
+// against many builds them once. A zero Scratch is ready to use; methods
+// grow the rows on demand. Not safe for concurrent use.
 type Scratch struct {
 	prev, cur []int
+
+	// peq[c] has bit i set when pat[i] == c, for the pattern pat[:m]. It is
+	// indexed by byte, so any input is in range. The pattern is kept as a
+	// copy: a caller's string may point into a mapping that is gone by the
+	// next call.
+	peq [256]uint64
+	pat [wordBits]byte
+	m   int
 }
+
+// scratchPool backs the package-level one-shot helpers, which would
+// otherwise clear a Scratch's 2 KB of masks on every call.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // rows returns the two DP rows, each with at least n entries.
 func (s *Scratch) rows(n int) ([]int, []int) {
@@ -69,28 +94,40 @@ func (s *Scratch) Distance(a, b string) int {
 // maxDist+1 otherwise. Early exit keeps corpus matching fast when most
 // candidate pairs are far apart.
 func DistanceBounded(a, b string, maxDist int) int {
-	var s Scratch
+	s := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(s)
 	return s.DistanceBounded(a, b, maxDist)
 }
 
 // DistanceBounded is the scratch-reusing form of the package-level
-// DistanceBounded.
+// DistanceBounded. When either string is at most 64 bytes it is the
+// pattern of the bit-parallel kernel, a first so that a caller holding a
+// fixed and b varying keeps its masks; only a pair of two longer strings
+// takes the row DP.
 func (s *Scratch) DistanceBounded(a, b string, maxDist int) int {
 	if maxDist < 0 {
 		return 0
 	}
 	la, lb := len(a), len(b)
+	// No distance exceeds the longer length, so a larger bound says nothing
+	// more, and below it maxDist+1 and the kernel's limit cannot wrap.
+	maxDist = min(maxDist, max(la, lb))
 	if la-lb > maxDist || lb-la > maxDist {
 		return maxDist + 1
 	}
 	if a == b {
 		return 0
 	}
-	if len(a) < len(b) {
-		a, b = b, a
+	switch {
+	case la == 0 || lb == 0:
+		return la + lb // the length gap, already known to be within maxDist
+	case la <= wordBits:
+		return s.bitDistance(a, b, maxDist)
+	case lb <= wordBits:
+		return s.bitDistance(b, a, maxDist)
 	}
-	if len(b) == 0 {
-		return len(a)
+	if la < lb {
+		a, b = b, a
 	}
 	prev, cur := s.rows(len(b) + 1)
 	for j := range prev {
@@ -128,6 +165,56 @@ func (s *Scratch) DistanceBounded(a, b string, maxDist int) int {
 	return maxDist + 1
 }
 
+// setPattern makes peq the match masks of p (1 to 64 bytes). The masks of
+// the previous pattern are kept when p is that pattern again, and otherwise
+// cleared byte by byte, never as a whole table.
+func (s *Scratch) setPattern(p string) {
+	if p == string(s.pat[:s.m]) {
+		return
+	}
+	for _, c := range s.pat[:s.m] {
+		s.peq[c] = 0
+	}
+	s.m = copy(s.pat[:], p)
+	for i := 0; i < len(p); i++ {
+		s.peq[p[i]] |= 1 << i
+	}
+}
+
+// bitDistance is DistanceBounded for a pattern p of 1 to 64 bytes against a
+// non-empty text t: Myers' bit-vector algorithm in Hyyrö's form for the
+// global distance. Column j of the DP matrix lives in two words, vp and vn,
+// whose bit i says whether D[i+1][j] is one more or one less than D[i][j];
+// one step derives column j+1 from them and the match mask of t[j], and
+// score follows the bottom cell D[m][j+1]. The bottom row moves by at most
+// one per column, so once score exceeds maxDist by more than the columns
+// left, the result is out of reach. Bits above m-1 carry garbage that never
+// flows down.
+func (s *Scratch) bitDistance(p, t string, maxDist int) int {
+	s.setPattern(p)
+	last := uint(len(p) - 1)
+	vp, vn := ^uint64(0), uint64(0)
+	score := len(p)
+	// score − (len(t)−1−j) > maxDist, with the constants on one side.
+	limit := maxDist + len(t) - 1
+	for j := 0; j < len(t); j++ {
+		x := s.peq[t[j]]
+		d0 := (((x & vp) + vp) ^ vp) | x | vn
+		hp := vn | ^(d0 | vp)
+		hn := vp & d0
+		score += int(hp>>last&1) - int(hn>>last&1)
+		if score+j > limit {
+			return maxDist + 1
+		}
+		// Shifting a one into hp is the top row D[0][j] = j; a zero there
+		// would compute the substring distance.
+		hp = hp<<1 | 1
+		vp = hn<<1 | ^(d0 | hp)
+		vn = hp & d0
+	}
+	return score
+}
+
 // Similarity returns δ(a,b) in [0,100]: 100 for identical strings, 0 when
 // every character differs. Two empty strings are identical (100).
 func Similarity(a, b string) float64 {
@@ -142,7 +229,8 @@ func Similarity(a, b string) float64 {
 // SimilarityAtLeast reports whether δ(a,b) ≥ threshold, using the bounded
 // distance for early exit.
 func SimilarityAtLeast(a, b string, threshold float64) (float64, bool) {
-	var s Scratch
+	s := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(s)
 	return s.SimilarityAtLeast(a, b, threshold)
 }
 

@@ -1,6 +1,8 @@
 package editdist
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -148,5 +150,169 @@ func TestSimilarityAtLeastConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bounded is the contract of DistanceBounded stated over the reference.
+func bounded(d, maxDist int) int {
+	switch {
+	case maxDist < 0:
+		return 0
+	case d <= maxDist:
+		return d
+	}
+	return maxDist + 1
+}
+
+// randomString draws n bytes: from two letters (long runs of matches), from
+// sixteen (what a fingerprint looks like), or from all 256 byte values.
+func randomString(rng *rand.Rand, n int) string {
+	alphabet := []int{2, 16, 256}[rng.Intn(3)]
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(rng.Intn(alphabet))
+		if alphabet == 16 && rng.Intn(8) == 0 {
+			b[i] |= 0x80
+		}
+	}
+	return string(b)
+}
+
+// mutate applies k random single-byte edits to s.
+func mutate(rng *rand.Rand, s string, k int) string {
+	b := []byte(s)
+	for ; k > 0; k-- {
+		switch op := rng.Intn(3); {
+		case op == 0 || len(b) == 0:
+			i := rng.Intn(len(b) + 1)
+			b = append(b[:i], append([]byte{byte(rng.Intn(256))}, b[i:]...)...)
+		case op == 1:
+			i := rng.Intn(len(b))
+			b = append(b[:i], b[i+1:]...)
+		default:
+			b[rng.Intn(len(b))] = byte(rng.Intn(256))
+		}
+	}
+	return string(b)
+}
+
+// TestDistanceBoundedMatchesReference holds DistanceBounded to Distance on
+// the shapes that pick its kernel: lengths on both sides of the 64-byte
+// word, near pairs and unrelated ones, every bound from −1 to past the
+// distance, both argument orders. All queries go through one Scratch, first
+// in the order a corpus match makes them (one string against a run of
+// others, so the remembered masks are reused) and then shuffled (so every
+// query follows an unrelated pattern and stale masks would show).
+func TestDistanceBoundedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	pairs := 1500
+	if testing.Short() {
+		pairs = 300
+	}
+	length := func() int {
+		switch rng.Intn(4) {
+		case 0:
+			return 62 + rng.Intn(5) // 62..66
+		case 1:
+			return rng.Intn(201)
+		default:
+			return rng.Intn(70)
+		}
+	}
+	type query struct {
+		a, b          string
+		maxDist, want int
+	}
+	var queries []query
+	for i := 0; i < pairs; i++ {
+		a := randomString(rng, length())
+		var b string
+		if i%2 == 0 {
+			b = mutate(rng, a, rng.Intn(len(a)/3+3))
+		} else {
+			b = randomString(rng, length())
+		}
+		d := Distance(a, b)
+		for maxDist := -1; maxDist <= d+2; maxDist++ {
+			queries = append(queries,
+				query{a, b, maxDist, bounded(d, maxDist)},
+				query{b, a, maxDist, bounded(d, maxDist)})
+		}
+	}
+	var s Scratch
+	run := func(order string) {
+		for _, q := range queries {
+			if got := s.DistanceBounded(q.a, q.b, q.maxDist); got != q.want {
+				t.Fatalf("%s: DistanceBounded(%q, %q, %d) = %d, want %d", order, q.a, q.b, q.maxDist, got, q.want)
+			}
+		}
+	}
+	run("in order")
+	rng.Shuffle(len(queries), func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
+	run("shuffled")
+	t.Logf("%d pairs, %d queries per pass", pairs, len(queries))
+}
+
+// fuzzMaxLen caps fuzz inputs: the reference is quadratic.
+const fuzzMaxLen = 300
+
+// FuzzDistanceBounded: for any bytes and any bound, DistanceBounded does not
+// panic, agrees with the reference DP, and does not care which argument
+// comes first. One Scratch serves all three calls of an input, so the second
+// and third run on masks the first left behind.
+func FuzzDistanceBounded(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ab, bb []byte, maxDist int) {
+		a := string(ab[:min(len(ab), fuzzMaxLen)])
+		b := string(bb[:min(len(bb), fuzzMaxLen)])
+		want := bounded(Distance(a, b), maxDist)
+		var s Scratch
+		for _, q := range [][2]string{{a, b}, {b, a}, {a, b}} {
+			if got := s.DistanceBounded(q[0], q[1], maxDist); got != want {
+				t.Fatalf("DistanceBounded(%q, %q, %d) = %d, want %d", q[0], q[1], maxDist, got, want)
+			}
+		}
+	})
+}
+
+var benchSink int
+
+// BenchmarkDistanceBounded times the kernel on the shape a corpus match
+// gives it (sub-fingerprint lengths p50 16 and 22, p99 52, the 64-byte word
+// edge, and 96 where both sides exceed the word), maxDist 30 % of the longer
+// string as ε = 70 sets it, one pattern against a run of texts through one
+// Scratch. Near texts are m/10 edits away and are scored to the end; far
+// texts are unrelated, within ±30 % of the pattern's length, and leave on
+// the bound.
+func BenchmarkDistanceBounded(b *testing.B) {
+	const texts = 64
+	for _, m := range []int{16, 22, 52, 64, 96} {
+		for _, kind := range []string{"near", "far"} {
+			rng := rand.New(rand.NewSource(int64(m)))
+			hex := func(n int) string {
+				s := make([]byte, n)
+				for i := range s {
+					s[i] = "0123456789abcdef"[rng.Intn(16)]
+				}
+				return string(s)
+			}
+			pattern := hex(m)
+			var ts [texts]string
+			for i := range ts {
+				if kind == "near" {
+					ts[i] = mutate(rng, pattern, m/10)
+				} else {
+					ts[i] = hex(m - m*3/10 + rng.Intn(2*(m*3/10)+1))
+				}
+			}
+			b.Run(fmt.Sprintf("m=%d/%s", m, kind), func(b *testing.B) {
+				var s Scratch
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					t := ts[i%texts]
+					benchSink += s.DistanceBounded(pattern, t, max(m, len(t))*3/10)
+				}
+			})
+		}
 	}
 }

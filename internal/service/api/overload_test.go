@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"sync"
@@ -35,7 +36,22 @@ func exactP99(ds []time.Duration) time.Duration {
 
 // latencyGrace absorbs scheduler noise when latencies sit near the clock's
 // floor: at millisecond scale, "2x" comparisons are meaningless without it.
-const latencyGrace = 25 * time.Millisecond
+// Under the race detector it is four times as wide. The detector makes the
+// handlers and the 16 client goroutines several times slower while the
+// sequential baseline stays near 1.5 ms, so on 2 vCPUs the accepted p99 of
+// the same code reads 10–28 ms instead of 2–6 ms, and 25 ms failed one run in
+// six. The build settings say whether the detector is in; no tagged file pair
+// is needed.
+var latencyGrace = func() time.Duration {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				return 100 * time.Millisecond
+			}
+		}
+	}
+	return 25 * time.Millisecond
+}()
 
 // TestOverloadShedsAndPinsAcceptedP99 is the PR's headline acceptance claim:
 // under ~4x the admission capacity of concurrent offered load, the server
@@ -125,6 +141,7 @@ func TestOverloadShedsAndPinsAcceptedP99(t *testing.T) {
 	// most MaxQueue requests waiting, so accepted latency is bounded by a
 	// small multiple of service time rather than growing with offered load.
 	accP99 := exactP99(accepted)
+	t.Logf("accepted p99 %v of %d, uncontended p99 %v, grace %v, shed %d", accP99, len(accepted), baseP99, latencyGrace, shed)
 	if limit := 2*baseP99 + latencyGrace; accP99 > limit {
 		t.Errorf("accepted p99 %v exceeds 2x uncontended p99 %v (+%v grace)", accP99, baseP99, latencyGrace)
 	}
