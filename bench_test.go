@@ -652,8 +652,10 @@ func matchBenchCorpus(b *testing.B) (*service.Corpus, []ccd.Fingerprint) {
 // — the seed `Match` behavior) against the top-K planner at k=10, whose heap
 // bound feeds back into the bounded edit distance. No floor is set on the
 // ratio: it measured 7.9x (37.7 against 4.8 ms) while a distance cost one DP
-// row per character and 1.8x (7.4 against 4.2 ms) with the bit-parallel
-// kernel, which made the scoring the planner skips five times cheaper.
+// row per character, 1.8x (7.4 against 4.2 ms) with the bit-parallel
+// kernel, which made the scoring the planner skips five times cheaper, and
+// 3.5x (3.7 against 1.0 ms) once the n-gram filter counted in dense counters
+// and stopped costing both sides 3.2 ms.
 //
 // The whole query rotation runs once before any timer starts: the first
 // match over a freshly restored corpus pays one-time costs (posting-block

@@ -1,6 +1,7 @@
 package ccd
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -179,8 +180,8 @@ func TestSimilarityContainmentSymmetric(t *testing.T) {
 }
 
 // TestSimilarityAtLeastMatchesExact: the early-exit form says ok exactly when
-// the exact Algorithm 1 score reaches the threshold, and then returns the
-// same float. Checked on four hand-written sources and on every pair of a
+// the exact Algorithm 1 score reaches the threshold, the score itself
+// included, and then returns the same float. Checked on four hand-written sources and on every pair of a
 // small generated world, snippets against deployed contracts included, which
 // is where sub-fingerprints have the lengths a corpus match sees.
 func TestSimilarityAtLeastMatchesExact(t *testing.T) {
@@ -206,7 +207,9 @@ func TestSimilarityAtLeastMatchesExact(t *testing.T) {
 	for _, f1 := range fps {
 		for _, f2 := range fps {
 			exact := Similarity(f1, f2)
-			for _, th := range []float64{0, 50, 70, 90} {
+			// exact itself is the tie a top-K bound asks about: it must come
+			// back (exact, true), and one ulp above it false.
+			for _, th := range []float64{0, 50, 70, 90, exact, math.Nextafter(exact, math.Inf(1))} {
 				got, ok := SimilarityAtLeast(f1, f2, th)
 				if ok != (exact >= th) {
 					t.Errorf("threshold %v: ok=%v exact=%.2f got=%.2f", th, ok, exact, got)

@@ -200,11 +200,13 @@ func similarityAtLeast(subs1 []string, f1 Fingerprint, subs2 []string, f2 Finger
 			}
 		}
 		total += best
-		// Even perfect remaining matches cannot reach the threshold. The
-		// upper bound is compared as a mean — the same division the final
-		// verdict uses — so a candidate scoring exactly the threshold is
-		// never lost to float rounding.
-		if (total+remaining*100)/n < threshold {
+		// Even perfect remaining matches cannot reach the threshold. This
+		// optimistic total adds the remaining subs at once where the verdict
+		// below adds them one at a time, and float addition is not
+		// associative: the two can differ in the last bit. So the exit takes
+		// minNeeded's slack and is only an optimisation; a candidate scoring
+		// exactly the threshold stays in and the last line decides.
+		if (total+remaining*100)/n < threshold-1e-9 {
 			return total / n, false
 		}
 	}

@@ -2,6 +2,7 @@ package ngram
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -107,6 +108,50 @@ func FuzzIndexFromBytes(f *testing.F) {
 		}
 		if _, err := FromBytes(buf.Bytes()); err != nil {
 			t.Fatalf("re-saved index does not re-open: %v", err)
+		}
+	})
+}
+
+// FuzzQueryGrams holds the counting filter to the reference scan on arbitrary
+// input: the corpus bytes split into documents at newlines (a fingerprint may
+// hold any other byte), a query, a threshold and a block size. One Scratch
+// serves the whole corpus, then its first document alone, then the whole
+// corpus again, heap-built and sealed, so counters left behind by one index
+// would surface in the next; checkQuery also demands the reference Stats and
+// all-zero counters after every query.
+func FuzzQueryGrams(f *testing.F) {
+	f.Add([]byte("abcdefgh\nabcdxxxx\nzzzzzzzz\nabcdefgh"), []byte("abcdefgh"), uint8(5), uint8(2))
+	f.Add([]byte("aaaaaaaa\naaaa\naa\n\naaaaaaaaaaaaaaaa"), []byte("aaaaa"), uint8(10), uint8(1))
+	f.Add([]byte("ab\nabc\nabcd"), []byte("ab"), uint8(0), uint8(128))
+	// Many documents sharing the query's common grams and few sharing its
+	// rare ones: lists long against the live set, so phase 2 seeks.
+	var dense []byte
+	for i := 0; i < 400; i++ {
+		dense = append(dense, "abcabcabc"...)
+		if i%50 == 0 {
+			dense = append(dense, "xyzw"...)
+		}
+		dense = append(dense, '\n')
+	}
+	f.Add(dense, []byte("abcabcxyzw"), uint8(9), uint8(7))
+
+	f.Fuzz(func(t *testing.T, corpus, query []byte, eta, blockSize uint8) {
+		docs := bytes.Split(corpus, []byte{'\n'})
+		if len(docs) > 512 || len(query) > 1024 {
+			t.Skip("reference scan is quadratic in these")
+		}
+		whole := NewWithBlock(3, int(blockSize))
+		for i, d := range docs {
+			whole.Add(fmt.Sprintf("d%d", i), string(d))
+		}
+		first := NewWithBlock(3, int(blockSize))
+		first.Add("d0", string(docs[0]))
+
+		e := float64(eta%21) / 20
+		var sc Scratch
+		for _, ix := range []*Index{whole, first, whole} {
+			checkQuery(t, ix, ix, string(query), e, &sc)
+			checkQuery(t, sealedCopy(t, ix), ix, string(query), e, &sc)
 		}
 	})
 }

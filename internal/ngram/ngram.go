@@ -5,18 +5,31 @@
 // least a fraction η of the query's distinct n-grams — the cheap candidate
 // filter in front of the expensive edit-distance similarity.
 //
-// Retrieval is document-at-a-time over sorted, block-compressed posting
-// lists (see postings.go for the block/skip layout). A query needing
-// t = ⌈η·|Q|⌉ shared grams first merge-counts the |Q|−t+1 shortest posting
-// lists — by the pigeonhole principle every qualifying document appears in at
-// least one of them — and then walks the remaining lists longest-last,
-// abandoning any candidate whose count plus the lists still unread can no
-// longer reach t. The merge decodes a block at a time and the candidate walk
-// seeks whole blocks via the skip table. The pruning is exact: the surviving
-// candidate set and its containment scores are identical to a full scan.
+// Retrieval counts (ScanCount; Li, Lu & Lu, ICDE 2008) over sorted,
+// block-compressed posting lists (see postings.go for the block/skip
+// layout), in one dense counter per document of the index. A query needing
+// t = ⌈η·|Q|⌉ shared grams orders its posting lists shortest-first and scans
+// the |lists|−t+1 shortest a block at a time into the counters, noting each
+// document the first time it is touched — by the pigeonhole principle every
+// qualifying document appears in at least one of them. The remaining lists
+// only raise counters that are already live. Each is either scanned, bumping
+// non-zero counters without a branch, or, once it is more than seekFactor
+// times longer than the live set, sought once per live document through the
+// skip table; lists grow and the live set shrinks, so the choice flips at
+// most once per query. After every list, a document whose count plus the
+// lists still unread can no longer reach t is abandoned and its counter
+// cleared. The pruning is exact: the surviving candidate set and its
+// containment scores are identical to a full scan.
+//
+// The counters live in the caller's Scratch: four bytes per document of the
+// largest index that Scratch has served (32 KB for the 8 k-document corpora
+// of bench/, 4 MB at a million documents), all zero between queries.
 package ngram
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Index is an inverted index from n-gram to a block-compressed posting list
 // of document numbers.
@@ -156,7 +169,8 @@ type Candidate struct {
 type Stats struct {
 	// Lists is the number of query grams with a non-empty posting list.
 	Lists int
-	// Candidates is how many distinct documents the merge phase touched.
+	// Candidates is how many distinct documents the pigeonhole-prefix lists
+	// touched.
 	Candidates int
 	// Pruned is how many of those were abandoned by the η upper-bound
 	// cutoff before their full gram count was known.
@@ -180,25 +194,50 @@ func (ix *Index) QueryStats(s string, eta float64) ([]Candidate, Stats) {
 
 // QueryGrams retrieves by precomputed distinct query grams — callers
 // querying several indexes with one query (the service's generation
-// segments) derive the grams once and reuse them.
+// segments) derive the grams once and reuse them. It allocates a fresh
+// Scratch, so one counter per indexed document: repeated queries belong on
+// QueryGramsScratch.
 func (ix *Index) QueryGrams(grams []string, eta float64) ([]Candidate, Stats) {
 	var sc Scratch
 	return ix.QueryGramsScratch(grams, eta, &sc)
 }
 
 // Scratch holds the reusable buffers of one retrieval: the selected posting
-// lists, one cursor and decode buffer per list, the candidate accumulator
-// and the result slice. A zero Scratch is ready to use; reusing one across
-// queries makes the steady-state retrieval allocation-free.
+// lists, one decoded block, the per-document counters with the list of
+// documents holding a non-zero one, and the result slice. A zero Scratch is
+// ready to use; reusing one across queries (and across indexes of any size)
+// makes the steady-state retrieval allocation-free.
+//
+// counts is indexed by doc number, grows to the largest index the scratch has
+// served and is all zero between queries: every counter a query raises is in
+// live, and is cleared when its document is abandoned or emitted. A counter is
+// 32 bits wide because a count can reach the number of distinct query grams,
+// and a fingerprint posted to /v1/match may be 8 MiB of arbitrary bytes — far
+// more grams than 8 or 16 bits hold, while 2³² of them would need a 4 GiB
+// query. A narrower counter would want an overflow path; this one cannot
+// overflow.
 type Scratch struct {
-	lists   []*postings
-	cursors []cursor
-	slab    []uint32
-	cands   []counted
-	out     []Candidate
-	byLen   listsByLen
-	byRank  candidatesByRank
+	lists  []*postings
+	block  []uint32
+	counts []uint32
+	live   []uint32
+	rank   []uint64
+	out    []Candidate
 }
+
+// seekFactor decides, per phase-2 list, between scanning the list and seeking
+// it once per live candidate: a list more than seekFactor times longer than
+// the live set is sought. A scanned posting costs a nanosecond or two (decode
+// and a branch-free bump), a seek about 40 (skip-table and in-block binary
+// search). BenchmarkQueryGrams on the 2-vCPU box, fastest of 7, µs per query
+// dense / sparse: factor 1 100 / 457, 8 37 / 240, 64 34 / 229, never seeking
+// 39 / 3 990. From 8 to 256 the difference is inside run-to-run noise there
+// and on the root BenchmarkMatchTopK10k and BenchmarkMatchTopK1M; 2 is
+// already 1.5× slower on the former.
+const seekFactor = 8
+
+// byCount orders posting lists shortest-first.
+func byCount(a, b *postings) int { return a.count - b.count }
 
 // QueryGramsScratch is QueryGrams with caller-provided scratch. The returned
 // candidates alias sc and are valid until its next use.
@@ -227,136 +266,106 @@ func (ix *Index) QueryGramsScratch(grams []string, eta float64, sc *Scratch) ([]
 	if len(sc.lists) < t {
 		return nil, st // even full membership cannot reach the threshold
 	}
-	sc.byLen.s = sc.lists
-	sort.Sort(&sc.byLen)
+	slices.SortFunc(sc.lists, byCount)
 
 	nl := len(sc.lists)
 	bs := ix.blockSize
-	if cap(sc.slab) < nl*bs {
-		sc.slab = make([]uint32, nl*bs)
+	if cap(sc.block) < bs {
+		sc.block = make([]uint32, bs)
 	}
-	slab := sc.slab[:cap(sc.slab)]
-	if cap(sc.cursors) < nl {
-		sc.cursors = make([]cursor, nl)
+	block := sc.block[:bs]
+	if len(sc.counts) < ix.docCount {
+		sc.counts = make([]uint32, ix.docCount) // the old one is all zero: nothing to carry over
 	}
-	sc.cursors = sc.cursors[:nl]
-	for i, p := range sc.lists {
-		sc.cursors[i].init(p, slab[i*bs:(i+1)*bs], bs)
-	}
+	counts := sc.counts
 
 	// Phase 1 — pigeonhole prefix: any document with ≥ t shared grams
-	// appears in at least one of the |lists|−t+1 shortest lists. Merge them
-	// document-at-a-time into (doc, count) runs, in doc order, decoding the
-	// compressed lists a block at a time.
+	// appears in at least one of the |lists|−t+1 shortest lists. Scan them a
+	// block at a time into the counters, recording a document the first time
+	// it is touched.
 	prefix := nl - t + 1
-	sc.cands = mergeCountInto(sc.cursors[:prefix], sc.cands[:0])
-	st.Candidates = len(sc.cands)
-
-	// Phase 2 — walk the remaining (longer) lists shortest-first, merging
-	// each against the surviving candidates. After list j there are
-	// remaining = |lists|−j−1 unread lists; a candidate counting c can reach
-	// at most c+remaining, so anything below t−remaining is abandoned.
-	// Candidates arrive in doc order, so each list's cursor only moves
-	// forward — seekGE hops whole blocks via the skip table.
-	cands := sc.cands
-	for j := prefix; j < nl; j++ {
-		cur := &sc.cursors[j]
-		remaining := nl - j - 1
-		live := cands[:0]
-		for _, c := range cands {
-			cur.seekGE(c.doc)
-			if cur.valid && cur.cur == c.doc {
-				c.count++
+	live := sc.live[:0]
+	for _, p := range sc.lists[:prefix] {
+		for b, nb := 0, p.totalBlocks(); b < nb; b++ {
+			for _, d := range block[:p.decodeBlock(b, bs, block)] {
+				if counts[d] == 0 {
+					live = append(live, d)
+				}
+				counts[d]++
 			}
-			if c.count+remaining < t {
-				st.Pruned++
+		}
+	}
+	st.Candidates = len(live)
+
+	// Phase 2 — the remaining (longer) lists, shortest first. A list short
+	// against the live set is scanned, bumping only counters already
+	// non-zero; a list long against it is sought once per live document, in
+	// doc order so the cursor only moves forward and hops whole blocks via
+	// the skip table. Lists grow and the live set shrinks along the way, so
+	// once one list is sought all later ones are and the sort happens once.
+	// After list j there are remaining = |lists|−j−1 unread lists; a document
+	// counting c can reach at most c+remaining, so anything below t−remaining
+	// is abandoned and its counter cleared.
+	seeking := false
+	for j := prefix; j < nl; j++ {
+		p := sc.lists[j]
+		if !seeking && p.count > seekFactor*len(live) {
+			seeking = true
+			slices.Sort(live)
+		}
+		if seeking {
+			var cur cursor
+			cur.init(p, block, bs)
+			for _, d := range live {
+				cur.seekGE(d)
+				if cur.valid && cur.cur == d {
+					counts[d]++
+				}
+			}
+		} else {
+			for b, nb := 0, p.totalBlocks(); b < nb; b++ {
+				for _, d := range block[:p.decodeBlock(b, bs, block)] {
+					x := counts[d]
+					counts[d] = x + (x|-x)>>31 // +1 where x ≠ 0
+				}
+			}
+		}
+		floor := uint32(t - (nl - j - 1))
+		kept := live[:0]
+		for _, d := range live {
+			if counts[d] < floor {
+				counts[d] = 0
 				continue
 			}
-			live = append(live, c)
+			kept = append(kept, d)
 		}
-		cands = live
+		st.Pruned += len(live) - len(kept)
+		live = kept
 	}
-
-	sc.out = sc.out[:0]
-	for _, c := range cands {
-		if c.count >= t {
-			sc.out = append(sc.out, Candidate{
-				ID:          ix.docID(c.doc),
-				Doc:         int(c.doc),
-				Containment: float64(c.count) / float64(len(grams)),
-			})
-		}
-	}
-	st.Kept = len(sc.out)
-	if len(sc.out) == 0 {
+	sc.live = live[:0]
+	st.Kept = len(live)
+	if len(live) == 0 {
 		return nil, st
 	}
-	sc.byRank.s = sc.out
-	sort.Sort(&sc.byRank)
+
+	// Rank: most shared grams first, ties by doc number. Distinct counts give
+	// distinct containments, so sorting packed (inverted count, doc) words
+	// orders by containment without comparing floats or moving Candidates.
+	rank := sc.rank[:0]
+	for _, d := range live {
+		rank = append(rank, uint64(^counts[d])<<32|uint64(d))
+		counts[d] = 0
+	}
+	slices.Sort(rank)
+	sc.rank = rank
+	sc.out = sc.out[:0]
+	for _, r := range rank {
+		d := uint32(r)
+		sc.out = append(sc.out, Candidate{
+			ID:          ix.docID(d),
+			Doc:         int(d),
+			Containment: float64(^uint32(r>>32)) / float64(len(grams)),
+		})
+	}
 	return sc.out, st
-}
-
-// counted is one candidate document with its shared-gram count so far.
-type counted struct {
-	doc   uint32
-	count int
-}
-
-// mergeCountInto merges the cursors' posting lists into (doc, count) pairs in
-// doc order — the document-at-a-time counting step. Every round the minimum
-// unconsumed doc is emitted with the number of lists it appears in.
-func mergeCountInto(cursors []cursor, out []counted) []counted {
-	switch len(cursors) {
-	case 0:
-		return out
-	case 1:
-		c := &cursors[0]
-		for c.valid {
-			out = append(out, counted{doc: c.cur, count: 1})
-			c.next()
-		}
-		return out
-	}
-	for {
-		minDoc := uint32(0)
-		found := false
-		for i := range cursors {
-			c := &cursors[i]
-			if c.valid && (!found || c.cur < minDoc) {
-				minDoc, found = c.cur, true
-			}
-		}
-		if !found {
-			return out
-		}
-		count := 0
-		for i := range cursors {
-			c := &cursors[i]
-			if c.valid && c.cur == minDoc {
-				count++
-				c.next()
-			}
-		}
-		out = append(out, counted{doc: minDoc, count: count})
-	}
-}
-
-// listsByLen sorts posting lists shortest-first (a pre-built sort.Interface,
-// so the hot path avoids the closure allocation of sort.Slice).
-type listsByLen struct{ s []*postings }
-
-func (l *listsByLen) Len() int           { return len(l.s) }
-func (l *listsByLen) Swap(i, j int)      { l.s[i], l.s[j] = l.s[j], l.s[i] }
-func (l *listsByLen) Less(i, j int) bool { return l.s[i].count < l.s[j].count }
-
-// candidatesByRank sorts candidates containment-descending, doc ascending.
-type candidatesByRank struct{ s []Candidate }
-
-func (l *candidatesByRank) Len() int      { return len(l.s) }
-func (l *candidatesByRank) Swap(i, j int) { l.s[i], l.s[j] = l.s[j], l.s[i] }
-func (l *candidatesByRank) Less(i, j int) bool {
-	if l.s[i].Containment != l.s[j].Containment {
-		return l.s[i].Containment > l.s[j].Containment
-	}
-	return l.s[i].Doc < l.s[j].Doc
 }

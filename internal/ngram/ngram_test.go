@@ -3,8 +3,10 @@ package ngram
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -198,6 +200,148 @@ func TestQueryMatchesReferenceScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// referenceStats derives the Stats a query must report from full scans: the
+// non-empty lists, the documents the pigeonhole prefix (the |lists|−t+1
+// shortest lists, ordered by the filter's own byCount so ties fall the same
+// way) touches, and how many of them reach the threshold. Every touched
+// document that falls short is abandoned at some list, so Pruned is the
+// difference.
+func referenceStats(ix *Index, grams []string, eta float64) Stats {
+	var lists []*postings
+	for _, g := range grams {
+		if p := ix.postings[g]; p != nil && p.count > 0 {
+			lists = append(lists, p)
+		}
+	}
+	st := Stats{Lists: len(lists)}
+	t := 1
+	for float64(t) < eta*float64(len(grams)) {
+		t++
+	}
+	if len(lists) < t {
+		return st
+	}
+	slices.SortFunc(lists, byCount)
+	touched := make(map[uint32]int)
+	for i, p := range lists {
+		for _, d := range p.appendAll(nil, ix.blockSize) {
+			if _, ok := touched[d]; ok || i <= len(lists)-t {
+				touched[d]++
+			}
+		}
+	}
+	st.Candidates = len(touched)
+	for _, c := range touched {
+		if c >= t {
+			st.Kept++
+		}
+	}
+	st.Pruned = st.Candidates - st.Kept
+	return st
+}
+
+// checkQuery runs one query through sc and holds it to the reference scan:
+// same candidates, containments and order, the reference Stats, and every
+// counter back at zero.
+func checkQuery(t *testing.T, ix, ref *Index, query string, eta float64, sc *Scratch) {
+	t.Helper()
+	grams := ix.Grams(query)
+	got, st := ix.QueryGramsScratch(grams, eta, sc)
+	if want := referenceQuery(ref, query, eta); !reflect.DeepEqual(append([]Candidate(nil), got...), want) {
+		t.Fatalf("eta=%.2f query=%q:\n got %v\nwant %v", eta, query, got, want)
+	}
+	if want := referenceStats(ref, grams, eta); st != want {
+		t.Fatalf("eta=%.2f query=%q: stats %+v, want %+v", eta, query, st, want)
+	}
+	for d, c := range sc.counts {
+		if c != 0 {
+			t.Fatalf("eta=%.2f query=%q: counter of doc %d left at %d", eta, query, d, c)
+		}
+	}
+}
+
+// sealedCopy reopens ix zero-copy over its own encoding (the mmap'd form).
+func sealedCopy(t testing.TB, ix *Index) *Index {
+	t.Helper()
+	var enc bytes.Buffer
+	if err := ix.Save(&enc); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	sealed, err := FromBytes(enc.Bytes())
+	if err != nil {
+		t.Fatalf("from bytes: %v", err)
+	}
+	return sealed
+}
+
+// TestScratchStreamsAcrossIndexes pins the invariant the dense counters add:
+// a Scratch is all zero between queries, whatever index it served last. One
+// Scratch goes through a large, a small and again a large index, heap-built
+// and sealed, at block sizes 1, 7 and 128, and every query must give the
+// reference scan's answer and Stats and hand every counter back at zero. The
+// large indexes are big enough, and the thresholds spread enough, that lists
+// are both scanned and sought (seekFactor).
+func TestScratchStreamsAcrossIndexes(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	randStr := func(n int, alphabet string) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	var sc Scratch
+	for _, bs := range []int{1, 7, 128} {
+		for _, docs := range []int{1500, 6, 2500} {
+			// A few letters make long lists, many make short ones; mixing
+			// both in one index gives the filter lists of every length.
+			ix := NewWithBlock(3, bs)
+			for d := 0; d < docs; d++ {
+				ix.Add(fmt.Sprintf("doc-%d", d), randStr(5+rng.Intn(40), "abcd")+randStr(rng.Intn(30), "abcdefghijklmnopqrstuvwxyz"))
+			}
+			sealed := sealedCopy(t, ix)
+			for q := 0; q < 12; q++ {
+				query := randStr(3+rng.Intn(40), "abcd") + randStr(rng.Intn(20), "abcdefghijklmnopqrstuvwxyz")
+				if q%4 == 0 {
+					query = ix.docs[rng.Intn(docs)].id // "doc-N": next to nothing shared
+				}
+				eta := float64(rng.Intn(21)) / 20
+				checkQuery(t, ix, ix, query, eta, &sc)
+				checkQuery(t, sealed, ix, query, eta, &sc)
+			}
+		}
+	}
+}
+
+// TestQueryCountsPastSixteenBits covers the counter width: a fingerprint
+// posted to /v1/match may hold any byte, so a query can bring far more
+// distinct grams than a 16-bit counter holds, and a document sharing them all
+// must still count exactly (a counter that wrapped would rank it last, or
+// drop it).
+func TestQueryCountsPastSixteenBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	raw := make([]byte, 80_000)
+	rng.Read(raw)
+	query := string(raw)
+	ix := New(3)
+	// Prefixes sharing one gram more or less than 2⁸ and 2¹⁶, and the whole.
+	for _, n := range []int{257, 258, 259, 65_537, 65_538, 65_539, 70_000, len(query)} {
+		ix.Add(fmt.Sprintf("prefix-%d", n), query[:n])
+	}
+	ix.Add("other", string(raw[:40_000])+"x")
+	if n := len(ix.Grams(query)); n <= math.MaxUint16 {
+		t.Fatalf("query has %d distinct grams, want more than %d", n, math.MaxUint16)
+	}
+	var sc Scratch
+	for _, eta := range []float64{0.003, 0.5, 1} {
+		checkQuery(t, ix, ix, query, eta, &sc)
+	}
+	got := ix.Query(query, 0.85)
+	if len(got) != 2 || got[0].ID != fmt.Sprintf("prefix-%d", len(query)) || got[0].Containment != 1 {
+		t.Fatalf("got %v", got)
 	}
 }
 

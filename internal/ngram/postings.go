@@ -140,6 +140,16 @@ func (p *postings) decodeBlock(i, blockSize int, dst []uint32) int {
 	v := p.skipFirst(i)
 	dst[0] = v
 	b := p.data[p.skipOff(i):p.blockEnd(i)]
+	if len(b) == n-1 {
+		// Every delta is a single byte (each varint takes at least one), the
+		// common case for a gram most documents hold: no varint decoding.
+		dst = dst[1:n]
+		for j, d := range b {
+			v += uint32(d)
+			dst[j] = v
+		}
+		return n
+	}
 	for j := 1; j < n; j++ {
 		d, w := binary.Uvarint(b)
 		if w <= 0 {
@@ -278,11 +288,11 @@ func (p *postings) unseal(blockSize int) {
 	p.tail = append(p.tail, buf[:n]...)
 }
 
-// cursor iterates one posting list in doc order, decoding a block at a time
-// into a scratch buffer. seekGE jumps whole blocks via the skip table.
+// cursor seeks forward through one posting list, decoding a block at a time
+// into a scratch buffer and jumping whole blocks via the skip table.
 type cursor struct {
 	p         *postings
-	buf       []uint32 // decoded current block (scratch slab slice)
+	buf       []uint32 // decoded current block (the caller's scratch)
 	blockSize int
 	blocks    int
 	blk       int // current block index
@@ -294,30 +304,11 @@ type cursor struct {
 
 // init points the cursor at the first id of p. buf must hold blockSize ids.
 func (c *cursor) init(p *postings, buf []uint32, blockSize int) {
-	c.p, c.buf, c.blockSize = p, buf, blockSize
-	c.blocks = p.totalBlocks()
-	c.blk, c.bi, c.bn = -1, 0, 0
-	c.valid = p.count > 0
-	if c.valid {
-		c.next()
+	*c = cursor{p: p, buf: buf, blockSize: blockSize, blocks: p.totalBlocks()}
+	if p.count > 0 {
+		c.bn = p.decodeBlock(0, blockSize, buf)
+		c.cur, c.bi, c.valid = buf[0], 1, true
 	}
-}
-
-// next advances to the following id; valid turns false at the end.
-func (c *cursor) next() {
-	if c.bi < c.bn {
-		c.cur = c.buf[c.bi]
-		c.bi++
-		return
-	}
-	c.blk++
-	if c.blk >= c.blocks {
-		c.valid = false
-		return
-	}
-	c.bn = c.p.decodeBlock(c.blk, c.blockSize, c.buf)
-	c.cur = c.buf[0]
-	c.bi = 1
 }
 
 // seekGE advances to the first id ≥ doc (never backwards). When the target

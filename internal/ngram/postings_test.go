@@ -115,24 +115,6 @@ func TestCursorSeekGE(t *testing.T) {
 	}
 }
 
-func TestCursorNextWalksAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, bs := range []int{1, 5, 128} {
-		ids := randIDs(rng, 257)
-		p := buildPostings(ids, bs)
-		var c cursor
-		c.init(p, make([]uint32, bs), bs)
-		var got []uint32
-		for c.valid {
-			got = append(got, c.cur)
-			c.next()
-		}
-		if !reflect.DeepEqual(got, ids) {
-			t.Fatalf("bs=%d: cursor walk mismatch", bs)
-		}
-	}
-}
-
 func sortU32(s []uint32) {
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {

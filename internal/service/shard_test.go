@@ -137,6 +137,14 @@ func TestShardedTopKTieAtBound(t *testing.T) {
 		t.Fatalf("want 12 exact ties at 100, got %d (scores %v)", plateau[100], plateau)
 	}
 
+	assertShardedTiesMatchReference(t, entries, base, reference)
+}
+
+// assertShardedTiesMatchReference fills a corpus of every shard count with
+// entries and demands, for every k, the exact k-prefix of the sorted
+// single-corpus reference — ids included, ten runs over at k=5.
+func assertShardedTiesMatchReference(t *testing.T, entries []ccd.Entry, query ccd.Fingerprint, reference []ccd.Match) {
+	t.Helper()
 	for _, shards := range []int{1, 2, 3, 5, 8} {
 		c := NewCorpus(ccd.DefaultConfig, shards)
 		for _, e := range entries {
@@ -148,7 +156,7 @@ func TestShardedTopKTieAtBound(t *testing.T) {
 		// the twelve 100s; k=15 cuts the near group): the merged result must
 		// be the exact k-prefix of the reference, ids and all.
 		for k := 0; k <= len(reference)+1; k++ {
-			got, _ := c.MatchTopK(base, k)
+			got, _ := c.MatchTopK(query, k)
 			want := reference
 			if k > 0 && k < len(want) {
 				want = want[:k]
@@ -164,13 +172,54 @@ func TestShardedTopKTieAtBound(t *testing.T) {
 		// the shared bound is raised concurrently, but the merged k-th place
 		// must never wobble.
 		for run := 0; run < 10; run++ {
-			got, _ := c.MatchTopK(base, 5)
+			got, _ := c.MatchTopK(query, 5)
 			if !reflect.DeepEqual(got, reference[:5]) {
 				t.Fatalf("shards=%d run %d: tie-at-bound merge wobbled:\n got %v\nwant %v",
 					shards, run, got, reference[:5])
 			}
 		}
 	}
+}
+
+// TestShardedTopKTieAtBoundMultiSub is the tie-at-bound property on
+// fingerprints of several subs, where Algorithm 1's mean is a sum of floats:
+// the plateau scores (58.62068965517241 + 4·100)/5, whose optimistic
+// all-at-once total rounds one ulp below the sum taken a sub at a time. Once
+// the bound has reached the plateau, the early exit of similarityAtLeast used
+// to reject every later member. The plateau's members arrive largest id
+// first, so dropping late arrivals drops exactly the ids the answer wants.
+func TestShardedTopKTieAtBoundMultiSub(t *testing.T) {
+	const (
+		head = "QxRtYuIoPAbCdEfGhZvNmQwErTyUi" // 29 bytes
+		rest = ".aSdFgHjKlZx.cVbNmQwErTyU.iOpLkJhGfDsA.zXcVbNmLkJh"
+	)
+	query := ccd.Fingerprint(head + rest)
+	tie := ccd.Fingerprint(head[:17] + "############" + rest) // 12 of 29 edited: δ = 100·17/29
+	far := ccd.Fingerprint(head[:9] + "####################" + rest)
+	const plateau = 91.72413793103449 // summed a sub at a time; (58.62…+400)/5 at once is …448
+	if got := ccd.Similarity(query, tie); got != plateau {
+		t.Fatalf("fixture: tie scores %v, want %v", got, plateau)
+	}
+	var entries []ccd.Entry
+	for i := 0; i < 3; i++ {
+		entries = append(entries, ccd.Entry{ID: fmt.Sprintf("dup-%02d", i), FP: query})
+	}
+	for i := 7; i >= 0; i-- {
+		entries = append(entries, ccd.Entry{ID: fmt.Sprintf("tie-%02d", i), FP: tie})
+	}
+	for i := 0; i < 4; i++ {
+		entries = append(entries, ccd.Entry{ID: fmt.Sprintf("far-%02d", i), FP: far})
+	}
+	single := ccd.NewCorpus(ccd.DefaultConfig)
+	for _, e := range entries {
+		single.Add(e.ID, e.FP)
+	}
+	reference := single.Match(query)
+	ccd.SortMatches(reference)
+	if len(reference) != len(entries) || reference[3].ID != "tie-00" || reference[3].Score != plateau {
+		t.Fatalf("fixture: reference %v", reference)
+	}
+	assertShardedTiesMatchReference(t, entries, query, reference)
 }
 
 // TestDuplicateAddSupersedes is the duplicate-ingest regression: re-adding
