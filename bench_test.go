@@ -999,8 +999,8 @@ func BenchmarkCorpusMatchParallel(b *testing.B) {
 // receives the bound the earlier waves established. "bound-ship" is the
 // production path; "no-bound" sends bound-free requests, which is what a
 // naive scatter-gather would do. The scored/op gap between them is what
-// admission-bound shipping buys — CI gates on no-bound scoring at least 2x
-// the candidates bound-ship does.
+// admission-bound shipping buys; the 2x floor on it is a test,
+// TestBoundShippingHalvesScoring in internal/service.
 func BenchmarkDistributedMatch(b *testing.B) {
 	const parts = 8
 	entries, snapshot := persistFixture(b)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -78,6 +79,51 @@ func TestTable1Shape(t *testing.T) {
 	}
 	if sc.TotalTP*2 > cccRow.TotalTP {
 		t.Errorf("SmartCheck TP too high: %d", sc.TotalTP)
+	}
+}
+
+// TestTable1Golden pins Table 1 at seed 1: every tool's true and false
+// positives, and through them its precision and recall (CCC 160 TP / 11 FP:
+// 93.57 % precision, 78.43 % recall). Update only with a reason.
+func TestTable1Golden(t *testing.T) {
+	want := []struct {
+		tool   string
+		tp, fp int
+	}{
+		{"CCC", 160, 11}, {"Confuzzius", 76, 6}, {"Conkas", 127, 19}, {"Mythril", 122, 4}, {"Osiris", 58, 4},
+		{"Oyente", 52, 4}, {"Securify", 107, 25}, {"Slither", 100, 0}, {"SmartCheck", 55, 0},
+	}
+	rows := Table1(1)
+	if len(rows) != len(want) {
+		t.Fatalf("%d tools, want %d", len(rows), len(want))
+	}
+	for i, w := range want {
+		if r := rows[i]; r.Tool != w.tool || r.TotalTP != w.tp || r.TotalFP != w.fp {
+			t.Errorf("row %d: %s %d TP / %d FP, want %s %d / %d", i, r.Tool, r.TotalTP, r.TotalFP, w.tool, w.tp, w.fp)
+		}
+	}
+	if ccc := rows[0]; fmt.Sprintf("%.4f %.4f", ccc.Precision, ccc.Recall) != "0.9357 0.7843" {
+		t.Errorf("CCC precision %.4f recall %.4f, want 0.9357 0.7843", ccc.Precision, ccc.Recall)
+	}
+}
+
+// TestTable2Golden pins Table 2 at seed 1: CCC's counts, precision and
+// recall on the original benchmark and its Functions and Statements
+// derivations. Update only with a reason.
+func TestTable2Golden(t *testing.T) {
+	want := []string{
+		"Original 160/11 0.9357 0.7843",
+		"Functions 150/10 0.9375 0.7353",
+		"Statements 113/4 0.9658 0.5539",
+	}
+	rows := Table2(1)
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(rows), len(want))
+	}
+	for i, r := range rows {
+		if got := fmt.Sprintf("%s %d/%d %.4f %.4f", r.Dataset, r.TP, r.FP, r.Precision, r.Recall); got != want[i] {
+			t.Errorf("row %d: %s, want %s", i, got, want[i])
+		}
 	}
 }
 

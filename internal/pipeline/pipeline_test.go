@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -9,10 +10,10 @@ import (
 	"repro/internal/dataset"
 )
 
-// runSmall executes a small but statistically meaningful study once and
-// shares it across tests. Short mode trims the corpus scale enough to keep
-// CI fast while staying above the statistical thresholds the shape tests
-// assert.
+// sharedResult executes a small but statistically meaningful study once and
+// shares it across tests: seed 1 at scale 0.015, under -short too (the run
+// takes about half a second), so TestReproductionGolden pins one set of
+// numbers.
 var shared *Result
 
 func sharedResult(t *testing.T) *Result {
@@ -20,12 +21,79 @@ func sharedResult(t *testing.T) *Result {
 	if shared == nil {
 		cfg := DefaultConfig()
 		cfg.Scale = 0.015
-		if testing.Short() {
-			cfg.Scale = 0.012
-		}
 		shared = Run(cfg)
 	}
 	return shared
+}
+
+// TestReproductionGolden pins the study's headline numbers at seed 1, scale
+// 0.015: the Table 4 funnel per site, the Table 5 correlations, the Table 7
+// funnel and the Table 8 validation sample. The clone map behind Tables 5–8
+// runs through service.Corpus.Match, so a refactor of the match path that
+// changes any served id changes these. Update them only with a reason.
+func TestReproductionGolden(t *testing.T) {
+	res := sharedResult(t)
+
+	table4 := map[dataset.Site]FunnelStats{
+		dataset.StackOverflow: {Posts: 110, Snippets: 193, Solidity: 126, Parsable: 99, StrictParsable: 54, Unique: 97},
+		dataset.EthereumSE:    {Posts: 274, Snippets: 436, Solidity: 281, Parsable: 221, StrictParsable: 119, Unique: 220},
+	}
+	for site, want := range table4 {
+		if got := *res.Funnel4.PerSite[site]; got != want {
+			t.Errorf("Table 4 %s: %+v, want %+v", site, got, want)
+		}
+	}
+	if want := (FunnelStats{Posts: 384, Snippets: 629, Solidity: 407, Parsable: 320, StrictParsable: 173, Unique: 317}); res.Funnel4.Total != want {
+		t.Errorf("Table 4 total: %+v, want %+v", res.Funnel4.Total, want)
+	}
+
+	table5 := []Correlation{
+		{Name: "All Snippets", SampleSize: 155, Rho: 0.20387632626206628},
+		{Name: "Disseminator", SampleSize: 153, Rho: 0.3164086627543771},
+		{Name: "Source", SampleSize: 66, Rho: 0.4564283858100496},
+	}
+	if len(res.Correlations) != len(table5) {
+		t.Fatalf("Table 5: %d rows, want %d", len(res.Correlations), len(table5))
+	}
+	for i, want := range table5 {
+		got := res.Correlations[i]
+		// ρ within 1e-9: the same arithmetic may fuse a multiply-add on
+		// another architecture.
+		if got.Name != want.Name || got.SampleSize != want.SampleSize || math.Abs(got.Rho-want.Rho) > 1e-9 {
+			t.Errorf("Table 5 row %d: %s n=%d ρ=%v, want %s n=%d ρ=%v",
+				i, got.Name, got.SampleSize, got.Rho, want.Name, want.SampleSize, want.Rho)
+		}
+	}
+
+	table7 := Funnel{
+		UniqueSnippets: 317, VulnerableSnippets: 108, ContainedInContracts: 45, PostedBefore: 44,
+		SourceSnippets: 24, ContractsContaining: 594, UniqueContracts: 505, SourceContracts: 295,
+		ValidatedContracts: 505, VulnerableContracts: 505, VulnSnippetsInVuln: 38, Phase1Validated: 505,
+	}
+	if res.Funnel != table7 {
+		t.Errorf("Table 7: %+v, want %+v", res.Funnel, table7)
+	}
+
+	// Table 8: true clone × snippet TP × contract TP.
+	if res.Manual.SampleSize != 100 {
+		t.Errorf("Table 8 sample: %d, want 100", res.Manual.SampleSize)
+	}
+	for _, clone := range []bool{false, true} {
+		for _, snippetTP := range []bool{false, true} {
+			for _, contractTP := range []bool{false, true} {
+				want := 0
+				switch {
+				case clone && snippetTP && contractTP:
+					want = 67
+				case clone && !snippetTP && !contractTP:
+					want = 33
+				}
+				if got := res.Manual.Counts[clone][snippetTP][contractTP]; got != want {
+					t.Errorf("Table 8 clone=%v snippet=%v contract=%v: %d, want %d", clone, snippetTP, contractTP, got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestFunnelShape(t *testing.T) {

@@ -1,9 +1,11 @@
-// Package remote lifts the in-process scatter-gather seam over the network:
-// a router node fans one /v1/match query out to shard nodes that each own a
-// hash partition of the corpus, ships the current admission bound with every
-// request so remote shards prune exactly like local generation-shards, and
-// merges the per-shard top-K responses through the same bounded heap the
-// single-process path uses.
+// Package remote lifts the in-process scatter-gather over the network: a
+// router node fans one /v1/match query out to shard nodes that each own a
+// hash partition of the corpus. There is one gather loop, service.Gather,
+// and two partition scans plugged into it: a local generation-shard's
+// segment scan (service.Corpus) and this package's shard request. Gather
+// owns the waves, the shared admission bound, the merge (ties by id), the
+// overload abort and partial answers; the shard request ships the bound as
+// it stands, so remote shards prune exactly like local generation-shards.
 //
 // The design follows the FAT principle that shaped the in-memory layout:
 // keep hot data where the compute is and move only what the decision needs.
@@ -13,14 +15,15 @@
 //
 // The package has three layers: wire types (this file), a persistent-
 // connection HTTP client (client.go) with a consistent-hash ring for
-// partition assignment (ring.go), and the Router (router.go) that owns
-// fanout waves, bound tightening, hedged reads, and degraded-mode merging.
+// partition assignment (ring.go), and the Router (router.go) whose shard
+// request carries bound shipping, hedged reads and replica failover.
 package remote
 
 import (
 	"fmt"
 
 	"repro/internal/ccd"
+	"repro/internal/service"
 )
 
 // ShardMatchRequest is the body of POST /v1/shard/match: one query against
@@ -62,12 +65,9 @@ type ShardMatchStats struct {
 }
 
 // ShardMatchResponse is the body a shard node returns: its partition-local
-// top K (best first), the bound its collector ended at (≥ the shipped
-// bound; the router folds it back before the next wave), and the scan
-// funnel.
+// top K (best first) and the scan funnel.
 type ShardMatchResponse struct {
 	Matches []Match         `json:"matches"`
-	Bound   float64         `json:"bound"`
 	Stats   ShardMatchStats `json:"stats"`
 	// Degraded names the quality reductions applied shard-side ("deadline"
 	// when the shipped budget expired mid-scan and Matches is a best-effort
@@ -119,6 +119,12 @@ func (e *StatusError) Error() string {
 // rather than failing — the router forwards these, Retry-After intact.
 func (e *StatusError) Overloaded() bool {
 	return e.Status == 429 || e.Status == 503
+}
+
+// Is makes an overloaded StatusError match service.ErrOverloaded, the
+// backpressure service.Gather aborts a fan-out on.
+func (e *StatusError) Is(target error) bool {
+	return target == service.ErrOverloaded && e.Overloaded()
 }
 
 // toCCDMatches converts wire matches to ccd.Match for the merge heap.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/ccd"
+	"repro/internal/service"
 	"repro/internal/trace"
 )
 
@@ -24,7 +25,8 @@ type Config struct {
 	// Waves is how many sequential groups the fanout is split into
 	// (parallel within a group). More waves ship tighter bounds to later
 	// shards at the cost of serialized RTTs; 0 defaults to 2, which prices
-	// one extra RTT for a bound already tightened by half the fleet.
+	// one extra RTT for a bound already tightened by half the fleet, and
+	// more waves than targets means one target a wave.
 	Waves int
 	// HedgeP99 enables hedged reads: when a shard's rolling p99 exceeds it,
 	// the request is raced against the partition's replica and the first
@@ -41,11 +43,12 @@ type Config struct {
 	Client *Client
 }
 
-// Router fans one match query out over remote shard nodes and merges the
-// per-partition top-K responses through the same bounded heap the
-// single-process scatter-gather uses. Between waves it re-reads the shared
-// admission bound, so evidence from the first shards prices the scans on
-// the rest — the network analogue of the in-process AtomicBound.
+// Router fans one match query out over remote shard nodes through
+// service.Gather, the scatter-gather loop a single-process corpus runs over
+// its generation-shards; the router supplies only the per-partition request.
+// Every request ships the shared admission bound as it stands, so evidence
+// from the first waves prices the scans on the rest — the network analogue
+// of the in-process AtomicBound.
 //
 // A Router is safe for concurrent use.
 type Router struct {
@@ -71,9 +74,6 @@ func NewRouter(cfg Config) *Router {
 	}
 	if cfg.Waves <= 0 {
 		cfg.Waves = 2
-	}
-	if cfg.Waves > len(cfg.Targets) {
-		cfg.Waves = len(cfg.Targets)
 	}
 	if cfg.Client == nil {
 		cfg.Client = NewClient(30 * time.Second)
@@ -122,12 +122,13 @@ type Result struct {
 	Degraded bool
 }
 
-// Match fans the query out over all partitions in waves, shipping the
-// current admission bound with each request, and merges shard responses
-// best-first. A shard that pushes back with 429/503 aborts the query and
-// the *StatusError (Retry-After intact) propagates to the caller; a shard
-// that is unreachable degrades the result to Partial instead. An error is
-// returned only when no partition answered.
+// Match fans the query out over all partitions through service.Gather in
+// cfg.Waves waves, shipping the current admission bound with each request.
+// A shard that pushes back with 429/503 aborts the query and the
+// *StatusError (Retry-After intact) propagates to the caller; a shard that
+// is unreachable degrades the result to Partial instead, and the request
+// budget running out between waves degrades it to Partial and Degraded. An
+// error is returned only when no partition answered.
 func (r *Router) Match(ctx context.Context, fingerprint string, k int) (Result, error) {
 	r.fanouts.Add(1)
 	start := time.Now()
@@ -138,99 +139,61 @@ func (r *Router) Match(ctx context.Context, fingerprint string, k int) (Result, 
 	span.AnnotateInt("shards", int64(r.N()))
 	span.AnnotateInt("waves", int64(r.cfg.Waves))
 
-	bound := ccd.NewAtomicBound(r.cfg.Epsilon)
-	var mu sync.Mutex
-	merged := ccd.NewTopK(k, r.cfg.Epsilon).Share(bound)
-	res := Result{}
-	failed := 0
-	var overload *StatusError
-	var firstErr error
-
-	waves := r.waves()
-	for _, wave := range waves {
-		var wg sync.WaitGroup
-		for _, part := range wave {
-			// Snapshot the bound once per request: this is the value the
-			// shard prunes with, and what the savings counter attributes.
-			// The remaining budget snapshots the same way — each wave ships
-			// what is left *now*, so a shard started late inherits a smaller
-			// budget and self-cancels instead of being abandoned.
-			shipped := 0.0
-			if !r.cfg.NoBoundShip {
-				shipped = bound.Load()
-			}
-			wg.Add(1)
-			go func(part int, shipped float64) {
-				defer wg.Done()
-				resp, err := r.queryShard(ctx, part, ShardMatchRequest{
-					Fingerprint: fingerprint,
-					K:           k,
-					Bound:       shipped,
-					BudgetMs:    remainingBudgetMs(ctx),
-				})
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					r.shardErrs[part].Add(1)
-					var se *StatusError
-					if errors.As(err, &se) && se.Overloaded() && overload == nil {
-						overload = se
-					}
-					if firstErr == nil {
-						firstErr = err
-					}
-					failed++
-					return
-				}
-				for _, m := range toCCDMatches(resp.Matches) {
-					merged.Offer(m)
-				}
-				res.Stats.Candidates += resp.Stats.Candidates
-				res.Stats.FilterPruned += resp.Stats.FilterPruned
-				res.Stats.Scored += resp.Stats.Scored
-				res.Stats.CutoffSkipped += resp.Stats.CutoffSkipped
-				res.Stats.Abandoned += resp.Stats.Abandoned
-				if len(resp.Degraded) > 0 {
-					res.Degraded = true
-				}
-				if shipped > 0 {
-					r.boundShipSavings.Add(int64(resp.Stats.CutoffSkipped))
-				}
-			}(part, shipped)
-		}
-		wg.Wait()
-		if overload != nil {
-			// A shard is shedding load: stop fanning out and surface its
-			// backpressure verbatim rather than hammering the rest.
-			return Result{}, overload
-		}
-		if err := ctx.Err(); err != nil {
-			if !errors.Is(err, context.DeadlineExceeded) {
-				// The client hung up — nobody is waiting for a partial.
-				return Result{}, err
-			}
-			// The request budget ran out between waves: answer with what the
-			// shards that ran produced rather than abandoning the query.
-			res.Degraded = true
-			res.Partial = true
-			r.partials.Add(1)
-			res.Matches = merged.Results()
-			span.AnnotateInt("scored", int64(res.Stats.Scored))
-			span.Annotate("degraded", "deadline")
-			return res, nil
-		}
+	scan := func(part int, bound *ccd.AtomicBound) ([]ccd.Match, ccd.MatchStats, error) {
+		return r.scanShard(ctx, part, fingerprint, k, bound)
 	}
-	if failed == r.N() {
-		return Result{}, firstErr
+	g, err := service.Gather(ctx, r.N(), r.cfg.Waves, k, ccd.NewAtomicBound(r.cfg.Epsilon), scan)
+	degraded := errors.Is(err, service.ErrBudgetExhausted)
+	if err != nil && !degraded {
+		return Result{}, err
 	}
-	if failed > 0 {
-		res.Partial = true
+	if g.Partial {
 		r.partials.Add(1)
+		span.Annotate("partial", "true")
 	}
-	res.Matches = merged.Results()
-	span.AnnotateInt("scored", int64(res.Stats.Scored))
-	span.AnnotateInt("failed", int64(failed))
-	return res, nil
+	if degraded {
+		span.Annotate("degraded", "deadline")
+	}
+	span.AnnotateInt("scored", int64(g.Stats.Scored))
+	return Result{Matches: g.Matches, Stats: g.Stats, Partial: g.Partial, Degraded: degraded}, nil
+}
+
+// scanShard is the remote partition scan: one shard request carrying the
+// bound as it stands when the request leaves (0 under NoBoundShip) and the
+// remaining budget. Both are snapshots: the shipped bound is the value the
+// shard prunes with and what the savings counter attributes, and a shard
+// asked in a later wave inherits a smaller budget and self-cancels instead
+// of being abandoned. A shard that answered degraded returns its partial
+// top K with service.ErrBudgetExhausted.
+func (r *Router) scanShard(ctx context.Context, part int, fingerprint string, k int, bound *ccd.AtomicBound) ([]ccd.Match, ccd.MatchStats, error) {
+	shipped := 0.0
+	if !r.cfg.NoBoundShip {
+		shipped = bound.Load()
+	}
+	resp, err := r.queryShard(ctx, part, ShardMatchRequest{
+		Fingerprint: fingerprint,
+		K:           k,
+		Bound:       shipped,
+		BudgetMs:    remainingBudgetMs(ctx),
+	})
+	if err != nil {
+		r.shardErrs[part].Add(1)
+		return nil, ccd.MatchStats{}, err
+	}
+	if shipped > 0 {
+		r.boundShipSavings.Add(int64(resp.Stats.CutoffSkipped))
+	}
+	st := ccd.MatchStats{
+		Candidates:    resp.Stats.Candidates,
+		FilterPruned:  resp.Stats.FilterPruned,
+		Scored:        resp.Stats.Scored,
+		CutoffSkipped: resp.Stats.CutoffSkipped,
+		Abandoned:     resp.Stats.Abandoned,
+	}
+	if len(resp.Degraded) > 0 {
+		err = service.ErrBudgetExhausted
+	}
+	return toCCDMatches(resp.Matches), st, err
 }
 
 // remainingBudgetMs snapshots the budget left on ctx in whole milliseconds
@@ -252,26 +215,6 @@ func remainingBudgetMs(ctx context.Context) int64 {
 	return ms
 }
 
-// waves splits the partition indices into cfg.Waves contiguous groups of
-// near-equal size.
-func (r *Router) waves() [][]int {
-	n := r.N()
-	w := r.cfg.Waves
-	out := make([][]int, 0, w)
-	for i := 0; i < w; i++ {
-		lo, hi := i*n/w, (i+1)*n/w
-		if lo == hi {
-			continue
-		}
-		wave := make([]int, 0, hi-lo)
-		for p := lo; p < hi; p++ {
-			wave = append(wave, p)
-		}
-		out = append(out, wave)
-	}
-	return out
-}
-
 // queryShard runs one partition's request against its primary, hedging to
 // or failing over to the replica when one exists.
 func (r *Router) queryShard(ctx context.Context, part int, req ShardMatchRequest) (ShardMatchResponse, error) {
@@ -287,8 +230,7 @@ func (r *Router) queryShard(ctx context.Context, part int, req ShardMatchRequest
 		r.lat[part].observe(time.Since(start))
 		return resp, nil
 	}
-	var se *StatusError
-	if errors.As(err, &se) && se.Overloaded() {
+	if errors.Is(err, service.ErrOverloaded) {
 		// Backpressure is propagated, not failed over: the replica serves
 		// availability, not extra capacity the primary just refused to add.
 		return resp, err
@@ -329,8 +271,7 @@ func (r *Router) hedge(ctx context.Context, part int, primary, replica string, r
 		if o.err == nil {
 			return o.resp, nil
 		}
-		var se *StatusError
-		if errors.As(o.err, &se) && se.Overloaded() {
+		if errors.Is(o.err, service.ErrOverloaded) {
 			// One leg shedding load does not decide the hedge: the other may
 			// still answer — the replica exists to serve availability, same
 			// rationale as queryShard's failover. Only when both legs fail

@@ -500,21 +500,21 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if s.router != nil {
-		s.routerMatch(w, r, req)
-		return
-	}
 	batch := len(req.Sources) > 0 || len(req.Fingerprints) > 0
 	if batch && (req.Source != "" || req.Fingerprint != "") {
 		writeError(w, http.StatusBadRequest, "mix of single and batch fields: use either \"source\"/\"fingerprint\" or \"sources\"/\"fingerprints\"")
 		return
 	}
+	if !batch && req.Source == "" && req.Fingerprint == "" {
+		writeError(w, http.StatusBadRequest, "provide \"source\" or \"fingerprint\"")
+		return
+	}
+	if s.router != nil {
+		s.routerMatch(w, r, req)
+		return
+	}
 	ctx := r.Context() // a disconnected client cancels in-flight scatter-gather work
 	if !batch {
-		if req.Source == "" && req.Fingerprint == "" {
-			writeError(w, http.StatusBadRequest, "provide \"source\" or \"fingerprint\"")
-			return
-		}
 		var resp MatchResponse
 		if err := s.engine.DoCtx(ctx, func() {
 			resp = s.matchOne(ctx, req)
@@ -549,7 +549,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 		for i := range resp.Results[:len(req.Sources)] {
 			if ran[i] {
-				resp.Results[i] = s.toMatchResponse(req, mss[i], stats[i], errs[i])
+				resp.Results[i] = s.toMatchResponse(req, req.Limit, mss[i], stats[i], errs[i])
 			} else {
 				// Skipped by a mid-batch deadline expiry: marked degraded,
 				// never a silent empty result.
@@ -567,7 +567,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 				if err != nil && !errors.Is(err, service.ErrBudgetExhausted) {
 					return // only ctx errors reach here
 				}
-				resp.Results[len(req.Sources)+i] = s.toMatchResponse(req, ms, st, err)
+				resp.Results[len(req.Sources)+i] = s.toMatchResponse(req, req.Limit, ms, st, err)
 			}
 		}); err != nil && !service.DeadlineExpired(ctx) {
 			return
@@ -597,7 +597,7 @@ func (s *Server) matchSources(ctx context.Context, req MatchRequest) ([][]ccd.Ma
 // matchOne serves the single-query form of /v1/match, applying the tier-1
 // degradation (halved effective limit) when the pressure ladder says so.
 func (s *Server) matchOne(ctx context.Context, req MatchRequest) MatchResponse {
-	limit, halved := s.effectiveLimit(req.Limit)
+	limit := s.effectiveLimit(req.Limit)
 	var ms []ccd.Match
 	var st ccd.MatchStats
 	var err error
@@ -606,26 +606,24 @@ func (s *Server) matchOne(ctx context.Context, req MatchRequest) MatchResponse {
 	} else {
 		ms, st, err = s.engine.MatchFingerprint(ctx, ccd.Fingerprint(req.Fingerprint), limit)
 	}
-	resp := s.toMatchResponse(req, ms, st, err)
-	if halved {
-		resp.EffectiveLimit = limit
-		resp.Degraded = append(resp.Degraded, "limit")
-	}
-	return resp
+	return s.toMatchResponse(req, limit, ms, st, err)
 }
 
 // effectiveLimit applies the tier-1 quality degradation: under pressure the
 // requested top-K is halved, trading result depth for scan work. Unbounded
 // requests (limit ≤ 1) pass through — there is no meaningful half.
-func (s *Server) effectiveLimit(limit int) (int, bool) {
+func (s *Server) effectiveLimit(limit int) int {
 	if limit > 1 && s.engine.DegradeTier() >= 1 {
 		s.engine.NoteLimitHalved()
-		return limit / 2, true
+		return limit / 2
 	}
-	return limit, false
+	return limit
 }
 
-func (s *Server) toMatchResponse(req MatchRequest, ms []ccd.Match, st ccd.MatchStats, err error) MatchResponse {
+// toMatchResponse shapes one query's answer, on a single node and a router
+// alike: limit is the top K the query ran with, and one below the request's
+// own marks the tier-1 halving.
+func (s *Server) toMatchResponse(req MatchRequest, limit int, ms []ccd.Match, st ccd.MatchStats, err error) MatchResponse {
 	resp := MatchResponse{Matches: make([]Match, len(ms))}
 	for i, m := range ms {
 		resp.Matches[i] = Match{ID: m.ID, Score: m.Score}
@@ -640,10 +638,18 @@ func (s *Server) toMatchResponse(req MatchRequest, ms []ccd.Match, st ccd.MatchS
 	if err != nil {
 		resp.Error = err.Error()
 	}
+	if limit != req.Limit {
+		resp.EffectiveLimit = limit
+		resp.Degraded = append(resp.Degraded, "limit")
+	}
 	if req.Explain {
+		shards := s.engine.Corpus().Shards()
+		if s.router != nil {
+			shards = s.router.N()
+		}
 		resp.Explain = &MatchExplain{
 			Backend:       service.BackendCCD,
-			Shards:        s.engine.Corpus().Shards(),
+			Shards:        shards,
 			Limit:         req.Limit,
 			Candidates:    st.Candidates,
 			FilterPruned:  st.FilterPruned,

@@ -51,8 +51,7 @@ func (s *Server) ownsID(id string) bool {
 // handleShardMatch serves POST /v1/shard/match: one partition-local match
 // with the router's shipped admission bound seeding the local scatter-
 // gather, so this shard prunes against evidence other partitions already
-// produced. The response carries the bound the scan ended at — the router
-// folds it back before the next wave.
+// produced.
 func (s *Server) handleShardMatch(w http.ResponseWriter, r *http.Request) {
 	var req remote.ShardMatchRequest
 	if !decode(w, r, &req) {
@@ -84,18 +83,17 @@ func (s *Server) handleShardMatch(w http.ResponseWriter, r *http.Request) {
 			ctx = service.WithBudget(ctx, service.Budget{Deadline: deadline})
 		}
 	}
-	bound := ccd.NewAtomicBound(req.Bound)
 	var ms []ccd.Match
 	var st ccd.MatchStats
 	var err error
 	if derr := s.engine.DoCtx(ctx, func() {
-		ms, st, err = s.engine.Corpus().MatchTopKCtx(ctx, ccd.Fingerprint(req.Fingerprint), req.K, bound)
+		ms, st, err = s.engine.Corpus().MatchTopKCtx(ctx, ccd.Fingerprint(req.Fingerprint), req.K, ccd.NewAtomicBound(req.Bound))
 	}); derr != nil {
 		if req.BudgetMs > 0 && errors.Is(derr, context.DeadlineExceeded) {
 			// The shipped budget drained while queued: an honest (empty)
 			// degraded response beats a 504 the router must write off.
 			writeJSON(w, http.StatusOK, remote.ShardMatchResponse{
-				Matches: []remote.Match{}, Bound: bound.Load(), Degraded: []string{"deadline"},
+				Matches: []remote.Match{}, Degraded: []string{"deadline"},
 			})
 		}
 		return // client gone while queued
@@ -113,7 +111,6 @@ func (s *Server) handleShardMatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := remote.ShardMatchResponse{
 		Matches: make([]remote.Match, len(ms)),
-		Bound:   bound.Load(),
 		Stats: remote.ShardMatchStats{
 			Candidates:    st.Candidates,
 			FilterPruned:  st.FilterPruned,
@@ -220,112 +217,64 @@ func writeRemoteError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadGateway, "shard request failed: "+err.Error())
 }
 
-// routerMatch serves /v1/match in router mode: every query fans out over
-// the shard fleet through the router's wave scheduler and merges remotely
-// scanned top-K lists. Sources are fingerprinted locally (CPU work stays on
-// the router's pool); only fingerprints and bounds cross the network.
+// routerMatch serves a validated /v1/match in router mode: every query fans
+// out over the shard fleet through Router.Match, one after another, and a
+// shard failure fails the request.
 func (s *Server) routerMatch(w http.ResponseWriter, r *http.Request, req MatchRequest) {
 	ctx := r.Context()
-	batch := len(req.Sources) > 0 || len(req.Fingerprints) > 0
-	if batch && (req.Source != "" || req.Fingerprint != "") {
-		writeError(w, http.StatusBadRequest, "mix of single and batch fields: use either \"source\"/\"fingerprint\" or \"sources\"/\"fingerprints\"")
-		return
-	}
-	if !batch {
-		if req.Source == "" && req.Fingerprint == "" {
-			writeError(w, http.StatusBadRequest, "provide \"source\" or \"fingerprint\"")
-			return
-		}
-		fp, ok := s.routerFingerprint(ctx, req.Source, req.Fingerprint)
-		if !ok {
-			return
-		}
-		resp, err := s.routerMatchFP(ctx, req, fp)
+	var results []MatchResponse
+	one := func(source, fp string) bool {
+		resp, err := s.routerMatchFP(ctx, req, source, fp)
 		if err != nil {
 			if ctx.Err() == nil {
 				writeRemoteError(w, err)
 			}
-			return
+			return false
 		}
-		writeJSON(w, http.StatusOK, resp)
+		results = append(results, resp)
+		return true
+	}
+	if len(req.Sources) == 0 && len(req.Fingerprints) == 0 {
+		if one(req.Source, req.Fingerprint) {
+			writeJSON(w, http.StatusOK, results[0])
+		}
 		return
 	}
-	resp := MatchBatchResponse{Results: make([]MatchResponse, 0, len(req.Sources)+len(req.Fingerprints))}
 	for _, src := range req.Sources {
-		fp, ok := s.routerFingerprint(ctx, src, "")
-		if !ok {
+		if !one(src, "") {
 			return
 		}
-		one, err := s.routerMatchFP(ctx, req, fp)
-		if err != nil {
-			if ctx.Err() == nil {
-				writeRemoteError(w, err)
-			}
-			return
-		}
-		resp.Results = append(resp.Results, one)
 	}
 	for _, fp := range req.Fingerprints {
-		one, err := s.routerMatchFP(ctx, req, fp)
-		if err != nil {
-			if ctx.Err() == nil {
-				writeRemoteError(w, err)
-			}
+		if !one("", fp) {
 			return
 		}
-		resp.Results = append(resp.Results, one)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, MatchBatchResponse{Results: results})
 }
 
-// routerFingerprint resolves a query to a fingerprint, running source
-// fingerprinting on the engine pool. ok=false means the client is gone.
-func (s *Server) routerFingerprint(ctx context.Context, source, fingerprint string) (string, bool) {
-	if source == "" {
-		return fingerprint, true
+// routerMatchFP routes one query and shapes the API response through
+// toMatchResponse, as the single-node path does. A source is fingerprinted
+// on the router's pool (parse issues still yield a partial fingerprint), so
+// only fingerprints and bounds cross the network.
+func (s *Server) routerMatchFP(ctx context.Context, req MatchRequest, source, fp string) (MatchResponse, error) {
+	if source != "" {
+		var f ccd.Fingerprint
+		if err := s.engine.DoCtx(ctx, func() { f, _ = s.engine.Fingerprint(source) }); err != nil {
+			return MatchResponse{}, err // client gone while queued
+		}
+		fp = string(f)
 	}
-	var fp ccd.Fingerprint
-	if err := s.engine.DoCtx(ctx, func() {
-		// Parse issues still yield a partial fingerprint, same as the
-		// single-process match path.
-		fp, _ = s.engine.Fingerprint(source)
-	}); err != nil {
-		return "", false
-	}
-	return string(fp), true
-}
-
-// routerMatchFP routes one fingerprint query and shapes the API response.
-func (s *Server) routerMatchFP(ctx context.Context, req MatchRequest, fp string) (MatchResponse, error) {
-	limit, halved := s.effectiveLimit(req.Limit)
+	limit := s.effectiveLimit(req.Limit)
 	res, err := s.router.Match(ctx, fp, limit)
 	if err != nil {
 		return MatchResponse{}, err
 	}
-	resp := MatchResponse{Matches: make([]Match, len(res.Matches)), Partial: res.Partial}
-	for i, m := range res.Matches {
-		resp.Matches[i] = Match{ID: m.ID, Score: m.Score}
-	}
 	if res.Degraded {
-		resp.Partial = true
-		resp.Degraded = append(resp.Degraded, "deadline")
+		err = service.ErrBudgetExhausted
 	}
-	if halved {
-		resp.EffectiveLimit = limit
-		resp.Degraded = append(resp.Degraded, "limit")
-	}
-	if req.Explain {
-		resp.Explain = &MatchExplain{
-			Backend:       service.BackendCCD,
-			Shards:        s.router.N(),
-			Limit:         req.Limit,
-			Candidates:    res.Stats.Candidates,
-			FilterPruned:  res.Stats.FilterPruned,
-			Scored:        res.Stats.Scored,
-			CutoffSkipped: res.Stats.CutoffSkipped,
-			Abandoned:     res.Stats.Abandoned,
-		}
-	}
+	resp := s.toMatchResponse(req, limit, res.Matches, res.Stats, err)
+	resp.Partial = resp.Partial || res.Partial
 	return resp, nil
 }
 

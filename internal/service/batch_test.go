@@ -483,24 +483,6 @@ func pairwiseCascade(segs []*ccd.Corpus) []*ccd.Corpus {
 	return segs
 }
 
-// sameTopK compares two top-K answers on scores, and on ids off the tie
-// plateau: where more documents tie on the last score served than fit, which
-// of them are served is not part of the contract.
-func sameTopK(got, want []ccd.Match) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i].Score != want[i].Score {
-			return false
-		}
-		if got[i].Score > got[len(got)-1].Score && got[i].ID != want[i].ID {
-			return false
-		}
-	}
-	return true
-}
-
 // TestSingleBuildCascadeEqualsPairwise is the compaction property: building
 // the merged segment once, over however many segments the geometric cascade
 // reaches, leaves after every publish the segment sizes — and in the end the
@@ -576,7 +558,7 @@ func TestSingleBuildCascadeEqualsPairwise(t *testing.T) {
 		for _, k := range []int{1, 5, 10, 0} {
 			got, _ := batched.MatchTopK(q, k)
 			want, _ := oneByOne.MatchTopK(q, k)
-			if !sameTopK(got, want) {
+			if !reflect.DeepEqual(got, want) { // every id, tie plateaus included
 				t.Fatalf("query %d, k=%d: batched corpus answers\n%v\none-by-one corpus\n%v", qi, k, got, want)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -27,10 +28,11 @@ import (
 // logarithmically — so ingest on one shard never contends with ingest on
 // another, and matching never takes a lock at all.
 //
-// Matching is scatter-gather: MatchTopK fans the query out to every shard in
-// parallel, the shards share one atomic admission bound (a strong match found
-// in any shard immediately tightens the pruning cutoff of all the others),
-// and the per-shard top-K lists merge through one bounded heap. The whole
+// Matching is scatter-gather through Gather, the loop a router shares over
+// remote shard nodes: MatchTopK scans every shard in parallel, the shards
+// share one atomic admission bound (a strong match found in any shard
+// immediately tightens the pruning cutoff of all the others), and the
+// per-shard top-K lists merge through one bounded heap. The whole
 // fan-out is context-cancellable: a disconnected client stops the scan at
 // the next segment boundary.
 //
@@ -347,19 +349,17 @@ func (c *Corpus) MatchTopK(fp ccd.Fingerprint, k int) ([]ccd.Match, ccd.MatchSta
 	return ms, stats
 }
 
-// MatchTopKCtx scatter-gathers fp's k best matches (k ≤ 0: all) across the
-// shards: the query is prepared once, each shard scans its immutable
-// generation in parallel, all shards share one atomic admission bound, and
-// the per-shard top-K lists merge through one bounded heap. A cancelled ctx
-// stops the scan at the next segment boundary and returns ctx.Err() with no
-// matches; a request budget on ctx that expires mid-scan returns the
-// best-effort partial top-K with ErrBudgetExhausted.
+// MatchTopKCtx finds fp's k best matches (k ≤ 0: all) across the shards: the
+// query is prepared once and Gather scans every shard's immutable generation
+// in one parallel wave. A cancelled ctx stops the scan at the next segment
+// boundary and returns ctx.Err() with no matches; a request budget on ctx
+// that expires mid-scan returns the best-effort partial top-K with
+// ErrBudgetExhausted.
 //
 // bound, when non-nil, seeds the admission bound. A shard node serving a
 // routed query passes the bound shipped by the router, so the local scan
 // prunes against evidence other partitions have already produced — exactly
-// as a local generation-shard prunes against its siblings — and reads the
-// bound the scan ended at back out of it. The bound only ever rises.
+// as a local generation-shard prunes against its siblings.
 func (c *Corpus) MatchTopKCtx(ctx context.Context, fp ccd.Fingerprint, k int, bound *ccd.AtomicBound) ([]ccd.Match, ccd.MatchStats, error) {
 	if bound == nil {
 		bound = ccd.NewAtomicBound(0)
@@ -373,99 +373,56 @@ func (c *Corpus) MatchTopKCtx(ctx context.Context, fp ccd.Fingerprint, k int, bo
 		opts.Abandon = func() bool { return !time.Now().Before(scanDeadline) }
 	}
 
-	type shardResult struct {
-		ms        []ccd.Match
-		stats     ccd.MatchStats
-		truncated bool
-	}
-	results := make([]shardResult, len(c.shards))
-	scan := func(i int) {
+	scan := func(i int, bound *ccd.AtomicBound) (ms []ccd.Match, stats ccd.MatchStats, err error) {
 		_, sp := trace.Start(ctx, "shard.scan")
 		sp.AnnotateInt("shard", int64(i))
 		start := time.Now()
 		sh := c.shards[i]
 		g := sh.gen.Load()
-		res := &results[i]
 		mb := ccd.GetMatchBuffer()
 		defer func() {
 			mb.Release()
 			sh.scanNs.Add(time.Since(start).Nanoseconds())
 			sp.AnnotateInt("segments", int64(len(g.segments)))
-			sp.AnnotateInt("candidates", int64(res.stats.Candidates))
-			sp.AnnotateInt("scored", int64(res.stats.Scored))
-			sp.AnnotateInt("filter_ns", res.stats.FilterNs)
-			sp.AnnotateInt("score_ns", res.stats.ScoreNs)
+			sp.AnnotateInt("candidates", int64(stats.Candidates))
+			sp.AnnotateInt("scored", int64(stats.Scored))
+			sp.AnnotateInt("filter_ns", stats.FilterNs)
+			sp.AnnotateInt("score_ns", stats.ScoreNs)
 			sp.End()
 		}()
 		// One collector per segment, re-armed in place: each applies ε and
-		// the shared bound on its own, and the merge below settles ties.
+		// the shared bound on its own, and Gather's merge settles ties.
 		var col ccd.TopK
 		for _, seg := range g.segments {
 			if ctx.Err() != nil || (opts.Abandon != nil && opts.Abandon()) {
-				res.truncated = true
-				return
+				return ms, stats, ErrBudgetExhausted
 			}
 			st := seg.MatchInto(q, col.Reset(k, c.cfg.Epsilon).Share(bound), mb, opts)
-			res.ms = col.AppendResults(res.ms)
-			res.stats.Add(st)
+			ms = col.AppendResults(ms)
+			stats.Add(st)
 		}
 		sh.matches.Add(1)
-		sh.candidates.Add(int64(res.stats.Candidates))
-		sh.scored.Add(int64(res.stats.Scored))
+		sh.candidates.Add(int64(stats.Candidates))
+		sh.scored.Add(int64(stats.Scored))
+		return ms, stats, nil
 	}
-	if len(c.shards) == 1 {
-		scan(0)
-	} else {
-		var wg sync.WaitGroup
-		for i := range c.shards {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				scan(i)
-			}(i)
-		}
-		wg.Wait()
-	}
-
-	_, merge := trace.Start(ctx, "match.merge")
-	var stats ccd.MatchStats
-	offered := 0
-	truncated := false
-	col := ccd.NewTopK(k, 0) // per-segment collectors already applied ε
-	for i := range results {
-		stats.Add(results[i].stats)
-		truncated = truncated || results[i].truncated
-		for _, m := range results[i].ms {
-			col.Offer(m)
-			offered++
-		}
-	}
-	truncated = truncated || stats.Abandoned > 0
-	merge.AnnotateInt("offered", int64(offered))
-	merge.End()
+	g, err := Gather(ctx, len(c.shards), 1, k, bound, scan)
 	// Partial work (candidates, pruning) is real even when the query is
 	// cancelled; only completed queries count as matches, mirroring the
-	// per-shard counters (which the cancellation early-return also skips).
-	c.candidates.Add(int64(stats.Candidates))
-	c.filterPruned.Add(int64(stats.FilterPruned))
-	c.scored.Add(int64(stats.Scored))
-	c.cutoffSkipped.Add(int64(stats.CutoffSkipped))
-	if err := ctx.Err(); err != nil {
-		if DeadlineExpired(ctx) {
-			// Time ran out but the client is still listening: hand back the
-			// best-effort partial top-K instead of an empty error.
-			c.degradedReads.Add(1)
-			return col.Results(), stats, ErrBudgetExhausted
-		}
-		c.cancelledReads.Add(1)
-		return nil, stats, err
-	}
-	if truncated {
+	// per-shard counters (which a scan stopped early also skips).
+	c.candidates.Add(int64(g.Stats.Candidates))
+	c.filterPruned.Add(int64(g.Stats.FilterPruned))
+	c.scored.Add(int64(g.Stats.Scored))
+	c.cutoffSkipped.Add(int64(g.Stats.CutoffSkipped))
+	switch {
+	case err == nil:
+		c.matches.Add(1)
+	case errors.Is(err, ErrBudgetExhausted):
 		c.degradedReads.Add(1)
-		return col.Results(), stats, ErrBudgetExhausted
+	default:
+		c.cancelledReads.Add(1)
 	}
-	c.matches.Add(1)
-	return col.Results(), stats, nil
+	return g.Matches, g.Stats, err
 }
 
 // entryMultiset returns the multiset of indexed (id, fingerprint) pairs,

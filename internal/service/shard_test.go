@@ -102,22 +102,7 @@ func TestShardedMatchTopKEqualsSingleCorpusPrefix(t *testing.T) {
 // resolve by id there, so the k-th place id is pinned deterministic for
 // every shard count and every k straddling a tie group.
 func TestShardedTopKTieAtBound(t *testing.T) {
-	base := ccd.Fingerprint("QxRtYuIoPAbCdEfGhZvNmQwErTy")
-	near := ccd.Fingerprint("QxRtYuIoPAbCdEfGhZvNmQwErTz") // 1 edit: one shared sub-score tier
-	far := ccd.Fingerprint("QxRtYuIoPAbCdEfGhZvNmQwEraa")  // 2 edits: a lower tier
-	var entries []ccd.Entry
-	// 12 exact duplicates (score 100), 8 one-edit copies (one identical
-	// intermediate score), 6 two-edit copies: three plateaus of exact ties.
-	// Ids interleave so every tie group spans every shard.
-	for i := 0; i < 12; i++ {
-		entries = append(entries, ccd.Entry{ID: fmt.Sprintf("dup-%02d", i), FP: base})
-	}
-	for i := 0; i < 8; i++ {
-		entries = append(entries, ccd.Entry{ID: fmt.Sprintf("near-%02d", i), FP: near})
-	}
-	for i := 0; i < 6; i++ {
-		entries = append(entries, ccd.Entry{ID: fmt.Sprintf("far-%02d", i), FP: far})
-	}
+	base, entries := TieAtBoundFixture()
 
 	single := ccd.NewCorpus(ccd.DefaultConfig)
 	for _, e := range entries {
@@ -138,6 +123,28 @@ func TestShardedTopKTieAtBound(t *testing.T) {
 	}
 
 	assertShardedTiesMatchReference(t, entries, base, reference)
+}
+
+// TieAtBoundFixture is the corpus and query of TestShardedTopKTieAtBound: 12
+// exact duplicates of the query (score 100), 8 one-edit copies (one
+// identical intermediate score), 6 two-edit copies — three plateaus of exact
+// ties. Ids interleave so every tie group spans every shard. Exported for the
+// partition-kind test in gather_test.go.
+func TieAtBoundFixture() (ccd.Fingerprint, []ccd.Entry) {
+	base := ccd.Fingerprint("QxRtYuIoPAbCdEfGhZvNmQwErTy")
+	near := ccd.Fingerprint("QxRtYuIoPAbCdEfGhZvNmQwErTz") // 1 edit: one shared sub-score tier
+	far := ccd.Fingerprint("QxRtYuIoPAbCdEfGhZvNmQwEraa")  // 2 edits: a lower tier
+	var entries []ccd.Entry
+	for i := 0; i < 12; i++ {
+		entries = append(entries, ccd.Entry{ID: fmt.Sprintf("dup-%02d", i), FP: base})
+	}
+	for i := 0; i < 8; i++ {
+		entries = append(entries, ccd.Entry{ID: fmt.Sprintf("near-%02d", i), FP: near})
+	}
+	for i := 0; i < 6; i++ {
+		entries = append(entries, ccd.Entry{ID: fmt.Sprintf("far-%02d", i), FP: far})
+	}
+	return base, entries
 }
 
 // assertShardedTiesMatchReference fills a corpus of every shard count with
@@ -189,26 +196,11 @@ func assertShardedTiesMatchReference(t *testing.T, entries []ccd.Entry, query cc
 // to reject every later member. The plateau's members arrive largest id
 // first, so dropping late arrivals drops exactly the ids the answer wants.
 func TestShardedTopKTieAtBoundMultiSub(t *testing.T) {
-	const (
-		head = "QxRtYuIoPAbCdEfGhZvNmQwErTyUi" // 29 bytes
-		rest = ".aSdFgHjKlZx.cVbNmQwErTyU.iOpLkJhGfDsA.zXcVbNmLkJh"
-	)
-	query := ccd.Fingerprint(head + rest)
-	tie := ccd.Fingerprint(head[:17] + "############" + rest) // 12 of 29 edited: δ = 100·17/29
-	far := ccd.Fingerprint(head[:9] + "####################" + rest)
+	query, entries := MultiSubTieFixture()
+	tie := entries[3].FP
 	const plateau = 91.72413793103449 // summed a sub at a time; (58.62…+400)/5 at once is …448
 	if got := ccd.Similarity(query, tie); got != plateau {
 		t.Fatalf("fixture: tie scores %v, want %v", got, plateau)
-	}
-	var entries []ccd.Entry
-	for i := 0; i < 3; i++ {
-		entries = append(entries, ccd.Entry{ID: fmt.Sprintf("dup-%02d", i), FP: query})
-	}
-	for i := 7; i >= 0; i-- {
-		entries = append(entries, ccd.Entry{ID: fmt.Sprintf("tie-%02d", i), FP: tie})
-	}
-	for i := 0; i < 4; i++ {
-		entries = append(entries, ccd.Entry{ID: fmt.Sprintf("far-%02d", i), FP: far})
 	}
 	single := ccd.NewCorpus(ccd.DefaultConfig)
 	for _, e := range entries {
@@ -220,6 +212,32 @@ func TestShardedTopKTieAtBoundMultiSub(t *testing.T) {
 		t.Fatalf("fixture: reference %v", reference)
 	}
 	assertShardedTiesMatchReference(t, entries, query, reference)
+}
+
+// MultiSubTieFixture is the corpus and query of
+// TestShardedTopKTieAtBoundMultiSub: 3 exact duplicates of the 5-sub query,
+// 8 copies (entries 3..10, largest id first) whose first sub has 12 of 29
+// bytes edited — the plateau — and 4 farther copies. Exported for the
+// partition-kind test in gather_test.go.
+func MultiSubTieFixture() (ccd.Fingerprint, []ccd.Entry) {
+	const (
+		head = "QxRtYuIoPAbCdEfGhZvNmQwErTyUi" // 29 bytes
+		rest = ".aSdFgHjKlZx.cVbNmQwErTyU.iOpLkJhGfDsA.zXcVbNmLkJh"
+	)
+	query := ccd.Fingerprint(head + rest)
+	tie := ccd.Fingerprint(head[:17] + "############" + rest) // 12 of 29 edited: δ = 100·17/29
+	far := ccd.Fingerprint(head[:9] + "####################" + rest)
+	var entries []ccd.Entry
+	for i := 0; i < 3; i++ {
+		entries = append(entries, ccd.Entry{ID: fmt.Sprintf("dup-%02d", i), FP: query})
+	}
+	for i := 7; i >= 0; i-- {
+		entries = append(entries, ccd.Entry{ID: fmt.Sprintf("tie-%02d", i), FP: tie})
+	}
+	for i := 0; i < 4; i++ {
+		entries = append(entries, ccd.Entry{ID: fmt.Sprintf("far-%02d", i), FP: far})
+	}
+	return query, entries
 }
 
 // TestDuplicateAddSupersedes is the duplicate-ingest regression: re-adding
