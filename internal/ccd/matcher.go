@@ -84,42 +84,52 @@ func (c *Corpus) Add(id string, fp Fingerprint) {
 	c.entries = append(c.entries, Entry{ID: id, FP: fp})
 }
 
-// Merge returns a new corpus holding every entry of parts (at least one), in
-// argument order, under the first part's configuration — compaction builds a
-// whole merge cascade in one call. The n-gram index cannot be spliced, so
-// every entry is re-indexed once.
+// Merge returns a new heap corpus holding every entry of parts (at least
+// one), in argument order, under the first part's configuration — compaction
+// builds a whole merge cascade in one call. The parts' n-gram indexes are
+// spliced (ngram.Splice), not re-indexed, into the index a one-by-one Add of
+// the same entries would build. Every part must share the first part's N.
 func Merge(parts ...*Corpus) *Corpus {
-	out := NewCorpus(parts[0].cfg)
-	for _, p := range parts {
-		for _, e := range p.entries {
-			out.Add(e.ID, e.FP)
-		}
+	var entries []Entry
+	indexes := make([]*ngram.Index, len(parts))
+	for i, p := range parts {
+		entries = append(entries, p.entries...)
+		indexes[i] = p.index
 	}
-	return out
+	return &Corpus{cfg: parts[0].cfg, index: ngram.Splice(entryIDs(entries), indexes, nil), entries: entries}
 }
 
-// WithoutIDs returns the corpus rebuilt without the entries whose id is in
+// WithoutIDs returns a new heap corpus without the entries whose id is in
 // dead, and how many were dropped. This is how a re-ingested id supersedes
-// its earlier copy in an older segment: the n-gram index cannot delete in
-// place, so the survivors re-index into a fresh corpus. A corpus holding
-// none of the ids returns itself with 0.
+// its earlier copy in an older segment: the survivors' posting lists are
+// spliced out of this corpus's index and renumbered, into the index a
+// one-by-one Add of the survivors would build. A corpus holding none of the
+// ids returns itself with 0.
 func (c *Corpus) WithoutIDs(dead map[string]struct{}) (*Corpus, int) {
-	removed := 0
-	for _, e := range c.entries {
+	drop := make([]bool, len(c.entries))
+	var entries []Entry
+	for i, e := range c.entries {
 		if _, ok := dead[e.ID]; ok {
-			removed++
+			drop[i] = true
+		} else {
+			entries = append(entries, e)
 		}
 	}
+	removed := len(c.entries) - len(entries)
 	if removed == 0 {
 		return c, 0
 	}
-	out := NewCorpus(c.cfg)
-	for _, e := range c.entries {
-		if _, ok := dead[e.ID]; !ok {
-			out.Add(e.ID, e.FP)
-		}
+	index := ngram.Splice(entryIDs(entries), []*ngram.Index{c.index}, [][]bool{drop})
+	return &Corpus{cfg: c.cfg, index: index, entries: entries}, removed
+}
+
+// entryIDs lists the ids of entries in order.
+func entryIDs(entries []Entry) []string {
+	ids := make([]string, len(entries))
+	for i, e := range entries {
+		ids[i] = e.ID
 	}
-	return out, removed
+	return ids
 }
 
 // Mapped reports whether this corpus reads its index zero-copy out of

@@ -130,28 +130,41 @@ func AppendGrams(dst []string, s string, n int) []string {
 
 // Add indexes the string under the given id and returns the internal doc
 // number. Doc numbers increase monotonically, so every posting list stays
-// sorted by construction. Panics on an index opened zero-copy from snapshot
-// bytes (those are immutable segments).
+// sorted by construction. The grams are never collected or sorted: each
+// window of s is looked up in place and skipped when its list already ends
+// in this document, so the document's distinct-gram count is the number of
+// lists it extended. Panics on an index opened zero-copy from snapshot bytes
+// (those are immutable segments).
 func (ix *Index) Add(id, s string) int {
 	if ix.sealed {
 		panic("ngram: Add on a sealed (zero-copy) index; segments are write-once")
 	}
 	num := uint32(ix.docCount)
-	grams := ix.Grams(s)
+	grams := 0
+	if len(s) > 0 {
+		n := min(ix.n, len(s))
+		for i := 0; i+n <= len(s); i++ {
+			g := s[i : i+n]
+			p := ix.postings[g]
+			if p == nil {
+				p = &postings{}
+				ix.postings[g] = p
+			} else if p.count > 0 && p.last == num {
+				// A repeat of a gram this document already holds. A list
+				// loaded non-empty keeps last 0 while num ≥ 1, so it never
+				// matches by accident.
+				continue
+			}
+			p.add(num, ix.blockSize)
+			grams++
+		}
+	}
 	if ix.docs != nil || ix.docCount == 0 {
 		// Docless indexes (loaded corpus embeddings) stay docless: their
 		// owner resolves ids by doc number, which needs no table here.
-		ix.docs = append(ix.docs, doc{id: id, ngrams: len(grams)})
+		ix.docs = append(ix.docs, doc{id: id, ngrams: grams})
 	}
 	ix.docCount++
-	for _, g := range grams {
-		p := ix.postings[g]
-		if p == nil {
-			p = &postings{}
-			ix.postings[g] = p
-		}
-		p.add(num, ix.blockSize)
-	}
 	return int(num)
 }
 

@@ -375,3 +375,58 @@ func TestIndexLenAndN(t *testing.T) {
 		t.Errorf("len: %d", ix.Len())
 	}
 }
+
+// TestAddIndexesDistinctGrams: Add walks the windows of a document unsorted
+// and skips repeats by each list's last doc; the result must be exactly the
+// distinct-gram set Grams derives by sorting — every gram of the document
+// posted once, no other gram, and the gram count recorded — including after
+// Load, where lists come back with no last doc of their own.
+func TestAddIndexesDistinctGrams(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + trial%4
+		ix := NewWithBlock(n, 1+trial%3)
+		var strs []string
+		check := func(ix *Index) {
+			t.Helper()
+			want := map[string][]uint32{}
+			for d, s := range strs {
+				grams := Grams(s, n)
+				if got := ix.docs[d].ngrams; got != len(grams) {
+					t.Fatalf("trial %d doc %d (%q): %d grams recorded, want %d", trial, d, s, got, len(grams))
+				}
+				for _, g := range grams {
+					want[g] = append(want[g], uint32(d))
+				}
+			}
+			got := map[string][]uint32{}
+			for g, p := range ix.postings {
+				got[g] = p.appendAll(nil, ix.blockSize)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: postings %v, want %v", trial, got, want)
+			}
+		}
+		for d := 0; d < 12; d++ {
+			b := make([]byte, rng.Intn(3*n+4))
+			for i := range b {
+				b[i] = "ab\x00\xff"[rng.Intn(4)] // few symbols: many repeats
+			}
+			strs = append(strs, string(b))
+			ix.Add(fmt.Sprint(d), string(b))
+			if d == 5 {
+				check(ix)
+				var enc bytes.Buffer
+				if err := ix.Save(&enc); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := Load(&enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ix = loaded
+			}
+		}
+		check(ix)
+	}
+}

@@ -51,6 +51,7 @@ type postings struct {
 	data  []byte   // concatenated per-block delta streams
 	skips []byte   // skipEntryBytes per sealed block: first id, data offset
 	tail  []uint32 // unsealed suffix (building only; nil for sealed lists)
+	last  uint32   // doc number of the latest add (building only)
 }
 
 // sealedBlocks returns the number of blocks present in skips.
@@ -105,6 +106,7 @@ func (p *postings) blockEnd(i int) int {
 // increasing numbers) and seals a full tail into a compressed block.
 func (p *postings) add(id uint32, blockSize int) {
 	p.tail = append(p.tail, id)
+	p.last = id
 	p.count++
 	if len(p.tail) >= blockSize {
 		p.seal()

@@ -474,7 +474,7 @@ func TestBatchLayoutDeterministic(t *testing.T) {
 
 // pairwiseCascade is the compaction publish used to run, kept as the
 // reference: merge the last two segments while the newest has reached half
-// its predecessor, one rebuild per step.
+// its predecessor, one merge per step.
 func pairwiseCascade(segs []*ccd.Corpus) []*ccd.Corpus {
 	for len(segs) >= 2 && 2*segs[len(segs)-1].Len() >= segs[len(segs)-2].Len() {
 		merged := ccd.Merge(segs[len(segs)-2], segs[len(segs)-1])

@@ -79,7 +79,7 @@ type shard struct {
 
 	// ids is the shard's live document-id set, maintained by publish and
 	// snapshot restore under pubMu. A re-ingested id found here supersedes
-	// its earlier copy: the stale segment is rebuilt without it, so
+	// its earlier copy: the stale segment is spliced without it, so
 	// duplicate Adds replace instead of double-counting.
 	ids map[string]struct{}
 
@@ -204,7 +204,7 @@ func (sh *shard) enqueue(entries []ccd.Entry) uint64 {
 // Whichever writer wins the shard's publish lock drains the whole delta —
 // writers arriving while a publish is in flight usually find their entries
 // already covered (group commit). A batch entry whose id is already live in
-// the shard supersedes the earlier copy: the stale segments are rebuilt
+// the shard supersedes the earlier copy: the stale segments are spliced
 // without it, so Len, the ingest stats and match results never see the same
 // id twice.
 func (c *Corpus) publish(sh *shard, upTo uint64) {
@@ -252,15 +252,15 @@ func (c *Corpus) publish(sh *shard, upTo uint64) {
 	live := old.segments
 	removed := 0
 	if len(stale) > 0 {
-		// Rebuild every published segment holding a superseded copy. The
-		// rebuilt segments are fresh values, so concurrent readers keep
+		// Splice every published segment holding a superseded copy. The
+		// spliced segments are fresh values, so concurrent readers keep
 		// scanning the old generation untouched.
 		live = make([]*ccd.Corpus, 0, len(old.segments))
 		for _, s := range old.segments {
-			rebuilt, n := s.WithoutIDs(stale)
+			kept, n := s.WithoutIDs(stale)
 			removed += n
-			if rebuilt.Len() > 0 {
-				live = append(live, rebuilt)
+			if kept.Len() > 0 {
+				live = append(live, kept)
 			}
 		}
 		c.supersedes.Add(int64(removed))
@@ -270,9 +270,9 @@ func (c *Corpus) publish(sh *shard, upTo uint64) {
 	// reached at least half its predecessor, keeping sizes strictly
 	// geometric and the segment count O(log n). How far that cascade reaches
 	// follows from the segment sizes alone, so it is worked out first and
-	// the merged segment built once, instead of re-indexing the same docs
+	// the merged segment spliced once, instead of splicing the same docs
 	// at every step. Mapped segments are a compaction floor: merging one
-	// would rebuild it on the heap and drop the zero-copy mapping, so deltas
+	// would copy it onto the heap and drop the zero-copy mapping, so deltas
 	// above a mapped segment only merge among themselves — the next snapshot
 	// remap is what collapses the whole shard back onto a single mapping.
 	if last := len(segs) - 1; last >= 1 {
