@@ -31,11 +31,14 @@ import (
 // documented. Grown deliberately: add a package here once its godoc is
 // clean, and doclint keeps it that way.
 var auditedPackages = []string{
+	"internal/ccc",
 	"internal/ccd",
 	"internal/cluster",
+	"internal/cpg",
 	"internal/editdist",
 	"internal/loadgen",
 	"internal/ngram",
+	"internal/query",
 	"internal/remote",
 	"internal/service",
 	"internal/service/api",

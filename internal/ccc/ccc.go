@@ -53,6 +53,7 @@ type Finding struct {
 	Message  string
 }
 
+// String renders the finding as line:column [category/rule] message.
 func (f Finding) String() string {
 	return fmt.Sprintf("%d:%d [%s/%s] %s", f.Line, f.Column, f.Category, f.Rule, f.Message)
 }
@@ -193,21 +194,21 @@ type Ctx struct {
 	g *cpg.Graph
 	q *query.Q
 
-	msgSenderTaint map[*cpg.Node]bool // forward DFG closure of msg.sender
-	txOriginTaint  map[*cpg.Node]bool
+	msgSenderTaint cpg.NodeSet // forward DFG closure of msg.sender
+	txOriginTaint  cpg.NodeSet
 	msgDataNodes   []*cpg.Node
 	timestampNodes []*cpg.Node
 
-	containing map[*cpg.Node]*cpg.Node // node -> enclosing FunctionDeclaration
-	contractOf map[*cpg.Node]*cpg.Node // node -> enclosing RecordDeclaration
+	containing []*cpg.Node // node ID -> enclosing FunctionDeclaration
+	contractOf []*cpg.Node // node ID -> enclosing RecordDeclaration
 }
 
 func newCtx(g *cpg.Graph, lim query.Limits) *Ctx {
 	c := &Ctx{
 		g:          g,
 		q:          query.NewLimited(g, lim),
-		containing: make(map[*cpg.Node]*cpg.Node),
-		contractOf: make(map[*cpg.Node]*cpg.Node),
+		containing: make([]*cpg.Node, len(g.Nodes)),
+		contractOf: make([]*cpg.Node, len(g.Nodes)),
 	}
 	var senders, origins []*cpg.Node
 	for _, n := range g.Nodes {
@@ -225,17 +226,18 @@ func newCtx(g *cpg.Graph, lim query.Limits) *Ctx {
 	c.msgSenderTaint = c.q.ReachFrom(senders, cpg.DFG)
 	c.txOriginTaint = c.q.ReachFrom(origins, cpg.DFG)
 
-	// Containment maps via downward AST walk from functions and records.
+	// Containment via downward AST walk from functions and records: the
+	// first function to reach a node owns it, the last record does.
 	for _, fn := range g.ByLabel(cpg.LFunctionDeclaration) {
-		for n := range c.q.Reach(fn, cpg.AST) {
-			if _, dup := c.containing[n]; !dup || n == fn {
-				c.containing[n] = fn
+		for n := range c.q.Reach(fn, cpg.AST).All() {
+			if c.containing[n.ID] == nil || n == fn {
+				c.containing[n.ID] = fn
 			}
 		}
 	}
 	for _, rec := range g.ByLabel(cpg.LRecordDeclaration) {
-		for n := range c.q.Reach(rec, cpg.AST) {
-			c.contractOf[n] = rec
+		for n := range c.q.Reach(rec, cpg.AST).All() {
+			c.contractOf[n.ID] = rec
 		}
 	}
 	return c
@@ -254,7 +256,7 @@ func clip(s string) string {
 }
 
 // function returns the FunctionDeclaration containing n, or nil.
-func (c *Ctx) function(n *cpg.Node) *cpg.Node { return c.containing[n] }
+func (c *Ctx) function(n *cpg.Node) *cpg.Node { return c.containing[n.ID] }
 
 // isInternal reports whether the function header declares internal or
 // private visibility (the queries' split(f.code,'{')[0] contains 'internal').
@@ -309,14 +311,8 @@ func (c *Ctx) hasValueOption(call *cpg.Node) bool {
 	return false
 }
 
-// structuralClosure returns the nodes structurally beneath n via
-// BASE|CALLEE|ARGUMENTS|SPECIFIERS|VALUE|KEY edges.
-func (c *Ctx) structuralClosure(n *cpg.Node) map[*cpg.Node]bool {
-	return c.q.Reach(n, cpg.BASE, cpg.CALLEE, cpg.ARGUMENTS, cpg.SPECIFIERS, cpg.VALUE, cpg.KEY)
-}
-
 // eogReach is the forward EOG|INVOKES|RETURNS closure from n.
-func (c *Ctx) eogReach(n *cpg.Node) map[*cpg.Node]bool {
+func (c *Ctx) eogReach(n *cpg.Node) cpg.NodeSet {
 	return c.q.Reach(n, cpg.EOG, cpg.INVOKES, cpg.RETURNS)
 }
 
@@ -342,12 +338,12 @@ func isBranch(n *cpg.Node) bool {
 // any node in taint: a branch node between fn and target whose condition is
 // tainted and from which an alternative execution avoids target or rolls
 // back. This is the recurring mitigation sub-pattern of the paper's queries.
-func (c *Ctx) guardedBy(fn, target *cpg.Node, taint map[*cpg.Node]bool) bool {
+func (c *Ctx) guardedBy(fn, target *cpg.Node, taint cpg.NodeSet) bool {
 	if fn == nil || target == nil {
 		return false
 	}
-	for m := range c.eogReach(fn) {
-		if !taint[m] || !isBranch(m) {
+	for m := range c.eogReach(fn).All() {
+		if !taint.Has(m) || !isBranch(m) {
 			continue
 		}
 		if m != target && !c.q.PathExists(m, target, cpg.EOG, cpg.INVOKES, cpg.RETURNS) {
@@ -376,20 +372,19 @@ func (c *Ctx) guardedByMsgSender(fn, target *cpg.Node) bool {
 // fall-through continuation simply has no explicit edge when nothing
 // follows it. Nodes that flow *unconditionally* into a revert do not count.
 func (c *Ctx) persists(n *cpg.Node) bool {
-	for t := range c.eogReach(n) {
+	for t := range c.eogReach(n).All() {
 		if t.Is(cpg.LRollback) {
 			continue
 		}
-		succs := t.OutAny(cpg.EOG, cpg.INVOKES, cpg.RETURNS)
-		if len(succs) == 0 {
-			return true // explicit terminal
-		}
-		allRollback := true
-		for _, s := range succs {
-			if !s.Is(cpg.LRollback) {
-				allRollback = false
-				break
+		succs, allRollback := 0, true
+		for _, k := range [...]cpg.EdgeKind{cpg.EOG, cpg.INVOKES, cpg.RETURNS} {
+			for _, s := range t.Out(k) {
+				succs++
+				allRollback = allRollback && s.Is(cpg.LRollback)
 			}
+		}
+		if succs == 0 {
+			return true // explicit terminal
 		}
 		if allRollback && t.Is(cpg.LCallExpression) &&
 			(t.LocalName == "require" || t.LocalName == "assert") {
@@ -415,7 +410,7 @@ func fieldWrites(n *cpg.Node) []*cpg.Node {
 // closure of n whose functions are neither constructors nor internal.
 func (c *Ctx) paramSources(n *cpg.Node) []*cpg.Node {
 	var out []*cpg.Node
-	for src := range c.q.ReachRev(n, cpg.DFG) {
+	for src := range c.q.ReachRev(n, cpg.DFG).All() {
 		if !src.Is(cpg.LParamVariableDecl) {
 			continue
 		}

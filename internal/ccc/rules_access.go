@@ -10,7 +10,7 @@ import (
 // variable that is used for access control (compared against msg.sender).
 func (c *Ctx) accessControlStateWrite() []Finding {
 	// Fields used for access control: compared to msg.sender with ==.
-	acFields := map[*cpg.Node]bool{}
+	acFields := cpg.NewNodeSet(c.g)
 	for _, bin := range c.g.ByLabel(cpg.LBinaryOperator) {
 		if bin.Operator != "==" && bin.Operator != "!=" {
 			continue
@@ -30,11 +30,11 @@ func (c *Ctx) accessControlStateWrite() []Finding {
 		}
 		if hasSender {
 			for _, f := range fields {
-				acFields[f] = true
+				acFields.Add(f)
 			}
 		}
 	}
-	if len(acFields) == 0 {
+	if acFields.Len() == 0 {
 		return nil
 	}
 
@@ -43,13 +43,13 @@ func (c *Ctx) accessControlStateWrite() []Finding {
 		if isConstructor(fn) || isInternal(fn) {
 			continue
 		}
-		for wN := range c.eogReach(fn) {
+		for wN := range c.eogReach(fn).All() {
 			if c.function(wN) != fn {
 				continue
 			}
 			wrote := false
 			for _, fd := range fieldWrites(wN) {
-				if acFields[fd] {
+				if acFields.Has(fd) {
 					wrote = true
 				}
 			}
@@ -97,7 +97,7 @@ func (c *Ctx) defaultProxyDelegate() []Finding {
 		if fn.LocalName != "" || isConstructor(fn) {
 			continue // only default (fallback) functions
 		}
-		for call := range c.eogReach(fn) {
+		for call := range c.eogReach(fn).All() {
 			if !call.Is(cpg.LCallExpression) {
 				continue
 			}
@@ -132,7 +132,7 @@ func (c *Ctx) msgDataFeeds(call *cpg.Node) bool {
 		if a.Code == "msg.data" {
 			return true
 		}
-		for src := range c.q.ReachRev(a, cpg.DFG) {
+		for src := range c.q.ReachRev(a, cpg.DFG).All() {
 			if src.Code == "msg.data" {
 				return true
 			}
@@ -143,22 +143,20 @@ func (c *Ctx) msgDataFeeds(call *cpg.Node) bool {
 
 // msgDataContentTaint is the forward DFG closure of msg.data excluding flows
 // that pass through msg.data.length.
-func (c *Ctx) msgDataContentTaint() map[*cpg.Node]bool {
-	taint := map[*cpg.Node]bool{}
+func (c *Ctx) msgDataContentTaint() cpg.NodeSet {
+	taint := cpg.NewNodeSet(c.g)
 	var stack []*cpg.Node
 	for _, src := range c.msgDataNodes {
-		taint[src] = true
+		taint.Add(src)
 		stack = append(stack, src)
 	}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, t := range n.Out(cpg.DFG) {
-			if t.Code == "msg.data.length" || taint[t] {
-				continue
+			if t.Code != "msg.data.length" && taint.Add(t) {
+				stack = append(stack, t)
 			}
-			taint[t] = true
-			stack = append(stack, t)
 		}
 	}
 	return taint
@@ -173,11 +171,11 @@ func (c *Ctx) txOriginBranch() []Finding {
 			continue
 		}
 		// n receives data flow from tx.origin and from a field reference.
-		if !c.txOriginTaint[n] || n.Code == "tx.origin" {
+		if !c.txOriginTaint.Has(n) || n.Code == "tx.origin" {
 			continue
 		}
 		fromField := false
-		for src := range c.q.ReachRev(n, cpg.DFG) {
+		for src := range c.q.ReachRev(n, cpg.DFG).All() {
 			for _, d := range src.Out(cpg.REFERS_TO) {
 				if d.Is(cpg.LFieldDeclaration) {
 					fromField = true
@@ -190,7 +188,7 @@ func (c *Ctx) txOriginBranch() []Finding {
 		// Branching use: n itself branches or flows into a branching node.
 		branches := isBranch(n)
 		if !branches {
-			for t := range c.q.Reach(n, cpg.DFG) {
+			for t := range c.q.Reach(n, cpg.DFG).All() {
 				if isBranch(t) {
 					branches = true
 					break

@@ -48,8 +48,7 @@ func (c *Ctx) timeManipulation() []Finding {
 // structurally or via arguments, or (d) a branch where only one side reaches
 // a call/rollback.
 func (c *Ctx) entropySinks(r *cpg.Node, randRequired bool) bool {
-	taint := c.q.Reach(r, cpg.DFG)
-	for t := range taint {
+	for t := range c.q.Reach(r, cpg.DFG).All() {
 		if t == r {
 			continue
 		}
@@ -94,7 +93,7 @@ func (c *Ctx) entropySinks(r *cpg.Node, randRequired bool) bool {
 					continue
 				}
 				contains := false
-				for n := range c.q.Reach(child, cpg.AST) {
+				for n := range c.q.Reach(child, cpg.AST).All() {
 					if n.Is(cpg.LRollback) || (n.Is(cpg.LCallExpression) && c.isMoneyCall(n)) {
 						contains = true
 					}
@@ -168,7 +167,7 @@ func (c *Ctx) arithmeticOverflow() []Finding {
 }
 
 func (c *Ctx) arithmeticResultMatters(b *cpg.Node) bool {
-	for t := range c.q.Reach(b, cpg.DFG) {
+	for t := range c.q.Reach(b, cpg.DFG).All() {
 		if t == b {
 			continue
 		}
@@ -200,12 +199,9 @@ func (c *Ctx) arithmeticResultMatters(b *cpg.Node) bool {
 // assert(c >= a), and if (...) revert patterns.
 func (c *Ctx) boundsChecked(fn, b *cpg.Node) bool {
 	// Operands and result of the arithmetic op.
-	related := map[*cpg.Node]bool{b: true}
-	for src := range c.q.ReachRev(b, cpg.DFG) {
-		related[src] = true
-	}
-	for t := range c.q.Reach(b, cpg.DFG) {
-		related[t] = true
+	related := c.q.ReachRev(b, cpg.DFG)
+	for t := range c.q.Reach(b, cpg.DFG).All() {
+		related.Add(t)
 	}
 	for _, cond := range c.g.ByLabel(cpg.LBinaryOperator) {
 		if !comparisonOp(cond.Operator) && cond.Operator != "==" {
@@ -215,9 +211,9 @@ func (c *Ctx) boundsChecked(fn, b *cpg.Node) bool {
 			continue
 		}
 		// The comparison relates to the arithmetic data.
-		dataRelated := related[cond]
-		for src := range c.q.ReachRev(cond, cpg.DFG) {
-			if related[src] {
+		dataRelated := related.Has(cond)
+		for src := range c.q.ReachRev(cond, cpg.DFG).All() {
+			if related.Has(src) {
 				dataRelated = true
 				break
 			}
@@ -226,7 +222,7 @@ func (c *Ctx) boundsChecked(fn, b *cpg.Node) bool {
 			continue
 		}
 		// The comparison feeds a rollback guard or a branch avoiding b.
-		for t := range c.q.Reach(cond, cpg.DFG) {
+		for t := range c.q.Reach(cond, cpg.DFG).All() {
 			if t.Is(cpg.LCallExpression) && (t.LocalName == "require" || t.LocalName == "assert") {
 				return true
 			}
@@ -264,13 +260,13 @@ func (c *Ctx) shortAddressCall() []Finding {
 		if lastParam == nil {
 			continue
 		}
-		for call := range c.eogReach(fn) {
+		for call := range c.eogReach(fn).All() {
 			if !call.Is(cpg.LCallExpression) || !c.isMoneyCall(call) {
 				continue
 			}
 			feeds := false
 			for _, a := range call.Out(cpg.ARGUMENTS) {
-				if c.q.ReachRev(a, cpg.DFG)[lastParam] {
+				if c.q.ReachRev(a, cpg.DFG).Has(lastParam) {
 					feeds = true
 				}
 			}
@@ -280,7 +276,7 @@ func (c *Ctx) shortAddressCall() []Finding {
 				}
 				for _, kv := range callee.Out(cpg.SPECIFIERS) {
 					for _, v := range kv.Out(cpg.VALUE) {
-						if c.q.ReachRev(v, cpg.DFG)[lastParam] {
+						if c.q.ReachRev(v, cpg.DFG).Has(lastParam) {
 							feeds = true
 						}
 					}
@@ -309,7 +305,7 @@ func (c *Ctx) shortAddressStateWrite() []Finding {
 			continue
 		}
 		persisted := false
-		for t := range c.q.Reach(lastParam, cpg.DFG) {
+		for t := range c.q.Reach(lastParam, cpg.DFG).All() {
 			if t.Is(cpg.LFieldDeclaration) {
 				persisted = true
 			}
@@ -354,11 +350,11 @@ func (c *Ctx) shortAddressParams(fn *cpg.Node) (int, *cpg.Node) {
 }
 
 func (c *Ctx) msgDataLengthChecked(fn *cpg.Node) bool {
-	for n := range c.eogReach(fn) {
+	for n := range c.eogReach(fn).All() {
 		if n.Code == "msg.data.length" {
 			return true
 		}
-		for src := range c.q.ReachRev(n, cpg.DFG) {
+		for src := range c.q.ReachRev(n, cpg.DFG).All() {
 			if src.Code == "msg.data.length" {
 				return true
 			}

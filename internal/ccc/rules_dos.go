@@ -19,7 +19,7 @@ func (c *Ctx) dosCallBlocksSends() []Finding {
 		}
 		// Find a later money call on the same execution path.
 		var second *cpg.Node
-		for n := range c.eogReach(first) {
+		for n := range c.eogReach(first).All() {
 			if n != first && n.Is(cpg.LCallExpression) && c.isMoneyCall(n) {
 				second = n
 				break
@@ -36,7 +36,7 @@ func (c *Ctx) dosCallBlocksSends() []Finding {
 			// send/call return false; the DoS arises when the failure
 			// branch prevents the later call (require(success) style).
 			blocked := false
-			for t := range c.q.Reach(first, cpg.DFG) {
+			for t := range c.q.Reach(first, cpg.DFG).All() {
 				if t == first {
 					continue
 				}
@@ -71,7 +71,7 @@ func (c *Ctx) dosSendBlocksState() []Finding {
 		if fn == nil {
 			continue
 		}
-		for w := range c.eogReach(call) {
+		for w := range c.eogReach(call).All() {
 			if w == call {
 				continue
 			}
@@ -92,7 +92,7 @@ func (c *Ctx) dosSendBlocksState() []Finding {
 // sendFailureStopsExecution reports whether the boolean result of send()
 // guards the continuation (require(sent) / if(!sent) revert).
 func (c *Ctx) sendFailureStopsExecution(call *cpg.Node) bool {
-	for t := range c.q.Reach(call, cpg.DFG) {
+	for t := range c.q.Reach(call, cpg.DFG).All() {
 		if t == call {
 			continue
 		}
@@ -141,7 +141,7 @@ func (c *Ctx) dosExpensiveLoop() []Finding {
 	for _, loop := range loops {
 		body := c.loopBody(loop)
 		expensive := false
-		for n := range body {
+		for n := range body.All() {
 			if len(fieldWrites(n)) > 0 {
 				expensive = true
 				break
@@ -162,7 +162,7 @@ func (c *Ctx) dosExpensiveLoop() []Finding {
 		cond := conds[0]
 		attacker := false
 		// Large literal bound.
-		for src := range c.q.ReachRev(cond, cpg.DFG) {
+		for src := range c.q.ReachRev(cond, cpg.DFG).All() {
 			if src.Is(cpg.LLiteral) {
 				if v, err := strconv.ParseFloat(strings.ReplaceAll(src.Value, "_", ""), 64); err == nil && v > 100 {
 					if cond.Is(cpg.LBinaryOperator) && comparisonOp(cond.Operator) {
@@ -179,7 +179,7 @@ func (c *Ctx) dosExpensiveLoop() []Finding {
 			}
 			// Dynamic collection length (grows with attacker deposits).
 			if strings.HasSuffix(src.Code, ".length") {
-				for _, d := range src.OutAny(cpg.BASE) {
+				for _, d := range src.Out(cpg.BASE) {
 					for _, fd := range d.Out(cpg.REFERS_TO) {
 						if fd.Is(cpg.LFieldDeclaration) && strings.Contains(fd.TypeName, "[") {
 							attacker = true
@@ -205,11 +205,11 @@ func comparisonOp(op string) bool {
 }
 
 // loopBody returns the nodes on the loop's EOG cycle.
-func (c *Ctx) loopBody(loop *cpg.Node) map[*cpg.Node]bool {
-	out := map[*cpg.Node]bool{}
-	for n := range c.q.Reach(loop, cpg.EOG) {
+func (c *Ctx) loopBody(loop *cpg.Node) cpg.NodeSet {
+	out := cpg.NewNodeSet(c.g)
+	for n := range c.q.Reach(loop, cpg.EOG).All() {
 		if n != loop && c.q.PathExists(n, loop, cpg.EOG) {
-			out[n] = true
+			out.Add(n)
 		}
 	}
 	return out
@@ -249,7 +249,7 @@ func (c *Ctx) dosClearableCollection() []Finding {
 		}
 		// The collection feeds an ether-moving call.
 		used := false
-		for t := range c.q.Reach(target, cpg.DFG) {
+		for t := range c.q.Reach(target, cpg.DFG).All() {
 			if t.Is(cpg.LCallExpression) && c.isMoneyCall(t) {
 				used = true
 			}

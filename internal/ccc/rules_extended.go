@@ -43,7 +43,7 @@ func (c *Ctx) arbitraryDelegatecall() []Finding {
 		}
 		controlled := false
 		for _, base := range call.Out(cpg.BASE) {
-			for src := range c.q.ReachRev(base, cpg.DFG) {
+			for src := range c.q.ReachRev(base, cpg.DFG).All() {
 				if src.Is(cpg.LParamVariableDecl) {
 					if pf := fnOfParam(src); pf != nil && !isInternal(pf) && !isConstructor(pf) {
 						controlled = true
@@ -70,7 +70,7 @@ func (c *Ctx) divisionBeforeMultiplication() []Finding {
 		if div.Operator != "/" {
 			continue
 		}
-		for t := range c.q.Reach(div, cpg.DFG) {
+		for t := range c.q.Reach(div, cpg.DFG).All() {
 			if t == div || !t.Is(cpg.LBinaryOperator) {
 				continue
 			}
@@ -97,7 +97,7 @@ func (c *Ctx) missingZeroAddressCheck() []Finding {
 			continue
 		}
 		var field *cpg.Node
-		for t := range c.q.Reach(p, cpg.DFG) {
+		for t := range c.q.Reach(p, cpg.DFG).All() {
 			if t.Is(cpg.LFieldDeclaration) && strings.HasPrefix(t.TypeName, "address") {
 				field = t
 			}
@@ -107,7 +107,7 @@ func (c *Ctx) missingZeroAddressCheck() []Finding {
 		}
 		// Any comparison consuming the parameter counts as a check.
 		checked := false
-		for t := range c.q.Reach(p, cpg.DFG) {
+		for t := range c.q.Reach(p, cpg.DFG).All() {
 			if t.Is(cpg.LBinaryOperator) && (t.Operator == "==" || t.Operator == "!=") {
 				checked = true
 			}
@@ -141,7 +141,7 @@ func (c *Ctx) constructorTypo() []Finding {
 				continue
 			}
 			writes := false
-			for n := range c.eogReach(child) {
+			for n := range c.eogReach(child).All() {
 				if len(fieldWrites(n)) > 0 {
 					writes = true
 				}

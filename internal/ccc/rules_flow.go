@@ -18,16 +18,16 @@ func (c *Ctx) reentrancy() []Finding {
 		if fn == nil {
 			continue
 		}
-		rec := c.contractOf[call]
+		rec := c.contractOf[call.ID]
 		// State write after the call (EOG|INVOKES|RETURNS), writing a field
 		// of the same contract.
 		var writeAfter *cpg.Node
-		for n := range c.eogReach(call) {
+		for n := range c.eogReach(call).All() {
 			if n == call {
 				continue
 			}
 			for _, fd := range fieldWrites(n) {
-				if rec == nil || c.contractOf[fd] == rec {
+				if rec == nil || c.contractOf[fd.ID] == rec {
 					writeAfter = n
 				}
 			}
@@ -99,7 +99,7 @@ func (c *Ctx) attackerControlledBase(call *cpg.Node) bool {
 		return false
 	}
 	for _, base := range bases {
-		for src := range c.q.ReachRev(base, cpg.DFG) {
+		for src := range c.q.ReachRev(base, cpg.DFG).All() {
 			switch src.Code {
 			case "msg.sender", "tx.origin":
 				return true
@@ -143,26 +143,26 @@ func (c *Ctx) fieldWrittenOutsideConstructor(fd *cpg.Node) bool {
 // balance check such as require(balances[msg.sender] >= amount) after a
 // deposit reads a written field and an unwritten one, and is no lock.
 func (c *Ctx) reentrancyLocked(fn, call *cpg.Node) bool {
-	before := map[*cpg.Node]bool{}
-	for n := range c.eogReach(fn) {
+	before := cpg.NewNodeSet(c.g)
+	for n := range c.eogReach(fn).All() {
 		if n != call && c.q.PathExists(n, call, cpg.EOG, cpg.INVOKES, cpg.RETURNS) {
-			before[n] = true
+			before.Add(n)
 		}
 	}
 	writtenBefore := func(field *cpg.Node) bool {
 		for _, w := range field.In(cpg.DFG) {
-			if before[w] {
+			if before.Has(w) {
 				return true
 			}
 		}
 		return false
 	}
-	for n := range before {
+	for n := range before.All() {
 		if !isBranch(n) {
 			continue
 		}
 		fields, locked := 0, true
-		for src := range c.q.ReachRev(n, cpg.DFG) {
+		for src := range c.q.ReachRev(n, cpg.DFG).All() {
 			if src.Is(cpg.LFieldDeclaration) {
 				fields++
 				locked = locked && writtenBefore(src)
@@ -203,7 +203,7 @@ func (c *Ctx) frontRunning() []Finding {
 		}
 		// Only writes that persist to contract state are interesting.
 		persists := false
-		for t := range c.q.Reach(bin, cpg.DFG) {
+		for t := range c.q.Reach(bin, cpg.DFG).All() {
 			if t.Is(cpg.LFieldDeclaration) {
 				persists = true
 			}
@@ -240,7 +240,7 @@ func (c *Ctx) frontRunning() []Finding {
 			if base.Code == "msg.sender" {
 				toSender = true
 			}
-			for src := range c.q.ReachRev(base, cpg.DFG) {
+			for src := range c.q.ReachRev(base, cpg.DFG).All() {
 				if src.Code == "msg.sender" {
 					toSender = true
 				}
@@ -301,7 +301,8 @@ func (c *Ctx) senderDependent(n *cpg.Node) bool {
 	if n == nil {
 		return false
 	}
-	seen := map[*cpg.Node]bool{n: true}
+	seen := cpg.NewNodeSet(c.g)
+	seen.Add(n)
 	stack := []*cpg.Node{n}
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
@@ -314,8 +315,7 @@ func (c *Ctx) senderDependent(n *cpg.Node) bool {
 			continue // storage boundary
 		}
 		for _, p := range cur.In(cpg.DFG) {
-			if !seen[p] {
-				seen[p] = true
+			if seen.Add(p) {
 				stack = append(stack, p)
 			}
 		}
@@ -347,7 +347,7 @@ func (c *Ctx) uncheckedLowLevelCall() []Finding {
 		// Result checked? The call's value flows into a branch, a return,
 		// a require/assert argument, or an assignment that is later used.
 		checked := false
-		for t := range c.q.Reach(call, cpg.DFG) {
+		for t := range c.q.Reach(call, cpg.DFG).All() {
 			if t == call {
 				continue
 			}

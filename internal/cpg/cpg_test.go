@@ -48,7 +48,9 @@ func reaches(from, to *Node, kinds ...EdgeKind) bool {
 			continue
 		}
 		seen[n] = true
-		stack = append(stack, n.OutAny(kinds...)...)
+		for _, k := range kinds {
+			stack = append(stack, n.Out(k)...)
+		}
 	}
 	return false
 }

@@ -1,6 +1,7 @@
 package cpg
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -214,16 +215,24 @@ func TestNodeStringAndLabels(t *testing.T) {
 	if fn.String() == "" {
 		t.Error("node string")
 	}
-	labels := fn.Labels()
-	if len(labels) == 0 {
-		t.Error("labels empty")
+	if got := fn.Labels(); !slices.Equal(got, []string{"FunctionDeclaration"}) {
+		t.Errorf("labels %v", got)
 	}
-	fn.AddLabel("Custom")
-	if !fn.Is("Custom") {
+	if fn.Is(LRollback) || len(g.ByLabel(LRollback)) != 0 {
+		t.Fatal("function is a Rollback before AddLabel")
+	}
+	fn.AddLabel(LRollback)
+	if !fn.Is(LRollback) || !fn.Is(LFunctionDeclaration) {
 		t.Error("AddLabel failed")
 	}
+	if got := fn.Labels(); !slices.Equal(got, []string{"FunctionDeclaration", "Rollback"}) {
+		t.Errorf("labels after AddLabel %v", got)
+	}
 	g.Index()
-	if len(g.ByLabel("Custom")) != 1 {
-		t.Error("re-index missing custom label")
+	if got := g.ByLabel(LRollback); len(got) != 1 || got[0] != fn {
+		t.Errorf("re-index: Rollback nodes %v, want [%v]", got, fn)
+	}
+	if got := g.ByLabel(LFunctionDeclaration); len(got) != 1 || got[0] != fn {
+		t.Errorf("re-index: FunctionDeclaration nodes %v, want [%v]", got, fn)
 	}
 }

@@ -20,6 +20,7 @@ package cpg
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -27,49 +28,76 @@ import (
 )
 
 // Label classifies a node. Nodes may carry several labels (e.g. a
-// ParamVariableDeclaration is also a VariableDeclaration).
-type Label string
+// ParamVariableDeclaration is also a VariableDeclaration). The vocabulary is
+// closed: a node keeps its labels as one bit set.
+type Label uint8
 
 // Node labels mirroring the CPG library vocabulary used by the paper's
 // queries.
 const (
-	LTranslationUnit       Label = "TranslationUnit"
-	LRecordDeclaration     Label = "RecordDeclaration"
-	LFieldDeclaration      Label = "FieldDeclaration"
-	LFunctionDeclaration   Label = "FunctionDeclaration"
-	LConstructorDecl       Label = "ConstructorDeclaration"
-	LModifierDeclaration   Label = "ModifierDeclaration"
-	LEventDeclaration      Label = "EventDeclaration"
-	LParamVariableDecl     Label = "ParamVariableDeclaration"
-	LVariableDeclaration   Label = "VariableDeclaration"
-	LDeclaredReference     Label = "DeclaredReferenceExpression"
-	LMemberExpression      Label = "MemberExpression"
-	LCallExpression        Label = "CallExpression"
-	LBinaryOperator        Label = "BinaryOperator"
-	LUnaryOperator         Label = "UnaryOperator"
-	LLiteral               Label = "Literal"
-	LReturnStatement       Label = "ReturnStatement"
-	LIfStatement           Label = "IfStatement"
-	LForStatement          Label = "ForStatement"
-	LForEachStatement      Label = "ForEachStatement"
-	LWhileStatement        Label = "WhileStatement"
-	LDoStatement           Label = "DoStatement"
-	LBlock                 Label = "Block"
-	LRollback              Label = "Rollback"
-	LEmitStatement         Label = "EmitStatement"
-	LSpecifiedExpression   Label = "SpecifiedExpression"
-	LKeyValueExpression    Label = "KeyValueExpression"
-	LSubscriptExpression   Label = "SubscriptExpression"
-	LConditionalExpression Label = "ConditionalExpression"
-	LNewExpression         Label = "NewExpression"
-	LTypeExpression        Label = "TypeExpression"
-	LTupleExpression       Label = "TupleExpression"
-	LAssemblyStatement     Label = "AssemblyStatement"
-	LBreakStatement        Label = "BreakStatement"
-	LContinueStatement     Label = "ContinueStatement"
-	LTypeNode              Label = "Type"
-	LObjectType            Label = "ObjectType"
+	LTranslationUnit Label = iota
+	LRecordDeclaration
+	LFieldDeclaration
+	LFunctionDeclaration
+	LConstructorDecl
+	LModifierDeclaration
+	LEventDeclaration
+	LParamVariableDecl
+	LVariableDeclaration
+	LDeclaredReference
+	LMemberExpression
+	LCallExpression
+	LBinaryOperator
+	LUnaryOperator
+	LLiteral
+	LReturnStatement
+	LIfStatement
+	LForStatement
+	LForEachStatement
+	LWhileStatement
+	LDoStatement
+	LBlock
+	LRollback
+	LEmitStatement
+	LSpecifiedExpression
+	LKeyValueExpression
+	LSubscriptExpression
+	LConditionalExpression
+	LNewExpression
+	LTypeExpression
+	LTupleExpression
+	LAssemblyStatement
+	LBreakStatement
+	LContinueStatement
+	LTypeNode
+	LObjectType
+	numLabels
 )
+
+// A node's labels are one uint64: the vocabulary must stay within 64 labels.
+var _ [64 - numLabels]struct{}
+
+var labelNames = [numLabels]string{
+	"TranslationUnit", "RecordDeclaration", "FieldDeclaration",
+	"FunctionDeclaration", "ConstructorDeclaration", "ModifierDeclaration",
+	"EventDeclaration", "ParamVariableDeclaration", "VariableDeclaration",
+	"DeclaredReferenceExpression", "MemberExpression", "CallExpression",
+	"BinaryOperator", "UnaryOperator", "Literal", "ReturnStatement",
+	"IfStatement", "ForStatement", "ForEachStatement", "WhileStatement",
+	"DoStatement", "Block", "Rollback", "EmitStatement",
+	"SpecifiedExpression", "KeyValueExpression", "SubscriptExpression",
+	"ConditionalExpression", "NewExpression", "TypeExpression",
+	"TupleExpression", "AssemblyStatement", "BreakStatement",
+	"ContinueStatement", "Type", "ObjectType",
+}
+
+// String returns the label's name in the CPG library vocabulary.
+func (l Label) String() string {
+	if l < numLabels {
+		return labelNames[l]
+	}
+	return fmt.Sprintf("Label(%d)", uint8(l))
+}
 
 // EdgeKind identifies the semantic relation an edge carries.
 type EdgeKind int
@@ -99,7 +127,6 @@ const (
 	ARRAY_EXPRESSION
 	SUBSCRIPT_EXPRESSION
 	INPUT
-	numEdgeKinds
 )
 
 var edgeKindNames = [...]string{
@@ -109,6 +136,7 @@ var edgeKindNames = [...]string{
 	"ARRAY_EXPRESSION", "SUBSCRIPT_EXPRESSION", "INPUT",
 }
 
+// String returns the kind's name as the paper's queries spell it.
 func (k EdgeKind) String() string {
 	if int(k) < len(edgeKindNames) {
 		return edgeKindNames[k]
@@ -116,10 +144,16 @@ func (k EdgeKind) String() string {
 	return fmt.Sprintf("EdgeKind(%d)", int(k))
 }
 
+// edges holds one edge kind's neighbours of a node, in insertion order.
+type edges struct {
+	kind  EdgeKind
+	nodes []*Node
+}
+
 // Node is a CPG node.
 type Node struct {
 	ID     int
-	labels map[Label]bool
+	labels uint64 // bit l set for every Label l the node carries
 
 	// Code is the canonical source text of the node (e.g. "msg.sender").
 	Code string
@@ -141,55 +175,60 @@ type Node struct {
 	// Pos is the source position of the underlying syntax.
 	Pos solidity.Position
 
-	out [numEdgeKinds][]*Node
-	in  [numEdgeKinds][]*Node
+	// out and in hold only the kinds the node has edges of, in the order
+	// each kind first appeared; most nodes have two to four.
+	out []edges
+	in  []edges
 }
 
 // Is reports whether the node carries the given label.
-func (n *Node) Is(l Label) bool { return n.labels[l] }
+func (n *Node) Is(l Label) bool { return n.labels&(1<<l) != 0 }
 
-// Labels returns the node's labels in sorted order.
+// Labels returns the node's label names in sorted order.
 func (n *Node) Labels() []string {
-	out := make([]string, 0, len(n.labels))
-	for l := range n.labels {
-		out = append(out, string(l))
+	out := make([]string, 0, bits.OnesCount64(n.labels))
+	for ls := n.labels; ls != 0; ls &= ls - 1 {
+		out = append(out, labelNames[bits.TrailingZeros64(ls)])
 	}
 	sort.Strings(out)
 	return out
 }
 
-// AddLabel attaches an additional label.
-func (n *Node) AddLabel(l Label) {
-	n.labels[l] = true
-}
+// AddLabel attaches an additional label; call Graph.Index afterwards for
+// ByLabel to list the node under it.
+func (n *Node) AddLabel(l Label) { n.labels |= 1 << l }
 
 // Out returns the targets of the node's outgoing edges of the given kind.
-func (n *Node) Out(kind EdgeKind) []*Node { return n.out[kind] }
+func (n *Node) Out(kind EdgeKind) []*Node { return neighbours(n.out, kind) }
 
 // In returns the sources of the node's incoming edges of the given kind.
-func (n *Node) In(kind EdgeKind) []*Node { return n.in[kind] }
+func (n *Node) In(kind EdgeKind) []*Node { return neighbours(n.in, kind) }
 
-// OutAny returns targets across any of the given kinds.
-func (n *Node) OutAny(kinds ...EdgeKind) []*Node {
-	var out []*Node
-	for _, k := range kinds {
-		out = append(out, n.out[k]...)
+func neighbours(es []edges, kind EdgeKind) []*Node {
+	for i := range es {
+		if es[i].kind == kind {
+			return es[i].nodes
+		}
 	}
-	return out
+	return nil
 }
 
-// InAny returns sources across any of the given kinds.
-func (n *Node) InAny(kinds ...EdgeKind) []*Node {
-	var out []*Node
-	for _, k := range kinds {
-		out = append(out, n.in[k]...)
+// appendEdge appends to to the list of the given kind, opening the list if
+// the node has none of that kind yet.
+func appendEdge(es []edges, kind EdgeKind, to *Node) []edges {
+	for i := range es {
+		if es[i].kind == kind {
+			es[i].nodes = append(es[i].nodes, to)
+			return es
+		}
 	}
-	return out
+	return append(es, edges{kind, []*Node{to}})
 }
 
+// String renders the node as #ID[labels]"code" for diagnostics.
 func (n *Node) String() string {
 	l := "?"
-	if len(n.labels) > 0 {
+	if n.labels != 0 {
 		l = strings.Join(n.Labels(), "|")
 	}
 	code := n.Code
@@ -204,17 +243,15 @@ type Graph struct {
 	Nodes []*Node
 	Root  *Node // TranslationUnit node
 
-	byLabel map[Label][]*Node
+	byLabel [numLabels][]*Node
 }
 
 // NewGraph returns an empty graph.
-func NewGraph() *Graph {
-	return &Graph{byLabel: make(map[Label][]*Node)}
-}
+func NewGraph() *Graph { return &Graph{} }
 
 // NewNode allocates a node with the given primary label.
 func (g *Graph) NewNode(l Label) *Node {
-	n := &Node{ID: len(g.Nodes), labels: map[Label]bool{l: true}}
+	n := &Node{ID: len(g.Nodes), labels: 1 << l}
 	g.Nodes = append(g.Nodes, n)
 	g.byLabel[l] = append(g.byLabel[l], n)
 	return n
@@ -222,15 +259,16 @@ func (g *Graph) NewNode(l Label) *Node {
 
 // Index registers any labels added after node creation; call after building.
 func (g *Graph) Index() {
-	g.byLabel = make(map[Label][]*Node, len(g.byLabel))
+	g.byLabel = [numLabels][]*Node{}
 	for _, n := range g.Nodes {
-		for l := range n.labels {
+		for ls := n.labels; ls != 0; ls &= ls - 1 {
+			l := bits.TrailingZeros64(ls)
 			g.byLabel[l] = append(g.byLabel[l], n)
 		}
 	}
 }
 
-// ByLabel returns all nodes carrying the label.
+// ByLabel returns all nodes carrying the label, in ID order.
 func (g *Graph) ByLabel(l Label) []*Node { return g.byLabel[l] }
 
 // Edge adds a directed edge of the given kind.
@@ -238,13 +276,13 @@ func (g *Graph) Edge(from *Node, kind EdgeKind, to *Node) {
 	if from == nil || to == nil {
 		return
 	}
-	from.out[kind] = append(from.out[kind], to)
-	to.in[kind] = append(to.in[kind], from)
+	from.out = appendEdge(from.out, kind, to)
+	to.in = appendEdge(to.in, kind, from)
 }
 
 // HasEdge reports whether a direct edge from → to of the given kind exists.
 func (g *Graph) HasEdge(from *Node, kind EdgeKind, to *Node) bool {
-	for _, t := range from.out[kind] {
+	for _, t := range from.Out(kind) {
 		if t == to {
 			return true
 		}
@@ -256,7 +294,7 @@ func (g *Graph) HasEdge(from *Node, kind EdgeKind, to *Node) bool {
 func (g *Graph) EdgeCount(kind EdgeKind) int {
 	total := 0
 	for _, n := range g.Nodes {
-		total += len(n.out[kind])
+		total += len(n.Out(kind))
 	}
 	return total
 }

@@ -48,6 +48,8 @@ type Q struct {
 	// budgetHit records whether any traversal was truncated; callers use it
 	// to decide whether a phase-2 re-run is warranted.
 	budgetHit bool
+	// queue is the breadth-first walks' scratch, reused from walk to walk.
+	queue []*cpg.Node
 }
 
 // New returns a query context with unbounded depth.
@@ -141,61 +143,68 @@ func Or(ps ...Pred) Pred {
 
 // Reach returns every node reachable from start over the given edge kinds
 // (start included; the Cypher `-[:K*0..]->` closure).
-func (q *Q) Reach(start *cpg.Node, kinds ...cpg.EdgeKind) map[*cpg.Node]bool {
+func (q *Q) Reach(start *cpg.Node, kinds ...cpg.EdgeKind) cpg.NodeSet {
 	return q.reach([]*cpg.Node{start}, false, kinds)
 }
 
 // ReachRev returns every node that reaches start over the given edge kinds.
-func (q *Q) ReachRev(start *cpg.Node, kinds ...cpg.EdgeKind) map[*cpg.Node]bool {
+func (q *Q) ReachRev(start *cpg.Node, kinds ...cpg.EdgeKind) cpg.NodeSet {
 	return q.reach([]*cpg.Node{start}, true, kinds)
 }
 
 // ReachFrom returns every node reachable from any of the starts.
-func (q *Q) ReachFrom(starts []*cpg.Node, kinds ...cpg.EdgeKind) map[*cpg.Node]bool {
+func (q *Q) ReachFrom(starts []*cpg.Node, kinds ...cpg.EdgeKind) cpg.NodeSet {
 	return q.reach(starts, false, kinds)
 }
 
-func (q *Q) reach(starts []*cpg.Node, rev bool, kinds []cpg.EdgeKind) map[*cpg.Node]bool {
-	type item struct {
-		n *cpg.Node
-		d int
-	}
-	seen := make(map[*cpg.Node]bool)
-	var queue []item
+// reach is a breadth-first walk over each kind's list in turn. The queue is
+// scratch kept on q between walks; depth is counted by level boundaries.
+func (q *Q) reach(starts []*cpg.Node, rev bool, kinds []cpg.EdgeKind) cpg.NodeSet {
+	seen := cpg.NewNodeSet(q.G)
+	queue := q.queue[:0]
 	for _, s := range starts {
-		if s == nil || seen[s] {
-			continue
+		if s != nil && seen.Add(s) {
+			queue = append(queue, s)
 		}
-		seen[s] = true
-		queue = append(queue, item{s, 0})
 	}
-	steps := 0
-	budget := q.Limits.steps()
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		if q.Limits.MaxDepth > 0 && it.d >= q.Limits.MaxDepth {
-			continue
+	steps, budget := 0, q.Limits.steps()
+	depth, levelEnd := 0, len(queue)
+walk:
+	for i := 0; i < len(queue); i++ {
+		if i == levelEnd {
+			depth, levelEnd = depth+1, len(queue)
 		}
-		var next []*cpg.Node
-		if rev {
-			next = it.n.InAny(kinds...)
-		} else {
-			next = it.n.OutAny(kinds...)
+		if q.Limits.MaxDepth > 0 && depth >= q.Limits.MaxDepth {
+			break
 		}
-		for _, nb := range next {
-			steps++
-			if steps > budget {
-				q.budgetHit = true
-				return seen
+		for _, k := range kinds {
+			next := queue[i].Out(k)
+			if rev {
+				next = queue[i].In(k)
 			}
-			if !seen[nb] {
-				seen[nb] = true
-				queue = append(queue, item{nb, it.d + 1})
+			for _, nb := range next {
+				if steps++; steps > budget {
+					q.budgetHit = true
+					break walk
+				}
+				if seen.Add(nb) {
+					queue = append(queue, nb)
+				}
 			}
 		}
 	}
+	q.queue = queue
 	return seen
+}
+
+// terminal reports whether n has no outgoing edge of any of the kinds.
+func terminal(n *cpg.Node, kinds []cpg.EdgeKind) bool {
+	for _, k := range kinds {
+		if len(n.Out(k)) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // PathExists reports whether to is reachable from from over kinds with at
@@ -204,9 +213,11 @@ func (q *Q) PathExists(from, to *cpg.Node, kinds ...cpg.EdgeKind) bool {
 	if from == nil || to == nil {
 		return false
 	}
-	for _, first := range from.OutAny(kinds...) {
-		if first == to || q.Reach(first, kinds...)[to] {
-			return true
+	for _, k := range kinds {
+		for _, first := range from.Out(k) {
+			if first == to || q.Reach(first, kinds...).Has(to) {
+				return true
+			}
 		}
 	}
 	return false
@@ -215,7 +226,7 @@ func (q *Q) PathExists(from, to *cpg.Node, kinds ...cpg.EdgeKind) bool {
 // ReachAny reports whether any node satisfying pred is reachable from start
 // (zero or more edges).
 func (q *Q) ReachAny(start *cpg.Node, pred Pred, kinds ...cpg.EdgeKind) bool {
-	for n := range q.Reach(start, kinds...) {
+	for n := range q.Reach(start, kinds...).All() {
 		if pred(n) {
 			return true
 		}
@@ -224,11 +235,12 @@ func (q *Q) ReachAny(start *cpg.Node, pred Pred, kinds ...cpg.EdgeKind) bool {
 }
 
 // Terminals returns the reachable nodes with no outgoing edges of the kinds
-// (the query idiom `(last) where not exists((last)-[:EOG]->())`).
+// (the query idiom `(last) where not exists((last)-[:EOG]->())`), in ID
+// order.
 func (q *Q) Terminals(start *cpg.Node, kinds ...cpg.EdgeKind) []*cpg.Node {
 	var out []*cpg.Node
-	for n := range q.Reach(start, kinds...) {
-		if len(n.OutAny(kinds...)) == 0 {
+	for n := range q.Reach(start, kinds...).All() {
+		if terminal(n, kinds) {
 			out = append(out, n)
 		}
 	}
@@ -264,7 +276,8 @@ func (q *Q) WalkPaths(start *cpg.Node, visit func(Path) bool, kinds ...cpg.EdgeK
 	}
 	budget := q.Limits.steps()
 	steps := 0
-	onPath := map[*cpg.Node]bool{start: true}
+	onPath := cpg.NewNodeSet(q.G)
+	onPath.Add(start)
 	path := Path{start}
 	var rec func() bool
 	rec = func() bool {
@@ -278,18 +291,19 @@ func (q *Q) WalkPaths(start *cpg.Node, visit func(Path) bool, kinds ...cpg.EdgeK
 			return visit(append(Path(nil), path...))
 		}
 		extended := false
-		for _, nb := range cur.OutAny(kinds...) {
-			if onPath[nb] {
-				continue
-			}
-			extended = true
-			onPath[nb] = true
-			path = append(path, nb)
-			ok := rec()
-			path = path[:len(path)-1]
-			delete(onPath, nb)
-			if !ok {
-				return false
+		for _, k := range kinds {
+			for _, nb := range cur.Out(k) {
+				if !onPath.Add(nb) {
+					continue
+				}
+				extended = true
+				path = append(path, nb)
+				ok := rec()
+				path = path[:len(path)-1]
+				onPath.Remove(nb)
+				if !ok {
+					return false
+				}
 			}
 		}
 		if !extended {
@@ -330,31 +344,33 @@ func (q *Q) AnyTerminalAvoiding(start, avoid *cpg.Node, okPred Pred, kinds ...cp
 		return false
 	}
 	// Reachability avoiding `avoid`: BFS that never enters avoid.
-	seen := map[*cpg.Node]bool{start: true}
 	if start == avoid {
 		return false
 	}
-	queue := []*cpg.Node{start}
-	budget := q.Limits.steps()
-	steps := 0
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if len(n.OutAny(kinds...)) == 0 {
-			return true // terminal reached without touching avoid
+	seen := cpg.NewNodeSet(q.G)
+	seen.Add(start)
+	queue := append(q.queue[:0], start)
+	steps, budget := 0, q.Limits.steps()
+	found := false
+walk:
+	for i := 0; i < len(queue); i++ {
+		n := queue[i]
+		if terminal(n, kinds) {
+			found = true // terminal reached without touching avoid
+			break
 		}
-		for _, nb := range n.OutAny(kinds...) {
-			steps++
-			if steps > budget {
-				q.budgetHit = true
-				return false
+		for _, k := range kinds {
+			for _, nb := range n.Out(k) {
+				if steps++; steps > budget {
+					q.budgetHit = true
+					break walk
+				}
+				if nb != avoid && seen.Add(nb) {
+					queue = append(queue, nb)
+				}
 			}
-			if nb == avoid || seen[nb] {
-				continue
-			}
-			seen[nb] = true
-			queue = append(queue, nb)
 		}
 	}
-	return false
+	q.queue = queue
+	return found
 }

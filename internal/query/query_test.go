@@ -32,12 +32,12 @@ func TestReachAndPathExists(t *testing.T) {
 		t.Error("no self loop")
 	}
 	r := q.Reach(ns[1], cpg.EOG)
-	if len(r) != 4 {
-		t.Errorf("reach size: %d", len(r))
+	if r.Len() != 4 || r.Has(ns[0]) {
+		t.Errorf("reach size: %d", r.Len())
 	}
 	rr := q.ReachRev(ns[3], cpg.EOG)
-	if len(rr) != 4 {
-		t.Errorf("reachrev size: %d", len(rr))
+	if rr.Len() != 4 || rr.Has(ns[4]) {
+		t.Errorf("reachrev size: %d", rr.Len())
 	}
 }
 
@@ -46,8 +46,8 @@ func TestMaxDepthLimitsReach(t *testing.T) {
 	ns := chain(g, 10)
 	q := NewLimited(g, Limits{MaxDepth: 3})
 	r := q.Reach(ns[0], cpg.EOG)
-	if len(r) != 4 { // start + 3 hops
-		t.Errorf("limited reach size: %d", len(r))
+	if r.Len() != 4 { // start + 3 hops
+		t.Errorf("limited reach size: %d", r.Len())
 	}
 }
 

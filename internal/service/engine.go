@@ -91,11 +91,12 @@ type Engine struct {
 	deg     *degrade
 
 	// graphs is rarely hit in serving (Analyze asks the report cache first,
-	// under the same key) but stays as GC ballast: on a 2-vCPU box, bench
-	// analyze-cold at seed 1 without it ran at 33.6 MB instead of 624 MB RSS
-	// but 0.246 instead of 0.133 CPU ms a request (+85 %, past the bound);
-	// GOGC=1500 without it gave 0.141 ms at 157 MB. Delete it only after the
-	// compact CPG has cut the allocation per request.
+	// under the same key) and mostly acts as GC ballast. With the full
+	// per-node edge arrays, dropping it cost +85 % CPU a request. With the
+	// compact graph, bench analyze-cold at seed 1 on a 2-vCPU box (3 pairs)
+	// runs without it at 34 MB instead of 238 MB RSS, 0.081 instead of
+	// 0.077 CPU ms a request (+5 %) and 14.8k instead of 13.4k ops/s, so it
+	// is next in line for deletion.
 	graphs  *lru[graphEntry]
 	reports *lru[reportEntry]
 	prints  *lru[fpEntry]

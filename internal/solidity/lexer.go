@@ -29,7 +29,10 @@ func NewLexer(src string) *Lexer {
 // Tokenize scans all of src and returns the token stream terminated by EOF.
 func Tokenize(src string) []Token {
 	lx := NewLexer(src)
-	var toks []Token
+	// Sources run about one token per four to five bytes (0.23 on the
+	// generated Q&A pool, 0.33 at its 99th percentile), so a third of the
+	// length fits nearly every source in one allocation.
+	toks := make([]Token, 0, len(src)/3+2)
 	for {
 		t := lx.Next()
 		toks = append(toks, t)

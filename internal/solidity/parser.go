@@ -61,10 +61,10 @@ func ParseWith(src string, opts Options) (*SourceUnit, error) {
 	return unit, nil
 }
 
-// filterPlaceholders removes "..." tokens, propagating their newline flag so
-// statement termination still works around elided code.
+// filterPlaceholders removes "..." tokens in place, propagating their
+// newline flag so statement termination still works around elided code.
 func filterPlaceholders(toks []Token) []Token {
-	out := toks[:0:0]
+	out := toks[:0]
 	pendingNL := false
 	for _, t := range toks {
 		if t.Kind == PLACEHOLDER {
