@@ -143,9 +143,11 @@ func (a *Analyzer) OnlyCategories(cats ...Category) *Analyzer {
 	return a
 }
 
-// AnalyzeSource parses src (snippet grammar) and analyzes it.
+// AnalyzeSource parses src (snippet grammar), analyzes it and releases the
+// graph.
 func (a *Analyzer) AnalyzeSource(src string) (Report, error) {
 	g, err := cpg.Parse(src)
+	defer g.Release()
 	if err != nil {
 		return Report{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/ccc"
 	"repro/internal/cpg"
 )
 
@@ -42,13 +43,13 @@ contract Bank {
 }
 `
 
-// Ceilings for one cpg.Parse of allocContract (112 nodes), set just above
-// what the kind-keyed edge lists measure: 1 968 allocations and 120 KB with
-// Go 1.24 on linux/amd64. The fixed per-node arrays of all 23 edge kinds
-// they replaced made fewer, larger objects: 1 677 allocations, 282 KB.
+// Ceilings for one cpg.Parse of allocContract (112 nodes) that is never
+// released, so each parse starts a fresh arena whose chunks grow by
+// doubling: 485 allocations and 156 KB with Go 1.24 on linux/amd64 (161 KB
+// under -race).
 const (
-	maxParseAllocs = 2000
-	maxParseBytes  = 123 << 10
+	maxParseAllocs = 500
+	maxParseBytes  = 166 << 10
 )
 
 // TestParseAllocs pins the allocation count and bytes of building one
@@ -74,5 +75,28 @@ func TestParseAllocs(t *testing.T) {
 	}
 	if bytes > maxParseBytes {
 		t.Errorf("cpg.Parse: %d bytes/op, want <= %d", bytes, maxParseBytes)
+	}
+}
+
+// maxSteadyAllocs caps one Parse, Analyze and Release of allocContract once
+// the pools are warm, set just above the 604 measured with Go 1.24 on
+// linux/amd64 (613 under -race, whose pools drop a quarter of what they are
+// given). The syntax tree, the builder's maps and the analysis allocate; the
+// tokens, nodes and edge lists come from the pools.
+const maxSteadyAllocs = 620
+
+// TestSteadyStateAllocs pins the allocations of the serving analyze path in
+// a loop, where every graph's arena and token buffer serve the next one.
+func TestSteadyStateAllocs(t *testing.T) {
+	analyze := func() {
+		g, _ := cpg.Parse(allocContract)
+		ccc.Analyze(g)
+		g.Release()
+	}
+	analyze()
+	allocs := testing.AllocsPerRun(200, analyze)
+	t.Logf("Parse + Analyze + Release: %.0f allocs", allocs)
+	if allocs > maxSteadyAllocs {
+		t.Errorf("Parse + Analyze + Release: %.0f allocs/op, want <= %d", allocs, maxSteadyAllocs)
 	}
 }

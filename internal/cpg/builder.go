@@ -11,15 +11,19 @@ import (
 // syntax layer, resolves references and call targets, and runs the EOG and
 // DFG passes.
 func Build(src string, unit *solidity.SourceUnit) *Graph {
-	b := newBuilder(src)
+	return buildInto(NewGraph(), src, unit)
+}
+
+func buildInto(g *Graph, src string, unit *solidity.SourceUnit) *Graph {
+	b := newBuilder(g, src)
 	b.build(solidity.Infer(unit))
-	b.g.Index()
-	return b.g
+	g.Index()
+	return g
 }
 
 // Parse parses src with the fuzzy snippet grammar and builds its CPG.
 // The returned error reflects parse problems; a graph is built from whatever
-// could be parsed.
+// could be parsed. Release the graph once done with it.
 func Parse(src string) (*Graph, error) {
 	unit, err := solidity.Parse(src)
 	g := Build(src, unit)
@@ -101,9 +105,9 @@ type builtFn struct {
 	body *solidity.Block // after modifier expansion; nil for bodyless fns
 }
 
-func newBuilder(src string) *builder {
+func newBuilder(g *Graph, src string) *builder {
 	return &builder{
-		g:          NewGraph(),
+		g:          g,
 		src:        src,
 		contracts:  make(map[string]*contractInfo),
 		exprNode:   make(map[solidity.Node]*Node),

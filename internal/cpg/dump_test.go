@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash"
+	"io"
 	"strings"
 	"testing"
 
@@ -39,7 +39,7 @@ require(credit[msg.sender] >= units);`,
 // dumpGraph writes a canonical text form of g to h: per node in ID order its
 // sorted labels, its fields, and for every edge kind the IDs at the other end
 // of its outgoing and incoming edges, in stored order.
-func dumpGraph(h hash.Hash, g *cpg.Graph) {
+func dumpGraph(h io.Writer, g *cpg.Graph) {
 	fmt.Fprintf(h, "root %d nodes %d\n", g.Root.ID, len(g.Nodes))
 	for _, n := range g.Nodes {
 		fmt.Fprintf(h, "#%d %s code=%q local=%q op=%q value=%q kind=%q type=%q index=%d inferred=%t pos=%d:%d:%d\n",
@@ -54,6 +54,17 @@ func dumpGraph(h hash.Hash, g *cpg.Graph) {
 			}
 		}
 	}
+}
+
+// dump returns dumpGraph's text of g followed by the node IDs ByLabel lists
+// for every label.
+func dump(g *cpg.Graph) string {
+	var sb strings.Builder
+	dumpGraph(&sb, g)
+	for l := cpg.LTranslationUnit; l <= cpg.LObjectType; l++ {
+		fmt.Fprintf(&sb, "label %v %v\n", l, ids(g.ByLabel(l)))
+	}
+	return sb.String()
 }
 
 func ids(ns []*cpg.Node) []int {

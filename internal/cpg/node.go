@@ -213,18 +213,6 @@ func neighbours(es []edges, kind EdgeKind) []*Node {
 	return nil
 }
 
-// appendEdge appends to to the list of the given kind, opening the list if
-// the node has none of that kind yet.
-func appendEdge(es []edges, kind EdgeKind, to *Node) []edges {
-	for i := range es {
-		if es[i].kind == kind {
-			es[i].nodes = append(es[i].nodes, to)
-			return es
-		}
-	}
-	return append(es, edges{kind, []*Node{to}})
-}
-
 // String renders the node as #ID[labels]"code" for diagnostics.
 func (n *Node) String() string {
 	l := "?"
@@ -238,22 +226,49 @@ func (n *Node) String() string {
 	return fmt.Sprintf("#%d[%s]%q", n.ID, l, code)
 }
 
-// Graph is a complete code property graph for one translation unit.
+// Graph is a complete code property graph for one translation unit. Its
+// nodes and edges live in an arena that Release hands to the next graph.
 type Graph struct {
 	Nodes []*Node
 	Root  *Node // TranslationUnit node
 
 	byLabel [numLabels][]*Node
+	arena   *arena
 }
 
-// NewGraph returns an empty graph.
-func NewGraph() *Graph { return &Graph{} }
+// NewGraph returns an empty graph on an arena from the pool.
+func NewGraph() *Graph { return newGraph(arenaPool.Get().(*arena)) }
+
+func newGraph(a *arena) *Graph { return &Graph{Nodes: a.ids, arena: a} }
+
+// Release returns the graph's memory to the pool for the next graph. After
+// it, nothing may use the graph, its nodes, or a slice they returned. A
+// graph that is never released is collected as usual; releasing it again is
+// a no-op.
+func (g *Graph) Release() {
+	if a, size := g.detach(); a != nil && size <= maxPooledArena {
+		arenaPool.Put(a)
+	}
+}
+
+// detach empties g and returns its cleared arena with the bytes it holds,
+// or nil if g was released.
+func (g *Graph) detach() (*arena, int) {
+	a := g.arena
+	if a == nil {
+		return nil, 0
+	}
+	a.ids = g.Nodes
+	*g = Graph{}
+	return a, a.reset()
+}
 
 // NewNode allocates a node with the given primary label.
 func (g *Graph) NewNode(l Label) *Node {
-	n := &Node{ID: len(g.Nodes), labels: 1 << l}
+	n := g.arena.nodes.new()
+	n.ID, n.labels = len(g.Nodes), 1<<l
 	g.Nodes = append(g.Nodes, n)
-	g.byLabel[l] = append(g.byLabel[l], n)
+	g.byLabel[l] = g.arena.lists.append(g.byLabel[l], n)
 	return n
 }
 
@@ -263,7 +278,7 @@ func (g *Graph) Index() {
 	for _, n := range g.Nodes {
 		for ls := n.labels; ls != 0; ls &= ls - 1 {
 			l := bits.TrailingZeros64(ls)
-			g.byLabel[l] = append(g.byLabel[l], n)
+			g.byLabel[l] = g.arena.lists.append(g.byLabel[l], n)
 		}
 	}
 }
@@ -276,8 +291,8 @@ func (g *Graph) Edge(from *Node, kind EdgeKind, to *Node) {
 	if from == nil || to == nil {
 		return
 	}
-	from.out = appendEdge(from.out, kind, to)
-	to.in = appendEdge(to.in, kind, from)
+	from.out = g.arena.appendEdge(from.out, kind, to)
+	to.in = g.arena.appendEdge(to.in, kind, from)
 }
 
 // HasEdge reports whether a direct edge from → to of the given kind exists.

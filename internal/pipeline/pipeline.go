@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/ccc"
 	"repro/internal/ccd"
+	"repro/internal/cpg"
 	"repro/internal/dataset"
 	"repro/internal/query"
 	"repro/internal/service"
@@ -157,7 +158,7 @@ func Run(cfg Config) *Result {
 
 // RunWith executes the study over externally supplied corpora. The hot
 // steps — CCC detection, clone mapping and two-phase validation — fan out
-// through the service engine's worker pool, and every parse, report and
+// through the service engine's worker pool, and every snippet report and
 // fingerprint goes through its content-addressed caches.
 func RunWith(cfg Config, qa dataset.QACorpus, contracts []dataset.DeployedContract) *Result {
 	eng := cfg.Engine
@@ -427,7 +428,7 @@ func runValidation(cfg Config, eng *service.Engine, res *Result) {
 	}
 	validated := make([]valResult, len(pairs))
 	eng.Map(len(pairs), func(i int) {
-		rep, completed := validateContract(cfg, eng, pairs[i].contract.Source, pairs[i].snippet.Categories)
+		rep, completed := validateContract(cfg, pairs[i].contract.Source, pairs[i].snippet.Categories)
 		validated[i] = valResult{rep: rep, completed: completed}
 	})
 	for i, p := range pairs {
@@ -460,11 +461,12 @@ func runValidation(cfg Config, eng *service.Engine, res *Result) {
 // validateContract runs CCC restricted to the snippet's categories with the
 // phase-1 budget, then retries with reduced path depths (phase 2). The
 // second result reports whether any phase completed. The contract is parsed
-// once through the engine's content-addressed cache and the graph is shared
-// by every phase (it is immutable during analysis), instead of re-parsing
-// per attempt as the serial pipeline did.
-func validateContract(cfg Config, eng *service.Engine, src string, cats []ccc.Category) (ccc.Report, bool) {
-	g, err := eng.Graph(src)
+// once and every phase runs on that one graph (it is immutable during
+// analysis), which is released at the end. runValidation builds at most one
+// pair per contract, so no contract is parsed twice.
+func validateContract(cfg Config, src string, cats []ccc.Category) (ccc.Report, bool) {
+	g, err := cpg.Parse(src)
+	defer g.Release()
 	if err != nil {
 		return ccc.Report{}, false
 	}

@@ -357,7 +357,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	results := make([]AnalyzeResult, len(srcs))
 	for i, out := range s.engine.AnalyzeBatch(srcs) {
 		results[i] = AnalyzeResult{
-			Key:       string(service.ContentKey(srcs[i])),
+			Key:       string(out.Key),
 			Findings:  out.Report.Findings,
 			Truncated: out.Report.Truncated,
 		}
@@ -848,7 +848,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Snapshot:  snap,
 		Endpoints: s.endpointMetrics(),
 		HitRates: map[string]float64{
-			"parse":       snap.ParseCache.HitRate(),
 			"report":      snap.ReportCache.HitRate(),
 			"fingerprint": snap.FingerprintCache.HitRate(),
 		},

@@ -13,7 +13,7 @@ import (
 // Key is the content address of a source text: the SHA-256 of its normalized
 // form. Two sources differing only in comments or whitespace share a key —
 // the same normalization the study pipeline uses for deduplication — so
-// every cache layer (parse, report, fingerprint) deduplicates exactly the
+// every cache layer (report, fingerprint) deduplicates exactly the
 // inputs the paper's funnel collapses.
 type Key string
 

@@ -1,6 +1,6 @@
 // Package service is the concurrent analysis layer in front of the
 // reproduction's primitives: a bounded worker pool, content-addressed LRU
-// caches for parse results, CCC vulnerability reports and CCD fingerprints,
+// caches for CCC vulnerability reports and CCD fingerprints,
 // and a generational corpus whose readers are lock-free (matching loads one
 // immutable snapshot pointer; ingest publishes new generations off the read
 // path). The study pipeline fans its hot steps out through the same Engine
@@ -20,7 +20,6 @@ import (
 	"repro/internal/ccc"
 	"repro/internal/ccd"
 	"repro/internal/cluster"
-	"repro/internal/cpg"
 	"repro/internal/trace"
 )
 
@@ -32,7 +31,7 @@ const DefaultCacheEntries = 4096
 type Options struct {
 	// Workers bounds concurrent work; ≤ 0 selects GOMAXPROCS.
 	Workers int
-	// CacheEntries caps each cache layer (parse, report, fingerprint).
+	// CacheEntries caps each cache layer (report, fingerprint).
 	// 0 selects DefaultCacheEntries; < 0 disables caching (benchmarks use
 	// this to measure the uncached path).
 	CacheEntries int
@@ -78,7 +77,7 @@ func CheckBackend(name string) error {
 }
 
 // Engine wraps CCC and CCD behind a worker pool and content-addressed
-// caches. The cached primitives (Graph, Analyze, Fingerprint, Match, ...)
+// caches. The cached primitives (Analyze, Fingerprint, Match, ...)
 // are safe for concurrent use and do not themselves occupy worker slots;
 // bounding happens at the task level through Do, Map and the *Batch
 // helpers, so primitives may be freely composed inside pooled tasks without
@@ -90,14 +89,6 @@ type Engine struct {
 	ctr     counters
 	deg     *degrade
 
-	// graphs is rarely hit in serving (Analyze asks the report cache first,
-	// under the same key) and mostly acts as GC ballast. With the full
-	// per-node edge arrays, dropping it cost +85 % CPU a request. With the
-	// compact graph, bench analyze-cold at seed 1 on a 2-vCPU box (3 pairs)
-	// runs without it at 34 MB instead of 238 MB RSS, 0.081 instead of
-	// 0.077 CPU ms a request (+5 %) and 14.8k instead of 13.4k ops/s, so it
-	// is next in line for deletion.
-	graphs  *lru[graphEntry]
 	reports *lru[reportEntry]
 	prints  *lru[fpEntry]
 
@@ -111,11 +102,6 @@ type Engine struct {
 
 // Cached values retain the original computation's error so a hit replays
 // exactly what a miss produced (parse errors are deterministic per content).
-type graphEntry struct {
-	g   *cpg.Graph
-	err error
-}
-
 type reportEntry struct {
 	rep ccc.Report
 	err error
@@ -135,7 +121,6 @@ func New(opts Options) *Engine {
 	e := &Engine{
 		workers: workers,
 		sem:     make(chan struct{}, workers),
-		graphs:  newLRU[graphEntry](opts.CacheEntries),
 		reports: newLRU[reportEntry](opts.CacheEntries),
 		prints:  newLRU[fpEntry](opts.CacheEntries),
 		corpus:  NewCorpus(opts.CCD, opts.Shards),
@@ -283,37 +268,21 @@ func (e *Engine) MapCtx(ctx context.Context, n int, fn func(int)) error {
 
 // --- cached primitives --------------------------------------------------------
 
-// Graph parses src into a code property graph through the parse cache. The
-// graph is immutable after construction and may be analyzed concurrently.
-func (e *Engine) Graph(src string) (*cpg.Graph, error) {
-	return e.graph(ContentKey(src), src)
-}
-
-func (e *Engine) graph(key Key, src string) (*cpg.Graph, error) {
-	if ent, ok := e.graphs.Get(key); ok {
-		return ent.g, ent.err
-	}
-	g, err := cpg.Parse(src)
-	e.graphs.Put(key, graphEntry{g: g, err: err})
-	return g, err
-}
-
-// Analyze runs the default CCC analyzer over src through the report cache
-// (the parse itself goes through the parse cache).
+// Analyze runs the default CCC analyzer over src through the report cache.
+// A miss parses, analyzes and releases the graph, so its memory serves the
+// next one.
 func (e *Engine) Analyze(src string) (ccc.Report, error) {
+	return e.analyze(ContentKey(src), src)
+}
+
+func (e *Engine) analyze(key Key, src string) (ccc.Report, error) {
 	e.ctr.analyses.Add(1)
-	key := ContentKey(src)
 	if ent, ok := e.reports.Get(key); ok {
 		return ent.rep, ent.err
 	}
-	g, err := e.graph(key, src)
-	if err != nil {
-		e.reports.Put(key, reportEntry{err: err})
-		return ccc.Report{}, err
-	}
-	rep := ccc.Analyze(g)
-	e.reports.Put(key, reportEntry{rep: rep})
-	return rep, nil
+	rep, err := ccc.AnalyzeSource(src)
+	e.reports.Put(key, reportEntry{rep: rep, err: err})
+	return rep, err
 }
 
 // Fingerprint computes the CCD fuzzy-hash of src through the fingerprint
@@ -476,8 +445,10 @@ func (e *Engine) MatchFingerprint(ctx context.Context, fp ccd.Fingerprint, k int
 
 // --- pooled batch helpers -----------------------------------------------------
 
-// AnalyzeResult is one AnalyzeBatch element.
+// AnalyzeResult is one AnalyzeBatch element. Key is the source's content
+// address, the report cache's key.
 type AnalyzeResult struct {
+	Key    Key
 	Report ccc.Report
 	Err    error
 }
@@ -487,7 +458,8 @@ type AnalyzeResult struct {
 func (e *Engine) AnalyzeBatch(srcs []string) []AnalyzeResult {
 	out := make([]AnalyzeResult, len(srcs))
 	e.Map(len(srcs), func(i int) {
-		out[i].Report, out[i].Err = e.Analyze(srcs[i])
+		out[i].Key = ContentKey(srcs[i])
+		out[i].Report, out[i].Err = e.analyze(out[i].Key, srcs[i])
 	})
 	return out
 }

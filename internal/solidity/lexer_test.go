@@ -189,6 +189,65 @@ func TestTokenizeNeverPanicsAndTerminates(t *testing.T) {
 	}
 }
 
+// referenceOperator is the linear scan over the operator table that
+// scanOperator's per-byte index replaced: the ellipsis, then the first table
+// entry rest starts with. ok is false where neither matches.
+func referenceOperator(rest string) (op operator, ok bool) {
+	if strings.HasPrefix(rest, "…") {
+		return operator{"…", PLACEHOLDER}, true
+	}
+	for _, op := range operators {
+		if strings.HasPrefix(rest, op.text) {
+			return op, true
+		}
+	}
+	return operator{}, false
+}
+
+// TestOperatorDispatchMatchesLinearScan lexes every operator text, and every
+// suffix of random byte strings, with scanOperator and compares the token
+// and the bytes consumed against referenceOperator.
+func TestOperatorDispatchMatchesLinearScan(t *testing.T) {
+	check := func(s string) bool {
+		for off := range len(s) {
+			want, ok := referenceOperator(s[off:])
+			if !ok {
+				continue
+			}
+			l := NewLexer(s)
+			l.off = off
+			got := l.scanOperator(l.pos())
+			if got.Kind != want.kind || got.Literal != want.text || l.off != off+len(want.text) {
+				t.Errorf("%q at %d: got %v ending at %d, want %s(%q) ending at %d",
+					s, off, got, l.off, want.kind, want.text, off+len(want.text))
+				return false
+			}
+		}
+		return true
+	}
+	for _, op := range operators {
+		check(op.text)
+		if toks := Tokenize(op.text); len(toks) != 2 || toks[0].Kind != op.kind || toks[0].Literal != op.text {
+			t.Errorf("Tokenize(%q) = %v, want one %s token", op.text, toks, op.kind)
+		}
+	}
+	check("…")
+	// Strings dense in operator bytes, with the ellipsis whole and cut short.
+	pieces := strings.Split("! % & ( ) * + , - . / : ; < = > ? [ ] ^ { | } ~ … \xe2\x80 a 1", " ")
+	if err := quick.Check(func(idx []uint8) bool {
+		var sb strings.Builder
+		for _, k := range idx {
+			sb.WriteString(pieces[int(k)%len(pieces)])
+		}
+		return check(sb.String())
+	}, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	if err := quick.Check(func(b []byte) bool { return check(string(b)) }, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestTokenizeOffsetsMonotonic(t *testing.T) {
 	f := func(s string) bool {
 		toks := Tokenize(s)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Options configures the parser.
@@ -49,17 +50,33 @@ func ParseWith(src string, opts Options) (*SourceUnit, error) {
 	if opts.MaxErrors == 0 {
 		opts.MaxErrors = 32
 	}
-	toks := Tokenize(src)
+	buf := tokenPool.Get().(*[]Token)
+	all := tokenize(src, *buf)
+	toks := all
 	if opts.Fuzzy {
 		toks = filterPlaceholders(toks)
 	}
 	p := &Parser{toks: toks, opts: opts}
 	unit := p.parseSourceUnit()
+	// Clear the tokens so that their literals do not pin src in the pool.
+	clear(all)
+	if cap(all) <= maxPooledTokens {
+		*buf = all[:0]
+		tokenPool.Put(buf)
+	}
 	if len(p.errs) > 0 {
 		return unit, errors.Join(p.errs...)
 	}
 	return unit, nil
 }
+
+// maxPooledTokens caps the token buffers tokenPool keeps (56 bytes a token),
+// so that one huge source does not pin its buffer.
+const maxPooledTokens = 1 << 14
+
+// tokenPool recycles ParseWith's token buffers. The parser copies tokens by
+// value, so nothing it returns points into a buffer.
+var tokenPool = sync.Pool{New: func() any { return new([]Token) }}
 
 // filterPlaceholders removes "..." tokens in place, propagating their
 // newline flag so statement termination still works around elided code.
