@@ -21,6 +21,10 @@
 //	serve -role replica -partition 0/2 -corpus-dir ./r0 \
 //	      -bootstrap-from http://h1:8071 -addr :8073   # snapshot + WAL tail
 //
+// A router started with -replicas fails a shard request over to the
+// partition's replica when the primary errors; a primary shedding load
+// (429/503) is not failed over, its Retry-After reaches the client.
+//
 // The serving corpus is hash-partitioned into -shards generation-shards
 // (default GOMAXPROCS): each /v1/match scatter-gathers across all shards in
 // parallel under one shared admission bound, so query latency drops roughly
@@ -84,7 +88,10 @@
 // -bp-fsync-p99 arms durability backpressure: when the rolling WAL fsync p99
 // crosses the threshold, ingest acknowledgements slow by the excess (capped
 // at -bp-max-delay) so write bursts degrade smoothly before the admission
-// queue sheds. See docs/operations.md for the runbook and docs/tuning.md for
+// queue sheds. Before shedding, sustained pressure (admission depth or fsync
+// p99 at 0.75 or more) enters degradation tier 1, which halves the limit of a
+// single-query /v1/match and reports it as effective_limit; -degrade-off
+// disables it. See docs/operations.md for the runbook and docs/tuning.md for
 // how to size the knobs.
 //
 // With -clusters (default on) every ingested document is matched against
@@ -170,7 +177,6 @@ func main() {
 	role := flag.String("role", "single", "node role: single (everything in-process), shard (owns one -partition), router (fans /v1/match over -shards URLs), replica (shard that bootstraps from -bootstrap-from and keeps tailing its WAL)")
 	partition := flag.String("partition", "", "this node's hash partition as i/N (with -role shard|replica)")
 	replicas := flag.String("replicas", "", "comma-separated replica base URLs aligned with the -shards list (with -role router; empty slots allowed)")
-	hedgeP99 := flag.Duration("hedge-p99", 0, "per-shard rolling p99 above which the router hedges reads to the shard's replica (0 = no hedging)")
 	waves := flag.Int("waves", 0, "router fanout waves: later waves ship the bound tightened by earlier ones (0 = default)")
 	bootstrapFrom := flag.String("bootstrap-from", "", "peer base URL to bootstrap the corpus from: snapshot download + WAL tail replay (with -role shard|replica; requires -corpus-dir)")
 	n := flag.Int("ccd-n", ccd.DefaultConfig.N, "CCD n-gram size")
@@ -189,10 +195,7 @@ func main() {
 	bpFsyncP99 := flag.Duration("bp-fsync-p99", 50*time.Millisecond, "rolling WAL fsync p99 above which ingest acks slow down (0 = disabled; needs -corpus-dir)")
 	bpMaxDelay := flag.Duration("bp-max-delay", service.DefaultBackpressureMaxDelay, "cap on the per-ack delay injected by durability backpressure")
 	maxDeadline := flag.Duration("max-deadline", api.DefaultMaxDeadline, "clamp on client-declared X-Request-Timeout / ?timeout= budgets")
-	degradeOff := flag.Bool("degrade-off", false, "disable the pressure-tiered quality-degradation ladder")
-	degradeTier1 := flag.Float64("degrade-tier1", 0, "pressure threshold entering tier 1 (halved effective match limit; 0 = default 0.75)")
-	degradeTier2 := flag.Float64("degrade-tier2", 0, "pressure threshold entering tier 2 (raised pre-filter η; 0 = default 0.90)")
-	degradeTier3 := flag.Float64("degrade-tier3", 0, "pressure threshold entering tier 3 (stale cluster views; 0 = default 1.0)")
+	degradeOff := flag.Bool("degrade-off", false, "disable the quality-degradation ladder (tier 1 halves a single-query match limit at pressure ≥ 0.75)")
 	mmapSegments := flag.Bool("mmap", true, "memory-map snapshot segments on restore and after snapshots (zero-copy boot; false = decode to heap)")
 	postingBlock := flag.Int("posting-block", ngram.DefaultBlockSize(), "posting-list block size in doc ids (compression/skip granularity, 1-65536)")
 	flag.Parse()
@@ -281,13 +284,7 @@ func main() {
 		CCD:           ccd.Config{N: *n, Eta: *eta, Epsilon: *eps},
 		TrackClusters: *clusters,
 		Admission:     service.AdmissionConfig{MaxQueue: *admissionQueue},
-		Degrade: service.DegradeConfig{
-			Tier1:    *degradeTier1,
-			Tier2:    *degradeTier2,
-			Tier3:    *degradeTier3,
-			FsyncP99: *bpFsyncP99,
-			Disabled: *degradeOff,
-		},
+		Degrade:       service.DegradeConfig{FsyncP99: *bpFsyncP99, Disabled: *degradeOff},
 	})
 
 	opts := []api.Option{api.WithLogger(logger), api.WithMaxDeadline(*maxDeadline)}
@@ -297,7 +294,6 @@ func main() {
 			Targets:  shardURLs,
 			Replicas: splitList(*replicas),
 			Waves:    *waves,
-			HedgeP99: *hedgeP99,
 			Epsilon:  *eps,
 		})
 		opts = append(opts, api.WithRouter(router))

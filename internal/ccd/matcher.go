@@ -250,11 +250,8 @@ func PrepareQuery(cfg Config, fp Fingerprint) *PreparedQuery {
 }
 
 // MatchOpts tunes one match pass without changing corpus state — the
-// request-budget and degradation knobs the serving layer threads per query.
+// request-budget knob the serving layer threads per query.
 type MatchOpts struct {
-	// Eta, when positive, overrides the corpus's pre-filter threshold:
-	// degradation tiers raise it to prune harder under pressure.
-	Eta float64
 	// Abandon, when non-nil, is sampled every abandonStride candidates; when
 	// it returns true the verification loop stops and the stats gain the
 	// unvisited candidates as Abandoned. The collector keeps whatever it
@@ -277,12 +274,8 @@ const abandonStride = 64
 // corpus's per-stage stats.
 func (c *Corpus) MatchInto(q *PreparedQuery, col *TopK, mb *MatchBuffer, opts MatchOpts) MatchStats {
 	var stats MatchStats
-	eta := c.cfg.Eta
-	if opts.Eta > eta {
-		eta = opts.Eta
-	}
 	start := time.Now()
-	cands, qst := c.index.QueryGramsScratch(q.grams, eta, &mb.ng)
+	cands, qst := c.index.QueryGramsScratch(q.grams, c.cfg.Eta, &mb.ng)
 	scoreStart := time.Now()
 	stats.FilterNs = scoreStart.Sub(start).Nanoseconds()
 	stats.Candidates = len(cands)

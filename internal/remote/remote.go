@@ -16,7 +16,7 @@
 // The package has three layers: wire types (this file), a persistent-
 // connection HTTP client (client.go) with a consistent-hash ring for
 // partition assignment (ring.go), and the Router (router.go) whose shard
-// request carries bound shipping, hedged reads and replica failover.
+// request carries bound shipping and replica failover.
 package remote
 
 import (

@@ -3,8 +3,6 @@ package remote
 import (
 	"context"
 	"errors"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,8 +17,8 @@ type Config struct {
 	// NewRing(len(Targets)).
 	Targets []string
 	// Replicas optionally names a read replica per partition ("" = none;
-	// shorter than Targets = no replica for the tail). Used for failover
-	// and, when HedgeP99 is set, hedged reads.
+	// shorter than Targets = no replica for the tail). A shard request that
+	// fails on its primary for any reason but overload fails over to it.
 	Replicas []string
 	// Waves is how many sequential groups the fanout is split into
 	// (parallel within a group). More waves ship tighter bounds to later
@@ -28,10 +26,6 @@ type Config struct {
 	// one extra RTT for a bound already tightened by half the fleet, and
 	// more waves than targets means one target a wave.
 	Waves int
-	// HedgeP99 enables hedged reads: when a shard's rolling p99 exceeds it,
-	// the request is raced against the partition's replica and the first
-	// success wins. 0 disables hedging.
-	HedgeP99 time.Duration
 	// NoBoundShip disables shipping the admission bound with shard requests
 	// (every request carries bound 0). Exists to measure what shipping
 	// saves; production routers leave it off.
@@ -55,10 +49,8 @@ type Router struct {
 	cfg    Config
 	client *Client
 	ring   *Ring
-	lat    []latencyWindow // per-partition rolling latency, hedging signal
 
 	fanouts          atomic.Int64
-	hedged           atomic.Int64
 	partials         atomic.Int64
 	boundShipSavings atomic.Int64
 	shardErrs        []atomic.Int64
@@ -82,7 +74,6 @@ func NewRouter(cfg Config) *Router {
 		cfg:       cfg,
 		client:    cfg.Client,
 		ring:      NewRing(len(cfg.Targets)),
-		lat:       make([]latencyWindow, len(cfg.Targets)),
 		shardErrs: make([]atomic.Int64, len(cfg.Targets)),
 	}
 }
@@ -215,19 +206,11 @@ func remainingBudgetMs(ctx context.Context) int64 {
 	return ms
 }
 
-// queryShard runs one partition's request against its primary, hedging to
-// or failing over to the replica when one exists.
+// queryShard runs one partition's request against its primary, failing
+// over to the replica when one exists.
 func (r *Router) queryShard(ctx context.Context, part int, req ShardMatchRequest) (ShardMatchResponse, error) {
-	primary := r.cfg.Targets[part]
-	replica := r.Replica(part)
-	if replica != "" && r.cfg.HedgeP99 > 0 && r.lat[part].p99() > r.cfg.HedgeP99 {
-		r.hedged.Add(1)
-		return r.hedge(ctx, part, primary, replica, req)
-	}
-	start := time.Now()
-	resp, err := r.client.MatchShard(ctx, primary, req)
+	resp, err := r.client.MatchShard(ctx, r.cfg.Targets[part], req)
 	if err == nil {
-		r.lat[part].observe(time.Since(start))
 		return resp, nil
 	}
 	if errors.Is(err, service.ErrOverloaded) {
@@ -235,65 +218,17 @@ func (r *Router) queryShard(ctx context.Context, part int, req ShardMatchRequest
 		// availability, not extra capacity the primary just refused to add.
 		return resp, err
 	}
+	replica := r.Replica(part)
 	if replica == "" {
 		return resp, err
 	}
 	return r.client.MatchShard(ctx, replica, req)
 }
 
-// hedge races the primary against the replica and returns the first
-// success; the loser's request is cancelled.
-func (r *Router) hedge(ctx context.Context, part int, primary, replica string, req ShardMatchRequest) (ShardMatchResponse, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		resp    ShardMatchResponse
-		err     error
-		primary bool
-	}
-	ch := make(chan outcome, 2)
-	for _, t := range []struct {
-		base    string
-		primary bool
-	}{{primary, true}, {replica, false}} {
-		go func(base string, isPrimary bool) {
-			start := time.Now()
-			resp, err := r.client.MatchShard(hctx, base, req)
-			if err == nil && isPrimary {
-				r.lat[part].observe(time.Since(start))
-			}
-			ch <- outcome{resp, err, isPrimary}
-		}(t.base, t.primary)
-	}
-	var lastErr, overload error
-	for i := 0; i < 2; i++ {
-		o := <-ch
-		if o.err == nil {
-			return o.resp, nil
-		}
-		if errors.Is(o.err, service.ErrOverloaded) {
-			// One leg shedding load does not decide the hedge: the other may
-			// still answer — the replica exists to serve availability, same
-			// rationale as queryShard's failover. Only when both legs fail
-			// does the backpressure propagate, Retry-After intact.
-			overload = o.err
-			continue
-		}
-		lastErr = o.err
-	}
-	if overload != nil {
-		return ShardMatchResponse{}, overload
-	}
-	return ShardMatchResponse{}, lastErr
-}
-
 // Stats is a point-in-time view of the router's counters for /metrics.
 type Stats struct {
 	// Fanouts counts routed match queries.
 	Fanouts int64
-	// Hedged counts queries where a slow shard was raced against its
-	// replica.
-	Hedged int64
 	// Partials counts degraded responses (at least one partition down).
 	Partials int64
 	// BoundShipSavings totals candidates remote shards pruned thanks to the
@@ -308,7 +243,6 @@ type Stats struct {
 func (r *Router) Stats() Stats {
 	s := Stats{
 		Fanouts:          r.fanouts.Load(),
-		Hedged:           r.hedged.Load(),
 		Partials:         r.partials.Load(),
 		BoundShipSavings: r.boundShipSavings.Load(),
 		ShardErrors:      make([]int64, len(r.shardErrs)),
@@ -321,38 +255,3 @@ func (r *Router) Stats() Stats {
 
 // FanoutHist exposes the end-to-end fanout latency histogram (µs).
 func (r *Router) FanoutHist() *trace.Hist { return &r.fanoutHist }
-
-// latencyWindow is a per-shard rolling window of recent request latencies;
-// its p99 is the hedging trigger. Small and mutex-guarded — one observe per
-// shard request is nowhere near contention.
-type latencyWindow struct {
-	mu      sync.Mutex
-	samples [64]time.Duration
-	n       int // total observed; ring position = n % len
-}
-
-func (w *latencyWindow) observe(d time.Duration) {
-	w.mu.Lock()
-	w.samples[w.n%len(w.samples)] = d
-	w.n++
-	w.mu.Unlock()
-}
-
-// p99 returns the window's 99th percentile (0 with no samples yet — a cold
-// shard is never hedged on no evidence).
-func (w *latencyWindow) p99() time.Duration {
-	w.mu.Lock()
-	n := min(w.n, len(w.samples))
-	buf := make([]time.Duration, n)
-	copy(buf, w.samples[:n])
-	w.mu.Unlock()
-	if n == 0 {
-		return 0
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	idx := (n*99 + 99) / 100 // ceil(0.99n), 1-based
-	if idx > n {
-		idx = n
-	}
-	return buf[idx-1]
-}

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 )
 
 // shardFixture is an in-process fake shard node: it answers
@@ -18,7 +17,6 @@ import (
 type shardFixture struct {
 	mu     sync.Mutex
 	docs   []Match
-	delay  time.Duration
 	bounds []float64 // bound received per request, in arrival order
 	hits   int
 }
@@ -38,11 +36,7 @@ func (f *shardFixture) handler() http.Handler {
 		f.bounds = append(f.bounds, req.Bound)
 		f.hits++
 		docs := append([]Match(nil), f.docs...)
-		delay := f.delay
 		f.mu.Unlock()
-		if delay > 0 {
-			time.Sleep(delay)
-		}
 		var resp ShardMatchResponse
 		for _, m := range docs {
 			resp.Stats.Candidates++
@@ -134,6 +128,10 @@ func TestRouterNoBoundShip(t *testing.T) {
 	}
 }
 
+// TestRouterPropagatesRetryAfter pins the one replica policy under overload:
+// a primary pushing back with 429 propagates its backpressure, Retry-After
+// intact, and its replica is never asked — the replica serves availability,
+// not capacity the primary just refused.
 func TestRouterPropagatesRetryAfter(t *testing.T) {
 	busy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "7")
@@ -142,7 +140,11 @@ func TestRouterPropagatesRetryAfter(t *testing.T) {
 	}))
 	t.Cleanup(busy.Close)
 	ok := &shardFixture{docs: []Match{{ID: "a", Score: 90}}}
-	r := NewRouter(Config{Targets: []string{busy.URL, startShard(t, ok).URL}})
+	rep := &shardFixture{docs: []Match{{ID: "a", Score: 90}}}
+	r := NewRouter(Config{
+		Targets:  []string{busy.URL, startShard(t, ok).URL},
+		Replicas: []string{startShard(t, rep).URL},
+	})
 
 	_, err := r.Match(context.Background(), "fp", 1)
 	var se *StatusError
@@ -151,6 +153,11 @@ func TestRouterPropagatesRetryAfter(t *testing.T) {
 	}
 	if se.Status != http.StatusTooManyRequests || se.RetryAfterSeconds != 7 {
 		t.Fatalf("got status %d retry-after %d, want 429/7", se.Status, se.RetryAfterSeconds)
+	}
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	if rep.hits != 0 {
+		t.Fatalf("replica asked %d times, want 0: overload must not fail over", rep.hits)
 	}
 }
 
@@ -202,85 +209,5 @@ func TestRouterFailsOverToReplica(t *testing.T) {
 	}
 	if res.Partial || len(res.Matches) != 1 {
 		t.Fatalf("got partial=%v matches=%+v, want a full answer from the replica", res.Partial, res.Matches)
-	}
-}
-
-func TestRouterHedgesSlowShard(t *testing.T) {
-	slow := &shardFixture{docs: []Match{{ID: "a", Score: 90}}, delay: 20 * time.Millisecond}
-	rep := &shardFixture{docs: []Match{{ID: "a", Score: 90}}}
-	r := NewRouter(Config{
-		Targets:  []string{startShard(t, slow).URL},
-		Replicas: []string{startShard(t, rep).URL},
-		HedgeP99: time.Microsecond,
-	})
-	// First query seeds the latency window; later ones see p99 over the
-	// threshold and race the replica.
-	for i := 0; i < 3; i++ {
-		if _, err := r.Match(context.Background(), "fp", 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r.Stats().Hedged == 0 {
-		t.Fatal("no hedged reads despite a slow primary and a tiny -hedge-p99")
-	}
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if rep.hits == 0 {
-		t.Fatal("replica never queried")
-	}
-}
-
-// overloadedShard answers every request 429 + Retry-After, the shape of a
-// shard shedding load.
-func overloadedShard(t *testing.T, retryAfter string) *httptest.Server {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", retryAfter)
-		w.WriteHeader(http.StatusTooManyRequests)
-		_ = json.NewEncoder(w).Encode(map[string]any{"error": "overloaded"})
-	}))
-	t.Cleanup(ts.Close)
-	return ts
-}
-
-// TestHedgeOverloadedLegWaitsForOther pins the hedge's overload contract:
-// the replica exists to serve availability, so a 429 from whichever leg
-// answers first must not abort the hedge while the other leg can still
-// succeed.
-func TestHedgeOverloadedLegWaitsForOther(t *testing.T) {
-	busy := overloadedShard(t, "5")
-	// The healthy replica answers strictly after the 429, so the overloaded
-	// outcome is always the first off the channel.
-	rep := &shardFixture{docs: []Match{{ID: "a", Score: 90}}, delay: 10 * time.Millisecond}
-	r := NewRouter(Config{
-		Targets:  []string{busy.URL},
-		Replicas: []string{startShard(t, rep).URL},
-		HedgeP99: time.Nanosecond,
-	})
-	resp, err := r.hedge(context.Background(), 0, busy.URL, r.Replica(0), ShardMatchRequest{Fingerprint: "fp", K: 1})
-	if err != nil {
-		t.Fatalf("healthy replica should cover the overloaded primary: %v", err)
-	}
-	if len(resp.Matches) != 1 || resp.Matches[0].ID != "a" {
-		t.Fatalf("matches = %+v, want the replica's doc", resp.Matches)
-	}
-}
-
-// TestHedgeBothOverloadedPropagates: only when BOTH legs push back does the
-// backpressure surface, Retry-After intact.
-func TestHedgeBothOverloadedPropagates(t *testing.T) {
-	busy1 := overloadedShard(t, "7")
-	busy2 := overloadedShard(t, "7")
-	r := NewRouter(Config{
-		Targets:  []string{busy1.URL},
-		Replicas: []string{busy2.URL},
-		HedgeP99: time.Nanosecond,
-	})
-	_, err := r.hedge(context.Background(), 0, busy1.URL, busy2.URL, ShardMatchRequest{Fingerprint: "fp", K: 1})
-	var se *StatusError
-	if !errors.As(err, &se) || !se.Overloaded() {
-		t.Fatalf("want an overloaded StatusError when both legs shed load, got %v", err)
-	}
-	if se.RetryAfterSeconds != 7 {
-		t.Fatalf("Retry-After %d, want 7 preserved through the hedge", se.RetryAfterSeconds)
 	}
 }

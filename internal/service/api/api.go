@@ -56,10 +56,6 @@ type Server struct {
 	// DefaultMaxDeadline; see WithMaxDeadline).
 	maxDeadline time.Duration
 
-	// clustersCache is the tier-3 stale-while-revalidate snapshot served by
-	// /v1/clusters under full degradation (see handleClusters).
-	clustersCache clustersCache
-
 	// router puts the server in router mode (WithRouter): match and ingest
 	// fan out to remote shard nodes instead of the local corpus.
 	router *remote.Router
@@ -297,11 +293,13 @@ type MatchResponse struct {
 	Partial bool    `json:"partial,omitempty"`
 	// Degraded lists the quality reductions applied to this response:
 	// "deadline" (the budget expired mid-scan; Matches is a best-effort
-	// partial top-K) and/or "limit" (pressure tier ≥ 1 halved the effective
+	// partial top-K) and/or "limit" (pressure tier 1 halved the effective
 	// top-K; see EffectiveLimit).
 	Degraded []string `json:"degraded,omitempty"`
-	// EffectiveLimit is the top-K actually served when degradation reduced
-	// the requested limit.
+	// EffectiveLimit is the top-K actually served when tier 1 halved the
+	// requested limit. Only the single-query form is halved, on a single
+	// node and a router alike; batch results always run with the request's
+	// limit.
 	EffectiveLimit int           `json:"effective_limit,omitempty"`
 	Explain        *MatchExplain `json:"explain,omitempty"`
 	Error          string        `json:"error,omitempty"`
@@ -826,11 +824,10 @@ type MetricsResponse struct {
 }
 
 // RemoteMetrics is the JSON /metrics view of the router's remote fanout:
-// per-shard error counts, hedging and degradation tallies, and the
-// candidates remote shards skipped thanks to the shipped admission bound.
+// per-shard error counts, partial-answer tallies, and the candidates remote
+// shards skipped thanks to the shipped admission bound.
 type RemoteMetrics struct {
 	Fanouts          int64                `json:"fanouts"`
-	HedgedReads      int64                `json:"hedged_reads"`
 	PartialResponses int64                `json:"partial_responses"`
 	BoundShipSavings int64                `json:"bound_ship_savings"`
 	ShardErrors      []int64              `json:"shard_errors"`
@@ -859,7 +856,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		rs := s.router.Stats()
 		resp.Remote = &RemoteMetrics{
 			Fanouts:          rs.Fanouts,
-			HedgedReads:      rs.Hedged,
 			PartialResponses: rs.Partials,
 			BoundShipSavings: rs.BoundShipSavings,
 			ShardErrors:      rs.ShardErrors,

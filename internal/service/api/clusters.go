@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
-	"sync"
-	"time"
 
 	"repro/internal/cluster"
 )
@@ -14,63 +12,6 @@ import (
 // defaultTopClusters bounds the largest-cluster list attached to
 // /v1/clusters and to corpus-study summaries.
 const defaultTopClusters = 10
-
-// clustersStaleMaxAge bounds how old the tier-3 stale-while-revalidate
-// clusters snapshot may grow before a request recomputes it inline anyway.
-const clustersStaleMaxAge = 5 * time.Second
-
-// clustersCache is the stale-while-revalidate snapshot behind /v1/clusters.
-// Under degradation tier 3 requests are served from the cached summary and
-// top list (bounded age) while at most one background refresh recomputes it
-// — the cluster walk is the endpoint's only expensive part, and shedding it
-// from the request path is the last quality rung before admission starts
-// shedding whole requests.
-type clustersCache struct {
-	mu         sync.Mutex
-	at         time.Time // zero until first fill
-	sum        cluster.Summary
-	top        []cluster.Cluster // full set.Clusters(2,false) list, unsliced
-	refreshing bool
-}
-
-// snapshot computes the live summary + top list and stores it in the cache.
-func (c *clustersCache) snapshot(set *cluster.Set) (cluster.Summary, []cluster.Cluster) {
-	sum := set.Summary()
-	top := set.Clusters(2, false)
-	c.mu.Lock()
-	c.at = time.Now()
-	c.sum = sum
-	c.top = top
-	c.mu.Unlock()
-	return sum, top
-}
-
-// stale returns the cached snapshot when it is fresh enough to serve under
-// tier 3. When the cache is usable but aging, it starts a single background
-// refresh (single-flight: concurrent requests keep serving stale rather than
-// piling onto the cluster walk).
-func (c *clustersCache) stale(set *cluster.Set) (cluster.Summary, []cluster.Cluster, bool) {
-	c.mu.Lock()
-	if c.at.IsZero() || time.Since(c.at) > clustersStaleMaxAge {
-		c.mu.Unlock()
-		return cluster.Summary{}, nil, false
-	}
-	sum, top := c.sum, c.top
-	refresh := !c.refreshing && time.Since(c.at) > clustersStaleMaxAge/2
-	if refresh {
-		c.refreshing = true
-	}
-	c.mu.Unlock()
-	if refresh {
-		go func() {
-			c.snapshot(set)
-			c.mu.Lock()
-			c.refreshing = false
-			c.mu.Unlock()
-		}()
-	}
-	return sum, top, true
-}
 
 // ClustersResponse is the GET /v1/clusters payload: the live clone-cluster
 // view the engine maintains as ingest lands. Enabled is false when the
@@ -82,9 +23,6 @@ type ClustersResponse struct {
 	// Top lists the largest clusters (size descending, representative id
 	// ascending), without members; ?top=N resizes it.
 	Top []cluster.Cluster `json:"top,omitempty"`
-	// Stale marks a response served from the tier-3 stale-while-revalidate
-	// snapshot (bounded age) instead of a live cluster walk.
-	Stale bool `json:"stale,omitempty"`
 }
 
 func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
@@ -102,21 +40,10 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 		}
 		topN = n
 	}
-	var (
-		sum   cluster.Summary
-		top   []cluster.Cluster
-		stale bool
-	)
-	if s.engine.DegradeTier() >= 3 {
-		sum, top, stale = s.clustersCache.stale(set)
-	}
-	if stale {
-		s.engine.NoteClustersStale()
-	} else {
-		sum, top = s.clustersCache.snapshot(set)
-	}
-	resp := ClustersResponse{Enabled: true, Summary: &sum, Stale: stale}
+	sum := set.Summary()
+	resp := ClustersResponse{Enabled: true, Summary: &sum}
 	if topN > 0 {
+		top := set.Clusters(2, false)
 		if len(top) > topN {
 			top = top[:topN]
 		}

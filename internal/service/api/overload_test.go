@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/remote"
 	"repro/internal/service"
 )
 
@@ -168,10 +169,32 @@ func TestShedResponseShape(t *testing.T) {
 	})
 	// Hold the admission queue full from the inside: two slow analyze
 	// requests occupy capacity (workers 1 + queue 1 = 2).
+	release := holdInflight(t, ts, 2)
+	resp, body := post(t, ts.URL+"/v1/match", map[string]any{"source": benignSrc})
+	release()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d with a full admission queue, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("shed response missing Retry-After header")
+	}
+	if body["retry_after_seconds"].(float64) < 1 {
+		t.Errorf("retry_after_seconds %v, want >= 1", body["retry_after_seconds"])
+	}
+	if body["trace_id"] == "" {
+		t.Error("shed response missing trace_id")
+	}
+}
+
+// holdInflight keeps n slow analyze requests admitted and inside the
+// handler's decode until the returned release is called; release then waits
+// for them to finish.
+func holdInflight(t *testing.T, ts *httptest.Server, n int) (release func()) {
+	t.Helper()
 	block := make(chan struct{})
 	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -184,39 +207,124 @@ func TestShedResponseShape(t *testing.T) {
 			resp.Body.Close()
 		}(i)
 	}
-	// Wait until both requests are admitted (inflight visible in /metrics).
+	release = func() {
+		t.Helper()
+		close(block)
+		wg.Wait()
+		select {
+		case err := <-errs:
+			t.Fatal(err)
+		default:
+		}
+	}
+	// Wait until all n requests are admitted (inflight visible in /metrics).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		_, m := get(t, ts.URL+"/metrics")
-		if m["admission"].(map[string]any)["inflight"].(float64) >= 2 {
-			break
+		if m["admission"].(map[string]any)["inflight"].(float64) >= float64(n) {
+			return release
 		}
 		if time.Now().After(deadline) {
-			close(block)
+			release()
 			t.Fatal("admission queue never filled")
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
 
-	resp, body := post(t, ts.URL+"/v1/match", map[string]any{"source": benignSrc})
-	close(block)
-	wg.Wait()
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
-	}
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d with a full admission queue, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("shed response missing Retry-After header")
-	}
-	if body["retry_after_seconds"].(float64) < 1 {
-		t.Errorf("retry_after_seconds %v, want >= 1", body["retry_after_seconds"])
-	}
-	if body["trace_id"] == "" {
-		t.Error("shed response missing trace_id")
+// TestDegradeTier1HalvesSingleMatchLimit pins the one quality tier: with
+// admission held at 3/4 of capacity the ladder enters tier 1, and a
+// single-query /v1/match asking for 4 is served with 2, marked on the wire,
+// on a single node and a router alike. The batch form keeps its limit, and
+// with the ladder disabled the same pressure leaves the single form whole.
+func TestDegradeTier1HalvesSingleMatchLimit(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		router, disabled bool
+	}{
+		{"single", false, false},
+		{"single-disabled", false, true},
+		{"router", true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := service.Options{
+				Workers:   1,
+				Shards:    2,
+				Admission: service.AdmissionConfig{MaxQueue: 3}, // capacity 4
+				Degrade:   service.DegradeConfig{Disabled: tc.disabled},
+			}
+			var ts *httptest.Server
+			if tc.router {
+				shard := httptest.NewServer(NewServer(service.New(service.Options{Workers: 2, Shards: 2}), WithPartition(0, 1)).Handler())
+				t.Cleanup(shard.Close)
+				router := remote.NewRouter(remote.Config{Targets: []string{shard.URL}})
+				ts = httptest.NewServer(NewServer(service.New(opts), WithRouter(router)).Handler())
+				t.Cleanup(ts.Close)
+			} else {
+				ts, _ = newTestServerOpts(t, opts)
+			}
+			if resp, _ := post(t, ts.URL+"/v1/corpus", map[string]any{"entries": []map[string]string{
+				{"id": "victim-1", "source": reentrantSrc},
+				{"id": "safe-1", "source": benignSrc},
+			}}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("seed status %d", resp.StatusCode)
+			}
+			release := holdInflight(t, ts, 3) // pressure 3/4, the tier-1 threshold
+			defer release()
+
+			// Each /metrics read samples the ladder at most once per 100ms;
+			// entering takes two hot samples in a row.
+			degrade := func() map[string]any {
+				_, m := get(t, ts.URL+"/metrics")
+				return m["degrade"].(map[string]any)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			if !tc.disabled {
+				for degrade()["tier"].(float64) != 1 {
+					if time.Now().After(deadline) {
+						t.Fatal("ladder never entered tier 1 with admission held at 3/4")
+					}
+					time.Sleep(10 * time.Millisecond)
+				}
+			} else {
+				// Hold the pressure for well over the two samples entering takes.
+				for end := time.Now().Add(500 * time.Millisecond); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+					if tier := degrade()["tier"].(float64); tier != 0 {
+						t.Fatalf("disabled ladder reports tier %v", tier)
+					}
+				}
+			}
+
+			resp, body := post(t, ts.URL+"/v1/match", map[string]any{"source": benignSrc, "limit": 4})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("match status %d: %v", resp.StatusCode, body)
+			}
+			if tc.disabled {
+				if _, ok := body["effective_limit"]; ok || body["degraded"] != nil {
+					t.Fatalf("disabled ladder degraded the match: %v", body)
+				}
+			} else {
+				if body["effective_limit"] != float64(2) {
+					t.Fatalf("effective_limit %v, want 2 (limit 4 halved at tier 1): %v", body["effective_limit"], body)
+				}
+				if d, _ := body["degraded"].([]any); len(d) != 1 || d[0] != "limit" {
+					t.Fatalf("degraded %v, want [limit]", body["degraded"])
+				}
+			}
+
+			_, batch := post(t, ts.URL+"/v1/match", map[string]any{"sources": []string{benignSrc}, "limit": 4})
+			if r := batch["results"].([]any)[0].(map[string]any); r["effective_limit"] != nil || r["degraded"] != nil {
+				t.Fatalf("batch form marked degraded: %v", r)
+			}
+
+			want := 1.0
+			if tc.disabled {
+				want = 0
+			}
+			if dg := degrade(); dg["tier_entered"] != want || dg["limit_halved"] != want {
+				t.Fatalf("degrade metrics %v, want tier_entered and limit_halved %v", dg, want)
+			}
+		})
 	}
 }
 

@@ -230,7 +230,6 @@ func (s *Server) writePrometheus(w io.Writer, snap service.Snapshot, uptimeSec f
 	for i, n := range rstats.ShardErrors {
 		p.metric("ccd_remote_shard_errors_total", label("shard", strconv.Itoa(i)), float64(n))
 	}
-	p.counter("ccd_remote_hedged_reads_total", "Queries raced against a replica after the shard's rolling p99 crossed the hedge threshold.", rstats.Hedged)
 	p.counter("ccd_remote_partial_responses_total", "Degraded responses missing at least one partition.", rstats.Partials)
 	p.counter("ccd_remote_bound_ship_savings_total", "Candidates remote shards pruned thanks to the shipped admission bound.", rstats.BoundShipSavings)
 
@@ -239,11 +238,9 @@ func (s *Server) writePrometheus(w io.Writer, snap service.Snapshot, uptimeSec f
 	// can sum ccd_deadline_shipped_total over shard nodes without caring
 	// which nodes ever received a shipped budget.
 	dg := snap.Degrade
-	p.gauge("ccd_degrade_tier", "Current quality-degradation tier (0 = full quality).", float64(dg.Tier))
-	p.counter("ccd_degrade_tier_entered_total", "Degradation tier escalations since boot.", dg.TierEntered)
-	p.counter("ccd_degrade_limit_halved_total", "Match requests served with a tier-1 halved effective limit.", dg.LimitHalved)
-	p.counter("ccd_degrade_eta_raised_total", "Scans run with the tier-2 raised pre-filter bound.", dg.EtaRaised)
-	p.counter("ccd_degrade_clusters_stale_total", "Cluster views served from the tier-3 stale snapshot.", dg.ClustersStale)
+	p.gauge("ccd_degrade_tier", "Current quality-degradation tier (0 = full quality, 1 = halved match limit).", float64(dg.Tier))
+	p.counter("ccd_degrade_tier_entered_total", "Entries into degradation tier 1 since boot.", dg.TierEntered)
+	p.counter("ccd_degrade_limit_halved_total", "Single-query match requests served with a tier-1 halved effective limit.", dg.LimitHalved)
 	dl := snap.Deadline
 	p.counter("ccd_deadline_budget_requests_total", "Requests that declared a deadline budget.", dl.BudgetRequests)
 	p.counter("ccd_deadline_expired_total", "Budgets that expired mid-request and were answered with a degraded partial.", dl.Expired)

@@ -265,7 +265,11 @@ func (s *Server) routerMatchFP(ctx context.Context, req MatchRequest, source, fp
 		}
 		fp = string(f)
 	}
-	limit := s.effectiveLimit(req.Limit)
+	limit := req.Limit
+	if len(req.Sources) == 0 && len(req.Fingerprints) == 0 {
+		// Tier 1 halves the single-query form only, as on a single node.
+		limit = s.effectiveLimit(limit)
+	}
 	res, err := s.router.Match(ctx, fp, limit)
 	if err != nil {
 		return MatchResponse{}, err

@@ -365,7 +365,7 @@ func (c *Corpus) MatchTopKCtx(ctx context.Context, fp ccd.Fingerprint, k int, bo
 		bound = ccd.NewAtomicBound(0)
 	}
 	q := ccd.PrepareQuery(c.cfg, fp)
-	opts := ccd.MatchOpts{Eta: EtaOverrideOf(ctx)}
+	var opts ccd.MatchOpts
 	if b, ok := BudgetOf(ctx); ok && !b.Deadline.IsZero() {
 		// Phase split: the scan must yield early enough that merge and
 		// response encoding still fit inside the request budget.

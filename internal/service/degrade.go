@@ -1,122 +1,72 @@
 package service
 
 import (
-	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// DegradeConfig tunes the pressure-tiered quality ladder: under measured
-// pressure the engine degrades result *quality* (smaller effective top-K,
-// coarser pre-filter, stale cluster views) before admission degrades
-// *quantity* (shedding 429s). Pressure is the max of queue pressure
-// (in-flight admitted requests / admission capacity) and durability pressure
-// (recent fsync p99 / FsyncP99), both already maintained for /metrics — the
-// ladder adds no new instrumentation to the hot path, only a reader.
+// DegradeConfig tunes the quality ladder: under measured pressure the engine
+// degrades result *quality* — tier 1 halves the effective top-K of a
+// single-query match — before admission degrades *quantity* (shedding 429s).
+// Pressure is the max of queue pressure (in-flight admitted requests /
+// admission capacity) and durability pressure (recent fsync p99 / FsyncP99),
+// both already maintained for /metrics — the ladder adds no new
+// instrumentation to the hot path, only a reader.
 type DegradeConfig struct {
-	// Tier1, Tier2, Tier3 are the pressure thresholds (0 < t ≤ ~1) at which
-	// each tier engages; zero values default to 0.75 / 0.90 / 1.0.
-	// Tier 1 halves the effective match limit, tier 2 additionally raises
-	// the pre-filter η to prune harder, tier 3 additionally serves
-	// /v1/clusters from a stale-while-revalidate snapshot.
-	Tier1, Tier2, Tier3 float64
 	// FsyncP99 is the recent fsync p99 that counts as durability pressure
 	// 1.0 (default 50ms, matching cmd/serve's -bp-fsync-p99 default).
 	FsyncP99 time.Duration
-	// SampleInterval bounds how often the signals are re-read (default
-	// 100ms). Sampling is lazy — it happens on the first Tier() call after
-	// the interval, so an idle engine pays nothing.
-	SampleInterval time.Duration
-	// EnterSamples and ExitSamples are the rolling-window hysteresis: how
-	// many consecutive samples above (below) a threshold escalate
-	// (de-escalate) the tier. Defaults 2 and 10 — entering fast under real
-	// overload, leaving slowly so the ladder does not flap at a boundary.
-	EnterSamples int
-	ExitSamples  int
-	// Disabled switches the ladder off; Tier() is always 0.
+	// Disabled switches the ladder off; DegradeTier() is always 0.
 	Disabled bool
 }
 
-func (c DegradeConfig) withDefaults() DegradeConfig {
-	if c.Tier1 <= 0 {
-		c.Tier1 = 0.75
-	}
-	if c.Tier2 <= 0 {
-		c.Tier2 = 0.90
-	}
-	if c.Tier3 <= 0 {
-		c.Tier3 = 1.0
-	}
-	if c.FsyncP99 <= 0 {
-		c.FsyncP99 = 50 * time.Millisecond
-	}
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = 100 * time.Millisecond
-	}
-	if c.EnterSamples <= 0 {
-		c.EnterSamples = 2
-	}
-	if c.ExitSamples <= 0 {
-		c.ExitSamples = 10
-	}
-	return c
-}
+// The ladder's fixed shape. Tier 1 engages at degradePressure; the pressure
+// signals are re-read at most once per degradeSampleInterval, lazily on the
+// first DegradeTier call after it, so an idle engine pays nothing. The
+// hysteresis enters after degradeEnterSamples consecutive hot samples and
+// leaves after degradeExitSamples consecutive calm ones — fast under real
+// overload, slow to recover so the ladder does not flap at the boundary.
+const (
+	degradePressure       = 0.75
+	degradeSampleInterval = 100 * time.Millisecond
+	degradeEnterSamples   = 2
+	degradeExitSamples    = 10
+)
 
-// degrade is the tier state machine. It has no goroutine: Tier() samples the
-// pressure signals at most once per SampleInterval under a mutex, so the
-// controller's lifecycle is the engine's and a quiet server never samples.
+// degrade is the tier state machine: tier 0 (full quality) or tier 1. It has
+// no goroutine: DegradeTier samples the pressure signals at most once per
+// degradeSampleInterval under a mutex, so the controller's lifecycle is the
+// engine's and a quiet server never samples.
 type degrade struct {
 	cfg DegradeConfig
-	// raisedEta is the tier-2 pre-filter bound: η + (1−η)/2 of the ccd
-	// config, computed once at engine construction.
-	raisedEta float64
+
+	// entered counts entries into tier 1 since boot (tier_entered).
+	entered atomic.Int64
 
 	mu         sync.Mutex
 	lastSample time.Time
 	tier       int
-	upStreak   int
-	downStreak int
+	// streak counts consecutive samples arguing for the other tier.
+	streak int
 }
 
-// tierFor maps one pressure reading to the tier it argues for.
-func (d *degrade) tierFor(p float64) int {
-	switch {
-	case p >= d.cfg.Tier3:
-		return 3
-	case p >= d.cfg.Tier2:
-		return 2
-	case p >= d.cfg.Tier1:
-		return 1
+// sample folds one pressure reading into the hysteresis window and returns
+// the (possibly changed) tier. The caller holds d.mu.
+func (d *degrade) sample(p float64) int {
+	if hot := p >= degradePressure; hot == (d.tier == 1) {
+		d.streak = 0
+		return d.tier
 	}
-	return 0
-}
-
-// sample folds one pressure reading into the hysteresis windows and returns
-// the (possibly changed) tier plus how many tiers were newly entered.
-func (d *degrade) sample(p float64) (tier, entered int) {
-	target := d.tierFor(p)
+	d.streak++
 	switch {
-	case target > d.tier:
-		d.upStreak++
-		d.downStreak = 0
-		if d.upStreak >= d.cfg.EnterSamples {
-			entered = target - d.tier
-			d.tier = target
-			d.upStreak = 0
-		}
-	case target < d.tier:
-		d.downStreak++
-		d.upStreak = 0
-		if d.downStreak >= d.cfg.ExitSamples {
-			// De-escalate one tier at a time: recovery re-earns each step.
-			d.tier--
-			d.downStreak = 0
-		}
-	default:
-		d.upStreak = 0
-		d.downStreak = 0
+	case d.tier == 0 && d.streak >= degradeEnterSamples:
+		d.tier, d.streak = 1, 0
+		d.entered.Add(1)
+	case d.tier == 1 && d.streak >= degradeExitSamples:
+		d.tier, d.streak = 0, 0
 	}
-	return d.tier, entered
+	return d.tier
 }
 
 // pressure reads the two load signals the ladder is driven by. Both are
@@ -136,8 +86,8 @@ func (e *Engine) pressure() float64 {
 }
 
 // DegradeTier returns the engine's current degradation tier (0 = full
-// quality), lazily re-sampling the pressure signals when the last sample is
-// older than the configured interval.
+// quality, 1 = halved match limit), lazily re-sampling the pressure signals
+// when the last sample is older than degradeSampleInterval.
 func (e *Engine) DegradeTier() int {
 	if e.deg.cfg.Disabled {
 		return 0
@@ -146,51 +96,22 @@ func (e *Engine) DegradeTier() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := time.Now()
-	if now.Sub(d.lastSample) < d.cfg.SampleInterval {
+	if now.Sub(d.lastSample) < degradeSampleInterval {
 		return d.tier
 	}
 	d.lastSample = now
-	tier, entered := d.sample(e.pressure())
-	if entered > 0 {
-		e.ctr.tierEntered.Add(int64(entered))
-	}
-	return tier
-}
-
-// DegradedEta returns the tier-2 pre-filter bound (η raised halfway to 1).
-func (e *Engine) DegradedEta() float64 { return e.deg.raisedEta }
-
-// etaOverrideKey carries a per-request pre-filter η override.
-type etaOverrideKey struct{}
-
-// WithEtaOverride marks every corpus scan under ctx with a raised pre-filter
-// bound — the tier-2 degradation: prune harder, score less.
-func WithEtaOverride(ctx context.Context, eta float64) context.Context {
-	return context.WithValue(ctx, etaOverrideKey{}, eta)
-}
-
-// EtaOverrideOf returns the pre-filter override on ctx (0 when unmarked).
-func EtaOverrideOf(ctx context.Context) float64 {
-	if eta, ok := ctx.Value(etaOverrideKey{}).(float64); ok {
-		return eta
-	}
-	return 0
+	return d.sample(e.pressure())
 }
 
 // DegradeSnapshot is the /metrics view of the quality-degradation ladder.
 type DegradeSnapshot struct {
 	// Tier is the current degradation tier (0 = full quality).
 	Tier int `json:"tier"`
-	// TierEntered counts tier escalations since boot (entering tier 2 from
-	// tier 0 counts twice — once per tier passed).
+	// TierEntered counts entries into tier 1 since boot.
 	TierEntered int64 `json:"tier_entered"`
-	// LimitHalved counts match requests served with a halved effective
-	// limit (tier ≥ 1); EtaRaised counts scans run with the coarser
-	// pre-filter (tier ≥ 2); ClustersStale counts /v1/clusters responses
-	// served from the stale-while-revalidate snapshot (tier 3).
-	LimitHalved   int64 `json:"limit_halved"`
-	EtaRaised     int64 `json:"eta_raised"`
-	ClustersStale int64 `json:"clusters_stale"`
+	// LimitHalved counts single-query match requests served with a halved
+	// effective limit (tier 1).
+	LimitHalved int64 `json:"limit_halved"`
 }
 
 // DeadlineSnapshot is the /metrics view of the request-budget spine.
@@ -215,6 +136,3 @@ func (e *Engine) NoteDeadlineShipped() { e.ctr.deadlineShipped.Add(1) }
 
 // NoteLimitHalved records a match served with a tier-1 halved limit.
 func (e *Engine) NoteLimitHalved() { e.ctr.limitHalved.Add(1) }
-
-// NoteClustersStale records a /v1/clusters response served stale (tier 3).
-func (e *Engine) NoteClustersStale() { e.ctr.clustersStale.Add(1) }

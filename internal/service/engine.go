@@ -128,11 +128,10 @@ func New(opts Options) *Engine {
 	if q := opts.Admission.MaxQueue; q > 0 {
 		e.adm.capacity = workers + q
 	}
-	eta := opts.CCD.Eta
-	if opts.CCD.N == 0 {
-		eta = ccd.DefaultConfig.Eta
+	e.deg = &degrade{cfg: opts.Degrade}
+	if e.deg.cfg.FsyncP99 <= 0 {
+		e.deg.cfg.FsyncP99 = 50 * time.Millisecond
 	}
-	e.deg = &degrade{cfg: opts.Degrade.withDefaults(), raisedEta: eta + (1-eta)/2}
 	if opts.TrackClusters {
 		e.clusters = cluster.New()
 	}
@@ -414,17 +413,10 @@ func (e *Engine) MatchSource(ctx context.Context, backend, src string, k int) ([
 // query whose deadline budget expires mid-scan returns its best-effort
 // partial top-K alongside ErrBudgetExhausted — observed in the latency
 // histogram (the client waited that long either way).
-//
-// At degradation tier ≥ 2 the scan runs with the raised pre-filter η, so
-// fewer candidates survive to the expensive exact scoring.
 func (e *Engine) MatchFingerprint(ctx context.Context, fp ccd.Fingerprint, k int) ([]ccd.Match, ccd.MatchStats, error) {
 	ctx, sp := trace.Start(ctx, "match")
 	if tier := e.DegradeTier(); tier > 0 {
 		sp.AnnotateInt("degrade.tier", int64(tier))
-		if tier >= 2 && EtaOverrideOf(ctx) == 0 {
-			ctx = WithEtaOverride(ctx, e.deg.raisedEta)
-			e.ctr.etaRaised.Add(1)
-		}
 	}
 	start := time.Now()
 	ms, stats, err := e.corpus.MatchTopKCtx(ctx, fp, k, nil)

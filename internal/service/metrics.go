@@ -37,10 +37,7 @@ type counters struct {
 	matchLatency trace.Hist
 
 	// Quality-degradation ladder and deadline-budget accounting.
-	tierEntered     atomic.Int64
 	limitHalved     atomic.Int64
-	etaRaised       atomic.Int64
-	clustersStale   atomic.Int64
 	budgetRequests  atomic.Int64
 	deadlineExpired atomic.Int64
 	deadlineShipped atomic.Int64
@@ -307,11 +304,9 @@ func (e *Engine) Metrics() Snapshot {
 		MatchCutoffSkipped: e.ctr.matchCutoffSkipped.Load(),
 		MatchLatency:       latencyStats(&e.ctr.matchLatency),
 		Degrade: DegradeSnapshot{
-			Tier:          e.DegradeTier(),
-			TierEntered:   e.ctr.tierEntered.Load(),
-			LimitHalved:   e.ctr.limitHalved.Load(),
-			EtaRaised:     e.ctr.etaRaised.Load(),
-			ClustersStale: e.ctr.clustersStale.Load(),
+			Tier:        e.DegradeTier(),
+			TierEntered: e.deg.entered.Load(),
+			LimitHalved: e.ctr.limitHalved.Load(),
 		},
 		Deadline: DeadlineSnapshot{
 			BudgetRequests: e.ctr.budgetRequests.Load(),
