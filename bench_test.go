@@ -988,7 +988,7 @@ func BenchmarkCorpusMatchParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			_, _, _ = eng.MatchFingerprint(context.Background(), fp, 0)
+			_, _, _ = eng.MatchFingerprint(context.Background(), fp, 0, nil)
 		}
 	})
 }

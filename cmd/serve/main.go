@@ -488,7 +488,8 @@ func bootstrapSnapshot(ctx context.Context, dir, from string, logger *slog.Logge
 	return nil
 }
 
-// walApplyBatch bounds one engine batch during WAL tail replay.
+// walApplyBatch bounds one engine batch while a replica applies its
+// primary's WAL tail or export.
 const walApplyBatch = 256
 
 // applyWALTail streams the peer's WAL from position pos in WAL generation
@@ -498,31 +499,45 @@ const walApplyBatch = 256
 // to; both must be echoed on the next call so the peer can detect a stale
 // position after it snapshots. Replay is idempotent: the corpus supersedes
 // duplicate ids, so overlap with the bootstrapped snapshot is harmless.
-func applyWALTail(ctx context.Context, engine *service.Engine, peer *remote.Client, from string, pos int, epoch int64) (int, int64, error) {
+func applyWALTail(ctx context.Context, engine *service.Engine, peer *remote.Client, from string, pos int, epoch int64) (next int, nextEpoch int64, err error) {
+	err = applyBatches(ctx, engine, func(add func(id, fp string) error) error {
+		var serr error
+		next, nextEpoch, serr = peer.StreamWAL(ctx, from, pos, epoch, func(rec remote.WALRecord) error {
+			return add(rec.ID, rec.Fingerprint)
+		})
+		return serr
+	})
+	return next, nextEpoch, err
+}
+
+// applyBatches applies the entries stream yields (one add call each) through
+// the engine in batches of walApplyBatch, and stops at the first batch the
+// local store failed to persist. A stream error is returned as is, with the
+// entries since the last full batch left unapplied.
+func applyBatches(ctx context.Context, engine *service.Engine, stream func(add func(id, fp string) error) error) error {
 	batch := make([]service.CorpusEntry, 0, walApplyBatch)
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
 		for _, err := range engine.CorpusAddBatchCtx(ctx, batch) {
-			if err != nil && errors.Is(err, service.ErrPersist) {
+			if errors.Is(err, service.ErrPersist) {
 				return err
 			}
 		}
 		batch = batch[:0]
 		return nil
 	}
-	next, nextEpoch, err := peer.StreamWAL(ctx, from, pos, epoch, func(rec remote.WALRecord) error {
-		batch = append(batch, service.CorpusEntry{ID: rec.ID, Fingerprint: ccd.Fingerprint(rec.Fingerprint)})
+	if err := stream(func(id, fp string) error {
+		batch = append(batch, service.CorpusEntry{ID: id, Fingerprint: ccd.Fingerprint(fp)})
 		if len(batch) >= walApplyBatch {
 			return flush()
 		}
 		return nil
-	})
-	if err != nil {
-		return next, nextEpoch, err
+	}); err != nil {
+		return err
 	}
-	return next, nextEpoch, flush()
+	return flush()
 }
 
 // replicaTailInterval paces the replica's WAL polling loop.
@@ -572,27 +587,9 @@ func isGone(err error) bool {
 // NDJSON export. Duplicate (id, fingerprint) pairs supersede in place, so
 // the replica converges without wiping local state.
 func resyncExport(ctx context.Context, engine *service.Engine, peer *remote.Client, from string) error {
-	batch := make([]service.CorpusEntry, 0, walApplyBatch)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		for _, err := range engine.CorpusAddBatchCtx(ctx, batch) {
-			if err != nil && errors.Is(err, service.ErrPersist) {
-				return err
-			}
-		}
-		batch = batch[:0]
-		return nil
-	}
-	if err := peer.ExportEntries(ctx, from, func(e remote.ExportEntry) error {
-		batch = append(batch, service.CorpusEntry{ID: e.ID, Fingerprint: ccd.Fingerprint(e.Fingerprint)})
-		if len(batch) >= walApplyBatch {
-			return flush()
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	return flush()
+	return applyBatches(ctx, engine, func(add func(id, fp string) error) error {
+		return peer.ExportEntries(ctx, from, func(e remote.ExportEntry) error {
+			return add(e.ID, e.Fingerprint)
+		})
+	})
 }

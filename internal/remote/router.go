@@ -50,11 +50,9 @@ type Router struct {
 	client *Client
 	ring   *Ring
 
-	fanouts          atomic.Int64
 	partials         atomic.Int64
 	boundShipSavings atomic.Int64
 	shardErrs        []atomic.Int64
-	fanoutHist       trace.Hist
 }
 
 // NewRouter returns a router over cfg.Targets. Panics when no targets are
@@ -121,10 +119,6 @@ type Result struct {
 // budget running out between waves degrades it to Partial and Degraded. An
 // error is returned only when no partition answered.
 func (r *Router) Match(ctx context.Context, fingerprint string, k int) (Result, error) {
-	r.fanouts.Add(1)
-	start := time.Now()
-	defer func() { r.fanoutHist.ObserveDuration(time.Since(start)) }()
-
 	ctx, span := trace.Start(ctx, "router.fanout")
 	defer span.End()
 	span.AnnotateInt("shards", int64(r.N()))
@@ -225,24 +219,23 @@ func (r *Router) queryShard(ctx context.Context, part int, req ShardMatchRequest
 	return r.client.MatchShard(ctx, replica, req)
 }
 
-// Stats is a point-in-time view of the router's counters for /metrics.
+// Stats is a point-in-time view of the router's counters, served as the
+// "remote" block of the JSON /metrics. Routed queries themselves are counted
+// by the router node's engine (Engine.ObserveMatch), like any match request.
 type Stats struct {
-	// Fanouts counts routed match queries.
-	Fanouts int64
 	// Partials counts degraded responses (at least one partition down).
-	Partials int64
+	Partials int64 `json:"partial_responses"`
 	// BoundShipSavings totals candidates remote shards pruned thanks to the
 	// shipped (non-zero) admission bound — scoring work the network tier
 	// avoided outright.
-	BoundShipSavings int64
+	BoundShipSavings int64 `json:"bound_ship_savings"`
 	// ShardErrors counts failed requests per partition.
-	ShardErrors []int64
+	ShardErrors []int64 `json:"shard_errors"`
 }
 
 // Stats snapshots the router's counters.
 func (r *Router) Stats() Stats {
 	s := Stats{
-		Fanouts:          r.fanouts.Load(),
 		Partials:         r.partials.Load(),
 		BoundShipSavings: r.boundShipSavings.Load(),
 		ShardErrors:      make([]int64, len(r.shardErrs)),
@@ -252,6 +245,3 @@ func (r *Router) Stats() Stats {
 	}
 	return s
 }
-
-// FanoutHist exposes the end-to-end fanout latency histogram (µs).
-func (r *Router) FanoutHist() *trace.Hist { return &r.fanoutHist }

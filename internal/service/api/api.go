@@ -561,7 +561,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 		if err := s.engine.DoCtx(ctx, func() {
 			for i, fp := range req.Fingerprints {
-				ms, st, err := s.engine.MatchFingerprint(ctx, ccd.Fingerprint(fp), req.Limit)
+				ms, st, err := s.engine.MatchFingerprint(ctx, ccd.Fingerprint(fp), req.Limit, nil)
 				if err != nil && !errors.Is(err, service.ErrBudgetExhausted) {
 					return // only ctx errors reach here
 				}
@@ -602,7 +602,7 @@ func (s *Server) matchOne(ctx context.Context, req MatchRequest) MatchResponse {
 	if req.Source != "" {
 		ms, st, err = s.engine.MatchSource(ctx, req.Backend, req.Source, limit)
 	} else {
-		ms, st, err = s.engine.MatchFingerprint(ctx, ccd.Fingerprint(req.Fingerprint), limit)
+		ms, st, err = s.engine.MatchFingerprint(ctx, ccd.Fingerprint(req.Fingerprint), limit, nil)
 	}
 	return s.toMatchResponse(req, limit, ms, st, err)
 }
@@ -820,18 +820,7 @@ type MetricsResponse struct {
 	Uptime      string `json:"uptime"`
 	// Remote reports the router's scatter-gather counters; absent on
 	// single-process and shard nodes.
-	Remote *RemoteMetrics `json:"remote,omitempty"`
-}
-
-// RemoteMetrics is the JSON /metrics view of the router's remote fanout:
-// per-shard error counts, partial-answer tallies, and the candidates remote
-// shards skipped thanks to the shipped admission bound.
-type RemoteMetrics struct {
-	Fanouts          int64                `json:"fanouts"`
-	PartialResponses int64                `json:"partial_responses"`
-	BoundShipSavings int64                `json:"bound_ship_savings"`
-	ShardErrors      []int64              `json:"shard_errors"`
-	FanoutLatency    service.LatencyStats `json:"fanout_latency"`
+	Remote *remote.Stats `json:"remote,omitempty"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -854,13 +843,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.router != nil {
 		rs := s.router.Stats()
-		resp.Remote = &RemoteMetrics{
-			Fanouts:          rs.Fanouts,
-			PartialResponses: rs.Partials,
-			BoundShipSavings: rs.BoundShipSavings,
-			ShardErrors:      rs.ShardErrors,
-			FanoutLatency:    latencyStatsOf(s.router.FanoutHist()),
-		}
+		resp.Remote = &rs
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ccd"
 	"repro/internal/remote"
@@ -193,6 +194,121 @@ func TestRouterPropagatesShardRetryAfter(t *testing.T) {
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "9" {
 		t.Fatalf("Retry-After = %q, want the shard's own %q", ra, "9")
+	}
+}
+
+// scrapeCounters reads the unlabeled samples of a Prometheus /metrics
+// scrape, by name.
+func scrapeCounters(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out := map[string]float64{}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) != 2 || strings.HasPrefix(fields[0], "#") || strings.ContainsRune(fields[0], '{') {
+			continue
+		}
+		v, err := strconv.ParseFloat(fields[1], 64)
+		if err != nil {
+			t.Fatalf("%s: sample %q: %v", base, sc.Text(), err)
+		}
+		out[fields[0]] = v
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRoutedMatchesCountedOnEveryRole pins that each node counts what it
+// alone sees: the router and every shard count each routed query once as a
+// match request (with its latency), and a shard's scan-funnel families read
+// its corpus's JSON funnel.
+func TestRoutedMatchesCountedOnEveryRole(t *testing.T) {
+	entries := studyFingerprints(23, 300)
+	c := newTestCluster(t, 2, remote.Config{})
+	if br := c.ingestBulk(t, entries); br.Added != len(entries) {
+		t.Fatalf("ingest: added %d of %d", br.Added, len(entries))
+	}
+	const n = 10
+	for i := 0; i < n; i++ {
+		if _, resp := matchFP(t, c.router.URL, entries[i*29%len(entries)].FP, 5); resp.StatusCode != http.StatusOK {
+			t.Fatalf("routed match %d: status %d", i, resp.StatusCode)
+		}
+	}
+
+	nodes := append([]*httptest.Server{c.router}, c.shards...)
+	for i, node := range nodes {
+		got := scrapeCounters(t, node.URL)
+		if got["ccd_matches_total"] != n || got["ccd_match_latency_seconds_count"] != n {
+			t.Errorf("node %d: ccd_matches_total %v, ccd_match_latency_seconds_count %v, want %d each",
+				i, got["ccd_matches_total"], got["ccd_match_latency_seconds_count"], n)
+		}
+		if node == c.router {
+			continue
+		}
+		var m struct {
+			Corpus struct {
+				Funnel struct {
+					Candidates int64 `json:"candidates"`
+				} `json:"funnel"`
+			} `json:"corpus"`
+		}
+		resp, err := http.Get(node.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&m)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands := got["ccd_match_candidates_total"]
+		if cands <= 0 || cands != float64(m.Corpus.Funnel.Candidates) {
+			t.Errorf("node %d: ccd_match_candidates_total %v, JSON corpus.funnel.candidates %d; want equal and > 0",
+				i, cands, m.Corpus.Funnel.Candidates)
+		}
+	}
+}
+
+// TestShardCountsMidScanDeadlineExpiry pins that a shard whose scan runs out
+// of budget counts it in deadline.expired, as a single node does. Time cannot
+// be advanced inside a scan, so the budget the shard enforces is spent before
+// the scan starts: the request context carries an already-expired budget,
+// which the handler keeps over the (roomier) shipped one. The scan then stops
+// at its first segment check — the path a shipped budget that runs out
+// mid-scan takes — and the answer is a degraded partial.
+func TestShardCountsMidScanDeadlineExpiry(t *testing.T) {
+	_, srv := newTestServerOpts(t, service.Options{Workers: 2, Shards: 2, CCD: ccd.ConservativeConfig})
+	entries := studyFingerprints(29, 100)
+	for _, e := range entries {
+		if err := addFP(srv.engine, e.ID, e.FP); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, _ := json.Marshal(remote.ShardMatchRequest{Fingerprint: string(entries[0].FP), K: 3, BudgetMs: 60_000})
+	req := httptest.NewRequest(http.MethodPost, "/v1/shard/match", bytes.NewReader(body))
+	spent := service.Budget{Deadline: time.Now().Add(-time.Second)}
+	req = req.WithContext(service.WithBudget(req.Context(), spent))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+
+	var resp remote.ShardMatchResponse
+	if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("shard match: status %d, decode %v", rec.Code, err)
+	}
+	if len(resp.Degraded) != 1 || resp.Degraded[0] != "deadline" {
+		t.Fatalf("spent budget not answered degraded: %+v", resp)
+	}
+	m := srv.engine.Metrics()
+	if m.Deadline.Shipped != 1 || m.Deadline.Expired != 1 || m.Matches != 1 {
+		t.Fatalf("deadline %+v, matches %d; want shipped 1, expired 1, matches 1", m.Deadline, m.Matches)
 	}
 }
 

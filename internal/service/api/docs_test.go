@@ -2,12 +2,14 @@ package api
 
 import (
 	"bufio"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"regexp"
 	"strings"
 	"testing"
 
+	"repro/internal/remote"
 	"repro/internal/service"
 )
 
@@ -90,6 +92,85 @@ func TestMetricsDocCoversExposition(t *testing.T) {
 	for name := range documented {
 		if _, ok := exposed[name]; !ok {
 			t.Errorf("documented family %s is no longer exposed", name)
+		}
+	}
+}
+
+// docJSONKey matches one backticked key in the first column of the JSON-view
+// table.
+var docJSONKey = regexp.MustCompile("`([a-z0-9_]+)`")
+
+// TestMetricsDocCoversJSON diffs the "JSON view" table of docs/metrics.md
+// against the top-level keys of a live JSON /metrics in both directions, as
+// TestMetricsDocCoversExposition does for the Prometheus families. The keys
+// that render only conditionally come from a single node with a store, a
+// rate limiter and live clusters (durability, clusters) and from a router
+// (remote).
+func TestMetricsDocCoversJSON(t *testing.T) {
+	engine := service.New(service.Options{Workers: 2, Shards: 2, TrackClusters: true})
+	store, err := service.OpenStore(t.TempDir(), engine.Corpus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	single := httptest.NewServer(NewServer(engine,
+		WithStore(store), WithRateLimit(1000, 1000)).Handler())
+	defer single.Close()
+	router := remote.NewRouter(remote.Config{Targets: []string{single.URL}})
+	routed := httptest.NewServer(NewServer(service.New(service.Options{Workers: 1}), WithRouter(router)).Handler())
+	defer routed.Close()
+
+	live := map[string]bool{}
+	for _, base := range []string{single.URL, routed.URL} {
+		resp, err := routed.Client().Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]json.RawMessage
+		err = json.NewDecoder(resp.Body).Decode(&m)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s/metrics: %v", base, err)
+		}
+		for k := range m {
+			live[k] = true
+		}
+	}
+
+	doc, err := os.ReadFile(docsMetricsPath)
+	if err != nil {
+		t.Fatalf("metrics reference missing: %v", err)
+	}
+	_, table, ok := strings.Cut(string(doc), "\n## The JSON view\n")
+	if !ok {
+		t.Fatalf("%s has no \"The JSON view\" section", docsMetricsPath)
+	}
+	table, _, _ = strings.Cut(table, "\n## ")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		for _, m := range docJSONKey.FindAllStringSubmatch(cells[1], -1) {
+			if documented[m[1]] {
+				t.Errorf("JSON key %s documented twice in %s", m[1], docsMetricsPath)
+			}
+			documented[m[1]] = true
+		}
+	}
+	if len(documented) == 0 {
+		t.Fatalf("no JSON keys found in %s", docsMetricsPath)
+	}
+
+	for k := range live {
+		if !documented[k] {
+			t.Errorf("JSON /metrics key %q is missing from %s", k, docsMetricsPath)
+		}
+	}
+	for k := range documented {
+		if !live[k] {
+			t.Errorf("documented JSON key %q is not in a live /metrics", k)
 		}
 	}
 }

@@ -222,7 +222,7 @@ func (s *Server) endpointMetrics() map[string]EndpointMetrics {
 	for pattern, st := range s.endpoints {
 		m := EndpointMetrics{
 			Count:   st.count.Load(),
-			Latency: latencyStatsOf(&st.latency),
+			Latency: service.SummarizeLatency(&st.latency),
 		}
 		for i := range st.classes {
 			if n := st.classes[i].Load(); n > 0 {
@@ -235,20 +235,4 @@ func (s *Server) endpointMetrics() map[string]EndpointMetrics {
 		out[pattern] = m
 	}
 	return out
-}
-
-// latencyStatsOf mirrors the service package's histogram summary for the
-// API-layer histograms.
-func latencyStatsOf(h *trace.Hist) service.LatencyStats {
-	hs := h.Snapshot()
-	return service.LatencyStats{
-		Count:    hs.Count,
-		MeanUs:   hs.Mean(),
-		P50Us:    hs.Quantile(0.50),
-		P90Us:    hs.Quantile(0.90),
-		P99Us:    hs.Quantile(0.99),
-		MaxUs:    hs.Max,
-		TotalSec: float64(hs.Sum) / 1e6,
-		Buckets:  hs.Buckets,
-	}
 }

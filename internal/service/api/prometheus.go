@@ -168,8 +168,8 @@ func (s *Server) writePrometheus(w io.Writer, snap service.Snapshot, uptimeSec f
 	p.counter("ccd_corpus_adds_total", "Documents added to the serving corpus.", snap.CorpusAdds)
 
 	// Corpus shape.
-	p.gauge("ccd_corpus_size", "Documents in the serving corpus.", float64(snap.CorpusSize))
-	p.gauge("ccd_corpus_segments", "Immutable segments across all shards.", float64(snap.CorpusSegments))
+	p.gauge("ccd_corpus_size", "Documents in the serving corpus.", float64(snap.Corpus.Size))
+	p.gauge("ccd_corpus_segments", "Immutable segments across all shards.", float64(snap.Corpus.Segments))
 	p.counter("ccd_corpus_publishes_total", "Generation publishes.", snap.CorpusPublishes)
 	p.counter("ccd_corpus_compactions_total", "Segment compactions.", snap.CorpusCompactions)
 
@@ -183,11 +183,12 @@ func (s *Server) writePrometheus(w io.Writer, snap service.Snapshot, uptimeSec f
 		p.metric("ccd_corpus_shard_scan_seconds_total", label("shard", strconv.Itoa(i)), float64(sh.ScanUs)/1e6)
 	}
 
-	// Match funnel + latency.
-	p.counter("ccd_match_candidates_total", "Candidates surviving the n-gram pre-filter.", snap.MatchCandidates)
-	p.counter("ccd_match_filter_pruned_total", "Candidates abandoned inside the pre-filter.", snap.MatchFilterPruned)
-	p.counter("ccd_match_scored_total", "Candidates fully scored by Algorithm 1.", snap.MatchScored)
-	p.counter("ccd_match_cutoff_skipped_total", "Candidates cut short by the top-K bound.", snap.MatchCutoffSkipped)
+	// Scan funnel (every scan of this node's corpus) + match latency.
+	fn := snap.Corpus.Funnel
+	p.counter("ccd_match_candidates_total", "Candidates surviving the n-gram pre-filter.", fn.Candidates)
+	p.counter("ccd_match_filter_pruned_total", "Candidates abandoned inside the pre-filter.", fn.FilterPruned)
+	p.counter("ccd_match_scored_total", "Candidates fully scored by Algorithm 1.", fn.Scored)
+	p.counter("ccd_match_cutoff_skipped_total", "Candidates cut short by the top-K bound.", fn.CutoffSkipped)
 	p.latencyHistogram("ccd_match_latency_seconds", "Match service time.", "", snap.MatchLatency)
 
 	// Durability (store attached only).
@@ -219,13 +220,9 @@ func (s *Server) writePrometheus(w io.Writer, snap service.Snapshot, uptimeSec f
 	// nodes — the families render on every role so dashboards and the docs
 	// table keep one schema.
 	var rstats remote.Stats
-	var fanoutLatency service.LatencyStats
 	if s.router != nil {
 		rstats = s.router.Stats()
-		fanoutLatency = latencyStatsOf(s.router.FanoutHist())
 	}
-	p.counter("ccd_remote_fanouts_total", "Match queries fanned out to remote shard nodes.", rstats.Fanouts)
-	p.latencyHistogram("ccd_remote_fanout_seconds", "End-to-end remote fanout latency (all waves, merged).", "", fanoutLatency)
 	p.header("ccd_remote_shard_errors_total", "Failed requests per remote shard.", "counter")
 	for i, n := range rstats.ShardErrors {
 		p.metric("ccd_remote_shard_errors_total", label("shard", strconv.Itoa(i)), float64(n))
@@ -290,7 +287,7 @@ func (s *Server) writePrometheus(w io.Writer, snap service.Snapshot, uptimeSec f
 	if len(patterns) > 0 {
 		p.header("ccd_http_request_duration_seconds", "Request duration per route.", "histogram")
 		for _, pat := range patterns {
-			ls := latencyStatsOf(&s.endpoints[pat].latency)
+			ls := service.SummarizeLatency(&s.endpoints[pat].latency)
 			p.histogramSeries("ccd_http_request_duration_seconds", label("endpoint", pat),
 				ls.Buckets, ls.Count, ls.TotalSec, 1e-6)
 		}

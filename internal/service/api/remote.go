@@ -51,7 +51,8 @@ func (s *Server) ownsID(id string) bool {
 // handleShardMatch serves POST /v1/shard/match: one partition-local match
 // with the router's shipped admission bound seeding the local scatter-
 // gather, so this shard prunes against evidence other partitions already
-// produced.
+// produced. It goes through Engine.MatchFingerprint, so a shard counts its
+// matches, latency and deadline expiries as a single node does.
 func (s *Server) handleShardMatch(w http.ResponseWriter, r *http.Request) {
 	var req remote.ShardMatchRequest
 	if !decode(w, r, &req) {
@@ -87,7 +88,7 @@ func (s *Server) handleShardMatch(w http.ResponseWriter, r *http.Request) {
 	var st ccd.MatchStats
 	var err error
 	if derr := s.engine.DoCtx(ctx, func() {
-		ms, st, err = s.engine.Corpus().MatchTopKCtx(ctx, ccd.Fingerprint(req.Fingerprint), req.K, ccd.NewAtomicBound(req.Bound))
+		ms, st, err = s.engine.MatchFingerprint(ctx, ccd.Fingerprint(req.Fingerprint), req.K, ccd.NewAtomicBound(req.Bound))
 	}); derr != nil {
 		if req.BudgetMs > 0 && errors.Is(derr, context.DeadlineExceeded) {
 			// The shipped budget drained while queued: an honest (empty)
@@ -256,7 +257,9 @@ func (s *Server) routerMatch(w http.ResponseWriter, r *http.Request, req MatchRe
 // routerMatchFP routes one query and shapes the API response through
 // toMatchResponse, as the single-node path does. A source is fingerprinted
 // on the router's pool (parse issues still yield a partial fingerprint), so
-// only fingerprints and bounds cross the network.
+// only fingerprints and bounds cross the network. An answered query is
+// counted on the router's engine, the way MatchFingerprint counts a local
+// one.
 func (s *Server) routerMatchFP(ctx context.Context, req MatchRequest, source, fp string) (MatchResponse, error) {
 	if source != "" {
 		var f ccd.Fingerprint
@@ -270,6 +273,7 @@ func (s *Server) routerMatchFP(ctx context.Context, req MatchRequest, source, fp
 		// Tier 1 halves the single-query form only, as on a single node.
 		limit = s.effectiveLimit(limit)
 	}
+	start := time.Now()
 	res, err := s.router.Match(ctx, fp, limit)
 	if err != nil {
 		return MatchResponse{}, err
@@ -277,6 +281,7 @@ func (s *Server) routerMatchFP(ctx context.Context, req MatchRequest, source, fp
 	if res.Degraded {
 		err = service.ErrBudgetExhausted
 	}
+	s.engine.ObserveMatch(time.Since(start), err)
 	resp := s.toMatchResponse(req, limit, res.Matches, res.Stats, err)
 	resp.Partial = resp.Partial || res.Partial
 	return resp, nil

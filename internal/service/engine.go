@@ -397,7 +397,7 @@ func (e *Engine) MatchSource(ctx context.Context, backend, src string, k int) ([
 	if ferr != nil && len(fp) == 0 {
 		return nil, ccd.MatchStats{}, ferr
 	}
-	ms, stats, err := e.MatchFingerprint(ctx, fp, k)
+	ms, stats, err := e.MatchFingerprint(ctx, fp, k, nil)
 	if err != nil {
 		// A budget-exhausted scan still carries its best-effort partial
 		// matches; everything else fails empty.
@@ -408,31 +408,39 @@ func (e *Engine) MatchSource(ctx context.Context, backend, src string, k int) ([
 
 // MatchFingerprint scatter-gathers a precomputed fingerprint's k best
 // candidates (k ≤ 0: all) on the serving corpus, lock-free against concurrent
-// ingest. Latency and pruning counts feed the /metrics histogram; cancelled
-// queries return ctx.Err() and are not observed as completed matches. A
-// query whose deadline budget expires mid-scan returns its best-effort
-// partial top-K alongside ErrBudgetExhausted — observed in the latency
-// histogram (the client waited that long either way).
-func (e *Engine) MatchFingerprint(ctx context.Context, fp ccd.Fingerprint, k int) ([]ccd.Match, ccd.MatchStats, error) {
+// ingest. bound, when non-nil, seeds the admission bound: a shard node passes
+// the bound its router shipped (see Corpus.MatchTopKCtx). Every answered
+// query is counted through ObserveMatch; cancelled queries return ctx.Err()
+// and are not. A query whose deadline budget expires mid-scan returns its
+// best-effort partial top-K alongside ErrBudgetExhausted.
+func (e *Engine) MatchFingerprint(ctx context.Context, fp ccd.Fingerprint, k int, bound *ccd.AtomicBound) ([]ccd.Match, ccd.MatchStats, error) {
 	ctx, sp := trace.Start(ctx, "match")
 	if tier := e.DegradeTier(); tier > 0 {
 		sp.AnnotateInt("degrade.tier", int64(tier))
 	}
 	start := time.Now()
-	ms, stats, err := e.corpus.MatchTopKCtx(ctx, fp, k, nil)
+	ms, stats, err := e.corpus.MatchTopKCtx(ctx, fp, k, bound)
 	sp.AnnotateInt("candidates", int64(stats.Candidates))
 	sp.AnnotateInt("scored", int64(stats.Scored))
 	sp.End()
-	if errors.Is(err, ErrBudgetExhausted) {
-		e.ctr.deadlineExpired.Add(1)
-		e.ctr.observeMatch(stats, time.Since(start))
-		return ms, stats, err
-	}
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrBudgetExhausted) {
 		return nil, stats, err
 	}
-	e.ctr.observeMatch(stats, time.Since(start))
-	return ms, stats, nil
+	e.ObserveMatch(time.Since(start), err)
+	return ms, stats, err
+}
+
+// ObserveMatch counts one answered match request: the matches counter, the
+// latency histogram (which also prices Retry-After) and, when err is
+// ErrBudgetExhausted, a deadline expiry — the client waited that long either
+// way. MatchFingerprint calls it for local and shard scans; a router calls it
+// for each query it fans out.
+func (e *Engine) ObserveMatch(elapsed time.Duration, err error) {
+	e.ctr.matches.Add(1)
+	e.ctr.matchLatency.ObserveDuration(elapsed)
+	if errors.Is(err, ErrBudgetExhausted) {
+		e.ctr.deadlineExpired.Add(1)
+	}
 }
 
 // --- pooled batch helpers -----------------------------------------------------

@@ -2,9 +2,7 @@ package service
 
 import (
 	"sync/atomic"
-	"time"
 
-	"repro/internal/ccd"
 	"repro/internal/cluster"
 	"repro/internal/trace"
 )
@@ -27,12 +25,6 @@ type counters struct {
 	shed               atomic.Int64
 	interactiveWaiting atomic.Int64
 	yields             atomic.Int64
-
-	// Match read-path pruning: how far candidates got before being cut.
-	matchCandidates    atomic.Int64
-	matchFilterPruned  atomic.Int64
-	matchScored        atomic.Int64
-	matchCutoffSkipped atomic.Int64
 
 	matchLatency trace.Hist
 
@@ -82,16 +74,6 @@ func (c *counters) observeStudy(st SelfJoinStats, err error) {
 	c.studyErrors.Add(st.Errors)
 }
 
-// observeMatch folds one match call's stats and latency into the counters.
-func (c *counters) observeMatch(st ccd.MatchStats, elapsed time.Duration) {
-	c.matches.Add(1)
-	c.matchCandidates.Add(int64(st.Candidates))
-	c.matchFilterPruned.Add(int64(st.FilterPruned))
-	c.matchScored.Add(int64(st.Scored))
-	c.matchCutoffSkipped.Add(int64(st.CutoffSkipped))
-	c.matchLatency.ObserveDuration(elapsed)
-}
-
 // taskStart accounts one task entering a worker slot and keeps the
 // saturation high-water mark.
 func (c *counters) taskStart() {
@@ -124,8 +106,10 @@ type LatencyStats struct {
 	Buckets [trace.HistBuckets]int64 `json:"-"`
 }
 
-// latencyStats summarizes a microseconds histogram for JSON and Prometheus.
-func latencyStats(h *trace.Hist) LatencyStats {
+// SummarizeLatency summarizes a microseconds histogram for JSON and
+// Prometheus; the engine's, the store's and the HTTP layer's histograms all
+// go through it.
+func SummarizeLatency(h *trace.Hist) LatencyStats {
 	s := h.Snapshot()
 	return LatencyStats{
 		Count:    s.Count,
@@ -180,17 +164,15 @@ type Snapshot struct {
 	// Admission reports the bounded request queue and priority gate.
 	Admission AdmissionSnapshot `json:"admission"`
 
-	// Operation counts.
+	// Operation counts. Matches counts match requests answered on this
+	// node, whatever its role; the scans behind them are Corpus.Funnel's.
 	Analyses     int64 `json:"analyses"`
 	Fingerprints int64 `json:"fingerprints"`
 	Matches      int64 `json:"matches"`
 	CorpusAdds   int64 `json:"corpus_adds"`
-	CorpusSize   int   `json:"corpus_size"`
 
-	// Read-path shape of the corpus: the generations the lock-free readers
-	// currently see, across all shards.
-	CorpusShardCount  int    `json:"corpus_shard_count"`
-	CorpusSegments    int    `json:"corpus_segments"`
+	// Write-path shape of the corpus: the generation readers see, and the
+	// publishes and compactions that produced it.
 	CorpusGeneration  uint64 `json:"corpus_generation"`
 	CorpusPublishes   int64  `json:"corpus_publishes"`
 	CorpusCompactions int64  `json:"corpus_compactions"`
@@ -202,15 +184,8 @@ type Snapshot struct {
 	// ingest accounting and its cumulative match funnel.
 	Corpus CorpusSnapshot `json:"corpus"`
 
-	// Match pruning funnel: candidates from the n-gram pre-filter, how many
-	// the η cutoff abandoned inside the filter, how many were fully scored,
-	// and how many the top-K lower bound cut short.
-	MatchCandidates    int64 `json:"match_candidates"`
-	MatchFilterPruned  int64 `json:"match_filter_pruned"`
-	MatchScored        int64 `json:"match_scored"`
-	MatchCutoffSkipped int64 `json:"match_cutoff_skipped"`
-
-	// MatchLatency is the /v1/match service-time histogram summary.
+	// MatchLatency summarizes the service time of the requests Matches
+	// counts.
 	MatchLatency LatencyStats `json:"match_latency"`
 
 	// Degrade reports the quality-degradation ladder; Deadline the
@@ -283,9 +258,6 @@ func (e *Engine) Metrics() Snapshot {
 		Fingerprints:      e.ctr.fingerprints.Load(),
 		Matches:           e.ctr.matches.Load(),
 		CorpusAdds:        e.ctr.corpusAdds.Load(),
-		CorpusSize:        e.corpus.Len(),
-		CorpusShardCount:  e.corpus.Shards(),
-		CorpusSegments:    e.corpus.Segments(),
 		CorpusGeneration:  e.corpus.Generation(),
 		CorpusPublishes:   e.corpus.Publishes(),
 		CorpusCompactions: e.corpus.Compactions(),
@@ -298,11 +270,7 @@ func (e *Engine) Metrics() Snapshot {
 			Supersedes: e.corpus.Supersedes(),
 			Funnel:     e.corpus.Funnel(),
 		},
-		MatchCandidates:    e.ctr.matchCandidates.Load(),
-		MatchFilterPruned:  e.ctr.matchFilterPruned.Load(),
-		MatchScored:        e.ctr.matchScored.Load(),
-		MatchCutoffSkipped: e.ctr.matchCutoffSkipped.Load(),
-		MatchLatency:       latencyStats(&e.ctr.matchLatency),
+		MatchLatency: SummarizeLatency(&e.ctr.matchLatency),
 		Degrade: DegradeSnapshot{
 			Tier:        e.DegradeTier(),
 			TierEntered: e.deg.entered.Load(),

@@ -377,8 +377,8 @@ func TestMetricsSnapshot(t *testing.T) {
 	if m.Analyses != 2 || m.CorpusAdds != 1 || m.Matches != 1 {
 		t.Errorf("op counts: %+v", m)
 	}
-	if m.CorpusSize != 1 {
-		t.Errorf("corpus size %d", m.CorpusSize)
+	if m.Corpus.Size != 1 {
+		t.Errorf("corpus size %d", m.Corpus.Size)
 	}
 	if got := m.ReportCache.HitRate(); got != 0.5 {
 		t.Errorf("report hit rate %.2f, want 0.50", got)

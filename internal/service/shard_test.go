@@ -572,7 +572,7 @@ func TestEngineBackendRouting(t *testing.T) {
 	if m.Corpus.Size != 2 || m.Corpus.Shards != 2 || m.Corpus.Adds != 2 || m.Corpus.Funnel.Matches != 2 {
 		t.Fatalf("metrics corpus %+v", m.Corpus)
 	}
-	if m.CorpusShardCount != 2 || len(m.CorpusShards) != 2 {
-		t.Fatalf("metrics shard view: count=%d shards=%d", m.CorpusShardCount, len(m.CorpusShards))
+	if m.Corpus.Shards != 2 || len(m.CorpusShards) != 2 {
+		t.Fatalf("metrics shard view: count=%d shards=%d", m.Corpus.Shards, len(m.CorpusShards))
 	}
 }

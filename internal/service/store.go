@@ -656,11 +656,11 @@ type DurabilityStats struct {
 // Durability reports the store's WAL/snapshot instrumentation.
 func (s *Store) Durability() DurabilityStats {
 	d := DurabilityStats{
-		FsyncLatency:        latencyStats(&s.wal.fsyncHist),
+		FsyncLatency:        SummarizeLatency(&s.wal.fsyncHist),
 		GroupCommitBatch:    sizeStats(&s.wal.batchHist),
 		Rollbacks:           s.wal.rollbacks.Load(),
 		CondemnedRecords:    s.wal.condemned.Load(),
-		SnapshotWrite:       latencyStats(&s.snapWriteHist),
+		SnapshotWrite:       SummarizeLatency(&s.snapWriteHist),
 		RestoreUs:           s.restoreDur.Microseconds(),
 		BackpressureDelays:  s.bpDelays.Load(),
 		BackpressureDelayUs: s.bpDelayUs.Load(),
