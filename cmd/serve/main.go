@@ -99,7 +99,9 @@
 // so /v1/clusters answers from memory at any time; the /v1/study corpus
 // mode recomputes the exact distribution on demand. The live view covers
 // documents ingested since boot — after a -corpus-dir restore, run one
-// corpus study to measure everything that was restored.
+// corpus study to measure everything that was restored. A router keeps no
+// live view, whatever -clusters says: its ingest is forwarded to the shards,
+// and each shard's view covers its own partition only.
 package main
 
 import (
@@ -184,7 +186,7 @@ func main() {
 	eps := flag.Float64("ccd-eps", ccd.DefaultConfig.Epsilon, "CCD similarity threshold (0-100)")
 	corpusDir := flag.String("corpus-dir", "", "directory for the durable corpus (empty = in-memory only)")
 	snapInterval := flag.Duration("snapshot-interval", 0, "periodic snapshot interval with -corpus-dir (0 = on demand/shutdown only)")
-	clusters := flag.Bool("clusters", true, "maintain the live clone-cluster view as ingest lands (/v1/clusters)")
+	clusters := flag.Bool("clusters", true, "maintain the live clone-cluster view as ingest lands (/v1/clusters; a router keeps none)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error (per-request lines log at debug)")
 	debugAddr := flag.String("debug-addr", "", "private listener for pprof + trace/metrics endpoints (empty = disabled)")
@@ -277,12 +279,14 @@ func main() {
 		logger.Info("debug listener up", "addr", *debugAddr)
 	}
 
+	// Router ingest is forwarded and never reaches the router's own corpus,
+	// so the live cluster view lives on the shards.
 	engine := service.New(service.Options{
 		Workers:       *workers,
 		CacheEntries:  *cache,
 		Shards:        shardCount,
 		CCD:           ccd.Config{N: *n, Eta: *eta, Epsilon: *eps},
-		TrackClusters: *clusters,
+		TrackClusters: *clusters && *role != "router",
 		Admission:     service.AdmissionConfig{MaxQueue: *admissionQueue},
 		Degrade:       service.DegradeConfig{FsyncP99: *bpFsyncP99, Disabled: *degradeOff},
 	})
@@ -588,8 +592,13 @@ func isGone(err error) bool {
 // the replica converges without wiping local state.
 func resyncExport(ctx context.Context, engine *service.Engine, peer *remote.Client, from string) error {
 	return applyBatches(ctx, engine, func(add func(id, fp string) error) error {
-		return peer.ExportEntries(ctx, from, func(e remote.ExportEntry) error {
-			return add(e.ID, e.Fingerprint)
+		return peer.ExportEntries(ctx, from, func(page []ccd.Entry) error {
+			for _, e := range page {
+				if err := add(e.ID, string(e.FP)); err != nil {
+					return err
+				}
+			}
+			return nil
 		})
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/ccd"
 	"repro/internal/trace"
 )
 
@@ -218,10 +219,11 @@ func (c *Client) walPage(ctx context.Context, url string, next *int, epoch *int6
 }
 
 // ExportEntries walks the shard's paginated NDJSON corpus export
-// (GET /v1/corpus/export?format=ndjson&cursor=...), invoking fn per entry
-// until the export is exhausted — the router-side corpus study and tooling
-// stream partitions through this without unbounded responses.
-func (c *Client) ExportEntries(ctx context.Context, base string, fn func(ExportEntry) error) error {
+// (GET /v1/corpus/export?format=ndjson&cursor=...), invoking fn once per
+// page until the export is exhausted — replica re-sync and the router's
+// clone study stream partitions through this, never holding more than one
+// page.
+func (c *Client) ExportEntries(ctx context.Context, base string, fn func([]ccd.Entry) error) error {
 	cursor := ""
 	for {
 		url := base + "/v1/corpus/export?format=ndjson"
@@ -239,14 +241,15 @@ func (c *Client) ExportEntries(ctx context.Context, base string, fn func(ExportE
 	}
 }
 
-// exportPage reads one export page, returning the next cursor ("" when the
-// export is complete).
-func (c *Client) exportPage(ctx context.Context, url string, fn func(ExportEntry) error) (string, error) {
+// exportPage reads one export page and hands it to fn, returning the next
+// cursor ("" when the export is complete).
+func (c *Client) exportPage(ctx context.Context, url string, fn func([]ccd.Entry) error) (string, error) {
 	hresp, err := c.get(ctx, url)
 	if err != nil {
 		return "", err
 	}
 	defer drainClose(hresp.Body)
+	var page []ccd.Entry
 	sc := bufio.NewScanner(hresp.Body)
 	sc.Buffer(make([]byte, 64<<10), 4<<20)
 	for sc.Scan() {
@@ -257,11 +260,12 @@ func (c *Client) exportPage(ctx context.Context, url string, fn func(ExportEntry
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			return "", fmt.Errorf("corpus export: bad entry: %w", err)
 		}
-		if err := fn(e); err != nil {
-			return "", err
-		}
+		page = append(page, ccd.Entry{ID: e.ID, FP: ccd.Fingerprint(e.Fingerprint)})
 	}
 	if err := sc.Err(); err != nil {
+		return "", err
+	}
+	if err := fn(page); err != nil {
 		return "", err
 	}
 	return hresp.Header.Get("X-Next-Cursor"), nil

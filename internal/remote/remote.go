@@ -86,8 +86,8 @@ type WALRecord struct {
 }
 
 // ExportEntry is one corpus document on the paginated NDJSON export
-// (GET /v1/corpus/export?format=ndjson), used by replica bootstrap and the
-// router-side corpus study.
+// (GET /v1/corpus/export?format=ndjson), as Client.ExportEntries decodes
+// it.
 type ExportEntry struct {
 	ID          string `json:"id"`
 	Fingerprint string `json:"fingerprint"`

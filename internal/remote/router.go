@@ -219,6 +219,42 @@ func (r *Router) queryShard(ctx context.Context, part int, req ShardMatchRequest
 	return r.client.MatchShard(ctx, replica, req)
 }
 
+// errPartialAnswer fails a clone-study query that some partition did not
+// answer: counting it would silently drop that partition's edges.
+var errPartialAnswer = errors.New("remote: partial answer (a partition did not respond)")
+
+// StudyPlan is the clone-study plan over the fleet, for
+// service.NewPlannedSelfJoin: one checkpoint unit per partition, whose pages
+// are the partition's paginated NDJSON export pages, so the study holds at
+// most one page and resumes per partition.
+func (r *Router) StudyPlan() [][]service.StudyUnit {
+	plan := make([][]service.StudyUnit, r.N())
+	for i := range plan {
+		base := r.Target(i)
+		plan[i] = []service.StudyUnit{func(ctx context.Context, page func([]ccd.Entry) error) error {
+			return r.client.ExportEntries(ctx, base, page)
+		}}
+	}
+	return plan
+}
+
+// CloneQuery is the clone-study query over the fleet (a service.CloneQuery):
+// Match, with a partial answer as an error and a degraded one as
+// service.ErrBudgetExhausted, so the study fails the partition instead of
+// under-counting its edges.
+func (r *Router) CloneQuery(ctx context.Context, fp ccd.Fingerprint, k int) ([]ccd.Match, ccd.MatchStats, error) {
+	res, err := r.Match(ctx, string(fp), k)
+	switch {
+	case err != nil:
+		return nil, ccd.MatchStats{}, err
+	case res.Partial:
+		err = errPartialAnswer
+	case res.Degraded:
+		err = service.ErrBudgetExhausted
+	}
+	return res.Matches, res.Stats, err
+}
+
 // Stats is a point-in-time view of the router's counters, served as the
 // "remote" block of the JSON /metrics. Routed queries themselves are counted
 // by the router node's engine (Engine.ObserveMatch), like any match request.

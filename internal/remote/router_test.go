@@ -211,3 +211,21 @@ func TestRouterFailsOverToReplica(t *testing.T) {
 		t.Fatalf("got partial=%v matches=%+v, want a full answer from the replica", res.Partial, res.Matches)
 	}
 }
+
+// TestCloneQueryFailsOnPartialAnswer: a clone-study query that a partition
+// did not answer is an error, not a short answer, so the study fails the
+// partition instead of silently dropping its edges.
+func TestCloneQueryFailsOnPartialAnswer(t *testing.T) {
+	s0 := &shardFixture{docs: []Match{{ID: "a", Score: 91}}}
+	dead := startShard(t, &shardFixture{})
+	r := NewRouter(Config{Targets: []string{startShard(t, s0).URL, dead.URL}})
+	dead.Close()
+
+	res, err := r.Match(context.Background(), "fp", 3)
+	if err != nil || !res.Partial {
+		t.Fatalf("Match with a dead partition: partial %v, err %v; want a partial answer", res.Partial, err)
+	}
+	if _, _, err := r.CloneQuery(context.Background(), "fp", 3); err == nil || errors.Is(err, context.Canceled) {
+		t.Fatalf("CloneQuery on a partial answer returned %v, want a non-cancellation error", err)
+	}
+}

@@ -739,15 +739,15 @@ func (s *Server) startCorpusStudy(w http.ResponseWriter, req StudyRequest) {
 			}
 		}()
 		// The study's per-document queries fan out through the engine pool
-		// (same slots as interactive traffic) and, like pipeline jobs, run
-		// to completion in the background. Embedders needing cancel/resume
-		// drive service.SelfJoin directly via Engine.NewCloneStudy. In
-		// router mode the documents stream in from the shard exports and
+		// at background class (same slots as interactive traffic) and, like
+		// pipeline jobs, run to completion in the background. In router
+		// mode the same self-join enumerates the partitions' exports and
 		// every query fans back out over the fleet.
 		var rep *service.CloneReport
 		var err error
 		if s.router != nil {
-			rep, err = s.routerCloneStudy(context.Background(), req.Limit, defaultTopClusters)
+			j := service.NewPlannedSelfJoin(s.router.StudyPlan(), s.router.CloneQuery, s.engine.Corpus().Config(), req.Limit)
+			rep, err = s.engine.RunSelfJoin(context.Background(), j, defaultTopClusters)
 		} else {
 			rep, err = s.engine.RunCloneStudy(context.Background(), req.Limit, defaultTopClusters)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -58,6 +59,53 @@ type BulkResponse struct {
 	Error string `json:"error,omitempty"`
 }
 
+// errBadStream marks a bulk body that broke mid-stream (an oversized line,
+// a dropped connection); the request answers 400 naming the line.
+var errBadStream = errors.New("read stream")
+
+// readBulk is the NDJSON line loop of /v1/corpus/bulk on every role. It
+// numbers lines, skips empty ones, decodes each line once and counts it into
+// resp as malformed (with the first few line details) unless it carries an
+// id plus a source or fingerprint. Every valid entry goes to add along with
+// its raw line; the first add error stops the read and is returned as is,
+// and a body that breaks mid-stream returns an error wrapping errBadStream.
+func readBulk(body io.Reader, resp *BulkResponse, add func(e *BulkEntry, raw []byte) error) error {
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 64<<10), maxBulkLineBytes)
+	line := 0
+	for sc.Scan() {
+		line++
+		raw := sc.Bytes()
+		if len(raw) == 0 {
+			continue
+		}
+		var e BulkEntry
+		msg := ""
+		switch err := json.Unmarshal(raw, &e); {
+		case err != nil:
+			msg = "bad JSON: " + err.Error()
+		case e.ID == "":
+			msg = "missing id"
+		case e.Source == "" && e.Fingerprint == "":
+			msg = "missing source or fingerprint"
+		}
+		if msg != "" {
+			resp.Malformed++
+			if len(resp.Errors) < maxBulkErrors {
+				resp.Errors = append(resp.Errors, fmt.Sprintf("line %d: %s", line, msg))
+			}
+			continue
+		}
+		if err := add(&e, raw); err != nil {
+			return err
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("%w at line %d: %s", errBadStream, line+1, err)
+	}
+	return nil
+}
+
 // handleCorpusBulk streams NDJSON — {"id": ..., "source": ...} or
 // {"id": ..., "fingerprint": ...} per line — into the serving corpus, one
 // engine batch per chunk. Malformed lines are skipped and counted; a
@@ -72,13 +120,8 @@ func (s *Server) handleCorpusBulk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var resp BulkResponse
-	malformed := func(line int, msg string) {
-		resp.Malformed++
-		if len(resp.Errors) < maxBulkErrors {
-			resp.Errors = append(resp.Errors, fmt.Sprintf("line %d: %s", line, msg))
-		}
-	}
-	flush := func(chunk []service.CorpusEntry) error {
+	chunk := make([]service.CorpusEntry, 0, bulkChunk)
+	flush := func() error {
 		var persistErr error
 		for _, err := range s.engine.CorpusAddBatchCtx(r.Context(), chunk) {
 			switch {
@@ -92,35 +135,13 @@ func (s *Server) handleCorpusBulk(w http.ResponseWriter, r *http.Request) {
 				resp.Added++ // indexed with a partial fingerprint
 			}
 		}
+		chunk = chunk[:0]
 		return persistErr
 	}
-
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64<<10), maxBulkLineBytes)
-	chunk := make([]service.CorpusEntry, 0, bulkChunk)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var e BulkEntry
-		if err := json.Unmarshal(raw, &e); err != nil {
-			malformed(line, "bad JSON: "+err.Error())
-			continue
-		}
-		if e.ID == "" {
-			malformed(line, "missing id")
-			continue
-		}
-		if e.Source == "" && e.Fingerprint == "" {
-			malformed(line, "missing source or fingerprint")
-			continue
-		}
+	err := readBulk(r.Body, &resp, func(e *BulkEntry, _ []byte) error {
 		if !s.ownsID(e.ID) {
 			resp.Skipped++
-			continue
+			return nil
 		}
 		chunk = append(chunk, service.CorpusEntry{
 			ID:          e.ID,
@@ -128,33 +149,26 @@ func (s *Server) handleCorpusBulk(w http.ResponseWriter, r *http.Request) {
 			Fingerprint: ccd.Fingerprint(e.Fingerprint),
 		})
 		if len(chunk) == bulkChunk {
-			if err := flush(chunk); err != nil {
-				abortBulk(w, &resp, s, err)
-				return
-			}
-			chunk = chunk[:0]
+			return flush()
 		}
+		return nil
+	})
+	if err == nil && len(chunk) > 0 {
+		err = flush()
 	}
-	if err := sc.Err(); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("read stream at line %d: %s", line+1, err))
+	if errors.Is(err, errBadStream) {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if len(chunk) > 0 {
-		if err := flush(chunk); err != nil {
-			abortBulk(w, &resp, s, err)
-			return
-		}
+	status := http.StatusOK
+	if err != nil {
+		// A persistence failure: the exact accounting so far (entries
+		// journaled before the failure stay ingested).
+		status = http.StatusInternalServerError
+		resp.Error = err.Error()
 	}
 	resp.Size = s.engine.Corpus().Len()
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// abortBulk answers a persistence-failed bulk stream with 500 plus the exact
-// accounting so far (entries journaled before the failure stay ingested).
-func abortBulk(w http.ResponseWriter, resp *BulkResponse, s *Server, err error) {
-	resp.Error = err.Error()
-	resp.Size = s.engine.Corpus().Len()
-	writeJSON(w, http.StatusInternalServerError, *resp)
+	writeJSON(w, status, resp)
 }
 
 // SnapshotResponse reports a /v1/corpus/snapshot call.

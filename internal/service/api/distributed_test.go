@@ -630,3 +630,100 @@ func TestBackendNameRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestRoutedBulkAccounting pins a routed bulk stream's accounting to a single
+// node's: the router rejects a line with neither source nor fingerprint under
+// the client's line number, and reports each shard's size once, from its
+// last flush, however many chunks the shard took.
+func TestRoutedBulkAccounting(t *testing.T) {
+	c := newTestCluster(t, 2, remote.Config{})
+	const bad = 301
+	var sb strings.Builder
+	for i, e := range studyFingerprints(31, 600) {
+		if i+1 == bad {
+			sb.WriteString(`{"id": "no-payload"}` + "\n")
+		}
+		line, _ := json.Marshal(BulkEntry{ID: e.ID, Fingerprint: string(e.FP)})
+		sb.Write(line)
+		sb.WriteByte('\n')
+	}
+	resp, err := http.Post(c.router.URL+"/v1/corpus/bulk", "application/x-ndjson", strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var br BulkResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed bulk: status %d, decode %v", resp.StatusCode, err)
+	}
+	if br.Added != 600 || br.Size != 600 || br.Malformed != 1 {
+		t.Errorf("routed bulk: added %d size %d malformed %d, want 600/600/1", br.Added, br.Size, br.Malformed)
+	}
+	want := fmt.Sprintf("line %d: missing source or fingerprint", bad)
+	if len(br.Errors) != 1 || br.Errors[0] != want {
+		t.Errorf("routed bulk errors %q, want [%q]", br.Errors, want)
+	}
+}
+
+// corpusStudy runs POST /v1/study {"mode": "corpus"} on base to completion
+// and returns the report's stats and cluster summary.
+func corpusStudy(t *testing.T, base string, limit int) (stats, summary map[string]any) {
+	t.Helper()
+	resp, m := post(t, base+"/v1/study", map[string]any{"mode": "corpus", "limit": limit})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("start study on %s: %d %v", base, resp.StatusCode, m)
+	}
+	id := m["id"].(string)
+	deadline := time.Now().Add(time.Minute)
+	for m["status"] != "done" {
+		if m["status"] == "failed" || time.Now().After(deadline) {
+			t.Fatalf("study on %s: %v", base, m)
+		}
+		time.Sleep(20 * time.Millisecond)
+		_, m = get(t, base+"/v1/study/"+id)
+	}
+	clone := m["summary"].(map[string]any)["clone"].(map[string]any)
+	return clone["stats"].(map[string]any), clone["summary"].(map[string]any)
+}
+
+// TestRoutedCloneStudyEqualsSingleNode pins that a router runs the same
+// clone study as a single node over the same documents: the same funnel and
+// cluster distribution at every cap, with an exact-clone plateau wider than
+// the cap so the per-document cap is exercised, and the study counted in the
+// router's own metrics.
+func TestRoutedCloneStudyEqualsSingleNode(t *testing.T) {
+	entries := studyFingerprints(11, 600)
+	plateau := ccd.Fingerprint("ZvNmWqSjKlQxRtYuIoPAbCdEfGhZvNmWqSjKlQx")
+	for i := 0; i < 12; i++ {
+		entries = append(entries, ccd.Entry{ID: fmt.Sprintf("plateau-%02d", i), FP: plateau})
+	}
+	c := newTestCluster(t, 2, remote.Config{})
+	if br := c.ingestBulk(t, entries); br.Added != len(entries) {
+		t.Fatalf("router bulk: added %d of %d", br.Added, len(entries))
+	}
+	single, singleSrv := newTestServerOpts(t, service.Options{Workers: 2, Shards: 2, CCD: ccd.ConservativeConfig})
+	for _, e := range entries {
+		if err := addFP(singleSrv.engine, e.ID, e.FP); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	limits := []int{0, 1, 2}
+	for _, limit := range limits {
+		wantStats, wantSummary := corpusStudy(t, single.URL, limit)
+		gotStats, gotSummary := corpusStudy(t, c.router.URL, limit)
+		for _, k := range []string{"docs", "queried", "matches", "unions"} {
+			if gotStats[k] != wantStats[k] {
+				t.Errorf("limit %d: routed %s %v, single node %v", limit, k, gotStats[k], wantStats[k])
+			}
+		}
+		if !reflect.DeepEqual(gotSummary, wantSummary) {
+			t.Errorf("limit %d: routed summary %v, single node %v", limit, gotSummary, wantSummary)
+		}
+	}
+
+	_, m := get(t, c.router.URL+"/metrics")
+	if got := m["self_join"].(map[string]any)["completed"]; got != float64(len(limits)) {
+		t.Errorf("router self_join.completed %v, want %d", got, len(limits))
+	}
+}

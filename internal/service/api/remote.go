@@ -6,13 +6,11 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
 	"repro/internal/ccd"
-	"repro/internal/cluster"
 	"repro/internal/remote"
 	"repro/internal/service"
 )
@@ -321,20 +319,17 @@ func (s *Server) routerCorpusAdd(w http.ResponseWriter, r *http.Request, req Cor
 	writeJSON(w, http.StatusOK, total)
 }
 
-// routerBulk streams a /v1/corpus/bulk NDJSON body through the ring:
-// lines buffer per owning shard and flush in bulkChunk batches, so a huge
-// stream never materializes on the router.
+// routerBulk streams a /v1/corpus/bulk NDJSON body through the ring: the
+// shared reader validates each line, which then buffers raw per owning
+// shard and flushes in bulkChunk batches, so a huge stream never
+// materializes on the router. The response's size sums each shard's size
+// from its last flush.
 func (s *Server) routerBulk(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	var resp BulkResponse
-	malformed := func(line int, msg string) {
-		resp.Malformed++
-		if len(resp.Errors) < maxBulkErrors {
-			resp.Errors = append(resp.Errors, fmt.Sprintf("line %d: %s", line, msg))
-		}
-	}
 	chunks := make([][]byte, s.router.N())
 	counts := make([]int, s.router.N())
+	sizes := make([]int, s.router.N())
 	flush := func(part int) error {
 		if counts[part] == 0 {
 			return nil
@@ -349,123 +344,36 @@ func (s *Server) routerBulk(w http.ResponseWriter, r *http.Request) {
 		resp.Malformed += shardResp.Malformed
 		resp.PersistFailures += shardResp.PersistFailures
 		resp.Skipped += shardResp.Skipped
-		resp.Size += shardResp.Size
+		sizes[part] = shardResp.Size
 		chunks[part] = chunks[part][:0]
 		counts[part] = 0
 		return nil
 	}
-
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64<<10), maxBulkLineBytes)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		// Decode just enough to route: the owning shard re-validates.
-		var e BulkEntry
-		if err := json.Unmarshal(raw, &e); err != nil {
-			malformed(line, "bad JSON: "+err.Error())
-			continue
-		}
-		if e.ID == "" {
-			malformed(line, "missing id")
-			continue
-		}
+	err := readBulk(r.Body, &resp, func(e *BulkEntry, raw []byte) error {
 		part := s.router.Owner(e.ID)
-		chunks[part] = append(chunks[part], raw...)
-		chunks[part] = append(chunks[part], '\n')
+		chunks[part] = append(append(chunks[part], raw...), '\n')
 		counts[part]++
-		if counts[part] >= bulkChunk {
-			if err := flush(part); err != nil {
-				if ctx.Err() == nil {
-					writeRemoteError(w, err)
-				}
-				return
-			}
+		if counts[part] == bulkChunk {
+			return flush(part)
 		}
+		return nil
+	})
+	for part := 0; err == nil && part < len(chunks); part++ {
+		err = flush(part)
 	}
-	if err := sc.Err(); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("read stream at line %d: %s", line+1, err))
-		return
-	}
-	for part := range chunks {
-		if err := flush(part); err != nil {
-			if ctx.Err() == nil {
-				writeRemoteError(w, err)
-			}
-			return
+	switch {
+	case errors.Is(err, errBadStream):
+		writeError(w, http.StatusBadRequest, err.Error())
+	case err != nil:
+		if ctx.Err() == nil {
+			writeRemoteError(w, err)
 		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// routerCloneStudy runs the corpus-wide clone study in router mode: each
-// partition's documents stream in through the paginated NDJSON export, and
-// every document's clone query fans back out through the router — the
-// distributed analogue of the self-join planner's per-segment queries. The
-// run is not checkpointed/resumable like the in-process planner; operators
-// needing resume run the study on the shard nodes directly.
-func (s *Server) routerCloneStudy(ctx context.Context, limit, topN int) (*service.CloneReport, error) {
-	cfg := s.engine.Corpus().Config()
-	eps := s.engine.Corpus().Epsilon()
-	rep := &service.CloneReport{
-		Backend: service.BackendCCD,
-		Eta:     cfg.Eta,
-		Epsilon: eps,
-		Limit:   limit,
-	}
-	k := 0
-	if limit > 0 {
-		// One extra slot absorbs the document's self-match.
-		k = limit + 1
-	}
-	set := cluster.New()
-	for part := 0; part < s.router.N(); part++ {
-		rep.Stats.SegmentsTotal++
-		err := s.router.Client().ExportEntries(ctx, s.router.Target(part), func(e remote.ExportEntry) error {
-			rep.Stats.Docs++
-			set.Add(e.ID)
-			res, err := s.router.Match(ctx, e.Fingerprint, k)
-			if err != nil {
-				rep.Stats.Errors++
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return nil // one failed query degrades the study, not ends it
-			}
-			rep.Stats.Queried++
-			rep.Stats.Candidates += int64(res.Stats.Candidates)
-			rep.Stats.FilterPruned += int64(res.Stats.FilterPruned)
-			rep.Stats.Scored += int64(res.Stats.Scored)
-			rep.Stats.CutoffSkipped += int64(res.Stats.CutoffSkipped)
-			for _, m := range res.Matches {
-				if m.ID == e.ID || m.Score < eps {
-					continue
-				}
-				rep.Stats.Matches++
-				if set.Union(e.ID, m.ID) {
-					rep.Stats.Unions++
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+	default:
+		for _, n := range sizes {
+			resp.Size += n
 		}
-		rep.Stats.SegmentsDone++
+		writeJSON(w, http.StatusOK, resp)
 	}
-	rep.Summary = set.Summary()
-	if topN > 0 {
-		top := set.Clusters(2, false)
-		if len(top) > topN {
-			top = top[:topN]
-		}
-		rep.Top = top
-	}
-	return rep, nil
 }
 
 // --- cursor plumbing ----------------------------------------------------------

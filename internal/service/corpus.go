@@ -791,6 +791,11 @@ func dropEmpty(segs []*ccd.Corpus) []*ccd.Corpus {
 	return out
 }
 
+// cloneQuery is the corpus's CloneQuery: MatchTopKCtx on a fresh bound.
+func (c *Corpus) cloneQuery(ctx context.Context, fp ccd.Fingerprint, k int) ([]ccd.Match, ccd.MatchStats, error) {
+	return c.MatchTopKCtx(ctx, fp, k, nil)
+}
+
 // ShardEntries returns shard i's indexed entries sorted by id, or false when
 // there is no shard i. It reads the shard's current immutable generation, so
 // it is safe under concurrent ingest; the sorted order is what gives the

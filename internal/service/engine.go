@@ -328,55 +328,37 @@ func (e *Engine) corpusAddEntries(ctx context.Context, entries []ccd.Entry) erro
 	linkCtx := context.WithoutCancel(ctx)
 	for _, en := range entries {
 		e.clusters.Add(en.ID)
-		// +1: the freshly published doc takes one slot with its self-match.
-		// Trim back after the self-filter — on an exact-clone plateau the
-		// doc's own ID can tie-break out of the k+1 slots, leaving k+1
-		// non-self matches.
-		ms, _, err := e.corpus.MatchTopKCtx(linkCtx, en.FP, onlineClusterK+1, nil)
-		if err != nil {
-			continue
-		}
-		edges := 0
-		for _, m := range ms {
-			if m.ID == en.ID {
-				continue
-			}
-			if edges == onlineClusterK {
-				break
-			}
-			edges++
-			e.clusters.Union(en.ID, m.ID)
-		}
+		linkClones(linkCtx, e.clusters, e.corpus.cloneQuery, en, onlineClusterK)
 	}
 	return nil
 }
 
 // --- corpus-wide clone study ----------------------------------------------------
 
-// NewCloneStudy plans a corpus-wide clone self-join over the serving corpus.
-// The join fans out through the engine's worker pool at ClassBackground —
-// every per-document query yields to waiting interactive traffic, and the
-// join's (shard, segment) checkpoints make the resulting pauses free. It is
-// context-cancellable and resumable (see SelfJoin.Run).
-func (e *Engine) NewCloneStudy(limit int) *SelfJoin {
-	j := NewSelfJoin(e.corpus, limit)
+// RunCloneStudy plans a clone self-join over the serving corpus and runs it
+// through RunSelfJoin.
+func (e *Engine) RunCloneStudy(ctx context.Context, limit, topN int) (*CloneReport, error) {
+	return e.RunSelfJoin(ctx, NewSelfJoin(e.corpus, limit), topN)
+}
+
+// RunSelfJoin runs j from its checkpoint to completion, folding its funnel
+// into the engine's study metrics, and returns the report with the topN
+// largest clusters attached. Every role runs its clone study here: a single
+// node over its serving corpus (RunCloneStudy), a router over its
+// partitions' exports (remote.Router.StudyPlan). The join fans out through
+// the engine's worker pool at ClassBackground — every per-document query
+// yields to waiting interactive traffic, and the join's (shard, segment)
+// checkpoints make the resulting pauses free.
+func (e *Engine) RunSelfJoin(ctx context.Context, j *SelfJoin, topN int) (*CloneReport, error) {
 	j.par = func(ctx context.Context, n int, fn func(int)) error {
 		return e.MapCtx(WithClass(ctx, ClassBackground), n, fn)
 	}
-	return j
-}
-
-// RunCloneStudy plans and runs a clone study to completion, folding its
-// funnel into the engine's study metrics and returning the report with the
-// topN largest clusters attached.
-func (e *Engine) RunCloneStudy(ctx context.Context, limit, topN int) (*CloneReport, error) {
-	j := e.NewCloneStudy(limit)
 	e.ctr.studiesStarted.Add(1)
-	if err := j.Run(ctx); err != nil {
-		e.ctr.observeStudy(j.Stats(), err)
+	err := j.Run(ctx)
+	e.ctr.observeStudy(j.Stats(), err)
+	if err != nil {
 		return nil, err
 	}
-	e.ctr.observeStudy(j.Stats(), nil)
 	return j.Report(topN), nil
 }
 

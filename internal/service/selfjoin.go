@@ -25,29 +25,32 @@ func isCancellation(err error) bool {
 }
 
 // SelfJoin is the corpus-wide clone study planner: it enumerates every
-// document of the serving corpus and finds its clones by running each one
-// through the posting-list match planner, feeding the resulting edges into
-// an incremental union-find. Candidate pairs come from the n-gram
-// pigeonhole blocking inside each segment — no O(n²) scoring pass —
-// and the per-query verification scatter-gathers across the generation-
-// shards under the shared ccd.AtomicBound admission machinery, exactly like
-// interactive /v1/match traffic.
+// document of a plan and finds its clones by running each one through a
+// clone query, feeding the resulting edges into an incremental union-find.
+// Over a local corpus the query is the posting-list match planner: candidate
+// pairs come from the n-gram pigeonhole blocking inside each segment — no
+// O(n²) scoring pass — and the per-query verification scatter-gathers across
+// the generation-shards under the shared ccd.AtomicBound admission
+// machinery, exactly like interactive /v1/match traffic. A router runs the
+// same join over its partitions' exports, with every query fanned out over
+// the fleet (remote.Router.StudyPlan).
 //
 // The join is context-cancellable and resumable: work is checkpointed by
-// (shard, segment) of the enumeration plan, which is captured once from the
-// corpus's immutable generations at construction and therefore
-// stable across pauses, compactions and concurrent ingest. Cancelling Run
-// mid-segment loses nothing — re-running a segment re-derives the same
-// edges, and union-find is idempotent — so Resume simply calls Run again.
+// (shard, segment) of the enumeration plan, which is captured once at
+// construction and therefore stable across pauses, compactions and
+// concurrent ingest. Cancelling Run mid-segment loses nothing — re-running a
+// segment re-derives the same edges, and union-find is idempotent — so
+// Resume simply calls Run again.
 type SelfJoin struct {
-	corpus *Corpus // enumerated, and queried for each document's clones
-	limit  int     // per-query match cap (0 = every clone at ε)
+	query CloneQuery // answers each enumerated document's clone query
+	cfg   ccd.Config // the clone parameters the report names
+	limit int        // per-query match cap (0 = every clone at ε)
 
-	// plan is the captured enumeration snapshot: one immutable segment list
-	// per shard.
-	plan [][]*ccd.Corpus
+	// plan is the captured enumeration: one list of checkpoint units per
+	// shard.
+	plan [][]StudyUnit
 
-	// par fans a segment's queries out; the engine wires its pooled MapCtx
+	// par fans a page's queries out; the engine wires its pooled MapCtx
 	// here, the standalone (offline) join runs serially.
 	par func(ctx context.Context, n int, fn func(int)) error
 
@@ -62,6 +65,15 @@ type SelfJoin struct {
 	running bool // a Run call is active (rejects overlapping runs)
 	done    bool
 }
+
+// A StudyUnit is one checkpoint unit of a clone study's plan (a segment, in
+// Checkpoint's terms). It hands its documents to page one page at a time and
+// stops at the first error page returns.
+type StudyUnit func(ctx context.Context, page func([]ccd.Entry) error) error
+
+// A CloneQuery answers one document's clone query: its k best matches at ε
+// (k ≤ 0: all of them), best first, and the scan's funnel.
+type CloneQuery func(ctx context.Context, fp ccd.Fingerprint, k int) ([]ccd.Match, ccd.MatchStats, error)
 
 // SelfJoinStats is the per-phase funnel of one corpus self-join.
 type SelfJoinStats struct {
@@ -98,15 +110,33 @@ func (s *SelfJoinStats) add(st ccd.MatchStats, matches, unions int64) {
 	s.Unions += unions
 }
 
-// NewSelfJoin plans a clone self-join over corpus, which supplies the
-// documents and answers their clone queries. limit caps the matches per query
+// NewSelfJoin plans a clone self-join over a local corpus: one unit per
+// immutable segment of each shard's current generation, each document's
+// clones found by Corpus.MatchTopKCtx. limit caps the matches per query
 // (0 = every clone at ε; a cap bounds the quadratic blow-up of giant clusters
 // while preserving their connectivity through shared top matches).
 func NewSelfJoin(corpus *Corpus, limit int) *SelfJoin {
+	plan := make([][]StudyUnit, len(corpus.shards))
+	for i, sh := range corpus.shards {
+		for _, seg := range sh.gen.Load().segments {
+			plan[i] = append(plan[i], func(_ context.Context, page func([]ccd.Entry) error) error {
+				return page(seg.Entries())
+			})
+		}
+	}
+	return NewPlannedSelfJoin(plan, corpus.cloneQuery, corpus.Config(), limit)
+}
+
+// NewPlannedSelfJoin plans a clone self-join over any enumeration plan: one
+// list of checkpoint units per shard, every document's clones found by query
+// and reported under cfg's η and ε. limit is as for NewSelfJoin.
+func NewPlannedSelfJoin(plan [][]StudyUnit, query CloneQuery, cfg ccd.Config, limit int) *SelfJoin {
 	j := &SelfJoin{
-		corpus: corpus,
-		limit:  limit,
-		set:    cluster.New(),
+		query: query,
+		cfg:   cfg,
+		limit: limit,
+		plan:  plan,
+		set:   cluster.New(),
 		par: func(ctx context.Context, n int, fn func(int)) error {
 			for i := 0; i < n; i++ {
 				if err := ctx.Err(); err != nil {
@@ -117,10 +147,8 @@ func NewSelfJoin(corpus *Corpus, limit int) *SelfJoin {
 			return ctx.Err()
 		},
 	}
-	j.plan = make([][]*ccd.Corpus, len(corpus.shards))
-	for i, sh := range corpus.shards {
-		j.plan[i] = sh.gen.Load().segments
-		j.stats.SegmentsTotal += len(j.plan[i])
+	for _, units := range plan {
+		j.stats.SegmentsTotal += len(units)
 	}
 	return j
 }
@@ -193,62 +221,75 @@ func (j *SelfJoin) Run(ctx context.Context) error {
 	return nil
 }
 
-// runSegment self-joins every document of one enumeration segment.
-func (j *SelfJoin) runSegment(ctx context.Context, seg *ccd.Corpus) error {
+// runSegment self-joins every document of one checkpoint unit, page by
+// page. A query failure that is not a cancellation fails the page, and with
+// it the segment.
+func (j *SelfJoin) runSegment(ctx context.Context, unit StudyUnit) error {
 	ctx, sp := trace.Start(ctx, "selfjoin.segment")
 	defer sp.End()
-	entries := seg.Entries()
-	sp.AnnotateInt("docs", int64(len(entries)))
-	j.mu.Lock()
-	j.stats.Docs += int64(len(entries))
-	j.mu.Unlock()
-	// Singletons count too: every enumerated document appears in the
-	// cluster-size distribution even when nothing matches it.
-	for _, e := range entries {
-		j.set.Add(e.ID)
-	}
-	// The query document is itself in the corpus and occupies one TopK slot
-	// with its self-match, so ask for one more than the edge cap and trim
-	// after the self-filter — otherwise the effective cap is limit-1 and
-	// limit=1 finds no clones at all.
-	k := j.limit
-	if k > 0 {
-		k++
-	}
-	err := j.par(ctx, len(entries), func(i int) {
-		e := entries[i]
-		ms, st, err := j.corpus.MatchTopKCtx(ctx, e.FP, k, nil)
-		if err != nil {
-			j.recordQueryFailure(e.ID, err)
-			return
-		}
-		var matches, unions int64
-		for _, m := range ms {
-			if m.ID == e.ID {
-				continue
-			}
-			if j.limit > 0 && matches >= int64(j.limit) {
-				break // self tie-broken out of the k+1 slots: keep the cap exact
-			}
-			matches++
-			if j.set.Union(e.ID, m.ID) {
-				unions++
-			}
-		}
+	return unit(ctx, func(entries []ccd.Entry) error {
+		sp.AnnotateInt("docs", int64(len(entries)))
 		j.mu.Lock()
-		j.stats.add(st, matches, unions)
+		j.stats.Docs += int64(len(entries))
 		j.mu.Unlock()
+		// Singletons count too: every enumerated document appears in the
+		// cluster-size distribution even when nothing matches it.
+		for _, e := range entries {
+			j.set.Add(e.ID)
+		}
+		err := j.par(ctx, len(entries), func(i int) {
+			st, matches, unions, err := linkClones(ctx, j.set, j.query, entries[i], j.limit)
+			if err != nil {
+				j.recordQueryFailure(entries[i].ID, err)
+				return
+			}
+			j.mu.Lock()
+			j.stats.add(st, matches, unions)
+			j.mu.Unlock()
+		})
+		j.mu.Lock()
+		segErr := j.segErr
+		j.segErr = nil
+		j.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		// Failing the segment keeps the checkpoint behind it, so a retry
+		// re-runs the whole segment and no document's edges are lost.
+		return segErr
 	})
-	j.mu.Lock()
-	segErr := j.segErr
-	j.segErr = nil
-	j.mu.Unlock()
-	if err != nil {
-		return err
+}
+
+// linkClones runs one document's clone query and folds the answer into set:
+// it drops the self-match, stops at limit edges (0 = no cap) and unions the
+// rest, returning the query's funnel, the edges taken and how many of them
+// merged two components. The document is itself in the corpus and takes one
+// top-K slot with its self-match, so the query asks for one more than the
+// cap — otherwise limit=1 would find no clones at all — and the cap trims
+// back after the self-filter: on an exact-clone plateau the document's own id
+// can tie-break out of those slots.
+func linkClones(ctx context.Context, set *cluster.Set, query CloneQuery, e ccd.Entry, limit int) (st ccd.MatchStats, edges, unions int64, err error) {
+	k := 0
+	if limit > 0 {
+		k = limit + 1
 	}
-	// Failing the segment keeps the checkpoint behind it, so a retry re-runs
-	// the whole segment and no document's edges are lost.
-	return segErr
+	ms, st, err := query(ctx, e.FP, k)
+	if err != nil {
+		return st, 0, 0, err
+	}
+	for _, m := range ms {
+		if m.ID == e.ID {
+			continue
+		}
+		if limit > 0 && edges == int64(limit) {
+			break
+		}
+		edges++
+		if set.Union(e.ID, m.ID) {
+			unions++
+		}
+	}
+	return st, edges, unions, nil
 }
 
 // recordQueryFailure classifies one failed per-document query. Context
@@ -290,8 +331,8 @@ type CloneReport struct {
 func (j *SelfJoin) Report(topN int) *CloneReport {
 	rep := &CloneReport{
 		Backend: BackendCCD,
-		Eta:     j.corpus.Config().Eta,
-		Epsilon: j.corpus.Epsilon(),
+		Eta:     j.cfg.Eta,
+		Epsilon: j.cfg.Epsilon,
 		Limit:   j.limit,
 		Stats:   j.Stats(),
 		Summary: j.set.Summary(),
