@@ -600,7 +600,7 @@ func BenchmarkCCDSnapshotRoundTrip(b *testing.B) {
 	b.SetBytes(int64(buf.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := ccd.Load(bytes.NewReader(buf.Bytes()))
+		got, err := ccd.Load(buf.Bytes())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -135,16 +135,8 @@ func main() {
 	}
 	corpus := engine.Corpus()
 	die(os.MkdirAll(filepath.Dir(*snapshot), 0o755))
-	tmp, err := os.CreateTemp(filepath.Dir(*snapshot), filepath.Base(*snapshot)+".tmp-*")
+	size, err := service.WriteFileAtomic(*snapshot, corpus.WriteSnapshot)
 	die(err)
-	defer os.Remove(tmp.Name())
-	die(tmp.Chmod(0o644))
-	die(corpus.WriteSnapshot(tmp))
-	die(tmp.Sync())
-	st, err := tmp.Stat()
-	die(err)
-	die(tmp.Close())
-	die(os.Rename(tmp.Name(), *snapshot))
 	fmt.Printf("snapshot: %s (%d shards, %d entries, %d bytes, %d parse issues)\n",
-		*snapshot, corpus.Shards(), corpus.Len(), st.Size(), parseIssues)
+		*snapshot, corpus.Shards(), corpus.Len(), size, parseIssues)
 }

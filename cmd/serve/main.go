@@ -110,6 +110,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -468,24 +469,11 @@ func bootstrapSnapshot(ctx context.Context, dir, from string, logger *slog.Logge
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, "bootstrap-*.snap")
+	n, err := service.WriteFileAtomic(snapPath, func(w io.Writer) error {
+		_, err := remote.NewClient(10*time.Minute).FetchSnapshot(ctx, from, w)
+		return err
+	})
 	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	n, err := remote.NewClient(10*time.Minute).FetchSnapshot(ctx, from, tmp)
-	if err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), snapPath); err != nil {
 		return err
 	}
 	logger.Info("bootstrap: snapshot fetched", "from", from, "bytes", n)

@@ -2,15 +2,19 @@ package ccd
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
 // FuzzSnapshotLoad: Load on arbitrary bytes must return an error or a valid
 // corpus — never panic, never allocate absurdly, never hand back a corpus
-// that cannot round-trip. Seeded with valid snapshots plus truncations and
-// header mutations (a version-1 header among them: refused by version, kept
-// as a must-error input); the committed corpus lives in
-// testdata/fuzz/FuzzSnapshotLoad.
+// that cannot round-trip. The zero-copy OpenSegmentBytes must accept and
+// refuse exactly the same inputs and, when it accepts, open the same config
+// and entries: the mapped and heap boots read one format. Seeded with valid
+// snapshots plus truncations and header mutations (a version-1 header among
+// them: refused by version, kept as a must-error input); the committed
+// corpus lives in testdata/fuzz/FuzzSnapshotLoad (seed-trailing-bytes: a
+// valid segment followed by two bytes, which both opens must refuse).
 func FuzzSnapshotLoad(f *testing.F) {
 	seed := func(build func(c *Corpus)) []byte {
 		c := NewCorpus(DefaultConfig)
@@ -46,9 +50,17 @@ func FuzzSnapshotLoad(f *testing.F) {
 		if len(data) > 1<<20 {
 			t.Skip("oversized input")
 		}
-		c, err := Load(bytes.NewReader(data))
+		c, err := Load(data)
+		seg, segErr := OpenSegmentBytes(bytes.Clone(data), nil)
+		if (err == nil) != (segErr == nil) {
+			t.Fatalf("heap and zero-copy opens disagree: Load: %v, OpenSegmentBytes: %v", err, segErr)
+		}
 		if err != nil {
 			return
+		}
+		if c.Config() != seg.Config() || !slices.Equal(c.Entries(), seg.Entries()) {
+			t.Fatalf("heap and zero-copy opens differ: %v/%d entries vs %v/%d entries",
+				c.Config(), c.Len(), seg.Config(), seg.Len())
 		}
 		checkAcceptedCorpus(t, c)
 	})
@@ -126,7 +138,7 @@ func checkAcceptedCorpus(t *testing.T, c *Corpus) {
 	if err := c.Save(&buf); err != nil {
 		t.Fatalf("accepted corpus fails to save: %v", err)
 	}
-	got, err := Load(bytes.NewReader(buf.Bytes()))
+	got, err := Load(buf.Bytes())
 	if err != nil {
 		t.Fatalf("round trip fails to load: %v", err)
 	}

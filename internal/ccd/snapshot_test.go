@@ -47,7 +47,7 @@ func saveLoad(t *testing.T, c *Corpus) *Corpus {
 	if err := c.Save(&buf); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	got, err := Load(&buf)
+	got, err := Load(buf.Bytes())
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestSnapshotEmbeddedIndex(t *testing.T) {
 	if err := c.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(bytes.NewReader(buf.Bytes()))
+	got, err := Load(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSnapshotTruncated(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for _, cut := range []int{0, 1, 4, len(full) / 2, len(full) - 5, len(full) - 1} {
-		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := Load(full[:cut]); err == nil {
 			t.Errorf("truncation at %d of %d: no error", cut, len(full))
 		}
 	}
@@ -158,7 +158,7 @@ func TestSnapshotCorrupted(t *testing.T) {
 	for _, pos := range []int{len(snapshotMagic) + 20, len(full) / 2, len(full) - 6} {
 		mut := bytes.Clone(full)
 		mut[pos] ^= 0x40
-		if got, err := Load(bytes.NewReader(mut)); err == nil {
+		if got, err := Load(mut); err == nil {
 			// Flipping a fingerprint byte changes payload but CRC covers it.
 			t.Errorf("corruption at %d: loaded %d entries without error", pos, got.Len())
 		}
@@ -166,13 +166,13 @@ func TestSnapshotCorrupted(t *testing.T) {
 	// Bad magic is reported as such.
 	mut := bytes.Clone(full)
 	mut[0] = 'X'
-	if _, err := Load(bytes.NewReader(mut)); err == nil || !strings.Contains(err.Error(), "magic") {
+	if _, err := Load(mut); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Errorf("bad magic: err=%v", err)
 	}
 	// Future versions are rejected, not misparsed.
 	mut = bytes.Clone(full)
 	mut[len(snapshotMagic)] = 99
-	if _, err := Load(bytes.NewReader(mut)); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := Load(mut); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("future version: err=%v", err)
 	}
 }
@@ -193,9 +193,9 @@ func fixCRC(b []byte) {
 	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
 }
 
-// TestSegmentOpenMatchesLoad: the zero-copy segment open and the streaming
-// Load must be observably identical — same entries, same config, same match
-// results — and the segment must be sealed (write-once).
+// TestSegmentOpenMatchesLoad: the zero-copy segment open must be observably
+// identical to the corpus it was saved from — same entries, same config, same
+// match results — and the segment must be sealed (write-once).
 func TestSegmentOpenMatchesLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 8; trial++ {
@@ -343,7 +343,7 @@ func TestSegmentOpenLegacyFallback(t *testing.T) {
 	if _, err := OpenSegmentBytes(body, nil); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
 		t.Fatalf("OpenSegmentBytes on a version-1 snapshot: %v, want an unsupported-version error", err)
 	}
-	if _, err := Load(bytes.NewReader(body)); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+	if _, err := Load(body); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
 		t.Fatalf("Load on a version-1 snapshot: %v, want an unsupported-version error", err)
 	}
 }

@@ -1,11 +1,12 @@
 package ngram
 
 import (
-	"bufio"
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/binfmt"
 )
 
 // Binary index encoding. The format is versioned independently of the corpus
@@ -56,58 +57,21 @@ func (ix *Index) SaveDocless(w io.Writer) error {
 }
 
 func (ix *Index) save(w io.Writer, withDocs bool) error {
-	bw := bufio.NewWriter(w)
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	writeString := func(s string) error {
-		if err := writeUvarint(uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	writeBytes := func(b []byte) error {
-		if err := writeUvarint(uint64(len(b))); err != nil {
-			return err
-		}
-		_, err := bw.Write(b)
-		return err
-	}
-
-	if _, err := bw.WriteString(codecMagic); err != nil {
-		return err
-	}
-	if err := writeUvarint(codecVersion); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(ix.n)); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(ix.blockSize)); err != nil {
-		return err
-	}
+	bw := binfmt.NewWriter(w)
+	bw.RawString(codecMagic)
+	bw.Uvarint(codecVersion)
+	bw.Uvarint(uint64(ix.n))
+	bw.Uvarint(uint64(ix.blockSize))
 	flags := uint64(0)
 	if withDocs {
 		flags |= 1
 	}
-	if err := writeUvarint(flags); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(ix.docCount)); err != nil {
-		return err
-	}
+	bw.Uvarint(flags)
+	bw.Uvarint(uint64(ix.docCount))
 	if withDocs {
 		for _, d := range ix.docs {
-			if err := writeString(d.id); err != nil {
-				return err
-			}
-			if err := writeUvarint(uint64(d.ngrams)); err != nil {
-				return err
-			}
+			bw.Str(d.id)
+			bw.Uvarint(uint64(d.ngrams))
 		}
 	}
 	grams := make([]string, 0, len(ix.postings))
@@ -115,52 +79,25 @@ func (ix *Index) save(w io.Writer, withDocs bool) error {
 		grams = append(grams, g)
 	}
 	sort.Strings(grams)
-	if err := writeUvarint(uint64(len(grams))); err != nil {
-		return err
-	}
+	bw.Uvarint(uint64(len(grams)))
 	for _, g := range grams {
-		if err := writeString(g); err != nil {
-			return err
-		}
+		bw.Str(g)
 		p := ix.postings[g]
-		if err := writeUvarint(uint64(p.count)); err != nil {
-			return err
-		}
+		bw.Uvarint(uint64(p.count))
 		skips, data := encodedPostings(p)
-		if err := writeBytes(skips); err != nil {
-			return err
-		}
-		if err := writeBytes(data); err != nil {
-			return err
-		}
+		bw.Blob(skips)
+		bw.Blob(data)
 	}
 	return bw.Flush()
 }
 
-// Load reads an index written by Save. The result is mutable: further Adds
-// continue from the loaded doc count (docless indexes stay docless — their
-// owner resolves ids by doc number).
-func Load(r io.Reader) (*Index, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(codecMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("ngram: read magic: %w", err)
-	}
-	if string(magic) != codecMagic {
-		return nil, fmt.Errorf("ngram: bad magic %q", magic)
-	}
-	version, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("ngram: read version: %w", err)
-	}
-	if version != codecVersion {
-		return nil, fmt.Errorf("ngram: unsupported version %d (want %d)", version, codecVersion)
-	}
-	rest, err := io.ReadAll(br)
-	if err != nil {
-		return nil, fmt.Errorf("ngram: read index body: %w", err)
-	}
-	ix, err := parseBody(&byteReader{b: rest})
+// Load reads an index written by Save into a mutable index of its own: the
+// bytes are copied once and parsed by FromBytes, then every posting list is
+// unsealed, so further Adds continue from the loaded doc count (docless
+// indexes stay docless — their owner resolves ids by doc number). data is
+// not retained.
+func Load(data []byte) (*Index, error) {
+	ix, err := FromBytes(bytes.Clone(data))
 	if err != nil {
 		return nil, err
 	}
@@ -176,35 +113,30 @@ func Load(r io.Reader) (*Index, error) {
 // how memory-mapped segment files become live indexes without a decode pass.
 // Gram and doc-id strings are copied to the heap (they outlive remaps), and
 // every posting list is fully validated up front so query-time decoding has
-// no error paths. The returned index is sealed: Add panics.
+// no error paths. The returned index is sealed: Add panics. This is the one
+// NGIX parser; Load reaches it too.
 func FromBytes(data []byte) (*Index, error) {
-	r := &byteReader{b: data}
-	magic := r.take(uint64(len(codecMagic)), "magic")
-	if r.err != nil {
-		return nil, r.err
+	r := binfmt.NewCursor(data, "ngram:")
+	magic := r.Take(uint64(len(codecMagic)), "magic")
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if string(magic) != codecMagic {
 		return nil, fmt.Errorf("ngram: bad magic %q", magic)
 	}
-	version := r.uvarint("version")
-	if r.err != nil {
-		return nil, r.err
+	version := r.Uvarint("version")
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if version != codecVersion {
 		return nil, fmt.Errorf("ngram: unsupported version %d (want %d)", version, codecVersion)
 	}
-	return parseBody(r)
-}
-
-// parseBody parses a version-2 stream after the magic+version header and
-// returns a sealed index aliasing r's remaining bytes.
-func parseBody(r *byteReader) (*Index, error) {
-	n := r.uvarint("n")
-	blockSize := r.uvarint("block size")
-	flags := r.uvarint("flags")
-	docCount := r.uvarint("doc count")
-	if r.err != nil {
-		return nil, r.err
+	n := r.Uvarint("n")
+	blockSize := r.Uvarint("block size")
+	flags := r.Uvarint("flags")
+	docCount := r.Uvarint("doc count")
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if n < 1 || n > maxGramLen {
 		return nil, fmt.Errorf("ngram: n-gram size %d out of range", n)
@@ -227,29 +159,29 @@ func parseBody(r *byteReader) (*Index, error) {
 	}
 	if flags&1 != 0 {
 		// Cap the pre-allocation: docCount is untrusted and the loop grows
-		// organically past the cap if the stream really is that long.
+		// organically past the cap if the input really is that long.
 		ix.docs = make([]doc, 0, min(docCount, 1<<20))
 		for i := uint64(0); i < docCount; i++ {
-			id := r.str(maxDocIDLen, "doc id")
-			grams := r.uvarint("doc gram count")
-			if r.err != nil {
-				return nil, r.err
+			id := r.Str(maxDocIDLen, "doc id")
+			grams := r.Uvarint("doc gram count")
+			if r.Err() != nil {
+				return nil, r.Err()
 			}
 			ix.docs = append(ix.docs, doc{id: id, ngrams: int(grams)})
 		}
 	}
-	numGrams := r.uvarint("gram count")
-	if r.err != nil {
-		return nil, r.err
+	numGrams := r.Uvarint("gram count")
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	prev := ""
 	for i := uint64(0); i < numGrams; i++ {
-		g := r.str(maxGramLen, "gram")
-		count := r.uvarint("posting count")
-		skips := r.take(r.uvarint("skip table length"), "skip table")
-		data := r.take(r.uvarint("delta stream length"), "delta stream")
-		if r.err != nil {
-			return nil, r.err
+		g := r.Str(maxGramLen, "gram")
+		count := r.Uvarint("posting count")
+		skips := r.Take(r.Uvarint("skip table length"), "skip table")
+		data := r.Take(r.Uvarint("delta stream length"), "delta stream")
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		if i > 0 && g <= prev {
 			return nil, fmt.Errorf("ngram: gram %q out of order after %q", g, prev)
@@ -261,55 +193,8 @@ func parseBody(r *byteReader) (*Index, error) {
 		}
 		ix.postings[g] = p
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("ngram: %d trailing bytes after index", len(r.b))
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("ngram: %d trailing bytes after index", r.Len())
 	}
 	return ix, nil
-}
-
-// byteReader parses length-delimited sections out of a byte slice with a
-// sticky error, handing out 3-index subslices so nothing downstream can
-// append into (or read past) the underlying buffer — which may be a
-// read-only memory mapping.
-type byteReader struct {
-	b   []byte
-	err error
-}
-
-func (r *byteReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, w := binary.Uvarint(r.b)
-	if w <= 0 {
-		r.err = fmt.Errorf("ngram: read %s: bad uvarint", what)
-		return 0
-	}
-	r.b = r.b[w:]
-	return v
-}
-
-func (r *byteReader) take(n uint64, what string) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)) {
-		r.err = fmt.Errorf("ngram: read %s: need %d bytes, have %d", what, n, len(r.b))
-		return nil
-	}
-	out := r.b[:n:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *byteReader) str(max uint64, what string) string {
-	n := r.uvarint(what + " length")
-	if r.err != nil {
-		return ""
-	}
-	if n > max {
-		r.err = fmt.Errorf("ngram: %s length %d exceeds limit %d", what, n, max)
-		return ""
-	}
-	return string(r.take(n, what))
 }

@@ -32,7 +32,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err := ix.Save(&enc); err != nil {
 			t.Fatalf("save: %v", err)
 		}
-		got, err := Load(bytes.NewReader(enc.Bytes()))
+		got, err := Load(enc.Bytes())
 		if err != nil {
 			t.Fatalf("load: %v", err)
 		}
@@ -65,13 +65,13 @@ func TestCodecRejectsDuplicatePostings(t *testing.T) {
 	// stream tail. Zeroing the final delta makes the list [0,0].
 	corrupt := bytes.Clone(raw)
 	corrupt[len(corrupt)-1] = 0x00
-	if _, err := Load(bytes.NewReader(corrupt)); err == nil {
+	if _, err := Load(corrupt); err == nil {
 		t.Error("duplicate posting accepted")
 	}
 }
 
 func TestCodecRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not an index"))); err == nil {
+	if _, err := Load([]byte("not an index")); err == nil {
 		t.Error("garbage accepted")
 	}
 	ix := New(3)
@@ -82,7 +82,7 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	}
 	full := enc.Bytes()
 	for cut := 0; cut < len(full); cut += 3 {
-		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := Load(full[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -104,7 +104,7 @@ func TestCodecRejectsVersion1(t *testing.T) {
 	v1 = append(v1, "abc"...)
 	v1 = binary.AppendUvarint(v1, 1) // one posting
 	v1 = binary.AppendUvarint(v1, 0) // doc 0
-	if _, err := Load(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+	if _, err := Load(v1); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
 		t.Errorf("Load on a version-1 index: %v, want an unsupported-version error", err)
 	}
 	if _, err := FromBytes(v1); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {

@@ -171,7 +171,7 @@ func TestQueryMatchesReferenceScan(t *testing.T) {
 		if err := ix.Save(&enc); err != nil {
 			t.Fatalf("trial %d: save: %v", trial, err)
 		}
-		loaded, err := Load(bytes.NewReader(enc.Bytes()))
+		loaded, err := Load(enc.Bytes())
 		if err != nil {
 			t.Fatalf("trial %d: load: %v", trial, err)
 		}
@@ -420,7 +420,7 @@ func TestAddIndexesDistinctGrams(t *testing.T) {
 				if err := ix.Save(&enc); err != nil {
 					t.Fatal(err)
 				}
-				loaded, err := Load(&enc)
+				loaded, err := Load(enc.Bytes())
 				if err != nil {
 					t.Fatal(err)
 				}

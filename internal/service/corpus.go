@@ -1,10 +1,8 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -16,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/binfmt"
 	"repro/internal/ccd"
 	"repro/internal/trace"
 )
@@ -564,53 +563,19 @@ func (c *Corpus) WriteSnapshot(w io.Writer) error {
 		}
 	}
 
-	bw := bufio.NewWriter(w)
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	writeFloat := func(f float64) error {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-		_, err := bw.Write(buf[:])
-		return err
-	}
-	if _, err := bw.WriteString(corpusSnapshotMagic); err != nil {
-		return err
-	}
-	if err := writeUvarint(CorpusSnapshotVersion); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(len(BackendCCD))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(BackendCCD); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(c.cfg.N)); err != nil {
-		return err
-	}
+	bw := binfmt.NewWriter(w)
+	bw.RawString(corpusSnapshotMagic)
+	bw.Uvarint(CorpusSnapshotVersion)
+	bw.Str(BackendCCD)
+	bw.Uvarint(uint64(c.cfg.N))
 	for _, f := range []float64{c.cfg.Eta, c.cfg.Epsilon, 0} {
-		if err := writeFloat(f); err != nil {
-			return err
-		}
+		bw.Float64(f)
 	}
-	if err := writeUvarint(uint64(len(encoded))); err != nil {
-		return err
-	}
+	bw.Uvarint(uint64(len(encoded)))
 	for _, shardSegs := range encoded {
-		if err := writeUvarint(uint64(len(shardSegs))); err != nil {
-			return err
-		}
+		bw.Uvarint(uint64(len(shardSegs)))
 		for _, seg := range shardSegs {
-			if err := writeUvarint(uint64(len(seg.data))); err != nil {
-				return err
-			}
-			if _, err := bw.Write(seg.data); err != nil {
-				return err
-			}
+			bw.Blob(seg.data)
 		}
 	}
 	return bw.Flush()
@@ -630,23 +595,15 @@ func (c *Corpus) ReadSnapshot(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	return c.installSnapshotWith(cfg, perShard, heapOpener)
-}
-
-// segmentOpener materializes one segment from its snapshot bytes: heapOpener
-// decodes to the heap; OpenSnapshotFile (segment.go) opens zero-copy over a
-// memory mapping.
-type segmentOpener func(data []byte) (*ccd.Corpus, error)
-
-// heapOpener is the streaming segment opener: a full decode.
-func heapOpener(data []byte) (*ccd.Corpus, error) {
-	return ccd.Load(bytes.NewReader(data))
+	return c.installSnapshotWith(cfg, perShard, ccd.Load)
 }
 
 // installSnapshotWith opens the framed segments (in parallel) under cfg and
 // installs them into the corpus, which must be empty: directly when the
-// on-disk and in-memory shard counts match, re-partitioned otherwise.
-func (c *Corpus) installSnapshotWith(cfg ccd.Config, perShard [][][]byte, open segmentOpener) error {
+// on-disk and in-memory shard counts match, re-partitioned otherwise. open
+// is ccd.Load (posting sections copied to the heap) or ccd.OpenSegmentBytes
+// over a mapping; both run the one segment parser.
+func (c *Corpus) installSnapshotWith(cfg ccd.Config, perShard [][][]byte, open func([]byte) (*ccd.Corpus, error)) error {
 	if c.Len() != 0 {
 		return fmt.Errorf("service: restore into non-empty corpus (%d entries)", c.Len())
 	}

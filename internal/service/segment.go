@@ -1,11 +1,10 @@
 package service
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 
+	"repro/internal/binfmt"
 	"repro/internal/ccd"
 )
 
@@ -16,48 +15,6 @@ import (
 // out of the page cache — so a million-document corpus boots in the time it
 // takes to checksum the file, and cold pages are only faulted in when queries
 // touch them.
-
-// snapCursor walks a snapshot envelope held fully in memory. take hands out
-// 3-index subslices, so no downstream append can write into a read-only
-// mapping.
-type snapCursor struct {
-	b   []byte
-	err error
-}
-
-func (r *snapCursor) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, w := binary.Uvarint(r.b)
-	if w <= 0 {
-		r.err = fmt.Errorf("service: snapshot: read %s: bad uvarint", what)
-		return 0
-	}
-	r.b = r.b[w:]
-	return v
-}
-
-func (r *snapCursor) take(n uint64, what string) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)) {
-		r.err = fmt.Errorf("service: snapshot: read %s: need %d bytes, have %d", what, n, len(r.b))
-		return nil
-	}
-	out := r.b[:n:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *snapCursor) float(what string) float64 {
-	b := r.take(8, what)
-	if r.err != nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
 
 // parseSnapshotEnvelope splits a snapshot held in data into its
 // configuration and per-shard framed segment byte ranges. The returned slices
@@ -71,26 +28,22 @@ func parseSnapshotEnvelope(data []byte) (cfg ccd.Config, perShard [][][]byte, er
 	if string(data[:len(corpusSnapshotMagic)]) != corpusSnapshotMagic {
 		return cfg, nil, fmt.Errorf("service: snapshot: bad magic %q", data[:len(corpusSnapshotMagic)])
 	}
-	r := &snapCursor{b: data[len(corpusSnapshotMagic):]}
-	version := r.uvarint("version")
-	if r.err != nil {
-		return cfg, nil, r.err
+	r := binfmt.NewCursor(data[len(corpusSnapshotMagic):], "service: snapshot:")
+	version := r.Uvarint("version")
+	if r.Err() != nil {
+		return cfg, nil, r.Err()
 	}
 	if version != CorpusSnapshotVersion {
 		return cfg, nil, fmt.Errorf("service: snapshot: unsupported version %d (want %d)", version, CorpusSnapshotVersion)
 	}
-	nameLen := r.uvarint("backend name length")
-	if r.err == nil && nameLen > 256 {
-		return cfg, nil, fmt.Errorf("service: snapshot: implausible backend name length %d", nameLen)
-	}
-	backend := string(r.take(nameLen, "backend name"))
-	cfg.N = int(r.uvarint("config N"))
-	cfg.Eta = r.float("config Eta")
-	cfg.Epsilon = r.float("config Epsilon")
-	override := r.float("backend Epsilon")
-	shardCount := r.uvarint("shard count")
-	if r.err != nil {
-		return cfg, nil, r.err
+	backend := r.Str(256, "backend name")
+	cfg.N = int(r.Uvarint("config N"))
+	cfg.Eta = r.Float64("config Eta")
+	cfg.Epsilon = r.Float64("config Epsilon")
+	override := r.Float64("backend Epsilon")
+	shardCount := r.Uvarint("shard count")
+	if r.Err() != nil {
+		return cfg, nil, r.Err()
 	}
 	if backend != BackendCCD {
 		return cfg, nil, fmt.Errorf("service: snapshot holds backend %q, this corpus serves %q only", backend, BackendCCD)
@@ -103,24 +56,24 @@ func parseSnapshotEnvelope(data []byte) (cfg ccd.Config, perShard [][][]byte, er
 	}
 	perShard = make([][][]byte, shardCount)
 	for i := range perShard {
-		segCount := r.uvarint("segment count")
-		if r.err == nil && segCount > 1<<16 {
+		segCount := r.Uvarint("segment count")
+		if r.Err() == nil && segCount > 1<<16 {
 			return cfg, nil, fmt.Errorf("service: snapshot: shard %d implausible segment count %d", i, segCount)
 		}
 		perShard[i] = make([][]byte, segCount)
 		for j := range perShard[i] {
-			size := r.uvarint("segment length")
-			if r.err == nil && size > maxSegmentBytes {
+			size := r.Uvarint("segment length")
+			if r.Err() == nil && size > maxSegmentBytes {
 				return cfg, nil, fmt.Errorf("service: snapshot: shard %d segment %d length %d exceeds limit", i, j, size)
 			}
-			perShard[i][j] = r.take(size, "segment")
+			perShard[i][j] = r.Take(size, "segment")
 		}
-		if r.err != nil {
-			return cfg, nil, r.err
+		if r.Err() != nil {
+			return cfg, nil, r.Err()
 		}
 	}
-	if len(r.b) != 0 {
-		return cfg, nil, fmt.Errorf("service: snapshot: %d trailing bytes", len(r.b))
+	if r.Len() != 0 {
+		return cfg, nil, fmt.Errorf("service: snapshot: %d trailing bytes", r.Len())
 	}
 	return cfg, perShard, nil
 }

@@ -28,7 +28,7 @@ func writeSnapshotFile(t *testing.T, c *Corpus) string {
 }
 
 // TestMappedSnapshotRestoreEquivalence: the zero-copy OpenSnapshotFile boot
-// and the streaming ReadSnapshot boot must be observably identical — same
+// and the heap ReadSnapshot boot must be observably identical — same
 // size, same entry multiset, same MatchTopK results across the k sweep — and
 // the mapped corpus must actually read zero-copy (MappedSegments > 0).
 func TestMappedSnapshotRestoreEquivalence(t *testing.T) {

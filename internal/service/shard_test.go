@@ -413,8 +413,9 @@ func TestLegacySnapshotRestores(t *testing.T) {
 }
 
 // TestSnapshotRoundTripShardAware: the version-2 envelope round-trips across
-// matching and mismatching shard counts and refuses a forged backend name or
-// threshold override.
+// matching and mismatching shard counts and refuses a forged backend name,
+// threshold override or segment frame carrying trailing bytes, on the heap
+// restore and the mapped boot alike.
 func TestSnapshotRoundTripShardAware(t *testing.T) {
 	src := NewCorpus(ccd.DefaultConfig, 4)
 	mustAdd(t, src, 64)
@@ -464,7 +465,23 @@ func TestSnapshotRoundTripShardAware(t *testing.T) {
 	copy(otherName[name+1:], "abc")
 	nonZero := bytes.Clone(raw)
 	binary.LittleEndian.PutUint64(nonZero[override:], math.Float64bits(20))
-	for what, forged := range map[string][]byte{"backend name": otherName, "threshold override": nonZero} {
+	// One shard, one segment frame: a valid segment followed by two bytes
+	// inside its frame. The heap restore and the mapped boot share one
+	// segment parser, so both must refuse it.
+	_, frames, err := parseSnapshotEnvelope(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := append(bytes.Clone(frames[0][0]), "xy"...)
+	trailing := binary.AppendUvarint(bytes.Clone(raw[:override+8]), 1) // shard count
+	trailing = binary.AppendUvarint(trailing, 1)                       // segment count
+	trailing = binary.AppendUvarint(trailing, uint64(len(seg)))
+	trailing = append(trailing, seg...)
+	for what, forged := range map[string][]byte{
+		"backend name":                      otherName,
+		"threshold override":                nonZero,
+		"segment frame with trailing bytes": trailing,
+	} {
 		path := filepath.Join(t.TempDir(), SnapshotFile)
 		if err := os.WriteFile(path, forged, 0o644); err != nil {
 			t.Fatal(err)

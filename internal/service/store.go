@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -300,41 +301,18 @@ type SnapshotInfo struct {
 	Elapsed time.Duration `json:"-"`
 }
 
-// Snapshot persists the corpus atomically (write to a temp file in the same
-// directory, fsync, rename) and truncates the WAL. Ingest pauses for the
-// duration; matching is unaffected.
+// Snapshot persists the corpus atomically (WriteFileAtomic) and truncates
+// the WAL. Ingest pauses for the duration; matching is unaffected.
 func (s *Store) Snapshot() (SnapshotInfo, error) {
 	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	tmp, err := os.CreateTemp(s.dir, SnapshotFile+".tmp-*")
-	if err != nil {
-		return SnapshotInfo{}, err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	_ = tmp.Chmod(0o644)        // CreateTemp defaults to 0600
-	if err := s.corpus.WriteSnapshot(tmp); err != nil {
-		tmp.Close()
-		return SnapshotInfo{}, err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return SnapshotInfo{}, err
-	}
-	st, err := tmp.Stat()
-	if err != nil {
-		tmp.Close()
-		return SnapshotInfo{}, err
-	}
-	if err := tmp.Close(); err != nil {
-		return SnapshotInfo{}, err
-	}
 	final := filepath.Join(s.dir, SnapshotFile)
-	if err := os.Rename(tmp.Name(), final); err != nil {
+	size, err := WriteFileAtomic(final, s.corpus.WriteSnapshot)
+	if err != nil {
 		return SnapshotInfo{}, err
 	}
-	syncDir(s.dir)
 	// The epoch bump lands BEFORE the WAL truncate: a replica must be able to
 	// observe the generation change before it can ever observe the truncated
 	// log, or its stale stream position could silently land inside the new
@@ -363,7 +341,7 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 	s.snapWriteHist.ObserveDuration(time.Since(start))
 	return SnapshotInfo{
 		Path:    final,
-		Bytes:   st.Size(),
+		Bytes:   size,
 		Entries: s.corpus.Len(),
 		Elapsed: time.Since(start),
 	}, nil
@@ -490,39 +468,54 @@ func loadOrInitEpoch(dir string) (int64, error) {
 	return v, nil
 }
 
-// writeEpoch persists the WAL epoch atomically (temp + rename + dir sync).
+// writeEpoch persists the WAL epoch atomically.
 func writeEpoch(dir string, v int64) error {
-	tmp, err := os.CreateTemp(dir, EpochFile+".tmp-*")
-	if err != nil {
+	_, err := WriteFileAtomic(filepath.Join(dir, EpochFile), func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "%d\n", v)
 		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	_ = tmp.Chmod(0o644)
-	if _, err := fmt.Fprintf(tmp, "%d\n", v); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, EpochFile)); err != nil {
-		return err
-	}
-	syncDir(dir)
-	return nil
+	})
+	return err
 }
 
-// syncDir fsyncs a directory so a completed rename survives power loss.
-// Best-effort: some filesystems reject directory syncs.
-func syncDir(dir string) {
+// WriteFileAtomic replaces path with what write produces. It writes a temp
+// file in path's directory (mode 0644), fsyncs it, renames it over path and
+// fsyncs the directory, so a crash leaves the old file or the new one, never
+// a torn mix, and a completed replace survives power loss. On any error the
+// temp file is removed and path is left as it was. It returns the size of
+// the file written.
+func WriteFileAtomic(path string, write func(io.Writer) error) (int64, error) {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return 0, err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	defer tmp.Close()           // for error paths; the success path closes and checks below
+	// CreateTemp makes 0600; a filesystem that refuses the chmod still
+	// holds a correct file, so this one is best-effort.
+	_ = tmp.Chmod(0o644)
+	if err := write(tmp); err != nil {
+		return 0, err
+	}
+	if err := tmp.Sync(); err != nil {
+		return 0, err
+	}
+	st, err := tmp.Stat()
+	if err != nil {
+		return 0, err
+	}
+	if err := tmp.Close(); err != nil {
+		return 0, err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return 0, err
+	}
+	// Best-effort: some filesystems reject directory syncs.
 	if d, err := os.Open(dir); err == nil {
 		_ = d.Sync()
 		d.Close()
 	}
+	return st.Size(), nil
 }
 
 // StartAutoSnapshot snapshots every interval while there are journaled adds

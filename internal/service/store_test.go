@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -672,6 +673,54 @@ func TestStoreRestoreAcrossShardCounts(t *testing.T) {
 		t.Fatalf("restored config %v, want %v (snapshot config wins)", dst.Config(), src.Config())
 	}
 	verifyEntries(t, dst, 50)
+}
+
+// TestWriteFileAtomicFailureLeavesTarget: a write callback that fails part
+// way leaves the target unchanged and no temp file behind; a successful one
+// replaces the target whole, mode 0644.
+func TestWriteFileAtomicFailureLeavesTarget(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, SnapshotFile)
+	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	onlyTarget := func(want string) {
+		t.Helper()
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Fatalf("target holds %q (%v), want %q", got, err, want)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil || len(ents) != 1 {
+			t.Fatalf("directory holds %v (%v), want the target alone", ents, err)
+		}
+	}
+	boom := errors.New("boom")
+	_, err := WriteFileAtomic(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "half a new file"); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the callback's", err)
+	}
+	onlyTarget("old")
+
+	n, err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "new")
+		return err
+	})
+	if err != nil || n != 3 {
+		t.Fatalf("replace: %d bytes, %v", n, err)
+	}
+	onlyTarget("new")
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Mode().Perm() != 0o644 {
+		t.Fatalf("replaced file mode %v, want 0644", st.Mode().Perm())
+	}
 }
 
 func TestReadSnapshotRejectsNonEmptyAndGarbage(t *testing.T) {
