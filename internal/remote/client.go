@@ -23,9 +23,6 @@ import (
 // shard the router talks to.
 type Client struct {
 	hc *http.Client
-	// apiKey, when set, is sent as X-API-Key so shard-side rate limiting
-	// sees one logical client per router rather than per source address.
-	apiKey string
 }
 
 // NewClient returns a client with a connection pool sized for scatter-gather
@@ -43,9 +40,6 @@ func NewClient(timeout time.Duration) *Client {
 		},
 	}}
 }
-
-// SetAPIKey sets the X-API-Key header sent with every shard request.
-func (c *Client) SetAPIKey(k string) { c.apiKey = k }
 
 // MatchShard runs one partition-local match on the shard at base
 // (e.g. "http://10.0.0.7:8080"). Non-2xx responses come back as
@@ -113,9 +107,6 @@ func (c *Client) postJSON(ctx context.Context, url string, req, out any) error {
 // milliseconds at send time), so every shard-bound request — match fanout,
 // ingest forwarding, exports — inherits the router's remaining budget.
 func (c *Client) decorate(ctx context.Context, hreq *http.Request) {
-	if c.apiKey != "" {
-		hreq.Header.Set("X-API-Key", c.apiKey)
-	}
 	if ms := remainingBudgetMs(ctx); ms > 0 {
 		hreq.Header.Set("X-Request-Timeout", strconv.FormatInt(ms, 10))
 	}

@@ -235,7 +235,8 @@ func TestBackpressureEngagesAndReleases(t *testing.T) {
 	store.SetBackpressure(BackpressureConfig{FsyncP99: time.Millisecond, MaxDelay: 5 * time.Millisecond})
 
 	// A sick disk: every fsync takes ~4ms.
-	store.wal.syncHook = func() error { time.Sleep(4 * time.Millisecond); return nil }
+	ff := injectFaults(store.wal)
+	ff.sync = func() error { time.Sleep(4 * time.Millisecond); return nil }
 	for i := 0; i < 3; i++ {
 		if err := c.Add(fmt.Sprintf("slow-%d", i), testFP(i)); err != nil {
 			t.Fatal(err)
@@ -257,7 +258,7 @@ func TestBackpressureEngagesAndReleases(t *testing.T) {
 	// from the rolling window and disengage backpressure. The healthy disk is
 	// simulated too — a real fsync on a loaded CI disk can exceed the 1ms
 	// threshold, and the window eviction is what's under test here.
-	store.wal.syncHook = func() error { return nil }
+	ff.sync = func() error { return nil }
 	for i := 0; i < recentFsyncWindow+4; i++ {
 		if err := c.Add(fmt.Sprintf("fast-%d", i), testFP(1000+i)); err != nil {
 			t.Fatal(err)
@@ -286,7 +287,7 @@ func TestBackpressureDisabledByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	store.wal.syncHook = func() error { time.Sleep(2 * time.Millisecond); return nil }
+	injectFaults(store.wal).sync = func() error { time.Sleep(2 * time.Millisecond); return nil }
 	for i := 0; i < 3; i++ {
 		if err := c.Add(fmt.Sprintf("doc-%d", i), testFP(i)); err != nil {
 			t.Fatal(err)

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ccd"
 	"repro/internal/trace"
@@ -162,10 +163,11 @@ func TestBatchFsyncFailureCondemnsWholeBatch(t *testing.T) {
 
 	// Two refused batches in a row: each condemns exactly its own n seqs.
 	const n = 9
-	store.wal.syncHook = func() error { return errors.New("injected: disk full") }
+	ff := injectFaults(store.wal)
+	ff.sync = func() error { return errors.New("injected: disk full") }
 	wantAllPersistErrors(t, e.CorpusAddBatch(batchEntries(100, n)), n)
 	wantAllPersistErrors(t, e.CorpusAddBatch(batchEntries(100+n, n)), n)
-	store.wal.syncHook = nil
+	ff.sync = nil
 	if d := store.Durability(); d.CondemnedRecords != 2*n || d.Rollbacks != 2 {
 		t.Fatalf("condemned %d records in %d rollbacks, want %d in 2", d.CondemnedRecords, d.Rollbacks, 2*n)
 	}
@@ -198,9 +200,10 @@ func TestBatchFsyncFailureCondemnsWholeBatch(t *testing.T) {
 	}
 }
 
-// TestBatchFailedFsyncFailsGroupedSingleAdd: a single add whose record rides
-// in the same group commit as a batch is cut by the batch's failed fsync and
-// must error too — even after a later commit pushes syncSeq past its seq.
+// TestBatchFailedFsyncFailsGroupedSingleAdd: a single add and a batch that
+// queue behind a commit in flight form one group, and that group gets one
+// verdict: when its fsync fails, both error, all 4 records are condemned and
+// neither replays.
 func TestBatchFailedFsyncFailsGroupedSingleAdd(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
 	w, err := openWAL(path)
@@ -209,31 +212,47 @@ func TestBatchFailedFsyncFailsGroupedSingleAdd(t *testing.T) {
 	}
 	defer w.close()
 	ctx := context.Background()
-	if err := w.appendRecord(ctx, "a", testFP(1)); err != nil {
+	ff := injectFaults(w)
+	inSync, finish := make(chan struct{}), make(chan struct{})
+	fsyncs := 0 // one committer at a time calls Sync
+	ff.sync = func() error {
+		fsyncs++
+		switch fsyncs {
+		case 1: // hold the first commit in its fsync
+			close(inSync)
+			<-finish
+		case 2: // the group that queued behind it
+			return errors.New("injected: disk full")
+		}
+		return ff.walFile.Sync()
+	}
+	first := make(chan error, 1)
+	go func() { first <- w.appendRecord(ctx, "a", testFP(1)) }()
+	<-inSync
+	queued := make(chan error, 2)
+	go func() { queued <- w.appendRecord(ctx, "single", testFP(2)) }()
+	go func() {
+		queued <- w.appendBatch(ctx, []ccd.Entry{{ID: "b1", FP: testFP(3)}, {ID: "b2", FP: testFP(4)}, {ID: "b3", FP: testFP(5)}})
+	}()
+	for joined := false; !joined; time.Sleep(time.Millisecond) {
+		w.mu.Lock()
+		joined = w.open != nil && w.open.n == 4
+		w.mu.Unlock()
+	}
+	close(finish)
+	if err := <-first; err != nil {
 		t.Fatal(err)
 	}
-	// The single add has written its record and not yet reached the group
-	// commit when the batch's fsync covers — and fails — both.
-	single, err := w.writeRecords(appendWALRecord(nil, "single", testFP(2)), 1)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := <-queued; err == nil {
+			t.Fatal("member of a group whose fsync failed was acknowledged")
+		}
 	}
-	w.syncHook = func() error { return errors.New("injected: disk full") }
-	batch := []ccd.Entry{{ID: "b1", FP: testFP(3)}, {ID: "b2", FP: testFP(4)}, {ID: "b3", FP: testFP(5)}}
-	if err := w.appendBatch(ctx, batch); err == nil {
-		t.Fatal("batch with failing fsync succeeded")
-	}
-	w.syncHook = nil
 	if got := w.condemned.Load(); got != 4 {
 		t.Fatalf("condemned %d records, want 4 (the batch's 3 and the single add)", got)
 	}
 	if err := w.appendBatch(ctx, []ccd.Entry{{ID: "c1", FP: testFP(6)}, {ID: "c2", FP: testFP(7)}}); err != nil {
 		t.Fatal(err)
-	}
-	errSingle := w.awaitDurable(single)
-	w.release(single)
-	if errSingle == nil {
-		t.Fatal("single add cut with the batch was acknowledged")
 	}
 	var ids []string
 	if _, _, torn, err := replayWAL(path, func(id string, _ ccd.Fingerprint) { ids = append(ids, id) }); err != nil || torn {
@@ -262,16 +281,16 @@ func TestBatchShortWriteLeavesNoRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 			mustAdd(t, c, 3)
-			w := store.wal
-			w.writeHook = func() error { // the device takes the first record, then dies
-				_, _ = w.f.Write(appendWALRecord(nil, "b-100", testFP(100)))
+			ff := injectFaults(store.wal)
+			ff.write = func([]byte) error { // the device takes the first record, then dies
+				_, _ = ff.walFile.Write(appendWALRecord(nil, "b-100", testFP(100)))
 				return errors.New("injected: device error")
 			}
 			if cutFails {
-				w.truncHook = func() error { return errors.New("injected: truncate refused") }
+				ff.trunc = func() error { return errors.New("injected: truncate refused") }
 			}
 			wantAllPersistErrors(t, e.CorpusAddBatch(batchEntries(100, 4)), 4)
-			w.writeHook, w.truncHook = nil, nil
+			ff.write, ff.trunc = nil, nil
 			if c.Len() != 3 {
 				t.Fatalf("refused batch visible: Len %d, want 3", c.Len())
 			}
@@ -308,10 +327,11 @@ func TestWALPageHoldsBackUnsyncedBatch(t *testing.T) {
 	mustAdd(t, c, 2)
 
 	inSync, finish := make(chan struct{}), make(chan struct{})
-	store.wal.syncHook = func() error {
+	ff := injectFaults(store.wal)
+	ff.sync = func() error {
 		close(inSync)
 		<-finish
-		return store.wal.f.Sync()
+		return ff.walFile.Sync()
 	}
 	batch := make([]ccd.Entry, 5)
 	for i := range batch {
@@ -331,7 +351,7 @@ func TestWALPageHoldsBackUnsyncedBatch(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	store.wal.syncHook = nil
+	ff.sync = nil
 	page, err = store.WALPage(page.Next, page.Epoch, 0)
 	if err != nil {
 		t.Fatal(err)

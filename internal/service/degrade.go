@@ -77,8 +77,7 @@ func (e *Engine) pressure() float64 {
 		p = float64(e.ctr.inflight.Load()) / float64(e.adm.capacity)
 	}
 	if st := e.corpus.store; st != nil {
-		d := st.Durability()
-		if fs := float64(d.RecentFsyncP99Us) / float64(e.deg.cfg.FsyncP99.Microseconds()); fs > p {
+		if fs := float64(st.wal.recentFsyncP99().Microseconds()) / float64(e.deg.cfg.FsyncP99.Microseconds()); fs > p {
 			p = fs
 		}
 	}

@@ -261,10 +261,12 @@ func OpenStoreWith(dir string, c *Corpus, opts StoreOptions) (*Store, error) {
 }
 
 // Ready reports whether the store can take traffic: boot replay is complete
-// (an open *Store implies it) and no failed-group-commit rollback is waiting
-// for its truncate. A load balancer should not route to a not-ready node.
+// (an open *Store implies it) and no failed group commit is waiting for its
+// cut back to the durable prefix. Each call retries a pending cut, so a node
+// polled for readiness comes back once the disk does. A load balancer should
+// not route to a not-ready node.
 func (s *Store) Ready() bool {
-	return s.wal != nil && !s.wal.rollbackPending()
+	return s.wal != nil && s.wal.ready()
 }
 
 // addBatch journals the entries, then makes them visible: one WAL write and
@@ -648,6 +650,7 @@ type DurabilityStats struct {
 
 // Durability reports the store's WAL/snapshot instrumentation.
 func (s *Store) Durability() DurabilityStats {
+	p99 := s.wal.recentFsyncP99()
 	d := DurabilityStats{
 		FsyncLatency:        SummarizeLatency(&s.wal.fsyncHist),
 		GroupCommitBatch:    sizeStats(&s.wal.batchHist),
@@ -657,11 +660,11 @@ func (s *Store) Durability() DurabilityStats {
 		RestoreUs:           s.restoreDur.Microseconds(),
 		BackpressureDelays:  s.bpDelays.Load(),
 		BackpressureDelayUs: s.bpDelayUs.Load(),
-		RecentFsyncP99Us:    s.wal.recentFsyncP99().Microseconds(),
+		RecentFsyncP99Us:    p99.Microseconds(),
 		Ready:               s.Ready(),
 	}
 	if cfg := s.bp.Load(); cfg != nil {
-		d.BackpressureEngaged = s.wal.recentFsyncP99() > cfg.FsyncP99
+		d.BackpressureEngaged = p99 > cfg.FsyncP99
 	}
 	return d
 }

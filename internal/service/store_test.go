@@ -6,9 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ccd"
@@ -21,6 +24,50 @@ func testFP(i int) ccd.Fingerprint {
 // appendRecord journals one entry: a batch of one.
 func (w *wal) appendRecord(ctx context.Context, id string, fp ccd.Fingerprint) error {
 	return w.appendBatch(ctx, []ccd.Entry{{ID: id, FP: fp}})
+}
+
+// faultFile wraps a log's file and injects faults: sync, when set, runs in
+// place of Sync; write and trunc, when set, run before Write and Truncate and
+// refuse the call by returning an error (write sees the bytes, so it can land
+// a short write's leftovers through the wrapped file first). Set the hooks
+// only while no append is in flight, or make them safe for concurrent use.
+type faultFile struct {
+	walFile
+	sync  func() error
+	write func(p []byte) error
+	trunc func() error
+}
+
+func (f *faultFile) Sync() error {
+	if f.sync != nil {
+		return f.sync()
+	}
+	return f.walFile.Sync()
+}
+
+func (f *faultFile) Write(p []byte) (int, error) {
+	if f.write != nil {
+		if err := f.write(p); err != nil {
+			return 0, err
+		}
+	}
+	return f.walFile.Write(p)
+}
+
+func (f *faultFile) Truncate(n int64) error {
+	if f.trunc != nil {
+		if err := f.trunc(); err != nil {
+			return err
+		}
+	}
+	return f.walFile.Truncate(n)
+}
+
+// injectFaults puts a faultFile between w and its file.
+func injectFaults(w *wal) *faultFile {
+	ff := &faultFile{walFile: w.f}
+	w.f = ff
+	return ff
 }
 
 // addFP and addSrc ingest one entry through the engine: a batch of one.
@@ -75,7 +122,8 @@ func TestStoreGroupCommitFailureAccounting(t *testing.T) {
 
 	// Inject a disk failure on the next group commit. The record's bytes hit
 	// the file before the fsync, so without the rollback they would replay.
-	store.wal.syncHook = func() error { return errors.New("injected: disk full") }
+	ff := injectFaults(store.wal)
+	ff.sync = func() error { return errors.New("injected: disk full") }
 	err = c.Add("doomed", testFP(99))
 	if !errors.Is(err, ErrPersist) {
 		t.Fatalf("failed group commit returned %v, want ErrPersist", err)
@@ -86,7 +134,7 @@ func TestStoreGroupCommitFailureAccounting(t *testing.T) {
 
 	// The log recovers: the failed record is gone and new appends land at
 	// the durable offset.
-	store.wal.syncHook = nil
+	ff.sync = nil
 	if err := c.Add("after", testFP(4)); err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +185,15 @@ func TestWALRollbackOnSyncFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.syncHook = func() error { return errors.New("injected") }
+	ff := injectFaults(w)
+	ff.sync = func() error { return errors.New("injected") }
 	if err := w.appendRecord(context.Background(), "b", testFP(2)); err == nil {
 		t.Fatal("append with failing fsync succeeded")
 	}
 	if got, _ := w.size(); got != okSize {
 		t.Fatalf("file size %d after rollback, want %d", got, okSize)
 	}
-	w.syncHook = nil
+	ff.sync = nil
 	if err := w.appendRecord(context.Background(), "c", testFP(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -155,121 +204,6 @@ func TestWALRollbackOnSyncFailure(t *testing.T) {
 	}
 	if records != 2 || ids[0] != "a" || ids[1] != "c" {
 		t.Fatalf("replayed %v, want [a c]", ids)
-	}
-}
-
-// TestWALCutAppenderNotFalselyAcknowledged pins sequence-number retirement:
-// when a rollback cuts a concurrent appender's record, a LATER successful
-// group commit pushing syncSeq past that appender's seq must not let it
-// return nil. With seq reuse (writeSeq reset to syncSeq on rollback) the
-// fresh record takes over the cut seq, the stalled appender passes the
-// syncSeq fast-path and reports success for a record that is not in the log
-// — silent loss of an acked write on replay.
-func TestWALCutAppenderNotFalselyAcknowledged(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.wal")
-	w, err := openWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.close()
-	if err := w.appendRecord(context.Background(), "a", testFP(1)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Appender A: record written, acknowledgement pending — exactly the
-	// state of a goroutine that has left writeRecords but not yet entered the
-	// group-commit section.
-	seqA, err := w.writeRecords(appendWALRecord(nil, "stalled", testFP(2)), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Appender B joins the group and its fsync fails: the rollback cuts both
-	// B's record and A's.
-	w.syncHook = func() error { return errors.New("injected: disk full") }
-	if err := w.appendRecord(context.Background(), "b", testFP(3)); err == nil {
-		t.Fatal("append with failing fsync succeeded")
-	}
-	w.syncHook = nil
-
-	// Appender C lands after the rollback and commits durably, pushing
-	// syncSeq past A's sequence number.
-	if err := w.appendRecord(context.Background(), "c", testFP(4)); err != nil {
-		t.Fatal(err)
-	}
-
-	// A resumes: it must learn its record is gone, not be acknowledged on
-	// the strength of C's fsync.
-	errA := w.awaitDurable(seqA)
-	w.release(seqA)
-	if errA == nil {
-		t.Fatal("appender cut by a rollback was acknowledged")
-	}
-
-	var ids []string
-	records, _, torn, err := replayWAL(path, func(id string, fp ccd.Fingerprint) { ids = append(ids, id) })
-	if err != nil || torn {
-		t.Fatalf("replay: records=%d torn=%v err=%v", records, torn, err)
-	}
-	if records != 2 || ids[0] != "a" || ids[1] != "c" {
-		t.Fatalf("replayed %v, want [a c]", ids)
-	}
-}
-
-// TestWALGarbageCutFailureSyncsAnyway: when an appender with a complete
-// record finds the log poisoned by another's short write and cannot truncate
-// the garbage, it must fsync and acknowledge anyway — its record is intact
-// below writtenBytes, and boot replay's CRC check cuts the trailing garbage.
-// Returning an error instead would falsely fail an append whose record a
-// later group commit then makes durable and replayable.
-func TestWALGarbageCutFailureSyncsAnyway(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.wal")
-	w, err := openWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.close()
-	if err := w.appendRecord(context.Background(), "a", testFP(1)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Appender A has written its record but not yet reached the group
-	// commit; then another appender's short write poisons the log.
-	seqA, err := w.writeRecords(appendWALRecord(nil, "stalled", testFP(2)), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.writeHook = func() error {
-		_, _ = w.f.Write([]byte{0xde, 0xad})
-		return errors.New("injected: device error")
-	}
-	// The failed write cannot cut its own garbage either, so the log stays
-	// poisoned.
-	w.truncHook = func() error { return errors.New("injected: truncate refused") }
-	if err := w.appendRecord(context.Background(), "garbage-maker", testFP(3)); err == nil {
-		t.Fatal("append with failing write succeeded")
-	}
-	w.writeHook = nil
-
-	// A's garbage cut fails too, but its record must still be acknowledged.
-	errA := w.awaitDurable(seqA)
-	w.release(seqA)
-	if errA != nil {
-		t.Fatalf("appender with intact record failed on garbage-cut failure: %v", errA)
-	}
-	w.truncHook = nil
-
-	// The next append cuts the garbage and lands cleanly.
-	if err := w.appendRecord(context.Background(), "c", testFP(4)); err != nil {
-		t.Fatal(err)
-	}
-	var ids []string
-	records, _, torn, err := replayWAL(path, func(id string, fp ccd.Fingerprint) { ids = append(ids, id) })
-	if err != nil || torn {
-		t.Fatalf("replay: records=%d torn=%v err=%v", records, torn, err)
-	}
-	if records != 3 || ids[0] != "a" || ids[1] != "stalled" || ids[2] != "c" {
-		t.Fatalf("replayed %v, want [a stalled c]", ids)
 	}
 }
 
@@ -289,12 +223,13 @@ func TestWALRollbackTruncateFailureBlocksNewAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w.syncHook = func() error { return errors.New("injected: disk full") }
-	w.truncHook = func() error { return errors.New("injected: truncate refused") }
+	ff := injectFaults(w)
+	ff.sync = func() error { return errors.New("injected: disk full") }
+	ff.trunc = func() error { return errors.New("injected: truncate refused") }
 	if err := w.appendRecord(context.Background(), "doomed", testFP(2)); err == nil {
 		t.Fatal("append with failing fsync succeeded")
 	}
-	w.syncHook = nil
+	ff.sync = nil
 
 	// While the rollback is pending, appends fail rather than landing after
 	// the condemned bytes.
@@ -304,7 +239,7 @@ func TestWALRollbackTruncateFailureBlocksNewAppends(t *testing.T) {
 
 	// Once the truncate works again, the retry cuts the condemned records
 	// and the log carries on.
-	w.truncHook = nil
+	ff.trunc = nil
 	if err := w.appendRecord(context.Background(), "c", testFP(4)); err != nil {
 		t.Fatal(err)
 	}
@@ -319,10 +254,9 @@ func TestWALRollbackTruncateFailureBlocksNewAppends(t *testing.T) {
 }
 
 // TestWALWriteFailurePoisonsAndRecovers: a failed record write (short write
-// leaving garbage in the file) must never truncate the log to its durable
-// prefix — an in-flight group commit could lose acknowledged records — but
-// cut exactly the garbage beyond the last complete record, so the log
-// carries on with no torn tail.
+// leaving garbage in the file) is cut back to the durable prefix — with one
+// writer, exactly where the failed write began — so the log carries on with
+// no torn tail.
 func TestWALWriteFailurePoisonsAndRecovers(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
 	w, err := openWAL(path)
@@ -333,14 +267,15 @@ func TestWALWriteFailurePoisonsAndRecovers(t *testing.T) {
 	if err := w.appendRecord(context.Background(), "a", testFP(1)); err != nil {
 		t.Fatal(err)
 	}
-	w.writeHook = func() error {
-		_, _ = w.f.Write([]byte{0xde, 0xad}) // the short write's garbage
+	ff := injectFaults(w)
+	ff.write = func([]byte) error {
+		_, _ = ff.walFile.Write([]byte{0xde, 0xad}) // the short write's garbage
 		return errors.New("injected: device error")
 	}
 	if err := w.appendRecord(context.Background(), "b", testFP(2)); err == nil {
 		t.Fatal("append with failing write succeeded")
 	}
-	w.writeHook = nil
+	ff.write = nil
 	if err := w.appendRecord(context.Background(), "c", testFP(3)); err != nil {
 		t.Fatalf("append after write-failure recovery: %v", err)
 	}
@@ -351,6 +286,190 @@ func TestWALWriteFailurePoisonsAndRecovers(t *testing.T) {
 	}
 	if records != 2 || ids[0] != "a" || ids[1] != "c" {
 		t.Fatalf("replayed %v, want [a c]", ids)
+	}
+}
+
+// TestStoreReadyRetriesPendingCut: a failed commit — a short write or a
+// failed fsync — whose cut back to the durable prefix is refused leaves
+// bytes no append may land behind, so the store reads not ready. Once the
+// disk heals, the first readiness probe retries the cut and reads ready (no
+// append or snapshot needed), and the next add lands and replays after a
+// crash while the refused one does not.
+func TestStoreReadyRetriesPendingCut(t *testing.T) {
+	for _, fault := range []string{"short_write", "failed_fsync"} {
+		t.Run(fault, func(t *testing.T) {
+			dir := t.TempDir()
+			c := NewCorpus(ccd.DefaultConfig, 2)
+			store, err := OpenStore(dir, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustAdd(t, c, 2)
+			ff := injectFaults(store.wal)
+			if fault == "short_write" {
+				ff.write = func(p []byte) error {
+					_, _ = ff.walFile.Write(p[:len(p)/2])
+					return errors.New("injected: device error")
+				}
+			} else {
+				ff.sync = func() error { return errors.New("injected: disk full") }
+			}
+			ff.trunc = func() error { return errors.New("injected: truncate refused") }
+			if err := c.Add("doomed", testFP(98)); !errors.Is(err, ErrPersist) {
+				t.Fatalf("failed commit returned %v, want ErrPersist", err)
+			}
+			if store.Ready() {
+				t.Fatal("store reads ready with a failed commit's bytes uncut")
+			}
+			ff.write, ff.sync, ff.trunc = nil, nil, nil
+			if !store.Ready() {
+				t.Fatal("first readiness probe after the disk healed reads not ready")
+			}
+			if err := c.Add("after", testFP(2)); err != nil {
+				t.Fatal(err)
+			}
+			rebooted, s2 := reopen(t, dir, 2)
+			if info := s2.Info(); info.ReplayedRecords != 3 || info.TornTailCut {
+				t.Fatalf("boot info %+v, want 3 replayed and no torn tail", info)
+			}
+			got := rebooted.entryMultiset()
+			if got["doomed\x00"+string(testFP(98))] != 0 || got["after\x00"+string(testFP(2))] != 1 {
+				t.Fatalf("replayed %v, want after and not doomed", got)
+			}
+		})
+	}
+}
+
+// TestWALConcurrentFaults runs 8 concurrent appenders, each issuing 40 single
+// adds or batches of 1-3 entries, against a log file that fails fsyncs,
+// writes short and refuses truncates at random. Then the file heals, a
+// readiness probe cuts any leftovers, and the store crash-reopens: the
+// replayed records must be exactly the acknowledged ones, every batch
+// journaled whole or not at all, and every failed fsync rolled back.
+func TestWALConcurrentFaults(t *testing.T) {
+	const appenders, ops = 8, 40
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			dir := t.TempDir()
+			e := New(Options{Workers: 2, Shards: 2})
+			store, err := OpenStore(dir, e.Corpus())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex // guards rng and faults
+			rng := rand.New(rand.NewSource(seed))
+			faults := true
+			// draw reports whether to inject a fault of probability p, and
+			// where in n bytes a short write stops.
+			draw := func(p float64, n int) (bool, int) {
+				mu.Lock()
+				defer mu.Unlock()
+				if !faults || rng.Float64() >= p {
+					return false, 0
+				}
+				return true, rng.Intn(n + 1)
+			}
+			var fsyncFails atomic.Int64
+			ff := injectFaults(store.wal)
+			ff.sync = func() error {
+				if fail, _ := draw(0.15, 0); fail {
+					fsyncFails.Add(1)
+					return errors.New("injected: fsync failed")
+				}
+				return ff.walFile.Sync()
+			}
+			ff.write = func(p []byte) error {
+				if fail, k := draw(0.1, len(p)); fail {
+					_, _ = ff.walFile.Write(p[:k])
+					return errors.New("injected: short write")
+				}
+				return nil
+			}
+			ff.trunc = func() error {
+				if fail, _ := draw(0.3, 0); fail {
+					return errors.New("injected: truncate refused")
+				}
+				return nil
+			}
+
+			acked := make([][]CorpusEntry, appenders)
+			refused := make([]int, appenders)
+			var wg sync.WaitGroup
+			for a := 0; a < appenders; a++ {
+				wg.Add(1)
+				go func(a int) {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(seed*appenders + int64(a)))
+					for op := 0; op < ops; op++ {
+						batch := make([]CorpusEntry, 1+r.Intn(3))
+						for j := range batch {
+							batch[j] = CorpusEntry{ID: fmt.Sprintf("a%d-%d-%d", a, op, j), Fingerprint: testFP(a*1000 + op*10 + j)}
+						}
+						var errs []error
+						if r.Intn(2) == 0 {
+							batch = batch[:1]
+							errs = []error{e.Corpus().Add(batch[0].ID, batch[0].Fingerprint)}
+						} else {
+							errs = e.CorpusAddBatch(batch)
+						}
+						for j, err := range errs {
+							if (err == nil) != (errs[0] == nil) {
+								t.Errorf("seed %d: batch %s journaled in part: %v", seed, batch[0].ID, errs)
+							}
+							switch {
+							case err == nil:
+								acked[a] = append(acked[a], batch[j])
+							case errors.Is(err, ErrPersist):
+								refused[a]++
+							default:
+								t.Errorf("seed %d: add %s: %v", seed, batch[j].ID, err)
+							}
+						}
+					}
+				}(a)
+			}
+			wg.Wait()
+			mu.Lock()
+			faults = false
+			mu.Unlock()
+			if !store.Ready() {
+				t.Fatalf("seed %d: store not ready once the faults stopped", seed)
+			}
+			d := store.Durability()
+			if d.Rollbacks != fsyncFails.Load() || d.Rollbacks == 0 {
+				t.Fatalf("seed %d: %d rollbacks for %d injected fsync failures (want equal and > 0)", seed, d.Rollbacks, fsyncFails.Load())
+			}
+
+			rebooted, s2 := reopen(t, dir, 2) // a crash: no Close, no Snapshot
+			want := map[string]int{}
+			for _, es := range acked {
+				for _, en := range es {
+					want[en.ID+"\x00"+string(en.Fingerprint)]++
+				}
+			}
+			got := rebooted.entryMultiset()
+			for k, n := range got {
+				if want[k] != n {
+					t.Errorf("seed %d: %q replayed %d times, acknowledged %d", seed, strings.Split(k, "\x00")[0], n, want[k])
+				}
+			}
+			for k := range want {
+				if got[k] == 0 {
+					t.Errorf("seed %d: acknowledged %q did not replay", seed, strings.Split(k, "\x00")[0])
+				}
+			}
+			if info := s2.Info(); info.ReplayedRecords != len(want) || info.TornTailCut {
+				t.Errorf("seed %d: boot info %+v, want %d replayed and no torn tail", seed, info, len(want))
+			}
+			total := 0
+			for _, n := range refused {
+				total += n
+			}
+			if total == 0 {
+				t.Fatalf("seed %d: no add was refused", seed)
+			}
+			t.Logf("seed %d: %d records acknowledged, %d refused, %d fsync failures", seed, len(want), total, d.Rollbacks)
+		})
 	}
 }
 

@@ -37,69 +37,38 @@ var ErrPersist = errors.New("corpus persistence failed")
 // a crash mid-append leaves a truncated tail, never a reordered one — and
 // reports the byte offset of the last intact record so the tail can be cut
 // before new appends.
+//
+// The log has one writer at a time. At most one group commit is in flight;
+// appenders that arrive meanwhile join the one open group, and when the
+// commit lands one member of that group commits it for all of them: one
+// write, one fsync, one verdict that every member gets. Nothing reaches the
+// file outside a commit, so each group is either durable or cut back to the
+// durable prefix before the next group is written. A record whose append
+// returned an error must NEVER replay on boot, or the caller's accounting
+// (the bulk ingest response, pendingAdds) and the replay count disagree.
 type wal struct {
-	mu   sync.Mutex // guards writes to f, writeSeq and writtenBytes
-	f    *os.File
-	path string
+	// mu guards the fields up to the instrumentation. A commit's write and
+	// fsync run outside it, flagged by committing.
+	mu   sync.Mutex
+	done sync.Cond // broadcast under mu whenever a commit lands
+	f    walFile
 
-	// Group commit: appenders write under mu, then sync under syncMu. An
-	// appender arriving while another's fsync is in flight waits on syncMu
-	// and usually finds its record already covered (syncSeq ≥ its seq), so
-	// N concurrent appends coalesce into ~2 fsyncs instead of N.
-	syncMu   sync.Mutex
-	writeSeq int64 // monotonic append counter; never reused, even across rollbacks (mu)
-	syncSeq  int64 // highest seq settled: durable or, if in cuts, condemned (written under syncMu+mu, read under either)
-
-	// Byte offsets mirroring the sequence counters: writtenBytes is the file
-	// length after the last append (mu), syncedBytes the length of the
-	// durable prefix (written under syncMu+mu, read under either). A failed
-	// fsync rolls the file back to syncedBytes — a record whose append
-	// returned an error must NEVER replay on boot, or the caller's
-	// accounting (the bulk ingest response, pendingAdds) and the replay
-	// count disagree.
-	writtenBytes int64
-	syncedBytes  int64
-
-	// cuts records the seq ranges condemned by failed-fsync rollbacks.
-	// Because sequence numbers are never reused, membership in a cut range
-	// is a permanent verdict: an appender waiting on syncMu distinguishes
-	// "my record is durable" (syncSeq ≥ seq AND seq not cut) from "my record
-	// was cut and syncSeq moved past it on the strength of someone else's
-	// bytes". pending holds the last seq of every appender's batch between
-	// write and acknowledgement; a range retires as soon as no pending seq
-	// can still fall inside it (every future append gets a larger seq than
-	// its hi), so cuts stays empty except in the wake of an fsync failure.
-	// Both guarded by mu.
-	cuts    []seqRange
-	pending map[int64]struct{}
-
-	// rollbackNeeded marks a rollback whose truncate failed: the condemned
-	// records' bytes are still in the file, and because the log is opened
-	// O_APPEND, new records must not land after them (a later fsync would
-	// make already-refused records durable and replayable). writeRecord
-	// retries the truncate before appending anything. Guarded by mu.
-	rollbackNeeded bool
-
-	// failed marks a write error whose leftovers beyond writtenBytes (a short
-	// write: garbage, or whole leading records of a refused batch) could not
-	// be cut on the spot. While set, the file needs a truncate to
-	// writtenBytes before the next append. The write-failure path only ever
-	// cuts to writtenBytes, never to the durable prefix: that, under mu
-	// alone, could cut records of a group whose fsync is in flight under
-	// syncMu and let them be acknowledged anyway.
-	failed bool // guarded by mu
-
-	// syncHook / writeHook / truncHook, when set, inject faults into the
-	// fsync, the record write and the rollback/garbage truncates (tests of
-	// the group-commit failure paths). writeHook runs after its garbage
-	// reaches the file, simulating a short write.
-	syncHook  func() error
-	writeHook func() error
-	truncHook func() error
+	// durable is the length of the fsynced prefix — and of the whole file
+	// whenever no commit is in flight and no cut is pending.
+	durable int64
+	// cutPending marks a failed commit whose truncate back to durable was
+	// refused: its bytes may remain, and because the log is opened O_APPEND
+	// nothing may land behind them (a later fsync would make refused records
+	// durable and replayable). The next commit or readiness probe retries
+	// the cut; the log reports not ready while it is set.
+	cutPending bool
+	committing bool   // a commit's write and fsync are in flight (mu released)
+	open       *group // the group forming behind the commit in flight
+	seq        int64  // records appended since the last reset, refused ones included
 
 	// Durability instrumentation: fsync latency, records made durable per
 	// fsync (the group-commit coalescing factor), and the failure-path
-	// counters (rollbacks performed, records condemned by them).
+	// counters (failed fsyncs, and the records they condemned).
 	fsyncHist trace.Hist // µs per fsync actually performed
 	batchHist trace.Hist // records covered per successful fsync
 	rollbacks atomic.Int64
@@ -112,6 +81,25 @@ type wal struct {
 	// observations ever made.
 	recentFsync [recentFsyncWindow]atomic.Int64
 	recentIdx   atomic.Int64
+}
+
+// walFile is the log's one file seam: *os.File in production, a
+// fault-injecting wrapper in tests.
+type walFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Stat() (os.FileInfo, error)
+	Close() error
+}
+
+// group is one group commit: its members' records back to back, and the
+// verdict every member gets once it lands.
+type group struct {
+	buf    []byte
+	n      int64 // records in buf
+	landed bool
+	err    error
 }
 
 // recentFsyncWindow sizes the rolling fsync-latency window behind the
@@ -167,7 +155,9 @@ func openWAL(path string) (*wal, error) {
 		f.Close()
 		return nil, err
 	}
-	return &wal{f: f, path: path, writtenBytes: st.Size(), syncedBytes: st.Size()}, nil
+	w := &wal{f: f, durable: st.Size()}
+	w.done.L = &w.mu
+	return w, nil
 }
 
 // appendWALRecord appends one entry in the on-disk record layout to dst.
@@ -188,16 +178,12 @@ func appendWALRecord(dst []byte, id string, fp ccd.Fingerprint) []byte {
 	return dst
 }
 
-// seqRange is a half-open-below interval (lo, hi] of sequence numbers
-// removed from the log by a failed-group-commit rollback.
-type seqRange struct{ lo, hi int64 }
-
 // appendBatch journals the entries, in order, and returns once all of them
-// are on stable storage: one buffer, one write, one place in the group
-// commit. On a write or fsync failure the log is rolled back to its durable
-// prefix, so an errored batch leaves none of its records behind for replay —
-// and concurrent appenders whose records were cut by the rollback get an
-// error of their own instead of a false acknowledgement.
+// are on stable storage: one buffer, one place in one group commit. A batch
+// is written, fsynced and cut as a unit — on a write or fsync failure its
+// group is cut back to the durable prefix, and every member of the group
+// gets the error, so an errored batch leaves none of its records behind for
+// replay.
 func (w *wal) appendBatch(ctx context.Context, entries []ccd.Entry) error {
 	ctx, sp := trace.Start(ctx, "wal.append")
 	defer sp.End()
@@ -209,235 +195,107 @@ func (w *wal) appendBatch(ctx context.Context, entries []ccd.Entry) error {
 	for _, e := range entries {
 		buf = appendWALRecord(buf, e.ID, e.FP)
 	}
-	sp.AnnotateInt("records", int64(len(entries)))
+	n := int64(len(entries))
+	sp.AnnotateInt("records", n)
 	sp.AnnotateInt("bytes", int64(len(buf)))
-	seq, err := w.writeRecords(buf, len(entries))
-	if err != nil {
-		return err
-	}
-	defer w.release(seq)
 	_, wait := trace.Start(ctx, "wal.fsync_wait")
-	wait.AnnotateInt("seq", seq)
-	wait.AnnotateInt("records", int64(len(entries)))
-	err = w.awaitDurable(seq)
-	wait.End()
-	return err
-}
-
-// writeRecords appends n encoded records in one write and registers the
-// caller as a pending appender, returning the sequence number of the last
-// record (the batch holds seqs (seq-n, seq]). A batch is written, fsynced and
-// cut as a unit — every syncSeq and every cut range ends on a batch boundary
-// — so its last seq stands for all of it. The caller must follow up with
-// awaitDurable(seq) and then release(seq), in that order.
-func (w *wal) writeRecords(recs []byte, n int) (int64, error) {
+	defer wait.End()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.rollbackNeeded {
-		// A failed group commit could not truncate its condemned records
-		// away. Their seqs are already in cuts, so no appender can be
-		// acknowledged for them — but their bytes must leave the file before
-		// anything new lands behind them. Safe under mu alone: while
-		// rollbackNeeded is set no fsync can be in flight (every path to
-		// sync() first clears this flag here or errors out).
-		if err := w.truncate(w.syncedBytes); err != nil {
-			return 0, fmt.Errorf("wal: pending rollback of a failed group commit: %w", err)
-		}
-		w.writtenBytes = w.syncedBytes
-		w.rollbackNeeded = false
-		w.failed = false
+	w.seq += n
+	wait.AnnotateInt("seq", w.seq)
+	wait.AnnotateInt("records", n)
+	if w.open == nil {
+		w.open = &group{buf: buf, n: n}
+	} else {
+		w.open.buf = append(w.open.buf, buf...)
+		w.open.n += n
 	}
-	if w.failed {
-		// An earlier append died mid-write and may have left garbage beyond
-		// the last complete batch. writtenBytes counts only fully-written
-		// batches and is never below any concurrent syncer's covered
-		// snapshot, so cutting to it cannot remove a record that could
-		// still be acknowledged.
-		if err := w.truncate(w.writtenBytes); err != nil {
-			return 0, fmt.Errorf("wal: poisoned by earlier write failure: %w", err)
-		}
-		w.failed = false
+	g := w.open
+	// Wait out the commit in flight; then either a fellow member has
+	// committed our group, or we commit it. A committer commits its own
+	// group only, so no appender waits longer than the commit in flight plus
+	// its own.
+	for w.committing && !g.landed {
+		w.done.Wait()
 	}
-	if err := w.write(recs); err != nil {
-		// A short write of a batch can leave whole records of it in the
-		// file, which no CRC check would cut at boot: remove them now, or
-		// poison the log so the next append does.
-		if terr := w.truncate(w.writtenBytes); terr != nil {
-			w.failed = true
-		}
-		return 0, err
+	if !g.landed {
+		w.commit(g)
 	}
-	w.writeSeq += int64(n)
-	w.writtenBytes += int64(len(recs))
-	if w.pending == nil {
-		w.pending = make(map[int64]struct{})
-	}
-	w.pending[w.writeSeq] = struct{}{}
-	return w.writeSeq, nil
+	return g.err
 }
 
-// awaitDurable returns once the batch ending at seq is on stable storage,
-// either because a concurrent appender's group fsync covered it or because
-// this call performed the fsync itself. It returns an error when a rollback
-// cut the batch from the log.
-func (w *wal) awaitDurable(seq int64) error {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	w.mu.Lock()
-	if w.cutLocked(seq) {
-		// A rollback between our write and now removed this batch. Its seqs
-		// were never reassigned, so syncSeq having moved past them can only
-		// reflect other appenders' records — not ours.
-		w.mu.Unlock()
-		return fmt.Errorf("wal: record lost in failed group commit")
+// commit writes and fsyncs the open group g for all its members. The caller
+// holds mu with no commit in flight; mu is released around the write and the
+// fsync, while later appenders form the next group.
+func (w *wal) commit(g *group) {
+	w.open = nil
+	defer func() {
+		g.landed = true
+		w.done.Broadcast()
+	}()
+	if err := w.cutLocked(); err != nil {
+		g.err = fmt.Errorf("wal: pending cut of a failed commit: %w", err)
+		return
 	}
-	if w.syncSeq >= seq {
-		w.mu.Unlock()
-		return nil // a concurrent appender's fsync already covered us
-	}
-	if w.failed {
-		// Same garbage cut as in writeRecord, from the sync side (safe here
-		// too: we hold syncMu, so no fsync is in flight). If the truncate
-		// fails, sync anyway: every record below writtenBytes is complete,
-		// and boot replay's CRC check cuts the trailing garbage. Erroring
-		// out here instead would falsely fail this appender while leaving
-		// its intact record for a later group commit to make durable and
-		// replayable — an errored append must never replay.
-		if err := w.truncate(w.writtenBytes); err == nil {
-			w.failed = false
-		}
-	}
-	covered := w.writeSeq // every record written before the Sync below
-	coveredBytes := w.writtenBytes
-	batch := covered - w.syncSeq // records this fsync makes durable
+	w.committing = true
 	w.mu.Unlock()
-	fsyncStart := time.Now()
-	err := w.sync()
-	w.observeFsync(time.Since(fsyncStart))
-	if err != nil {
-		// The group's records are not durable. Cut them so boot-time replay
-		// agrees exactly with what was acknowledged; every appender in the
-		// group finds its seq in the recorded cut range above (or returns
-		// its own sync error here) and reports failure.
-		w.mu.Lock()
-		w.rollbackLocked()
-		w.mu.Unlock()
+	_, werr := w.f.Write(g.buf)
+	var serr error
+	if werr == nil {
+		start := time.Now()
+		serr = w.f.Sync()
+		w.observeFsync(time.Since(start))
+	}
+	w.mu.Lock()
+	w.committing = false
+	switch {
+	case werr != nil:
+		// A short write can leave garbage, or whole leading records of the
+		// group that no CRC check would cut at boot.
+		g.err = werr
+	case serr != nil:
+		// The group's records are in the file but not durable: condemn them.
+		w.rollbacks.Add(1)
+		w.condemned.Add(g.n)
+		g.err = serr
+	default:
+		w.durable += int64(len(g.buf))
+		w.batchHist.Observe(g.n)
+		return
+	}
+	w.cutPending = true
+	_ = w.cutLocked() // refused: the next commit or readiness probe retries
+}
+
+// cutLocked truncates the log back to its durable prefix if a failed commit
+// may have left bytes past it. Callers hold mu with no commit in flight
+// (cutPending is only ever set once a commit has landed, and a commit only
+// starts once it is clear), so the truncate never races a write.
+func (w *wal) cutLocked() error {
+	if !w.cutPending {
+		return nil
+	}
+	if err := w.f.Truncate(w.durable); err != nil {
 		return err
 	}
-	w.batchHist.Observe(batch)
-	w.mu.Lock()
-	w.syncSeq = covered
-	w.syncedBytes = coveredBytes
-	w.mu.Unlock()
+	w.cutPending = false
 	return nil
 }
 
-// release retires the appender holding seq and drops every cut range no
-// pending appender can query anymore — ranges are recorded with ascending
-// hi, and a future append always gets a seq above every recorded hi, so the
-// prefix below the smallest pending seq is dead. This keeps cuts from
-// accumulating for the life of the process when pending never drains (a
-// server under sustained concurrent ingest with intermittent fsync
-// failures).
-func (w *wal) release(seq int64) {
+// ready retries a pending cut and reports whether the log takes appends. A
+// load balancer polling readiness thereby brings the node back as soon as
+// the disk lets the cut land, without waiting for an append or a snapshot.
+func (w *wal) ready() bool {
 	w.mu.Lock()
-	delete(w.pending, seq)
-	if len(w.cuts) > 0 {
-		if len(w.pending) == 0 {
-			w.cuts = nil
-		} else {
-			min := int64(-1)
-			for s := range w.pending {
-				if min < 0 || s < min {
-					min = s
-				}
-			}
-			i := 0
-			for i < len(w.cuts) && w.cuts[i].hi < min {
-				i++
-			}
-			w.cuts = w.cuts[i:]
-		}
-	}
-	w.mu.Unlock()
-}
-
-// cutLocked reports whether seq was removed by a failed-group-commit
-// rollback. Callers hold w.mu.
-func (w *wal) cutLocked(seq int64) bool {
-	for _, r := range w.cuts {
-		if seq > r.lo && seq <= r.hi {
-			return true
-		}
-	}
-	return false
-}
-
-// rollbackLocked truncates the log to its durable prefix after a failed
-// fsync. Callers hold BOTH w.syncMu and w.mu: the sync lock guarantees no
-// other fsync is in flight whose covered records the truncate could cut.
-// The cut records' sequence numbers are retired, never reused — the range is
-// recorded so pending appenders detect the loss, and writeSeq keeps counting
-// upward, so a later group commit cannot push syncSeq over a cut seq and
-// falsely acknowledge it.
-func (w *wal) rollbackLocked() {
-	// Condemn the seqs first: whether the truncate lands now or is retried
-	// by the next writeRecord, these records will never be acknowledged, so
-	// every waiting appender must report failure.
-	w.rollbacks.Add(1)
-	if w.writeSeq > w.syncSeq {
-		w.cuts = append(w.cuts, seqRange{lo: w.syncSeq, hi: w.writeSeq})
-		w.condemned.Add(w.writeSeq - w.syncSeq)
-		// The condemned seqs are settled: the next group commit (or the next
-		// rollback) starts counting its records after them.
-		w.syncSeq = w.writeSeq
-	}
-	if err := w.truncate(w.syncedBytes); err != nil {
-		w.rollbackNeeded = true // bytes still present; cut before the next append
-		return
-	}
-	w.writtenBytes = w.syncedBytes
-	w.failed = false
-}
-
-// sync flushes the file to stable storage (or the injected test hook).
-func (w *wal) sync() error {
-	if w.syncHook != nil {
-		return w.syncHook()
-	}
-	return w.f.Sync()
-}
-
-// truncate cuts the file to n bytes (or fails through the injected test
-// hook). reset's full truncate bypasses the hook on purpose: it is not part
-// of the append/rollback failure surface under test.
-func (w *wal) truncate(n int64) error {
-	if w.truncHook != nil {
-		if err := w.truncHook(); err != nil {
-			return err
-		}
-	}
-	return w.f.Truncate(n)
-}
-
-// write appends one batch of records (or fails through the injected test
-// hook).
-func (w *wal) write(rec []byte) error {
-	if w.writeHook != nil {
-		if err := w.writeHook(); err != nil {
-			return err
-		}
-	}
-	_, err := w.f.Write(rec)
-	return err
+	defer w.mu.Unlock()
+	return w.cutLocked() == nil
 }
 
 // reset truncates the log after a successful snapshot: everything it held is
-// now covered by the snapshot file. Lock order matches awaitDurable (syncMu
-// before mu).
+// now covered by the snapshot file. It runs under the store's exclusive
+// lock, so no appender — and no commit — is in flight.
 func (w *wal) reset() error {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.f.Truncate(0); err != nil {
@@ -446,33 +304,17 @@ func (w *wal) reset() error {
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	w.writeSeq, w.syncSeq = 0, 0
-	w.writtenBytes, w.syncedBytes = 0, 0
-	// Sequence numbers restart, so stale cut ranges must not survive to
-	// falsely condemn them, and the truncate above completed any pending
-	// rollback. Safe: reset only runs under the store's exclusive lock,
-	// with no appender pending.
-	w.cuts = nil
-	w.rollbackNeeded = false
+	w.durable, w.seq, w.cutPending = 0, 0, false
 	return nil
-}
-
-// rollbackPending reports whether a failed-fsync rollback's truncate is
-// still outstanding — condemned bytes sit in the file and the next append
-// must cut them first. A node in this state is not ready for traffic.
-func (w *wal) rollbackPending() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.rollbackNeeded
 }
 
 // durableSize returns the length of the log's fsynced prefix. Every record
 // ending at or before it is on stable storage and can never be cut by a
-// failed-group-commit rollback — the only bytes safe to replicate.
+// failed commit — the only bytes safe to replicate.
 func (w *wal) durableSize() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.syncedBytes
+	return w.durable
 }
 
 // size returns the current log length in bytes.
