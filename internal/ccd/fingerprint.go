@@ -59,28 +59,7 @@ const MinSubLen = 6
 // implementation). Order-independent matching compares these individually
 // (Section 5.5).
 func (f Fingerprint) Subs() []string {
-	return appendSubs(nil, f)
-}
-
-// appendSubs appends f's non-empty sub-fingerprints to dst — a byte-scan
-// split (separators are single ASCII bytes, so no rune decoding) whose only
-// allocation with a reused dst is amortized slice growth. The appended
-// strings alias f.
-func appendSubs(dst []string, f Fingerprint) []string {
-	s := string(f)
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == FuncSep || s[i] == ContractSep {
-			if i > start {
-				dst = append(dst, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	if len(s) > start {
-		dst = append(dst, s[start:])
-	}
-	return dst
+	return appendSpanSubs(nil, f, appendChunkSpans(nil, f, 1))
 }
 
 // matchSubs returns the sub-fingerprints used for similarity scoring:
@@ -89,25 +68,47 @@ func (f Fingerprint) matchSubs() []string {
 	return appendMatchSubs(nil, f)
 }
 
-// appendMatchSubs is the scratch-friendly matchSubs: long chunks first, with
-// a second scan picking up everything only when no chunk reaches MinSubLen.
+// appendMatchSubs is the scratch-friendly matchSubs: the strings
+// appendMatchSpans locates, aliasing f. Its spans live on the stack for up to
+// 32 subs, so with a reused dst the split allocates nothing beyond that.
 func appendMatchSubs(dst []string, f Fingerprint) []string {
-	s := string(f)
+	var buf [64]uint32
+	return appendSpanSubs(dst, f, appendMatchSpans(buf[:0], f))
+}
+
+// appendMatchSpans appends the (start, end) byte offsets of f's match subs to
+// dst: long chunks first, with a second scan picking up every non-empty chunk
+// only when no chunk reaches MinSubLen. Offsets are relative to f, so a
+// corpus stores them once per entry (subSpans) and scoring slices a
+// candidate instead of splitting it again.
+func appendMatchSpans(dst []uint32, f Fingerprint) []uint32 {
 	base := len(dst)
+	if dst = appendChunkSpans(dst, f, MinSubLen); len(dst) == base {
+		dst = appendChunkSpans(dst, f, 1)
+	}
+	return dst
+}
+
+// appendChunkSpans appends the (start, end) offsets of every chunk of f
+// between separators that is at least minLen bytes long — a byte scan
+// (separators are single ASCII bytes, so no rune decoding).
+func appendChunkSpans(dst []uint32, f Fingerprint, minLen int) []uint32 {
 	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == FuncSep || s[i] == ContractSep {
-			if i-start >= MinSubLen {
-				dst = append(dst, s[start:i])
+	for i := 0; i <= len(f); i++ {
+		if i == len(f) || f[i] == FuncSep || f[i] == ContractSep {
+			if i-start >= minLen {
+				dst = append(dst, uint32(start), uint32(i))
 			}
 			start = i + 1
 		}
 	}
-	if len(s)-start >= MinSubLen {
-		dst = append(dst, s[start:])
-	}
-	if len(dst) == base {
-		return appendSubs(dst, f)
+	return dst
+}
+
+// appendSpanSubs appends the subs of f that spans locate, aliasing f.
+func appendSpanSubs(dst []string, f Fingerprint, spans []uint32) []string {
+	for i := 0; i+1 < len(spans); i += 2 {
+		dst = append(dst, string(f[spans[i]:spans[i+1]]))
 	}
 	return dst
 }

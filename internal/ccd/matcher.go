@@ -50,6 +50,7 @@ type Corpus struct {
 	cfg     Config
 	index   *ngram.Index
 	entries []Entry
+	spans   subSpans // every entry's match subs, located once
 
 	// mapRef pins the memory mapping (or other byte owner) a zero-copy
 	// corpus reads its posting lists from; holding it here keeps the
@@ -82,6 +83,60 @@ func (c *Corpus) Add(id string, fp Fingerprint) {
 	}
 	c.index.Add(id, string(fp))
 	c.entries = append(c.entries, Entry{ID: id, FP: fp})
+	c.spans.add(fp)
+}
+
+// BuildBitmaps gives the corpus's n-gram index the bitmaps of its dense
+// posting lists (ngram.Index.BuildBitmaps): call it once a batch of Adds is
+// done and the corpus is about to be queried. Merge, WithoutIDs, Load and
+// OpenSegmentBytes build them themselves; the next Add drops them.
+func (c *Corpus) BuildBitmaps() { c.index.BuildBitmaps() }
+
+// subSpans locates every entry's match subs inside its fingerprint: the
+// (start, end) byte offsets appendMatchSpans finds, entry i's at
+// at[end[i-1]:end[i]] (from 0 for the first entry). Splitting a candidate
+// for Algorithm 1 is then slicing, not scanning; since offsets are relative
+// to the fingerprint, Merge and WithoutIDs carry them over without a re-scan.
+// Offsets are 32-bit: a /v1/match fingerprint may be 8 MiB, a snapshot
+// entry's 64 MiB.
+type subSpans struct {
+	at  []uint32
+	end []uint32
+}
+
+// add appends the spans of the next entry's fingerprint.
+func (s *subSpans) add(fp Fingerprint) {
+	s.at = appendMatchSpans(s.at, fp)
+	s.end = append(s.end, uint32(len(s.at)))
+}
+
+// of returns entry i's spans.
+func (s *subSpans) of(i int) []uint32 {
+	lo := uint32(0)
+	if i > 0 {
+		lo = s.end[i-1]
+	}
+	return s.at[lo:s.end[i]]
+}
+
+// appendEntry appends entry i of o as the next entry.
+func (s *subSpans) appendEntry(o *subSpans, i int) {
+	s.at = append(s.at, o.of(i)...)
+	s.end = append(s.end, uint32(len(s.at)))
+}
+
+// appendAll appends every entry of o, in order.
+func (s *subSpans) appendAll(o *subSpans) {
+	base := uint32(len(s.at))
+	s.at = append(s.at, o.at...)
+	for _, e := range o.end {
+		s.end = append(s.end, base+e)
+	}
+}
+
+// entrySubs appends entry i's match subs to dst, sliced from its fingerprint.
+func (c *Corpus) entrySubs(dst []string, i int) []string {
+	return appendSpanSubs(dst, c.entries[i].FP, c.spans.of(i))
 }
 
 // Merge returns a new heap corpus holding every entry of parts (at least
@@ -90,13 +145,19 @@ func (c *Corpus) Add(id string, fp Fingerprint) {
 // spliced (ngram.Splice), not re-indexed, into the index a one-by-one Add of
 // the same entries would build. Every part must share the first part's N.
 func Merge(parts ...*Corpus) *Corpus {
-	var entries []Entry
+	n, at := 0, 0
+	for _, p := range parts {
+		n, at = n+len(p.entries), at+len(p.spans.at)
+	}
+	entries := make([]Entry, 0, n)
+	spans := subSpans{at: make([]uint32, 0, at), end: make([]uint32, 0, n)}
 	indexes := make([]*ngram.Index, len(parts))
 	for i, p := range parts {
 		entries = append(entries, p.entries...)
+		spans.appendAll(&p.spans)
 		indexes[i] = p.index
 	}
-	return &Corpus{cfg: parts[0].cfg, index: ngram.Splice(entryIDs(entries), indexes, nil), entries: entries}
+	return &Corpus{cfg: parts[0].cfg, index: ngram.Splice(entryIDs(entries), indexes, nil), entries: entries, spans: spans}
 }
 
 // WithoutIDs returns a new heap corpus without the entries whose id is in
@@ -108,11 +169,13 @@ func Merge(parts ...*Corpus) *Corpus {
 func (c *Corpus) WithoutIDs(dead map[string]struct{}) (*Corpus, int) {
 	drop := make([]bool, len(c.entries))
 	var entries []Entry
+	var spans subSpans
 	for i, e := range c.entries {
 		if _, ok := dead[e.ID]; ok {
 			drop[i] = true
 		} else {
 			entries = append(entries, e)
+			spans.appendEntry(&c.spans, i)
 		}
 	}
 	removed := len(c.entries) - len(entries)
@@ -120,7 +183,7 @@ func (c *Corpus) WithoutIDs(dead map[string]struct{}) (*Corpus, int) {
 		return c, 0
 	}
 	index := ngram.Splice(entryIDs(entries), []*ngram.Index{c.index}, [][]bool{drop})
-	return &Corpus{cfg: c.cfg, index: index, entries: entries}, removed
+	return &Corpus{cfg: c.cfg, index: index, entries: entries, spans: spans}, removed
 }
 
 // entryIDs lists the ids of entries in order.
@@ -149,9 +212,13 @@ func (c *Corpus) AddSource(id, src string) error {
 // kept when the score reaches ε.
 func (c *Corpus) Match(fp Fingerprint) []Match {
 	var out []Match
+	var csubs []string
+	var ed editdist.Scratch
+	qsubs := fp.matchSubs()
 	for _, cand := range c.index.Query(string(fp), c.cfg.Eta) {
 		entry := c.entries[cand.Doc]
-		score, ok := SimilarityAtLeast(fp, entry.FP, c.cfg.Epsilon)
+		csubs = c.entrySubs(csubs[:0], cand.Doc)
+		score, ok := similarityAtLeast(qsubs, fp, csubs, entry.FP, c.cfg.Epsilon, &ed)
 		if ok {
 			out = append(out, Match{ID: entry.ID, Score: score})
 		}
@@ -286,7 +353,7 @@ func (c *Corpus) MatchInto(q *PreparedQuery, col *TopK, mb *MatchBuffer, opts Ma
 			break
 		}
 		entry := c.entries[cand.Doc]
-		mb.csubs = appendMatchSubs(mb.csubs[:0], entry.FP)
+		mb.csubs = c.entrySubs(mb.csubs[:0], cand.Doc)
 		score, ok := similarityAtLeast(q.subs, q.FP, mb.csubs, entry.FP, col.Bound(), &mb.ed)
 		if !ok {
 			stats.CutoffSkipped++

@@ -14,7 +14,8 @@ type listShape struct{ count, pool int }
 // postingsIndex builds a docless index straight from posting lists, one gram
 // per list, so a benchmark can shape list lengths without indexing a million
 // strings. Docs docs/2 … docs/2+4 hold every gram: a clone family that
-// survives any η.
+// survives any η. Its dense lists get their bitmaps, as every segment a
+// service queries does.
 func postingsIndex(rng *rand.Rand, docs int, lists []listShape) (*Index, []string) {
 	ix := NewWithBlock(3, 128)
 	ix.docCount = docs
@@ -31,22 +32,44 @@ func postingsIndex(rng *rand.Rand, docs int, lists []listShape) (*Index, []strin
 		grams[i] = fmt.Sprintf("g%02d", i)
 		ix.postings[grams[i]] = buildPostings(slices.Compact(ids), ix.blockSize)
 	}
+	ix.BuildBitmaps()
 	return ix, grams
 }
 
-// BenchmarkQueryGrams keeps both regimes of the per-list scan/seek choice
-// (seekFactor) measured beside the code that makes it.
+// withoutBitmaps copies ix without its bitmaps: the same lists as a mutable
+// index holds them between Adds.
+func withoutBitmaps(ix *Index) *Index {
+	out := *ix
+	out.postings = make(map[string]*postings, len(ix.postings))
+	for g, p := range ix.postings {
+		q := *p
+		q.bits = nil
+		out.postings[g] = &q
+	}
+	out.dense = false
+	return &out
+}
+
+// BenchmarkQueryGrams keeps the three access paths of a phase-2 list — scan,
+// seek (chosen between by seekFactor) and bitmap — measured beside the code
+// that chooses them.
 //
 // dense is the shape one segment-query has on the bench's match-large world:
 // 4 041 documents, 33 non-empty lists, the 16 of the pigeonhole prefix about
 // 220 postings each inside a third of the segment, the other 17 about 1 800
-// each (44 % of the segment). Every phase-2 list is scanned; seeking them
-// instead costs a binary search per live candidate per list.
+// each (44 % of the segment). Without bitmaps every phase-2 list is scanned;
+// seeking them instead costs a binary search per live candidate per list.
+// dense-bitmap is the same index with its bitmaps, as a sealed segment has
+// them: every phase-2 list is a bit test per live candidate.
 //
 // sparse is a million documents, 22 prefix lists of a few hundred postings
-// and 20 lists of 2 to 12 % of the index: after the first phase-2 list a
-// handful of documents are live, and scanning the other lists would decode a
-// million postings to bump their counters.
+// and 20 lists of 2 to 12 % of the index, all under the dense rule: after the
+// first phase-2 list a handful of documents are live, and scanning the other
+// lists would decode a million postings to bump their counters.
+//
+// crossing is 65 536 documents, 16 prefix lists of 200 to 600 postings and 17
+// phase-2 lists of 1/16 to 1/4 of the index: the first five stay under the
+// dense rule and are scanned or sought, the rest carry bitmaps.
 func BenchmarkQueryGrams(b *testing.B) {
 	rng := rand.New(rand.NewSource(24))
 
@@ -68,12 +91,29 @@ func BenchmarkQueryGrams(b *testing.B) {
 		sparse = append(sparse, listShape{20_000 + i*5_000, sparseDocs})
 	}
 
+	const crossingDocs = 1 << 16
+	var crossing []listShape
+	for i := 0; i < 16; i++ {
+		crossing = append(crossing, listShape{200 + i*25, crossingDocs})
+	}
+	for i := 0; i < 17; i++ {
+		crossing = append(crossing, listShape{crossingDocs/16 + i*crossingDocs/85, crossingDocs})
+	}
+
+	denseIx, denseGrams := postingsIndex(rng, denseDocs, dense)
+	sparseIx, sparseGrams := postingsIndex(rng, sparseDocs, sparse)
+	crossingIx, crossingGrams := postingsIndex(rng, crossingDocs, crossing)
 	for _, c := range []struct {
-		name   string
-		docs   int
-		shapes []listShape
-	}{{"dense", denseDocs, dense}, {"sparse", sparseDocs, sparse}} {
-		ix, grams := postingsIndex(rng, c.docs, c.shapes)
+		name  string
+		ix    *Index
+		grams []string
+	}{
+		{"dense", withoutBitmaps(denseIx), denseGrams},
+		{"dense-bitmap", denseIx, denseGrams},
+		{"sparse", sparseIx, sparseGrams},
+		{"crossing", crossingIx, crossingGrams},
+	} {
+		ix, grams := c.ix, c.grams
 		b.Run(c.name, func(b *testing.B) {
 			var sc Scratch
 			out, st := ix.QueryGramsScratch(grams, 0.5, &sc)

@@ -94,8 +94,9 @@ func (ix *Index) save(w io.Writer, withDocs bool) error {
 // Load reads an index written by Save into a mutable index of its own: the
 // bytes are copied once and parsed by FromBytes, then every posting list is
 // unsealed, so further Adds continue from the loaded doc count (docless
-// indexes stay docless — their owner resolves ids by doc number). data is
-// not retained.
+// indexes stay docless — their owner resolves ids by doc number). The
+// bitmaps FromBytes built serve queries until the first Add drops them. data
+// is not retained.
 func Load(data []byte) (*Index, error) {
 	ix, err := FromBytes(bytes.Clone(data))
 	if err != nil {
@@ -110,11 +111,13 @@ func Load(data []byte) (*Index, error) {
 
 // FromBytes opens an encoded index (codec version 2) zero-copy: posting
 // bytes alias data, which the caller must keep alive and immutable — this is
-// how memory-mapped segment files become live indexes without a decode pass.
+// how memory-mapped segment files become live indexes without a rebuild.
 // Gram and doc-id strings are copied to the heap (they outlive remaps), and
-// every posting list is fully validated up front so query-time decoding has
-// no error paths. The returned index is sealed: Add panics. This is the one
-// NGIX parser; Load reaches it too.
+// every posting list is fully validated up front — every block decoded once,
+// which reads every posting page — so query-time decoding has no error paths.
+// The same pass builds the bitmaps of the dense lists (denseList) on the
+// heap. The returned index is sealed: Add panics. This is the one NGIX
+// parser; Load reaches it too.
 func FromBytes(data []byte) (*Index, error) {
 	r := binfmt.NewCursor(data, "ngram:")
 	magic := r.Take(uint64(len(codecMagic)), "magic")
@@ -192,6 +195,7 @@ func FromBytes(data []byte) (*Index, error) {
 			return nil, fmt.Errorf("gram %q: %w", g, err)
 		}
 		ix.postings[g] = p
+		ix.dense = ix.dense || p.bits != nil
 	}
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("ngram: %d trailing bytes after index", r.Len())

@@ -112,19 +112,12 @@ func FuzzIndexFromBytes(f *testing.F) {
 	})
 }
 
-// FuzzQueryGrams holds the counting filter to the reference scan on arbitrary
-// input: the corpus bytes split into documents at newlines (a fingerprint may
-// hold any other byte), a query, a threshold and a block size. One Scratch
-// serves the whole corpus, then its first document alone, then the whole
-// corpus again, heap-built and sealed, so counters left behind by one index
-// would surface in the next; checkQuery also demands the reference Stats and
-// all-zero counters after every query.
-func FuzzQueryGrams(f *testing.F) {
-	f.Add([]byte("abcdefgh\nabcdxxxx\nzzzzzzzz\nabcdefgh"), []byte("abcdefgh"), uint8(5), uint8(2))
-	f.Add([]byte("aaaaaaaa\naaaa\naa\n\naaaaaaaaaaaaaaaa"), []byte("aaaaa"), uint8(10), uint8(1))
-	f.Add([]byte("ab\nabc\nabcd"), []byte("ab"), uint8(0), uint8(128))
-	// Many documents sharing the query's common grams and few sharing its
-	// rare ones: lists long against the live set, so phase 2 seeks.
+// denseFuzzCorpus is FuzzQueryGrams's dense seed (block size 7): many
+// documents sharing the query's common grams and few sharing its rare ones.
+// Its common lists are long against the live set, so phase 2 seeks them on a
+// heap-built index, and they pass the dense rule, so a sealed or spliced copy
+// tests them by bitmap instead (TestBitmapsWhereBuilt holds it to that).
+func denseFuzzCorpus() []byte {
 	var dense []byte
 	for i := 0; i < 400; i++ {
 		dense = append(dense, "abcabcabc"...)
@@ -133,7 +126,22 @@ func FuzzQueryGrams(f *testing.F) {
 		}
 		dense = append(dense, '\n')
 	}
-	f.Add(dense, []byte("abcabcxyzw"), uint8(9), uint8(7))
+	return dense
+}
+
+// FuzzQueryGrams holds the counting filter to the reference scan on arbitrary
+// input: the corpus bytes split into documents at newlines (a fingerprint may
+// hold any other byte), a query, a threshold and a block size. One Scratch
+// serves the whole corpus, then its first document alone, then the whole
+// corpus again, each heap-built, sealed and spliced (the last two with the
+// bitmaps of their dense lists), so counters left behind by one index would
+// surface in the next; checkQuery also demands the reference Stats and
+// all-zero counters after every query.
+func FuzzQueryGrams(f *testing.F) {
+	f.Add([]byte("abcdefgh\nabcdxxxx\nzzzzzzzz\nabcdefgh"), []byte("abcdefgh"), uint8(5), uint8(2))
+	f.Add([]byte("aaaaaaaa\naaaa\naa\n\naaaaaaaaaaaaaaaa"), []byte("aaaaa"), uint8(10), uint8(1))
+	f.Add([]byte("ab\nabc\nabcd"), []byte("ab"), uint8(0), uint8(128))
+	f.Add(denseFuzzCorpus(), []byte("abcabcxyzw"), uint8(9), uint8(7))
 
 	f.Fuzz(func(t *testing.T, corpus, query []byte, eta, blockSize uint8) {
 		docs := bytes.Split(corpus, []byte{'\n'})
@@ -152,6 +160,7 @@ func FuzzQueryGrams(f *testing.F) {
 		for _, ix := range []*Index{whole, first, whole} {
 			checkQuery(t, ix, ix, string(query), e, &sc)
 			checkQuery(t, sealedCopy(t, ix), ix, string(query), e, &sc)
+			checkQuery(t, splicedCopy(ix), ix, string(query), e, &sc)
 		}
 	})
 }

@@ -12,14 +12,23 @@
 // the |lists|−t+1 shortest a block at a time into the counters, noting each
 // document the first time it is touched — by the pigeonhole principle every
 // qualifying document appears in at least one of them. The remaining lists
-// only raise counters that are already live. Each is either scanned, bumping
-// non-zero counters without a branch, or, once it is more than seekFactor
-// times longer than the live set, sought once per live document through the
-// skip table; lists grow and the live set shrinks, so the choice flips at
-// most once per query. After every list, a document whose count plus the
-// lists still unread can no longer reach t is abandoned and its counter
-// cleared. The pruning is exact: the surviving candidate set and its
-// containment scores are identical to a full scan.
+// only raise counters that are already live, by one of three paths. A dense
+// list (at least a block, and an eighth of the index or more; denseList)
+// carries a membership bitmap in an immutable index, and adds its bit to
+// every live counter. Any other list is either scanned, bumping non-zero
+// counters without a branch, or, once it is more than seekFactor times
+// longer than the live set, sought once per live document through the skip
+// table; lists grow and the live set shrinks, so that choice flips at most
+// once per query. After every list, a document whose count plus the lists
+// still unread can no longer reach t is abandoned and its counter cleared.
+// The pruning is exact: the surviving candidate set and its containment
+// scores are identical to a full scan.
+//
+// The bitmaps are built once per index, never per query: FromBytes sets them
+// in the validation pass that decodes every block at open, Splice and
+// BuildBitmaps (called once a batch of Adds is done) in one pass over the
+// dense lists. Add drops them, so a mutable index is never stale. By the
+// dense rule a bitmap takes no more bytes than the encoded list it shadows.
 //
 // The counters live in the caller's Scratch: four bytes per document of the
 // largest index that Scratch has served (32 KB for the 8 k-document corpora
@@ -40,6 +49,7 @@ type Index struct {
 	docs      []doc // nil for docless indexes (FromBytes embeddings)
 	docCount  int
 	sealed    bool // opened zero-copy: postings alias caller bytes, Add panics
+	dense     bool // some posting list carries a bitmap (BuildBitmaps, FromBytes)
 }
 
 type doc struct {
@@ -139,6 +149,14 @@ func (ix *Index) Add(id, s string) int {
 	if ix.sealed {
 		panic("ngram: Add on a sealed (zero-copy) index; segments are write-once")
 	}
+	if ix.dense {
+		// A bitmap sized to the old doc count would go stale: drop them all.
+		// A mutable index queries by scan and seek until the next build.
+		for _, p := range ix.postings {
+			p.bits = nil
+		}
+		ix.dense = false
+	}
 	num := uint32(ix.docCount)
 	grams := 0
 	if len(s) > 0 {
@@ -166,6 +184,30 @@ func (ix *Index) Add(id, s string) int {
 	}
 	ix.docCount++
 	return int(num)
+}
+
+// BuildBitmaps gives every posting list the dense rule admits (denseList)
+// its membership bitmap, so queries test those lists bit by bit instead of
+// scanning or seeking them. Call it on an index built by Add once its last
+// document is in; FromBytes and Splice build the bitmaps themselves. The next
+// Add drops them all again.
+func (ix *Index) BuildBitmaps() {
+	var buf []uint32
+	for _, p := range ix.postings {
+		if p.bits != nil || !denseList(p.count, ix.blockSize, ix.docCount) {
+			continue
+		}
+		if buf == nil {
+			buf = make([]uint32, ix.blockSize)
+		}
+		p.bits = newBitmap(ix.docCount)
+		for b, nb := 0, p.totalBlocks(); b < nb; b++ {
+			for _, d := range buf[:p.decodeBlock(b, ix.blockSize, buf)] {
+				p.mark(int64(d), ix.docCount)
+			}
+		}
+		ix.dense = true
+	}
 }
 
 // Candidate is a retrieval result.
@@ -238,15 +280,18 @@ type Scratch struct {
 	out    []Candidate
 }
 
-// seekFactor decides, per phase-2 list, between scanning the list and seeking
-// it once per live candidate: a list more than seekFactor times longer than
-// the live set is sought. A scanned posting costs a nanosecond or two (decode
-// and a branch-free bump), a seek about 40 (skip-table and in-block binary
-// search). BenchmarkQueryGrams on the 2-vCPU box, fastest of 7, µs per query
-// dense / sparse: factor 1 100 / 457, 8 37 / 240, 64 34 / 229, never seeking
-// 39 / 3 990. From 8 to 256 the difference is inside run-to-run noise there
-// and on the root BenchmarkMatchTopK10k and BenchmarkMatchTopK1M; 2 is
-// already 1.5× slower on the former.
+// seekFactor decides, per phase-2 list without a bitmap, between scanning the
+// list and seeking it once per live candidate: a list more than seekFactor
+// times longer than the live set is sought. A scanned posting costs a
+// nanosecond or two (decode and a branch-free bump), a seek about 40
+// (skip-table and in-block binary search). BenchmarkQueryGrams on a 2-vCPU
+// Xeon, fastest of 7 runs of 300 queries, µs per query dense / dense-bitmap /
+// sparse / crossing: factor 1 178 / 57 / 894 / 275, 2 128 / 56 / 880 / 250,
+// 8 91 / 43 / 417 / 138, 64 71 / 67 / 400 / 175, never seeking
+// 70 / 63 / 7 863 / 257. dense-bitmap never scans or seeks, so its spread is
+// the box's noise; repeats of 8 against 64 read 83–93 against 69–87 on dense
+// and 172–200 against 187–206 on crossing, inside it. Below 8 sparse runs
+// twice as slow, and never seeking 19 times as slow.
 const seekFactor = 8
 
 // byCount orders posting lists shortest-first.
@@ -310,8 +355,10 @@ func (ix *Index) QueryGramsScratch(grams []string, eta float64, sc *Scratch) ([]
 	}
 	st.Candidates = len(live)
 
-	// Phase 2 — the remaining (longer) lists, shortest first. A list short
-	// against the live set is scanned, bumping only counters already
+	// Phase 2 — the remaining (longer) lists, shortest first. A list with a
+	// bitmap adds its membership bit to every live counter, branch-free and
+	// in O(|live|), without touching its postings. Of the others, a list
+	// short against the live set is scanned, bumping only counters already
 	// non-zero; a list long against it is sought once per live document, in
 	// doc order so the cursor only moves forward and hops whole blocks via
 	// the skip table. Lists grow and the live set shrinks along the way, so
@@ -322,11 +369,15 @@ func (ix *Index) QueryGramsScratch(grams []string, eta float64, sc *Scratch) ([]
 	seeking := false
 	for j := prefix; j < nl; j++ {
 		p := sc.lists[j]
-		if !seeking && p.count > seekFactor*len(live) {
+		if !seeking && p.bits == nil && p.count > seekFactor*len(live) {
 			seeking = true
 			slices.Sort(live)
 		}
-		if seeking {
+		if bits := p.bits; bits != nil {
+			for _, d := range live {
+				counts[d] += uint32(bits[d>>6] >> (d & 63) & 1)
+			}
+		} else if seeking {
 			var cur cursor
 			cur.init(p, block, bs)
 			for _, d := range live {

@@ -277,6 +277,16 @@ func sealedCopy(t testing.TB, ix *Index) *Index {
 	return sealed
 }
 
+// splicedCopy rebuilds ix from its own posting lists (the form compaction
+// and supersede produce), at the default block size.
+func splicedCopy(ix *Index) *Index {
+	ids := make([]string, ix.docCount)
+	for d := range ids {
+		ids[d] = ix.docID(uint32(d))
+	}
+	return Splice(ids, []*Index{ix}, nil)
+}
+
 // TestScratchStreamsAcrossIndexes pins the invariant the dense counters add:
 // a Scratch is all zero between queries, whatever index it served last. One
 // Scratch goes through a large, a small and again a large index, heap-built

@@ -52,7 +52,22 @@ type postings struct {
 	skips []byte   // skipEntryBytes per sealed block: first id, data offset
 	tail  []uint32 // unsealed suffix (building only; nil for sealed lists)
 	last  uint32   // doc number of the latest add (building only)
+	bits  []uint64 // membership bitmap of one bit per index doc (dense lists only; see denseList)
 }
+
+// denseList is the rule for which posting lists also carry a membership
+// bitmap: at least one full block, and postings for an eighth or more of the
+// index's docCount documents. Under it a bitmap is never larger than the
+// encoded list it shadows: each block's first id takes its 8-byte skip entry
+// and every other id at least one delta byte, so the list holds at least
+// count+7 bytes, while the bitmap's 8·⌈docCount/64⌉ ≤ 8·⌈count/8⌉ bytes are
+// at most count+7. The small delta segments of a live service never reach it.
+func denseList(count, blockSize, docCount int) bool {
+	return count >= blockSize && 8*count >= docCount
+}
+
+// newBitmap returns a zeroed membership bitmap for docCount documents.
+func newBitmap(docCount int) []uint64 { return make([]uint64, (docCount+63)/64) }
 
 // sealedBlocks returns the number of blocks present in skips.
 func (p *postings) sealedBlocks() int { return len(p.skips) / skipEntryBytes }
@@ -223,6 +238,12 @@ func parsePostings(count uint64, blockSize int, skips, data []byte, docCount int
 		return nil, fmt.Errorf("ngram: posting list of %d ids wants %d skip entries, has %d bytes", count, blocks, len(skips))
 	}
 	p := &postings{count: int(count), data: data, skips: skips}
+	if denseList(int(count), blockSize, docCount) && len(data) >= int(count)-blocks {
+		// The bitmap rides this validation pass. The length check (one delta
+		// byte per non-first id, which validation below demands anyway)
+		// bounds the allocation by the input's own bytes.
+		p.bits = newBitmap(docCount)
+	}
 	prev := int64(-1) // last doc of the previous block
 	for i := 0; i < blocks; i++ {
 		off := int(p.skipOff(i))
@@ -237,6 +258,7 @@ func parsePostings(count uint64, blockSize int, skips, data []byte, docCount int
 		if v <= prev {
 			return nil, fmt.Errorf("ngram: block %d starts at doc %d, not above previous doc %d", i, v, prev)
 		}
+		p.mark(v, docCount)
 		b := data[off:end]
 		for j := 1; j < p.blockLen(i, blockSize); j++ {
 			d, w := binary.Uvarint(b)
@@ -260,6 +282,7 @@ func parsePostings(count uint64, blockSize int, skips, data []byte, docCount int
 			}
 			b = b[w:]
 			v += int64(d)
+			p.mark(v, docCount)
 		}
 		if len(b) != 0 {
 			return nil, fmt.Errorf("ngram: block %d: %d trailing bytes after %d deltas", i, len(b), p.blockLen(i, blockSize)-1)
@@ -270,6 +293,14 @@ func parsePostings(count uint64, blockSize int, skips, data []byte, docCount int
 		prev = v
 	}
 	return p, nil
+}
+
+// mark sets doc v in p's bitmap, if p has one. An id out of range is left
+// unmarked: while parsePostings decodes, validation refuses its block.
+func (p *postings) mark(v int64, docCount int) {
+	if p.bits != nil && v < int64(docCount) {
+		p.bits[v>>6] |= 1 << (v & 63)
+	}
 }
 
 // unseal converts a parsed (fully sealed) posting list back to builder form:
