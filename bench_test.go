@@ -267,7 +267,7 @@ func BenchmarkAblationNgramFilter(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			total := 0
 			for _, fp := range fps[:50] {
-				total += len(corpus.Match(fp))
+				total += len(corpus.MatchTopK(fp, 0))
 			}
 			b.ReportMetric(float64(total), "matches")
 		}
@@ -673,7 +673,8 @@ func BenchmarkMatchTopK10k(b *testing.B) {
 		b.ResetTimer()
 		total := 0
 		for i := 0; i < b.N; i++ {
-			total += len(c.Match(fps[i%len(fps)]))
+			ms, _ := c.MatchTopK(fps[i%len(fps)], 0)
+			total += len(ms)
 		}
 		b.ReportMetric(float64(total)/float64(b.N), "matches/query")
 	})

@@ -2,7 +2,7 @@
 //
 //	ccd fingerprint file.sol            # print the fuzzy fingerprint
 //	ccd similarity a.sol b.sol          # Algorithm-1 similarity (0..100)
-//	ccd match -corpus dir query.sol     # clones of query among dir/*.sol
+//	ccd match -corpus dir query.sol     # clones of query among dir/*.sol, best first
 //
 // Flags -n, -eta, -epsilon set the matcher parameters (defaults: the
 // paper's best combination N=3, η=0.5, ε=0.7).
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/ccd"
 	"repro/internal/core"
@@ -98,7 +97,6 @@ func cmdMatch(args []string) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ccd: parse warnings: %v\n", err)
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i].Score > matches[j].Score })
 	for _, m := range matches {
 		fmt.Printf("%6.2f  %s\n", m.Score, m.ID)
 	}

@@ -37,7 +37,9 @@
 // replayed on top; every acknowledged corpus add is journaled before it is
 // visible, so a crash loses nothing that was acknowledged. Snapshots are
 // taken every -snapshot-interval (when there is new data), on demand via
-// POST /v1/corpus/snapshot, and once more on graceful shutdown.
+// POST /v1/corpus/snapshot, and once more on graceful shutdown. Segments are
+// memory-mapped on restore unless -mmap=false. Posting lists are written in
+// blocks of 128 doc ids; a snapshot blocked at any other size still loads.
 //
 // Endpoints:
 //
@@ -124,7 +126,6 @@ import (
 	"time"
 
 	"repro/internal/ccd"
-	"repro/internal/ngram"
 	"repro/internal/remote"
 	"repro/internal/service"
 	"repro/internal/service/api"
@@ -200,16 +201,11 @@ func main() {
 	maxDeadline := flag.Duration("max-deadline", api.DefaultMaxDeadline, "clamp on client-declared X-Request-Timeout / ?timeout= budgets")
 	degradeOff := flag.Bool("degrade-off", false, "disable the quality-degradation ladder (tier 1 halves a single-query match limit at pressure ≥ 0.75)")
 	mmapSegments := flag.Bool("mmap", true, "memory-map snapshot segments on restore and after snapshots (zero-copy boot; false = decode to heap)")
-	postingBlock := flag.Int("posting-block", ngram.DefaultBlockSize(), "posting-list block size in doc ids (compression/skip granularity, 1-65536)")
 	flag.Parse()
 
 	die := func(err error) {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		os.Exit(1)
-	}
-
-	if *postingBlock != ngram.DefaultBlockSize() {
-		ngram.SetDefaultBlockSize(*postingBlock) // clamps to [1, 65536]
 	}
 
 	// -shards is overloaded: an integer (local scatter-gather width) in every

@@ -246,7 +246,7 @@ func TestCorpusMatchExact(t *testing.T) {
 	}
 	c.AddSource("other", `contract X { function different() public { selfdestruct(msg.sender); } }`)
 	fp, _ := FingerprintSource(paperSnippet)
-	got := c.Match(fp)
+	got := c.MatchTopK(fp, 0)
 	if len(got) != 1 || got[0].ID != "orig" || got[0].Score != 100 {
 		t.Fatalf("got %v", got)
 	}
@@ -271,7 +271,7 @@ func TestCorpusMatchTypeIII(t *testing.T) {
 		}
 	}`
 	fp, _ := FingerprintSource(clone)
-	got := c.Match(fp)
+	got := c.MatchTopK(fp, 0)
 	if len(got) != 1 {
 		t.Fatalf("Type III clone not found: %v", got)
 	}
@@ -297,7 +297,7 @@ func TestCorpusRejectsUnrelated(t *testing.T) {
 			return true;
 		}
 	}`)
-	if got := c.Match(fp); len(got) != 0 {
+	if got := c.MatchTopK(fp, 0); len(got) != 0 {
 		t.Fatalf("unrelated matched: %v", got)
 	}
 }
@@ -313,7 +313,7 @@ func TestMatchAllPairsAgreesWithFiltered(t *testing.T) {
 		c.AddSource(id, src)
 	}
 	fp, _ := FingerprintSource(sources["bank"])
-	filtered := c.Match(fp)
+	filtered := c.MatchTopK(fp, 0)
 	all := c.MatchAllPairs(fp)
 	if len(filtered) == 0 || len(all) < len(filtered) {
 		t.Fatalf("filtered=%v all=%v", filtered, all)

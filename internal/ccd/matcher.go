@@ -207,25 +207,6 @@ func (c *Corpus) AddSource(id, src string) error {
 	return err
 }
 
-// Match returns all indexed entries the query fingerprint is a clone of:
-// candidates sharing ≥ η of the query's n-grams, scored with Algorithm 1,
-// kept when the score reaches ε.
-func (c *Corpus) Match(fp Fingerprint) []Match {
-	var out []Match
-	var csubs []string
-	var ed editdist.Scratch
-	qsubs := fp.matchSubs()
-	for _, cand := range c.index.Query(string(fp), c.cfg.Eta) {
-		entry := c.entries[cand.Doc]
-		csubs = c.entrySubs(csubs[:0], cand.Doc)
-		score, ok := similarityAtLeast(qsubs, fp, csubs, entry.FP, c.cfg.Epsilon, &ed)
-		if ok {
-			out = append(out, Match{ID: entry.ID, Score: score})
-		}
-	}
-	return out
-}
-
 // MatchStats counts the work one top-K match did across the filter stages.
 type MatchStats struct {
 	// Candidates survived the n-gram pre-filter and were considered.
@@ -264,10 +245,12 @@ func (s *MatchStats) Add(other MatchStats) {
 }
 
 // MatchTopK returns the k best matches (score descending, ties by id) whose
-// score reaches ε. k ≤ 0 means unbounded: the same match set as Match,
-// sorted. The candidate stream arrives containment-best-first from the
-// pre-filter, so the top-K lower bound tightens quickly and most of the
-// tail is rejected by bounded edit distance instead of being scored.
+// score reaches ε; k ≤ 0 returns every entry the query fingerprint is a clone
+// of: candidates sharing ≥ η of the query's n-grams, scored with Algorithm 1,
+// kept when the score reaches ε. The candidate stream arrives
+// containment-best-first from the pre-filter, so the top-K lower bound
+// tightens quickly and most of the tail is rejected by bounded edit distance
+// instead of being scored.
 func (c *Corpus) MatchTopK(fp Fingerprint, k int) []Match {
 	mb := GetMatchBuffer()
 	defer mb.Release()

@@ -194,8 +194,8 @@ func TestPropertyCorpusMatchMonotoneInEpsilon(t *testing.T) {
 	}
 	for _, s := range srcs {
 		fp, _ := FingerprintSource(s)
-		ms := strict.Match(fp)
-		ml := loose.Match(fp)
+		ms := strict.MatchTopK(fp, 0)
+		ml := loose.MatchTopK(fp, 0)
 		if len(ml) < len(ms) {
 			t.Fatalf("ε=70 returned fewer matches (%d) than ε=90 (%d)", len(ml), len(ms))
 		}
@@ -228,66 +228,120 @@ func TestPropertySimilaritySymmetric(t *testing.T) {
 	}
 }
 
-// TestPropertyMatchTopKAgreesWithMatch: on random corpora, MatchTopK with an
-// unbounded k returns exactly the sorted Match set, and every finite k
-// returns its prefix — the heap bound and the edit-distance cutoff are exact
+// referenceMatches is the brute-force clone query MatchTopK must equal: for
+// every entry, the distinct n-grams it shares with the query by set
+// intersection (c); an entry with c ≥ η·|Q| and c ≥ 1 is scored with the
+// exact Similarity and kept at ε or better, ordered by SortMatches. It shares
+// neither the posting-list filter nor the bounded scorer with the corpus.
+func referenceMatches(c *Corpus, fp Fingerprint) []Match {
+	cfg := c.Config()
+	gramSet := func(s string) map[string]bool {
+		set := map[string]bool{}
+		if len(s) <= cfg.N {
+			if s != "" {
+				set[s] = true
+			}
+			return set
+		}
+		for i := 0; i+cfg.N <= len(s); i++ {
+			set[s[i:i+cfg.N]] = true
+		}
+		return set
+	}
+	query := gramSet(string(fp))
+	var out []Match
+	for _, e := range c.Entries() {
+		shared := 0
+		for g := range gramSet(string(e.FP)) {
+			if query[g] {
+				shared++
+			}
+		}
+		if shared == 0 || float64(shared) < cfg.Eta*float64(len(query)) {
+			continue
+		}
+		if score := Similarity(fp, e.FP); score >= cfg.Epsilon {
+			out = append(out, Match{ID: e.ID, Score: score})
+		}
+	}
+	SortMatches(out)
+	return out
+}
+
+// TestPropertyMatchTopKAgreesWithReference: on random corpora over every N,
+// η and ε combination below, MatchTopK with an unbounded k returns exactly
+// the brute-force reference set, and every finite k returns its prefix — the
+// n-gram filter, the heap bound and the edit-distance cutoff are exact
 // optimizations, not approximations.
-func TestPropertyMatchTopKAgreesWithMatch(t *testing.T) {
+func TestPropertyMatchTopKAgreesWithReference(t *testing.T) {
 	m := dataset.NewMutator(23)
 	srcs := corpusSources()
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 8; trial++ {
-		cfg := Config{N: 3, Eta: 0.5, Epsilon: []float64{50, 70, 90}[trial%3]}
-		corpus := NewCorpus(cfg)
-		docs := 10 + rng.Intn(30)
-		for d := 0; d < docs; d++ {
-			src := srcs[rng.Intn(len(srcs))]
-			if rng.Intn(2) == 0 {
-				src = m.Mutate(src, 1+rng.Intn(3))
+	trial := 0
+	for _, n := range []int{3, 5, 7} {
+		for _, eta := range []float64{0.3, 0.5, 0.9} {
+			for _, eps := range []float64{0, 50, 70, 90} {
+				checkTopKAgreesWithReference(t, trial, Config{N: n, Eta: eta, Epsilon: eps}, srcs, m, rng)
+				trial++
 			}
-			_ = corpus.AddSource(fmt.Sprintf("doc-%d-%d", trial, d), src)
 		}
-		// The same corpus reopened as a zero-copy segment must agree match
-		// for match: the block-compressed mapped read path is equivalence-
-		// pinned against the freshly built in-heap index.
-		var blob bytes.Buffer
-		if err := corpus.Save(&blob); err != nil {
-			t.Fatalf("trial %d: save: %v", trial, err)
+	}
+}
+
+func checkTopKAgreesWithReference(t *testing.T, trial int, cfg Config, srcs []string, m *dataset.Mutator, rng *rand.Rand) {
+	t.Helper()
+	corpus := NewCorpus(cfg)
+	docs := 10 + rng.Intn(30)
+	for d := 0; d < docs; d++ {
+		src := srcs[rng.Intn(len(srcs))]
+		if rng.Intn(2) == 0 {
+			src = m.Mutate(src, 1+rng.Intn(3))
 		}
-		seg, err := OpenSegmentBytes(blob.Bytes(), nil)
-		if err != nil {
-			t.Fatalf("trial %d: open segment: %v", trial, err)
+		_ = corpus.AddSource(fmt.Sprintf("doc-%d-%d", trial, d), src)
+	}
+	// The same corpus reopened as a zero-copy segment must agree match
+	// for match: the block-compressed mapped read path is equivalence-
+	// pinned against the freshly built in-heap index.
+	var blob bytes.Buffer
+	if err := corpus.Save(&blob); err != nil {
+		t.Fatalf("trial %d: save: %v", trial, err)
+	}
+	seg, err := OpenSegmentBytes(blob.Bytes(), nil)
+	if err != nil {
+		t.Fatalf("trial %d: open segment: %v", trial, err)
+	}
+	var mb MatchBuffer
+	var col TopK
+	for q := 0; q < 10; q++ {
+		src := srcs[rng.Intn(len(srcs))]
+		if rng.Intn(2) == 0 {
+			src = m.Mutate(src, 1+rng.Intn(3))
 		}
-		var mb MatchBuffer
-		var col TopK
-		for q := 0; q < 10; q++ {
-			fp, _ := FingerprintSource(srcs[rng.Intn(len(srcs))])
-			want := corpus.Match(fp)
-			SortMatches(want)
-			all := corpus.MatchTopK(fp, 0)
-			if !matchesEqual(all, want) {
-				t.Fatalf("trial %d: MatchTopK(0) != sorted Match:\n got %v\nwant %v", trial, all, want)
+		fp, _ := FingerprintSource(src)
+		want := referenceMatches(corpus, fp)
+		all := corpus.MatchTopK(fp, 0)
+		if !matchesEqual(all, want) {
+			t.Fatalf("trial %d (%v): MatchTopK(0) != reference:\n got %v\nwant %v", trial, cfg, all, want)
+		}
+		// The k sweep covers the tentpole's pinned points — 1, 10, 100,
+		// and unbounded (k=0 above; len(want)+5 exceeds every match set
+		// here, exercising the ∞ case through a finite k too).
+		for _, k := range []int{1, 3, 10, 100, len(want), len(want) + 5} {
+			if k == 0 {
+				continue
 			}
-			// The k sweep covers the tentpole's pinned points — 1, 10, 100,
-			// and unbounded (k=0 above; len(want)+5 exceeds every match set
-			// here, exercising the ∞ case through a finite k too).
-			for _, k := range []int{1, 3, 10, 100, len(want), len(want) + 5} {
-				if k == 0 {
-					continue
-				}
-				got := corpus.MatchTopK(fp, k)
-				expect := want[:min(k, len(want))]
-				if !matchesEqual(got, expect) {
-					t.Fatalf("trial %d k=%d:\n got %v\nwant %v", trial, k, got, expect)
-				}
-				fromSeg := seg.MatchTopK(fp, k)
-				if !matchesEqual(fromSeg, expect) {
-					t.Fatalf("trial %d k=%d: segment diverged:\n got %v\nwant %v", trial, k, fromSeg, expect)
-				}
-				buffered, _ := matchBuf(corpus, PrepareQuery(corpus.Config(), fp), k, &col, &mb, nil)
-				if !matchesEqual(buffered, expect) {
-					t.Fatalf("trial %d k=%d: MatchInto diverged:\n got %v\nwant %v", trial, k, buffered, expect)
-				}
+			got := corpus.MatchTopK(fp, k)
+			expect := want[:min(k, len(want))]
+			if !matchesEqual(got, expect) {
+				t.Fatalf("trial %d k=%d:\n got %v\nwant %v", trial, k, got, expect)
+			}
+			fromSeg := seg.MatchTopK(fp, k)
+			if !matchesEqual(fromSeg, expect) {
+				t.Fatalf("trial %d k=%d: segment diverged:\n got %v\nwant %v", trial, k, fromSeg, expect)
+			}
+			buffered, _ := matchBuf(corpus, PrepareQuery(corpus.Config(), fp), k, &col, &mb, nil)
+			if !matchesEqual(buffered, expect) {
+				t.Fatalf("trial %d k=%d: MatchInto diverged:\n got %v\nwant %v", trial, k, buffered, expect)
 			}
 		}
 	}

@@ -71,8 +71,8 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 		}
 		for q := 0; q < 10; q++ {
 			fp := randomFingerprint(rng)
-			want := orig.Match(fp)
-			have := got.Match(fp)
+			want := orig.MatchTopK(fp, 0)
+			have := got.MatchTopK(fp, 0)
 			if len(want) != len(have) {
 				t.Fatalf("trial %d query %d: %d matches != %d", trial, q, len(have), len(want))
 			}
@@ -100,7 +100,7 @@ func TestSnapshotEmptyCorpus(t *testing.T) {
 	if got.Config() != DefaultConfig {
 		t.Fatalf("config %v, want default", got.Config())
 	}
-	if ms := got.Match(Fingerprint("abcdefgh")); len(ms) != 0 {
+	if ms := got.MatchTopK(Fingerprint("abcdefgh"), 0); len(ms) != 0 {
 		t.Fatalf("empty corpus matched: %v", ms)
 	}
 }
@@ -124,7 +124,7 @@ func TestSnapshotEmbeddedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := got.Match(Fingerprint(strings.Repeat("a", 4096)))
+	ms := got.MatchTopK(Fingerprint(strings.Repeat("a", 4096)), 0)
 	if len(ms) != 4 {
 		t.Fatalf("got %d matches, want 4", len(ms))
 	}

@@ -11,9 +11,20 @@ import (
 )
 
 // rebuilt is the reference Merge and WithoutIDs must equal: a fresh corpus
-// with every entry Added one by one, at the current default block size.
+// with every entry Added one by one, in 128-id posting blocks like every
+// index the package writes.
 func rebuilt(cfg Config, entries []Entry) *Corpus {
+	return rebuiltWithBlock(cfg, entries, 0)
+}
+
+// rebuiltWithBlock is rebuilt with the posting lists blocked at blockSize
+// ids (0: the 128 every writer uses) — the parts an older build, or a reader
+// of its snapshots, may hand to a merge.
+func rebuiltWithBlock(cfg Config, entries []Entry, blockSize int) *Corpus {
 	c := NewCorpus(cfg)
+	if blockSize > 0 {
+		c.index = ngram.NewWithBlock(c.cfg.N, blockSize)
+	}
 	for _, e := range entries {
 		c.Add(e.ID, e.FP)
 	}
@@ -50,27 +61,23 @@ func assertSameCorpus(t testing.TB, what string, got, want *Corpus) {
 	}
 }
 
-// spliceCase is one trial: parts built at buildBlock (reopened zero-copy
-// when mapped), merged and filtered at mergeBlock, each dead set applied to
-// the merge and to every part.
+// spliceCase is one trial: part i built at blocks[i%len(blocks)] (reopened
+// zero-copy when mapped), merged and filtered into 128-id blocks, each dead
+// set applied to the merge and to every part.
 type spliceCase struct {
-	cfg        Config
-	parts      [][]Entry
-	buildBlock int
-	mergeBlock int
-	mapped     bool
-	dead       []map[string]struct{}
+	cfg    Config
+	parts  [][]Entry
+	blocks []int
+	mapped bool
+	dead   []map[string]struct{}
 }
 
 func checkSpliceEqualsRebuild(t testing.TB, tc spliceCase) {
 	t.Helper()
-	defer ngram.SetDefaultBlockSize(ngram.DefaultBlockSize())
-
-	ngram.SetDefaultBlockSize(tc.buildBlock)
 	parts := make([]*Corpus, len(tc.parts))
 	var all []Entry
 	for i, entries := range tc.parts {
-		parts[i] = rebuilt(tc.cfg, entries)
+		parts[i] = rebuiltWithBlock(tc.cfg, entries, tc.blocks[i%len(tc.blocks)])
 		all = append(all, entries...)
 		if tc.mapped {
 			snap, _ := spliceBytes(t, parts[i])
@@ -81,8 +88,6 @@ func checkSpliceEqualsRebuild(t testing.TB, tc spliceCase) {
 			parts[i] = seg
 		}
 	}
-
-	ngram.SetDefaultBlockSize(tc.mergeBlock)
 	merged := Merge(parts...)
 	assertSameCorpus(t, "Merge", merged, rebuilt(tc.cfg, all))
 
@@ -127,7 +132,7 @@ func deadSets(rng *rand.Rand, entries []Entry) []map[string]struct{} {
 // bytes a one-by-one rebuild of the same entries saves — over empty and
 // single-document parts, fingerprints shorter than N and of arbitrary bytes,
 // lists ending on, one below and one above a block boundary, zero-copy
-// (docless, sealed) parts, and parts built under another block size.
+// (docless, sealed) parts, and parts built under other block sizes.
 func TestSpliceEqualsRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	blocks := []int{1, 2, 128}
@@ -148,12 +153,11 @@ func TestSpliceEqualsRebuild(t *testing.T) {
 			for _, cut := range []int{0, total / 2, max(total-1, 0), total} {
 				for _, mapped := range []bool{false, true} {
 					checkSpliceEqualsRebuild(t, spliceCase{
-						cfg:        DefaultConfig,
-						parts:      [][]Entry{docs[:cut], docs[cut:]},
-						buildBlock: b,
-						mergeBlock: b,
-						mapped:     mapped,
-						dead:       deadSets(rng, docs),
+						cfg:    DefaultConfig,
+						parts:  [][]Entry{docs[:cut], docs[cut:]},
+						blocks: []int{b},
+						mapped: mapped,
+						dead:   deadSets(rng, docs),
 					})
 				}
 			}
@@ -161,8 +165,8 @@ func TestSpliceEqualsRebuild(t *testing.T) {
 	}
 
 	// Random trials: 0–4 parts of 0–3 documents (1 in 3 a single document),
-	// short, empty, binary and repetitive fingerprints, build and merge block
-	// sizes drawn independently.
+	// short, empty, binary and repetitive fingerprints, each part's block
+	// size drawn independently.
 	fingerprint := func() string {
 		switch rng.Intn(5) {
 		case 0:
@@ -183,10 +187,8 @@ func TestSpliceEqualsRebuild(t *testing.T) {
 	}
 	for trial := 0; trial < 200; trial++ {
 		tc := spliceCase{
-			cfg:        Config{N: 1 + rng.Intn(4), Eta: 0.5, Epsilon: 70},
-			buildBlock: blocks[rng.Intn(len(blocks))],
-			mergeBlock: blocks[rng.Intn(len(blocks))],
-			mapped:     rng.Intn(2) == 0,
+			cfg:    Config{N: 1 + rng.Intn(4), Eta: 0.5, Epsilon: 70},
+			mapped: rng.Intn(2) == 0,
 		}
 		var all []Entry
 		for p, np := 0, 1+rng.Intn(4); p < np; p++ {
@@ -199,22 +201,20 @@ func TestSpliceEqualsRebuild(t *testing.T) {
 				part = append(part, entry(fingerprint()))
 			}
 			tc.parts = append(tc.parts, part)
+			tc.blocks = append(tc.blocks, blocks[rng.Intn(len(blocks))])
 			all = append(all, part...)
 		}
 		tc.dead = deadSets(rng, all)
 		checkSpliceEqualsRebuild(t, tc)
 	}
-	if got := ngram.DefaultBlockSize(); got != 128 {
-		t.Fatalf("default block size left at %d", got)
-	}
 }
 
 // FuzzSpliceEqualsRebuild: any byte string, cut into fingerprints and parts,
 // merged and filtered by splicing, must never panic and must equal the
-// one-by-one rebuild. The first byte picks N, the block sizes and whether
-// parts are reopened zero-copy; the second marks which ids die; the rest is
-// parts split on 0x01, fingerprints split on 0x00. Committed seeds live in
-// testdata/fuzz/FuzzSpliceEqualsRebuild.
+// one-by-one rebuild. The first byte picks N, the block sizes of the even
+// and the odd parts, and whether parts are reopened zero-copy; the second
+// marks which ids die; the rest is parts split on 0x01, fingerprints split
+// on 0x00. Committed seeds live in testdata/fuzz/FuzzSpliceEqualsRebuild.
 func FuzzSpliceEqualsRebuild(f *testing.F) {
 	f.Add([]byte{0x00, 0x00})
 	f.Add([]byte("\x15\x0aabcabc\x00ab\x00\x01xyzxyzxyz\x00\x00Q"))
@@ -227,10 +227,9 @@ func FuzzSpliceEqualsRebuild(f *testing.F) {
 		sizes := []int{1, 2, 3, 128}
 		mask := data[1]
 		tc := spliceCase{
-			cfg:        Config{N: 1 + int(data[0]>>5&3), Eta: 0.5, Epsilon: 70},
-			buildBlock: sizes[data[0]&3],
-			mergeBlock: sizes[data[0]>>2&3],
-			mapped:     data[0]&0x10 != 0,
+			cfg:    Config{N: 1 + int(data[0]>>5&3), Eta: 0.5, Epsilon: 70},
+			blocks: []int{sizes[data[0]&3], sizes[data[0]>>2&3]},
+			mapped: data[0]&0x10 != 0,
 		}
 		dead := map[string]struct{}{}
 		d := 0

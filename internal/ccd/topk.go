@@ -43,7 +43,7 @@ func (b *AtomicBound) Raise(s float64) {
 
 // TopK collects the k best matches seen so far: a bounded min-heap ordered
 // worst-first, so the match that would be evicted next sits at the root.
-// Bound exposes the score a new match must reach to enter, which MatchTopKInto
+// Bound exposes the score a new match must reach to enter, which MatchInto
 // feeds into the bounded edit distance — the expensive exact similarity runs
 // only on candidates that can still make the cut. k ≤ 0 disables the bound
 // (collect everything at ε or better).

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/ccd"
-)
+import "repro/internal/ccd"
 
 // Advisor implements the mitigation tooling the paper proposes for Q&A
 // providers (Section 6.7): flag a posted snippet when CCC considers it
@@ -29,7 +25,7 @@ type Advice struct {
 	// Findings are CCC's direct findings in the snippet.
 	Findings []Finding
 	// SimilarKnown lists known-vulnerable fragments the snippet resembles,
-	// best match first.
+	// best match first: score descending, ties by id.
 	SimilarKnown []KnownMatch
 }
 
@@ -64,7 +60,8 @@ func (a *Advisor) AddKnown(k KnownVulnerability, source string) error {
 func (a *Advisor) KnownCount() int { return a.known.Len() }
 
 // Review analyzes a snippet: direct CCC findings plus similarity against the
-// knowledge base. Parse problems are tolerated (snippets are snippets).
+// knowledge base, best match first (score descending, ties by id). Parse
+// problems are tolerated (snippets are snippets).
 func (a *Advisor) Review(snippet string) (Advice, error) {
 	var adv Advice
 	rep, err := a.checker.Check(snippet)
@@ -73,15 +70,12 @@ func (a *Advisor) Review(snippet string) (Advice, error) {
 	}
 	fp, ferr := ccd.FingerprintSource(snippet)
 	if ferr == nil || len(fp) > 0 {
-		for _, m := range a.known.Match(fp) {
+		for _, m := range a.known.MatchTopK(fp, 0) {
 			adv.SimilarKnown = append(adv.SimilarKnown, KnownMatch{
 				KnownVulnerability: a.meta[m.ID],
 				Score:              m.Score,
 			})
 		}
-		sort.Slice(adv.SimilarKnown, func(i, j int) bool {
-			return adv.SimilarKnown[i].Score > adv.SimilarKnown[j].Score
-		})
 	}
 	if err != nil && ferr != nil {
 		return adv, err

@@ -120,13 +120,14 @@ func (d *CloneDetector) Add(id, src string) error {
 // Len returns the number of indexed entries.
 func (d *CloneDetector) Len() int { return d.corpus.Len() }
 
-// FindClones fingerprints src and returns the indexed entries it matches.
+// FindClones fingerprints src and returns the indexed entries it matches,
+// best first: score descending, ties by id.
 func (d *CloneDetector) FindClones(src string) ([]CloneMatch, error) {
 	fp, err := ccd.FingerprintSource(src)
 	if err != nil {
 		return nil, err
 	}
-	return d.corpus.Match(fp), nil
+	return d.corpus.MatchTopK(fp, 0), nil
 }
 
 // Fingerprint exposes the raw fingerprint of a source.

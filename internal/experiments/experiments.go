@@ -8,13 +8,13 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/baseline"
 	"repro/internal/ccc"
 	"repro/internal/ccd"
 	"repro/internal/dataset"
+	"repro/internal/ngram"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
 )
@@ -185,7 +185,7 @@ func Table3(seed int64, cfg ccd.Config) Table3Result {
 	}
 	ccdTP := 0
 	for i, h := range hp {
-		for _, m := range corpus.Match(fps[i]) {
+		for _, m := range corpus.MatchTopK(fps[i], 0) {
 			if m.ID == h.ID {
 				continue
 			}
@@ -293,105 +293,50 @@ func Figure9(seed int64) (points []PRPoint, smartEmbed stats.Confusion) {
 
 	etas := []float64{0.5, 0.6, 0.7, 0.8, 0.9}
 	epsilons := []float64{50, 60, 70, 80, 90}
+	var sc ngram.Scratch
 	for _, n := range []int{3, 5, 7} {
-		// Candidate containments at the loosest η, reused for stricter ones.
-		corpus := ccd.NewCorpus(ccd.Config{N: n, Eta: 0.5, Epsilon: 0})
-		idx := newContainmentIndex(n, fps)
+		// One n-gram index per N, built like a served segment; each η
+		// queries it through the retrieval /v1/match runs.
+		idx := ngram.New(n)
+		grams := make([][]string, len(fps))
+		for i, fp := range fps {
+			idx.Add(hp[i].ID, string(fp))
+			grams[i] = ngram.Grams(string(fp), n)
+		}
+		idx.BuildBitmaps()
 		for _, eta := range etas {
-			for _, eps := range epsilons {
-				var conf stats.Confusion
-				for qi := range hp {
-					for _, cand := range idx.candidates(qi, eta) {
-						if cand == qi {
+			confs := make([]stats.Confusion, len(epsilons))
+			for qi := range hp {
+				cands, _ := idx.QueryGramsScratch(grams[qi], eta, &sc)
+				for _, c := range cands {
+					if c.Doc == qi {
+						continue
+					}
+					s := sim(qi, c.Doc)
+					for k, eps := range epsilons {
+						if s < eps {
 							continue
 						}
-						if sim(qi, cand) < eps {
-							continue
-						}
-						if hp[cand].Type == hp[qi].Type {
-							conf.TP++
+						if hp[c.Doc].Type == hp[qi].Type {
+							confs[k].TP++
 						} else {
-							conf.FP++
+							confs[k].FP++
 						}
 					}
 				}
-				conf.FN = gtPairs - conf.TP
+			}
+			for k, eps := range epsilons {
+				confs[k].FN = gtPairs - confs[k].TP
 				points = append(points, PRPoint{
 					N: n, Eta: eta, Epsilon: eps,
-					Precision: conf.Precision(), Recall: conf.Recall(),
+					Precision: confs[k].Precision(), Recall: confs[k].Recall(),
 				})
 			}
 		}
-		_ = corpus
 	}
 
 	t3 := Table3(seed, ccd.DefaultConfig)
 	return points, t3.SmartEmbed
-}
-
-// containmentIndex precomputes n-gram containments at η=0 so that sweeps can
-// filter cheaply.
-type containmentIndex struct {
-	containments [][]candContainment
-}
-
-type candContainment struct {
-	doc         int
-	containment float64
-}
-
-func newContainmentIndex(n int, fps []ccd.Fingerprint) *containmentIndex {
-	grams := make([]map[string]bool, len(fps))
-	inverted := map[string][]int{}
-	for i, fp := range fps {
-		set := map[string]bool{}
-		s := string(fp)
-		if len(s) <= n {
-			if s != "" {
-				set[s] = true
-			}
-		} else {
-			for j := 0; j+n <= len(s); j++ {
-				set[s[j:j+n]] = true
-			}
-		}
-		grams[i] = set
-		for g := range set {
-			inverted[g] = append(inverted[g], i)
-		}
-	}
-	ci := &containmentIndex{containments: make([][]candContainment, len(fps))}
-	for i := range fps {
-		counts := map[int]int{}
-		for g := range grams[i] {
-			for _, d := range inverted[g] {
-				counts[d]++
-			}
-		}
-		total := len(grams[i])
-		if total == 0 {
-			continue
-		}
-		for d, c := range counts {
-			ci.containments[i] = append(ci.containments[i], candContainment{
-				doc: d, containment: float64(c) / float64(total),
-			})
-		}
-		sort.Slice(ci.containments[i], func(a, b int) bool {
-			return ci.containments[i][a].doc < ci.containments[i][b].doc
-		})
-	}
-	return ci
-}
-
-func (ci *containmentIndex) candidates(q int, eta float64) []int {
-	var out []int
-	for _, c := range ci.containments[q] {
-		if c.containment >= eta {
-			out = append(out, c.doc)
-		}
-	}
-	return out
 }
 
 // --- rendering ---------------------------------------------------------------

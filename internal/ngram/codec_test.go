@@ -40,8 +40,8 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("n=%d len=%d, want n=%d len=%d", got.N(), got.Len(), ix.N(), ix.Len())
 		}
 		for i, s := range strs {
-			want := ix.Query(s, 0.5)
-			have := got.Query(s, 0.5)
+			want, _ := queryString(ix, s, 0.5)
+			have, _ := queryString(got, s, 0.5)
 			if !reflect.DeepEqual(want, have) {
 				t.Fatalf("trial %d query %d: %v != %v", trial, i, have, want)
 			}

@@ -96,7 +96,7 @@ func FuzzIndexFromBytes(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got := ix.Query("abcdefgh", 0.3)
+		got, _ := queryString(ix, "abcdefgh", 0.3)
 		for _, c := range got {
 			if c.Doc < 0 || c.Doc >= ix.Len() {
 				t.Fatalf("candidate doc %d out of range (%d docs)", c.Doc, ix.Len())

@@ -57,14 +57,15 @@ type doc struct {
 	ngrams int // number of distinct n-grams
 }
 
-// New returns an index over n-grams of size n (n ≥ 1) using the current
-// DefaultBlockSize.
+// New returns an index over n-grams of size n (n ≥ 1) with 128-id posting
+// blocks.
 func New(n int) *Index {
-	return NewWithBlock(n, DefaultBlockSize())
+	return NewWithBlock(n, writeBlockSize)
 }
 
 // NewWithBlock returns an index over n-grams of size n with an explicit
-// posting-block size (clamped to [1, 65536]).
+// posting-block size (clamped to [1, 65536]). Tests use it to build indexes
+// at the other sizes a codec header may carry.
 func NewWithBlock(n, blockSize int) *Index {
 	if n < 1 {
 		n = 1
@@ -88,8 +89,8 @@ func (ix *Index) BlockSize() int { return ix.blockSize }
 func (ix *Index) Len() int { return ix.docCount }
 
 // Docless reports whether the index carries no document-id table (an
-// embedded index whose owner resolves ids itself); Query then leaves
-// Candidate.ID empty.
+// embedded index whose owner resolves ids itself); QueryGramsScratch then
+// leaves Candidate.ID empty.
 func (ix *Index) Docless() bool { return ix.docs == nil && ix.docCount > 0 }
 
 // docID resolves a doc number to its id ("" for docless indexes).
@@ -219,7 +220,7 @@ type Candidate struct {
 	Containment float64
 }
 
-// Stats counts the work one Query did; the service layer aggregates these
+// Stats counts the work one query did; the service layer aggregates these
 // into its pruning metrics.
 type Stats struct {
 	// Lists is the number of query grams with a non-empty posting list.
@@ -232,29 +233,6 @@ type Stats struct {
 	Pruned int
 	// Kept is how many candidates reached the containment threshold.
 	Kept int
-}
-
-// Query returns the ids of indexed documents sharing at least eta (0..1) of
-// the query string's distinct n-grams, most-overlapping first (ties by doc
-// number).
-func (ix *Index) Query(s string, eta float64) []Candidate {
-	out, _ := ix.QueryStats(s, eta)
-	return out
-}
-
-// QueryStats is Query plus retrieval statistics.
-func (ix *Index) QueryStats(s string, eta float64) ([]Candidate, Stats) {
-	return ix.QueryGrams(ix.Grams(s), eta)
-}
-
-// QueryGrams retrieves by precomputed distinct query grams — callers
-// querying several indexes with one query (the service's generation
-// segments) derive the grams once and reuse them. It allocates a fresh
-// Scratch, so one counter per indexed document: repeated queries belong on
-// QueryGramsScratch.
-func (ix *Index) QueryGrams(grams []string, eta float64) ([]Candidate, Stats) {
-	var sc Scratch
-	return ix.QueryGramsScratch(grams, eta, &sc)
 }
 
 // Scratch holds the reusable buffers of one retrieval: the selected posting
@@ -297,7 +275,11 @@ const seekFactor = 8
 // byCount orders posting lists shortest-first.
 func byCount(a, b *postings) int { return a.count - b.count }
 
-// QueryGramsScratch is QueryGrams with caller-provided scratch. The returned
+// QueryGramsScratch retrieves the indexed documents sharing at least eta
+// (0..1) of the distinct query grams (Grams or AppendGrams of the query
+// string), most-overlapping first (ties by doc number), plus the retrieval
+// statistics. Callers querying several indexes with one query (the service's
+// generation segments) derive the grams once and reuse them. The returned
 // candidates alias sc and are valid until its next use.
 func (ix *Index) QueryGramsScratch(grams []string, eta float64, sc *Scratch) ([]Candidate, Stats) {
 	var st Stats

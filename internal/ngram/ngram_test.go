@@ -46,7 +46,7 @@ func TestQueryExactMatch(t *testing.T) {
 	ix := New(3)
 	ix.Add("a", "DG.TMQDZlrCnLVyLrmZl")
 	ix.Add("b", "XXXXXXXXXXXXXXXXXXXX")
-	got := ix.Query("DG.TMQDZlrCnLVyLrmZl", 0.5)
+	got, _ := queryString(ix, "DG.TMQDZlrCnLVyLrmZl", 0.5)
 	if len(got) != 1 || got[0].ID != "a" {
 		t.Fatalf("got %v", got)
 	}
@@ -59,11 +59,11 @@ func TestQueryThreshold(t *testing.T) {
 	ix := New(3)
 	ix.Add("half", "abcdefghij")
 	// Query shares exactly the first half of its grams with "half".
-	got := ix.Query("abcdefghijKLMNOPQRST", 0.4)
+	got, _ := queryString(ix, "abcdefghijKLMNOPQRST", 0.4)
 	if len(got) != 1 {
 		t.Fatalf("got %v", got)
 	}
-	got = ix.Query("abcdefghijKLMNOPQRST", 0.9)
+	got, _ = queryString(ix, "abcdefghijKLMNOPQRST", 0.9)
 	if len(got) != 0 {
 		t.Fatalf("eta=0.9 should filter out, got %v", got)
 	}
@@ -73,7 +73,7 @@ func TestQueryOrdering(t *testing.T) {
 	ix := New(3)
 	ix.Add("close", "abcdefghij")
 	ix.Add("far", "abcdexxxxx")
-	got := ix.Query("abcdefghij", 0.1)
+	got, _ := queryString(ix, "abcdefghij", 0.1)
 	if len(got) != 2 || got[0].ID != "close" {
 		t.Fatalf("got %v", got)
 	}
@@ -87,7 +87,7 @@ func TestQuerySelfRetrieval(t *testing.T) {
 		}
 		ix := New(3)
 		ix.Add("self", s)
-		got := ix.Query(s, 1.0)
+		got, _ := queryString(ix, s, 1.0)
 		for _, c := range got {
 			if c.ID == "self" {
 				return true
@@ -100,10 +100,17 @@ func TestQuerySelfRetrieval(t *testing.T) {
 	}
 }
 
+// queryString retrieves s at eta through QueryGramsScratch with a fresh
+// Scratch.
+func queryString(ix *Index, s string, eta float64) ([]Candidate, Stats) {
+	var sc Scratch
+	return ix.QueryGramsScratch(ix.Grams(s), eta, &sc)
+}
+
 // referenceQuery is the seed's term-at-a-time scan: decompress every posting
 // list of every query gram into plain sorted []uint32 (the uncompressed
 // representation the seed stored directly), count postings into a map, keep
-// docs reaching η·|Q|. The pruned document-at-a-time Query over the
+// docs reaching η·|Q|. The pruned QueryGramsScratch over the
 // block-compressed lists must reproduce it exactly.
 func referenceQuery(ix *Index, s string, eta float64) []Candidate {
 	grams := ix.Grams(s)
@@ -184,7 +191,7 @@ func TestQueryMatchesReferenceScan(t *testing.T) {
 			query := randStr(1 + rng.Intn(60))
 			eta := float64(rng.Intn(11)) / 10
 			want := referenceQuery(ix, query, eta)
-			got, st := ix.QueryStats(query, eta)
+			got, st := queryString(ix, query, eta)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d eta=%.1f query=%q:\n got %v\nwant %v", trial, eta, query, got, want)
 			}
@@ -349,7 +356,7 @@ func TestQueryCountsPastSixteenBits(t *testing.T) {
 	for _, eta := range []float64{0.003, 0.5, 1} {
 		checkQuery(t, ix, ix, query, eta, &sc)
 	}
-	got := ix.Query(query, 0.85)
+	got, _ := queryString(ix, query, 0.85)
 	if len(got) != 2 || got[0].ID != fmt.Sprintf("prefix-%d", len(query)) || got[0].Containment != 1 {
 		t.Fatalf("got %v", got)
 	}
@@ -366,7 +373,7 @@ func TestQueryStatsPrunes(t *testing.T) {
 	for i := 0; i+3 <= len(query); i++ {
 		ix.Add(fmt.Sprintf("far-%d", i), query[i:i+3]+fmt.Sprintf("%015d", i))
 	}
-	got, st := ix.QueryStats("abcdefghijklmnopqrst", 0.8)
+	got, st := queryString(ix, "abcdefghijklmnopqrst", 0.8)
 	if len(got) != 1 || got[0].ID != "near" {
 		t.Fatalf("got %v", got)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Posting lists are block-compressed: doc numbers are grouped into blocks of
@@ -23,27 +22,10 @@ import (
 // skipEntryBytes is the encoded size of one skip-table entry.
 const skipEntryBytes = 8
 
-var blockSizeDefault atomic.Int32
-
-func init() { blockSizeDefault.Store(128) }
-
-// DefaultBlockSize returns the posting-block size new indexes are built with.
-func DefaultBlockSize() int { return int(blockSizeDefault.Load()) }
-
-// SetDefaultBlockSize sets the posting-block size for indexes created after
-// the call (New reads it once per index). Values are clamped to [1, 65536].
-// Intended as a process-start tuning knob (see docs/tuning.md); indexes built
-// under different block sizes coexist — the size is recorded per index in the
-// codec header.
-func SetDefaultBlockSize(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > 1<<16 {
-		n = 1 << 16
-	}
-	blockSizeDefault.Store(int32(n))
-}
+// writeBlockSize is the posting-block size of every index this package
+// builds (New, Splice). seekFactor and the dense-bitmap rule were tuned at it.
+// Readers accept any size in [1, 65536] that a codec header records.
+const writeBlockSize = 128
 
 // postings is one gram's block-compressed posting list.
 type postings struct {

@@ -15,10 +15,9 @@ import "fmt"
 //
 // The result is the index that Adding the survivors one by one to New(n)
 // would build: the same doc numbers, gram counts and posting bytes, blocked
-// at the DefaultBlockSize current now, whatever block size the parts were
-// built with, and with the bitmaps BuildBitmaps attaches. Parts may be
-// docless or sealed (opened zero-copy); the result is neither and aliases
-// none of their bytes. Every part must share one n-gram size; a mismatch, or
+// at 128 ids whatever block size the parts were built with, and with the
+// bitmaps BuildBitmaps attaches. Parts may be docless or sealed (opened
+// zero-copy); the result is neither and aliases none of their bytes. Every part must share one n-gram size; a mismatch, or
 // an ids or drop length that disagrees with the parts, is a caller bug and
 // panics.
 func Splice(ids []string, parts []*Index, drop [][]bool) *Index {

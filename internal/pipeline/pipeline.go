@@ -215,7 +215,8 @@ func RunWith(cfg Config, qa dataset.QACorpus, contracts []dataset.DeployedContra
 		if err != nil || len(fp) == 0 {
 			return
 		}
-		for _, m := range corpus.Match(fp) {
+		ms, _ := corpus.MatchTopK(fp, 0)
+		for _, m := range ms {
 			c := contractByID[m.ID]
 			matches[i] = append(matches[i], ContractMatch{
 				Contract: c,

@@ -29,7 +29,7 @@ func sharedResult(t *testing.T) *Result {
 // TestReproductionGolden pins the study's headline numbers at seed 1, scale
 // 0.015: the Table 4 funnel per site, the Table 5 correlations, the Table 7
 // funnel and the Table 8 validation sample. The clone map behind Tables 5–8
-// runs through service.Corpus.Match, so a refactor of the match path that
+// runs through service.Corpus.MatchTopK, so a refactor of the match path that
 // changes any served id changes these. Update them only with a reason.
 func TestReproductionGolden(t *testing.T) {
 	res := sharedResult(t)

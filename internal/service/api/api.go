@@ -199,7 +199,7 @@ type AnalyzeRequest struct {
 
 // AnalyzeResult is the outcome for one source.
 type AnalyzeResult struct {
-	// Key is the content address of the source (cache identity).
+	// Key is the SHA-256 of the source's exact bytes (report cache identity).
 	Key        string        `json:"key"`
 	Findings   []ccc.Finding `json:"findings"`
 	Categories []string      `json:"categories"`

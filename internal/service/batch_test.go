@@ -633,10 +633,10 @@ func TestEmptyFingerprintAckedIsIndexed(t *testing.T) {
 		}
 		// An empty fingerprint has no n-grams: it matches nothing and nothing
 		// matches it.
-		if ms := c.Match(""); len(ms) != 0 {
+		if ms := matchAll(c, ""); len(ms) != 0 {
 			t.Fatalf("%s: the empty fingerprint matched %v", name, ms)
 		}
-		if ms := c.Match(testFP(1)); len(ms) != 1 || ms[0].ID != "b" {
+		if ms := matchAll(c, testFP(1)); len(ms) != 1 || ms[0].ID != "b" {
 			t.Fatalf("%s: match of b: %v", name, ms)
 		}
 	}

@@ -10,20 +10,26 @@ import (
 	"repro/internal/solidity"
 )
 
-// Key is the content address of a source text: the SHA-256 of its normalized
-// form. Two sources differing only in comments or whitespace share a key —
-// the same normalization the study pipeline uses for deduplication — so
-// every cache layer (report, fingerprint) deduplicates exactly the
-// inputs the paper's funnel collapses.
+// Key is the content address of a source text: a SHA-256 over the part of
+// the text a cached value depends on (ContentKey, sourceKey).
 type Key string
 
 // ContentKey normalizes src (comments stripped, whitespace collapsed) and
-// hashes it. Cached CCC reports therefore carry the line/column positions of
-// whichever comment/whitespace variant was analyzed first; the analysis
-// verdict itself is invariant under the normalization.
+// hashes it: the fingerprint cache's key. Two sources differing only in
+// comments or whitespace share a key — the same normalization the study
+// pipeline uses for deduplication — and a fingerprint does not depend on
+// either.
 func ContentKey(src string) Key {
 	s := solidity.StripComments(src)
 	h := sha256.Sum256([]byte(strings.Join(strings.Fields(s), " ")))
+	return Key(hex.EncodeToString(h[:]))
+}
+
+// sourceKey hashes src's exact bytes: the report cache's key. A CCC report
+// carries the line and column of every finding, so two sources ContentKey
+// collapses may not share one.
+func sourceKey(src string) Key {
+	h := sha256.Sum256([]byte(src))
 	return Key(hex.EncodeToString(h[:]))
 }
 

@@ -335,15 +335,9 @@ func (c *Corpus) Adds() int64 { return c.adds.Load() }
 // Supersedes counts earlier copies replaced by a re-ingested id.
 func (c *Corpus) Supersedes() int64 { return c.supersedes.Load() }
 
-// Match returns every clone of fp at the corpus's admission threshold, best
-// first (score descending, ties by id). Lock-free.
-func (c *Corpus) Match(fp ccd.Fingerprint) []ccd.Match {
-	ms, _ := c.MatchTopK(fp, 0)
-	return ms
-}
-
-// MatchTopK returns the k best clones of fp (k ≤ 0: all of them), best
-// first, plus the pruning statistics of this query.
+// MatchTopK returns the k best clones of fp (k ≤ 0: every clone at the
+// corpus's admission threshold), best first (score descending, ties by id),
+// plus the pruning statistics of this query. Lock-free.
 func (c *Corpus) MatchTopK(fp ccd.Fingerprint, k int) ([]ccd.Match, ccd.MatchStats) {
 	ms, stats, _ := c.MatchTopKCtx(context.Background(), fp, k, nil)
 	return ms, stats

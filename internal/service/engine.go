@@ -271,7 +271,7 @@ func (e *Engine) MapCtx(ctx context.Context, n int, fn func(int)) error {
 // A miss parses, analyzes and releases the graph, so its memory serves the
 // next one.
 func (e *Engine) Analyze(src string) (ccc.Report, error) {
-	return e.analyze(ContentKey(src), src)
+	return e.analyze(sourceKey(src), src)
 }
 
 func (e *Engine) analyze(key Key, src string) (ccc.Report, error) {
@@ -427,8 +427,8 @@ func (e *Engine) ObserveMatch(elapsed time.Duration, err error) {
 
 // --- pooled batch helpers -----------------------------------------------------
 
-// AnalyzeResult is one AnalyzeBatch element. Key is the source's content
-// address, the report cache's key.
+// AnalyzeResult is one AnalyzeBatch element. Key is the report cache's key:
+// the SHA-256 of the source's exact bytes.
 type AnalyzeResult struct {
 	Key    Key
 	Report ccc.Report
@@ -440,7 +440,7 @@ type AnalyzeResult struct {
 func (e *Engine) AnalyzeBatch(srcs []string) []AnalyzeResult {
 	out := make([]AnalyzeResult, len(srcs))
 	e.Map(len(srcs), func(i int) {
-		out[i].Key = ContentKey(srcs[i])
+		out[i].Key = sourceKey(srcs[i])
 		out[i].Report, out[i].Err = e.analyze(out[i].Key, srcs[i])
 	})
 	return out

@@ -54,8 +54,7 @@ func TestPlateauTiesEveryPartitionKind(t *testing.T) {
 		for _, e := range entries {
 			single.Add(e.ID, e.FP)
 		}
-		reference := single.Match(query)
-		ccd.SortMatches(reference)
+		reference := single.MatchTopK(query, 0)
 		check := func(layout string, match func(k int) ([]ccd.Match, error)) {
 			t.Helper()
 			for k := 0; k <= len(reference)+1; k++ {

@@ -99,8 +99,7 @@ func TestMappedShardedEquivalence(t *testing.T) {
 	queries := randomFingerprints(23, 10)
 	queries = append(queries, fps[0], fps[docs/2])
 	for qi, q := range queries {
-		reference := single.Match(q)
-		ccd.SortMatches(reference)
+		reference := single.MatchTopK(q, 0)
 		for _, k := range []int{1, 2, 3, 5, 10, 100, 0} {
 			got, _ := mapped.MatchTopK(q, k)
 			want := reference

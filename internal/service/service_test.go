@@ -3,9 +3,11 @@ package service
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/ccc"
 	"repro/internal/ccd"
 )
 
@@ -61,12 +63,47 @@ func TestAnalyzeFindsVulnerabilityAndCaches(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("report cache hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
 	}
-	// A comment-only variant shares the content address.
+	// A comment-only variant moves every finding down a line, so it is a
+	// report of its own: a miss.
 	if _, err := e.Analyze("// note\n" + reentrantSrc); err != nil {
 		t.Fatal(err)
 	}
-	if hits := e.Metrics().ReportCache.Hits; hits != 2 {
-		t.Errorf("normalized variant should hit: hits=%d", hits)
+	if st := e.Metrics().ReportCache; st.Hits != 1 || st.Misses != 2 {
+		t.Errorf("comment variant: report cache hits=%d misses=%d, want 1/2", st.Hits, st.Misses)
+	}
+}
+
+// TestCachedAnalysisReportsOwnLines: a source analyzed after a variant that
+// differs only in comments and blank lines reports its own line and column
+// numbers, through Analyze and AnalyzeBatch alike — the report cache never
+// answers with the positions of another variant.
+func TestCachedAnalysisReportsOwnLines(t *testing.T) {
+	shifted := "// header\n\n\n" + reentrantSrc
+	want, err := ccc.AnalyzeSource(shifted)
+	if err != nil || len(want.Findings) == 0 {
+		t.Fatalf("uncached analysis: %v, %d findings", err, len(want.Findings))
+	}
+	first, _ := ccc.AnalyzeSource(reentrantSrc)
+	if first.Findings[0].Line == want.Findings[0].Line {
+		t.Fatalf("fixture: both variants report line %d", first.Findings[0].Line)
+	}
+	e := New(Options{Workers: 2})
+	if _, err := e.Analyze(reentrantSrc); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Analyze(shifted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Findings, want.Findings) {
+		t.Errorf("Analyze after a variant:\n got %+v\nwant %+v", got.Findings, want.Findings)
+	}
+	batch := e.AnalyzeBatch([]string{reentrantSrc, shifted})
+	if batch[0].Key == batch[1].Key {
+		t.Errorf("variants share report key %s", batch[0].Key)
+	}
+	if !reflect.DeepEqual(batch[1].Report.Findings, want.Findings) {
+		t.Errorf("AnalyzeBatch after a variant:\n got %+v\nwant %+v", batch[1].Report.Findings, want.Findings)
 	}
 }
 

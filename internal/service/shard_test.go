@@ -19,6 +19,12 @@ import (
 	"repro/internal/ccd"
 )
 
+// matchAll returns every clone of fp in c, best first.
+func matchAll(c *Corpus, fp ccd.Fingerprint) []ccd.Match {
+	ms, _ := c.MatchTopK(fp, 0)
+	return ms
+}
+
 // randomFingerprints builds a deterministic set of fingerprints with heavy
 // duplication and near-duplication, so top-K ties (same score, different id)
 // actually occur and the shard-merge tie-breaking is exercised.
@@ -74,8 +80,7 @@ func TestShardedMatchTopKEqualsSingleCorpusPrefix(t *testing.T) {
 	queries := randomFingerprints(23, 12)
 	queries = append(queries, fps[0], fps[docs/2]) // exact-hit queries
 	for qi, q := range queries {
-		reference := single.Match(q)
-		ccd.SortMatches(reference)
+		reference := single.MatchTopK(q, 0)
 		for shards, c := range sharded {
 			for k := 0; k <= len(reference)+2; k++ {
 				got, _ := c.MatchTopK(q, k)
@@ -108,8 +113,7 @@ func TestShardedTopKTieAtBound(t *testing.T) {
 	for _, e := range entries {
 		single.Add(e.ID, e.FP)
 	}
-	reference := single.Match(base)
-	ccd.SortMatches(reference)
+	reference := single.MatchTopK(base, 0)
 	if len(reference) < 20 {
 		t.Fatalf("tie fixture too weak: only %d reference matches", len(reference))
 	}
@@ -206,8 +210,7 @@ func TestShardedTopKTieAtBoundMultiSub(t *testing.T) {
 	for _, e := range entries {
 		single.Add(e.ID, e.FP)
 	}
-	reference := single.Match(query)
-	ccd.SortMatches(reference)
+	reference := single.MatchTopK(query, 0)
 	if len(reference) != len(entries) || reference[3].ID != "tie-00" || reference[3].Score != plateau {
 		t.Fatalf("fixture: reference %v", reference)
 	}
@@ -276,13 +279,13 @@ func TestDuplicateAddSupersedes(t *testing.T) {
 		}
 		// The old fingerprint no longer matches at 100; the new one matches
 		// exactly once.
-		for _, m := range c.Match(fp1) {
+		for _, m := range matchAll(c, fp1) {
 			if m.ID == "dup" && m.Score == 100 {
 				t.Fatalf("shards=%d: superseded copy still matches at 100", shards)
 			}
 		}
 		hits := 0
-		for _, m := range c.Match(fp2) {
+		for _, m := range matchAll(c, fp2) {
 			if m.ID == "dup" {
 				hits++
 				if m.Score != 100 {

@@ -94,7 +94,7 @@ func verifyEntries(t *testing.T, c *Corpus, n int) {
 		t.Fatalf("corpus has %d entries, want %d", c.Len(), n)
 	}
 	for i := 0; i < n; i++ {
-		ms := c.Match(testFP(i))
+		ms := matchAll(c, testFP(i))
 		found := false
 		for _, m := range ms {
 			if m.ID == fmt.Sprintf("doc-%d", i) && m.Score == 100 {
@@ -161,7 +161,7 @@ func TestStoreGroupCommitFailureAccounting(t *testing.T) {
 	if c2.Len() != 4 {
 		t.Fatalf("rebooted corpus has %d entries, want 4", c2.Len())
 	}
-	for _, m := range c2.Match(testFP(99)) {
+	for _, m := range matchAll(c2, testFP(99)) {
 		if m.ID == "doomed" {
 			t.Fatal("record from failed group commit replayed on boot")
 		}
@@ -763,7 +763,7 @@ func TestStoreCrashBetweenSnapshotAndWALTruncate(t *testing.T) {
 	// No entry may appear twice.
 	for i := 0; i < 15; i++ {
 		hits := 0
-		for _, m := range c2.Match(testFP(i)) {
+		for _, m := range matchAll(c2, testFP(i)) {
 			if m.ID == fmt.Sprintf("doc-%d", i) {
 				hits++
 			}
