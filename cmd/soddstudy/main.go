@@ -14,12 +14,10 @@
 //
 // The study run ends with the corpus-wide clone study: every contract is
 // self-joined against the corpus (posting-list blocking, no O(n²) scoring)
-// and clustered with incremental union-find. -service routes it through the
-// serving engine — sharded scatter-gather corpus, pooled fan-out — i.e. the
-// exact implementation behind cmd/serve's /v1/study corpus mode; without
-// the flag an offline single-shard join of the same implementation runs
-// serially. Both report the identical distribution. -clone-limit caps the
-// matches per document (0 = exact).
+// and clustered with incremental union-find. It runs on the serving engine
+// — sharded scatter-gather corpus, pooled fan-out — i.e. the implementation
+// behind cmd/serve's /v1/study corpus mode. -clone-limit caps the matches
+// per document (0 = exact).
 package main
 
 import (
@@ -38,7 +36,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "corpus generation seed")
 	scale := flag.Float64("scale", 0.02, "study corpus scale (1.0 = paper size)")
 	csvOut := flag.String("csv", "", "write the Figure 9 sweep as CSV to this file")
-	svc := flag.Bool("service", false, "run the clone study through the serving engine path (sharded scatter-gather, worker pool)")
 	cloneLimit := flag.Int("clone-limit", 0, "per-document match cap of the clone study (0 = exact join)")
 	flag.Parse()
 
@@ -56,7 +53,7 @@ func main() {
 		cfg.Engine = service.New(service.Options{CCD: cfg.CCD})
 		res := pipeline.Run(cfg)
 		fmt.Println(experiments.RenderStudy(res))
-		rep, err := experiments.CloneStudy(cfg.Engine, res.Contracts, cfg.CCD, *svc, *cloneLimit)
+		rep, err := experiments.CloneStudy(cfg.Engine, res.Contracts, cfg.CCD, *cloneLimit)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "soddstudy: clone study: %v\n", err)
 			os.Exit(1)

@@ -14,55 +14,30 @@ import (
 
 // CloneStudy runs the corpus-wide clone study — the cluster measurement
 // behind the paper's Tables 4-8 — over the study's deployed-contract
-// corpus, through the SAME self-join implementation the service's
-// /v1/study corpus mode uses. viaService selects the serving path: the
-// contracts ingest into eng's sharded scatter-gather corpus and the join
-// fans out through the engine's worker pool, exactly like an online study
-// job. Offline (viaService false), a private single-shard corpus is joined
-// serially. Both paths produce the identical cluster-size distribution at
-// the same η/ε — pinned by the service-layer equivalence tests — so
-// cmd/soddstudy and cmd/serve report one measurement, not two
-// implementations that can drift.
+// corpus, through the engine path the service's /v1/study corpus mode runs:
+// the contracts ingest into eng's sharded serving corpus in one batch and
+// Engine.RunCloneStudy self-joins it, fanning out through the worker pool.
+// A nil eng runs on a fresh engine with cfg. cmd/soddstudy and cmd/serve
+// thus report one measurement, not two implementations that can drift.
 //
 // limit caps the matches per document (0 = the exact join at ε).
-func CloneStudy(eng *service.Engine, contracts []dataset.DeployedContract, cfg ccd.Config, viaService bool, limit int) (*service.CloneReport, error) {
+func CloneStudy(eng *service.Engine, contracts []dataset.DeployedContract, cfg ccd.Config, limit int) (*service.CloneReport, error) {
 	if eng == nil {
 		eng = service.New(service.Options{CCD: cfg})
 	}
 	// Fingerprint every contract through the engine's content-addressed
 	// cache (a pipeline run that just fingerprinted them makes this free).
-	fps := make([]ccd.Fingerprint, len(contracts))
+	entries := make([]service.CorpusEntry, len(contracts))
 	eng.Map(len(contracts), func(i int) {
-		fps[i], _ = eng.Fingerprint(contracts[i].Source)
+		fp, _ := eng.Fingerprint(contracts[i].Source)
+		entries[i] = service.CorpusEntry{ID: contracts[i].Address, Fingerprint: fp}
 	})
-
-	// Either way the corpus ingests in one batch call.
-	if viaService {
-		entries := make([]service.CorpusEntry, len(contracts))
-		for i := range contracts {
-			entries[i] = service.CorpusEntry{ID: contracts[i].Address, Fingerprint: fps[i]}
+	for i, err := range eng.CorpusAddBatch(entries) {
+		if errors.Is(err, service.ErrPersist) {
+			return nil, fmt.Errorf("experiments: ingest %s: %w", contracts[i].Address, err)
 		}
-		for i, err := range eng.CorpusAddBatch(entries) {
-			if errors.Is(err, service.ErrPersist) {
-				return nil, fmt.Errorf("experiments: ingest %s: %w", contracts[i].Address, err)
-			}
-		}
-		return eng.RunCloneStudy(context.Background(), limit, 10)
 	}
-
-	corpus := service.NewCorpus(cfg, 1)
-	entries := make([]ccd.Entry, len(contracts))
-	for i := range contracts {
-		entries[i] = ccd.Entry{ID: contracts[i].Address, FP: fps[i]}
-	}
-	if err := corpus.AddBatch(context.Background(), entries); err != nil {
-		return nil, fmt.Errorf("experiments: ingest: %w", err)
-	}
-	join := service.NewSelfJoin(corpus, limit)
-	if err := join.Run(context.Background()); err != nil {
-		return nil, err
-	}
-	return join.Report(10), nil
+	return eng.RunCloneStudy(context.Background(), limit, 10)
 }
 
 // RenderCloneStudy formats a clone study report as text: the study

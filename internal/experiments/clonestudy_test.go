@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,9 +13,9 @@ import (
 
 // TestCloneStudyServicePathEqualsOffline pins the shared-implementation
 // guarantee over a real pipeline contract corpus: the clone study through
-// the serving engine (sharded, pooled — cmd/soddstudy -service and the
-// /v1/study corpus mode) and the offline single-shard join report the
-// identical cluster-size distribution.
+// the serving engine (sharded, pooled — cmd/soddstudy and the /v1/study
+// corpus mode) reports the identical cluster-size distribution as a serial
+// self-join over a single-shard corpus.
 func TestCloneStudyServicePathEqualsOffline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a contract corpus")
@@ -26,11 +27,22 @@ func TestCloneStudyServicePathEqualsOffline(t *testing.T) {
 		t.Fatalf("contract corpus too small: %d", len(contracts))
 	}
 
-	offline, err := CloneStudy(nil, contracts, cfg, false, 0)
-	if err != nil {
+	corpus := service.NewCorpus(cfg, 1)
+	entries := make([]ccd.Entry, len(contracts))
+	for i, c := range contracts {
+		fp, _ := ccd.FingerprintSource(c.Source) // partial fingerprints still index
+		entries[i] = ccd.Entry{ID: c.Address, FP: fp}
+	}
+	if err := corpus.AddBatch(context.Background(), entries); err != nil {
 		t.Fatal(err)
 	}
-	online, err := CloneStudy(service.New(service.Options{CCD: cfg}), contracts, cfg, true, 0)
+	join := service.NewSelfJoin(corpus, 0)
+	if err := join.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	offline := join.Report(10)
+
+	online, err := CloneStudy(service.New(service.Options{CCD: cfg}), contracts, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

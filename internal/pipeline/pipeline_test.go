@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ccc"
 	"repro/internal/ccd"
 	"repro/internal/dataset"
 )
@@ -27,8 +28,9 @@ func sharedResult(t *testing.T) *Result {
 }
 
 // TestReproductionGolden pins the study's headline numbers at seed 1, scale
-// 0.015: the Table 4 funnel per site, the Table 5 correlations, the Table 7
-// funnel and the Table 8 validation sample. The clone map behind Tables 5–8
+// 0.015: the Table 4 funnel per site, the Table 5 correlations, the Table 6
+// snippet and contract counts per DASP category, the Table 7 funnel and the
+// Table 8 validation sample. The clone map behind Tables 5–8
 // runs through service.Corpus.MatchTopK, so a refactor of the match path that
 // changes any served id changes these. Update them only with a reason.
 func TestReproductionGolden(t *testing.T) {
@@ -62,6 +64,28 @@ func TestReproductionGolden(t *testing.T) {
 		if got.Name != want.Name || got.SampleSize != want.SampleSize || math.Abs(got.Rho-want.Rho) > 1e-9 {
 			t.Errorf("Table 5 row %d: %s n=%d ρ=%v, want %s n=%d ρ=%v",
 				i, got.Name, got.SampleSize, got.Rho, want.Name, want.SampleSize, want.Rho)
+		}
+	}
+
+	table6 := map[ccc.Category]struct{ Snippets, Contracts int }{
+		ccc.AccessControl:    {4, 52},
+		ccc.Arithmetic:       {17, 183},
+		ccc.BadRandomness:    {4, 23},
+		ccc.DenialOfService:  {5, 47},
+		ccc.FrontRunning:     {10, 152},
+		ccc.Reentrancy:       {7, 62},
+		ccc.ShortAddresses:   {4, 44},
+		ccc.TimeManipulation: {1, 21},
+		ccc.UncheckedCalls:   {9, 113},
+	}
+	for cat, want := range table6 {
+		if got := res.Table6[cat]; got != want {
+			t.Errorf("Table 6 %s: %d snippets / %d contracts, want %d / %d", cat, got.Snippets, got.Contracts, want.Snippets, want.Contracts)
+		}
+	}
+	for cat, got := range res.Table6 {
+		if _, ok := table6[cat]; !ok {
+			t.Errorf("Table 6 %s: unexpected row %d / %d", cat, got.Snippets, got.Contracts)
 		}
 	}
 

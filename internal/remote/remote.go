@@ -6,6 +6,9 @@
 // owns the waves, the shared admission bound, the merge (ties by id), the
 // overload abort and partial answers; the shard request ships the bound as
 // it stands, so remote shards prune exactly like local generation-shards.
+// Router.Match returns Gather's own answer, a service.Gathered, with the
+// same errors: a degraded answer is the partial top K with
+// service.ErrBudgetExhausted.
 //
 // The design follows the FAT principle that shaped the in-memory layout:
 // keep hot data where the compute is and move only what the decision needs.
@@ -71,7 +74,8 @@ type ShardMatchResponse struct {
 	Stats   ShardMatchStats `json:"stats"`
 	// Degraded names the quality reductions applied shard-side ("deadline"
 	// when the shipped budget expired mid-scan and Matches is a best-effort
-	// partial top-K). The router folds it into its own Result.
+	// partial top-K). The router answers such a scan as
+	// service.ErrBudgetExhausted.
 	Degraded []string `json:"degraded,omitempty"`
 }
 

@@ -98,27 +98,21 @@ func (r *Router) Replica(i int) string {
 // forwarding and export streaming.
 func (r *Router) Client() *Client { return r.client }
 
-// Result is one routed match: the merged top K (best first), the summed
-// per-shard scan funnel, and whether any partition was unreachable (the
-// results then cover only the shards that answered).
-type Result struct {
-	Matches []ccd.Match
-	Stats   ccd.MatchStats
-	Partial bool
-	// Degraded is true when the request budget shaped the answer: a shard
-	// self-cancelled on its shipped budget mid-scan, or the router's own
-	// deadline expired between waves and later partitions were never asked.
-	Degraded bool
-}
-
 // Match fans the query out over all partitions through service.Gather in
-// cfg.Waves waves, shipping the current admission bound with each request.
-// A shard that pushes back with 429/503 aborts the query and the
-// *StatusError (Retry-After intact) propagates to the caller; a shard that
-// is unreachable degrades the result to Partial instead, and the request
-// budget running out between waves degrades it to Partial and Degraded. An
-// error is returned only when no partition answered.
-func (r *Router) Match(ctx context.Context, fingerprint string, k int) (Result, error) {
+// cfg.Waves waves, shipping the current admission bound with each request,
+// and returns what Gather returns: the merged top K (best first), the summed
+// per-shard scan funnel and Partial when some partition did not answer. A
+// degraded answer (a shard self-cancelled on its shipped budget, or the
+// router's own deadline expired between waves) is the partial top K with
+// service.ErrBudgetExhausted. A shard that pushes back with 429/503 aborts
+// the query and its *StatusError (Retry-After intact) is the error; an
+// unreachable shard only makes the answer Partial, and an error is returned
+// when no partition answered. An empty fingerprint has no matches: it is
+// answered without asking any shard, as Corpus.MatchTopKCtx answers it.
+func (r *Router) Match(ctx context.Context, fingerprint string, k int) (service.Gathered, error) {
+	if fingerprint == "" {
+		return service.Gathered{}, nil
+	}
 	ctx, span := trace.Start(ctx, "router.fanout")
 	defer span.End()
 	span.AnnotateInt("shards", int64(r.N()))
@@ -130,7 +124,7 @@ func (r *Router) Match(ctx context.Context, fingerprint string, k int) (Result, 
 	g, err := service.Gather(ctx, r.N(), r.cfg.Waves, k, ccd.NewAtomicBound(r.cfg.Epsilon), scan)
 	degraded := errors.Is(err, service.ErrBudgetExhausted)
 	if err != nil && !degraded {
-		return Result{}, err
+		return g, err
 	}
 	if g.Partial {
 		r.partials.Add(1)
@@ -140,7 +134,7 @@ func (r *Router) Match(ctx context.Context, fingerprint string, k int) (Result, 
 		span.Annotate("degraded", "deadline")
 	}
 	span.AnnotateInt("scored", int64(g.Stats.Scored))
-	return Result{Matches: g.Matches, Stats: g.Stats, Partial: g.Partial, Degraded: degraded}, nil
+	return g, err
 }
 
 // scanShard is the remote partition scan: one shard request carrying the
@@ -239,20 +233,14 @@ func (r *Router) StudyPlan() [][]service.StudyUnit {
 }
 
 // CloneQuery is the clone-study query over the fleet (a service.CloneQuery):
-// Match, with a partial answer as an error and a degraded one as
-// service.ErrBudgetExhausted, so the study fails the partition instead of
-// under-counting its edges.
+// Match, with a partial answer as an error, so the study fails the partition
+// instead of under-counting its edges.
 func (r *Router) CloneQuery(ctx context.Context, fp ccd.Fingerprint, k int) ([]ccd.Match, ccd.MatchStats, error) {
-	res, err := r.Match(ctx, string(fp), k)
-	switch {
-	case err != nil:
-		return nil, ccd.MatchStats{}, err
-	case res.Partial:
+	g, err := r.Match(ctx, string(fp), k)
+	if g.Partial {
 		err = errPartialAnswer
-	case res.Degraded:
-		err = service.ErrBudgetExhausted
 	}
-	return res.Matches, res.Stats, err
+	return g.Matches, g.Stats, err
 }
 
 // Stats is a point-in-time view of the router's counters, served as the

@@ -59,6 +59,11 @@ type Server struct {
 	// router puts the server in router mode (WithRouter): match and ingest
 	// fan out to remote shard nodes instead of the local corpus.
 	router *remote.Router
+	// match answers one /v1/match query the way this server's role does
+	// (matchLocal or matchRouted); fanout is the partition count its
+	// answers gather over, reported by explain=1.
+	match  matchFunc
+	fanout int
 	// partRing/partIdx pin a shard node to its partition (WithPartition):
 	// ingest refuses entries another partition owns. partRing nil =
 	// unpartitioned.
@@ -137,6 +142,10 @@ func NewServer(engine *service.Engine, opts ...Option) *Server {
 	}
 	if s.maxDeadline <= 0 {
 		s.maxDeadline = DefaultMaxDeadline
+	}
+	s.match, s.fanout = s.matchLocal, engine.Corpus().Shards()
+	if s.router != nil {
+		s.match, s.fanout = s.matchRouted, s.router.N()
 	}
 	if s.ready == nil {
 		if st := s.store; st != nil {
@@ -507,104 +516,81 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "provide \"source\" or \"fingerprint\"")
 		return
 	}
-	if s.router != nil {
-		s.routerMatch(w, r, req)
-		return
+	// Every query, single or batch, runs through the role's match function
+	// (see NewServer); the single form alone takes the tier-1 halving.
+	var qs []matchQuery
+	if !batch {
+		qs = []matchQuery{{source: req.Source, fingerprint: req.Fingerprint, limit: s.effectiveLimit(req.Limit)}}
+	}
+	for _, src := range req.Sources {
+		qs = append(qs, matchQuery{source: src, limit: req.Limit})
+	}
+	for _, fp := range req.Fingerprints {
+		qs = append(qs, matchQuery{fingerprint: fp, limit: req.Limit})
 	}
 	ctx := r.Context() // a disconnected client cancels in-flight scatter-gather work
-	if !batch {
-		var resp MatchResponse
-		if err := s.engine.DoCtx(ctx, func() {
-			resp = s.matchOne(ctx, req)
-		}); err != nil {
-			if service.DeadlineExpired(ctx) {
-				// The budget was spent queueing: the scan never ran, but the
-				// client is still listening — answer degraded-empty rather
-				// than silently dropping the connection into a 504.
-				writeJSON(w, http.StatusOK, MatchResponse{
-					Matches: []Match{}, Partial: true, Degraded: []string{"deadline"},
-				})
-				return
-			}
-			return // client gone while queued; nobody is listening
+	results := make([]MatchResponse, len(qs))
+	var failure atomic.Pointer[error]
+	_ = s.engine.Each(ctx, len(qs), func(i int) {
+		if failure.Load() != nil {
+			return // a query failed the request: stop fanning out
 		}
-		if ctx.Err() != nil && !service.DeadlineExpired(ctx) {
-			return // client hung up mid-scan
+		g, fpErr, err := s.match(ctx, qs[i])
+		switch {
+		case err == nil || errors.Is(err, service.ErrBudgetExhausted):
+			results[i] = s.toMatchResponse(req, qs[i].limit, g, fpErr, err)
+		case ctx.Err() == nil:
+			failed := err
+			failure.CompareAndSwap(nil, &failed)
 		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	resp := MatchBatchResponse{Results: make([]MatchResponse, len(req.Sources)+len(req.Fingerprints))}
-	// Source queries fan out through the pooled batch helper (fingerprinting
-	// is the expensive part); precomputed fingerprints match inline on one
-	// worker slot — the read path itself is lock-free and cheap.
-	degradedEmpty := MatchResponse{Matches: []Match{}, Partial: true, Degraded: []string{"deadline"}}
-	if len(req.Sources) > 0 {
-		mss, stats, errs, ran, err := s.matchSources(ctx, req)
-		if err != nil && !service.DeadlineExpired(ctx) {
-			return // cancelled; client gone
-		}
-		for i := range resp.Results[:len(req.Sources)] {
-			if ran[i] {
-				resp.Results[i] = s.toMatchResponse(req, req.Limit, mss[i], stats[i], errs[i])
-			} else {
-				// Skipped by a mid-batch deadline expiry: marked degraded,
-				// never a silent empty result.
-				resp.Results[i] = degradedEmpty
-			}
-		}
-	}
-	if len(req.Fingerprints) > 0 {
-		for i := range req.Fingerprints {
-			resp.Results[len(req.Sources)+i] = degradedEmpty
-		}
-		if err := s.engine.DoCtx(ctx, func() {
-			for i, fp := range req.Fingerprints {
-				ms, st, err := s.engine.MatchFingerprint(ctx, ccd.Fingerprint(fp), req.Limit, nil)
-				if err != nil && !errors.Is(err, service.ErrBudgetExhausted) {
-					return // only ctx errors reach here
-				}
-				resp.Results[len(req.Sources)+i] = s.toMatchResponse(req, req.Limit, ms, st, err)
-			}
-		}); err != nil && !service.DeadlineExpired(ctx) {
-			return
-		}
-	}
-	if ctx.Err() != nil && !service.DeadlineExpired(ctx) {
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// matchSources runs the batch source form on the worker pool, collecting
-// per-source stats for explain=1. ran marks queries that actually executed —
-// a mid-batch deadline expiry leaves the tail undispatched.
-func (s *Server) matchSources(ctx context.Context, req MatchRequest) ([][]ccd.Match, []ccd.MatchStats, []error, []bool, error) {
-	mss := make([][]ccd.Match, len(req.Sources))
-	stats := make([]ccd.MatchStats, len(req.Sources))
-	errs := make([]error, len(req.Sources))
-	ran := make([]bool, len(req.Sources))
-	err := s.engine.MapCtx(ctx, len(req.Sources), func(i int) {
-		mss[i], stats[i], errs[i] = s.engine.MatchSource(ctx, req.Backend, req.Sources[i], req.Limit)
-		ran[i] = true
 	})
-	return mss, stats, errs, ran, err
+	if ctx.Err() != nil && !service.DeadlineExpired(ctx) {
+		return // the client hung up; nobody is listening
+	}
+	if err := failure.Load(); err != nil {
+		writeRemoteError(w, *err)
+		return
+	}
+	for i := range results {
+		if results[i].Matches == nil {
+			// The deadline skipped this query (never dispatched, or still
+			// queued when it expired): degraded, never a silent empty.
+			results[i] = MatchResponse{Matches: []Match{}, Partial: true, Degraded: []string{"deadline"}}
+		}
+	}
+	if !batch {
+		writeJSON(w, http.StatusOK, results[0])
+		return
+	}
+	writeJSON(w, http.StatusOK, MatchBatchResponse{Results: results})
 }
 
-// matchOne serves the single-query form of /v1/match, applying the tier-1
-// degradation (halved effective limit) when the pressure ladder says so.
-func (s *Server) matchOne(ctx context.Context, req MatchRequest) MatchResponse {
-	limit := s.effectiveLimit(req.Limit)
-	var ms []ccd.Match
-	var st ccd.MatchStats
-	var err error
-	if req.Source != "" {
-		ms, st, err = s.engine.MatchSource(ctx, req.Backend, req.Source, limit)
-	} else {
-		ms, st, err = s.engine.MatchFingerprint(ctx, ccd.Fingerprint(req.Fingerprint), limit, nil)
+// matchQuery is one query of a /v1/match request: a source or a precomputed
+// fingerprint, and the top K it runs at.
+type matchQuery struct {
+	source, fingerprint string
+	limit               int
+}
+
+// matchFunc answers one query the way the server's role does. g is the
+// answer; fpErr reports the source's parse issues (the query still ran on
+// its partial fingerprint); err is ErrBudgetExhausted when g is a degraded
+// partial, and any other error fails the request.
+type matchFunc func(ctx context.Context, q matchQuery) (g service.Gathered, fpErr, err error)
+
+// matchLocal is a single or shard node's matchFunc: the query fingerprints
+// and scans the local corpus on one worker slot.
+func (s *Server) matchLocal(ctx context.Context, q matchQuery) (g service.Gathered, fpErr, err error) {
+	if derr := s.engine.DoCtx(ctx, func() {
+		fp := ccd.Fingerprint(q.fingerprint)
+		if q.source != "" {
+			fp, fpErr = s.engine.FingerprintCtx(ctx, q.source)
+		}
+		g.Matches, g.Stats, err = s.engine.MatchFingerprint(ctx, fp, q.limit, nil)
+	}); derr != nil {
+		return g, nil, derr
 	}
-	return s.toMatchResponse(req, limit, ms, st, err)
+	return g, fpErr, err
 }
 
 // effectiveLimit applies the tier-1 quality degradation: under pressure the
@@ -618,36 +604,32 @@ func (s *Server) effectiveLimit(limit int) int {
 	return limit
 }
 
-// toMatchResponse shapes one query's answer, on a single node and a router
-// alike: limit is the top K the query ran with, and one below the request's
-// own marks the tier-1 halving.
-func (s *Server) toMatchResponse(req MatchRequest, limit int, ms []ccd.Match, st ccd.MatchStats, err error) MatchResponse {
-	resp := MatchResponse{Matches: make([]Match, len(ms))}
-	for i, m := range ms {
+// toMatchResponse shapes one query's answer: limit is the top K the query
+// ran with, and one below the request's own marks the tier-1 halving; err is
+// nil or ErrBudgetExhausted (see matchFunc).
+func (s *Server) toMatchResponse(req MatchRequest, limit int, g service.Gathered, fpErr, err error) MatchResponse {
+	resp := MatchResponse{Matches: make([]Match, len(g.Matches)), Partial: g.Partial}
+	for i, m := range g.Matches {
 		resp.Matches[i] = Match{ID: m.ID, Score: m.Score}
 	}
-	if errors.Is(err, service.ErrBudgetExhausted) {
+	if err != nil {
 		// Time ran out mid-scan: the matches are a best-effort partial
 		// top-K, served degraded rather than failed.
 		resp.Partial = true
 		resp.Degraded = append(resp.Degraded, "deadline")
-		err = nil
 	}
-	if err != nil {
-		resp.Error = err.Error()
+	if fpErr != nil {
+		resp.Error = fpErr.Error()
 	}
 	if limit != req.Limit {
 		resp.EffectiveLimit = limit
 		resp.Degraded = append(resp.Degraded, "limit")
 	}
 	if req.Explain {
-		shards := s.engine.Corpus().Shards()
-		if s.router != nil {
-			shards = s.router.N()
-		}
+		st := g.Stats
 		resp.Explain = &MatchExplain{
 			Backend:       service.BackendCCD,
-			Shards:        shards,
+			Shards:        s.fanout,
 			Limit:         req.Limit,
 			Candidates:    st.Candidates,
 			FilterPruned:  st.FilterPruned,

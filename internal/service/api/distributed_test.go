@@ -132,6 +132,55 @@ func TestDistributedMatchEqualsSingleProcess(t *testing.T) {
 			}
 		}
 	}
+
+	// Every request form answers with the same status and body on both
+	// roles: sources (parsing, with parse issues, or with an empty
+	// fingerprint), a batch mixing sources and fingerprints, and explain=1,
+	// whose "shards" names each role's own fan-out width.
+	docs := []CorpusEntry{{ID: "src-victim", Source: reentrantSrc}, {ID: "src-safe", Source: benignSrc}}
+	if resp, _ := post(t, c.router.URL+"/v1/corpus", CorpusAddRequest{Entries: docs}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("router source ingest: status %d", resp.StatusCode)
+	}
+	for _, d := range docs {
+		if err := singleSrv.engine.CorpusAddBatch([]service.CorpusEntry{{ID: d.ID, Source: d.Source}})[0]; err != nil {
+			t.Fatal(err)
+		}
+	}
+	const parseIssue, emptyFP = "contract X { function f( public {", "contract A {}"
+	for _, tc := range []struct {
+		name, query string
+		body        any
+	}{
+		{"source", "", map[string]any{"source": reentrantSrc, "limit": 3}},
+		{"parse-issue", "", map[string]any{"source": parseIssue}},
+		{"empty-fingerprint", "", map[string]any{"source": emptyFP}},
+		{"batch", "", map[string]any{
+			"sources":      []string{reentrantSrc, parseIssue, emptyFP, benignSrc},
+			"fingerprints": []string{string(entries[0].FP), string(entries[5].FP)},
+			"limit":        5,
+		}},
+		// The funnel counts of a query match where no pruning depends on the
+		// layout: the router seeds its first wave with ε, a single node with
+		// 0, so a candidate near ε may count as filter-pruned on one role only.
+		{"explain", "?explain=1", map[string]any{"source": benignSrc}},
+	} {
+		wantStatus, want := matchAny(t, single.URL+"/v1/match"+tc.query, tc.body)
+		gotStatus, got := matchAny(t, c.router.URL+"/v1/match"+tc.query, tc.body)
+		if gotStatus != wantStatus || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: router answered %d %v\nsingle node %d %v", tc.name, gotStatus, got, wantStatus, want)
+		}
+	}
+}
+
+// matchAny posts a /v1/match body and returns the status and the decoded
+// JSON body without explain's "shards", each role's own fan-out width.
+func matchAny(t *testing.T, url string, body any) (int, map[string]any) {
+	t.Helper()
+	resp, out := post(t, url, body)
+	if ex, ok := out["explain"].(map[string]any); ok {
+		delete(ex, "shards")
+	}
+	return resp.StatusCode, out
 }
 
 func TestDistributedKillOneShardDegrades(t *testing.T) {

@@ -216,73 +216,24 @@ func writeRemoteError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadGateway, "shard request failed: "+err.Error())
 }
 
-// routerMatch serves a validated /v1/match in router mode: every query fans
-// out over the shard fleet through Router.Match, one after another, and a
-// shard failure fails the request.
-func (s *Server) routerMatch(w http.ResponseWriter, r *http.Request, req MatchRequest) {
-	ctx := r.Context()
-	var results []MatchResponse
-	one := func(source, fp string) bool {
-		resp, err := s.routerMatchFP(ctx, req, source, fp)
-		if err != nil {
-			if ctx.Err() == nil {
-				writeRemoteError(w, err)
-			}
-			return false
+// matchRouted is a router's matchFunc: a source is fingerprinted on a
+// worker slot (parse issues still yield a partial fingerprint), then the
+// query fans out through Router.Match outside the pool, so a routed fan-out
+// never holds a slot. An answered query is counted on the router's engine,
+// the way MatchFingerprint counts a local one.
+func (s *Server) matchRouted(ctx context.Context, q matchQuery) (g service.Gathered, fpErr, err error) {
+	fp := ccd.Fingerprint(q.fingerprint)
+	if q.source != "" {
+		if err := s.engine.DoCtx(ctx, func() { fp, fpErr = s.engine.FingerprintCtx(ctx, q.source) }); err != nil {
+			return g, nil, err
 		}
-		results = append(results, resp)
-		return true
-	}
-	if len(req.Sources) == 0 && len(req.Fingerprints) == 0 {
-		if one(req.Source, req.Fingerprint) {
-			writeJSON(w, http.StatusOK, results[0])
-		}
-		return
-	}
-	for _, src := range req.Sources {
-		if !one(src, "") {
-			return
-		}
-	}
-	for _, fp := range req.Fingerprints {
-		if !one("", fp) {
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, MatchBatchResponse{Results: results})
-}
-
-// routerMatchFP routes one query and shapes the API response through
-// toMatchResponse, as the single-node path does. A source is fingerprinted
-// on the router's pool (parse issues still yield a partial fingerprint), so
-// only fingerprints and bounds cross the network. An answered query is
-// counted on the router's engine, the way MatchFingerprint counts a local
-// one.
-func (s *Server) routerMatchFP(ctx context.Context, req MatchRequest, source, fp string) (MatchResponse, error) {
-	if source != "" {
-		var f ccd.Fingerprint
-		if err := s.engine.DoCtx(ctx, func() { f, _ = s.engine.Fingerprint(source) }); err != nil {
-			return MatchResponse{}, err // client gone while queued
-		}
-		fp = string(f)
-	}
-	limit := req.Limit
-	if len(req.Sources) == 0 && len(req.Fingerprints) == 0 {
-		// Tier 1 halves the single-query form only, as on a single node.
-		limit = s.effectiveLimit(limit)
 	}
 	start := time.Now()
-	res, err := s.router.Match(ctx, fp, limit)
-	if err != nil {
-		return MatchResponse{}, err
+	g, err = s.router.Match(ctx, string(fp), q.limit)
+	if err == nil || errors.Is(err, service.ErrBudgetExhausted) {
+		s.engine.ObserveMatch(time.Since(start), err)
 	}
-	if res.Degraded {
-		err = service.ErrBudgetExhausted
-	}
-	s.engine.ObserveMatch(time.Since(start), err)
-	resp := s.toMatchResponse(req, limit, res.Matches, res.Stats, err)
-	resp.Partial = resp.Partial || res.Partial
-	return resp, nil
+	return g, fpErr, err
 }
 
 // routerCorpusAdd forwards a /v1/corpus ingest to the shard fleet: entries

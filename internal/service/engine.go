@@ -217,22 +217,25 @@ func (e *Engine) Map(n int, fn func(int)) {
 // MapCtx is Map with cancellation: once ctx is cancelled no further items
 // are dispatched (in-flight items finish) and ctx.Err() is returned. Items
 // skipped by cancellation simply never ran — callers distinguish them by the
-// returned error.
+// returned error. It is Each with one DoCtx per item.
 func (e *Engine) MapCtx(ctx context.Context, n int, fn func(int)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
+	return e.Each(ctx, n, func(i int) {
+		_ = e.DoCtx(ctx, func() { fn(i) })
+	})
+}
+
+// Each runs fn(i) for every i in [0, n) on up to Workers goroutines (inline
+// when that is one) and waits for all of them, under MapCtx's cancellation
+// and panic rules. It holds no worker slot itself: fn takes one through
+// DoCtx for the work that needs it, and may wait outside the pool for the
+// rest (a router's fan-out to its shard nodes).
+func (e *Engine) Each(ctx context.Context, n int, fn func(int)) error {
 	spawn := min(e.workers, n)
-	if spawn == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := e.DoCtx(ctx, func() { fn(i) }); err != nil {
-				return err
-			}
+	if spawn <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(i)
 		}
-		return nil
+		return ctx.Err()
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -253,7 +256,7 @@ func (e *Engine) MapCtx(ctx context.Context, n int, fn func(int)) error {
 							panicVal = p
 						}
 					}()
-					_ = e.DoCtx(ctx, func() { fn(i) })
+					fn(i)
 				}()
 			}
 		}()
@@ -296,6 +299,15 @@ func (e *Engine) Fingerprint(src string) (ccd.Fingerprint, error) {
 	fp, err := ccd.FingerprintSource(src)
 	e.prints.Put(key, fpEntry{fp: fp, err: err})
 	return fp, err
+}
+
+// FingerprintCtx is Fingerprint under a match.fingerprint span on ctx's
+// trace.
+func (e *Engine) FingerprintCtx(ctx context.Context, src string) (ccd.Fingerprint, error) {
+	_, sp := trace.Start(ctx, "match.fingerprint")
+	defer sp.End()
+	sp.AnnotateInt("source_bytes", int64(len(src)))
+	return e.Fingerprint(src)
 }
 
 // --- serving corpus -----------------------------------------------------------
@@ -372,10 +384,7 @@ func (e *Engine) MatchSource(ctx context.Context, backend, src string, k int) ([
 	if err := CheckBackend(backend); err != nil {
 		return nil, ccd.MatchStats{}, err
 	}
-	_, fsp := trace.Start(ctx, "match.fingerprint")
-	fp, ferr := e.Fingerprint(src)
-	fsp.AnnotateInt("source_bytes", int64(len(src)))
-	fsp.End()
+	fp, ferr := e.FingerprintCtx(ctx, src)
 	if ferr != nil && len(fp) == 0 {
 		return nil, ccd.MatchStats{}, ferr
 	}

@@ -104,10 +104,10 @@ func TestPlateauTiesEveryPartitionKind(t *testing.T) {
 				router := remote.NewRouter(remote.Config{Targets: targets, Waves: waves, Epsilon: ccd.DefaultConfig.Epsilon})
 				check(fmt.Sprintf("nodes=%d waves=%d", nodes, waves), func(k int) ([]ccd.Match, error) {
 					res, err := router.Match(context.Background(), string(query), k)
-					if res.Partial || res.Degraded {
-						return nil, fmt.Errorf("partial=%v degraded=%v", res.Partial, res.Degraded)
+					if res.Partial {
+						return nil, fmt.Errorf("partial answer (err %v)", err)
 					}
-					return res.Matches, err
+					return res.Matches, err // a degraded answer is ErrBudgetExhausted
 				})
 			}
 		}

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ccc"
 	"repro/internal/ccd"
@@ -391,6 +393,45 @@ func TestMapPropagatesPanic(t *testing.T) {
 		}
 	}()
 	e.Map(100, func(i int) {
+		if i == 13 {
+			panic("boom")
+		}
+	})
+	t.Fatal("panic swallowed")
+}
+
+// TestEachHoldsNoSlot: Each dispatches without taking a worker slot, so its
+// items may take one themselves — on a one-worker pool, where a slot held by
+// Each would leave none for the items.
+func TestEachHoldsNoSlot(t *testing.T) {
+	e := New(Options{Workers: 1})
+	var ran atomic.Int32
+	done := make(chan error, 1)
+	go func() {
+		done <- e.Each(context.Background(), 4, func(int) {
+			_ = e.DoCtx(context.Background(), func() { ran.Add(1) })
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil || ran.Load() != 4 {
+			t.Fatalf("Each returned %v after %d of 4 items", err, ran.Load())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Each deadlocked: its items could not take a worker slot")
+	}
+}
+
+// TestEachPropagatesPanic: a panic inside an Each item surfaces on the
+// calling goroutine, as MapCtx's does.
+func TestEachPropagatesPanic(t *testing.T) {
+	e := New(Options{Workers: 4})
+	defer func() {
+		if p := recover(); p != "boom" {
+			t.Fatalf("recovered %v, want boom", p)
+		}
+	}()
+	_ = e.Each(context.Background(), 100, func(i int) {
 		if i == 13 {
 			panic("boom")
 		}
