@@ -42,6 +42,7 @@ var auditedPackages = []string{
 	"internal/remote",
 	"internal/service",
 	"internal/service/api",
+	"internal/slab",
 	"internal/trace",
 }
 

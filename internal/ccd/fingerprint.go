@@ -2,6 +2,7 @@ package ccd
 
 import (
 	"repro/internal/editdist"
+	"repro/internal/solidity"
 	"repro/internal/ssdeep"
 )
 
@@ -20,10 +21,14 @@ const (
 
 // FingerprintSource parses, normalizes and fingerprints a Solidity source
 // text (snippet or full contract). The returned error reflects parse
-// problems; a fingerprint is still produced from whatever parsed.
+// problems; a fingerprint is still produced from whatever parsed. The
+// syntax tree is released once fingerprinted, so its memory serves the next
+// source.
 func FingerprintSource(src string) (Fingerprint, error) {
-	nu, err := Normalize(src)
-	return FingerprintUnit(nu), err
+	unit, err := solidity.Parse(src)
+	fp := fingerprintTree(unit)
+	unit.Release()
+	return fp, err
 }
 
 // FingerprintUnit fingerprints normalized token streams. Contract header

@@ -6,9 +6,10 @@
 package ccd
 
 import (
-	"strings"
+	"sync"
 
 	"repro/internal/solidity"
+	"repro/internal/ssdeep"
 )
 
 // Normalization (Section 5.2):
@@ -21,45 +22,6 @@ import (
 // Tokenization (Section 5.3): state-variable and event declarations are
 // skipped; contract and function declarations plus function-level statements
 // are divided at symbols.
-
-// normalizer carries the renaming environment while emitting tokens.
-type normalizer struct {
-	// varType maps identifier names to their normalized replacement.
-	scopes []map[string]string
-	// tokens of the current function being emitted.
-	out []string
-}
-
-func (n *normalizer) push() { n.scopes = append(n.scopes, map[string]string{}) }
-func (n *normalizer) pop()  { n.scopes = n.scopes[:len(n.scopes)-1] }
-
-func (n *normalizer) declare(name, repl string) {
-	if name == "" {
-		return
-	}
-	n.scopes[len(n.scopes)-1][name] = repl
-}
-
-func (n *normalizer) rename(name string) (string, bool) {
-	for i := len(n.scopes) - 1; i >= 0; i-- {
-		if r, ok := n.scopes[i][name]; ok {
-			return r, true
-		}
-	}
-	return "", false
-}
-
-func (n *normalizer) emit(toks ...string) { n.out = append(n.out, toks...) }
-
-// typeToken renders the normalized replacement token for a declared type.
-func typeToken(t solidity.TypeName) string {
-	if t == nil {
-		return "uint" // missing type declarations default to uint (paper 5.2)
-	}
-	s := solidity.TypeString(t)
-	s = strings.TrimSuffix(s, " payable")
-	return s
-}
 
 // NormalizedUnit is the tokenized form of one source unit: contracts holding
 // functions holding token streams. It preserves enough structure for the
@@ -88,74 +50,257 @@ func (u NormalizedUnit) Tokens() []string {
 }
 
 // Normalize parses src with the snippet grammar and returns the normalized
-// token streams. Orphan functions and statements are wrapped by inference
-// first, so snippets at any hierarchy level normalize uniformly.
+// token streams. Orphan functions and statements are normalized as the
+// contract solidity.Infer wraps them in, so snippets at any hierarchy level
+// normalize uniformly.
 func Normalize(src string) (NormalizedUnit, error) {
 	unit, err := solidity.Parse(src)
 	nu := NormalizeUnit(unit)
+	unit.Release()
 	return nu, err
 }
 
 // NormalizeUnit normalizes an already-parsed unit.
 func NormalizeUnit(unit *solidity.SourceUnit) NormalizedUnit {
-	unit = solidity.Infer(unit)
 	var nu NormalizedUnit
-	for _, d := range unit.Decls {
-		c, ok := d.(*solidity.ContractDecl)
-		if !ok {
-			continue
-		}
-		nu.Contracts = append(nu.Contracts, normalizeContract(c))
-	}
+	n := normalizers.Get().(*normalizer)
+	n.nu = &nu
+	n.unit(unit)
+	n.done()
 	return nu
 }
 
-func normalizeContract(c *solidity.ContractDecl) NormalizedContract {
-	n := &normalizer{}
-	n.push()
+// fingerprintTree fingerprints an already-parsed unit, streaming each
+// normalized token into the digest: FingerprintUnit(NormalizeUnit(unit))
+// without the token slices.
+func fingerprintTree(unit *solidity.SourceUnit) Fingerprint {
+	n := normalizers.Get().(*normalizer)
+	n.stream = true
+	n.unit(unit)
+	fp := Fingerprint(n.fp.String())
+	n.done()
+	return fp
+}
+
+// normalizer carries the renaming environment while it emits tokens, either
+// straight into the digest fp (stream set) or into the unit nu. It is
+// pooled, so its scope stack and digest buffer serve source after source.
+type normalizer struct {
+	// names is the scope stack, flat: every open scope's declarations in
+	// declaration order, innermost last, so a rename searches backwards.
+	// marks holds len(names) at each scope's opening.
+	names []binding
+	marks []int
+
+	stream    bool
+	fp        ssdeep.Stream
+	contracts int // contracts begun in fp
+	funcs     int // functions begun in fp's current contract
+
+	nu *NormalizedUnit
+}
+
+type binding struct{ name, repl string }
+
+// normalizers holds normalizers sized for a typical contract: 64 names in
+// scope, 16 nested scopes and a 512-character fingerprint.
+var normalizers = sync.Pool{New: func() any {
+	n := &normalizer{names: make([]binding, 0, 64), marks: make([]int, 0, 16)}
+	n.fp.Grow(512)
+	return n
+}}
+
+// done clears n, so that no name of this source stays reachable, and
+// returns it to the pool.
+func (n *normalizer) done() {
+	clear(n.names[:cap(n.names)])
+	n.fp.Reset()
+	*n = normalizer{names: n.names[:0], marks: n.marks[:0], fp: n.fp}
+	normalizers.Put(n)
+}
+
+func (n *normalizer) push() { n.marks = append(n.marks, len(n.names)) }
+
+func (n *normalizer) pop() {
+	last := len(n.marks) - 1
+	n.names, n.marks = n.names[:n.marks[last]], n.marks[:last]
+}
+
+func (n *normalizer) declare(name, repl string) {
+	if name != "" {
+		n.names = append(n.names, binding{name, repl})
+	}
+}
+
+func (n *normalizer) rename(name string) (string, bool) {
+	for i := len(n.names) - 1; i >= 0; i-- {
+		if n.names[i].name == name {
+			return n.names[i].repl, true
+		}
+	}
+	return "", false
+}
+
+// beginContract opens a contract: a ContractSep before every contract but
+// the first in the digest, a header in the unit.
+func (n *normalizer) beginContract(kindTok string) {
+	if n.stream {
+		if n.contracts > 0 {
+			n.fp.WriteSeparator(ContractSep)
+		}
+		n.contracts++
+		n.funcs = 0
+		return
+	}
+	n.nu.Contracts = append(n.nu.Contracts, NormalizedContract{Header: []string{"contract", kindTok, "{"}})
+}
+
+// beginFunction opens a function or modifier of the current contract: a
+// FuncSep before every one but the first in the digest, a token stream in
+// the unit.
+func (n *normalizer) beginFunction() {
+	if n.stream {
+		if n.funcs > 0 {
+			n.fp.WriteSeparator(FuncSep)
+		}
+		n.funcs++
+		return
+	}
+	c := &n.nu.Contracts[len(n.nu.Contracts)-1]
+	c.Functions = append(c.Functions, nil)
+}
+
+func (n *normalizer) emit(toks ...string) {
+	for _, tok := range toks {
+		if n.stream {
+			n.fp.WriteToken(tok)
+			continue
+		}
+		fns := n.nu.Contracts[len(n.nu.Contracts)-1].Functions
+		fns[len(fns)-1] = append(fns[len(fns)-1], tok)
+	}
+}
+
+// typeToken renders the normalized replacement token for a declared type.
+func typeToken(t solidity.TypeName) string {
+	switch tt := t.(type) {
+	case nil:
+		return "uint" // missing type declarations default to uint (paper 5.2)
+	case *solidity.ElementaryType:
+		return tt.Name // "address payable" normalizes to "address"
+	case *solidity.UserType:
+		return tt.Name
+	}
+	return solidity.TypeString(t)
+}
+
+// unit normalizes every contract of u in order, then the contract that
+// solidity.Infer wraps u's orphan parts and statements in.
+func (n *normalizer) unit(u *solidity.SourceUnit) {
+	parts, stmts := false, false
+	for _, d := range u.Decls {
+		if c, ok := d.(*solidity.ContractDecl); ok {
+			n.contract(c)
+			continue
+		}
+		part, stmt := solidity.Orphan(d)
+		parts, stmts = parts || part, stmts || stmt
+	}
+	if parts || stmts {
+		n.orphans(u.Decls, stmts)
+	}
+}
+
+func (n *normalizer) contract(c *solidity.ContractDecl) {
 	kindTok := "c"
 	if c.Kind == solidity.KindLibrary {
 		kindTok = "l"
 	}
+	n.beginContract(kindTok)
+	n.push()
 	n.declare(c.Name, kindTok)
-
 	// First pass: register member renames so uses before declarations
 	// resolve (functions, modifiers, state variable types).
 	for _, part := range c.Parts {
-		switch x := part.(type) {
-		case *solidity.FunctionDecl:
-			n.declare(x.Name, "f")
-		case *solidity.ModifierDecl:
-			n.declare(x.Name, "m")
-		case *solidity.StateVarDecl:
-			n.declare(x.Name, typeToken(x.Type))
-		case *solidity.StructDecl:
-			n.declare(x.Name, "s")
-			// Struct fields are variables: rename by declared type so that
-			// member accesses normalize (h.amount → h.uint).
-			for _, fld := range x.Fields {
-				n.declare(fld.Name, typeToken(fld.Type))
-			}
-		case *solidity.EnumDecl:
-			n.declare(x.Name, "e")
-		}
+		n.declarePart(part)
 	}
-
-	nc := NormalizedContract{Header: []string{"contract", kindTok, "{"}}
 	for _, part := range c.Parts {
-		switch x := part.(type) {
-		case *solidity.FunctionDecl:
-			nc.Functions = append(nc.Functions, n.function(x))
-		case *solidity.ModifierDecl:
-			nc.Functions = append(nc.Functions, n.modifier(x))
-			// State variable and event declarations are skipped (Section 5.3).
-		}
+		n.part(part)
 	}
-	return nc
+	n.pop()
 }
 
-func (n *normalizer) function(f *solidity.FunctionDecl) []string {
-	n.out = nil
+// orphans normalizes, without building it, the contract solidity.Infer
+// wraps a unit's orphans in: the orphan parts in order, then a function
+// holding the orphan statements when there are any.
+func (n *normalizer) orphans(decls []solidity.Node, stmts bool) {
+	n.beginContract("c")
+	n.push()
+	n.declare(solidity.InferredContractName, "c")
+	for _, d := range decls {
+		if part, _ := solidity.Orphan(d); part {
+			n.declarePart(d)
+		}
+	}
+	if stmts {
+		n.declare(solidity.InferredFunctionName, "f")
+	}
+	for _, d := range decls {
+		if part, _ := solidity.Orphan(d); part {
+			n.part(d)
+		}
+	}
+	if stmts {
+		n.beginFunction()
+		n.push()
+		n.emit("function", "f", "(", ")", "{")
+		n.push()
+		for _, d := range decls {
+			if _, stmt := solidity.Orphan(d); stmt {
+				n.stmt(d.(solidity.Stmt))
+			}
+		}
+		n.pop()
+		n.emit("}")
+		n.pop()
+	}
+	n.pop()
+}
+
+// declarePart registers the rename a contract part declares.
+func (n *normalizer) declarePart(part solidity.Node) {
+	switch x := part.(type) {
+	case *solidity.FunctionDecl:
+		n.declare(x.Name, "f")
+	case *solidity.ModifierDecl:
+		n.declare(x.Name, "m")
+	case *solidity.StateVarDecl:
+		n.declare(x.Name, typeToken(x.Type))
+	case *solidity.StructDecl:
+		n.declare(x.Name, "s")
+		// Struct fields are variables: rename by declared type so that
+		// member accesses normalize (h.amount → h.uint).
+		for _, fld := range x.Fields {
+			n.declare(fld.Name, typeToken(fld.Type))
+		}
+	case *solidity.EnumDecl:
+		n.declare(x.Name, "e")
+	}
+}
+
+// part emits a contract part. State variable and event declarations are
+// skipped (Section 5.3).
+func (n *normalizer) part(part solidity.Node) {
+	switch x := part.(type) {
+	case *solidity.FunctionDecl:
+		n.function(x)
+	case *solidity.ModifierDecl:
+		n.modifier(x)
+	}
+}
+
+func (n *normalizer) function(f *solidity.FunctionDecl) {
+	n.beginFunction()
 	n.push()
 	defer n.pop()
 	switch {
@@ -195,11 +340,10 @@ func (n *normalizer) function(f *solidity.FunctionDecl) []string {
 	if f.Body != nil {
 		n.block(f.Body)
 	}
-	return n.out
 }
 
-func (n *normalizer) modifier(m *solidity.ModifierDecl) []string {
-	n.out = nil
+func (n *normalizer) modifier(m *solidity.ModifierDecl) {
+	n.beginFunction()
 	n.push()
 	defer n.pop()
 	n.emit("modifier", "m", "(")
@@ -215,7 +359,6 @@ func (n *normalizer) modifier(m *solidity.ModifierDecl) []string {
 	if m.Body != nil {
 		n.block(m.Body)
 	}
-	return n.out
 }
 
 func (n *normalizer) block(b *solidity.Block) {

@@ -23,10 +23,13 @@ func buildInto(g *Graph, src string, unit *solidity.SourceUnit) *Graph {
 
 // Parse parses src with the fuzzy snippet grammar and builds its CPG.
 // The returned error reflects parse problems; a graph is built from whatever
-// could be parsed. Release the graph once done with it.
+// could be parsed. The syntax tree is released once the graph is built: a
+// graph holds only strings and positions, never a tree node. Release the
+// graph once done with it.
 func Parse(src string) (*Graph, error) {
 	unit, err := solidity.Parse(src)
 	g := Build(src, unit)
+	unit.Release()
 	return g, err
 }
 

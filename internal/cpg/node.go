@@ -265,10 +265,10 @@ func (g *Graph) detach() (*arena, int) {
 
 // NewNode allocates a node with the given primary label.
 func (g *Graph) NewNode(l Label) *Node {
-	n := g.arena.nodes.new()
+	n := g.arena.nodes.New()
 	n.ID, n.labels = len(g.Nodes), 1<<l
 	g.Nodes = append(g.Nodes, n)
-	g.byLabel[l] = g.arena.lists.append(g.byLabel[l], n)
+	g.byLabel[l] = g.arena.lists.Append(g.byLabel[l], n)
 	return n
 }
 
@@ -278,7 +278,7 @@ func (g *Graph) Index() {
 	for _, n := range g.Nodes {
 		for ls := n.labels; ls != 0; ls &= ls - 1 {
 			l := bits.TrailingZeros64(ls)
-			g.byLabel[l] = g.arena.lists.append(g.byLabel[l], n)
+			g.byLabel[l] = g.arena.lists.Append(g.byLabel[l], n)
 		}
 	}
 }

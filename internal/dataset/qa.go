@@ -251,6 +251,7 @@ func insertUniqueStatements(rng *rand.Rand, src string) string {
 
 func firstFunction(src string) string {
 	unit, _ := solidity.Parse(src)
+	defer unit.Release()
 	var out string
 	solidity.Walk(unit, func(n solidity.Node) bool {
 		if out != "" {
@@ -270,6 +271,7 @@ func firstFunction(src string) string {
 
 func firstStatements(src string, maxStmts int) string {
 	unit, _ := solidity.Parse(src)
+	defer unit.Release()
 	var parts []string
 	solidity.Walk(unit, func(n solidity.Node) bool {
 		if len(parts) >= maxStmts {

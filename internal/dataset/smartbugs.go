@@ -199,6 +199,7 @@ func DeriveStatements(b Benchmark) Benchmark {
 // instead, preserving the function-level snippet shape.
 func extractFunctions(src string, names []string) string {
 	unit, _ := solidity.Parse(src)
+	defer unit.Release()
 	want := map[string]bool{}
 	for _, n := range names {
 		want[n] = true
@@ -236,6 +237,7 @@ func extractFunctions(src string, names []string) string {
 // with a body when the labeled name was renamed away.
 func extractStatements(src string, names []string, maxStmts int) string {
 	unit, _ := solidity.Parse(src)
+	defer unit.Release()
 	want := map[string]bool{}
 	for _, n := range names {
 		want[n] = true

@@ -263,11 +263,15 @@ func filterSnippets(qa dataset.QACorpus) (SiteFunnel, []UniqueSnippet) {
 			continue
 		}
 		st.Solidity++
-		if _, err := solidity.Parse(s.Source); err != nil {
+		unit, err := solidity.Parse(s.Source)
+		unit.Release()
+		if err != nil {
 			continue
 		}
 		st.Parsable++
-		if _, err := solidity.ParseStrict(s.Source); err == nil {
+		strict, err := solidity.ParseStrict(s.Source)
+		strict.Release()
+		if err == nil {
 			st.StrictParsable++
 		}
 		key := dedupeKey(s.Source)

@@ -397,9 +397,9 @@ func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp FingerprintResponse
 	if err := s.engine.DoCtx(r.Context(), func() {
-		fp, err := s.engine.Fingerprint(req.Source)
+		key, fp, err := s.engine.FingerprintKeyed(req.Source)
 		resp = FingerprintResponse{
-			Key:             string(service.ContentKey(req.Source)),
+			Key:             string(key),
 			Fingerprint:     string(fp),
 			SubFingerprints: len(fp.Subs()),
 		}

@@ -10,6 +10,7 @@ package service
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
@@ -89,8 +90,8 @@ type Engine struct {
 	ctr     counters
 	deg     *degrade
 
-	reports *lru[reportEntry]
-	prints  *lru[fpEntry]
+	reports *lru[Key, reportEntry]
+	prints  *lru[digest, fpEntry]
 
 	// corpus is the serving corpus, fixed at construction.
 	corpus *Corpus
@@ -107,9 +108,12 @@ type reportEntry struct {
 	err error
 }
 
+// An fpEntry with an error answers only for its own source's exact bytes,
+// since the error carries positions that fingerprintKey does not pin.
 type fpEntry struct {
 	fp  ccd.Fingerprint
 	err error
+	src string // with an error, the source it answers for
 }
 
 // New returns an Engine with the given options.
@@ -121,8 +125,8 @@ func New(opts Options) *Engine {
 	e := &Engine{
 		workers: workers,
 		sem:     make(chan struct{}, workers),
-		reports: newLRU[reportEntry](opts.CacheEntries),
-		prints:  newLRU[fpEntry](opts.CacheEntries),
+		reports: newLRU[Key, reportEntry](opts.CacheEntries),
+		prints:  newLRU[digest, fpEntry](opts.CacheEntries),
 		corpus:  NewCorpus(opts.CCD, opts.Shards),
 	}
 	if q := opts.Admission.MaxQueue; q > 0 {
@@ -279,7 +283,7 @@ func (e *Engine) Analyze(src string) (ccc.Report, error) {
 
 func (e *Engine) analyze(key Key, src string) (ccc.Report, error) {
 	e.ctr.analyses.Add(1)
-	if ent, ok := e.reports.Get(key); ok {
+	if ent, ok := e.reports.Get(key, nil); ok {
 		return ent.rep, ent.err
 	}
 	rep, err := ccc.AnalyzeSource(src)
@@ -291,14 +295,30 @@ func (e *Engine) analyze(key Key, src string) (ccc.Report, error) {
 // cache. Matching ccd.FingerprintSource, a partial fingerprint is returned
 // (and cached) even when parsing reported an error.
 func (e *Engine) Fingerprint(src string) (ccd.Fingerprint, error) {
+	_, fp, err := e.fingerprint(src)
+	return fp, err
+}
+
+// FingerprintKeyed is Fingerprint that also returns the cache key src was
+// looked up under.
+func (e *Engine) FingerprintKeyed(src string) (Key, ccd.Fingerprint, error) {
+	k, fp, err := e.fingerprint(src)
+	return Key(hex.EncodeToString(k[:])), fp, err
+}
+
+func (e *Engine) fingerprint(src string) (digest, ccd.Fingerprint, error) {
 	e.ctr.fingerprints.Add(1)
-	key := ContentKey(src)
-	if ent, ok := e.prints.Get(key); ok {
-		return ent.fp, ent.err
+	key := fingerprintKey(src)
+	if ent, ok := e.prints.Get(key, func(ent fpEntry) bool { return ent.err == nil || ent.src == src }); ok {
+		return key, ent.fp, ent.err
 	}
 	fp, err := ccd.FingerprintSource(src)
-	e.prints.Put(key, fpEntry{fp: fp, err: err})
-	return fp, err
+	ent := fpEntry{fp: fp, err: err}
+	if err != nil {
+		ent.src = src
+	}
+	e.prints.Put(key, ent)
+	return key, fp, err
 }
 
 // FingerprintCtx is Fingerprint under a match.fingerprint span on ctx's

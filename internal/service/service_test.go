@@ -120,20 +120,20 @@ func TestAnalyzeErrorCached(t *testing.T) {
 }
 
 func TestCacheEviction(t *testing.T) {
-	c := newLRU[int](2)
+	c := newLRU[Key, int](2)
 	c.Put("a", 1)
 	c.Put("b", 2)
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get("a", nil); !ok {
 		t.Fatal("a evicted too early")
 	}
 	c.Put("c", 3) // evicts b (a was just used)
-	if _, ok := c.Get("b"); ok {
+	if _, ok := c.Get("b", nil); ok {
 		t.Error("b should have been evicted")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get("a", nil); !ok {
 		t.Error("a should survive (recently used)")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if _, ok := c.Get("c", nil); !ok {
 		t.Error("c should be present")
 	}
 	st := c.Stats()

@@ -34,6 +34,8 @@ type SourceUnit struct {
 	Pragmas []*PragmaDirective
 	Imports []*ImportDirective
 	Decls   []Node // *ContractDecl, *FunctionDecl, *StateVarDecl, Stmt, ...
+
+	arena *arena // the tree's memory, nil once released
 }
 
 // PragmaDirective is `pragma solidity ^0.8.0;` and friends.

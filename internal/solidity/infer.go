@@ -59,6 +59,24 @@ const (
 	InferredFunctionName = "__snippet_fn"
 )
 
+// Orphan classifies a top-level declaration the way Infer wraps it: part
+// reports a contract part (a function, modifier, state variable, event,
+// struct, enum or using directive), which goes into the inferred contract,
+// and stmt a statement, which goes into the inferred function. Anything
+// else, a contract included, stays where it is.
+func Orphan(d Node) (part, stmt bool) {
+	switch d.(type) {
+	case *ContractDecl:
+		return false, false
+	case *FunctionDecl, *ModifierDecl, *StateVarDecl, *EventDecl,
+		*StructDecl, *EnumDecl, *UsingDecl:
+		return true, false
+	case Stmt:
+		return false, true
+	}
+	return false, false
+}
+
 // Infer returns a source unit where orphan top-level functions, contract
 // parts and statements are wrapped in inferred contract/function
 // declarations so that downstream passes can assume a regular hierarchy.
@@ -68,14 +86,11 @@ func Infer(u *SourceUnit) *SourceUnit {
 	var parts []Node // orphan contract parts
 	var stmts []Stmt // orphan statements
 	for _, d := range u.Decls {
-		switch x := d.(type) {
-		case *ContractDecl:
-			regular = append(regular, x)
-		case *FunctionDecl, *ModifierDecl, *StateVarDecl, *EventDecl,
-			*StructDecl, *EnumDecl, *UsingDecl:
-			parts = append(parts, x)
-		case Stmt:
-			stmts = append(stmts, x)
+		switch part, stmt := Orphan(d); {
+		case part:
+			parts = append(parts, d)
+		case stmt:
+			stmts = append(stmts, d.(Stmt))
 		default:
 			regular = append(regular, d)
 		}

@@ -31,6 +31,7 @@ type Parser struct {
 	pos  int
 	opts Options
 	errs []error
+	a    *arena // holds every node and list of the tree being built
 }
 
 // Parse parses src with the fuzzy snippet grammar.
@@ -45,8 +46,14 @@ func ParseStrict(src string) (*SourceUnit, error) {
 
 // ParseWith parses src with explicit options. The returned SourceUnit is
 // always non-nil and contains everything that could be parsed; the error is
-// non-nil if any syntax errors were recorded.
+// non-nil if any syntax errors were recorded. The tree is built on an arena
+// from a pool: a caller done with it may Release it for the next parse.
 func ParseWith(src string, opts Options) (*SourceUnit, error) {
+	return parseOn(treePool.Get().(*arena), src, opts)
+}
+
+// parseOn is ParseWith building the tree on a.
+func parseOn(a *arena, src string, opts Options) (*SourceUnit, error) {
 	if opts.MaxErrors == 0 {
 		opts.MaxErrors = 32
 	}
@@ -56,7 +63,7 @@ func ParseWith(src string, opts Options) (*SourceUnit, error) {
 	if opts.Fuzzy {
 		toks = filterPlaceholders(toks)
 	}
-	p := &Parser{toks: toks, opts: opts}
+	p := &Parser{toks: toks, opts: opts, a: a}
 	unit := p.parseSourceUnit()
 	// Clear the tokens so that their literals do not pin src in the pool.
 	clear(all)
@@ -217,7 +224,7 @@ func (p *Parser) syncStatement() {
 // --- source unit -----------------------------------------------------------
 
 func (p *Parser) parseSourceUnit() *SourceUnit {
-	unit := &SourceUnit{}
+	unit := &SourceUnit{arena: p.a}
 	start := p.cur().Pos
 	for !p.at(EOF) {
 		if len(p.errs) >= p.opts.MaxErrors {
@@ -226,17 +233,17 @@ func (p *Parser) parseSourceUnit() *SourceUnit {
 		before := p.pos
 		switch p.kind() {
 		case KwPragma:
-			unit.Pragmas = append(unit.Pragmas, p.parsePragma())
+			unit.Pragmas = p.a.pragmaList.Append(unit.Pragmas, p.parsePragma())
 		case KwImport:
-			unit.Imports = append(unit.Imports, p.parseImport())
+			unit.Imports = p.a.importList.Append(unit.Imports, p.parseImport())
 		case KwContract, KwInterface, KwLibrary, KwAbstract:
-			unit.Decls = append(unit.Decls, p.parseContract())
+			unit.Decls = p.a.nodeList.Append(unit.Decls, p.parseContract())
 		case SEMICOLON:
 			p.next()
 		default:
 			if p.opts.Fuzzy {
 				if d := p.parseSnippetLevelDecl(); d != nil {
-					unit.Decls = append(unit.Decls, d)
+					unit.Decls = p.a.nodeList.Append(unit.Decls, d)
 				}
 			} else {
 				// Standard grammar: only directives and contract-like
@@ -337,8 +344,8 @@ func (p *Parser) tryStateVar() Node {
 	}
 	start := p.toks[save].Pos
 	p.terminator()
-	return &StateVarDecl{Span: p.span(start), Type: t, Name: name,
-		Visibility: vis, Constant: constant, Immutable: immutable, Value: val}
+	return p.a.stateVars.Put(StateVarDecl{Span: p.span(start), Type: t, Name: name,
+		Visibility: vis, Constant: constant, Immutable: immutable, Value: val})
 }
 
 // --- directives ------------------------------------------------------------
@@ -349,36 +356,45 @@ func (p *Parser) parsePragma() *PragmaDirective {
 	if p.at(IDENT) {
 		name = p.next().Literal
 	}
-	var parts []string
+	var parts []string // scratch on the arena
+	size := 0
 	for !p.at(SEMICOLON) && !p.at(EOF) && !p.cur().NewlineBefore {
 		t := p.next()
+		part := t.Literal
 		switch t.Kind {
 		case STRING:
 			// Keep string tokens quoted so the rendered pragma re-lexes to
 			// the same token sequence.
-			parts = append(parts, "\""+escapeStringLit(t.Literal)+"\"")
+			part = "\"" + escapeStringLit(t.Literal) + "\""
 		case HEXSTRING:
-			parts = append(parts, "hex\""+escapeStringLit(t.Literal)+"\"")
-		default:
-			parts = append(parts, t.Literal)
+			part = "hex\"" + escapeStringLit(t.Literal) + "\""
 		}
+		parts = p.a.stringList.Append(parts, part)
+		size += len(part) + 1
 	}
 	p.accept(SEMICOLON)
 	// Concatenate, separating only boundaries whose fusion would be
 	// swallowed on re-lexing — "//" and "/*" start comments, "..." becomes a
 	// filtered elision marker. Every other fusion re-lexes to a stable token
 	// run, and version ranges like ">=0.4.22" stay in one piece.
-	var sb strings.Builder
-	for i, part := range parts {
-		if i > 0 && len(parts[i-1]) > 0 && len(part) > 0 {
-			prev, next := parts[i-1][len(parts[i-1])-1], part[0]
-			if (prev == '.' || prev == '/') && (next == '.' || next == '/' || next == '*') {
-				sb.WriteByte(' ')
+	value := ""
+	if len(parts) == 1 {
+		value = parts[0]
+	} else if len(parts) > 1 {
+		var sb strings.Builder
+		sb.Grow(size)
+		for i, part := range parts {
+			if i > 0 && len(parts[i-1]) > 0 && len(part) > 0 {
+				prev, next := parts[i-1][len(parts[i-1])-1], part[0]
+				if (prev == '.' || prev == '/') && (next == '.' || next == '/' || next == '*') {
+					sb.WriteByte(' ')
+				}
 			}
+			sb.WriteString(part)
 		}
-		sb.WriteString(part)
+		value = sb.String()
 	}
-	return &PragmaDirective{Span: p.span(start), Name: name, Value: sb.String()}
+	return p.a.pragmas.Put(PragmaDirective{Span: p.span(start), Name: name, Value: value})
 }
 
 func (p *Parser) parseImport() *ImportDirective {
@@ -394,7 +410,7 @@ func (p *Parser) parseImport() *ImportDirective {
 		}
 	}
 	p.accept(SEMICOLON)
-	return &ImportDirective{Span: p.span(start), Path: path}
+	return p.a.imports.Put(ImportDirective{Span: p.span(start), Path: path})
 }
 
 // --- contracts -------------------------------------------------------------
@@ -430,13 +446,13 @@ func (p *Parser) parseContract() *ContractDecl {
 			if p.at(LPAREN) {
 				p.skipBalanced(LPAREN, RPAREN)
 			}
-			bases = append(bases, base)
+			bases = p.a.stringList.Append(bases, base)
 			if !p.accept(COMMA) {
 				break
 			}
 		}
 	}
-	c := &ContractDecl{Kind: kind, Abstract: abstract, Name: name, Bases: bases}
+	c := p.a.contracts.Put(ContractDecl{Kind: kind, Abstract: abstract, Name: name, Bases: bases})
 	if p.accept(LBRACE) {
 		for !p.at(RBRACE) && !p.at(EOF) {
 			if len(p.errs) >= p.opts.MaxErrors {
@@ -444,7 +460,7 @@ func (p *Parser) parseContract() *ContractDecl {
 			}
 			before := p.pos
 			if part := p.parseContractPart(); part != nil {
-				c.Parts = append(c.Parts, part)
+				c.Parts = p.a.nodeList.Append(c.Parts, part)
 			}
 			if p.pos == before && !p.at(RBRACE) && !p.at(EOF) {
 				p.next()
@@ -457,7 +473,7 @@ func (p *Parser) parseContract() *ContractDecl {
 		for !p.at(EOF) && len(p.errs) < p.opts.MaxErrors {
 			before := p.pos
 			if part := p.parseContractPart(); part != nil {
-				c.Parts = append(c.Parts, part)
+				c.Parts = p.a.nodeList.Append(c.Parts, part)
 			}
 			if p.pos == before && !p.at(EOF) {
 				p.next()
@@ -509,7 +525,7 @@ func (p *Parser) parseContractPart() Node {
 
 func (p *Parser) parseFunction() *FunctionDecl {
 	start := p.cur().Pos
-	f := &FunctionDecl{}
+	f := p.a.functions.Put(FunctionDecl{})
 	switch p.kind() {
 	case KwConstructor:
 		p.next()
@@ -569,7 +585,7 @@ func (p *Parser) parseFunction() *FunctionDecl {
 			continue
 		case IDENT:
 			// Modifier invocation.
-			mi := &ModifierInvocation{Span: Span{StartPos: p.cur().Pos}, Name: p.next().Literal}
+			mi := p.a.modInvokes.Put(ModifierInvocation{Span: Span{StartPos: p.cur().Pos}, Name: p.next().Literal})
 			for p.accept(DOT) {
 				if p.at(IDENT) {
 					mi.Name += "." + p.next().Literal
@@ -582,14 +598,14 @@ func (p *Parser) parseFunction() *FunctionDecl {
 				// as the parameter list.
 				if f.Params == nil && len(f.Modifiers) == 0 && p.peekKind(1) == RPAREN {
 					f.Params = p.parseParamList()
-					f.Modifiers = append(f.Modifiers, mi)
+					f.Modifiers = p.a.modInvList.Append(f.Modifiers, mi)
 					mi.EndPos = p.prevEnd()
 					continue
 				}
 				mi.Args = p.parseCallArgs()
 			}
 			mi.EndPos = p.prevEnd()
-			f.Modifiers = append(f.Modifiers, mi)
+			f.Modifiers = p.a.modInvList.Append(f.Modifiers, mi)
 			continue
 		}
 		break
@@ -605,7 +621,7 @@ func (p *Parser) parseFunction() *FunctionDecl {
 
 func (p *Parser) parseModifier() *ModifierDecl {
 	start := p.expect(KwModifier).Pos
-	m := &ModifierDecl{}
+	m := p.a.modifiers.Put(ModifierDecl{})
 	if p.at(IDENT) {
 		m.Name = p.next().Literal
 	}
@@ -626,7 +642,7 @@ func (p *Parser) parseModifier() *ModifierDecl {
 
 func (p *Parser) parseEvent() *EventDecl {
 	start := p.expect(KwEvent).Pos
-	e := &EventDecl{}
+	e := p.a.events.Put(EventDecl{})
 	if p.at(IDENT) {
 		e.Name = p.next().Literal
 	}
@@ -641,7 +657,7 @@ func (p *Parser) parseEvent() *EventDecl {
 
 func (p *Parser) parseStruct() *StructDecl {
 	start := p.expect(KwStruct).Pos
-	s := &StructDecl{}
+	s := p.a.structs.Put(StructDecl{})
 	if p.at(IDENT) {
 		s.Name = p.next().Literal
 	}
@@ -665,7 +681,7 @@ func (p *Parser) parseStruct() *StructDecl {
 				name = p.next().Literal
 			}
 			p.terminator()
-			s.Fields = append(s.Fields, &Param{Span: p.span(fstart), Type: t, Name: name})
+			s.Fields = p.a.paramList.Append(s.Fields, p.a.params.Put(Param{Span: p.span(fstart), Type: t, Name: name}))
 		}
 		p.expect(RBRACE)
 	}
@@ -675,13 +691,13 @@ func (p *Parser) parseStruct() *StructDecl {
 
 func (p *Parser) parseEnum() *EnumDecl {
 	start := p.expect(KwEnum).Pos
-	e := &EnumDecl{}
+	e := p.a.enums.Put(EnumDecl{})
 	if p.at(IDENT) {
 		e.Name = p.next().Literal
 	}
 	if p.accept(LBRACE) {
 		for p.at(IDENT) {
-			e.Members = append(e.Members, p.next().Literal)
+			e.Members = p.a.stringList.Append(e.Members, p.next().Literal)
 			if !p.accept(COMMA) {
 				break
 			}
@@ -694,7 +710,7 @@ func (p *Parser) parseEnum() *EnumDecl {
 
 func (p *Parser) parseUsing() *UsingDecl {
 	start := p.expect(KwUsing).Pos
-	u := &UsingDecl{}
+	u := p.a.usings.Put(UsingDecl{})
 	if p.at(IDENT) {
 		u.Library = p.next().Literal
 	}
@@ -723,8 +739,8 @@ func (p *Parser) parseParamList() []*Param {
 			// the paper's normalization rule.
 			if p.at(IDENT) {
 				name := p.next().Literal
-				params = append(params, &Param{Span: p.span(start),
-					Type: &ElementaryType{Name: "uint"}, Name: name})
+				params = p.a.paramList.Append(params, p.a.params.Put(Param{Span: p.span(start),
+					Type: p.a.elementary.Put(ElementaryType{Name: "uint"}), Name: name}))
 				if !p.accept(COMMA) {
 					break
 				}
@@ -732,7 +748,7 @@ func (p *Parser) parseParamList() []*Param {
 			}
 			break
 		}
-		prm := &Param{Type: t}
+		prm := p.a.params.Put(Param{Type: t})
 		for {
 			switch p.kind() {
 			case KwMemory, KwStorage, KwCalldata:
@@ -754,10 +770,10 @@ func (p *Parser) parseParamList() []*Param {
 			// Snippet parameter without a type declaration: what parsed as a
 			// user type is actually the name; default the type to uint.
 			prm.Name = ut.Name
-			prm.Type = &ElementaryType{Span: ut.Span, Name: "uint"}
+			prm.Type = p.a.elementary.Put(ElementaryType{Span: ut.Span, Name: "uint"})
 		}
 		prm.Span = p.span(start)
-		params = append(params, prm)
+		params = p.a.paramList.Append(params, prm)
 		if !p.accept(COMMA) {
 			break
 		}

@@ -42,7 +42,7 @@ func (p *Parser) parseExpr() Expr {
 	if p.kind().IsAssignOp() {
 		op := p.next().Kind
 		rhs := p.parseExpr() // right-associative
-		return &BinaryExpr{Span: p.span(start), Op: op, LHS: lhs, RHS: rhs}
+		return p.a.binaries.Put(BinaryExpr{Span: p.span(start), Op: op, LHS: lhs, RHS: rhs})
 	}
 	return lhs
 }
@@ -57,7 +57,7 @@ func (p *Parser) parseTernary() Expr {
 		then := p.parseExpr()
 		p.expect(COLON)
 		els := p.parseExpr()
-		return &ConditionalExpr{Span: p.span(start), Cond: cond, Then: then, Else: els}
+		return p.a.conds.Put(ConditionalExpr{Span: p.span(start), Cond: cond, Then: then, Else: els})
 	}
 	return cond
 }
@@ -83,7 +83,7 @@ func (p *Parser) parseBinary(minPrec int) Expr {
 		if rhs == nil {
 			return lhs
 		}
-		lhs = &BinaryExpr{Span: p.span(start), Op: op, LHS: lhs, RHS: rhs}
+		lhs = p.a.binaries.Put(BinaryExpr{Span: p.span(start), Op: op, LHS: lhs, RHS: rhs})
 	}
 }
 
@@ -93,15 +93,15 @@ func (p *Parser) parseUnary() Expr {
 	case NOT, BITNOT, SUB, ADD, INC, DEC:
 		op := p.next().Kind
 		x := p.parseUnary()
-		return &UnaryExpr{Span: p.span(start), Op: op, Prefix: true, X: x}
+		return p.a.unaries.Put(UnaryExpr{Span: p.span(start), Op: op, Prefix: true, X: x})
 	case KwDelete:
 		p.next()
 		x := p.parseUnary()
-		return &UnaryExpr{Span: p.span(start), Op: KwDelete, Prefix: true, X: x}
+		return p.a.unaries.Put(UnaryExpr{Span: p.span(start), Op: KwDelete, Prefix: true, X: x})
 	case KwNew:
 		p.next()
 		t := p.parseType()
-		ne := &NewExpr{Span: p.span(start), Type: t}
+		ne := p.a.news.Put(NewExpr{Span: p.span(start), Type: t})
 		return p.parsePostfix(ne, start)
 	}
 	return p.parsePostfixExpr()
@@ -132,7 +132,7 @@ func (p *Parser) parsePostfix(x Expr, start Position) Expr {
 			default:
 				return x
 			}
-			x = &MemberAccess{Span: p.span(start), X: x, Member: member}
+			x = p.a.members.Put(MemberAccess{Span: p.span(start), X: x, Member: member})
 		case LBRACKET:
 			p.next()
 			var idx Expr
@@ -140,7 +140,7 @@ func (p *Parser) parsePostfix(x Expr, start Position) Expr {
 				idx = p.parseExpr()
 			}
 			p.expect(RBRACKET)
-			x = &IndexAccess{Span: p.span(start), X: x, Index: idx}
+			x = p.a.indexes.Put(IndexAccess{Span: p.span(start), X: x, Index: idx})
 		case LBRACE:
 			// Call options `{value: x, gas: y}` — only valid directly before
 			// a call; otherwise the brace belongs to a block, so require a
@@ -151,18 +151,18 @@ func (p *Parser) parsePostfix(x Expr, start Position) Expr {
 			opts := p.parseCallOptions()
 			if p.at(LPAREN) {
 				args, names := p.parseCallArgsNamed()
-				x = &CallExpr{Span: p.span(start), Callee: x, Args: args, ArgNames: names, Options: opts}
+				x = p.a.calls.Put(CallExpr{Span: p.span(start), Callee: x, Args: args, ArgNames: names, Options: opts})
 			} else {
-				x = &CallExpr{Span: p.span(start), Callee: x, Options: opts}
+				x = p.a.calls.Put(CallExpr{Span: p.span(start), Callee: x, Options: opts})
 			}
 		case LPAREN:
 			args, names := p.parseCallArgsNamed()
 			// Legacy `.value(x)` / `.gas(y)` chains are plain calls on member
 			// accesses; the CPG frontend interprets them.
-			x = &CallExpr{Span: p.span(start), Callee: x, Args: args, ArgNames: names}
+			x = p.a.calls.Put(CallExpr{Span: p.span(start), Callee: x, Args: args, ArgNames: names})
 		case INC, DEC:
 			op := p.next().Kind
-			x = &UnaryExpr{Span: p.span(start), Op: op, Prefix: false, X: x}
+			x = p.a.unaries.Put(UnaryExpr{Span: p.span(start), Op: op, Prefix: false, X: x})
 		default:
 			return x
 		}
@@ -180,7 +180,7 @@ func (p *Parser) parseCallOptions() []*CallOption {
 		}
 		p.expect(COLON)
 		val := p.parseExpr()
-		opts = append(opts, &CallOption{Span: p.span(start), Key: key, Value: val})
+		opts = p.a.callOptsList.Append(opts, p.a.callOpts.Put(CallOption{Span: p.span(start), Key: key, Value: val}))
 		if !p.accept(COMMA) {
 			break
 		}
@@ -207,8 +207,8 @@ func (p *Parser) parseCallArgsNamed() (args []Expr, names []string) {
 				name = p.next().Literal
 			}
 			p.expect(COLON)
-			args = append(args, p.parseExpr())
-			names = append(names, name)
+			args = p.a.exprList.Append(args, p.parseExpr())
+			names = p.a.stringList.Append(names, name)
 			if !p.accept(COMMA) {
 				break
 			}
@@ -222,7 +222,7 @@ func (p *Parser) parseCallArgsNamed() (args []Expr, names []string) {
 		if a == nil {
 			break
 		}
-		args = append(args, a)
+		args = p.a.exprList.Append(args, a)
 		if !p.accept(COMMA) {
 			break
 		}
@@ -242,30 +242,30 @@ func (p *Parser) parsePrimary() Expr {
 	switch p.kind() {
 	case IDENT:
 		t := p.next()
-		return &Ident{Span: p.span(start), Name: t.Literal}
+		return p.a.idents.Put(Ident{Span: p.span(start), Name: t.Literal})
 	case NUMBER:
 		t := p.next()
 		unit := ""
 		if denominations[p.kind()] {
 			unit = p.next().Literal
 		}
-		return &NumberLit{Span: p.span(start), Value: t.Literal, Unit: unit}
+		return p.a.numbers.Put(NumberLit{Span: p.span(start), Value: t.Literal, Unit: unit})
 	case STRING:
 		t := p.next()
-		return &StringLit{Span: p.span(start), Value: t.Literal}
+		return p.a.stringLits.Put(StringLit{Span: p.span(start), Value: t.Literal})
 	case HEXSTRING:
 		t := p.next()
-		return &StringLit{Span: p.span(start), Value: t.Literal, Hex: true}
+		return p.a.stringLits.Put(StringLit{Span: p.span(start), Value: t.Literal, Hex: true})
 	case KwTrue:
 		p.next()
-		return &BoolLit{Span: p.span(start), Value: true}
+		return p.a.bools.Put(BoolLit{Span: p.span(start), Value: true})
 	case KwFalse:
 		p.next()
-		return &BoolLit{Span: p.span(start), Value: false}
+		return p.a.bools.Put(BoolLit{Span: p.span(start), Value: false})
 	case KwPayable:
 		// payable(addr) cast.
 		p.next()
-		te := &TypeExpr{Span: p.span(start), Type: &ElementaryType{Name: "address", Payable: true}}
+		te := p.a.typeExprs.Put(TypeExpr{Span: p.span(start), Type: p.a.elementary.Put(ElementaryType{Name: "address", Payable: true})})
 		return te
 	case KwAddress, KwUint, KwInt, KwBool, KwStringT, KwBytesT, KwByte:
 		// Elementary type in expression position (casts, abi.decode args).
@@ -275,30 +275,30 @@ func (p *Parser) parsePrimary() Expr {
 			p.next()
 			payable = true
 		}
-		var tn TypeName = &ElementaryType{Span: p.span(start), Name: name, Payable: payable}
+		var tn TypeName = p.a.elementary.Put(ElementaryType{Span: p.span(start), Name: name, Payable: payable})
 		for p.at(LBRACKET) && p.peekKind(1) == RBRACKET {
 			p.next()
 			p.next()
-			tn = &ArrayType{Span: p.span(start), Elem: tn}
+			tn = p.a.arrays.Put(ArrayType{Span: p.span(start), Elem: tn})
 		}
-		return &TypeExpr{Span: p.span(start), Type: tn}
+		return p.a.typeExprs.Put(TypeExpr{Span: p.span(start), Type: tn})
 	case KwMapping:
 		t := p.parseType()
-		return &TypeExpr{Span: p.span(start), Type: t}
+		return p.a.typeExprs.Put(TypeExpr{Span: p.span(start), Type: t})
 	case KwFunction:
 		t := p.parseType()
-		return &TypeExpr{Span: p.span(start), Type: t}
+		return p.a.typeExprs.Put(TypeExpr{Span: p.span(start), Type: t})
 	case LPAREN:
 		p.next()
-		tup := &TupleExpr{}
+		tup := p.a.tuples.Put(TupleExpr{})
 		for !p.at(RPAREN) && !p.at(EOF) {
 			if p.at(COMMA) {
-				tup.Elems = append(tup.Elems, nil)
+				tup.Elems = p.a.exprList.Append(tup.Elems, nil)
 				p.next()
 				if p.at(RPAREN) {
 					// `(a,)` has a trailing empty slot: record it so slot
 					// count equals comma count + 1 and printing round-trips.
-					tup.Elems = append(tup.Elems, nil)
+					tup.Elems = p.a.exprList.Append(tup.Elems, nil)
 				}
 				continue
 			}
@@ -306,12 +306,12 @@ func (p *Parser) parsePrimary() Expr {
 			if e == nil {
 				break
 			}
-			tup.Elems = append(tup.Elems, e)
+			tup.Elems = p.a.exprList.Append(tup.Elems, e)
 			if !p.accept(COMMA) {
 				break
 			}
 			if p.at(RPAREN) {
-				tup.Elems = append(tup.Elems, nil)
+				tup.Elems = p.a.exprList.Append(tup.Elems, nil)
 			}
 		}
 		p.expect(RPAREN)
@@ -323,13 +323,13 @@ func (p *Parser) parsePrimary() Expr {
 	case LBRACKET:
 		// Inline array literal [1, 2, 3] — model as a tuple.
 		p.next()
-		tup := &TupleExpr{}
+		tup := p.a.tuples.Put(TupleExpr{})
 		for !p.at(RBRACKET) && !p.at(EOF) {
 			e := p.parseExpr()
 			if e == nil {
 				break
 			}
-			tup.Elems = append(tup.Elems, e)
+			tup.Elems = p.a.exprList.Append(tup.Elems, e)
 			if !p.accept(COMMA) {
 				break
 			}
@@ -350,7 +350,7 @@ func (p *Parser) parsePrimary() Expr {
 		// Record it but make progress by yielding an identifier.
 		p.errorf("unexpected keyword %q in expression", p.cur().Literal)
 		t := p.next()
-		return &Ident{Span: p.span(start), Name: t.Literal}
+		return p.a.idents.Put(Ident{Span: p.span(start), Name: t.Literal})
 	}
 	p.errorf("unexpected token %s in expression", p.cur())
 	return nil

@@ -7,7 +7,7 @@ import "strings"
 // parseBlock parses `{ stmt* }`.
 func (p *Parser) parseBlock() *Block {
 	start := p.cur().Pos
-	b := &Block{}
+	b := p.a.blocks.Put(Block{})
 	p.expect(LBRACE)
 	for !p.at(RBRACE) && !p.at(EOF) {
 		if len(p.errs) >= p.opts.MaxErrors {
@@ -15,7 +15,7 @@ func (p *Parser) parseBlock() *Block {
 		}
 		before := p.pos
 		if s := p.parseStatement(); s != nil {
-			b.Stmts = append(b.Stmts, s)
+			b.Stmts = p.a.stmtList.Append(b.Stmts, s)
 		}
 		if p.pos == before && !p.at(RBRACE) && !p.at(EOF) {
 			p.next()
@@ -48,33 +48,33 @@ func (p *Parser) parseStatement() Stmt {
 			v = p.parseExpr()
 		}
 		p.terminator()
-		return &ReturnStmt{Span: p.span(start), Value: v}
+		return p.a.returns.Put(ReturnStmt{Span: p.span(start), Value: v})
 	case KwBreak:
 		p.next()
 		p.terminator()
-		return &BreakStmt{Span: p.span(start)}
+		return p.a.breaks.Put(BreakStmt{Span: p.span(start)})
 	case KwContinue:
 		p.next()
 		p.terminator()
-		return &ContinueStmt{Span: p.span(start)}
+		return p.a.continues.Put(ContinueStmt{Span: p.span(start)})
 	case KwThrow:
 		p.next()
 		p.terminator()
-		return &ThrowStmt{Span: p.span(start)}
+		return p.a.throws.Put(ThrowStmt{Span: p.span(start)})
 	case KwEmit:
 		p.next()
 		e := p.parseExpr()
 		p.terminator()
 		call, ok := e.(*CallExpr)
 		if !ok {
-			call = &CallExpr{Span: p.span(start), Callee: e}
+			call = p.a.calls.Put(CallExpr{Span: p.span(start), Callee: e})
 		}
-		return &EmitStmt{Span: p.span(start), Call: call}
+		return p.a.emits.Put(EmitStmt{Span: p.span(start), Call: call})
 	case KwDelete:
 		p.next()
 		x := p.parseExpr()
 		p.terminator()
-		return &DeleteStmt{Span: p.span(start), X: x}
+		return p.a.deletes.Put(DeleteStmt{Span: p.span(start), X: x})
 	case KwAssembly:
 		return p.parseAssembly()
 	case KwUnchecked:
@@ -83,7 +83,7 @@ func (p *Parser) parseStatement() Stmt {
 		if p.at(LBRACE) {
 			body = p.parseBlock()
 		}
-		return &UncheckedBlock{Span: p.span(start), Body: body}
+		return p.a.uncheckeds.Put(UncheckedBlock{Span: p.span(start), Body: body})
 	case KwTry:
 		return p.parseTry()
 	case SEMICOLON:
@@ -95,7 +95,7 @@ func (p *Parser) parseStatement() Stmt {
 		(p.peekKind(1) == SEMICOLON || p.peekTok(1).NewlineBefore || p.peekKind(1) == RBRACE) {
 		p.next()
 		p.accept(SEMICOLON)
-		return &PlaceholderStmt{Span: p.span(start)}
+		return p.a.placeholder.Put(PlaceholderStmt{Span: p.span(start)})
 	}
 	// Variable declaration vs expression: backtrack on failure.
 	if s := p.tryVarDeclStmt(); s != nil {
@@ -106,7 +106,7 @@ func (p *Parser) parseStatement() Stmt {
 	if x == nil {
 		return nil
 	}
-	return &ExprStmt{Span: p.span(start), X: x}
+	return p.a.exprStmts.Put(ExprStmt{Span: p.span(start), X: x})
 }
 
 // tryVarDeclStmt attempts a local variable declaration, including tuple
@@ -123,16 +123,16 @@ func (p *Parser) tryVarDeclStmt() Stmt {
 	// var (a, b) = expr  /  var x = expr
 	if p.at(KwVar) {
 		p.next()
-		vds := &VarDeclStmt{}
+		vds := p.a.varStmts.Put(VarDeclStmt{})
 		if p.accept(LPAREN) {
 			for !p.at(RPAREN) && !p.at(EOF) {
 				if p.accept(COMMA) {
-					vds.Decls = append(vds.Decls, nil)
+					vds.Decls = p.a.varDeclList.Append(vds.Decls, nil)
 					continue
 				}
 				if p.at(IDENT) {
 					t := p.next()
-					vds.Decls = append(vds.Decls, &VarDecl{Span: Span{StartPos: t.Pos, EndPos: tokEnd(t)}, Name: t.Literal})
+					vds.Decls = p.a.varDeclList.Append(vds.Decls, p.a.varDecls.Put(VarDecl{Span: Span{StartPos: t.Pos, EndPos: tokEnd(t)}, Name: t.Literal}))
 				}
 				if !p.accept(COMMA) {
 					break
@@ -141,7 +141,7 @@ func (p *Parser) tryVarDeclStmt() Stmt {
 			p.expect(RPAREN)
 		} else if p.at(IDENT) {
 			t := p.next()
-			vds.Decls = append(vds.Decls, &VarDecl{Span: Span{StartPos: t.Pos, EndPos: tokEnd(t)}, Name: t.Literal})
+			vds.Decls = p.a.varDeclList.Append(vds.Decls, p.a.varDecls.Put(VarDecl{Span: Span{StartPos: t.Pos, EndPos: tokEnd(t)}, Name: t.Literal}))
 		} else {
 			return fail()
 		}
@@ -156,10 +156,10 @@ func (p *Parser) tryVarDeclStmt() Stmt {
 	// Tuple destructuring declaration: (uint a, uint b) = expr
 	if p.at(LPAREN) && p.looksLikeTupleDecl() {
 		p.next()
-		vds := &VarDeclStmt{}
+		vds := p.a.varStmts.Put(VarDeclStmt{})
 		for !p.at(RPAREN) && !p.at(EOF) {
 			if p.at(COMMA) {
-				vds.Decls = append(vds.Decls, nil)
+				vds.Decls = p.a.varDeclList.Append(vds.Decls, nil)
 				p.next()
 				continue
 			}
@@ -176,7 +176,7 @@ func (p *Parser) tryVarDeclStmt() Stmt {
 			if p.at(IDENT) {
 				name = p.next().Literal
 			}
-			vds.Decls = append(vds.Decls, &VarDecl{Span: p.span(dstart), Type: t, Name: name, Storage: storage})
+			vds.Decls = p.a.varDeclList.Append(vds.Decls, p.a.varDecls.Put(VarDecl{Span: p.span(dstart), Type: t, Name: name, Storage: storage}))
 			if !p.accept(COMMA) {
 				break
 			}
@@ -206,8 +206,8 @@ func (p *Parser) tryVarDeclStmt() Stmt {
 		return fail()
 	}
 	name := p.next().Literal
-	vd := &VarDecl{Span: p.span(start), Type: t, Name: name, Storage: storage}
-	vds := &VarDeclStmt{Decls: []*VarDecl{vd}}
+	vd := p.a.varDecls.Put(VarDecl{Span: p.span(start), Type: t, Name: name, Storage: storage})
+	vds := p.a.varStmts.Put(VarDeclStmt{Decls: p.a.varDeclList.Append(nil, vd)})
 	if p.accept(ASSIGN) {
 		vds.Value = p.parseExpr()
 	} else if !p.at(SEMICOLON) && !(p.opts.Fuzzy && (p.cur().NewlineBefore || p.at(RBRACE) || p.at(EOF))) {
@@ -261,10 +261,10 @@ func (p *Parser) parseType() TypeName {
 			p.next()
 			payable = true
 		}
-		base = &ElementaryType{Span: p.span(start), Name: name, Payable: payable}
+		base = p.a.elementary.Put(ElementaryType{Span: p.span(start), Name: name, Payable: payable})
 	case KwMapping:
 		p.next()
-		m := &MappingType{}
+		m := p.a.mappings.Put(MappingType{})
 		if p.accept(LPAREN) {
 			m.Key = p.parseType()
 			// mapping(address owner => uint) named keys (0.8.18+): skip name.
@@ -282,7 +282,7 @@ func (p *Parser) parseType() TypeName {
 		base = m
 	case KwFunction:
 		p.next()
-		ft := &FunctionType{}
+		ft := p.a.funcTypes.Put(FunctionType{})
 		if p.at(LPAREN) {
 			ft.Params = p.parseParamList()
 		}
@@ -306,14 +306,14 @@ func (p *Parser) parseType() TypeName {
 		lit := p.cur().Literal
 		if IsElementaryType(lit) {
 			p.next()
-			base = &ElementaryType{Span: p.span(start), Name: lit}
+			base = p.a.elementary.Put(ElementaryType{Span: p.span(start), Name: lit})
 		} else {
 			name := p.next().Literal
 			for p.at(DOT) && p.peekKind(1) == IDENT {
 				p.next()
 				name += "." + p.next().Literal
 			}
-			base = &UserType{Span: p.span(start), Name: name}
+			base = p.a.userTypes.Put(UserType{Span: p.span(start), Name: name})
 		}
 	default:
 		return nil
@@ -326,7 +326,7 @@ func (p *Parser) parseType() TypeName {
 			length = p.parseExpr()
 		}
 		p.expect(RBRACKET)
-		base = &ArrayType{Span: p.span(start), Elem: base, Length: length}
+		base = p.a.arrays.Put(ArrayType{Span: p.span(start), Elem: base, Length: length})
 	}
 	return base
 }
@@ -347,19 +347,19 @@ func (p *Parser) parseIf() Stmt {
 	if p.accept(KwElse) {
 		els = p.parseStatement()
 	}
-	return &IfStmt{Span: p.span(start), Cond: cond, Then: then, Else: els}
+	return p.a.ifs.Put(IfStmt{Span: p.span(start), Cond: cond, Then: then, Else: els})
 }
 
 func (p *Parser) parseFor() Stmt {
 	start := p.expect(KwFor).Pos
-	f := &ForStmt{}
+	f := p.a.fors.Put(ForStmt{})
 	if p.accept(LPAREN) {
 		if !p.accept(SEMICOLON) {
 			if s := p.tryVarDeclStmt(); s != nil {
 				f.Init = s
 			} else {
 				x := p.parseExpr()
-				f.Init = &ExprStmt{Span: Span{StartPos: start, EndPos: p.prevEnd()}, X: x}
+				f.Init = p.a.exprStmts.Put(ExprStmt{Span: Span{StartPos: start, EndPos: p.prevEnd()}, X: x})
 				p.accept(SEMICOLON)
 			}
 		}
@@ -387,7 +387,7 @@ func (p *Parser) parseWhile() Stmt {
 		cond = p.parseExpr()
 	}
 	body := p.parseStatement()
-	return &WhileStmt{Span: p.span(start), Cond: cond, Body: body}
+	return p.a.whiles.Put(WhileStmt{Span: p.span(start), Cond: cond, Body: body})
 }
 
 func (p *Parser) parseDoWhile() Stmt {
@@ -403,7 +403,7 @@ func (p *Parser) parseDoWhile() Stmt {
 		}
 	}
 	p.accept(SEMICOLON)
-	return &DoWhileStmt{Span: p.span(start), Body: body, Cond: cond}
+	return p.a.doWhiles.Put(DoWhileStmt{Span: p.span(start), Body: body, Cond: cond})
 }
 
 func (p *Parser) parseAssembly() Stmt {
@@ -440,12 +440,12 @@ func (p *Parser) parseAssembly() Stmt {
 		}
 		raw = strings.Join(parts, " ")
 	}
-	return &AssemblyStmt{Span: p.span(start), Raw: raw}
+	return p.a.assemblies.Put(AssemblyStmt{Span: p.span(start), Raw: raw})
 }
 
 func (p *Parser) parseTry() Stmt {
 	start := p.expect(KwTry).Pos
-	t := &TryStmt{}
+	t := p.a.tries.Put(TryStmt{})
 	t.Call = p.parseExpr()
 	if p.accept(KwReturns) && p.at(LPAREN) {
 		t.Returns = p.parseParamList()
@@ -454,7 +454,7 @@ func (p *Parser) parseTry() Stmt {
 		t.Body = p.parseBlock()
 	}
 	for p.accept(KwCatch) {
-		c := &CatchClause{Span: Span{StartPos: p.prevEnd()}}
+		c := p.a.catches.Put(CatchClause{Span: Span{StartPos: p.prevEnd()}})
 		if p.at(IDENT) {
 			c.Ident = p.next().Literal
 		}
@@ -465,7 +465,7 @@ func (p *Parser) parseTry() Stmt {
 			c.Body = p.parseBlock()
 		}
 		c.EndPos = p.prevEnd()
-		t.Catches = append(t.Catches, c)
+		t.Catches = p.a.catchList.Append(t.Catches, c)
 	}
 	t.Span = p.span(start)
 	return t

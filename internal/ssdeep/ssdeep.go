@@ -17,6 +17,7 @@
 package ssdeep
 
 import (
+	"slices"
 	"strings"
 )
 
@@ -141,32 +142,30 @@ func signatures(data []byte, bs int) (string, string) {
 // delimited piece (e.g. a normalized source token) into exactly one digest
 // character. The paper's CCD feeds tokens one by one, enforcing token
 // context on the fingerprint: an inserted, deleted, or changed token
-// perturbs exactly one character.
+// perturbs exactly one character. A Stream that is Reset keeps its buffer,
+// so one reused Stream digests source after source without growing again.
 type Stream struct {
-	sb strings.Builder
+	buf []byte
 }
 
 // WriteToken appends the digest character for one token.
-func (s *Stream) WriteToken(tok string) {
-	h := uint32(fnvInit)
-	for i := 0; i < len(tok); i++ {
-		h = fnvStep(h, tok[i])
-	}
-	s.sb.WriteByte(b64[h%64])
-}
+func (s *Stream) WriteToken(tok string) { s.buf = append(s.buf, TokenChar(tok)) }
 
 // WriteSeparator appends a raw separator byte (e.g. '.' between functions,
 // ':' between contracts) that is never produced by WriteToken.
-func (s *Stream) WriteSeparator(c byte) { s.sb.WriteByte(c) }
+func (s *Stream) WriteSeparator(c byte) { s.buf = append(s.buf, c) }
 
-// String returns the digest accumulated so far.
-func (s *Stream) String() string { return s.sb.String() }
+// String returns a copy of the digest accumulated so far.
+func (s *Stream) String() string { return string(s.buf) }
 
 // Len returns the digest length accumulated so far.
-func (s *Stream) Len() int { return s.sb.Len() }
+func (s *Stream) Len() int { return len(s.buf) }
+
+// Grow makes room for n more digest characters without growing again.
+func (s *Stream) Grow(n int) { s.buf = slices.Grow(s.buf, n) }
 
 // Reset clears the stream for reuse.
-func (s *Stream) Reset() { s.sb.Reset() }
+func (s *Stream) Reset() { s.buf = s.buf[:0] }
 
 // TokenChar returns the digest character WriteToken would emit for tok.
 func TokenChar(tok string) byte {
