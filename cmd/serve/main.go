@@ -61,7 +61,7 @@
 //	                          self-join + clustering — over the live serving
 //	                          corpus instead of a regenerated one
 //	GET  /v1/study/{id}
-//	GET  /v1/clusters         live clone-cluster view (?top=N largest)
+//	GET  /v1/clusters         clusters of the last corpus study (?top=N largest)
 //	GET  /v1/clusters/export  NDJSON, one cluster per line (?min=N size floor)
 //	GET  /healthz             liveness (?ready=1 folds in readiness)
 //	GET  /readyz              readiness: 503 during WAL replay / rollback-pending
@@ -95,15 +95,6 @@
 // single-query /v1/match and reports it as effective_limit; -degrade-off
 // disables it. See docs/operations.md for the runbook and docs/tuning.md for
 // how to size the knobs.
-//
-// With -clusters (default on) every ingested document is matched against
-// the corpus and its clone edges folded into an incremental union-find,
-// so /v1/clusters answers from memory at any time; the /v1/study corpus
-// mode recomputes the exact distribution on demand. The live view covers
-// documents ingested since boot — after a -corpus-dir restore, run one
-// corpus study to measure everything that was restored. A router keeps no
-// live view, whatever -clusters says: its ingest is forwarded to the shards,
-// and each shard's view covers its own partition only.
 package main
 
 import (
@@ -188,7 +179,6 @@ func main() {
 	eps := flag.Float64("ccd-eps", ccd.DefaultConfig.Epsilon, "CCD similarity threshold (0-100)")
 	corpusDir := flag.String("corpus-dir", "", "directory for the durable corpus (empty = in-memory only)")
 	snapInterval := flag.Duration("snapshot-interval", 0, "periodic snapshot interval with -corpus-dir (0 = on demand/shutdown only)")
-	clusters := flag.Bool("clusters", true, "maintain the live clone-cluster view as ingest lands (/v1/clusters; a router keeps none)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error (per-request lines log at debug)")
 	debugAddr := flag.String("debug-addr", "", "private listener for pprof + trace/metrics endpoints (empty = disabled)")
@@ -276,16 +266,13 @@ func main() {
 		logger.Info("debug listener up", "addr", *debugAddr)
 	}
 
-	// Router ingest is forwarded and never reaches the router's own corpus,
-	// so the live cluster view lives on the shards.
 	engine := service.New(service.Options{
-		Workers:       *workers,
-		CacheEntries:  *cache,
-		Shards:        shardCount,
-		CCD:           ccd.Config{N: *n, Eta: *eta, Epsilon: *eps},
-		TrackClusters: *clusters && *role != "router",
-		Admission:     service.AdmissionConfig{MaxQueue: *admissionQueue},
-		Degrade:       service.DegradeConfig{FsyncP99: *bpFsyncP99, Disabled: *degradeOff},
+		Workers:      *workers,
+		CacheEntries: *cache,
+		Shards:       shardCount,
+		CCD:          ccd.Config{N: *n, Eta: *eta, Epsilon: *eps},
+		Admission:    service.AdmissionConfig{MaxQueue: *admissionQueue},
+		Degrade:      service.DegradeConfig{FsyncP99: *bpFsyncP99, Disabled: *degradeOff},
 	})
 
 	opts := []api.Option{api.WithLogger(logger), api.WithMaxDeadline(*maxDeadline)}

@@ -64,24 +64,6 @@ func (se *SmartEmbed) Embed(src string) (Embedding, error) {
 	return Embedding{counts: counts, norm: math.Sqrt(norm)}, nil
 }
 
-// Features exposes the embedding's damped feature weights. The returned map
-// is the embedding's own storage — callers must not mutate it.
-func (e Embedding) Features() map[string]float64 { return e.counts }
-
-// Norm returns the embedding's Euclidean norm.
-func (e Embedding) Norm() float64 { return e.norm }
-
-// EmbeddingFromFeatures rebuilds an embedding from damped feature weights
-// (the inverse of Features, used by snapshot restore). The norm is
-// recomputed; the map is adopted, not copied.
-func EmbeddingFromFeatures(counts map[string]float64) Embedding {
-	var norm float64
-	for _, v := range counts {
-		norm += v * v
-	}
-	return Embedding{counts: counts, norm: math.Sqrt(norm)}
-}
-
 // Cosine returns the cosine similarity of two embeddings in [0,1].
 func Cosine(a, b Embedding) float64 {
 	if a.norm == 0 || b.norm == 0 {

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/cpg"
 	"repro/internal/query"
-	"repro/internal/solidity"
 )
 
 // Category is a DASP Top-10 vulnerability category.
@@ -430,20 +429,4 @@ func fnOfParam(p *cpg.Node) *cpg.Node {
 		return f
 	}
 	return nil
-}
-
-// solidityVersionAtLeast08 reports whether the source pragma pins >=0.8;
-// exposed for completeness and ablation benches (the paper's CCC does not
-// apply this mitigation, cf. its false-positive analysis).
-func solidityVersionAtLeast08(unit *solidity.SourceUnit) bool {
-	for _, p := range unit.Pragmas {
-		if p.Name != "solidity" {
-			continue
-		}
-		v := p.Value
-		if strings.Contains(v, "0.8") || strings.Contains(v, "^0.8") {
-			return true
-		}
-	}
-	return false
 }

@@ -314,6 +314,33 @@ func TestTimeManipulationPayout(t *testing.T) {
 	check(t, src, TimeManipulation, true)
 }
 
+// TestTimestampSinksBeyondRandomness: time manipulation flags the timestamp
+// sinks bad randomness leaves alone — a return from a function whose name
+// has no "rand", a field that is read again, an external call that moves no
+// ether — so the two rules differ by more than their sources.
+func TestTimestampSinksBeyondRandomness(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"return", `contract C {
+			function elapsed(uint start) public view returns (uint) {
+				return block.timestamp - start;
+			}
+		}`},
+		{"field read later", `contract C {
+			uint last;
+			function touch() public { last = block.timestamp; }
+			function since() public view returns (uint) { return last; }
+		}`},
+		{"external call", `contract C {
+			function push(Oracle o) public { o.report(block.timestamp); }
+		}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check(t, tc.src, TimeManipulation, true)
+			check(t, tc.src, BadRandomness, false)
+		})
+	}
+}
+
 func TestTimestampUnusedBenign(t *testing.T) {
 	src := `contract C {
 		function f() public { uint t = block.timestamp; t = t; }

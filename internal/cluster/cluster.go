@@ -2,11 +2,10 @@
 // incremental union-find (path compression + union by rank) keyed by corpus
 // document id, fed by match edges at the clone threshold, with per-cluster
 // statistics — size histogram, representative id, clone ratio — available at
-// any point without a batch recomputation. It backs both the live cluster
-// view the engine keeps up to date as ingest lands and the corpus-wide clone
+// any point without a batch recomputation. It backs the corpus-wide clone
 // study's connected-components phase (the Figure 6 pipeline behind the
 // paper's Tables 4-8, run against the serving corpus instead of a throwaway
-// one).
+// one), whose last answer /v1/clusters serves.
 package cluster
 
 import (
@@ -193,6 +192,16 @@ type Cluster struct {
 	Members []string `json:"members,omitempty"`
 }
 
+// Top returns the n largest clusters of two or more members, in Clusters'
+// order and without member lists (n ≤ 0: none).
+func (s *Set) Top(n int) []Cluster {
+	if n <= 0 {
+		return nil
+	}
+	top := s.Clusters(2, false)
+	return top[:min(n, len(top))]
+}
+
 // Clusters returns every component of size ≥ minSize in deterministic order:
 // size descending, then representative id ascending. withMembers controls
 // whether the member lists are materialized (the NDJSON export wants them;
@@ -203,7 +212,7 @@ func (s *Set) Clusters(minSize int, withMembers bool) []Cluster {
 	}
 	// Snapshot the forest under the lock, materialize outside it: the
 	// member-list export walks every member string of every document, and
-	// holding s.mu for that would stall the ingest path's Union/Add calls
+	// holding s.mu for that would stall a running join's Union/Add calls
 	// for the whole export on a large corpus. Sharing s.names is safe — the
 	// prefix below len(names) is append-only and its elements immutable —
 	// while parent and size are copied because find compresses paths and a

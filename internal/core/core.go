@@ -94,10 +94,6 @@ type CloneConfig = ccd.Config
 // DefaultCloneConfig is the paper's best trade-off (N=3, η=0.5, ε=0.7).
 func DefaultCloneConfig() CloneConfig { return ccd.DefaultConfig }
 
-// ConservativeCloneConfig is the high-confidence study configuration
-// (N=3, η=0.5, ε=0.9).
-func ConservativeCloneConfig() CloneConfig { return ccd.ConservativeConfig }
-
 // CloneMatch is one detected clone.
 type CloneMatch = ccd.Match
 

@@ -295,16 +295,6 @@ func (g *Graph) Edge(from *Node, kind EdgeKind, to *Node) {
 	to.in = g.arena.appendEdge(to.in, kind, from)
 }
 
-// HasEdge reports whether a direct edge from → to of the given kind exists.
-func (g *Graph) HasEdge(from *Node, kind EdgeKind, to *Node) bool {
-	for _, t := range from.Out(kind) {
-		if t == to {
-			return true
-		}
-	}
-	return false
-}
-
 // EdgeCount returns the total number of edges of the given kind.
 func (g *Graph) EdgeCount(kind EdgeKind) int {
 	total := 0

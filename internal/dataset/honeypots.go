@@ -212,16 +212,6 @@ var honeypotPlans = []honeypotPlan{
 	{StrawManContract, 62, 4},
 }
 
-// HoneypotFamilySize returns the number of generated contracts for a type.
-func HoneypotFamilySize(t HoneypotType) int {
-	for _, p := range honeypotPlans {
-		if p.typ == t {
-			return p.family
-		}
-	}
-	return 0
-}
-
 // makeBoilerplate returns deposit/ownership boilerplate shared across
 // honeypot types — the source of cross-type clone false positives. Each
 // instantiation drifts slightly (honeypot authors copy and adjust).

@@ -275,23 +275,6 @@ func isBareCallStatement(t string) bool {
 	return !strings.Contains(t, "=") || strings.Contains(t, "==")
 }
 
-// compoundUpdate parses `X op= Y;` textually, returning the operand texts.
-func compoundUpdate(t string) (x, y, op string, ok bool) {
-	for _, candidate := range []string{"-=", "+="} {
-		i := strings.Index(t, candidate)
-		if i < 0 {
-			continue
-		}
-		x = strings.TrimSpace(t[:i])
-		y = strings.TrimSpace(strings.TrimSuffix(t[i+2:], ";"))
-		if x == "" || y == "" || strings.ContainsAny(x, "(){}") || strings.ContainsAny(y, "(){}") {
-			return "", "", "", false
-		}
-		return x, y, candidate, true
-	}
-	return "", "", "", false
-}
-
 func containsContract(src string) bool {
 	return strings.Contains(src, "contract ") || strings.Contains(src, "library ") ||
 		strings.Contains(src, "interface ")

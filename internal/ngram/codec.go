@@ -51,7 +51,8 @@ func (ix *Index) Save(w io.Writer) error {
 
 // SaveDocless writes the index without its doc-id table — the embedded form
 // for containers (corpus snapshots) that store ids themselves. An index
-// loaded from it reports Docless() and returns empty Candidate.IDs.
+// loaded from it carries no doc-id table, and its QueryGramsScratch leaves
+// Candidate.ID empty.
 func (ix *Index) SaveDocless(w io.Writer) error {
 	return ix.save(w, false)
 }

@@ -82,16 +82,8 @@ func NewWithBlock(n, blockSize int) *Index {
 // N returns the configured n-gram size.
 func (ix *Index) N() int { return ix.n }
 
-// BlockSize returns the posting-block size this index was built with.
-func (ix *Index) BlockSize() int { return ix.blockSize }
-
 // Len returns the number of indexed documents.
 func (ix *Index) Len() int { return ix.docCount }
-
-// Docless reports whether the index carries no document-id table (an
-// embedded index whose owner resolves ids itself); QueryGramsScratch then
-// leaves Candidate.ID empty.
-func (ix *Index) Docless() bool { return ix.docs == nil && ix.docCount > 0 }
 
 // docID resolves a doc number to its id ("" for docless indexes).
 func (ix *Index) docID(d uint32) string {

@@ -69,6 +69,10 @@ type Server struct {
 	// unpartitioned.
 	partRing *remote.Ring
 	partIdx  int
+
+	// clusters holds the cluster set of the most recently completed corpus
+	// study, served by /v1/clusters and its export (nil before the first).
+	clusters atomic.Pointer[studyClusters]
 }
 
 // Option configures a Server.
@@ -725,18 +729,24 @@ func (s *Server) startCorpusStudy(w http.ResponseWriter, req StudyRequest) {
 		// pipeline jobs, run to completion in the background. In router
 		// mode the same self-join enumerates the partitions' exports and
 		// every query fans back out over the fleet.
-		var rep *service.CloneReport
-		var err error
+		study := &studyClusters{ref: ClusterStudy{ID: job.ID, Limit: req.Limit}}
+		var j *service.SelfJoin
 		if s.router != nil {
-			j := service.NewPlannedSelfJoin(s.router.StudyPlan(), s.router.CloneQuery, s.engine.Corpus().Config(), req.Limit)
-			rep, err = s.engine.RunSelfJoin(context.Background(), j, defaultTopClusters)
+			j = service.NewPlannedSelfJoin(s.router.StudyPlan(), s.router.CloneQuery, s.engine.Corpus().Config(), req.Limit)
 		} else {
-			rep, err = s.engine.RunCloneStudy(context.Background(), req.Limit, defaultTopClusters)
+			// Read before the plan is captured: a publish in between can
+			// only mark the study stale early, never late.
+			gen := s.engine.Corpus().Generation()
+			study.ref.Generation = &gen
+			j = service.NewSelfJoin(s.engine.Corpus(), req.Limit)
 		}
+		rep, err := s.engine.RunSelfJoin(context.Background(), j, defaultTopClusters)
 		if err != nil {
 			s.jobs.finish(job.ID, nil, err)
 			return
 		}
+		study.set = j.Clusters()
+		s.clusters.Store(study) // before the job reads done
 		s.jobs.finish(job.ID, summarizeClone(rep, time.Since(started)), nil)
 	}()
 	writeJSON(w, http.StatusAccepted, job)

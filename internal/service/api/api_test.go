@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -31,11 +32,11 @@ const (
 }`
 )
 
-// newTestServer runs with a pinned shard count and live cluster tracking, so
-// responses (including the golden fixtures) are machine-independent.
+// newTestServer runs with a pinned shard count, so responses (including the
+// golden fixtures) are machine-independent.
 func newTestServer(t *testing.T) (*httptest.Server, *Server) {
 	t.Helper()
-	return newTestServerOpts(t, service.Options{Workers: 4, Shards: 4, TrackClusters: true})
+	return newTestServerOpts(t, service.Options{Workers: 4, Shards: 4})
 }
 
 // addFP ingests one pre-fingerprinted entry through the engine: a batch of
@@ -392,8 +393,8 @@ func TestStudyJobLifecycle(t *testing.T) {
 
 // TestCorpusStudyLifecycle drives the /v1/study corpus mode end to end:
 // seed clone groups into the serving corpus, run the corpus-wide study, and
-// check the cluster-size distribution plus the live /v1/clusters view and
-// its NDJSON export agree with the seeded ground truth.
+// check the cluster-size distribution plus the /v1/clusters view of that
+// study and its NDJSON export agree with the seeded ground truth.
 func TestCorpusStudyLifecycle(t *testing.T) {
 	ts, _ := newTestServer(t)
 	// Three exact clones plus one unrelated doc: one cluster of 3.
@@ -449,14 +450,16 @@ func TestCorpusStudyLifecycle(t *testing.T) {
 		t.Fatalf("top clusters %v", top)
 	}
 
-	// The live view agrees (ingest-time tracking found the same clusters).
+	// /v1/clusters serves that study, current while nothing is ingested.
 	_, cl := get(t, ts.URL+"/v1/clusters")
 	if cl["enabled"] != true {
 		t.Fatalf("clusters response %v", cl)
 	}
-	lsum := cl["summary"].(map[string]any)
-	if lsum["largest"].(float64) != 3 || lsum["clustered"].(float64) != 3 {
-		t.Fatalf("live summary %v", lsum)
+	if ref := cl["study"].(map[string]any); ref["id"] != id || ref["stale"] != false {
+		t.Fatalf("clusters study %v, want %s and not stale", ref, id)
+	}
+	if !reflect.DeepEqual(cl["summary"], dist) {
+		t.Fatalf("clusters summary %v, study %v", cl["summary"], dist)
 	}
 
 	// NDJSON export: one line, the 3-cluster with sorted members.
@@ -509,9 +512,6 @@ func TestCorpusStudyLifecycle(t *testing.T) {
 	sj := metrics["self_join"].(map[string]any)
 	if sj["completed"].(float64) != 1 || sj["docs"].(float64) != 4 {
 		t.Fatalf("metrics self_join %v", sj)
-	}
-	if metrics["clusters"] == nil {
-		t.Fatal("metrics missing live clusters block")
 	}
 }
 

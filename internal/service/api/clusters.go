@@ -3,6 +3,7 @@ package api
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
 
@@ -13,24 +14,53 @@ import (
 // /v1/clusters and to corpus-study summaries.
 const defaultTopClusters = 10
 
-// ClustersResponse is the GET /v1/clusters payload: the live clone-cluster
-// view the engine maintains as ingest lands. Enabled is false when the
-// server runs without cluster tracking (serve -clusters=false); the exact
-// distribution is always available through the /v1/study corpus mode.
+// ClustersResponse is the GET /v1/clusters payload: the clone clusters of
+// the most recently completed corpus study (POST /v1/study
+// {"mode":"corpus"}). Enabled is false until one has completed.
 type ClustersResponse struct {
-	Enabled bool             `json:"enabled"`
+	Enabled bool `json:"enabled"`
+	// Study names the corpus study the clusters come from.
+	Study   *ClusterStudy    `json:"study,omitempty"`
 	Summary *cluster.Summary `json:"summary,omitempty"`
 	// Top lists the largest clusters (size descending, representative id
 	// ascending), without members; ?top=N resizes it.
 	Top []cluster.Cluster `json:"top,omitempty"`
 }
 
-func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
-	set := s.engine.Clusters()
-	if set == nil {
-		writeJSON(w, http.StatusOK, ClustersResponse{Enabled: false})
-		return
+// ClusterStudy names the corpus study a clusters answer comes from. Only a
+// role with a local corpus (not a router) reports Generation, the corpus
+// generation the study started at, and Stale, true once the corpus has
+// published since (an ingest, a supersede or a snapshot remap).
+type ClusterStudy struct {
+	ID         string  `json:"id"`
+	Limit      int     `json:"limit"`
+	Generation *uint64 `json:"generation,omitempty"`
+	Stale      *bool   `json:"stale,omitempty"`
+}
+
+// studyClusters is a completed corpus study's cluster set, the one answer
+// /v1/clusters and its export serve.
+type studyClusters struct {
+	ref ClusterStudy // Stale is filled in per request
+	set *cluster.Set
+}
+
+// lastStudy returns the most recently completed corpus study (nil before
+// any) with its staleness filled in.
+func (s *Server) lastStudy() (ClusterStudy, *cluster.Set) {
+	st := s.clusters.Load()
+	if st == nil {
+		return ClusterStudy{}, nil
 	}
+	ref := st.ref
+	if ref.Generation != nil {
+		stale := s.engine.Corpus().Generation() > *ref.Generation
+		ref.Stale = &stale
+	}
+	return ref, st.set
+}
+
+func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 	topN := defaultTopClusters
 	if v := r.URL.Query().Get("top"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -40,41 +70,40 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 		}
 		topN = n
 	}
-	sum := set.Summary()
-	resp := ClustersResponse{Enabled: true, Summary: &sum}
-	if topN > 0 {
-		top := set.Clusters(2, false)
-		if len(top) > topN {
-			top = top[:topN]
-		}
-		resp.Top = top
+	ref, set := s.lastStudy()
+	if set == nil {
+		writeJSON(w, http.StatusOK, ClustersResponse{Enabled: false})
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	sum := set.Summary()
+	writeJSON(w, http.StatusOK, ClustersResponse{Enabled: true, Study: &ref, Summary: &sum, Top: set.Top(topN)})
 }
 
 // clustersCursor is the resume position of a paginated clusters export: the
-// min-size filter the export started with (pinned so every page filters
-// identically) and the offset into the size-descending cluster list.
+// study the walk started on, the min-size filter it started with (pinned so
+// every page filters identically) and the offset into the size-descending
+// cluster list.
 type clustersCursor struct {
-	Min    int `json:"m"`
-	Offset int `json:"o"`
+	Study  string `json:"s"`
+	Min    int    `json:"m"`
+	Offset int    `json:"o"`
 }
 
-// handleClustersExport streams the live clusters as NDJSON — one cluster
-// per line with its sorted member list, size descending — ready for the
-// paper's distribution tables. ?min=N keeps only clusters of at least N
-// members (default 2; min=1 includes singletons).
+// handleClustersExport streams the last corpus study's clusters as NDJSON —
+// one cluster per line with its sorted member list, size descending — ready
+// for the paper's distribution tables. ?min=N keeps only clusters of at
+// least N members (default 2; min=1 includes singletons).
 //
 // Without pagination parameters the whole distribution streams in one
-// response (the original behavior). ?limit=N caps a page at N clusters and
-// returns an opaque resume token in X-Next-Cursor (absent on the last
-// page); pass it back as ?cursor= for the next page. Clustering advances
-// under concurrent ingest, so pages are a best-effort walk of the live
-// view, not a point-in-time snapshot.
+// response. ?limit=N caps a page at N clusters and returns an opaque resume
+// token in X-Next-Cursor (absent on the last page); pass it back as
+// ?cursor= for the next page. Every page of a walk comes from the study it
+// started on: once a newer study has completed, the old cursor answers 409
+// rather than mix two studies' pages.
 func (s *Server) handleClustersExport(w http.ResponseWriter, r *http.Request) {
-	set := s.engine.Clusters()
+	ref, set := s.lastStudy()
 	if set == nil {
-		writeError(w, http.StatusConflict, "cluster tracking not enabled (start serve with -clusters)")
+		writeError(w, http.StatusConflict, `no corpus study has completed yet (run POST /v1/study {"mode":"corpus"})`)
 		return
 	}
 	qp := r.URL.Query()
@@ -103,6 +132,11 @@ func (s *Server) handleClustersExport(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad \"cursor\" (tokens come from X-Next-Cursor, opaque)")
 			return
 		}
+		if cur.Study != ref.ID {
+			writeError(w, http.StatusConflict, fmt.Sprintf(
+				"the export walked corpus study %q, since replaced by %q; restart it without a cursor", cur.Study, ref.ID))
+			return
+		}
 		minSize, offset = cur.Min, cur.Offset
 		if limit == 0 {
 			limit = defaultExportPage
@@ -116,7 +150,7 @@ func (s *Server) handleClustersExport(w http.ResponseWriter, r *http.Request) {
 	page := clusters[offset:]
 	if limit > 0 && len(page) > limit {
 		page = page[:limit]
-		w.Header().Set("X-Next-Cursor", encodeCursor(clustersCursor{Min: minSize, Offset: offset + limit}))
+		w.Header().Set("X-Next-Cursor", encodeCursor(clustersCursor{Study: ref.ID, Min: minSize, Offset: offset + limit}))
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	bw := bufio.NewWriter(w)

@@ -559,82 +559,6 @@ func TestCorpusExportCursorPagination(t *testing.T) {
 	}
 }
 
-func TestClustersExportCursorPagination(t *testing.T) {
-	ts, srv := newTestServerOpts(t, service.Options{Workers: 2, Shards: 2, TrackClusters: true})
-	// Three clone groups of different sizes; identical fingerprints cluster.
-	for g, size := range []int{4, 3, 2} {
-		fp := ccd.Fingerprint(strings.Repeat(fmt.Sprintf("Qw%dEr", g), 6))
-		for m := 0; m < size; m++ {
-			if err := addFP(srv.engine, fmt.Sprintf("g%d-m%d", g, m), fp); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	full := exportClusterIDs(t, ts.URL+"/v1/clusters/export?min=2")
-	if len(full) < 3 {
-		t.Fatalf("expected at least 3 clusters unpaginated, got %d", len(full))
-	}
-
-	var paged []string
-	cursor, pages := "", 0
-	for {
-		url := ts.URL + "/v1/clusters/export?min=2&limit=1"
-		if cursor != "" {
-			url += "&cursor=" + cursor
-		}
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids := decodeClusterIDs(t, resp)
-		paged = append(paged, ids...)
-		cursor = resp.Header.Get("X-Next-Cursor")
-		pages++
-		if cursor == "" {
-			break
-		}
-		if pages > 10 {
-			t.Fatal("cluster cursor never terminated")
-		}
-	}
-	if pages < 3 {
-		t.Fatalf("limit=1 over %d clusters walked only %d pages", len(full), pages)
-	}
-	if !reflect.DeepEqual(paged, full) {
-		t.Fatalf("paginated clusters %v != streamed %v", paged, full)
-	}
-}
-
-func exportClusterIDs(t *testing.T, url string) []string {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return decodeClusterIDs(t, resp)
-}
-
-func decodeClusterIDs(t *testing.T, resp *http.Response) []string {
-	t.Helper()
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("clusters export: status %d", resp.StatusCode)
-	}
-	var ids []string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var c struct {
-			Rep string `json:"rep"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &c); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, c.Rep)
-	}
-	return ids
-}
-
 // TestBackendNameRejected: a request naming any backend other than "ccd" —
 // the retired comparison backends included — gets a 400 that names the value
 // and starts no work, in the body and as a query parameter (which wins over
@@ -738,7 +662,8 @@ func corpusStudy(t *testing.T, base string, limit int) (stats, summary map[strin
 // TestRoutedCloneStudyEqualsSingleNode pins that a router runs the same
 // clone study as a single node over the same documents: the same funnel and
 // cluster distribution at every cap, with an exact-clone plateau wider than
-// the cap so the per-document cap is exercised, and the study counted in the
+// the cap so the per-document cap is exercised, the same /v1/clusters
+// answer on both roles after each study, and the study counted in the
 // router's own metrics.
 func TestRoutedCloneStudyEqualsSingleNode(t *testing.T) {
 	entries := studyFingerprints(11, 600)
@@ -768,6 +693,19 @@ func TestRoutedCloneStudyEqualsSingleNode(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotSummary, wantSummary) {
 			t.Errorf("limit %d: routed summary %v, single node %v", limit, gotSummary, wantSummary)
+		}
+		// Both roles serve the study they just ran from /v1/clusters; the
+		// router, holding no corpus, names no generation.
+		routedRef, routedClusters := getClusters(t, c.router.URL)
+		singleRef, singleClusters := getClusters(t, single.URL)
+		if !reflect.DeepEqual(routedClusters, singleClusters) || !reflect.DeepEqual(routedClusters, wantSummary) {
+			t.Errorf("limit %d: /v1/clusters routed %v, single node %v, study %v", limit, routedClusters, singleClusters, wantSummary)
+		}
+		if routedRef["limit"] != float64(limit) || singleRef["limit"] != float64(limit) {
+			t.Errorf("limit %d: clusters study limits routed %v, single node %v", limit, routedRef, singleRef)
+		}
+		if _, ok := routedRef["generation"]; ok || routedRef["stale"] != nil || singleRef["stale"] != false {
+			t.Errorf("limit %d: clusters study routed %v, single node %v", limit, routedRef, singleRef)
 		}
 	}
 

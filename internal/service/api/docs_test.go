@@ -103,11 +103,10 @@ var docJSONKey = regexp.MustCompile("`([a-z0-9_]+)`")
 // TestMetricsDocCoversJSON diffs the "JSON view" table of docs/metrics.md
 // against the top-level keys of a live JSON /metrics in both directions, as
 // TestMetricsDocCoversExposition does for the Prometheus families. The keys
-// that render only conditionally come from a single node with a store, a
-// rate limiter and live clusters (durability, clusters) and from a router
-// (remote).
+// that render only conditionally come from a single node with a store and a
+// rate limiter (durability) and from a router (remote).
 func TestMetricsDocCoversJSON(t *testing.T) {
-	engine := service.New(service.Options{Workers: 2, Shards: 2, TrackClusters: true})
+	engine := service.New(service.Options{Workers: 2, Shards: 2})
 	store, err := service.OpenStore(t.TempDir(), engine.Corpus())
 	if err != nil {
 		t.Fatal(err)

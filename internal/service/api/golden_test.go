@@ -60,9 +60,6 @@ func TestGoldenResponses(t *testing.T) {
 		// backends included; explain as a query parameter.
 		{"match_backend_unknown", http.MethodPost, "/v1/match?backend=ssdeep", map[string]any{"source": benignSrc}},
 		{"match_explain", http.MethodPost, "/v1/match?explain=1", map[string]any{"source": reentrantSrc, "limit": 2}},
-		// Live clone-cluster view (the two seeded docs are unrelated: two
-		// singletons, no clusters).
-		{"clusters", http.MethodGet, "/v1/clusters?top=5", nil},
 		// Study-mode validation shapes.
 		{"study_bad_mode", http.MethodPost, "/v1/study", map[string]any{"mode": "nope"}},
 		{"study_corpus_bad_backend", http.MethodPost, "/v1/study", map[string]any{"mode": "corpus", "backend": "smartembed"}},
@@ -74,10 +71,16 @@ func TestGoldenResponses(t *testing.T) {
 			runGoldenCase(t, ts, tc.name, tc.method, tc.path, tc.body)
 		})
 	}
+	// The clusters of a corpus study over the seeded docs (unrelated: two
+	// singletons, no clusters).
+	corpusStudy(t, ts.URL, 0)
+	t.Run("clusters", func(t *testing.T) {
+		runGoldenCase(t, ts, "clusters", http.MethodGet, "/v1/clusters?top=5", nil)
+	})
 }
 
-// TestGoldenClustersDisabled pins the cluster endpoints' disabled shapes
-// (serve -clusters=false).
+// TestGoldenClustersDisabled pins the cluster endpoints' shapes before any
+// corpus study has completed.
 func TestGoldenClustersDisabled(t *testing.T) {
 	ts, _ := newTestServerOpts(t, service.Options{Workers: 4, Shards: 4})
 	runGoldenCase(t, ts, "clusters_disabled", http.MethodGet, "/v1/clusters", nil)

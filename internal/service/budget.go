@@ -18,7 +18,7 @@ var ErrBudgetExhausted = errors.New("service: request budget exhausted")
 // on the context through admission, the engine, the corpus scan, and — as a
 // remaining-millisecond field — every remote shard request. It is stored as
 // an absolute deadline rather than a duration so queue wait subtracts
-// implicitly: whatever time admission spends, Remaining() reflects it.
+// implicitly: whatever time admission spends, the budget left reflects it.
 type Budget struct {
 	// Deadline is the absolute instant the client stops listening.
 	Deadline time.Time
@@ -28,9 +28,6 @@ type Budget struct {
 // phase so the merge phase (and response encoding) still runs inside the
 // deadline: a tenth of what is left, capped at 5ms.
 const mergeReserveCap = 5 * time.Millisecond
-
-// Remaining returns the budget left right now (negative once expired).
-func (b Budget) Remaining() time.Duration { return time.Until(b.Deadline) }
 
 // Expired reports whether the deadline has passed.
 func (b Budget) Expired() bool { return !b.Deadline.IsZero() && !time.Now().Before(b.Deadline) }

@@ -313,11 +313,14 @@ func (c *Corpus) Segments() int {
 	return n
 }
 
-// Generation returns the highest publish sequence number across shards.
+// Generation returns the sum of the shards' publish sequence numbers: it
+// moves on every publish to any shard (a snapshot remap included), so a
+// reader that saw one value knows the corpus has not changed while it still
+// reads the same.
 func (c *Corpus) Generation() uint64 {
 	var g uint64
 	for _, sh := range c.shards {
-		g = max(g, sh.gen.Load().seq)
+		g += sh.gen.Load().seq
 	}
 	return g
 }

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/ccc"
 	"repro/internal/ccd"
-	"repro/internal/cluster"
 	"repro/internal/trace"
 )
 
@@ -42,13 +41,6 @@ type Options struct {
 	// Shards is the generation-shard count of the serving corpus (the
 	// scatter-gather fan-out width); ≤ 0 selects GOMAXPROCS.
 	Shards int
-	// TrackClusters maintains the live clone-cluster view online: every
-	// ingested document is matched against the serving corpus and its
-	// clone edges folded into an incremental union-find (GET /v1/clusters).
-	// The live view is an additive approximation — supersedes don't unlink,
-	// and each ingest contributes its top onlineClusterK edges — while the
-	// /v1/study corpus mode recomputes the exact distribution on demand.
-	TrackClusters bool
 	// Admission bounds the request queue in front of the worker pool; the
 	// zero value disables load shedding (see AdmissionConfig).
 	Admission AdmissionConfig
@@ -56,12 +48,6 @@ type Options struct {
 	// the zero value enables it with defaults.
 	Degrade DegradeConfig
 }
-
-// onlineClusterK caps the clone edges one ingest contributes to the live
-// cluster view. Top-K keeps ingest into an n-document clone cluster O(K)
-// instead of O(n) while preserving connectivity: every new member links to
-// the cluster's best matches, which are already linked to each other.
-const onlineClusterK = 8
 
 // ErrUnknownBackend marks a request that names a similarity backend other
 // than ccd; the API layer maps it to a 400.
@@ -95,10 +81,6 @@ type Engine struct {
 
 	// corpus is the serving corpus, fixed at construction.
 	corpus *Corpus
-
-	// clusters is the live clone-cluster view (nil unless
-	// Options.TrackClusters), updated as ingest lands.
-	clusters *cluster.Set
 }
 
 // Cached values retain the original computation's error so a hit replays
@@ -136,15 +118,8 @@ func New(opts Options) *Engine {
 	if e.deg.cfg.FsyncP99 <= 0 {
 		e.deg.cfg.FsyncP99 = 50 * time.Millisecond
 	}
-	if opts.TrackClusters {
-		e.clusters = cluster.New()
-	}
 	return e
 }
-
-// Clusters exposes the live clone-cluster view (nil unless the engine was
-// built with Options.TrackClusters).
-func (e *Engine) Clusters() *cluster.Set { return e.clusters }
 
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return e.workers }
@@ -336,8 +311,7 @@ func (e *Engine) FingerprintCtx(ctx context.Context, src string) (ccd.Fingerprin
 func (e *Engine) Corpus() *Corpus { return e.corpus }
 
 // corpusAddEntries ingests fingerprinted entries, in order, through one batch
-// add, then links them into the live cluster view. If the journaled add fails
-// the entries are nowhere.
+// add. If the journaled add fails the entries are nowhere.
 func (e *Engine) corpusAddEntries(ctx context.Context, entries []ccd.Entry) error {
 	if len(entries) == 0 {
 		return nil
@@ -349,19 +323,6 @@ func (e *Engine) corpusAddEntries(ctx context.Context, entries []ccd.Entry) erro
 		return err
 	}
 	e.ctr.corpusAdds.Add(int64(len(entries)))
-	if e.clusters == nil {
-		return nil
-	}
-	// Live clustering: each freshly published document (read-your-writes)
-	// matches against the corpus and its top clone edges land in the
-	// union-find. Best-effort and additive — the /v1/study corpus mode
-	// recomputes exactly. WithoutCancel: the trace rides along, but a
-	// disconnecting client cannot skip the cluster link of a journaled add.
-	linkCtx := context.WithoutCancel(ctx)
-	for _, en := range entries {
-		e.clusters.Add(en.ID)
-		linkClones(linkCtx, e.clusters, e.corpus.cloneQuery, en, onlineClusterK)
-	}
 	return nil
 }
 

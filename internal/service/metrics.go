@@ -3,7 +3,6 @@ package service
 import (
 	"sync/atomic"
 
-	"repro/internal/cluster"
 	"repro/internal/trace"
 )
 
@@ -201,10 +200,6 @@ type Snapshot struct {
 	// studies this engine ran (the /v1/study corpus mode).
 	SelfJoin StudyFunnel `json:"self_join"`
 
-	// Clusters is the live clone-cluster view (present only when the engine
-	// tracks clusters online).
-	Clusters *cluster.Summary `json:"clusters,omitempty"`
-
 	// Per-layer cache statistics.
 	ReportCache      CacheStats `json:"report_cache"`
 	FingerprintCache CacheStats `json:"fingerprint_cache"`
@@ -297,10 +292,6 @@ func (e *Engine) Metrics() Snapshot {
 		},
 		ReportCache:      e.reports.Stats(),
 		FingerprintCache: e.prints.Stats(),
-	}
-	if e.clusters != nil {
-		sum := e.clusters.Summary()
-		s.Clusters = &sum
 	}
 	if st := e.corpus.store; st != nil {
 		d := st.Durability()

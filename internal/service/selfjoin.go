@@ -329,22 +329,15 @@ type CloneReport struct {
 // Report condenses the join into a CloneReport with the topN largest
 // clusters attached (topN ≤ 0 omits them).
 func (j *SelfJoin) Report(topN int) *CloneReport {
-	rep := &CloneReport{
+	return &CloneReport{
 		Backend: BackendCCD,
 		Eta:     j.cfg.Eta,
 		Epsilon: j.cfg.Epsilon,
 		Limit:   j.limit,
 		Stats:   j.Stats(),
 		Summary: j.set.Summary(),
+		Top:     j.set.Top(topN),
 	}
-	if topN > 0 {
-		top := j.set.Clusters(2, false)
-		if len(top) > topN {
-			top = top[:topN]
-		}
-		rep.Top = top
-	}
-	return rep
 }
 
 // NaiveSelfJoin is the ablation baseline the planner is benchmarked

@@ -302,10 +302,11 @@ func TestObserveStudyClassifiesOutcome(t *testing.T) {
 	}
 }
 
-// TestEngineOnlineClusterTracking: with TrackClusters, ingest maintains the
-// live union-find and /metrics carries its summary.
-func TestEngineOnlineClusterTracking(t *testing.T) {
-	e := New(Options{Workers: 2, Shards: 2, TrackClusters: true})
+// TestIngestScansNothing: ingest only indexes — it runs no clone query, so
+// the corpus funnel stays empty — and the clone study is where clusters come
+// from.
+func TestIngestScansNothing(t *testing.T) {
+	e := New(Options{Workers: 2, Shards: 2})
 	fp := ccd.Fingerprint("QxRtYuIoPAbCdEfGhZvNmQwErTyUiOp")
 	for i := 0; i < 5; i++ {
 		if err := addFP(e, fmt.Sprintf("dup-%d", i), fp); err != nil {
@@ -315,20 +316,14 @@ func TestEngineOnlineClusterTracking(t *testing.T) {
 	if err := addFP(e, "lone", ccd.Fingerprint("ZmNvBqWsEdRfTgYhUjMkOlPa")); err != nil {
 		t.Fatal(err)
 	}
-	set := e.Clusters()
-	if set == nil {
-		t.Fatal("TrackClusters engine has no cluster set")
+	if f := e.Corpus().Funnel(); f != (CorpusFunnel{}) {
+		t.Fatalf("ingest scanned the corpus: funnel %+v", f)
 	}
-	sum := set.Summary()
-	if sum.Docs != 6 || sum.Clusters != 1 || sum.Largest != 5 || sum.Singletons != 1 {
-		t.Fatalf("live summary %+v, want one 5-cluster and one singleton", sum)
+	rep, err := e.RunCloneStudy(context.Background(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	m := e.Metrics()
-	if m.Clusters == nil || m.Clusters.Largest != 5 {
-		t.Fatalf("metrics clusters %+v", m.Clusters)
-	}
-	// Engines without tracking expose neither the set nor the metric.
-	if e2 := New(Options{Workers: 1}); e2.Clusters() != nil || e2.Metrics().Clusters != nil {
-		t.Fatal("untracked engine leaks a cluster view")
+	if sum := rep.Summary; sum.Docs != 6 || sum.Clusters != 1 || sum.Largest != 5 || sum.Singletons != 1 {
+		t.Fatalf("study summary %+v, want one 5-cluster and one singleton", sum)
 	}
 }

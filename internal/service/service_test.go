@@ -268,6 +268,22 @@ func TestCorpusGenerationsCompact(t *testing.T) {
 	}
 }
 
+// TestGenerationMovesOnEveryPublish: an add to any shard moves the corpus
+// generation, the one on the fewest publishes included — /v1/clusters reads
+// an unmoved generation as "the corpus is what the study saw".
+func TestGenerationMovesOnEveryPublish(t *testing.T) {
+	c := NewCorpus(ccd.DefaultConfig, 4)
+	for i := 0; i < 40; i++ {
+		before := c.Generation()
+		if err := c.Add(fmt.Sprintf("doc-%d", i), testFP(i)); err != nil {
+			t.Fatal(err)
+		}
+		if after := c.Generation(); after <= before {
+			t.Fatalf("add %d: generation %d -> %d", i, before, after)
+		}
+	}
+}
+
 // TestCorpusShardPartitioning: documents spread across shards by id hash,
 // every shard's entries stay findable, and Len/Segments aggregate cleanly.
 func TestCorpusShardPartitioning(t *testing.T) {

@@ -67,9 +67,6 @@ func NewID() string {
 // ID returns the trace id.
 func (t *Trace) ID() string { return t.id }
 
-// StartTime returns the trace's wall-clock start.
-func (t *Trace) StartTime() time.Time { return t.wall }
-
 // StartRoot opens the root span. Call once, before any child span.
 func (t *Trace) StartRoot(name string) *Span {
 	return t.startSpan(name, -1)
