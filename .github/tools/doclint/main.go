@@ -40,6 +40,7 @@ var auditedPackages = []string{
 	"internal/ngram",
 	"internal/query",
 	"internal/remote",
+	"internal/serve",
 	"internal/service",
 	"internal/service/api",
 	"internal/slab",

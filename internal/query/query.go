@@ -2,24 +2,16 @@
 // for the Neo4j/Cypher layer of the paper's toolchain. It supports the
 // constructs the paper's 17 queries need:
 //
-//   - node selection by label and property predicates,
+//   - node selection by label, with property predicates as Go closures,
 //   - variable-length path existence over sets of edge kinds ([:EOG*],
-//     [:DFG*], [:EOG|INVOKES|RETURNS*], ...),
-//   - forward path enumeration with per-query traversal budgets,
+//     [:DFG*], [:EOG|INVOKES|RETURNS*], ...) under per-query traversal
+//     budgets,
 //   - existential and negated sub-patterns (expressed as Go closures),
 //   - the phase-2 "path reduction" mechanism: a configurable maximum path
 //     depth that bounds data-flow exploration when validation times out.
 package query
 
-import (
-	"errors"
-
-	"repro/internal/cpg"
-)
-
-// ErrBudgetExceeded is reported when a traversal exhausts its step budget
-// (the analogue of the paper's Neo4j query timeouts).
-var ErrBudgetExceeded = errors.New("query: traversal budget exceeded")
+import "repro/internal/cpg"
 
 // Limits bounds a query's traversals.
 type Limits struct {
@@ -66,78 +58,6 @@ func (q *Q) Nodes(l cpg.Label) []*cpg.Node { return q.G.ByLabel(l) }
 
 // Pred is a node predicate.
 type Pred func(*cpg.Node) bool
-
-// Filter returns the nodes satisfying pred.
-func Filter(nodes []*cpg.Node, pred Pred) []*cpg.Node {
-	var out []*cpg.Node
-	for _, n := range nodes {
-		if pred(n) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// HasCode matches nodes by exact canonical code.
-func HasCode(code string) Pred {
-	return func(n *cpg.Node) bool { return n.Code == code }
-}
-
-// HasLocalName matches nodes by localName.
-func HasLocalName(name string) Pred {
-	return func(n *cpg.Node) bool { return n.LocalName == name }
-}
-
-// LocalNameIn matches nodes whose localName is any of names (the Cypher
-// `c.name IN [...]` idiom).
-func LocalNameIn(names ...string) Pred {
-	set := make(map[string]bool, len(names))
-	for _, n := range names {
-		set[n] = true
-	}
-	return func(n *cpg.Node) bool { return set[n.LocalName] }
-}
-
-// OperatorIn matches operator nodes by operator code.
-func OperatorIn(ops ...string) Pred {
-	set := make(map[string]bool, len(ops))
-	for _, o := range ops {
-		set[o] = true
-	}
-	return func(n *cpg.Node) bool { return set[n.Operator] }
-}
-
-// IsLabel matches nodes carrying the label.
-func IsLabel(l cpg.Label) Pred {
-	return func(n *cpg.Node) bool { return n.Is(l) }
-}
-
-// Not negates a predicate.
-func Not(p Pred) Pred { return func(n *cpg.Node) bool { return !p(n) } }
-
-// And combines predicates conjunctively.
-func And(ps ...Pred) Pred {
-	return func(n *cpg.Node) bool {
-		for _, p := range ps {
-			if !p(n) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// Or combines predicates disjunctively.
-func Or(ps ...Pred) Pred {
-	return func(n *cpg.Node) bool {
-		for _, p := range ps {
-			if p(n) {
-				return true
-			}
-		}
-		return false
-	}
-}
 
 // --- reachability -----------------------------------------------------------
 
@@ -245,87 +165,6 @@ func (q *Q) Terminals(start *cpg.Node, kinds ...cpg.EdgeKind) []*cpg.Node {
 		}
 	}
 	return out
-}
-
-// --- path enumeration --------------------------------------------------------
-
-// Path is a node sequence connected by edges of the traversed kinds.
-type Path []*cpg.Node
-
-// Last returns the final node of the path.
-func (p Path) Last() *cpg.Node { return p[len(p)-1] }
-
-// Contains reports whether the path visits n.
-func (p Path) Contains(n *cpg.Node) bool {
-	for _, x := range p {
-		if x == n {
-			return true
-		}
-	}
-	return false
-}
-
-// WalkPaths enumerates simple paths starting at start over kinds, invoking
-// visit for every maximal or budget-truncated path prefix ending at a node
-// with either no successors or only already-visited successors. visit
-// returning false stops the enumeration. Cycles are cut by excluding nodes
-// already on the current path.
-func (q *Q) WalkPaths(start *cpg.Node, visit func(Path) bool, kinds ...cpg.EdgeKind) {
-	if start == nil {
-		return
-	}
-	budget := q.Limits.steps()
-	steps := 0
-	onPath := cpg.NewNodeSet(q.G)
-	onPath.Add(start)
-	path := Path{start}
-	var rec func() bool
-	rec = func() bool {
-		steps++
-		if steps > budget {
-			q.budgetHit = true
-			return false
-		}
-		cur := path.Last()
-		if q.Limits.MaxDepth > 0 && len(path) > q.Limits.MaxDepth {
-			return visit(append(Path(nil), path...))
-		}
-		extended := false
-		for _, k := range kinds {
-			for _, nb := range cur.Out(k) {
-				if !onPath.Add(nb) {
-					continue
-				}
-				extended = true
-				path = append(path, nb)
-				ok := rec()
-				path = path[:len(path)-1]
-				onPath.Remove(nb)
-				if !ok {
-					return false
-				}
-			}
-		}
-		if !extended {
-			return visit(append(Path(nil), path...))
-		}
-		return true
-	}
-	rec()
-}
-
-// AnyPathThrough reports whether some path from start over kinds passes
-// through mid and afterwards satisfies endPred at its final node.
-func (q *Q) AnyPathThrough(start, mid *cpg.Node, endPred Pred, kinds ...cpg.EdgeKind) bool {
-	if !(start == mid || q.PathExists(start, mid, kinds...)) {
-		return false
-	}
-	for _, t := range q.Terminals(mid, kinds...) {
-		if endPred(t) {
-			return true
-		}
-	}
-	return false
 }
 
 // AnyTerminalAvoiding reports whether execution starting at start can reach a

@@ -1,0 +1,143 @@
+package serve
+
+import (
+	"context"
+	"errors"
+	"io"
+	"log/slog"
+	"net/http"
+	"os"
+	"path/filepath"
+	"time"
+
+	"repro/internal/ccd"
+	"repro/internal/remote"
+	"repro/internal/service"
+)
+
+// bootstrapSnapshot downloads the peer's binary corpus export into
+// dir/corpus.snap when the directory holds no snapshot or WAL, for the store
+// to restore. A directory with either is left alone: the node resumes from
+// its own state and only replays the peer's WAL tail.
+func bootstrapSnapshot(ctx context.Context, dir, from string, peer *remote.Client, logger *slog.Logger) error {
+	snapPath := filepath.Join(dir, service.SnapshotFile)
+	for _, p := range []string{snapPath, filepath.Join(dir, service.WALFile)} {
+		if _, err := os.Stat(p); err == nil {
+			logger.Info("bootstrap: local state present, skipping snapshot fetch", "path", p)
+			return nil
+		} else if !os.IsNotExist(err) {
+			return err
+		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	n, err := service.WriteFileAtomic(snapPath, func(w io.Writer) error {
+		_, err := peer.FetchSnapshot(ctx, from, w)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	logger.Info("bootstrap: snapshot fetched", "from", from, "bytes", n)
+	return nil
+}
+
+// walApplyBatch bounds one engine batch of a WAL tail or export applied.
+const walApplyBatch = 256
+
+// applyWALTail applies the peer's WAL from position pos of generation epoch
+// (0 = unknown) through the engine, and returns the position and generation
+// to echo next, so the peer can tell a position it has truncated away.
+// Duplicate ids supersede, so overlap with the bootstrapped snapshot is harmless.
+func applyWALTail(ctx context.Context, engine *service.Engine, peer *remote.Client, from string, pos int, epoch int64) (next int, nextEpoch int64, err error) {
+	err = applyBatches(ctx, engine, func(add func(id, fp string) error) error {
+		var serr error
+		next, nextEpoch, serr = peer.StreamWAL(ctx, from, pos, epoch, func(rec remote.WALRecord) error {
+			return add(rec.ID, rec.Fingerprint)
+		})
+		return serr
+	})
+	return next, nextEpoch, err
+}
+
+// applyBatches applies the entries stream yields through the engine in
+// batches of walApplyBatch, and stops at the first batch the local store
+// failed to persist. A stream error is returned as is, with the entries
+// since the last full batch left unapplied.
+func applyBatches(ctx context.Context, engine *service.Engine, stream func(add func(id, fp string) error) error) error {
+	batch := make([]service.CorpusEntry, 0, walApplyBatch)
+	flush := func() error {
+		if len(batch) == 0 {
+			return nil
+		}
+		for _, err := range engine.CorpusAddBatchCtx(ctx, batch) {
+			if errors.Is(err, service.ErrPersist) {
+				return err
+			}
+		}
+		batch = batch[:0]
+		return nil
+	}
+	if err := stream(func(id, fp string) error {
+		batch = append(batch, service.CorpusEntry{ID: id, Fingerprint: ccd.Fingerprint(fp)})
+		if len(batch) >= walApplyBatch {
+			return flush()
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	return flush()
+}
+
+// replicaTailInterval paces the replica's WAL polling loop.
+const replicaTailInterval = time.Second
+
+// tailReplicaWAL keeps a replica converging on its primary: it polls the WAL
+// stream from its position and generation and applies new records. On 410
+// Gone (the primary snapshotted and truncated its log past ours) it re-syncs
+// from the full export, which supersedes in place, and the next poll starts
+// at 0 in the primary's current generation.
+func tailReplicaWAL(ctx context.Context, engine *service.Engine, peer *remote.Client, from string, pos int, epoch int64, logger *slog.Logger) {
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(replicaTailInterval):
+		}
+		next, nextEpoch, err := applyWALTail(ctx, engine, peer, from, pos, epoch)
+		var se *remote.StatusError
+		switch {
+		case err == nil:
+			pos, epoch = next, nextEpoch
+		case errors.As(err, &se) && se.Status == http.StatusGone: // the shard's ErrWALTruncated
+			logger.Warn("replica tail: primary truncated its WAL (generation changed); re-syncing via export", "from", from)
+			if err := resyncExport(ctx, engine, peer, from); err != nil {
+				logger.Warn("replica re-sync failed", "err", err)
+				continue
+			}
+			pos, epoch = 0, 0
+		default:
+			if ctx.Err() != nil {
+				return
+			}
+			logger.Warn("replica tail failed", "err", err)
+		}
+	}
+}
+
+// resyncExport re-applies the primary's full corpus from its paginated
+// export; duplicate ids supersede in place, so no local state is wiped.
+func resyncExport(ctx context.Context, engine *service.Engine, peer *remote.Client, from string) error {
+	return applyBatches(ctx, engine, func(add func(id, fp string) error) error {
+		return peer.ExportEntries(ctx, from, func(page []ccd.Entry) error {
+			for _, e := range page {
+				if err := add(e.ID, string(e.FP)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+}

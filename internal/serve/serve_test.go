@@ -1,0 +1,219 @@
+package serve
+
+import (
+	"context"
+	"flag"
+	"io"
+	"log/slog"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/ccd"
+	"repro/internal/service"
+)
+
+var roles = []string{"single", "shard", "router", "replica"}
+
+// minimal returns the smallest valid configuration of role.
+func minimal(role string) Config {
+	c := Defaults()
+	c.Role = role
+	switch role {
+	case "shard":
+		c.Partition = "0/2"
+	case "router":
+		c.Shards = "http://h1:8071,http://h2:8072"
+	case "replica":
+		c.Partition, c.CorpusDir, c.BootstrapFrom = "0/2", "/data/r0", "http://h1:8071"
+	}
+	return c
+}
+
+// TestRoleFlagMatrix holds every role × flag pair to accept or reject: each
+// flag is set to a value other than its default on the smallest valid
+// configuration of each role, with the flags it needs set where the role
+// reads it. A rejection names the flag.
+func TestRoleFlagMatrix(t *testing.T) {
+	const all, corpus, part = "single shard router replica", "single shard replica", "shard replica"
+	flags := []struct {
+		name    string
+		readBy  string
+		needs   func(c *Config)
+		setFlag func(c *Config)
+	}{
+		{"addr", all, nil, func(c *Config) { c.Addr = ":9000" }},
+		{"debug-addr", all, nil, func(c *Config) { c.DebugAddr = ":9001" }},
+		{"log-format", all, nil, func(c *Config) { c.LogFormat = "json" }},
+		{"log-level", all, nil, func(c *Config) { c.LogLevel = "debug" }},
+		{"workers", all, nil, func(c *Config) { c.Workers = 3 }},
+		{"cache", all, nil, func(c *Config) { c.Cache = -1 }},
+		{"shards", all, nil, func(c *Config) {
+			if c.Role == "router" {
+				c.Shards = "http://h3:8071"
+			} else {
+				c.Shards = "3"
+			}
+		}},
+		{"partition", part, nil, func(c *Config) { c.Partition = "1/2" }},
+		{"replicas", "router", nil, func(c *Config) { c.Replicas = "http://r1:8073," }},
+		{"waves", "router", nil, func(c *Config) { c.Waves = 1 }},
+		{"bootstrap-from", part, func(c *Config) { c.CorpusDir = "/data/x" }, func(c *Config) { c.BootstrapFrom = "http://h9:8071" }},
+		{"ccd-n", all, nil, func(c *Config) { c.CCDN = 7 }},
+		{"ccd-eta", all, nil, func(c *Config) { c.CCDEta = 0.3 }},
+		{"ccd-eps", all, nil, func(c *Config) { c.CCDEps = 90 }},
+		{"corpus-dir", corpus, nil, func(c *Config) { c.CorpusDir = "/data/y" }},
+		{"snapshot-interval", corpus, func(c *Config) { c.CorpusDir = "/data/x" }, func(c *Config) { c.SnapshotInterval = time.Minute }},
+		{"mmap", corpus, func(c *Config) { c.CorpusDir = "/data/x" }, func(c *Config) { c.MMap = false }},
+		{"trace-buffer", all, nil, func(c *Config) { c.TraceBuffer = 16 }},
+		{"admission-queue", all, nil, func(c *Config) { c.AdmissionQueue = 0 }},
+		{"rate-limit", all, nil, func(c *Config) { c.RateLimit = 50 }},
+		{"rate-burst", all, func(c *Config) { c.RateLimit = 50 }, func(c *Config) { c.RateBurst = 100 }},
+		{"bp-fsync-p99", corpus, func(c *Config) { c.CorpusDir = "/data/x" }, func(c *Config) { c.BPFsyncP99 = 0 }},
+		{"bp-max-delay", corpus, func(c *Config) { c.CorpusDir = "/data/x" }, func(c *Config) { c.BPMaxDelay = time.Second }},
+		{"max-deadline", all, nil, func(c *Config) { c.MaxDeadline = time.Minute }},
+		{"degrade-off", all, nil, func(c *Config) { c.DegradeOff = true }},
+	}
+	var c Config
+	if n := len(c.settings()); n != len(flags)+1 { // -role is the matrix's other axis
+		t.Fatalf("%d settings, the matrix covers %d", n, len(flags)+1)
+	}
+	for _, f := range flags {
+		for _, role := range roles {
+			c := minimal(role)
+			accept := strings.Contains(f.readBy, role)
+			if accept && f.needs != nil {
+				f.needs(&c)
+			}
+			f.setFlag(&c)
+			err := c.Validate()
+			switch {
+			case accept && err != nil:
+				t.Errorf("-role %s -%s: rejected: %v", role, f.name, err)
+			case !accept && err == nil:
+				t.Errorf("-role %s -%s: accepted, want rejected", role, f.name)
+			case !accept && !strings.Contains(err.Error(), "-"+f.name+" "):
+				t.Errorf("-role %s -%s: error %q does not name the flag", role, f.name, err)
+			}
+		}
+	}
+}
+
+// TestValidateNamesTheFlag covers what the matrix does not: missing
+// prerequisites, flags a role requires, and values that do not parse.
+func TestValidateNamesTheFlag(t *testing.T) {
+	cases := []struct {
+		name, role, flag string
+		edit             func(c *Config)
+	}{
+		{"router with -corpus-dir", "router", "-corpus-dir", func(c *Config) { c.CorpusDir = "/tmp/r" }},
+		{"single with -waves", "single", "-waves", func(c *Config) { c.Waves = 2 }},
+		{"replica without -bootstrap-from", "replica", "-bootstrap-from", func(c *Config) { c.BootstrapFrom = "" }},
+		{"-rate-burst without -rate-limit", "single", "-rate-burst", func(c *Config) { c.RateBurst = 100 }},
+		{"-mmap=false without -corpus-dir", "single", "-mmap", func(c *Config) { c.MMap = false }},
+		{"-bp-fsync-p99 0 without -corpus-dir", "single", "-bp-fsync-p99", func(c *Config) { c.BPFsyncP99 = 0 }},
+		{"-bp-max-delay with -bp-fsync-p99 0", "single", "-bp-max-delay", func(c *Config) {
+			c.CorpusDir, c.BPFsyncP99, c.BPMaxDelay = "/data/x", 0, time.Second
+		}},
+		{"-snapshot-interval without -corpus-dir", "single", "-snapshot-interval", func(c *Config) { c.SnapshotInterval = time.Minute }},
+		{"-bootstrap-from without -corpus-dir", "shard", "-bootstrap-from", func(c *Config) { c.BootstrapFrom = "http://h1:8071" }},
+		{"shard without -partition", "shard", "-partition", func(c *Config) { c.Partition = "" }},
+		{"router without -shards", "router", "-shards", func(c *Config) { c.Shards = "" }},
+		{"router with only empty -shards", "router", "-shards", func(c *Config) { c.Shards = " , " }},
+		{"a count that does not parse", "single", "-shards", func(c *Config) { c.Shards = "http://h1" }},
+		{"a negative count", "shard", "-shards", func(c *Config) { c.Shards = "-1" }},
+		{"a partition out of range", "shard", "-partition", func(c *Config) { c.Partition = "2/2" }},
+		{"a partition with trailing bytes", "replica", "-partition", func(c *Config) { c.Partition = "0/2x" }},
+		{"an unknown role", "single", "-role", func(c *Config) { c.Role = "primary" }},
+	}
+	for _, tc := range cases {
+		c := minimal(tc.role)
+		tc.edit(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s: Validate = %v, want an error naming %s", tc.name, err, tc.flag)
+		}
+	}
+	for _, role := range roles {
+		if err := minimal(role).Validate(); err != nil {
+			t.Errorf("minimal -role %s: %v", role, err)
+		}
+	}
+}
+
+// TestRegisterFlags: every setting is a flag whose default is Defaults'
+// value, parsing writes into the Config, and the flag count stays at 26.
+func TestRegisterFlags(t *testing.T) {
+	c := Defaults()
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	c.RegisterFlags(fs)
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 26 {
+		t.Fatalf("%d flags, want 26", n)
+	}
+	if err := fs.Parse([]string{"-role", "router", "-shards", "http://a,http://b", "-waves", "1", "-bp-max-delay", "1s"}); err != nil {
+		t.Fatal(err)
+	}
+	want := Defaults()
+	want.Role, want.Shards, want.Waves, want.BPMaxDelay = "router", "http://a,http://b", 1, time.Second
+	if c != want {
+		t.Fatalf("parsed %+v, want %+v", c, want)
+	}
+	if u := fs.Lookup("bp-max-delay").Usage; !strings.Contains(u, "needs: corpus-dir bp-fsync-p99") {
+		t.Errorf("-bp-max-delay usage %q does not name the flags it needs", u)
+	}
+}
+
+// TestReplicaBootstrapsAndTails builds a primary shard and a replica of it:
+// the replica boots with the primary's corpus, then converges on an add made
+// after its boot through the WAL tail loop, and Stop ends that loop.
+func TestReplicaBootstrapsAndTails(t *testing.T) {
+	ctx := context.Background()
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	add := func(n *Node, ids ...string) {
+		t.Helper()
+		for _, id := range ids {
+			fp := ccd.Fingerprint("QxRtYuIoPAbCdEfGhZvNmQwErTyUiOp" + id)
+			if err := n.Engine.CorpusAddBatch([]service.CorpusEntry{{ID: id, Fingerprint: fp}})[0]; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	pc := minimal("shard")
+	pc.Partition, pc.CorpusDir = "0/1", t.TempDir()
+	primary, err := Build(ctx, pc, logger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Stop()
+	ts := httptest.NewServer(primary.Handler)
+	defer ts.Close()
+	add(primary, "a", "b", "c")
+
+	rc := minimal("replica")
+	rc.Partition, rc.CorpusDir, rc.BootstrapFrom = "0/1", t.TempDir(), ts.URL
+	replica, err := Build(ctx, rc, logger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := replica.Engine.Corpus().Len(); got != 3 {
+		t.Fatalf("replica booted with %d entries, want the primary's 3", got)
+	}
+	add(primary, "d")
+	deadline := time.Now().Add(10 * replicaTailInterval)
+	for replica.Engine.Corpus().Len() != 4 {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica holds %d entries %v after the primary's fourth add", replica.Engine.Corpus().Len(), 10*replicaTailInterval)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	replica.Stop()
+
+	// A bootstrap from a peer that is not there fails Build and names it.
+	rc.CorpusDir, rc.BootstrapFrom = t.TempDir(), ts.URL+"/gone"
+	if _, err := Build(ctx, rc, logger); err == nil || !strings.Contains(err.Error(), rc.BootstrapFrom) {
+		t.Fatalf("bootstrap from a missing peer: %v", err)
+	}
+}

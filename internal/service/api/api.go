@@ -729,7 +729,7 @@ func (s *Server) startCorpusStudy(w http.ResponseWriter, req StudyRequest) {
 		// pipeline jobs, run to completion in the background. In router
 		// mode the same self-join enumerates the partitions' exports and
 		// every query fans back out over the fleet.
-		study := &studyClusters{ref: ClusterStudy{ID: job.ID, Limit: req.Limit}}
+		study := &studyClusters{ref: ClusterStudy{ID: job.ID, Limit: req.Limit}, created: job.Created}
 		var j *service.SelfJoin
 		if s.router != nil {
 			j = service.NewPlannedSelfJoin(s.router.StudyPlan(), s.router.CloneQuery, s.engine.Corpus().Config(), req.Limit)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 
 	"repro/internal/cluster"
 )
@@ -30,7 +31,8 @@ type ClustersResponse struct {
 // ClusterStudy names the corpus study a clusters answer comes from. Only a
 // role with a local corpus (not a router) reports Generation, the corpus
 // generation the study started at, and Stale, true once the corpus has
-// published since (an ingest, a supersede or a snapshot remap).
+// published since (an ingest or a supersede; a snapshot changes no document
+// and leaves it false).
 type ClusterStudy struct {
 	ID         string  `json:"id"`
 	Limit      int     `json:"limit"`
@@ -39,15 +41,18 @@ type ClusterStudy struct {
 }
 
 // studyClusters is a completed corpus study's cluster set, the one answer
-// /v1/clusters and its export serve.
+// /v1/clusters and its export serve. created is its job's creation time:
+// job ids restart in every process, so an id alone does not name a study
+// across a restart.
 type studyClusters struct {
-	ref ClusterStudy // Stale is filled in per request
-	set *cluster.Set
+	ref     ClusterStudy // Stale is filled in per request
+	created time.Time
+	set     *cluster.Set
 }
 
 // lastStudy returns the most recently completed corpus study (nil before
 // any) with its staleness filled in.
-func (s *Server) lastStudy() (ClusterStudy, *cluster.Set) {
+func (s *Server) lastStudy() (ClusterStudy, *studyClusters) {
 	st := s.clusters.Load()
 	if st == nil {
 		return ClusterStudy{}, nil
@@ -57,7 +62,7 @@ func (s *Server) lastStudy() (ClusterStudy, *cluster.Set) {
 		stale := s.engine.Corpus().Generation() > *ref.Generation
 		ref.Stale = &stale
 	}
-	return ref, st.set
+	return ref, st
 }
 
 func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
@@ -70,23 +75,24 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 		}
 		topN = n
 	}
-	ref, set := s.lastStudy()
-	if set == nil {
+	ref, st := s.lastStudy()
+	if st == nil {
 		writeJSON(w, http.StatusOK, ClustersResponse{Enabled: false})
 		return
 	}
-	sum := set.Summary()
-	writeJSON(w, http.StatusOK, ClustersResponse{Enabled: true, Study: &ref, Summary: &sum, Top: set.Top(topN)})
+	sum := st.set.Summary()
+	writeJSON(w, http.StatusOK, ClustersResponse{Enabled: true, Study: &ref, Summary: &sum, Top: st.set.Top(topN)})
 }
 
 // clustersCursor is the resume position of a paginated clusters export: the
-// study the walk started on, the min-size filter it started with (pinned so
-// every page filters identically) and the offset into the size-descending
-// cluster list.
+// study the walk started on (its id and creation time in Unix nanoseconds),
+// the min-size filter it started with (pinned so every page filters
+// identically) and the offset into the size-descending cluster list.
 type clustersCursor struct {
-	Study  string `json:"s"`
-	Min    int    `json:"m"`
-	Offset int    `json:"o"`
+	Study   string `json:"s"`
+	Created int64  `json:"c"`
+	Min     int    `json:"m"`
+	Offset  int    `json:"o"`
 }
 
 // handleClustersExport streams the last corpus study's clusters as NDJSON —
@@ -98,11 +104,11 @@ type clustersCursor struct {
 // response. ?limit=N caps a page at N clusters and returns an opaque resume
 // token in X-Next-Cursor (absent on the last page); pass it back as
 // ?cursor= for the next page. Every page of a walk comes from the study it
-// started on: once a newer study has completed, the old cursor answers 409
-// rather than mix two studies' pages.
+// started on: once a newer study has completed, in this process or after a
+// restart, the old cursor answers 409 rather than mix two studies' pages.
 func (s *Server) handleClustersExport(w http.ResponseWriter, r *http.Request) {
-	ref, set := s.lastStudy()
-	if set == nil {
+	ref, st := s.lastStudy()
+	if st == nil {
 		writeError(w, http.StatusConflict, `no corpus study has completed yet (run POST /v1/study {"mode":"corpus"})`)
 		return
 	}
@@ -132,9 +138,10 @@ func (s *Server) handleClustersExport(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad \"cursor\" (tokens come from X-Next-Cursor, opaque)")
 			return
 		}
-		if cur.Study != ref.ID {
+		if cur.Study != ref.ID || cur.Created != st.created.UnixNano() {
 			writeError(w, http.StatusConflict, fmt.Sprintf(
-				"the export walked corpus study %q, since replaced by %q; restart it without a cursor", cur.Study, ref.ID))
+				"the export walked corpus study %q, since replaced by %q (created %s); restart it without a cursor",
+				cur.Study, ref.ID, st.created.Format(time.RFC3339Nano)))
 			return
 		}
 		minSize, offset = cur.Min, cur.Offset
@@ -143,14 +150,14 @@ func (s *Server) handleClustersExport(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	clusters := set.Clusters(minSize, true)
+	clusters := st.set.Clusters(minSize, true)
 	if offset > len(clusters) {
 		offset = len(clusters)
 	}
 	page := clusters[offset:]
 	if limit > 0 && len(page) > limit {
 		page = page[:limit]
-		w.Header().Set("X-Next-Cursor", encodeCursor(clustersCursor{Study: ref.ID, Min: minSize, Offset: offset + limit}))
+		w.Header().Set("X-Next-Cursor", encodeCursor(clustersCursor{Study: ref.ID, Created: st.created.UnixNano(), Min: minSize, Offset: offset + limit}))
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	bw := bufio.NewWriter(w)

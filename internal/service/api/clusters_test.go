@@ -47,10 +47,12 @@ func getClusters(t *testing.T, base string) (study, summary map[string]any) {
 
 // TestClustersServeTheLastStudy: /v1/clusters answers from the last
 // completed corpus study and says when the corpus has moved past it. A
-// supersede that breaks a clone pair leaves the pair clustered but stale
-// until the next study, which reports two singletons; after a restart over
-// the same store nothing is served until a study has run, and then exactly
-// that study.
+// snapshot changes no document and leaves the study current; a supersede
+// that breaks a clone pair leaves the pair clustered but stale until the
+// next study, which reports two singletons; after a restart over the same
+// store nothing is served until a study has run, and then exactly that
+// study, and an export cursor from before the restart is refused even when
+// a new study reuses its id.
 func TestClustersServeTheLastStudy(t *testing.T) {
 	dir := t.TempDir()
 	open := func() (*httptest.Server, *Server, *service.Store) {
@@ -79,6 +81,12 @@ func TestClustersServeTheLastStudy(t *testing.T) {
 	if study, sum := getClusters(t, ts.URL); study["id"] != "study-1" || study["stale"] != false || !reflect.DeepEqual(sum, pair) {
 		t.Fatalf("after study-1: study %v summary %v, want study-1 current with %v", study, sum, pair)
 	}
+	if resp, body := post(t, ts.URL+"/v1/corpus/snapshot", map[string]any{}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot: %d %v", resp.StatusCode, body)
+	}
+	if study, _ := getClusters(t, ts.URL); study["stale"] != false {
+		t.Fatalf("after a snapshot: study %v, want study-1 current", study)
+	}
 
 	// Re-ingesting b with an unrelated fingerprint supersedes it.
 	if err := addFP(srv.engine, "b", ccd.Fingerprint("ZmNvBqWsEdRfTgYhUjMkOlPaZmNvBqWsEdRf")); err != nil {
@@ -94,6 +102,15 @@ func TestClustersServeTheLastStudy(t *testing.T) {
 	if study, sum := getClusters(t, ts.URL); study["id"] != "study-2" || study["stale"] != false || !reflect.DeepEqual(sum, split) {
 		t.Fatalf("after study-2: study %v summary %v, want study-2 current with %v", study, sum, split)
 	}
+	resp, err := http.Get(ts.URL + "/v1/clusters/export?min=1&limit=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeClusterIDs(t, resp)
+	oldCursor := resp.Header.Get("X-Next-Cursor")
+	if oldCursor == "" {
+		t.Fatal("export of two singletons at limit=1 gave no cursor")
+	}
 
 	// Restart over the same directory: the WAL replays the corpus, but no
 	// study has run in this process.
@@ -107,7 +124,7 @@ func TestClustersServeTheLastStudy(t *testing.T) {
 	if study, sum := getClusters(t, ts.URL); study != nil || sum != nil {
 		t.Fatalf("clusters after restart: %v %v, want none before a study", study, sum)
 	}
-	resp, err := http.Get(ts.URL + "/v1/clusters/export")
+	resp, err = http.Get(ts.URL + "/v1/clusters/export")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +138,19 @@ func TestClustersServeTheLastStudy(t *testing.T) {
 	}
 	if study, sum := getClusters(t, ts.URL); study["stale"] != false || !reflect.DeepEqual(sum, again) {
 		t.Fatalf("after restart and study: study %v summary %v, want %v", study, sum, again)
+	}
+	// The second study of this process is study-2 again, but not the one
+	// the old cursor walked.
+	corpusStudy(t, ts.URL, 0)
+	if study, _ := getClusters(t, ts.URL); study["id"] != "study-2" {
+		t.Fatalf("second study after restart: %v, want the reused id study-2", study)
+	}
+	resp, err = http.Get(ts.URL + "/v1/clusters/export?cursor=" + oldCursor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := decodeBody(t, resp); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("cursor from before the restart: %d %v, want 409", resp.StatusCode, body)
 	}
 }
 

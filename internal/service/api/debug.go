@@ -39,17 +39,37 @@ func (s *Server) handleDebugTraceGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, tr.View())
 }
 
-// DebugHandler returns the handler for the private debug listener
-// (-debug-addr): the pprof surface plus the same trace endpoints the main
-// API serves. Kept off the public mux so profiling is never exposed on the
-// serving port.
-func (s *Server) DebugHandler() http.Handler {
+// pprofMux returns a mux serving the pprof surface.
+func pprofMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
+
+// BootDebugHandler serves the private debug listener before a Server
+// exists, while the corpus restores: pprof is live, so a stuck WAL replay
+// can be profiled, and /readyz reports not ready.
+func BootDebugHandler() http.Handler {
+	mux := pprofMux()
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "unavailable", "ready": false, "phase": "restoring"})
+	})
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "phase": "restoring"})
+	})
+	return mux
+}
+
+// DebugHandler returns the handler for the private debug listener
+// (-debug-addr): the pprof surface plus the same trace endpoints the main
+// API serves. Kept off the public mux so profiling is never exposed on the
+// serving port.
+func (s *Server) DebugHandler() http.Handler {
+	mux := pprofMux()
 	mux.HandleFunc("GET /debug/traces", s.handleDebugTraces)
 	mux.HandleFunc("GET /debug/traces/{id}", s.handleDebugTraceGet)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)

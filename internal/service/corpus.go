@@ -314,9 +314,9 @@ func (c *Corpus) Segments() int {
 }
 
 // Generation returns the sum of the shards' publish sequence numbers: it
-// moves on every publish to any shard (a snapshot remap included), so a
-// reader that saw one value knows the corpus has not changed while it still
-// reads the same.
+// moves on every publish to any shard, and not on a snapshot remap, which
+// changes no document, so a reader that saw one value knows the corpus has
+// not changed while it still reads the same.
 func (c *Corpus) Generation() uint64 {
 	var g uint64
 	for _, sh := range c.shards {

@@ -10,13 +10,10 @@ import (
 // degrades result *quality* — tier 1 halves the effective top-K of a
 // single-query match — before admission degrades *quantity* (shedding 429s).
 // Pressure is the max of queue pressure (in-flight admitted requests /
-// admission capacity) and durability pressure (recent fsync p99 / FsyncP99),
-// both already maintained for /metrics — the ladder adds no new
-// instrumentation to the hot path, only a reader.
+// admission capacity) and durability pressure (recent fsync p99 / the store's
+// BackpressureConfig.FsyncP99, none with backpressure off), both maintained
+// for /metrics: the ladder adds only a reader to the hot path.
 type DegradeConfig struct {
-	// FsyncP99 is the recent fsync p99 that counts as durability pressure
-	// 1.0 (default 50ms, matching cmd/serve's -bp-fsync-p99 default).
-	FsyncP99 time.Duration
 	// Disabled switches the ladder off; DegradeTier() is always 0.
 	Disabled bool
 }
@@ -77,8 +74,8 @@ func (e *Engine) pressure() float64 {
 		p = float64(e.ctr.inflight.Load()) / float64(e.adm.capacity)
 	}
 	if st := e.corpus.store; st != nil {
-		if fs := float64(st.wal.recentFsyncP99().Microseconds()) / float64(e.deg.cfg.FsyncP99.Microseconds()); fs > p {
-			p = fs
+		if bp := st.bp.Load(); bp != nil {
+			p = max(p, float64(st.wal.recentFsyncP99())/float64(bp.FsyncP99))
 		}
 	}
 	return p

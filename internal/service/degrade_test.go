@@ -1,6 +1,10 @@
 package service
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+	"time"
+)
 
 // TestDegradeSampleHysteresis pins the ladder's on/off state machine: tier 1
 // is entered after 2 consecutive samples at pressure ≥ 0.75, left after 10
@@ -38,5 +42,40 @@ func TestDegradeSampleHysteresis(t *testing.T) {
 	feed(hot, 1, 1, "re-entry")
 	if n := d.entered.Load(); n != 2 {
 		t.Fatalf("tier_entered %d after re-entering, want 2", n)
+	}
+}
+
+// TestDegradeReadsTheStoreFsyncThreshold drives the ladder's durability
+// arm: a disk whose fsyncs take 4 ms against a 1 ms backpressure threshold
+// is pressure 4, and two samples enter tier 1. With backpressure off the
+// same disk leaves the ladder on admission pressure alone, which is zero.
+func TestDegradeReadsTheStoreFsyncThreshold(t *testing.T) {
+	e := New(Options{Workers: 1, Shards: 1})
+	store, err := OpenStore(t.TempDir(), e.Corpus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	injectFaults(store.wal).sync = func() error { time.Sleep(4 * time.Millisecond); return nil }
+	for i := 0; i < 3; i++ {
+		if err := addFP(e, fmt.Sprintf("slow-%d", i), testFP(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	samples := func(n int) int {
+		tier := 0
+		for i := 0; i < n; i++ {
+			e.deg.lastSample = time.Time{} // due for a sample now
+			tier = e.DegradeTier()
+		}
+		return tier
+	}
+	if tier := samples(degradeEnterSamples); tier != 0 {
+		t.Fatalf("tier %d with backpressure off, want 0 (admission pressure only)", tier)
+	}
+	store.SetBackpressure(BackpressureConfig{FsyncP99: time.Millisecond})
+	if tier := samples(degradeEnterSamples); tier != 1 {
+		t.Fatalf("tier %d at recent fsync p99 %dus over a 1ms threshold, want 1",
+			tier, store.Durability().RecentFsyncP99Us)
 	}
 }

@@ -115,9 +115,6 @@ func New(opts Options) *Engine {
 		e.adm.capacity = workers + q
 	}
 	e.deg = &degrade{cfg: opts.Degrade}
-	if e.deg.cfg.FsyncP99 <= 0 {
-		e.deg.cfg.FsyncP99 = 50 * time.Millisecond
-	}
 	return e
 }
 

@@ -101,8 +101,8 @@ func (c *Corpus) OpenSnapshotFile(path string) error {
 // zero-copy segments opened over the just-written snapshot at path. The
 // corpus content must equal the snapshot's (the caller quiesces ingest around
 // Snapshot; Store.Snapshot calls this right after writing the file), which is
-// verified per shard by size before any pointer swings. On any mismatch the
-// corpus is left untouched.
+// verified per shard by size before any pointer swings (on a mismatch the
+// corpus is left untouched). No document changes, so Generation stays.
 func (c *Corpus) remapSnapshot(path string) error {
 	data, ref, err := mapFile(path)
 	if err != nil {
@@ -150,7 +150,7 @@ func (c *Corpus) remapSnapshot(path string) error {
 		}
 		sh.pubMu.Lock()
 		old := sh.gen.Load()
-		sh.gen.Store(&generation{segments: install[i], size: size, seq: old.seq + 1})
+		sh.gen.Store(&generation{segments: install[i], size: size, seq: old.seq})
 		sh.pubMu.Unlock()
 	}
 	c.remaps.Add(1)
