@@ -46,48 +46,28 @@ func NewClient(timeout time.Duration) *Client {
 // *StatusError with any Retry-After preserved.
 func (c *Client) MatchShard(ctx context.Context, base string, req ShardMatchRequest) (ShardMatchResponse, error) {
 	var resp ShardMatchResponse
-	err := c.postJSON(ctx, base+"/v1/shard/match", req, &resp)
+	body, err := json.Marshal(req)
+	if err == nil {
+		err = c.post(ctx, base+"/v1/shard/match", "application/json", body, &resp)
+	}
 	return resp, err
 }
 
-// PostJSON posts req as JSON to url and decodes a 2xx response into out —
-// the router's ingest-forwarding primitive. Non-2xx responses come back as
-// *StatusError.
-func (c *Client) PostJSON(ctx context.Context, url string, req, out any) error {
-	return c.postJSON(ctx, url, req, out)
-}
-
-// PostNDJSON posts an NDJSON body to url and decodes a 2xx response into
-// out — bulk-ingest forwarding to the shard that owns a chunk of lines.
+// PostNDJSON posts an NDJSON body to url and decodes the answer into out —
+// bulk-ingest forwarding to the shard that owns a chunk of lines.
 func (c *Client) PostNDJSON(ctx context.Context, url string, body []byte, out any) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/x-ndjson")
-	c.decorate(ctx, hreq)
-	hresp, err := c.hc.Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer drainClose(hresp.Body)
-	if hresp.StatusCode/100 != 2 {
-		return statusError(hresp)
-	}
-	return json.NewDecoder(hresp.Body).Decode(out)
+	return c.post(ctx, url, "application/x-ndjson", body, out)
 }
 
-// postJSON posts req as JSON and decodes a 2xx response into out.
-func (c *Client) postJSON(ctx context.Context, url string, req, out any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
+// post sends body and decodes a 2xx answer into out. Any other answer is a
+// *StatusError, and a 500's body is decoded into out as well: a shard's bulk
+// ingest that failed to persist carries its exact accounting there.
+func (c *Client) post(ctx context.Context, url, contentType string, body []byte, out any) error {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Content-Type", contentType)
 	c.decorate(ctx, hreq)
 	hresp, err := c.hc.Do(hreq)
 	if err != nil {
@@ -95,7 +75,7 @@ func (c *Client) postJSON(ctx context.Context, url string, req, out any) error {
 	}
 	defer drainClose(hresp.Body)
 	if hresp.StatusCode/100 != 2 {
-		return statusError(hresp)
+		return statusError(hresp, out)
 	}
 	return json.NewDecoder(hresp.Body).Decode(out)
 }
@@ -135,9 +115,20 @@ func (c *Client) get(ctx context.Context, url string) (*http.Response, error) {
 	}
 	if hresp.StatusCode/100 != 2 {
 		defer drainClose(hresp.Body)
-		return nil, statusError(hresp)
+		return nil, statusError(hresp, nil)
 	}
 	return hresp, nil
+}
+
+// CorpusSize reads a node's corpus size from GET /v1/corpus.
+func (c *Client) CorpusSize(ctx context.Context, base string) (int, error) {
+	var info struct{ Size int }
+	hresp, err := c.get(ctx, base+"/v1/corpus")
+	if err == nil {
+		defer drainClose(hresp.Body)
+		err = json.NewDecoder(hresp.Body).Decode(&info)
+	}
+	return info.Size, err
 }
 
 // FetchSnapshot downloads the shard's binary corpus snapshot
@@ -264,8 +255,9 @@ func (c *Client) exportPage(ctx context.Context, url string, fn func([]ccd.Entry
 
 // statusError converts a non-2xx response into a *StatusError, preserving
 // Retry-After (header first, JSON body's retry_after_seconds as fallback)
-// and the error message when the body is the API's JSON error shape.
-func statusError(hresp *http.Response) error {
+// and the error message when the body is the API's JSON error shape. A 500's
+// body is also decoded into out when out is not nil.
+func statusError(hresp *http.Response, out any) error {
 	se := &StatusError{Status: hresp.StatusCode}
 	if v := hresp.Header.Get("Retry-After"); v != "" {
 		if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && n > 0 {
@@ -276,6 +268,9 @@ func statusError(hresp *http.Response) error {
 	var payload struct {
 		Error             string `json:"error"`
 		RetryAfterSeconds int    `json:"retry_after_seconds"`
+	}
+	if out != nil && hresp.StatusCode == http.StatusInternalServerError {
+		_ = json.Unmarshal(body, out)
 	}
 	if json.Unmarshal(body, &payload) == nil {
 		se.Msg = payload.Error

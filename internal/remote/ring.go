@@ -19,7 +19,6 @@ const defaultVnodes = 128
 //
 // A Ring is immutable after construction and safe for concurrent use.
 type Ring struct {
-	n      int
 	points []ringPoint // sorted by hash
 }
 
@@ -44,7 +43,7 @@ func NewRingWith(n, vnodes int) *Ring {
 	if vnodes < 1 {
 		vnodes = 1
 	}
-	r := &Ring{n: n, points: make([]ringPoint, 0, n*vnodes)}
+	r := &Ring{points: make([]ringPoint, 0, n*vnodes)}
 	for node := 0; node < n; node++ {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{
@@ -63,9 +62,6 @@ func NewRingWith(n, vnodes int) *Ring {
 	})
 	return r
 }
-
-// N returns the partition count the ring was built for.
-func (r *Ring) N() int { return r.n }
 
 // Owner returns the partition that owns id: the first ring point clockwise
 // from the id's hash.

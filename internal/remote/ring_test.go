@@ -55,8 +55,8 @@ func TestRingJoinMovesFraction(t *testing.T) {
 
 func TestRingClampsDegenerateInputs(t *testing.T) {
 	r := NewRing(0)
-	if r.N() != 1 {
-		t.Fatalf("N() = %d, want clamp to 1", r.N())
+	if len(r.points) != defaultVnodes {
+		t.Fatalf("%d ring points, want one partition's %d (clamp to 1)", len(r.points), defaultVnodes)
 	}
 	if got := r.Owner("anything"); got != 0 {
 		t.Fatalf("single-node ring owner = %d, want 0", got)

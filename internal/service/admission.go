@@ -93,10 +93,6 @@ func (e *Engine) AdmitRequest() (release func(), err error) {
 	return func() { once.Do(func() { e.ctr.inflight.Add(-1) }) }, nil
 }
 
-// AdmissionCapacity returns the in-flight request bound (0 = admission
-// control disabled).
-func (e *Engine) AdmissionCapacity() int { return e.adm.capacity }
-
 // RetryAfter estimates when a shed client should try again: the time the
 // pool needs to drain the current queue, from the live p99 match latency.
 // Clamped to [1s, 30s] — Retry-After is a coarse hint, not a schedule.

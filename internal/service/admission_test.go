@@ -25,7 +25,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestAdmitRequestShedsOverCapacity(t *testing.T) {
 	e := New(Options{Workers: 1, Admission: AdmissionConfig{MaxQueue: 1}})
-	if got := e.AdmissionCapacity(); got != 2 {
+	if got := e.adm.capacity; got != 2 {
 		t.Fatalf("capacity %d, want workers+queue = 2", got)
 	}
 
@@ -111,7 +111,7 @@ func TestBackgroundYieldsToInteractive(t *testing.T) {
 	e := New(Options{Workers: 1})
 	block := make(chan struct{})
 	occupied := make(chan struct{})
-	go e.Do(func() { close(occupied); <-block })
+	go e.DoCtx(context.Background(), func() { close(occupied); <-block })
 	<-occupied
 
 	order := make(chan string, 2)
@@ -147,7 +147,7 @@ func TestBackgroundYieldCancellable(t *testing.T) {
 	e := New(Options{Workers: 1})
 	block := make(chan struct{})
 	occupied := make(chan struct{})
-	go e.Do(func() { close(occupied); <-block })
+	go e.DoCtx(context.Background(), func() { close(occupied); <-block })
 	<-occupied
 	defer close(block)
 
@@ -189,7 +189,7 @@ func TestCloneStudyYieldsToInteractive(t *testing.T) {
 
 	block := make(chan struct{})
 	occupied := make(chan struct{})
-	go e.Do(func() { close(occupied); <-block })
+	go e.DoCtx(context.Background(), func() { close(occupied); <-block })
 	<-occupied
 
 	order := make(chan string, 2)

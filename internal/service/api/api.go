@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -61,9 +62,11 @@ type Server struct {
 	router *remote.Router
 	// match answers one /v1/match query the way this server's role does
 	// (matchLocal or matchRouted); fanout is the partition count its
-	// answers gather over, reported by explain=1.
+	// answers gather over, reported by explain=1. ingest adds one batch of
+	// /v1/corpus or /v1/corpus/bulk entries (ingestLocal or ingestRouted).
 	match  matchFunc
 	fanout int
+	ingest ingestFunc
 	// partRing/partIdx pin a shard node to its partition (WithPartition):
 	// ingest refuses entries another partition owns. partRing nil =
 	// unpartitioned.
@@ -147,9 +150,9 @@ func NewServer(engine *service.Engine, opts ...Option) *Server {
 	if s.maxDeadline <= 0 {
 		s.maxDeadline = DefaultMaxDeadline
 	}
-	s.match, s.fanout = s.matchLocal, engine.Corpus().Shards()
+	s.match, s.fanout, s.ingest = s.matchLocal, engine.Corpus().Shards(), s.ingestLocal
 	if s.router != nil {
-		s.match, s.fanout = s.matchRouted, s.router.N()
+		s.match, s.fanout, s.ingest = s.matchRouted, s.router.N(), s.ingestRouted
 	}
 	if s.ready == nil {
 		if st := s.store; st != nil {
@@ -198,10 +201,6 @@ func NewServer(engine *service.Engine, opts ...Option) *Server {
 // Handler returns the routed HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Recorder exposes the completed-trace ring (the debug listener and tests
-// read it).
-func (s *Server) Recorder() *trace.Recorder { return s.recorder }
-
 // --- request/response shapes --------------------------------------------------
 
 // AnalyzeRequest carries one source (Source) or a batch (Sources).
@@ -249,10 +248,11 @@ type CorpusEntry struct {
 // partition-pinned shard node refused because the consistent-hash ring
 // assigns them to a different partition.
 type CorpusAddResponse struct {
-	Added      int `json:"added"`
-	ParseIssue int `json:"parse_issues"` // indexed with partial fingerprints
-	Skipped    int `json:"skipped,omitempty"`
-	Size       int `json:"size"`
+	Added      int  `json:"added"`
+	ParseIssue int  `json:"parse_issues"` // indexed with partial fingerprints
+	Skipped    int  `json:"skipped,omitempty"`
+	Size       int  `json:"size"`
+	Partial    bool `json:"partial,omitempty"` // see BulkResponse.Partial
 }
 
 // MatchRequest matches one query — a source or a precomputed fingerprint —
@@ -416,6 +416,9 @@ func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleCorpusAdd indexes the request's entries as one batch. Every entry
+// follows the rule of a /v1/corpus/bulk line: an id, a source, and no more
+// than one line's bytes once written as one, so a router can forward it.
 func (s *Server) handleCorpusAdd(w http.ResponseWriter, r *http.Request) {
 	var req CorpusAddRequest
 	if !decode(w, r, &req) {
@@ -425,48 +428,41 @@ func (s *Server) handleCorpusAdd(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "provide \"entries\"")
 		return
 	}
-	for i, e := range req.Entries {
-		if e.ID == "" {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("entry %d: missing id", i))
-			return
-		}
-	}
-	if s.router != nil {
-		s.routerCorpusAdd(w, r, req)
-		return
-	}
-	skipped := 0
-	if s.partRing != nil {
-		kept := req.Entries[:0]
-		for _, e := range req.Entries {
-			if s.ownsID(e.ID) {
-				kept = append(kept, e)
-			} else {
-				skipped++
-			}
-		}
-		req.Entries = kept
-	}
 	entries := make([]service.CorpusEntry, len(req.Entries))
 	for i, e := range req.Entries {
-		entries[i] = service.CorpusEntry{ID: e.ID, Source: e.Source}
-	}
-	issues := 0
-	for _, err := range s.engine.CorpusAddBatchCtx(r.Context(), entries) {
-		if errors.Is(err, service.ErrPersist) {
-			writeError(w, http.StatusInternalServerError, err.Error())
+		problem := ""
+		switch {
+		case e.ID == "":
+			problem = "missing id"
+		case e.Source == "":
+			problem = "missing source"
+		case !fitsBulkLine(BulkEntry{ID: e.ID, Source: e.Source}):
+			problem = "longer than a bulk line (8 MiB) once written as one"
+		}
+		if problem != "" {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("entry %d: %s", i, problem))
 			return
 		}
-		if err != nil {
-			issues++
-		}
+		entries[i] = service.CorpusEntry{ID: e.ID, Source: e.Source}
 	}
-	writeJSON(w, http.StatusOK, CorpusAddResponse{
-		Added:      len(entries),
-		ParseIssue: issues,
-		Skipped:    skipped,
-		Size:       s.engine.Corpus().Len(),
-	})
+	ctx := r.Context()
+	resp, err := s.ingest(ctx, slices.Values([][]service.CorpusEntry{entries}))
+	switch {
+	case errors.Is(err, service.ErrPersist):
+		writeError(w, http.StatusInternalServerError, err.Error())
+	case err != nil:
+		if ctx.Err() == nil {
+			writeRemoteError(w, err)
+		}
+	default:
+		writeJSON(w, http.StatusOK, CorpusAddResponse{
+			Added:      resp.Added,
+			ParseIssue: resp.ParseIssues,
+			Skipped:    resp.Skipped,
+			Size:       resp.Size,
+			Partial:    resp.Partial,
+		})
+	}
 }
 
 func (s *Server) handleCorpusInfo(w http.ResponseWriter, r *http.Request) {

@@ -2,11 +2,15 @@ package api
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -16,11 +20,12 @@ import (
 
 // Bulk NDJSON ingest limits: one JSON document per line.
 const (
-	// maxBulkLineBytes bounds a single NDJSON line (one contract).
-	maxBulkLineBytes = 1 << 20 // 1 MiB
-	// bulkChunk is how many parsed lines go through the engine as one batch
-	// (one WAL write, one fsync, one publish per shard); bounded so a huge
-	// stream never materializes in memory.
+	// maxBulkLineBytes bounds a single NDJSON line (one contract): as long
+	// as a request body, so a /v1/corpus entry fits one line as well.
+	maxBulkLineBytes = maxBodyBytes
+	// bulkChunk is how many parsed lines (at most maxBodyBytes of them) go
+	// through the engine as one batch (one WAL write, one fsync, one publish
+	// per shard); bounded so a huge stream never materializes in memory.
 	bulkChunk = 256
 	// maxBulkErrors caps how many per-line error details are reported back.
 	maxBulkErrors = 10
@@ -54,9 +59,69 @@ type BulkResponse struct {
 	Skipped int `json:"skipped,omitempty"`
 	// Errors details the first few malformed lines.
 	Errors []string `json:"errors,omitempty"`
-	Size   int      `json:"size"`
+	// Size is the corpus size after the request; Partial marks a router's
+	// sum that misses a partition whose size could not be read.
+	Size    int  `json:"size"`
+	Partial bool `json:"partial,omitempty"`
 	// Error carries the persistence failure that aborted the stream.
 	Error string `json:"error,omitempty"`
+}
+
+// ingestFunc adds a request's valid entries, batch by batch, the way the
+// server's role does, and returns their counts with Size the corpus size
+// after the request. A persistence failure ends it with an error wrapping
+// service.ErrPersist and exact counts; any other error fails the request. A
+// batch is not used once the next one is asked for.
+type ingestFunc func(ctx context.Context, batches iter.Seq[[]service.CorpusEntry]) (BulkResponse, error)
+
+// ingestLocal is a single or shard node's ingestFunc: a partition-pinned node
+// counts the entries another partition owns as skipped (dropping them from
+// the batch in place), and the rest of a batch go through the engine at once.
+func (s *Server) ingestLocal(ctx context.Context, batches iter.Seq[[]service.CorpusEntry]) (BulkResponse, error) {
+	var resp BulkResponse
+	var persistErr error
+	for batch := range batches {
+		owned := slices.DeleteFunc(batch, func(e service.CorpusEntry) bool { return !s.ownsID(e.ID) })
+		resp.Skipped += len(batch) - len(owned)
+		for _, err := range s.engine.CorpusAddBatchCtx(ctx, owned) {
+			switch {
+			case err == nil:
+				resp.Added++
+			case errors.Is(err, service.ErrPersist):
+				resp.PersistFailures++
+				persistErr = err
+			default:
+				resp.ParseIssues++
+				resp.Added++ // indexed with a partial fingerprint
+			}
+		}
+		if persistErr != nil {
+			break
+		}
+	}
+	resp.Size = s.engine.Corpus().Len()
+	return resp, persistErr
+}
+
+// bulkLine appends e to buf as one /v1/corpus/bulk line, the form a router
+// forwards entries in.
+func bulkLine(buf *bytes.Buffer, e BulkEntry) {
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false) // a source's < > & cross as themselves
+	_ = enc.Encode(e)
+}
+
+// fitsBulkLine reports whether bulkLine writes e within maxBulkLineBytes. It
+// can write more than it was sent (U+2028 as a 6-byte escape, an invalid
+// UTF-8 byte decoded as 3-byte U+FFFD), but no byte of a string grows past 6,
+// so only a long entry is written to check.
+func fitsBulkLine(e BulkEntry) bool {
+	if 6*(len(e.ID)+len(e.Source)+len(e.Fingerprint))+64 <= maxBulkLineBytes {
+		return true
+	}
+	var buf bytes.Buffer
+	bulkLine(&buf, e)
+	return buf.Len() <= maxBulkLineBytes
 }
 
 // errBadStream marks a bulk body that broke mid-stream (an oversized line,
@@ -66,13 +131,13 @@ var errBadStream = errors.New("read stream")
 // readBulk is the NDJSON line loop of /v1/corpus/bulk on every role. It
 // numbers lines, skips empty ones, decodes each line once and counts it into
 // resp as malformed (with the first few line details) unless it carries an
-// id plus a source or fingerprint. Every valid entry goes to add along with
-// its raw line; the first add error stops the read and is returned as is,
-// and a body that breaks mid-stream returns an error wrapping errBadStream.
-func readBulk(body io.Reader, resp *BulkResponse, add func(e *BulkEntry, raw []byte) error) error {
+// id plus a source or fingerprint and fits one bulk line. The valid entries
+// go to yield a chunk at a time; the read stops when yield returns false, and
+// a body that breaks mid-stream returns an error wrapping errBadStream.
+func readBulk(body io.Reader, resp *BulkResponse, yield func([]service.CorpusEntry) bool) error {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64<<10), maxBulkLineBytes)
-	line := 0
+	chunk, held, line := make([]service.CorpusEntry, 0, bulkChunk), 0, 0
 	for sc.Scan() {
 		line++
 		raw := sc.Bytes()
@@ -88,6 +153,8 @@ func readBulk(body io.Reader, resp *BulkResponse, add func(e *BulkEntry, raw []b
 			msg = "missing id"
 		case e.Source == "" && e.Fingerprint == "":
 			msg = "missing source or fingerprint"
+		case !fitsBulkLine(e):
+			msg = "longer than a bulk line (8 MiB) once written as one"
 		}
 		if msg != "" {
 			resp.Malformed++
@@ -96,79 +163,52 @@ func readBulk(body io.Reader, resp *BulkResponse, add func(e *BulkEntry, raw []b
 			}
 			continue
 		}
-		if err := add(&e, raw); err != nil {
-			return err
+		chunk = append(chunk, service.CorpusEntry{ID: e.ID, Source: e.Source, Fingerprint: ccd.Fingerprint(e.Fingerprint)})
+		if held += len(raw); len(chunk) == bulkChunk || held >= maxBodyBytes {
+			if !yield(chunk) {
+				return nil
+			}
+			chunk, held = chunk[:0], 0
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("%w at line %d: %s", errBadStream, line+1, err)
+	}
+	if len(chunk) > 0 {
+		yield(chunk)
 	}
 	return nil
 }
 
 // handleCorpusBulk streams NDJSON — {"id": ..., "source": ...} or
 // {"id": ..., "fingerprint": ...} per line — into the serving corpus, one
-// engine batch per chunk. Malformed lines are skipped and counted; a
-// persistence failure aborts the stream with 500 (earlier chunks remain
-// ingested: the stream is not transactional). A chunk is journaled whole or
-// not at all, so the failure response's accounting — added up to the chunk
-// that failed, persist failures for all of that one — and a boot-time WAL
-// replay agree.
+// ingest batch per chunk. Malformed lines are skipped and counted; a
+// persistence failure aborts the stream with 500 and the exact counts so
+// far: a batch is journaled whole or not at all, and earlier ones stay.
 func (s *Server) handleCorpusBulk(w http.ResponseWriter, r *http.Request) {
-	if s.router != nil {
-		s.routerBulk(w, r)
-		return
-	}
-	var resp BulkResponse
-	chunk := make([]service.CorpusEntry, 0, bulkChunk)
-	flush := func() error {
-		var persistErr error
-		for _, err := range s.engine.CorpusAddBatchCtx(r.Context(), chunk) {
-			switch {
-			case err == nil:
-				resp.Added++
-			case errors.Is(err, service.ErrPersist):
-				resp.PersistFailures++
-				persistErr = err
-			default:
-				resp.ParseIssues++
-				resp.Added++ // indexed with a partial fingerprint
-			}
-		}
-		chunk = chunk[:0]
-		return persistErr
-	}
-	err := readBulk(r.Body, &resp, func(e *BulkEntry, _ []byte) error {
-		if !s.ownsID(e.ID) {
-			resp.Skipped++
-			return nil
-		}
-		chunk = append(chunk, service.CorpusEntry{
-			ID:          e.ID,
-			Source:      e.Source,
-			Fingerprint: ccd.Fingerprint(e.Fingerprint),
-		})
-		if len(chunk) == bulkChunk {
-			return flush()
-		}
-		return nil
+	ctx := r.Context()
+	var lines BulkResponse // the malformed lines; the ingest counts the rest
+	var readErr error
+	resp, err := s.ingest(ctx, func(yield func([]service.CorpusEntry) bool) {
+		readErr = readBulk(r.Body, &lines, yield)
 	})
-	if err == nil && len(chunk) > 0 {
-		err = flush()
+	if err == nil {
+		err = readErr
 	}
-	if errors.Is(err, errBadStream) {
+	resp.Malformed, resp.Errors = lines.Malformed, lines.Errors
+	switch {
+	case errors.Is(err, errBadStream):
 		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	status := http.StatusOK
-	if err != nil {
-		// A persistence failure: the exact accounting so far (entries
-		// journaled before the failure stay ingested).
-		status = http.StatusInternalServerError
+	case errors.Is(err, service.ErrPersist):
 		resp.Error = err.Error()
+		writeJSON(w, http.StatusInternalServerError, resp)
+	case err != nil:
+		if ctx.Err() == nil {
+			writeRemoteError(w, err)
+		}
+	default:
+		writeJSON(w, http.StatusOK, resp)
 	}
-	resp.Size = s.engine.Corpus().Len()
-	writeJSON(w, status, resp)
 }
 
 // SnapshotResponse reports a /v1/corpus/snapshot call.

@@ -138,7 +138,7 @@ func TestCorpusBulkPersistFailureAccounting(t *testing.T) {
 
 func TestCorpusBulkOversizedLine(t *testing.T) {
 	ts, _ := newTestServer(t)
-	huge := `{"id": "huge", "source": "` + strings.Repeat("x", 2<<20) + `"}`
+	huge := `{"id": "huge", "source": "` + strings.Repeat("x", maxBulkLineBytes) + `"}`
 	resp, got := postNDJSON(t, ts.URL, huge+"\n")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d (%v), want 400 for oversized line", resp.StatusCode, got)

@@ -638,6 +638,177 @@ func TestRoutedBulkAccounting(t *testing.T) {
 	}
 }
 
+// TestRoutedIngestEqualsSingleNode drives one ingest sequence through a
+// single node and through a router over two partition-pinned shards: every
+// request answers with the same status and body on both roles. Size is the
+// whole corpus after the request, however many partitions it touched; an
+// entry without a source is refused alike on /v1/corpus (400) and as a bulk
+// line (malformed), and an entry is held to one bulk line's bytes as the
+// router writes it to a shard: U+2028 is written as a 6-byte escape, so a
+// line that fits as sent can be refused on both endpoints.
+func TestRoutedIngestEqualsSingleNode(t *testing.T) {
+	single, _ := newTestServerOpts(t, service.Options{Workers: 2, Shards: 2, CCD: ccd.ConservativeConfig})
+	c := newTestCluster(t, 2, remote.Config{})
+	var bulk strings.Builder
+	for i, e := range studyFingerprints(5, 300) {
+		if i == 150 {
+			bulk.WriteString("not json\n")
+		}
+		line, _ := json.Marshal(BulkEntry{ID: e.ID, Fingerprint: string(e.FP)})
+		bulk.Write(line)
+		bulk.WriteByte('\n')
+	}
+	add := func(entries ...CorpusEntry) string {
+		b, _ := json.Marshal(CorpusAddRequest{Entries: entries})
+		return string(b)
+	}
+	// A bulk line that fills the limit to its last byte, newline included.
+	full := `{"id":"full","source":"contract F { uint ` + strings.Repeat("x", maxBulkLineBytes-len(`{"id":"full","source":"contract F { uint  }"}`+"\n")) + ` }"}` + "\n"
+	// A source that fits a request as sent but not a bulk line once written.
+	wide := `"contract W { uint ` + strings.Repeat("\u2028", maxBulkLineBytes/4) + ` }"`
+	for _, step := range []struct {
+		name, path, body string
+		status           int
+	}{
+		{"add", "/v1/corpus", add(CorpusEntry{ID: "src-victim", Source: reentrantSrc}, CorpusEntry{ID: "src-safe", Source: benignSrc}), 200},
+		{"add-parse-issue", "/v1/corpus", add(CorpusEntry{ID: "src-broken", Source: "contract X { function f( public {"},
+			CorpusEntry{ID: "src-other", Source: "contract Y { uint y; function g() public { y = 2; } }"}), 200},
+		{"bulk", "/v1/corpus/bulk", bulk.String(), 200},
+		{"add-one", "/v1/corpus", add(CorpusEntry{ID: "src-one", Source: benignSrc}), 200},
+		{"add-empty-source", "/v1/corpus", `{"entries": [{"id": "e1", "source": ""}]}`, 400},
+		{"bulk-empty-source", "/v1/corpus/bulk", `{"id": "e1", "source": ""}` + "\n", 200},
+		{"add-long", "/v1/corpus", add(CorpusEntry{ID: "long", Source: "contract L { uint " + strings.Repeat("y", 3<<19) + " }"}), 200},
+		{"bulk-full-line", "/v1/corpus/bulk", full, 200},
+		{"bulk-over-a-line", "/v1/corpus/bulk", strings.Replace(full, "x", "xx", 1), 400},
+		{"bulk-wide", "/v1/corpus/bulk", `{"id":"wide","source":` + wide + "}\n", 200},
+		{"add-wide", "/v1/corpus", `{"entries":[{"id":"wide","source":` + wide + "}]}", 400},
+	} {
+		wantStatus, want := postIngest(t, single.URL+step.path, step.body)
+		gotStatus, got := postIngest(t, c.router.URL+step.path, step.body)
+		if wantStatus != step.status {
+			t.Errorf("%s: single node answered %d %v, want %d", step.name, wantStatus, want, step.status)
+		}
+		if gotStatus != wantStatus || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: router answered %d %v\nsingle node %d %v", step.name, gotStatus, got, wantStatus, want)
+		}
+	}
+}
+
+// postIngest posts a raw ingest body and returns the status and the decoded
+// JSON body without its trace id, which differs per request.
+func postIngest(t *testing.T, url, body string) (int, map[string]any) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := decodeBody(t, resp)
+	delete(out, "trace_id")
+	return resp.StatusCode, out
+}
+
+// TestRoutedBulkPersistFailureAccounting: a shard whose WAL died answers its
+// part of a routed stream with 500 and exact counts, and the router answers
+// 500 with the counts summed over both shards, as a single node does
+// (TestCorpusBulkPersistFailureAccounting): the other shard's lines count as
+// added, the dead shard's as persist failures.
+func TestRoutedBulkPersistFailureAccounting(t *testing.T) {
+	var targets []string
+	var stores []*service.Store
+	for i := 0; i < 2; i++ {
+		engine := service.New(service.Options{Workers: 2, Shards: 2, CCD: ccd.ConservativeConfig})
+		store, err := service.OpenStore(t.TempDir(), engine.Corpus())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = store.Close() })
+		ts := httptest.NewServer(NewServer(engine, WithStore(store), WithPartition(i, 2)).Handler())
+		t.Cleanup(ts.Close)
+		targets, stores = append(targets, ts.URL), append(stores, store)
+	}
+	rsrv := NewServer(service.New(service.Options{Workers: 2}), WithRouter(remote.NewRouter(remote.Config{Targets: targets})))
+	router := httptest.NewServer(rsrv.Handler())
+	t.Cleanup(router.Close)
+	if err := stores[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	entries := studyFingerprints(7, 40)
+	var sb strings.Builder
+	ring, owned := remote.NewRing(2), 0
+	for _, e := range entries {
+		line, _ := json.Marshal(BulkEntry{ID: e.ID, Fingerprint: string(e.FP)})
+		sb.Write(line)
+		sb.WriteByte('\n')
+		if ring.Owner(e.ID) == 0 {
+			owned++
+		}
+	}
+	resp, got := postNDJSON(t, router.URL, sb.String())
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %v", resp.StatusCode, got)
+	}
+	if owned == 0 || owned == len(entries) {
+		t.Fatalf("partition 0 owns %d of %d ids; the stream must touch both", owned, len(entries))
+	}
+	if got["added"] != float64(owned) || got["persist_failures"] != float64(len(entries)-owned) || got["size"] != float64(owned) {
+		t.Errorf("added %v persist_failures %v size %v, want %d/%d/%d",
+			got["added"], got["persist_failures"], got["size"], owned, len(entries)-owned, owned)
+	}
+	if msg, _ := got["error"].(string); !strings.HasPrefix(msg, service.ErrPersist.Error()) {
+		t.Errorf("error %q, want a persistence failure", msg)
+	}
+}
+
+// TestRoutedIngestLeavesIdlePartitionsAlone: a routed write posts only to
+// the partitions that own its entries. A partition that owns none and is
+// not ready (503 to writes) still gives its size; one that cannot be reached
+// at all leaves the write standing, answered 200 with partial set.
+func TestRoutedIngestLeavesIdlePartitionsAlone(t *testing.T) {
+	var targets []string
+	var shards []*httptest.Server
+	for i := 0; i < 2; i++ {
+		engine := service.New(service.Options{Workers: 2, CCD: ccd.ConservativeConfig})
+		opts := []Option{WithPartition(i, 2)}
+		if i == 1 {
+			opts = append(opts, WithReadiness(func() bool { return false }))
+			engine.CorpusAddBatch([]service.CorpusEntry{{ID: "held", Fingerprint: "QxRtYuIoPAbCdEfGhZvNmWq"}})
+		}
+		ts := httptest.NewServer(NewServer(engine, opts...).Handler())
+		t.Cleanup(ts.Close)
+		targets, shards = append(targets, ts.URL), append(shards, ts)
+	}
+	router := httptest.NewServer(NewServer(service.New(service.Options{Workers: 2}),
+		WithRouter(remote.NewRouter(remote.Config{Targets: targets}))).Handler())
+	t.Cleanup(router.Close)
+
+	ring := remote.NewRing(2)
+	var owned []ccd.Entry // ids partition 0 owns
+	for _, e := range studyFingerprints(11, 40) {
+		if ring.Owner(e.ID) == 0 {
+			owned = append(owned, e)
+		}
+	}
+	if len(owned) < 3 {
+		t.Fatalf("partition 0 owns %d of 40 ids", len(owned))
+	}
+	add := func(e ccd.Entry) (int, map[string]any) {
+		b, _ := json.Marshal(CorpusAddRequest{Entries: []CorpusEntry{{ID: e.ID, Source: benignSrc}}})
+		return postIngest(t, router.URL+"/v1/corpus", string(b))
+	}
+	if status, got := add(owned[0]); status != 200 || got["added"] != 1.0 || got["size"] != 2.0 || got["partial"] != nil {
+		t.Errorf("add beside a partition that is not ready: %d %v, want 200, added 1, size 2", status, got)
+	}
+	line, _ := json.Marshal(BulkEntry{ID: owned[1].ID, Fingerprint: string(owned[1].FP)})
+	if status, got := postIngest(t, router.URL+"/v1/corpus/bulk", string(line)+"\n"); status != 200 || got["added"] != 1.0 || got["size"] != 3.0 {
+		t.Errorf("bulk beside a partition that is not ready: %d %v, want 200, added 1, size 3", status, got)
+	}
+	shards[1].Close()
+	if status, got := add(owned[2]); status != 200 || got["added"] != 1.0 || got["size"] != 3.0 || got["partial"] != true {
+		t.Errorf("add beside a partition that is down: %d %v, want 200, added 1, size 3 (partition 0 alone), partial", status, got)
+	}
+}
+
 // corpusStudy runs POST /v1/study {"mode": "corpus"} on base to completion
 // and returns the report's stats and cluster summary.
 func corpusStudy(t *testing.T, base string, limit int) (stats, summary map[string]any) {

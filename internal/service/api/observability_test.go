@@ -250,14 +250,14 @@ func TestErrorPayloadCarriesTraceID(t *testing.T) {
 	if body["trace_id"] != "err-trace-1" {
 		t.Fatalf("error payload trace_id %v", body["trace_id"])
 	}
-	tr, ok := s.Recorder().Get("err-trace-1")
+	tr, ok := s.recorder.Get("err-trace-1")
 	if !ok {
 		t.Fatal("errored trace not retained")
 	}
 	if tr.Err() == "" {
 		t.Fatal("retained trace has no error")
 	}
-	if st := s.Recorder().Stats(); st.Errored == 0 {
+	if st := s.recorder.Stats(); st.Errored == 0 {
 		t.Fatalf("recorder stats: %+v", st)
 	}
 }
@@ -309,7 +309,7 @@ func TestFsyncWaitSpanPinned(t *testing.T) {
 		t.Fatalf("ingest status %d", resp.StatusCode)
 	}
 
-	tr, ok := s.Recorder().Get(traceID)
+	tr, ok := s.recorder.Get(traceID)
 	if !ok {
 		t.Fatal("ingest trace not retained")
 	}
@@ -650,11 +650,11 @@ func TestTracedHammer(t *testing.T) {
 		t.Error(e)
 	}
 
-	st := s.Recorder().Stats()
+	st := s.recorder.Stats()
 	if st.Recorded < totalMatch {
 		t.Errorf("recorded %d traces, want ≥ %d", st.Recorded, totalMatch)
 	}
-	retained := s.Recorder().Traces()
+	retained := s.recorder.Traces()
 	bound := 2*st.Capacity + st.SlowKept
 	if len(retained) == 0 || len(retained) > bound {
 		t.Errorf("retained %d traces, want within (0, %d]", len(retained), bound)

@@ -2,12 +2,16 @@ package api
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"iter"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/ccd"
@@ -236,95 +240,71 @@ func (s *Server) matchRouted(ctx context.Context, q matchQuery) (g service.Gathe
 	return g, fpErr, err
 }
 
-// routerCorpusAdd forwards a /v1/corpus ingest to the shard fleet: entries
-// group by ring owner and each group lands on its shard in one request.
-// Shard fingerprinting keeps the router thin — the source text crosses the
-// network once either way, and this way the CPU cost lands on the node
-// that owns the document.
-func (s *Server) routerCorpusAdd(w http.ResponseWriter, r *http.Request, req CorpusAddRequest) {
-	ctx := r.Context()
-	byOwner := make(map[int][]CorpusEntry)
-	for _, e := range req.Entries {
-		owner := s.router.Owner(e.ID)
-		byOwner[owner] = append(byOwner[owner], e)
-	}
-	var total CorpusAddResponse
-	for part := 0; part < s.router.N(); part++ {
-		group, ok := byOwner[part]
-		if !ok {
-			continue
+// ingestRouted is a router's ingestFunc. Each entry goes as one NDJSON line
+// into its owner's batch, posted to that partition's /v1/corpus/bulk at
+// bulkChunk lines (or maxBodyBytes) and at the end, so sources are
+// fingerprinted on the node that owns them. A partition that owns none of the
+// request is not written to: its size is read with GET /v1/corpus, and a
+// failed read leaves the write standing and the sum Partial. A shard's 500
+// carries its exact counts; they fold in, the lines read still go out, and
+// the request fails with service.ErrPersist.
+func (s *Server) ingestRouted(ctx context.Context, batches iter.Seq[[]service.CorpusEntry]) (BulkResponse, error) {
+	bodies, lines, sizes := make([]bytes.Buffer, s.router.N()), make([]int, s.router.N()), map[int]int{}
+	var total BulkResponse
+	var err error // the first failure; after a persistence failure, read lines still go out
+	post := func(part int) {
+		if lines[part] == 0 || (err != nil && !errors.Is(err, service.ErrPersist)) {
+			return
 		}
-		var resp CorpusAddResponse
-		url := s.router.Target(part) + "/v1/corpus"
-		if err := s.router.Client().PostJSON(ctx, url, CorpusAddRequest{Entries: group}, &resp); err != nil {
-			if ctx.Err() == nil {
-				writeRemoteError(w, err)
-			}
+		var resp BulkResponse
+		perr := s.router.Client().PostNDJSON(ctx, s.router.Target(part)+"/v1/corpus/bulk", bodies[part].Bytes(), &resp)
+		bodies[part].Reset()
+		lines[part] = 0
+		cause, persist := strings.CutPrefix(resp.Error, service.ErrPersist.Error()+": ")
+		if se := (*remote.StatusError)(nil); persist && errors.As(perr, &se) && se.Status == http.StatusInternalServerError {
+			perr = fmt.Errorf("%w: partition %d: %s", service.ErrPersist, part, cause)
+		} else if perr != nil {
+			err = perr
 			return
 		}
 		total.Added += resp.Added
-		total.ParseIssue += resp.ParseIssue
+		total.ParseIssues += resp.ParseIssues
+		total.PersistFailures += resp.PersistFailures
 		total.Skipped += resp.Skipped
-		total.Size += resp.Size
+		sizes[part] = resp.Size
+		if err == nil {
+			err = perr
+		}
 	}
-	writeJSON(w, http.StatusOK, total)
-}
-
-// routerBulk streams a /v1/corpus/bulk NDJSON body through the ring: the
-// shared reader validates each line, which then buffers raw per owning
-// shard and flushes in bulkChunk batches, so a huge stream never
-// materializes on the router. The response's size sums each shard's size
-// from its last flush.
-func (s *Server) routerBulk(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	var resp BulkResponse
-	chunks := make([][]byte, s.router.N())
-	counts := make([]int, s.router.N())
-	sizes := make([]int, s.router.N())
-	flush := func(part int) error {
-		if counts[part] == 0 {
-			return nil
+	for batch := range batches {
+		for _, e := range batch {
+			part := s.router.Owner(e.ID)
+			bulkLine(&bodies[part], BulkEntry{ID: e.ID, Source: e.Source, Fingerprint: string(e.Fingerprint)})
+			if lines[part]++; lines[part] == bulkChunk || bodies[part].Len() >= maxBodyBytes {
+				post(part)
+			}
 		}
-		var shardResp BulkResponse
-		url := s.router.Target(part) + "/v1/corpus/bulk"
-		if err := s.router.Client().PostNDJSON(ctx, url, chunks[part], &shardResp); err != nil {
-			return err
+		if err != nil {
+			break
 		}
-		resp.Added += shardResp.Added
-		resp.ParseIssues += shardResp.ParseIssues
-		resp.Malformed += shardResp.Malformed
-		resp.PersistFailures += shardResp.PersistFailures
-		resp.Skipped += shardResp.Skipped
-		sizes[part] = shardResp.Size
-		chunks[part] = chunks[part][:0]
-		counts[part] = 0
-		return nil
 	}
-	err := readBulk(r.Body, &resp, func(e *BulkEntry, raw []byte) error {
-		part := s.router.Owner(e.ID)
-		chunks[part] = append(append(chunks[part], raw...), '\n')
-		counts[part]++
-		if counts[part] == bulkChunk {
-			return flush(part)
-		}
-		return nil
-	})
-	for part := 0; err == nil && part < len(chunks); part++ {
-		err = flush(part)
+	for part := range bodies {
+		post(part)
 	}
-	switch {
-	case errors.Is(err, errBadStream):
-		writeError(w, http.StatusBadRequest, err.Error())
-	case err != nil:
-		if ctx.Err() == nil {
-			writeRemoteError(w, err)
-		}
-	default:
-		for _, n := range sizes {
-			resp.Size += n
-		}
-		writeJSON(w, http.StatusOK, resp)
+	if err != nil && !errors.Is(err, service.ErrPersist) {
+		return total, err
 	}
+	for part := range bodies {
+		size, ok := sizes[part]
+		if !ok {
+			var serr error
+			if size, serr = s.router.Client().CorpusSize(ctx, s.router.Target(part)); serr != nil {
+				total.Partial = true
+			}
+		}
+		total.Size += size
+	}
+	return total, err
 }
 
 // --- cursor plumbing ----------------------------------------------------------

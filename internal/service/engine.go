@@ -123,11 +123,6 @@ func (e *Engine) Workers() int { return e.workers }
 
 // --- worker pool --------------------------------------------------------------
 
-// Do runs fn on a worker slot, blocking until one is free.
-func (e *Engine) Do(fn func()) {
-	_ = e.DoCtx(context.Background(), fn)
-}
-
 // DoCtx runs fn on a worker slot. If ctx is cancelled before a slot frees,
 // fn never runs and ctx.Err() is returned — a disconnected client stops
 // occupying the queue. Once fn starts it runs to completion; cancellation

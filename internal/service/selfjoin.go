@@ -67,7 +67,7 @@ type SelfJoin struct {
 }
 
 // A StudyUnit is one checkpoint unit of a clone study's plan (a segment, in
-// Checkpoint's terms). It hands its documents to page one page at a time and
+// the join's checkpoint). It hands its documents to page one page at a time and
 // stops at the first error page returns.
 type StudyUnit func(ctx context.Context, page func([]ccd.Entry) error) error
 
@@ -161,14 +161,6 @@ func (j *SelfJoin) Stats() SelfJoinStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.stats
-}
-
-// Checkpoint reports the resume position: the next (shard, segment) to
-// process, and whether the join has completed.
-func (j *SelfJoin) Checkpoint() (shard, segment int, done bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.shard, j.segment, j.done
 }
 
 // Run executes the join from its checkpoint. A cancelled ctx stops at the

@@ -90,7 +90,7 @@ func TestSelfJoinFindsGroundTruthClusters(t *testing.T) {
 		if st.Candidates < st.Scored+st.CutoffSkipped {
 			t.Fatalf("shards=%d: funnel inconsistent: %+v", shards, st)
 		}
-		if _, _, done := j.Checkpoint(); !done {
+		if !j.done {
 			t.Fatalf("shards=%d: join not marked done", shards)
 		}
 		// Running a finished join is a no-op.
@@ -131,14 +131,14 @@ func TestSelfJoinCancelAndResume(t *testing.T) {
 	if err := j.Run(ctx); err != context.Canceled {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
-	if _, _, done := j.Checkpoint(); done {
+	if j.done {
 		t.Fatal("cancelled join reports done")
 	}
 	j.par = inner
 	if err := j.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, done := j.Checkpoint(); !done {
+	if !j.done {
 		t.Fatal("resumed join not done")
 	}
 	if got := j.Clusters().Clusters(1, true); !reflect.DeepEqual(got, want) {
@@ -217,8 +217,8 @@ func TestSelfJoinQueryErrorFailsSegment(t *testing.T) {
 	if st := j.Stats(); st.Errors != 1 {
 		t.Fatalf("stats %+v, want 1 error", st)
 	}
-	if shard, segment, done := j.Checkpoint(); shard != 0 || segment != 0 || done {
-		t.Fatalf("checkpoint advanced past failed segment: shard=%d segment=%d done=%v", shard, segment, done)
+	if j.shard != 0 || j.segment != 0 || j.done {
+		t.Fatalf("checkpoint advanced past failed segment: shard=%d segment=%d done=%v", j.shard, j.segment, j.done)
 	}
 
 	// Retrying after the fault clears re-runs the segment and completes.
@@ -226,7 +226,7 @@ func TestSelfJoinQueryErrorFailsSegment(t *testing.T) {
 	if err := j.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, done := j.Checkpoint(); !done {
+	if !j.done {
 		t.Fatal("retried join not done")
 	}
 }

@@ -357,10 +357,6 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 // so a replica must re-bootstrap from a fresh snapshot before resuming.
 var ErrWALTruncated = errors.New("wal stream position predates the current log (snapshot truncated it; re-bootstrap)")
 
-// WALEpoch returns the current WAL generation id. It changes whenever the
-// log is truncated; stream positions are only valid within one generation.
-func (s *Store) WALEpoch() int64 { return s.walEpoch.Load() }
-
 // MaxWALPageRecords caps one WALPage (and thus one /v1/wal/stream response).
 // Pages are collected in memory under the store's shared lock and written to
 // the network after it is released, so the cap bounds both the page's heap

@@ -978,7 +978,7 @@ func TestWALPageEpochAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	if got := store2.WALEpoch(); got != epoch {
+	if got := store2.walEpoch.Load(); got != epoch {
 		t.Fatalf("epoch changed across reopen: %d -> %d", epoch, got)
 	}
 	page, err = store2.WALPage(7, epoch, 0)
