@@ -183,8 +183,10 @@ func BenchmarkStudyEndToEnd(b *testing.B) {
 // --- Figure 9 / Table 9: the parameter sweep ---------------------------------------
 
 func BenchmarkFigure9(b *testing.B) {
+	se := experiments.Table3(1, ccd.DefaultConfig).SmartEmbed
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points, se := experiments.Figure9(1)
+		points := experiments.Figure9(1)
 		best := experiments.BestFigure9(points)
 		b.ReportMetric(best.Precision*100, "best-precision-%")
 		b.ReportMetric(best.Recall*100, "best-recall-%")
@@ -239,12 +241,12 @@ func BenchmarkAblationTokenFeeding(b *testing.B) {
 		// Per-token fingerprints (the paper's design).
 		fa := ccd.FingerprintUnit(nuA)
 		fb := ccd.FingerprintUnit(nuB)
-		perToken := ccd.Similarity(fa, fb)
+		perToken, _ := ccd.SimilarityAtLeast(fa, fb, 0)
 
 		// Whole-stream classic CTPH.
 		ha := ssdeep.Hash(concat(nuA))
 		hb := ssdeep.Hash(concat(nuB))
-		whole := editdist.Similarity(ha, hb)
+		whole, _ := editdist.SimilarityAtLeast(ha, hb, 0)
 
 		b.ReportMetric(perToken, "per-token-similarity")
 		b.ReportMetric(whole, "whole-stream-similarity")
@@ -276,7 +278,11 @@ func BenchmarkAblationNgramFilter(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			total := 0
 			for _, fp := range fps[:50] {
-				total += len(corpus.MatchAllPairs(fp))
+				for _, e := range corpus.Entries() {
+					if _, ok := ccd.SimilarityAtLeast(fp, e.FP, ccd.DefaultConfig.Epsilon); ok {
+						total++
+					}
+				}
 			}
 			b.ReportMetric(float64(total), "matches")
 		}
@@ -302,8 +308,8 @@ func BenchmarkAblationOrderIndependence(b *testing.B) {
 	fa, _ := ccd.FingerprintSource(src)
 	fb, _ := ccd.FingerprintSource(swapped)
 	for i := 0; i < b.N; i++ {
-		orderIndependent := ccd.Similarity(fa, fb)
-		plain := editdist.Similarity(string(fa), string(fb))
+		orderIndependent, _ := ccd.SimilarityAtLeast(fa, fb, 0)
+		plain, _ := editdist.SimilarityAtLeast(string(fa), string(fb), 0)
 		b.ReportMetric(orderIndependent, "algorithm1-similarity")
 		b.ReportMetric(plain, "plain-editdist-similarity")
 	}
@@ -396,7 +402,7 @@ func BenchmarkSimilarity(b *testing.B) {
 	fa, _ := ccd.FingerprintSource(srcA)
 	fb, _ := ccd.FingerprintSource(srcB)
 	for i := 0; i < b.N; i++ {
-		ccd.Similarity(fa, fb)
+		ccd.SimilarityAtLeast(fa, fb, 0)
 	}
 }
 

@@ -120,50 +120,14 @@ func appendSpanSubs(dst []string, f Fingerprint, spans []uint32) []string {
 
 // --- similarity ---------------------------------------------------------------
 
-// Delta is the normalized sub-fingerprint similarity δ(s1,s2) in [0,100].
-func Delta(s1, s2 string) float64 { return editdist.Similarity(s1, s2) }
-
-// orient returns the two sub-fingerprint sets in canonical order: the side
-// with fewer subs first (ties broken by fingerprint byte order). Algorithm 1
-// is directional — each sub of the first set seeks its best match in the
-// second — so evaluating from the smaller side makes the score symmetric
-// while preserving the containment semantics the pipeline relies on: a
-// snippet matched against a full contract scores the snippet's containment,
-// whichever argument order the caller used.
-func orient(f1, f2 Fingerprint) (subs1, subs2 []string) {
-	subs1, subs2 = f1.matchSubs(), f2.matchSubs()
-	if len(subs1) > len(subs2) || (len(subs1) == len(subs2) && f1 > f2) {
-		subs1, subs2 = subs2, subs1
-	}
-	return subs1, subs2
-}
-
-// Similarity implements Algorithm 1 (order-independent similarity): every
-// sub-fingerprint of the smaller unit is matched against all
-// sub-fingerprints of the larger, and the mean of the best matches is
-// returned (0..100). The score is symmetric in its arguments; an empty
-// fingerprint yields 0.
-func Similarity(f1, f2 Fingerprint) float64 {
-	subs1, subs2 := orient(f1, f2)
-	if len(subs1) == 0 || len(subs2) == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, s1 := range subs1 {
-		best := 0.0
-		for _, s2 := range subs2 {
-			if d := Delta(s1, s2); d > best {
-				best = d
-			}
-		}
-		total += best
-	}
-	return total / float64(len(subs1))
-}
-
-// SimilarityAtLeast computes Algorithm 1 with early exits: sub-fingerprint
-// comparisons use bounded edit distance, and matching aborts once the
-// remaining sub-fingerprints cannot lift the mean above threshold.
+// SimilarityAtLeast implements Algorithm 1 (order-independent similarity):
+// every sub-fingerprint of the smaller unit is matched against all
+// sub-fingerprints of the larger, and the mean of the best matches is the
+// score (0..100), symmetric in its arguments; an empty fingerprint scores 0.
+// Sub-fingerprint comparisons use bounded edit distance, and matching aborts
+// once the remaining sub-fingerprints cannot lift the mean to threshold. The
+// score is exact when ok; at threshold 0 nothing is cut short, so it is the
+// exact score.
 func SimilarityAtLeast(f1, f2 Fingerprint, threshold float64) (float64, bool) {
 	var ed editdist.Scratch
 	return similarityAtLeast(f1.matchSubs(), f1, f2.matchSubs(), f2, threshold, &ed)
@@ -174,6 +138,12 @@ func SimilarityAtLeast(f1, f2 Fingerprint, threshold float64) (float64, bool) {
 // subs once and reuse one scratch across every candidate; within a candidate
 // the scratch keeps s1's match masks for the whole run of s2.
 func similarityAtLeast(subs1 []string, f1 Fingerprint, subs2 []string, f2 Fingerprint, threshold float64, ed *editdist.Scratch) (float64, bool) {
+	// Algorithm 1 is directional: each sub of the first set seeks its best
+	// match in the second. Scoring from the side with fewer subs (ties broken
+	// by fingerprint byte order) makes the score symmetric while keeping the
+	// containment the pipeline relies on: a snippet matched against a full
+	// contract scores the snippet's containment, whichever argument order
+	// the caller used.
 	if len(subs1) > len(subs2) || (len(subs1) == len(subs2) && f1 > f2) {
 		subs1, subs2 = subs2, subs1
 	}

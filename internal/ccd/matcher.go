@@ -349,20 +349,6 @@ func (c *Corpus) MatchInto(q *PreparedQuery, col *TopK, mb *MatchBuffer, opts Ma
 	return stats
 }
 
-// MatchAllPairs scores the query against every entry without the n-gram
-// pre-filter (ablation baseline for the Execution Time challenge of
-// Section 5.5).
-func (c *Corpus) MatchAllPairs(fp Fingerprint) []Match {
-	var out []Match
-	for _, e := range c.entries {
-		score, ok := SimilarityAtLeast(fp, e.FP, c.cfg.Epsilon)
-		if ok {
-			out = append(out, Match{ID: e.ID, Score: score})
-		}
-	}
-	return out
-}
-
 // Entries returns a copy of the indexed entries: mutating the result cannot
 // corrupt corpus state (entries and index doc numbers move in lockstep).
 func (c *Corpus) Entries() []Entry { return slices.Clone(c.entries) }

@@ -118,7 +118,7 @@ func TestPropertySelfSimilarityIs100(t *testing.T) {
 		if len(fp) == 0 {
 			continue
 		}
-		if s := Similarity(fp, fp); s != 100 {
+		if s := similarity(fp, fp); s != 100 {
 			t.Errorf("self similarity %.2f for %.40q", s, src)
 		}
 	}
@@ -153,7 +153,7 @@ func TestPropertyContractFillerIsTypeIII(t *testing.T) {
 		if len(fa) == 0 {
 			continue
 		}
-		if s := Similarity(fa, fb); s < 95 {
+		if s := similarity(fa, fb); s < 95 {
 			t.Errorf("original→extended similarity %.2f for %.40q", s, src)
 		}
 	}
@@ -169,7 +169,7 @@ func TestPropertySimilarityBounds(t *testing.T) {
 	}
 	for i := range fps {
 		for j := range fps {
-			s := Similarity(fps[i], fps[j])
+			s := similarity(fps[i], fps[j])
 			if s < 0 || s > 100 {
 				t.Fatalf("similarity out of range: %.2f", s)
 			}
@@ -214,8 +214,8 @@ func TestPropertySimilaritySymmetric(t *testing.T) {
 	}
 	for i := range fps {
 		for j := i + 1; j < len(fps); j++ {
-			ab := Similarity(fps[i], fps[j])
-			ba := Similarity(fps[j], fps[i])
+			ab := similarity(fps[i], fps[j])
+			ba := similarity(fps[j], fps[i])
 			if ab != ba {
 				t.Fatalf("similarity not symmetric: %.4f vs %.4f (%d,%d)", ab, ba, i, j)
 			}
@@ -230,8 +230,8 @@ func TestPropertySimilaritySymmetric(t *testing.T) {
 
 // referenceMatches is the brute-force clone query MatchTopK must equal: for
 // every entry, the distinct n-grams it shares with the query by set
-// intersection (c); an entry with c ≥ η·|Q| and c ≥ 1 is scored with the
-// exact Similarity and kept at ε or better, ordered by SortMatches. It shares
+// intersection (c); an entry with c ≥ η·|Q| and c ≥ 1 is scored with
+// exactSimilarity and kept at ε or better, ordered by SortMatches. It shares
 // neither the posting-list filter nor the bounded scorer with the corpus.
 func referenceMatches(c *Corpus, fp Fingerprint) []Match {
 	cfg := c.Config()
@@ -260,7 +260,7 @@ func referenceMatches(c *Corpus, fp Fingerprint) []Match {
 		if shared == 0 || float64(shared) < cfg.Eta*float64(len(query)) {
 			continue
 		}
-		if score := Similarity(fp, e.FP); score >= cfg.Epsilon {
+		if score := exactSimilarity(fp, e.FP); score >= cfg.Epsilon {
 			out = append(out, Match{ID: e.ID, Score: score})
 		}
 	}

@@ -143,7 +143,8 @@ func Similarity(a, b string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return ccd.Similarity(fa, fb), nil
+	s, _ := ccd.SimilarityAtLeast(fa, fb, 0)
+	return s, nil
 }
 
 // --- study ---------------------------------------------------------------------

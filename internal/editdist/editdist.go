@@ -3,11 +3,12 @@
 //
 //	δ(s1,s2) = (max(len(s1),len(s2)) − d(s1,s2)) / max(len(s1),len(s2)) · 100
 //
-// Distance is the plain two-row dynamic program and the reference the tests
-// hold everything else to. DistanceBounded, which scores every candidate of
-// a corpus match, runs Myers' bit-vector algorithm instead whenever one of
+// SimilarityAtLeast scores δ for every production caller through
+// DistanceBounded, which runs Myers' bit-vector algorithm whenever one of
 // the two strings fits a 64-bit word: one word operation per character of
-// the other string in place of one DP row.
+// the other string in place of one DP row. Distance is the plain two-row
+// dynamic program, kept as the reference the tests hold DistanceBounded and
+// Algorithm 1 to; no production path calls it.
 package editdist
 
 import "sync"
@@ -47,14 +48,10 @@ func (s *Scratch) rows(n int) ([]int, []int) {
 }
 
 // Distance returns the Levenshtein edit distance between a and b using two
-// rolling rows (O(min(len)) space).
+// rolling rows (O(min(len)) space). It is the reference dynamic program the
+// tests hold DistanceBounded and Algorithm 1 to; no production path calls
+// it.
 func Distance(a, b string) int {
-	var s Scratch
-	return s.Distance(a, b)
-}
-
-// Distance is the scratch-reusing form of the package-level Distance.
-func (s *Scratch) Distance(a, b string) int {
 	if a == b {
 		return 0
 	}
@@ -64,7 +61,7 @@ func (s *Scratch) Distance(a, b string) int {
 	if len(b) == 0 {
 		return len(a)
 	}
-	prev, cur := s.rows(len(b) + 1)
+	prev, cur := make([]int, len(b)+1), make([]int, len(b)+1)
 	for j := range prev {
 		prev[j] = j
 	}
@@ -215,19 +212,10 @@ func (s *Scratch) bitDistance(p, t string, maxDist int) int {
 	return score
 }
 
-// Similarity returns δ(a,b) in [0,100]: 100 for identical strings, 0 when
-// every character differs. Two empty strings are identical (100).
-func Similarity(a, b string) float64 {
-	ml := max(len(a), len(b))
-	if ml == 0 {
-		return 100
-	}
-	d := Distance(a, b)
-	return float64(ml-d) / float64(ml) * 100
-}
-
 // SimilarityAtLeast reports whether δ(a,b) ≥ threshold, using the bounded
-// distance for early exit.
+// distance for early exit. The score is exact when ok; at threshold 0
+// nothing is cut short, so it is δ itself. Two empty strings are identical
+// (100).
 func SimilarityAtLeast(a, b string, threshold float64) (float64, bool) {
 	s := scratchPool.Get().(*Scratch)
 	defer scratchPool.Put(s)

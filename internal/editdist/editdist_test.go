@@ -85,22 +85,45 @@ func TestDistanceBoundedEarlyExit(t *testing.T) {
 	}
 }
 
+// similarity is δ over the reference Distance: the oracle SimilarityAtLeast
+// is held to.
+func similarity(a, b string) float64 {
+	ml := max(len(a), len(b))
+	if ml == 0 {
+		return 100
+	}
+	return float64(ml-Distance(a, b)) / float64(ml) * 100
+}
+
+// delta is the score SimilarityAtLeast gives at threshold 0, where it must
+// be δ itself.
+func delta(t *testing.T, a, b string) float64 {
+	t.Helper()
+	s, ok := SimilarityAtLeast(a, b, 0)
+	if !ok {
+		t.Fatalf("SimilarityAtLeast(%q, %q, 0) failed", a, b)
+	}
+	return s
+}
+
 func TestSimilarity(t *testing.T) {
-	if s := Similarity("abcd", "abcd"); s != 100 {
+	if s := delta(t, "abcd", "abcd"); s != 100 {
 		t.Errorf("identical: %v", s)
 	}
-	if s := Similarity("", ""); s != 100 {
+	if s := delta(t, "", ""); s != 100 {
 		t.Errorf("empty: %v", s)
 	}
-	if s := Similarity("aaaa", "bbbb"); s != 0 {
+	if s := delta(t, "aaaa", "bbbb"); s != 0 {
 		t.Errorf("disjoint: %v", s)
 	}
 	// One edit out of 4 chars: 75.
-	if s := Similarity("abcd", "abcx"); s != 75 {
+	if s := delta(t, "abcd", "abcx"); s != 75 {
 		t.Errorf("3/4: %v", s)
 	}
 }
 
+// TestSimilarityRange: at threshold 0 the score is in [0,100] and equals the
+// reference δ bit for bit.
 func TestSimilarityRange(t *testing.T) {
 	f := func(a, b string) bool {
 		if len(a) > 40 {
@@ -109,8 +132,8 @@ func TestSimilarityRange(t *testing.T) {
 		if len(b) > 40 {
 			b = b[:40]
 		}
-		s := Similarity(a, b)
-		return s >= 0 && s <= 100
+		s := delta(t, a, b)
+		return s >= 0 && s <= 100 && s == similarity(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -136,7 +159,7 @@ func TestSimilarityAtLeastConsistent(t *testing.T) {
 		if len(b) > 30 {
 			b = b[:30]
 		}
-		exact := Similarity(a, b)
+		exact := similarity(a, b)
 		for _, th := range []float64{0, 50, 70, 90, 100} {
 			_, ok := SimilarityAtLeast(a, b, th)
 			if ok != (exact >= th) && !(exact == th) {

@@ -262,9 +262,9 @@ type PRPoint struct {
 }
 
 // Figure9 sweeps the CCD parameters of Table 9 over the honeypot benchmark
-// and returns precision/recall per combination, plus the SmartEmbed
-// reference point.
-func Figure9(seed int64) (points []PRPoint, smartEmbed stats.Confusion) {
+// and returns precision/recall per combination. The SmartEmbed reference
+// point is Table 3's; the renderers take it from the caller.
+func Figure9(seed int64) (points []PRPoint) {
 	hp := dataset.GenerateHoneypots(seed)
 	fps := make([]ccd.Fingerprint, len(hp))
 	for i, h := range hp {
@@ -279,20 +279,24 @@ func Figure9(seed int64) (points []PRPoint, smartEmbed stats.Confusion) {
 		gtPairs += n * (n - 1)
 	}
 
+	etas := []float64{0.5, 0.6, 0.7, 0.8, 0.9}
+	epsilons := []float64{50, 60, 70, 80, 90}
 	// Pairwise similarity cache shared across all parameter combinations.
+	// A pair is scored once against the sweep's lowest ε: one that falls
+	// short of it counts at no ε, so it is cached as 0.
 	type pairKey struct{ a, b int }
 	simCache := map[pairKey]float64{}
 	sim := func(a, b int) float64 {
 		if s, hit := simCache[pairKey{a, b}]; hit {
 			return s
 		}
-		s := ccd.Similarity(fps[a], fps[b])
+		s, ok := ccd.SimilarityAtLeast(fps[a], fps[b], epsilons[0])
+		if !ok {
+			s = 0
+		}
 		simCache[pairKey{a, b}] = s
 		return s
 	}
-
-	etas := []float64{0.5, 0.6, 0.7, 0.8, 0.9}
-	epsilons := []float64{50, 60, 70, 80, 90}
 	var sc ngram.Scratch
 	for _, n := range []int{3, 5, 7} {
 		// One n-gram index per N, built like a served segment; each η
@@ -334,9 +338,7 @@ func Figure9(seed int64) (points []PRPoint, smartEmbed stats.Confusion) {
 			}
 		}
 	}
-
-	t3 := Table3(seed, ccd.DefaultConfig)
-	return points, t3.SmartEmbed
+	return points
 }
 
 // --- rendering ---------------------------------------------------------------

@@ -465,19 +465,28 @@ func (s *Server) handleCorpusAdd(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleCorpusInfo reports the corpus this node answers for: on a router,
+// the sum over its partitions (partial when one could not be read).
 func (s *Server) handleCorpusInfo(w http.ResponseWriter, r *http.Request) {
 	c := s.engine.Corpus()
 	cfg := c.Config()
+	size := c.Len()
 	info := map[string]any{
-		"size":    c.Len(),
 		"n":       cfg.N,
 		"eta":     cfg.Eta,
 		"epsilon": cfg.Epsilon,
-		"corpus": map[string]any{
-			"size":   c.Len(),
-			"shards": c.Shards(),
-			"adds":   c.Adds(),
-		},
+	}
+	if s.router != nil {
+		var partial bool
+		if size, partial = s.routedSize(r.Context(), nil); partial {
+			info["partial"] = true
+		}
+	}
+	info["size"] = size
+	info["corpus"] = map[string]any{
+		"size":   size,
+		"shards": c.Shards(),
+		"adds":   c.Adds(),
 	}
 	if s.store != nil {
 		info["persistence"] = s.store.Info()

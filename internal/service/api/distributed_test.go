@@ -645,7 +645,8 @@ func TestRoutedBulkAccounting(t *testing.T) {
 // entry without a source is refused alike on /v1/corpus (400) and as a bulk
 // line (malformed), and an entry is held to one bulk line's bytes as the
 // router writes it to a shard: U+2028 is written as a 6-byte escape, so a
-// line that fits as sent can be refused on both endpoints.
+// line that fits as sent can be refused on both endpoints. After every step,
+// GET /v1/corpus reports the same size on both roles.
 func TestRoutedIngestEqualsSingleNode(t *testing.T) {
 	single, _ := newTestServerOpts(t, service.Options{Workers: 2, Shards: 2, CCD: ccd.ConservativeConfig})
 	c := newTestCluster(t, 2, remote.Config{})
@@ -690,6 +691,14 @@ func TestRoutedIngestEqualsSingleNode(t *testing.T) {
 		}
 		if gotStatus != wantStatus || !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: router answered %d %v\nsingle node %d %v", step.name, gotStatus, got, wantStatus, want)
+		}
+		_, wantInfo := get(t, single.URL+"/v1/corpus")
+		_, gotInfo := get(t, c.router.URL+"/v1/corpus")
+		if gotInfo["size"] != wantInfo["size"] || gotInfo["partial"] != nil {
+			t.Errorf("%s: router GET /v1/corpus size %v partial %v, single node size %v", step.name, gotInfo["size"], gotInfo["partial"], wantInfo["size"])
+		}
+		if corpus, _ := gotInfo["corpus"].(map[string]any); corpus["size"] != wantInfo["size"] {
+			t.Errorf("%s: router GET /v1/corpus corpus.size %v, single node size %v", step.name, corpus["size"], wantInfo["size"])
 		}
 	}
 }
@@ -806,6 +815,9 @@ func TestRoutedIngestLeavesIdlePartitionsAlone(t *testing.T) {
 	shards[1].Close()
 	if status, got := add(owned[2]); status != 200 || got["added"] != 1.0 || got["size"] != 3.0 || got["partial"] != true {
 		t.Errorf("add beside a partition that is down: %d %v, want 200, added 1, size 3 (partition 0 alone), partial", status, got)
+	}
+	if _, info := get(t, router.URL+"/v1/corpus"); info["size"] != 3.0 || info["partial"] != true {
+		t.Errorf("GET /v1/corpus beside a partition that is down: size %v partial %v, want 3 (partition 0 alone), partial", info["size"], info["partial"])
 	}
 }
 

@@ -294,17 +294,26 @@ func (s *Server) ingestRouted(ctx context.Context, batches iter.Seq[[]service.Co
 	if err != nil && !errors.Is(err, service.ErrPersist) {
 		return total, err
 	}
-	for part := range bodies {
-		size, ok := sizes[part]
+	total.Size, total.Partial = s.routedSize(ctx, sizes)
+	return total, err
+}
+
+// routedSize is a router's corpus size: the sum over its partitions. A
+// partition in known contributes the size it already reported; any other is
+// read with GET /v1/corpus, and a failed read leaves it out of the sum and
+// makes the sum partial.
+func (s *Server) routedSize(ctx context.Context, known map[int]int) (size int, partial bool) {
+	for part := range s.router.N() {
+		n, ok := known[part]
 		if !ok {
-			var serr error
-			if size, serr = s.router.Client().CorpusSize(ctx, s.router.Target(part)); serr != nil {
-				total.Partial = true
+			var err error
+			if n, err = s.router.Client().CorpusSize(ctx, s.router.Target(part)); err != nil {
+				n, partial = 0, true
 			}
 		}
-		total.Size += size
+		size += n
 	}
-	return total, err
+	return size, partial
 }
 
 // --- cursor plumbing ----------------------------------------------------------

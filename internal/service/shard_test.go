@@ -203,7 +203,7 @@ func TestShardedTopKTieAtBoundMultiSub(t *testing.T) {
 	query, entries := MultiSubTieFixture()
 	tie := entries[3].FP
 	const plateau = 91.72413793103449 // summed a sub at a time; (58.62…+400)/5 at once is …448
-	if got := ccd.Similarity(query, tie); got != plateau {
+	if got, _ := ccd.SimilarityAtLeast(query, tie, 0); got != plateau {
 		t.Fatalf("fixture: tie scores %v, want %v", got, plateau)
 	}
 	single := ccd.NewCorpus(ccd.DefaultConfig)
