@@ -86,11 +86,11 @@ func (c *Corpus) Add(id string, fp Fingerprint) {
 	c.spans.add(fp)
 }
 
-// BuildBitmaps gives the corpus's n-gram index the bitmaps of its dense
-// posting lists (ngram.Index.BuildBitmaps): call it once a batch of Adds is
-// done and the corpus is about to be queried. Merge, WithoutIDs, Load and
-// OpenSegmentBytes build them themselves; the next Add drops them.
-func (c *Corpus) BuildBitmaps() { c.index.BuildBitmaps() }
+// BuildSignatures gives the corpus's n-gram index the signature of its dense
+// posting lists (ngram.Index.BuildSignatures): call it once a batch of Adds
+// is done and the corpus is about to be queried. Merge, WithoutIDs, Load and
+// OpenSegmentBytes build it themselves; the next Add drops it.
+func (c *Corpus) BuildSignatures() { c.index.BuildSignatures() }
 
 // subSpans locates every entry's match subs inside its fingerprint: the
 // (start, end) byte offsets appendMatchSpans finds, entry i's at

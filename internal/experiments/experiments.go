@@ -307,7 +307,7 @@ func Figure9(seed int64) (points []PRPoint) {
 			idx.Add(hp[i].ID, string(fp))
 			grams[i] = ngram.Grams(string(fp), n)
 		}
-		idx.BuildBitmaps()
+		idx.BuildSignatures()
 		for _, eta := range etas {
 			confs := make([]stats.Confusion, len(epsilons))
 			for qi := range hp {

@@ -14,7 +14,7 @@ type listShape struct{ count, pool int }
 // postingsIndex builds a docless index straight from posting lists, one gram
 // per list, so a benchmark can shape list lengths without indexing a million
 // strings. Docs docs/2 … docs/2+4 hold every gram: a clone family that
-// survives any η. Its dense lists get their bitmaps, as every segment a
+// survives any η. Its dense lists get their signature, as every segment a
 // service queries does.
 func postingsIndex(rng *rand.Rand, docs int, lists []listShape) (*Index, []string) {
 	ix := NewWithBlock(3, 128)
@@ -32,35 +32,36 @@ func postingsIndex(rng *rand.Rand, docs int, lists []listShape) (*Index, []strin
 		grams[i] = fmt.Sprintf("g%02d", i)
 		ix.postings[grams[i]] = buildPostings(slices.Compact(ids), ix.blockSize)
 	}
-	ix.BuildBitmaps()
+	ix.BuildSignatures()
 	return ix, grams
 }
 
-// withoutBitmaps copies ix without its bitmaps: the same lists as a mutable
-// index holds them between Adds.
-func withoutBitmaps(ix *Index) *Index {
+// withoutSignature copies ix without its signature: the same lists as a
+// mutable index holds them between Adds.
+func withoutSignature(ix *Index) *Index {
 	out := *ix
 	out.postings = make(map[string]*postings, len(ix.postings))
 	for g, p := range ix.postings {
 		q := *p
-		q.bits = nil
+		q.col = 0
 		out.postings[g] = &q
 	}
-	out.dense = false
+	out.sig = signature{}
 	return &out
 }
 
-// BenchmarkQueryGrams keeps the three access paths of a phase-2 list — scan,
-// seek (chosen between by seekFactor) and bitmap — measured beside the code
-// that chooses them.
+// BenchmarkQueryGrams keeps the three ways phase 2 counts a list — scan,
+// seek (chosen between by seekFactor) and the signature's dense pass —
+// measured beside the code that chooses them.
 //
 // dense is the shape one segment-query has on the bench's match-large world:
 // 4 041 documents, 33 non-empty lists, the 16 of the pigeonhole prefix about
 // 220 postings each inside a third of the segment, the other 17 about 1 800
-// each (44 % of the segment). Without bitmaps every phase-2 list is scanned;
-// seeking them instead costs a binary search per live candidate per list.
-// dense-bitmap is the same index with its bitmaps, as a sealed segment has
-// them: every phase-2 list is a bit test per live candidate.
+// each (44 % of the segment). Without a signature every phase-2 list is
+// scanned; seeking them instead costs a binary search per live candidate per
+// list. dense-signature is the same index with its signature, as a sealed
+// segment has it: all phase-2 lists are counted in one pass over the live
+// candidates, a masked popcount of each one's row.
 //
 // sparse is a million documents, 22 prefix lists of a few hundred postings
 // and 20 lists of 2 to 12 % of the index, all under the dense rule: after the
@@ -69,7 +70,7 @@ func withoutBitmaps(ix *Index) *Index {
 //
 // crossing is 65 536 documents, 16 prefix lists of 200 to 600 postings and 17
 // phase-2 lists of 1/16 to 1/4 of the index: the first five stay under the
-// dense rule and are scanned or sought, the rest carry bitmaps.
+// dense rule and are scanned or sought, the rest are signature columns.
 func BenchmarkQueryGrams(b *testing.B) {
 	rng := rand.New(rand.NewSource(24))
 
@@ -108,8 +109,8 @@ func BenchmarkQueryGrams(b *testing.B) {
 		ix    *Index
 		grams []string
 	}{
-		{"dense", withoutBitmaps(denseIx), denseGrams},
-		{"dense-bitmap", denseIx, denseGrams},
+		{"dense", withoutSignature(denseIx), denseGrams},
+		{"dense-signature", denseIx, denseGrams},
 		{"sparse", sparseIx, sparseGrams},
 		{"crossing", crossingIx, crossingGrams},
 	} {

@@ -96,8 +96,8 @@ func (ix *Index) save(w io.Writer, withDocs bool) error {
 // bytes are copied once and parsed by FromBytes, then every posting list is
 // unsealed, so further Adds continue from the loaded doc count (docless
 // indexes stay docless — their owner resolves ids by doc number). The
-// bitmaps FromBytes built serve queries until the first Add drops them. data
-// is not retained.
+// signature FromBytes built serves queries until the first Add drops it.
+// data is not retained.
 func Load(data []byte) (*Index, error) {
 	ix, err := FromBytes(bytes.Clone(data))
 	if err != nil {
@@ -116,9 +116,10 @@ func Load(data []byte) (*Index, error) {
 // Gram and doc-id strings are copied to the heap (they outlive remaps), and
 // every posting list is fully validated up front — every block decoded once,
 // which reads every posting page — so query-time decoding has no error paths.
-// The same pass builds the bitmaps of the dense lists (denseList) on the
-// heap. The returned index is sealed: Add panics. This is the one NGIX
-// parser; Load reaches it too.
+// The same pass fills the signature of the dense lists (denseList) on the
+// heap, its columns counted from the gram headers beforehand. The returned
+// index is sealed: Add panics. This is the one NGIX parser; Load reaches it
+// too.
 func FromBytes(data []byte) (*Index, error) {
 	r := binfmt.NewCursor(data, "ngram:")
 	magic := r.Take(uint64(len(codecMagic)), "magic")
@@ -178,12 +179,23 @@ func FromBytes(data []byte) (*Index, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
+	// Count the dense lists from the gram headers alone, so the signature
+	// exists before the one pass that decodes every block.
+	headers := *r
+	cols := 0
+	for i := uint64(0); i < numGrams && headers.Err() == nil; i++ {
+		headers.Take(headers.Uvarint("gram length"), "gram")
+		count, skips, data := readPostings(&headers)
+		if headers.Err() == nil && denseEncoded(count, skips, data, ix.blockSize, ix.docCount) {
+			cols++
+		}
+	}
+	ix.sig = newSignature(cols, ix.docCount)
 	prev := ""
+	col := int32(0) // the last column given out
 	for i := uint64(0); i < numGrams; i++ {
 		g := r.Str(maxGramLen, "gram")
-		count := r.Uvarint("posting count")
-		skips := r.Take(r.Uvarint("skip table length"), "skip table")
-		data := r.Take(r.Uvarint("delta stream length"), "delta stream")
+		count, skips, data := readPostings(r)
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
@@ -191,15 +203,40 @@ func FromBytes(data []byte) (*Index, error) {
 			return nil, fmt.Errorf("ngram: gram %q out of order after %q", g, prev)
 		}
 		prev = g
-		p, err := parsePostings(count, ix.blockSize, skips, data, ix.docCount)
+		c := int32(0)
+		if denseEncoded(count, skips, data, ix.blockSize, ix.docCount) {
+			col++
+			c = col
+		}
+		p, err := parsePostings(count, ix.blockSize, skips, data, ix.docCount, &ix.sig, c)
 		if err != nil {
 			return nil, fmt.Errorf("gram %q: %w", g, err)
 		}
 		ix.postings[g] = p
-		ix.dense = ix.dense || p.bits != nil
 	}
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("ngram: %d trailing bytes after index", r.Len())
 	}
 	return ix, nil
+}
+
+// readPostings reads one gram's encoded posting list, the fields after its
+// name.
+func readPostings(r *binfmt.Cursor) (count uint64, skips, data []byte) {
+	count = r.Uvarint("posting count")
+	skips = r.Take(r.Uvarint("skip table length"), "skip table")
+	data = r.Take(r.Uvarint("delta stream length"), "delta stream")
+	return count, skips, data
+}
+
+// denseEncoded applies the dense rule to an encoded list before it is
+// validated. The length checks, which validation demands anyway (a skip entry
+// per block, a delta byte per other id), keep the signature's allocation
+// within the input's own bytes.
+func denseEncoded(count uint64, skips, data []byte, blockSize, docCount int) bool {
+	if count == 0 || count > uint64(docCount) || !denseList(int(count), blockSize, docCount) {
+		return false
+	}
+	blocks := (int(count) + blockSize - 1) / blockSize
+	return len(skips) == blocks*skipEntryBytes && len(data) >= int(count)-blocks
 }

@@ -42,7 +42,7 @@ func FuzzPostingBlockCodec(f *testing.F) {
 		skipsLen := min(blocks*skipEntryBytes, len(blob))
 		skips, data := blob[:skipsLen:skipsLen], blob[skipsLen:]
 
-		p, err := parsePostings(uint64(count), bs, skips, data, docCount)
+		p, err := parsePostings(uint64(count), bs, skips, data, docCount, nil, 0)
 		if err != nil {
 			return
 		}
@@ -116,7 +116,9 @@ func FuzzIndexFromBytes(f *testing.F) {
 // documents sharing the query's common grams and few sharing its rare ones.
 // Its common lists are long against the live set, so phase 2 seeks them on a
 // heap-built index, and they pass the dense rule, so a sealed or spliced copy
-// tests them by bitmap instead (TestBitmapsWhereBuilt holds it to that).
+// counts them from its signature instead (TestSignaturesWhereBuilt holds it
+// to that, and to the committed seed-wide-signature giving rows wider than a
+// word).
 func denseFuzzCorpus() []byte {
 	var dense []byte
 	for i := 0; i < 400; i++ {
@@ -134,9 +136,9 @@ func denseFuzzCorpus() []byte {
 // hold any other byte), a query, a threshold and a block size. One Scratch
 // serves the whole corpus, then its first document alone, then the whole
 // corpus again, each heap-built, sealed and spliced (the last two with the
-// bitmaps of their dense lists), so counters left behind by one index would
-// surface in the next; checkQuery also demands the reference Stats and
-// all-zero counters after every query.
+// signature of their dense lists), so counters or mask words left behind by
+// one index would surface in the next; checkQuery also demands the reference
+// Stats and an all-zero Scratch after every query.
 func FuzzQueryGrams(f *testing.F) {
 	f.Add([]byte("abcdefgh\nabcdxxxx\nzzzzzzzz\nabcdefgh"), []byte("abcdefgh"), uint8(5), uint8(2))
 	f.Add([]byte("aaaaaaaa\naaaa\naa\n\naaaaaaaaaaaaaaaa"), []byte("aaaaa"), uint8(10), uint8(1))

@@ -12,23 +12,27 @@
 // the |lists|−t+1 shortest a block at a time into the counters, noting each
 // document the first time it is touched — by the pigeonhole principle every
 // qualifying document appears in at least one of them. The remaining lists
-// only raise counters that are already live, by one of three paths. A dense
-// list (at least a block, and an eighth of the index or more; denseList)
-// carries a membership bitmap in an immutable index, and adds its bit to
-// every live counter. Any other list is either scanned, bumping non-zero
-// counters without a branch, or, once it is more than seekFactor times
-// longer than the live set, sought once per live document through the skip
-// table; lists grow and the live set shrinks, so that choice flips at most
-// once per query. After every list, a document whose count plus the lists
-// still unread can no longer reach t is abandoned and its counter cleared.
-// The pruning is exact: the surviving candidate set and its containment
-// scores are identical to a full scan.
+// only raise counters that are already live. The dense lists among them (at
+// least a block, and an eighth of the index or more; denseList) are not read
+// at all in an immutable index: the index keeps a signature, one row per
+// document with a bit for each dense list, and one pass over the live
+// documents adds the popcount of each row under the query's mask of dense
+// columns. Any other list is either scanned, bumping non-zero counters
+// without a branch, or, once it is more than seekFactor times longer than
+// the live set, sought once per live document through the skip table; lists
+// grow and the live set shrinks, so that choice flips at most once per
+// query. After every list, and after the dense pass, a document whose count
+// plus the lists still unread can no longer reach t is abandoned and its
+// counter cleared. The pruning is exact: the surviving candidate set and its
+// containment scores are identical to a full scan.
 //
-// The bitmaps are built once per index, never per query: FromBytes sets them
-// in the validation pass that decodes every block at open, Splice and
-// BuildBitmaps (called once a batch of Adds is done) in one pass over the
-// dense lists. Add drops them, so a mutable index is never stale. By the
-// dense rule a bitmap takes no more bytes than the encoded list it shadows.
+// The signature is built once per index, never per query: FromBytes counts
+// its columns from the gram headers and sets its bits in the validation pass
+// that decodes every block at open, Splice and BuildSignatures (called once a
+// batch of Adds is done) in one pass over the dense lists. Add drops it, so a
+// mutable index is never stale. Rows are packed at exactly one bit per dense
+// list, so by the dense rule the signature takes no more bytes than the
+// encoded lists it shadows, plus one pad word.
 //
 // The counters live in the caller's Scratch: four bytes per document of the
 // largest index that Scratch has served (32 KB for the 8 k-document corpora
@@ -36,6 +40,7 @@
 package ngram
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -48,8 +53,8 @@ type Index struct {
 	postings  map[string]*postings
 	docs      []doc // nil for docless indexes (FromBytes embeddings)
 	docCount  int
-	sealed    bool // opened zero-copy: postings alias caller bytes, Add panics
-	dense     bool // some posting list carries a bitmap (BuildBitmaps, FromBytes)
+	sealed    bool      // opened zero-copy: postings alias caller bytes, Add panics
+	sig       signature // the dense lists' rows (BuildSignatures, FromBytes)
 }
 
 type doc struct {
@@ -142,13 +147,13 @@ func (ix *Index) Add(id, s string) int {
 	if ix.sealed {
 		panic("ngram: Add on a sealed (zero-copy) index; segments are write-once")
 	}
-	if ix.dense {
-		// A bitmap sized to the old doc count would go stale: drop them all.
-		// A mutable index queries by scan and seek until the next build.
+	if ix.sig.cols > 0 {
+		// Rows for the old doc count would go stale: drop the signature. A
+		// mutable index queries by scan and seek until the next build.
 		for _, p := range ix.postings {
-			p.bits = nil
+			p.col = 0
 		}
-		ix.dense = false
+		ix.sig = signature{}
 	}
 	num := uint32(ix.docCount)
 	grams := 0
@@ -179,27 +184,34 @@ func (ix *Index) Add(id, s string) int {
 	return int(num)
 }
 
-// BuildBitmaps gives every posting list the dense rule admits (denseList)
-// its membership bitmap, so queries test those lists bit by bit instead of
-// scanning or seeking them. Call it on an index built by Add once its last
-// document is in; FromBytes and Splice build the bitmaps themselves. The next
-// Add drops them all again.
-func (ix *Index) BuildBitmaps() {
-	var buf []uint32
+// BuildSignatures gives the index its signature: a column for every posting
+// list the dense rule admits (denseList) and a row of those columns per
+// document, so a query counts a candidate's dense grams from its row instead
+// of scanning or seeking those lists. Call it on an index built by Add once
+// its last document is in; FromBytes and Splice build the signature
+// themselves. The next Add drops it.
+func (ix *Index) BuildSignatures() {
+	if ix.sig.cols > 0 {
+		return
+	}
+	var dense []*postings
 	for _, p := range ix.postings {
-		if p.bits != nil || !denseList(p.count, ix.blockSize, ix.docCount) {
-			continue
+		if denseList(p.count, ix.blockSize, ix.docCount) {
+			dense = append(dense, p)
 		}
-		if buf == nil {
-			buf = make([]uint32, ix.blockSize)
-		}
-		p.bits = newBitmap(ix.docCount)
+	}
+	if len(dense) == 0 {
+		return
+	}
+	ix.sig = newSignature(len(dense), ix.docCount)
+	buf := make([]uint32, ix.blockSize)
+	for k, p := range dense {
+		p.col = int32(k + 1)
 		for b, nb := 0, p.totalBlocks(); b < nb; b++ {
 			for _, d := range buf[:p.decodeBlock(b, ix.blockSize, buf)] {
-				p.mark(int64(d), ix.docCount)
+				ix.sig.set(d, k)
 			}
 		}
-		ix.dense = true
 	}
 }
 
@@ -229,9 +241,10 @@ type Stats struct {
 
 // Scratch holds the reusable buffers of one retrieval: the selected posting
 // lists, one decoded block, the per-document counters with the list of
-// documents holding a non-zero one, and the result slice. A zero Scratch is
-// ready to use; reusing one across queries (and across indexes of any size)
-// makes the steady-state retrieval allocation-free.
+// documents holding a non-zero one, the query's mask over the signature
+// columns, and the result slice. A zero Scratch is ready to use; reusing one
+// across queries (and across indexes of any size) makes the steady-state
+// retrieval allocation-free.
 //
 // counts is indexed by doc number, grows to the largest index the scratch has
 // served and is all zero between queries: every counter a query raises is in
@@ -246,22 +259,32 @@ type Scratch struct {
 	block  []uint32
 	counts []uint32
 	live   []uint32
+	mask   []uint64   // ⌈D/64⌉ words, all zero between queries
+	masked []maskWord // mask's non-zero words
 	rank   []uint64
 	out    []Candidate
 }
 
-// seekFactor decides, per phase-2 list without a bitmap, between scanning the
-// list and seeking it once per live candidate: a list more than seekFactor
-// times longer than the live set is sought. A scanned posting costs a
-// nanosecond or two (decode and a branch-free bump), a seek about 40
+// maskWord is one non-zero word of a query mask: the signature columns from
+// col on that the query counts.
+type maskWord struct {
+	col  uint64
+	bits uint64
+}
+
+// seekFactor decides, per phase-2 list outside the signature, between
+// scanning the list and seeking it once per live candidate: a list more than
+// seekFactor times longer than the live set is sought. A scanned posting
+// costs a nanosecond or two (decode and a branch-free bump), a seek about 40
 // (skip-table and in-block binary search). BenchmarkQueryGrams on a 2-vCPU
-// Xeon, fastest of 7 runs of 300 queries, µs per query dense / dense-bitmap /
-// sparse / crossing: factor 1 178 / 57 / 894 / 275, 2 128 / 56 / 880 / 250,
+// Xeon, fastest of 7 runs of 300 queries, when each dense list was tested
+// through a bitmap of its own, µs per query dense / dense-bitmap / sparse /
+// crossing: factor 1 178 / 57 / 894 / 275, 2 128 / 56 / 880 / 250,
 // 8 91 / 43 / 417 / 138, 64 71 / 67 / 400 / 175, never seeking
-// 70 / 63 / 7 863 / 257. dense-bitmap never scans or seeks, so its spread is
-// the box's noise; repeats of 8 against 64 read 83–93 against 69–87 on dense
-// and 172–200 against 187–206 on crossing, inside it. Below 8 sparse runs
-// twice as slow, and never seeking 19 times as slow.
+// 70 / 63 / 7 863 / 257. dense-bitmap never scanned or sought, so its spread
+// is the box's noise; repeats of 8 against 64 read 83–93 against 69–87 on
+// dense and 172–200 against 187–206 on crossing, inside it. Below 8 sparse
+// runs twice as slow, and never seeking 19 times as slow.
 const seekFactor = 8
 
 // byCount orders posting lists shortest-first.
@@ -329,29 +352,29 @@ func (ix *Index) QueryGramsScratch(grams []string, eta float64, sc *Scratch) ([]
 	}
 	st.Candidates = len(live)
 
-	// Phase 2 — the remaining (longer) lists, shortest first. A list with a
-	// bitmap adds its membership bit to every live counter, branch-free and
-	// in O(|live|), without touching its postings. Of the others, a list
-	// short against the live set is scanned, bumping only counters already
-	// non-zero; a list long against it is sought once per live document, in
-	// doc order so the cursor only moves forward and hops whole blocks via
-	// the skip table. Lists grow and the live set shrinks along the way, so
-	// once one list is sought all later ones are and the sort happens once.
-	// After list j there are remaining = |lists|−j−1 unread lists; a document
-	// counting c can reach at most c+remaining, so anything below t−remaining
-	// is abandoned and its counter cleared.
+	// Phase 2 — the remaining (longer) lists, shortest first. The dense lists
+	// come last, since the dense rule is a count threshold: those past the
+	// prefix (from ds on) are counted from the signature rows below. Of the
+	// others, a list short against the live set is scanned, bumping only
+	// counters already non-zero; a list long against it is sought once per
+	// live document, in doc order so the cursor only moves forward and hops
+	// whole blocks via the skip table. Lists grow and the live set shrinks
+	// along the way, so once one list is sought all later ones are and the
+	// sort happens once. After list j there are remaining = |lists|−j−1
+	// unread lists; a document counting c can reach at most c+remaining, so
+	// anything below t−remaining is abandoned and its counter cleared.
+	ds := nl
+	for ds > prefix && sc.lists[ds-1].col > 0 {
+		ds--
+	}
 	seeking := false
-	for j := prefix; j < nl; j++ {
+	for j := prefix; j < ds; j++ {
 		p := sc.lists[j]
-		if !seeking && p.bits == nil && p.count > seekFactor*len(live) {
+		if !seeking && p.count > seekFactor*len(live) {
 			seeking = true
 			slices.Sort(live)
 		}
-		if bits := p.bits; bits != nil {
-			for _, d := range live {
-				counts[d] += uint32(bits[d>>6] >> (d & 63) & 1)
-			}
-		} else if seeking {
+		if seeking {
 			var cur cursor
 			cur.init(p, block, bs)
 			for _, d := range live {
@@ -377,6 +400,11 @@ func (ix *Index) QueryGramsScratch(grams []string, eta float64, sc *Scratch) ([]
 			}
 			kept = append(kept, d)
 		}
+		st.Pruned += len(live) - len(kept)
+		live = kept
+	}
+	if ds < nl {
+		kept := ix.countDense(sc, sc.lists[ds:], live, uint32(t))
 		st.Pruned += len(live) - len(kept)
 		live = kept
 	}
@@ -406,4 +434,46 @@ func (ix *Index) QueryGramsScratch(grams []string, eta float64, sc *Scratch) ([]
 		})
 	}
 	return sc.out, st
+}
+
+// countDense adds to every live counter the number of dense lists that hold
+// its document, all at once: the lists' columns form a mask, and a document's
+// count rises by the popcount of its row under the mask, read only where the
+// mask has bits. It returns the documents reaching t, in place of live, and
+// clears the counters of the others.
+func (ix *Index) countDense(sc *Scratch, dense []*postings, live []uint32, t uint32) []uint32 {
+	nw := (ix.sig.cols + 63) / 64
+	if len(sc.mask) < nw {
+		sc.mask = make([]uint64, nw)
+	}
+	mask := sc.mask[:nw]
+	for _, p := range dense {
+		k := p.col - 1
+		mask[k>>6] |= 1 << (k & 63)
+	}
+	masked := sc.masked[:0]
+	for w, m := range mask {
+		if m != 0 {
+			masked = append(masked, maskWord{col: 64 * uint64(w), bits: m})
+			mask[w] = 0
+		}
+	}
+	sc.masked = masked
+
+	counts, width := sc.counts, uint64(ix.sig.cols)
+	kept := live[:0]
+	for _, d := range live {
+		row := uint64(d) * width
+		c := counts[d]
+		for _, m := range masked {
+			c += uint32(bits.OnesCount64(ix.sig.window(row+m.col) & m.bits))
+		}
+		if c < t {
+			counts[d] = 0
+			continue
+		}
+		counts[d] = c
+		kept = append(kept, d)
+	}
+	return kept
 }

@@ -252,7 +252,7 @@ func referenceStats(ix *Index, grams []string, eta float64) Stats {
 
 // checkQuery runs one query through sc and holds it to the reference scan:
 // same candidates, containments and order, the reference Stats, and every
-// counter back at zero.
+// counter and mask word back at zero.
 func checkQuery(t *testing.T, ix, ref *Index, query string, eta float64, sc *Scratch) {
 	t.Helper()
 	grams := ix.Grams(query)
@@ -266,6 +266,11 @@ func checkQuery(t *testing.T, ix, ref *Index, query string, eta float64, sc *Scr
 	for d, c := range sc.counts {
 		if c != 0 {
 			t.Fatalf("eta=%.2f query=%q: counter of doc %d left at %d", eta, query, d, c)
+		}
+	}
+	for w, m := range sc.mask {
+		if m != 0 {
+			t.Fatalf("eta=%.2f query=%q: mask word %d left at %#x", eta, query, w, m)
 		}
 	}
 }

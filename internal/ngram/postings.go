@@ -23,7 +23,7 @@ import (
 const skipEntryBytes = 8
 
 // writeBlockSize is the posting-block size of every index this package
-// builds (New, Splice). seekFactor and the dense-bitmap rule were tuned at it.
+// builds (New, Splice). seekFactor and the dense rule were tuned at it.
 // Readers accept any size in [1, 65536] that a codec header records.
 const writeBlockSize = 128
 
@@ -34,22 +34,56 @@ type postings struct {
 	skips []byte   // skipEntryBytes per sealed block: first id, data offset
 	tail  []uint32 // unsealed suffix (building only; nil for sealed lists)
 	last  uint32   // doc number of the latest add (building only)
-	bits  []uint64 // membership bitmap of one bit per index doc (dense lists only; see denseList)
+	col   int32    // 1 + the list's column in its index's signature; 0 without one (see denseList)
 }
 
-// denseList is the rule for which posting lists also carry a membership
-// bitmap: at least one full block, and postings for an eighth or more of the
-// index's docCount documents. Under it a bitmap is never larger than the
-// encoded list it shadows: each block's first id takes its 8-byte skip entry
-// and every other id at least one delta byte, so the list holds at least
-// count+7 bytes, while the bitmap's 8·⌈docCount/64⌉ ≤ 8·⌈count/8⌉ bytes are
-// at most count+7. The small delta segments of a live service never reach it.
+// denseList is the rule for which posting lists get a column in their
+// index's signature: at least one full block, and postings for an eighth or
+// more of the index's docCount documents. The small delta segments of a live
+// service never reach it.
+//
+// Under it the signature is never larger than the encoded lists it shadows,
+// up to its one pad word. Each block's first id takes its 8-byte skip entry
+// and every other id at least one delta byte, so a dense list of count ids
+// holds at least count+7 bytes. With D dense lists the rows take
+// 8·⌈docCount·D/64⌉ bytes, and docCount ≤ 8·count for each list, so
+// docCount·D ≤ 8·Σ count and the rows take at most 8·⌈Σ count/8⌉ ≤
+// Σ count + 7 bytes: no more than the Σ (count+7) of the lists.
 func denseList(count, blockSize, docCount int) bool {
 	return count >= blockSize && 8*count >= docCount
 }
 
-// newBitmap returns a zeroed membership bitmap for docCount documents.
-func newBitmap(docCount int) []uint64 { return make([]uint64, (docCount+63)/64) }
+// signature holds an index's dense-gram rows. With D dense lists (denseList)
+// each list is a column k in [0, D), and document d's row is the D bits from
+// bit d·D of words: bit d·D+k is set when d is in list k. Rows are packed at
+// exactly D bits, so a row may straddle two words; one pad word past the last
+// row lets window read any 64 bits of a row with two loads and no branch.
+// The zero value is an index without dense lists.
+type signature struct {
+	cols  int      // D
+	words []uint64 // ⌈docCount·D/64⌉ words of rows, then the pad word
+}
+
+// newSignature returns zeroed rows of cols bits for docCount documents.
+func newSignature(cols, docCount int) signature {
+	if cols == 0 {
+		return signature{}
+	}
+	return signature{cols: cols, words: make([]uint64, (uint64(docCount)*uint64(cols)+63)/64+1)}
+}
+
+// set marks document d in column k.
+func (s *signature) set(d uint32, k int) {
+	b := uint64(d)*uint64(s.cols) + uint64(k)
+	s.words[b>>6] |= 1 << (b & 63)
+}
+
+// window returns the 64 bits of the rows from bit b on, bit i of the result
+// being bit b+i. Past a row's end the bits are the next row's (or the pad's).
+func (s *signature) window(b uint64) uint64 {
+	i, sh := b>>6, b&63
+	return s.words[i]>>sh | s.words[i+1]<<(64-sh)
+}
 
 // sealedBlocks returns the number of blocks present in skips.
 func (p *postings) sealedBlocks() int { return len(p.skips) / skipEntryBytes }
@@ -204,8 +238,9 @@ func encodedPostings(p *postings) (skips, data []byte) {
 // data/skips alias the input slices. Every block is decoded once here —
 // strictly increasing ids, in-range docs, delta streams that exactly fill
 // their byte ranges — so cursors can decode later without error paths and
-// without ever reading past a block's slice.
-func parsePostings(count uint64, blockSize int, skips, data []byte, docCount int) (*postings, error) {
+// without ever reading past a block's slice. A list with col > 0 is column
+// col−1 of sig, and this pass sets its bits there.
+func parsePostings(count uint64, blockSize int, skips, data []byte, docCount int, sig *signature, col int32) (*postings, error) {
 	if count == 0 {
 		if len(skips) != 0 || len(data) != 0 {
 			return nil, fmt.Errorf("ngram: empty posting list with %d skip / %d data bytes", len(skips), len(data))
@@ -219,13 +254,7 @@ func parsePostings(count uint64, blockSize int, skips, data []byte, docCount int
 	if len(skips) != blocks*skipEntryBytes {
 		return nil, fmt.Errorf("ngram: posting list of %d ids wants %d skip entries, has %d bytes", count, blocks, len(skips))
 	}
-	p := &postings{count: int(count), data: data, skips: skips}
-	if denseList(int(count), blockSize, docCount) && len(data) >= int(count)-blocks {
-		// The bitmap rides this validation pass. The length check (one delta
-		// byte per non-first id, which validation below demands anyway)
-		// bounds the allocation by the input's own bytes.
-		p.bits = newBitmap(docCount)
-	}
+	p := &postings{count: int(count), data: data, skips: skips, col: col}
 	prev := int64(-1) // last doc of the previous block
 	for i := 0; i < blocks; i++ {
 		off := int(p.skipOff(i))
@@ -240,7 +269,7 @@ func parsePostings(count uint64, blockSize int, skips, data []byte, docCount int
 		if v <= prev {
 			return nil, fmt.Errorf("ngram: block %d starts at doc %d, not above previous doc %d", i, v, prev)
 		}
-		p.mark(v, docCount)
+		p.mark(sig, v, docCount)
 		b := data[off:end]
 		for j := 1; j < p.blockLen(i, blockSize); j++ {
 			d, w := binary.Uvarint(b)
@@ -264,7 +293,7 @@ func parsePostings(count uint64, blockSize int, skips, data []byte, docCount int
 			}
 			b = b[w:]
 			v += int64(d)
-			p.mark(v, docCount)
+			p.mark(sig, v, docCount)
 		}
 		if len(b) != 0 {
 			return nil, fmt.Errorf("ngram: block %d: %d trailing bytes after %d deltas", i, len(b), p.blockLen(i, blockSize)-1)
@@ -277,11 +306,11 @@ func parsePostings(count uint64, blockSize int, skips, data []byte, docCount int
 	return p, nil
 }
 
-// mark sets doc v in p's bitmap, if p has one. An id out of range is left
-// unmarked: while parsePostings decodes, validation refuses its block.
-func (p *postings) mark(v int64, docCount int) {
-	if p.bits != nil && v < int64(docCount) {
-		p.bits[v>>6] |= 1 << (v & 63)
+// mark sets doc v in p's column of sig, if p has one. An id out of range is
+// left unmarked: while parsePostings decodes, validation refuses its block.
+func (p *postings) mark(sig *signature, v int64, docCount int) {
+	if p.col > 0 && v < int64(docCount) {
+		sig.set(uint32(v), int(p.col-1))
 	}
 }
 

@@ -59,7 +59,7 @@ func TestPostingsRoundTrip(t *testing.T) {
 			// The sealed encoding must parse back (the docCount bound is one
 			// past the largest id) and decode to the same ids.
 			skips, data := encodedPostings(p)
-			parsed, err := parsePostings(uint64(n), bs, skips, data, int(ids[n-1])+1)
+			parsed, err := parsePostings(uint64(n), bs, skips, data, int(ids[n-1])+1, nil, 0)
 			if err != nil {
 				t.Fatalf("bs=%d n=%d: parse: %v", bs, n, err)
 			}
@@ -131,7 +131,7 @@ func TestParsePostingsRejectsCorruption(t *testing.T) {
 	docCount := 31
 
 	ok := func(sk, da []byte, count uint64, docs int) error {
-		_, err := parsePostings(count, bs, sk, da, docs)
+		_, err := parsePostings(count, bs, sk, da, docs, nil, 0)
 		return err
 	}
 	if err := ok(skips, data, 7, docCount); err != nil {
@@ -160,7 +160,7 @@ func TestParsePostingsRejectsCorruption(t *testing.T) {
 	// A zero delta (duplicate doc) must be rejected: ids [3,3] encode as
 	// first=3 + delta 0.
 	sk := []byte{3, 0, 0, 0, 0, 0, 0, 0}
-	if _, err := parsePostings(2, bs, sk, []byte{0}, docCount); err == nil {
+	if _, err := parsePostings(2, bs, sk, []byte{0}, docCount, nil, 0); err == nil {
 		t.Error("zero delta accepted")
 	}
 	// Block order must be strictly increasing across block boundaries.
@@ -168,7 +168,7 @@ func TestParsePostingsRejectsCorruption(t *testing.T) {
 	sk2, da2 := encodedPostings(p2)
 	bad := append([]byte(nil), sk2...)
 	copy(bad[skipEntryBytes:], []byte{2, 0, 0, 0}) // second block "starts" at 2 <= 4
-	if _, err := parsePostings(8, bs, bad, da2, docCount); err == nil {
+	if _, err := parsePostings(8, bs, bad, da2, docCount, nil, 0); err == nil {
 		t.Error("non-increasing block start accepted")
 	}
 }

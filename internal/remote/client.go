@@ -120,15 +120,24 @@ func (c *Client) get(ctx context.Context, url string) (*http.Response, error) {
 	return hresp, nil
 }
 
-// CorpusSize reads a node's corpus size from GET /v1/corpus.
-func (c *Client) CorpusSize(ctx context.Context, base string) (int, error) {
-	var info struct{ Size int }
+// CorpusCount is what a node's GET /v1/corpus says it holds.
+type CorpusCount struct {
+	Size int // documents in the corpus
+	Adds int // documents indexed since the node booted (corpus.adds)
+}
+
+// CorpusCount reads a node's corpus size and adds from one GET /v1/corpus.
+func (c *Client) CorpusCount(ctx context.Context, base string) (CorpusCount, error) {
+	var info struct {
+		Size   int
+		Corpus struct{ Adds int }
+	}
 	hresp, err := c.get(ctx, base+"/v1/corpus")
 	if err == nil {
 		defer drainClose(hresp.Body)
 		err = json.NewDecoder(hresp.Body).Decode(&info)
 	}
-	return info.Size, err
+	return CorpusCount{Size: info.Size, Adds: info.Corpus.Adds}, err
 }
 
 // FetchSnapshot downloads the shard's binary corpus snapshot

@@ -466,11 +466,12 @@ func (s *Server) handleCorpusAdd(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCorpusInfo reports the corpus this node answers for: on a router,
-// the sum over its partitions (partial when one could not be read).
+// size and adds are the sums over its partitions (partial when one could not
+// be read).
 func (s *Server) handleCorpusInfo(w http.ResponseWriter, r *http.Request) {
 	c := s.engine.Corpus()
 	cfg := c.Config()
-	size := c.Len()
+	count := remote.CorpusCount{Size: c.Len(), Adds: int(c.Adds())}
 	info := map[string]any{
 		"n":       cfg.N,
 		"eta":     cfg.Eta,
@@ -478,15 +479,15 @@ func (s *Server) handleCorpusInfo(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.router != nil {
 		var partial bool
-		if size, partial = s.routedSize(r.Context(), nil); partial {
+		if count, partial = s.routedCount(r.Context(), nil); partial {
 			info["partial"] = true
 		}
 	}
-	info["size"] = size
+	info["size"] = count.Size
 	info["corpus"] = map[string]any{
-		"size":   size,
+		"size":   count.Size,
 		"shards": c.Shards(),
-		"adds":   c.Adds(),
+		"adds":   count.Adds,
 	}
 	if s.store != nil {
 		info["persistence"] = s.store.Info()

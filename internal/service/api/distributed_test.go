@@ -646,7 +646,7 @@ func TestRoutedBulkAccounting(t *testing.T) {
 // line (malformed), and an entry is held to one bulk line's bytes as the
 // router writes it to a shard: U+2028 is written as a 6-byte escape, so a
 // line that fits as sent can be refused on both endpoints. After every step,
-// GET /v1/corpus reports the same size on both roles.
+// GET /v1/corpus reports the same size and corpus.adds on both roles.
 func TestRoutedIngestEqualsSingleNode(t *testing.T) {
 	single, _ := newTestServerOpts(t, service.Options{Workers: 2, Shards: 2, CCD: ccd.ConservativeConfig})
 	c := newTestCluster(t, 2, remote.Config{})
@@ -697,8 +697,13 @@ func TestRoutedIngestEqualsSingleNode(t *testing.T) {
 		if gotInfo["size"] != wantInfo["size"] || gotInfo["partial"] != nil {
 			t.Errorf("%s: router GET /v1/corpus size %v partial %v, single node size %v", step.name, gotInfo["size"], gotInfo["partial"], wantInfo["size"])
 		}
-		if corpus, _ := gotInfo["corpus"].(map[string]any); corpus["size"] != wantInfo["size"] {
-			t.Errorf("%s: router GET /v1/corpus corpus.size %v, single node size %v", step.name, corpus["size"], wantInfo["size"])
+		gotCorpus, _ := gotInfo["corpus"].(map[string]any)
+		wantCorpus, _ := wantInfo["corpus"].(map[string]any)
+		if gotCorpus["size"] != wantInfo["size"] {
+			t.Errorf("%s: router GET /v1/corpus corpus.size %v, single node size %v", step.name, gotCorpus["size"], wantInfo["size"])
+		}
+		if gotCorpus["adds"] != wantCorpus["adds"] {
+			t.Errorf("%s: router GET /v1/corpus corpus.adds %v, single node %v", step.name, gotCorpus["adds"], wantCorpus["adds"])
 		}
 	}
 }

@@ -294,26 +294,30 @@ func (s *Server) ingestRouted(ctx context.Context, batches iter.Seq[[]service.Co
 	if err != nil && !errors.Is(err, service.ErrPersist) {
 		return total, err
 	}
-	total.Size, total.Partial = s.routedSize(ctx, sizes)
+	count, partial := s.routedCount(ctx, sizes)
+	total.Size, total.Partial = count.Size, partial
 	return total, err
 }
 
-// routedSize is a router's corpus size: the sum over its partitions. A
-// partition in known contributes the size it already reported; any other is
-// read with GET /v1/corpus, and a failed read leaves it out of the sum and
-// makes the sum partial.
-func (s *Server) routedSize(ctx context.Context, known map[int]int) (size int, partial bool) {
+// routedCount is a router's corpus: size and adds summed over its
+// partitions. A partition in known contributes the size it already reported
+// and no adds; any other is read with GET /v1/corpus, and a failed read
+// leaves it out of the sums and makes them partial.
+func (s *Server) routedCount(ctx context.Context, known map[int]int) (total remote.CorpusCount, partial bool) {
 	for part := range s.router.N() {
-		n, ok := known[part]
-		if !ok {
-			var err error
-			if n, err = s.router.Client().CorpusSize(ctx, s.router.Target(part)); err != nil {
-				n, partial = 0, true
-			}
+		if n, ok := known[part]; ok {
+			total.Size += n
+			continue
 		}
-		size += n
+		got, err := s.router.Client().CorpusCount(ctx, s.router.Target(part))
+		if err != nil {
+			partial = true
+			continue
+		}
+		total.Size += got.Size
+		total.Adds += got.Adds
 	}
-	return size, partial
+	return total, partial
 }
 
 // --- cursor plumbing ----------------------------------------------------------

@@ -243,7 +243,7 @@ func (c *Corpus) publish(sh *shard, upTo uint64) {
 			sh.ids[e.ID] = struct{}{}
 		}
 	}
-	seg.BuildBitmaps() // the segment is complete; readers only query it from here
+	seg.BuildSignatures() // the segment is complete; readers only query it from here
 	indexed := seg.Len()
 	c.adds.Add(int64(indexed))
 	c.supersedes.Add(int64(len(batch) - indexed))
@@ -677,7 +677,7 @@ func (c *Corpus) installSnapshotWith(cfg ccd.Config, perShard [][][]byte, open f
 				for _, e := range parts[i] {
 					seg.Add(e.ID, e.FP)
 				}
-				seg.BuildBitmaps()
+				seg.BuildSignatures()
 				install[i] = []*ccd.Corpus{seg}
 			}(i)
 		}
