@@ -63,20 +63,11 @@ func (c *Client) PostNDJSON(ctx context.Context, url string, body []byte, out an
 // *StatusError, and a 500's body is decoded into out as well: a shard's bulk
 // ingest that failed to persist carries its exact accounting there.
 func (c *Client) post(ctx context.Context, url, contentType string, body []byte, out any) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", contentType)
-	c.decorate(ctx, hreq)
-	hresp, err := c.hc.Do(hreq)
+	hresp, err := c.send(ctx, http.MethodPost, url, contentType, body, out)
 	if err != nil {
 		return err
 	}
 	defer drainClose(hresp.Body)
-	if hresp.StatusCode/100 != 2 {
-		return statusError(hresp, out)
-	}
 	return json.NewDecoder(hresp.Body).Decode(out)
 }
 
@@ -101,12 +92,20 @@ func (c *Client) decorate(ctx context.Context, hreq *http.Request) {
 	}
 }
 
-// get issues a decorated GET and returns the response, converting non-2xx
-// statuses to *StatusError.
+// get issues a decorated GET and returns its 2xx response.
 func (c *Client) get(ctx context.Context, url string) (*http.Response, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	return c.send(ctx, http.MethodGet, url, "", nil, nil)
+}
+
+// send issues a decorated request and returns its 2xx response. Any other
+// status is a *StatusError (see statusError for out).
+func (c *Client) send(ctx context.Context, method, url, contentType string, body []byte, out any) (*http.Response, error) {
+	hreq, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
+	}
+	if contentType != "" {
+		hreq.Header.Set("Content-Type", contentType)
 	}
 	c.decorate(ctx, hreq)
 	hresp, err := c.hc.Do(hreq)
@@ -115,7 +114,7 @@ func (c *Client) get(ctx context.Context, url string) (*http.Response, error) {
 	}
 	if hresp.StatusCode/100 != 2 {
 		defer drainClose(hresp.Body)
-		return nil, statusError(hresp, nil)
+		return nil, statusError(hresp, out)
 	}
 	return hresp, nil
 }
@@ -188,25 +187,18 @@ func (c *Client) walPage(ctx context.Context, url string, next *int, epoch *int6
 			*epoch = e
 		}
 	}
-	sc := bufio.NewScanner(hresp.Body)
-	sc.Buffer(make([]byte, 64<<10), 4<<20)
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
+	err = eachLine(hresp.Body, func(line []byte) error {
 		var rec WALRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return false, fmt.Errorf("wal stream: bad record after seq %d: %w", *next, err)
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return fmt.Errorf("wal stream: bad record after seq %d: %w", *next, err)
 		}
 		if err := fn(rec); err != nil {
-			return false, err
+			return err
 		}
 		*next = rec.Seq + 1
-	}
-	if err := sc.Err(); err != nil {
-		return false, err
-	}
-	return hresp.Header.Get("X-WAL-More") == "1", nil
+		return nil
+	})
+	return err == nil && hresp.Header.Get("X-WAL-More") == "1", err
 }
 
 // ExportEntries walks the shard's paginated NDJSON corpus export
@@ -215,18 +207,14 @@ func (c *Client) walPage(ctx context.Context, url string, next *int, epoch *int6
 // clone study stream partitions through this, never holding more than one
 // page.
 func (c *Client) ExportEntries(ctx context.Context, base string, fn func([]ccd.Entry) error) error {
-	cursor := ""
-	for {
+	for cursor := ""; ; {
 		url := base + "/v1/corpus/export?format=ndjson"
 		if cursor != "" {
 			url += "&cursor=" + cursor
 		}
 		next, err := c.exportPage(ctx, url, fn)
-		if err != nil {
+		if err != nil || next == "" {
 			return err
-		}
-		if next == "" {
-			return nil
 		}
 		cursor = next
 	}
@@ -241,25 +229,37 @@ func (c *Client) exportPage(ctx context.Context, url string, fn func([]ccd.Entry
 	}
 	defer drainClose(hresp.Body)
 	var page []ccd.Entry
-	sc := bufio.NewScanner(hresp.Body)
+	err = eachLine(hresp.Body, func(line []byte) error {
+		var e ExportEntry
+		if err := json.Unmarshal(line, &e); err != nil {
+			return fmt.Errorf("corpus export: bad entry: %w", err)
+		}
+		page = append(page, ccd.Entry{ID: e.ID, FP: ccd.Fingerprint(e.Fingerprint)})
+		return nil
+	})
+	if err == nil {
+		err = fn(page)
+	}
+	if err != nil {
+		return "", err
+	}
+	return hresp.Header.Get("X-Next-Cursor"), nil
+}
+
+// eachLine calls fn on every non-blank line of an NDJSON body (4 MiB at
+// most a line) until fn or the read fails.
+func eachLine(body io.Reader, fn func([]byte) error) error {
+	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64<<10), 4<<20)
 	for sc.Scan() {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
 		}
-		var e ExportEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return "", fmt.Errorf("corpus export: bad entry: %w", err)
+		if err := fn(sc.Bytes()); err != nil {
+			return err
 		}
-		page = append(page, ccd.Entry{ID: e.ID, FP: ccd.Fingerprint(e.Fingerprint)})
 	}
-	if err := sc.Err(); err != nil {
-		return "", err
-	}
-	if err := fn(page); err != nil {
-		return "", err
-	}
-	return hresp.Header.Get("X-Next-Cursor"), nil
+	return sc.Err()
 }
 
 // statusError converts a non-2xx response into a *StatusError, preserving

@@ -25,7 +25,6 @@ package remote
 import (
 	"fmt"
 
-	"repro/internal/ccd"
 	"repro/internal/service"
 )
 
@@ -129,13 +128,4 @@ func (e *StatusError) Overloaded() bool {
 // backpressure service.Gather aborts a fan-out on.
 func (e *StatusError) Is(target error) bool {
 	return target == service.ErrOverloaded && e.Overloaded()
-}
-
-// toCCDMatches converts wire matches to ccd.Match for the merge heap.
-func toCCDMatches(ms []Match) []ccd.Match {
-	out := make([]ccd.Match, len(ms))
-	for i, m := range ms {
-		out[i] = ccd.Match{ID: m.ID, Score: m.Score}
-	}
-	return out
 }

@@ -172,7 +172,11 @@ func (r *Router) scanShard(ctx context.Context, part int, fingerprint string, k 
 	if len(resp.Degraded) > 0 {
 		err = service.ErrBudgetExhausted
 	}
-	return toCCDMatches(resp.Matches), st, err
+	ms := make([]ccd.Match, len(resp.Matches))
+	for i, m := range resp.Matches {
+		ms[i] = ccd.Match{ID: m.ID, Score: m.Score}
+	}
+	return ms, st, err
 }
 
 // remainingBudgetMs snapshots the budget left on ctx in whole milliseconds

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -95,6 +98,133 @@ func TestRoleFlagMatrix(t *testing.T) {
 				t.Errorf("-role %s -%s: accepted, want rejected", role, f.name)
 			case !accept && !strings.Contains(err.Error(), "-"+f.name+" "):
 				t.Errorf("-role %s -%s: error %q does not name the flag", role, f.name, err)
+			}
+		}
+	}
+}
+
+// TestRoleRouteMatrix holds every route × role pair to its status. Each role
+// is built with Build, the router over two live shard nodes, and every route
+// is asked in turn on each. A route is served alike on every role, or a
+// router refuses it: a status of its own and an error JSON, with trace_id,
+// that names the router. The matrix is written here, apart from the api
+// route table; a route a node registers (an endpoint key of its /metrics)
+// without a row here fails the test, and so does a row no node registers.
+func TestRoleRouteMatrix(t *testing.T) {
+	const src = `"contract A { uint x; function f() public { x = 1; } }"`
+	matrix := []struct {
+		pattern, method, path, body string
+		served, router              int // single and shard, router
+	}{
+		{"POST /v1/analyze", "POST", "/v1/analyze", `{"source": ` + src + `}`, 200, 200},
+		{"POST /v1/fingerprint", "POST", "/v1/fingerprint", `{"source": ` + src + `}`, 200, 200},
+		{"POST /v1/corpus", "POST", "/v1/corpus", `{"entries": [{"id": "a", "source": ` + src + `}]}`, 200, 200},
+		{"POST /v1/corpus/bulk", "POST", "/v1/corpus/bulk", `{"id": "b", "source": ` + src + `}` + "\n", 200, 200},
+		{"GET /v1/corpus", "GET", "/v1/corpus", "", 200, 200},
+		{"POST /v1/corpus/snapshot", "POST", "/v1/corpus/snapshot", "", 200, 409},
+		{"GET /v1/corpus/export", "GET", "/v1/corpus/export", "", 200, 409},
+		{"GET /v1/corpus/export", "GET", "/v1/corpus/export?format=ndjson", "", 200, 409},
+		{"POST /v1/match", "POST", "/v1/match", `{"source": ` + src + `}`, 200, 200},
+		{"POST /v1/study", "POST", "/v1/study", `{"mode": "corpus"}`, 202, 202},
+		{"GET /v1/study/{id}", "GET", "/v1/study/study-1", "", 200, 200},
+		{"GET /v1/study", "GET", "/v1/study", "", 200, 200},
+		{"GET /v1/clusters", "GET", "/v1/clusters", "", 200, 200},
+		{"GET /v1/clusters/export", "GET", "/v1/clusters/export", "", 200, 200},
+		{"POST /v1/shard/match", "POST", "/v1/shard/match", `{"fingerprint": "QxRtYuIoPAbCdEfGh", "k": 3}`, 200, 404},
+		{"GET /v1/wal/stream", "GET", "/v1/wal/stream", "", 200, 404},
+		{"GET /healthz", "GET", "/healthz", "", 200, 200},
+		{"GET /readyz", "GET", "/readyz", "", 200, 200},
+		{"GET /metrics", "GET", "/metrics", "", 200, 200},
+		{"GET /debug/traces", "GET", "/debug/traces", "", 200, 200},
+		{"GET /debug/traces/{id}", "GET", "/debug/traces/route-matrix", "", 200, 200},
+	}
+
+	rows := map[string]bool{}
+	for _, m := range matrix {
+		rows[m.pattern] = true
+	}
+
+	ctx := context.Background()
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	build := func(c Config) string {
+		t.Helper()
+		n, err := Build(ctx, c, logger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(n.Handler)
+		t.Cleanup(func() { ts.Close(); n.Stop() })
+		return ts.URL
+	}
+	single := minimal("single")
+	single.CorpusDir = t.TempDir()
+	var shards []string
+	for i := range 2 {
+		c := minimal("shard")
+		c.Partition, c.CorpusDir = fmt.Sprintf("%d/2", i), t.TempDir()
+		shards = append(shards, build(c))
+	}
+	router := minimal("router")
+	router.Shards = strings.Join(shards, ",")
+	nodes := []struct{ role, url string }{{"single", build(single)}, {"shard", shards[0]}, {"router", build(router)}}
+
+	do := func(method, url, body string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-Id", "route-matrix") // so /debug/traces/route-matrix finds a trace
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, b
+	}
+	for _, n := range nodes {
+		for _, m := range matrix {
+			want := m.served
+			if n.role == "router" {
+				want = m.router
+			}
+			status, body := do(m.method, n.url+m.path, m.body)
+			if status != want {
+				t.Errorf("-role %s %s %s: status %d, want %d: %.200s", n.role, m.method, m.path, status, want, body)
+				continue
+			}
+			if want != m.served {
+				var e struct {
+					Error   string
+					TraceID string `json:"trace_id"`
+				}
+				if json.Unmarshal(body, &e) != nil || !strings.Contains(e.Error, n.role) || e.TraceID == "" {
+					t.Errorf("-role %s %s %s: refusal %s does not name the role with a trace id", n.role, m.method, m.path, body)
+				}
+			}
+			for i := 0; m.path == "/v1/study" && i < 500; i++ {
+				// The clusters rows read the finished study.
+				if _, job := do("GET", n.url+"/v1/study/study-1", ""); !strings.Contains(string(job), `"running"`) {
+					break
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		}
+
+		_, body := do("GET", n.url+"/metrics", "")
+		var metrics struct{ Endpoints map[string]any }
+		if err := json.Unmarshal(body, &metrics); err != nil {
+			t.Fatal(err)
+		}
+		for pattern := range metrics.Endpoints {
+			if !rows[pattern] {
+				t.Errorf("-role %s registers %q, which has no matrix row", n.role, pattern)
+			}
+		}
+		for pattern := range rows {
+			if _, ok := metrics.Endpoints[pattern]; !ok {
+				t.Errorf("-role %s does not register %q", n.role, pattern)
 			}
 		}
 	}

@@ -6,13 +6,16 @@
 package api
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -162,40 +165,100 @@ func NewServer(engine *service.Engine, opts ...Option) *Server {
 		}
 	}
 
-	// /v1 routes sit behind the per-client rate limiter; the heavy POST
-	// routes additionally pass the engine's bounded admission queue, and
-	// ingest routes are guarded on store readiness. Order per request:
-	// rate limit (cheapest, per-client fairness) → admission (global
-	// overload) → writability → handler.
-	mux := http.NewServeMux()
-	s.traced(mux, "POST /v1/analyze", s.limited(s.admitted(s.handleAnalyze)))
-	s.traced(mux, "POST /v1/fingerprint", s.limited(s.admitted(s.handleFingerprint)))
-	s.traced(mux, "POST /v1/corpus", s.limited(s.admitted(s.writable(s.handleCorpusAdd))))
-	s.traced(mux, "GET /v1/corpus", s.limited(s.handleCorpusInfo))
-	s.traced(mux, "POST /v1/corpus/bulk", s.limited(s.admitted(s.writable(s.handleCorpusBulk))))
-	s.traced(mux, "POST /v1/corpus/snapshot", s.limited(s.writable(s.handleCorpusSnapshot)))
-	s.traced(mux, "GET /v1/corpus/export", s.limited(s.handleCorpusExport))
-	s.traced(mux, "POST /v1/match", s.limited(s.admitted(s.handleMatch)))
-	s.traced(mux, "POST /v1/study", s.limited(s.handleStudyStart))
-	s.traced(mux, "GET /v1/study", s.limited(s.handleStudyList))
-	s.traced(mux, "GET /v1/study/{id}", s.limited(s.handleStudyGet))
-	s.traced(mux, "GET /v1/clusters", s.limited(s.handleClusters))
-	s.traced(mux, "GET /v1/clusters/export", s.limited(s.handleClustersExport))
-	// Multi-node plumbing: a shard node answers partition-local matches
-	// (seeded with the router's shipped bound) and streams its WAL tail to
-	// bootstrapping replicas. Routed on every node — harmless without
-	// remote peers, and a single-process deployment can still be tailed.
-	s.traced(mux, "POST /v1/shard/match", s.limited(s.admitted(s.handleShardMatch)))
-	s.traced(mux, "GET /v1/wal/stream", s.limited(s.handleWALStream))
-	// Observability endpoints are counted but untraced: a scrape must not
-	// churn the trace ring it is reading.
-	s.counted(mux, "GET /healthz", s.handleHealthz)
-	s.counted(mux, "GET /readyz", s.handleReadyz)
-	s.counted(mux, "GET /metrics", s.handleMetrics)
-	s.counted(mux, "GET /debug/traces", s.handleDebugTraces)
-	s.counted(mux, "GET /debug/traces/{id}", s.handleDebugTraceGet)
-	s.mux = mux
+	s.mux = http.NewServeMux()
+	for _, rt := range routes {
+		s.mux.HandleFunc(rt.pattern, s.handler(rt))
+	}
 	return s
+}
+
+// guards is what a route's requests pass before its handler. Every /v1 route
+// is traced and rate-limited; the flags add, in this order after the rate
+// limit (cheapest, per-client fairness): admission (global overload), then
+// writability.
+type guards uint8
+
+const (
+	// admit passes the engine's bounded admission queue (the heavy routes).
+	admit guards = 1 << iota
+	// write waits on store readiness (the routes that write the corpus).
+	write
+	// observe marks an observability route instead: counted and timed, but
+	// untraced (a scrape must not churn the trace ring it reads) and never
+	// rate-limited. The -debug-addr listener serves these routes too.
+	observe
+)
+
+// refusal is a role's answer to a route it does not serve: a status and a
+// reason naming the role, in the usual error JSON.
+type refusal struct {
+	status int
+	reason string
+}
+
+// route is one row of the route table: a pattern, its handler, its guards
+// and what a router does with it (nil: serves it). Single, shard and replica
+// nodes serve every route.
+type route struct {
+	pattern  string
+	handle   func(*Server, http.ResponseWriter, *http.Request)
+	guards   guards
+	onRouter *refusal
+}
+
+// notOnRouter refuses the multi-node plumbing a shard serves: a partition-
+// local match and the WAL tail a replica bootstraps from. A single node
+// serves both, so a single-process deployment can still be tailed.
+var notOnRouter = &refusal{http.StatusNotFound, "not served on a router"}
+
+// routes is every endpoint, registered on every role, so /metrics keys the
+// same endpoints everywhere. A router holds no corpus, snapshot or WAL, so it
+// refuses what only those can answer.
+var routes = []route{
+	{"POST /v1/analyze", (*Server).handleAnalyze, admit, nil},
+	{"POST /v1/fingerprint", (*Server).handleFingerprint, admit, nil},
+	{"POST /v1/corpus", (*Server).handleCorpusAdd, admit | write, nil},
+	{"GET /v1/corpus", (*Server).handleCorpusInfo, 0, nil},
+	{"POST /v1/corpus/bulk", (*Server).handleCorpusBulk, admit | write, nil},
+	{"POST /v1/corpus/snapshot", (*Server).handleCorpusSnapshot, write,
+		&refusal{http.StatusConflict, "a router holds no corpus to snapshot; snapshot each shard"}},
+	{"GET /v1/corpus/export", (*Server).handleCorpusExport, 0,
+		&refusal{http.StatusConflict, "a router holds no corpus; export each shard"}},
+	{"POST /v1/match", (*Server).handleMatch, admit, nil},
+	{"POST /v1/study", (*Server).handleStudyStart, 0, nil},
+	{"GET /v1/study", (*Server).handleStudyList, 0, nil},
+	{"GET /v1/study/{id}", (*Server).handleStudyGet, 0, nil},
+	{"GET /v1/clusters", (*Server).handleClusters, 0, nil},
+	{"GET /v1/clusters/export", (*Server).handleClustersExport, 0, nil},
+	{"POST /v1/shard/match", (*Server).handleShardMatch, admit, notOnRouter},
+	{"GET /v1/wal/stream", (*Server).handleWALStream, 0, notOnRouter},
+	{"GET /healthz", (*Server).handleHealthz, observe, nil},
+	{"GET /readyz", (*Server).handleReadyz, observe, nil},
+	{"GET /metrics", (*Server).handleMetrics, observe, nil},
+	{"GET /debug/traces", (*Server).handleDebugTraces, observe, nil},
+	{"GET /debug/traces/{id}", (*Server).handleDebugTraceGet, observe, nil},
+}
+
+// handler composes rt's chain once, at registration: its endpoint stats and
+// trace, then its guards, then its handler. A route this server's role
+// refuses keeps the stats, trace and rate limit alone: its refusal takes no
+// admission slot and never waits on readiness.
+func (s *Server) handler(rt route) http.HandlerFunc {
+	h := func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) }
+	g := rt.guards
+	if f := rt.onRouter; s.router != nil && f != nil {
+		h, g = func(w http.ResponseWriter, _ *http.Request) { writeError(w, f.status, f.reason) }, 0
+	}
+	if g&write != 0 {
+		h = s.writable(h)
+	}
+	if g&admit != 0 {
+		h = s.admitted(h)
+	}
+	if g&observe != 0 {
+		return s.instrument(rt.pattern, h, false)
+	}
+	return s.instrument(rt.pattern, s.limited(h), true)
 }
 
 // Handler returns the routed HTTP handler.
@@ -467,7 +530,7 @@ func (s *Server) handleCorpusAdd(w http.ResponseWriter, r *http.Request) {
 
 // handleCorpusInfo reports the corpus this node answers for: on a router,
 // size and adds are the sums over its partitions (partial when one could not
-// be read).
+// be read), and on every role shards is the fan-out width explain=1 reports.
 func (s *Server) handleCorpusInfo(w http.ResponseWriter, r *http.Request) {
 	c := s.engine.Corpus()
 	cfg := c.Config()
@@ -486,7 +549,7 @@ func (s *Server) handleCorpusInfo(w http.ResponseWriter, r *http.Request) {
 	info["size"] = count.Size
 	info["corpus"] = map[string]any{
 		"size":   count.Size,
-		"shards": c.Shards(),
+		"shards": s.fanout,
 		"adds":   count.Adds,
 	}
 	if s.store != nil {
@@ -679,30 +742,16 @@ func (s *Server) startPipelineStudy(w http.ResponseWriter, req StudyRequest) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("scale %.3f exceeds maximum %.1f", req.Scale, maxStudyScale))
 		return
 	}
-	job, ok := s.jobs.start(time.Now())
-	if !ok {
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("%d study jobs already running; retry after one finishes", maxRunningJobs))
-		return
-	}
-	// The job runs on a plain goroutine; the pipeline's internal fan-out
-	// goes through the shared engine pool, so heavy study work still
-	// competes fairly with interactive requests for worker slots.
-	go func() {
-		started := time.Now()
-		defer func() {
-			if p := recover(); p != nil {
-				s.jobs.finish(job.ID, nil, fmt.Errorf("study panicked: %v", p))
-			}
-		}()
+	// The pipeline's internal fan-out goes through the shared engine pool,
+	// so heavy study work still competes fairly with interactive requests
+	// for worker slots.
+	s.startJob(w, "study", func(Job) (*StudySummary, error) {
 		cfg := pipeline.DefaultConfig()
 		cfg.Seed = req.Seed
 		cfg.Scale = req.Scale
 		cfg.Engine = s.engine
-		res := pipeline.Run(cfg)
-		s.jobs.finish(job.ID, summarize(res, time.Since(started)), nil)
-	}()
-	writeJSON(w, http.StatusAccepted, job)
+		return summarize(pipeline.Run(cfg)), nil
+	})
 }
 
 // startCorpusStudy launches the corpus-wide clone study over the serving
@@ -717,19 +766,7 @@ func (s *Server) startCorpusStudy(w http.ResponseWriter, req StudyRequest) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	job, ok := s.jobs.start(time.Now())
-	if !ok {
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("%d study jobs already running; retry after one finishes", maxRunningJobs))
-		return
-	}
-	go func() {
-		started := time.Now()
-		defer func() {
-			if p := recover(); p != nil {
-				s.jobs.finish(job.ID, nil, fmt.Errorf("corpus study panicked: %v", p))
-			}
-		}()
+	s.startJob(w, "corpus study", func(job Job) (*StudySummary, error) {
 		// The study's per-document queries fan out through the engine pool
 		// at background class (same slots as interactive traffic) and, like
 		// pipeline jobs, run to completion in the background. In router
@@ -748,12 +785,37 @@ func (s *Server) startCorpusStudy(w http.ResponseWriter, req StudyRequest) {
 		}
 		rep, err := s.engine.RunSelfJoin(context.Background(), j, defaultTopClusters)
 		if err != nil {
-			s.jobs.finish(job.ID, nil, err)
-			return
+			return nil, err
 		}
 		study.set = j.Clusters()
 		s.clusters.Store(study) // before the job reads done
-		s.jobs.finish(job.ID, summarizeClone(rep, time.Since(started)), nil)
+		return &StudySummary{Mode: "corpus", Clone: rep}, nil
+	})
+}
+
+// startJob answers 202 with a new study job that runs on its own goroutine
+// until run returns, or 429 when maxRunningJobs are running. The summary
+// gets the run's elapsed time, and a panic in run fails the job, named what,
+// not the process.
+func (s *Server) startJob(w http.ResponseWriter, what string, run func(Job) (*StudySummary, error)) {
+	job, ok := s.jobs.start(time.Now())
+	if !ok {
+		writeError(w, http.StatusTooManyRequests,
+			fmt.Sprintf("%d study jobs already running; retry after one finishes", maxRunningJobs))
+		return
+	}
+	go func() {
+		started := time.Now()
+		defer func() {
+			if p := recover(); p != nil {
+				s.jobs.finish(job.ID, nil, fmt.Errorf("%s panicked: %v", what, p))
+			}
+		}()
+		summary, err := run(job)
+		if err == nil {
+			summary.Elapsed = time.Since(started).Round(time.Millisecond).String()
+		}
+		s.jobs.finish(job.ID, summary, err)
 	}()
 	writeJSON(w, http.StatusAccepted, job)
 }
@@ -806,7 +868,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // and per-endpoint request stats.
 type MetricsResponse struct {
 	service.Snapshot
-	// Endpoints maps route patterns ("POST /v1/match") to request counts,
+	// Endpoints maps each route's pattern to its request counts,
 	// status-class splits and latency summaries.
 	Endpoints map[string]EndpointMetrics `json:"endpoints"`
 	// HitRates flattens per-cache hit rates for dashboards.
@@ -862,6 +924,39 @@ func decode(w http.ResponseWriter, r *http.Request, into any) bool {
 		return false
 	}
 	return true
+}
+
+// intParam reads query parameter name as an integer of at least least (0 or
+// 1), def when absent; any other value answers 400 naming it.
+func intParam(w http.ResponseWriter, qp url.Values, name string, def, least int) (int, bool) {
+	v := qp.Get(name)
+	if v == "" {
+		return def, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < least {
+		want := "non-negative"
+		if least > 0 {
+			want = "positive"
+		}
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("%q must be a %s integer", name, want))
+		return 0, false
+	}
+	return n, true
+}
+
+// writeNDJSON writes items as NDJSON, one JSON value a line, until the client
+// goes away.
+func writeNDJSON[T any](w http.ResponseWriter, items []T) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for _, v := range items {
+		if enc.Encode(v) != nil {
+			return
+		}
+	}
+	_ = bw.Flush()
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

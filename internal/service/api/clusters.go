@@ -1,11 +1,8 @@
 package api
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -66,14 +63,9 @@ func (s *Server) lastStudy() (ClusterStudy, *studyClusters) {
 }
 
 func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
-	topN := defaultTopClusters
-	if v := r.URL.Query().Get("top"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "\"top\" must be a non-negative integer")
-			return
-		}
-		topN = n
+	topN, ok := intParam(w, r.URL.Query(), "top", defaultTopClusters, 0)
+	if !ok {
+		return
 	}
 	ref, st := s.lastStudy()
 	if st == nil {
@@ -113,23 +105,13 @@ func (s *Server) handleClustersExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	qp := r.URL.Query()
-	minSize := 2
-	if v := qp.Get("min"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			writeError(w, http.StatusBadRequest, "\"min\" must be a positive integer")
-			return
-		}
-		minSize = n
+	minSize, ok := intParam(w, qp, "min", 2, 1)
+	if !ok {
+		return
 	}
-	limit := 0
-	if v := qp.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			writeError(w, http.StatusBadRequest, "\"limit\" must be a positive integer")
-			return
-		}
-		limit = n
+	limit, ok := intParam(w, qp, "limit", 0, 1)
+	if !ok {
+		return
 	}
 	offset := 0
 	if v := qp.Get("cursor"); v != "" {
@@ -159,13 +141,5 @@ func (s *Server) handleClustersExport(w http.ResponseWriter, r *http.Request) {
 		page = page[:limit]
 		w.Header().Set("X-Next-Cursor", encodeCursor(clustersCursor{Study: ref.ID, Created: st.created.UnixNano(), Min: minSize, Offset: offset + limit}))
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, c := range page {
-		if err := enc.Encode(c); err != nil {
-			return // client gone mid-stream
-		}
-	}
-	_ = bw.Flush()
+	writeNDJSON(w, page)
 }

@@ -11,7 +11,6 @@ import (
 	"iter"
 	"net/http"
 	"slices"
-	"strconv"
 	"time"
 
 	"repro/internal/ccd"
@@ -260,11 +259,9 @@ func (s *Server) handleCorpusExport(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition", `attachment; filename="corpus.snap"`)
 	w.Header().Set("X-Corpus-Snapshot-Version", fmt.Sprint(service.CorpusSnapshotVersion))
-	if err := s.engine.Corpus().WriteSnapshot(w); err != nil {
-		// Headers are gone; all we can do is log-level truncation. The
-		// per-shard CRCs make a truncated download detectable client-side.
-		return
-	}
+	// A failed write comes after the headers; the per-shard CRCs make the
+	// truncated download detectable client-side.
+	_ = s.engine.Corpus().WriteSnapshot(w)
 }
 
 // exportCursor is the resume position of a paginated NDJSON export: the
@@ -282,14 +279,9 @@ const defaultExportPage = 10000
 // header can precede the body.
 func (s *Server) handleCorpusExportNDJSON(w http.ResponseWriter, r *http.Request) {
 	qp := r.URL.Query()
-	limit := defaultExportPage
-	if v := qp.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			writeError(w, http.StatusBadRequest, "\"limit\" must be a positive integer")
-			return
-		}
-		limit = n
+	limit, ok := intParam(w, qp, "limit", defaultExportPage, 1)
+	if !ok {
+		return
 	}
 	var cur exportCursor
 	if v := qp.Get("cursor"); v != "" {
@@ -315,13 +307,5 @@ func (s *Server) handleCorpusExportNDJSON(w http.ResponseWriter, r *http.Request
 	if cur.Shard < corpus.Shards() {
 		w.Header().Set("X-Next-Cursor", encodeCursor(cur))
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, e := range page {
-		if err := enc.Encode(e); err != nil {
-			return // client gone mid-stream
-		}
-	}
-	_ = bw.Flush()
+	writeNDJSON(w, page)
 }

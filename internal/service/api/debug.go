@@ -65,15 +65,15 @@ func BootDebugHandler() http.Handler {
 }
 
 // DebugHandler returns the handler for the private debug listener
-// (-debug-addr): the pprof surface plus the same trace endpoints the main
-// API serves. Kept off the public mux so profiling is never exposed on the
+// (-debug-addr): the pprof surface plus the API's observability routes,
+// uncounted. Kept off the public mux so profiling is never exposed on the
 // serving port.
 func (s *Server) DebugHandler() http.Handler {
 	mux := pprofMux()
-	mux.HandleFunc("GET /debug/traces", s.handleDebugTraces)
-	mux.HandleFunc("GET /debug/traces/{id}", s.handleDebugTraceGet)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	for _, rt := range routes {
+		if rt.guards&observe != 0 {
+			mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) })
+		}
+	}
 	return mux
 }

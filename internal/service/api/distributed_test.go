@@ -559,6 +559,18 @@ func TestCorpusExportCursorPagination(t *testing.T) {
 	}
 }
 
+// TestRouterCorpusShardsIsItsFanout: GET /v1/corpus reports as corpus.shards
+// the width a node's answers gather over, the one explain=1 reports: a
+// router's partition count, not its own engine's generation-shards.
+func TestRouterCorpusShardsIsItsFanout(t *testing.T) {
+	c := newTestCluster(t, 3, remote.Config{})
+	resp, info := get(t, c.router.URL+"/v1/corpus")
+	corpus, _ := info["corpus"].(map[string]any)
+	if resp.StatusCode != http.StatusOK || corpus["shards"] != 3.0 {
+		t.Fatalf("3-partition router: status %d, corpus %v; want shards 3", resp.StatusCode, corpus)
+	}
+}
+
 // TestBackendNameRejected: a request naming any backend other than "ccd" —
 // the retired comparison backends included — gets a 400 that names the value
 // and starts no work, in the body and as a query parameter (which wins over

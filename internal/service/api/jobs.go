@@ -1,8 +1,10 @@
 package api
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -125,12 +127,7 @@ func (s *jobStore) pruneLocked() {
 			finished = append(finished, j)
 		}
 	}
-	sort.Slice(finished, func(i, k int) bool {
-		if !finished[i].Created.Equal(finished[k].Created) {
-			return finished[i].Created.Before(finished[k].Created)
-		}
-		return finished[i].ID < finished[k].ID
-	})
+	slices.SortFunc(finished, oldestFirst)
 	for _, j := range finished {
 		if len(s.jobs) <= maxRetainedJobs {
 			return
@@ -154,21 +151,21 @@ func (s *jobStore) get(id string) (Job, bool) {
 func (s *jobStore) list() []Job {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		out = append(out, *j)
+	all := slices.SortedFunc(maps.Values(s.jobs), func(a, b *Job) int { return oldestFirst(b, a) })
+	out := make([]Job, len(all))
+	for i, j := range all {
+		out[i] = *j
 	}
-	sort.Slice(out, func(i, k int) bool {
-		if !out[i].Created.Equal(out[k].Created) {
-			return out[i].Created.After(out[k].Created)
-		}
-		return out[i].ID > out[k].ID
-	})
 	return out
 }
 
+// oldestFirst orders jobs by creation time, then id.
+func oldestFirst(a, b *Job) int {
+	return cmp.Or(a.Created.Compare(b.Created), cmp.Compare(a.ID, b.ID))
+}
+
 // summarize condenses a pipeline result.
-func summarize(res *pipeline.Result, elapsed time.Duration) *StudySummary {
+func summarize(res *pipeline.Result) *StudySummary {
 	funnel := res.Funnel
 	sum := &StudySummary{
 		Mode:             "pipeline",
@@ -178,19 +175,9 @@ func summarize(res *pipeline.Result, elapsed time.Duration) *StudySummary {
 		Correlations:     res.Correlations,
 		Table6:           make(map[string]CategoryCount, len(res.Table6)),
 		ManualSampleSize: res.Manual.SampleSize,
-		Elapsed:          elapsed.Round(time.Millisecond).String(),
 	}
 	for cat, e := range res.Table6 {
 		sum.Table6[string(cat)] = CategoryCount{Snippets: e.Snippets, Contracts: e.Contracts}
 	}
 	return sum
-}
-
-// summarizeClone wraps a corpus-mode clone study report.
-func summarizeClone(rep *service.CloneReport, elapsed time.Duration) *StudySummary {
-	return &StudySummary{
-		Mode:    "corpus",
-		Clone:   rep,
-		Elapsed: elapsed.Round(time.Millisecond).String(),
-	}
 }

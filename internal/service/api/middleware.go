@@ -1,6 +1,7 @@
 package api
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"log/slog"
@@ -67,15 +68,21 @@ func (tw *traceWriter) Flush() {
 	}
 }
 
-// traced registers a route behind the tracing middleware: every request gets
-// a trace (honoring an inbound X-Request-Id or W3C traceparent), its id is
-// echoed in the X-Trace-Id response header, the root span is named after the
-// route pattern, and the finished trace lands in the server's recorder.
-func (s *Server) traced(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
+// instrument wraps pattern's handler h in its endpoint stats for /metrics.
+// A traced route also gets a trace (honoring an inbound X-Request-Id or W3C
+// traceparent), its id echoed in the X-Trace-Id response header, a root span
+// named after the pattern, and the finished trace kept in the recorder.
+func (s *Server) instrument(pattern string, h http.HandlerFunc, traced bool) http.HandlerFunc {
 	st := &endpointStats{}
 	s.endpoints[pattern] = st
-	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
+		if !traced {
+			tw := &traceWriter{ResponseWriter: w}
+			h(tw, r)
+			st.observe(cmp.Or(tw.status, http.StatusOK), time.Since(start))
+			return
+		}
 		tr := trace.New(inboundTraceID(r))
 		root := tr.StartRoot(pattern)
 		w.Header().Set("X-Trace-Id", tr.ID())
@@ -134,7 +141,7 @@ func (s *Server) traced(mux *http.ServeMux, pattern string, h http.HandlerFunc) 
 				slog.Duration("elapsed", elapsed),
 			)
 		}
-	})
+	}
 }
 
 // statusClientClosedRequest is nginx's conventional code for a client that
@@ -164,24 +171,6 @@ func requestTimeout(r *http.Request) (time.Duration, bool) {
 		return d, true
 	}
 	return 0, false
-}
-
-// counted registers a stats-only route: counted and timed per endpoint, but
-// untraced — the observability endpoints themselves (metrics scrapes, health
-// probes, trace reads) must not churn the trace ring they expose.
-func (s *Server) counted(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
-	st := &endpointStats{}
-	s.endpoints[pattern] = st
-	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		tw := &traceWriter{ResponseWriter: w}
-		h(tw, r)
-		status := tw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		st.observe(status, time.Since(start))
-	})
 }
 
 // inboundTraceID extracts a caller-supplied trace id: X-Request-Id wins

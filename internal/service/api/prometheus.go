@@ -3,7 +3,8 @@ package api
 import (
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -269,11 +270,7 @@ func (s *Server) writePrometheus(w io.Writer, snap service.Snapshot, uptimeSec f
 	}
 
 	// HTTP per-endpoint stats.
-	patterns := make([]string, 0, len(s.endpoints))
-	for pat := range s.endpoints {
-		patterns = append(patterns, pat)
-	}
-	sort.Strings(patterns)
+	patterns := slices.Sorted(maps.Keys(s.endpoints))
 	p.header("ccd_http_requests_total", "Requests per route and status class.", "counter")
 	for _, pat := range patterns {
 		st := s.endpoints[pat]

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/base64"
@@ -102,14 +101,10 @@ func (s *Server) handleShardMatch(w http.ResponseWriter, r *http.Request) {
 		return // client gone while queued
 	}
 	degraded := errors.Is(err, service.ErrBudgetExhausted)
-	if degraded {
-		err = nil
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			return // cancelled mid-scan
+	if err != nil && !degraded {
+		if ctx.Err() == nil { // else cancelled mid-scan
+			writeError(w, http.StatusInternalServerError, err.Error())
 		}
-		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	resp := remote.ShardMatchResponse{
@@ -149,35 +144,19 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	qp := r.URL.Query()
-	from := 0
-	if v := qp.Get("from"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "\"from\" must be a non-negative integer")
-			return
-		}
-		from = n
+	from, ok := intParam(w, qp, "from", 0, 0)
+	if !ok {
+		return
 	}
-	limit := 0
-	if v := qp.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			writeError(w, http.StatusBadRequest, "\"limit\" must be a positive integer")
-			return
-		}
-		limit = n
+	limit, ok := intParam(w, qp, "limit", 0, 1)
+	if !ok {
+		return
 	}
-	epoch := int64(0)
-	if v := qp.Get("epoch"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "\"epoch\" must be a non-negative integer")
-			return
-		}
-		epoch = n
+	epoch, ok := intParam(w, qp, "epoch", 0, 0)
+	if !ok {
+		return
 	}
-
-	page, err := s.store.WALPage(from, epoch, limit)
+	page, err := s.store.WALPage(from, int64(epoch), limit)
 	w.Header().Set("X-WAL-Epoch", strconv.FormatInt(page.Epoch, 10))
 	switch {
 	case errors.Is(err, service.ErrWALTruncated):
@@ -191,15 +170,12 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	if page.More {
 		w.Header().Set("X-WAL-More", "1")
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, e := range page.Entries {
-		if enc.Encode(remote.WALRecord{Seq: e.Seq, ID: e.ID, Fingerprint: string(e.FP)}) != nil {
-			return // client gone mid-page; it will re-request from its position
-		}
+	// A client gone mid-page re-requests from its position.
+	recs := make([]remote.WALRecord, len(page.Entries))
+	for i, e := range page.Entries {
+		recs[i] = remote.WALRecord{Seq: e.Seq, ID: e.ID, Fingerprint: string(e.FP)}
 	}
-	_ = bw.Flush()
+	writeNDJSON(w, recs)
 }
 
 // --- router-side handlers -----------------------------------------------------
