@@ -83,9 +83,8 @@ func appendMatchSubs(dst []string, f Fingerprint) []string {
 
 // appendMatchSpans appends the (start, end) byte offsets of f's match subs to
 // dst: long chunks first, with a second scan picking up every non-empty chunk
-// only when no chunk reaches MinSubLen. Offsets are relative to f, so a
-// corpus stores them once per entry (subSpans) and scoring slices a
-// candidate instead of splitting it again.
+// only when no chunk reaches MinSubLen. A corpus's sub dictionary interns
+// the subs they locate (subDict.add), so scoring never splits a candidate.
 func appendMatchSpans(dst []uint32, f Fingerprint) []uint32 {
 	base := len(dst)
 	if dst = appendChunkSpans(dst, f, MinSubLen); len(dst) == base {
@@ -130,22 +129,26 @@ func appendSpanSubs(dst []string, f Fingerprint, spans []uint32) []string {
 // exact score.
 func SimilarityAtLeast(f1, f2 Fingerprint, threshold float64) (float64, bool) {
 	var ed editdist.Scratch
-	return similarityAtLeast(f1.matchSubs(), f1, f2.matchSubs(), f2, threshold, &ed)
+	return similarityAtLeast(f1.matchSubs(), f1, f2.matchSubs(), nil, f2, threshold, &ed, nil)
 }
 
 // similarityAtLeast is SimilarityAtLeast over pre-split sub-fingerprints and
-// caller-owned edit-distance scratch, letting the matcher derive the query's
-// subs once and reuse one scratch across every candidate; within a candidate
-// the scratch keeps s1's match masks for the whole run of s2.
-func similarityAtLeast(subs1 []string, f1 Fingerprint, subs2 []string, f2 Fingerprint, threshold float64, ed *editdist.Scratch) (float64, bool) {
+// caller-owned scratch: qsubs of the query fq, csubs of the candidate fc.
+// With a memo, cids are csubs' ids in the memo's segment, and a sub pair
+// whose distance the memo holds is not run again; SimilarityAtLeast passes
+// neither. Within a candidate the edit-distance scratch keeps an outer sub's
+// match masks for the whole run of the inner side.
+func similarityAtLeast(qsubs []string, fq Fingerprint, csubs []string, cids []uint32, fc Fingerprint, threshold float64, ed *editdist.Scratch, memo *subMemo) (float64, bool) {
 	// Algorithm 1 is directional: each sub of the first set seeks its best
 	// match in the second. Scoring from the side with fewer subs (ties broken
 	// by fingerprint byte order) makes the score symmetric while keeping the
 	// containment the pipeline relies on: a snippet matched against a full
 	// contract scores the snippet's containment, whichever argument order
 	// the caller used.
-	if len(subs1) > len(subs2) || (len(subs1) == len(subs2) && f1 > f2) {
-		subs1, subs2 = subs2, subs1
+	subs1, subs2 := qsubs, csubs
+	swapped := len(qsubs) > len(csubs) || (len(qsubs) == len(csubs) && fq > fc)
+	if swapped {
+		subs1, subs2 = csubs, qsubs
 	}
 	if len(subs1) == 0 || len(subs2) == 0 {
 		return 0, threshold <= 0
@@ -163,15 +166,32 @@ func similarityAtLeast(subs1 []string, f1 Fingerprint, subs2 []string, f2 Finger
 		// over-admitted borderline subs are settled exactly below.
 		minNeeded := threshold*n - total - remaining*100 - 1e-9*n
 		best := 0.0
-		for _, s2 := range subs2 {
-			d, ok := ed.SimilarityAtLeast(s1, s2, max(best, minNeeded))
-			// A failed bounded search reports a capped distance whose
-			// similarity overestimates the truth — only exact (ok) scores
-			// may raise best.
-			if ok && d > best {
-				best = d
-				if best == 100 {
-					break
+		for j, s2 := range subs2 {
+			// Subs are never empty, so ml > 0. A pair whose length gap
+			// exceeds the bound is DistanceBounded's first rejection: it is
+			// made here, before any call, with editdist.MaxDist's bound.
+			ml := max(len(s1), len(s2))
+			maxDist := editdist.MaxDist(ml, max(best, minNeeded))
+			if gap := len(s1) - len(s2); gap > maxDist || -gap > maxDist {
+				continue
+			}
+			var d int
+			switch {
+			case memo == nil:
+				d = ed.DistanceBounded(s1, s2, maxDist)
+			case swapped:
+				d = memo.distance(ed, cids[i], j, s1, s2, maxDist)
+			default:
+				d = memo.distance(ed, cids[j], i, s1, s2, maxDist)
+			}
+			// A distance above maxDist is a capped search whose similarity
+			// overestimates the truth — only exact scores may raise best.
+			if d <= maxDist {
+				if sim := editdist.Delta(ml, d); sim > best {
+					best = sim
+					if best == 100 {
+						break
+					}
 				}
 			}
 		}

@@ -50,7 +50,7 @@ type Corpus struct {
 	cfg     Config
 	index   *ngram.Index
 	entries []Entry
-	spans   subSpans // every entry's match subs, located once
+	dict    subDict // every entry's match subs, each distinct one stored once
 
 	// mapRef pins the memory mapping (or other byte owner) a zero-copy
 	// corpus reads its posting lists from; holding it here keeps the
@@ -83,60 +83,17 @@ func (c *Corpus) Add(id string, fp Fingerprint) {
 	}
 	c.index.Add(id, string(fp))
 	c.entries = append(c.entries, Entry{ID: id, FP: fp})
-	c.spans.add(fp)
+	c.dict.add(fp)
 }
 
 // BuildSignatures gives the corpus's n-gram index the signature of its dense
 // posting lists (ngram.Index.BuildSignatures): call it once a batch of Adds
 // is done and the corpus is about to be queried. Merge, WithoutIDs, Load and
-// OpenSegmentBytes build it themselves; the next Add drops it.
-func (c *Corpus) BuildSignatures() { c.index.BuildSignatures() }
-
-// subSpans locates every entry's match subs inside its fingerprint: the
-// (start, end) byte offsets appendMatchSpans finds, entry i's at
-// at[end[i-1]:end[i]] (from 0 for the first entry). Splitting a candidate
-// for Algorithm 1 is then slicing, not scanning; since offsets are relative
-// to the fingerprint, Merge and WithoutIDs carry them over without a re-scan.
-// Offsets are 32-bit: a /v1/match fingerprint may be 8 MiB, a snapshot
-// entry's 64 MiB.
-type subSpans struct {
-	at  []uint32
-	end []uint32
-}
-
-// add appends the spans of the next entry's fingerprint.
-func (s *subSpans) add(fp Fingerprint) {
-	s.at = appendMatchSpans(s.at, fp)
-	s.end = append(s.end, uint32(len(s.at)))
-}
-
-// of returns entry i's spans.
-func (s *subSpans) of(i int) []uint32 {
-	lo := uint32(0)
-	if i > 0 {
-		lo = s.end[i-1]
-	}
-	return s.at[lo:s.end[i]]
-}
-
-// appendEntry appends entry i of o as the next entry.
-func (s *subSpans) appendEntry(o *subSpans, i int) {
-	s.at = append(s.at, o.of(i)...)
-	s.end = append(s.end, uint32(len(s.at)))
-}
-
-// appendAll appends every entry of o, in order.
-func (s *subSpans) appendAll(o *subSpans) {
-	base := uint32(len(s.at))
-	s.at = append(s.at, o.at...)
-	for _, e := range o.end {
-		s.end = append(s.end, base+e)
-	}
-}
-
-// entrySubs appends entry i's match subs to dst, sliced from its fingerprint.
-func (c *Corpus) entrySubs(dst []string, i int) []string {
-	return appendSpanSubs(dst, c.entries[i].FP, c.spans.of(i))
+// OpenSegmentBytes build it themselves; the next Add drops it. The corpus is
+// complete, so it also drops the map Add interns subs through.
+func (c *Corpus) BuildSignatures() {
+	c.index.BuildSignatures()
+	c.dict.index = nil
 }
 
 // Merge returns a new heap corpus holding every entry of parts (at least
@@ -145,19 +102,17 @@ func (c *Corpus) entrySubs(dst []string, i int) []string {
 // spliced (ngram.Splice), not re-indexed, into the index a one-by-one Add of
 // the same entries would build. Every part must share the first part's N.
 func Merge(parts ...*Corpus) *Corpus {
-	n, at := 0, 0
+	n := 0
 	for _, p := range parts {
-		n, at = n+len(p.entries), at+len(p.spans.at)
+		n += len(p.entries)
 	}
 	entries := make([]Entry, 0, n)
-	spans := subSpans{at: make([]uint32, 0, at), end: make([]uint32, 0, n)}
 	indexes := make([]*ngram.Index, len(parts))
 	for i, p := range parts {
 		entries = append(entries, p.entries...)
-		spans.appendAll(&p.spans)
 		indexes[i] = p.index
 	}
-	return &Corpus{cfg: parts[0].cfg, index: ngram.Splice(entryIDs(entries), indexes, nil), entries: entries, spans: spans}
+	return &Corpus{cfg: parts[0].cfg, index: ngram.Splice(entryIDs(entries), indexes, nil), entries: entries, dict: mergeDicts(parts)}
 }
 
 // WithoutIDs returns a new heap corpus without the entries whose id is in
@@ -169,13 +124,11 @@ func Merge(parts ...*Corpus) *Corpus {
 func (c *Corpus) WithoutIDs(dead map[string]struct{}) (*Corpus, int) {
 	drop := make([]bool, len(c.entries))
 	var entries []Entry
-	var spans subSpans
 	for i, e := range c.entries {
 		if _, ok := dead[e.ID]; ok {
 			drop[i] = true
 		} else {
 			entries = append(entries, e)
-			spans.appendEntry(&c.spans, i)
 		}
 	}
 	removed := len(c.entries) - len(entries)
@@ -183,7 +136,7 @@ func (c *Corpus) WithoutIDs(dead map[string]struct{}) (*Corpus, int) {
 		return c, 0
 	}
 	index := ngram.Splice(entryIDs(entries), []*ngram.Index{c.index}, [][]bool{drop})
-	return &Corpus{cfg: c.cfg, index: index, entries: entries, spans: spans}, removed
+	return &Corpus{cfg: c.cfg, index: index, entries: entries, dict: c.dict.without(drop)}, removed
 }
 
 // entryIDs lists the ids of entries in order.
@@ -260,14 +213,15 @@ func (c *Corpus) MatchTopK(fp Fingerprint, k int) []Match {
 }
 
 // MatchBuffer bundles the scratch one match pass needs — the n-gram
-// retrieval buffers, the candidate sub-fingerprint slice and the
-// edit-distance scratch. A zero MatchBuffer is ready to use; a warm one makes
-// the steady-state MatchInto path allocation-free. Not safe for concurrent
-// use — pool per goroutine via GetMatchBuffer/Release.
+// retrieval buffers, the candidate sub-fingerprint slice, the edit-distance
+// scratch and the memo of sub-pair distances. A zero MatchBuffer is ready to
+// use; a warm one makes the steady-state MatchInto path allocation-free. Not
+// safe for concurrent use — pool per goroutine via GetMatchBuffer/Release.
 type MatchBuffer struct {
 	ng    ngram.Scratch
 	csubs []string
 	ed    editdist.Scratch
+	memo  subMemo
 }
 
 var matchBufPool = sync.Pool{New: func() any { return new(MatchBuffer) }}
@@ -320,8 +274,10 @@ const abandonStride = 64
 // all caller-owned, so a caller holding several corpora (the service's
 // generation segments) prepares the query once, shares one top-K bound
 // across all of them and streams any number of segments through one buffer.
-// With a warm buffer the pass performs zero heap allocations. Returns this
-// corpus's per-stage stats.
+// Sub ids are per corpus, so the buffer's memo starts afresh on each call:
+// within it, each (query sub, distinct candidate sub) pair runs the
+// edit-distance kernel at most once per bound. With a warm buffer the pass
+// performs zero heap allocations. Returns this corpus's per-stage stats.
 func (c *Corpus) MatchInto(q *PreparedQuery, col *TopK, mb *MatchBuffer, opts MatchOpts) MatchStats {
 	var stats MatchStats
 	start := time.Now()
@@ -330,14 +286,16 @@ func (c *Corpus) MatchInto(q *PreparedQuery, col *TopK, mb *MatchBuffer, opts Ma
 	stats.FilterNs = scoreStart.Sub(start).Nanoseconds()
 	stats.Candidates = len(cands)
 	stats.FilterPruned = qst.Pruned
+	mb.memo.reset(len(c.dict.subs), len(q.subs))
 	for i, cand := range cands {
 		if opts.Abandon != nil && i%abandonStride == abandonStride-1 && opts.Abandon() {
 			stats.Abandoned += len(cands) - i
 			break
 		}
 		entry := c.entries[cand.Doc]
-		mb.csubs = c.entrySubs(mb.csubs[:0], cand.Doc)
-		score, ok := similarityAtLeast(q.subs, q.FP, mb.csubs, entry.FP, col.Bound(), &mb.ed)
+		ids := c.dict.of(cand.Doc)
+		mb.csubs = c.dict.appendSubs(mb.csubs[:0], ids)
+		score, ok := similarityAtLeast(q.subs, q.FP, mb.csubs, ids, entry.FP, col.Bound(), &mb.ed, &mb.memo)
 		if !ok {
 			stats.CutoffSkipped++
 			continue

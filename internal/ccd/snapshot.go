@@ -129,7 +129,7 @@ func openSegment(data []byte, openIndex func([]byte) (*ngram.Index, error)) (*Co
 		return nil, r.Err()
 	}
 	entries := make([]Entry, 0, min(count, 1<<20))
-	var spans subSpans
+	var dict subDict
 	for i := uint64(0); i < count; i++ {
 		id := r.Str(maxSnapshotString, "entry id")
 		fp := r.Str(maxSnapshotString, "entry fingerprint")
@@ -137,7 +137,7 @@ func openSegment(data []byte, openIndex func([]byte) (*ngram.Index, error)) (*Co
 			return nil, r.Err()
 		}
 		entries = append(entries, Entry{ID: id, FP: Fingerprint(fp)})
-		spans.add(Fingerprint(fp))
+		dict.add(Fingerprint(fp))
 	}
 	if flag := r.Byte("index flag"); r.Err() == nil && flag != 1 {
 		return nil, fmt.Errorf("ccd: segment: version %d requires an embedded index, flag %d", version, flag)
@@ -163,5 +163,6 @@ func openSegment(data []byte, openIndex func([]byte) (*ngram.Index, error)) (*Co
 	if ix.Len() != len(entries) {
 		return nil, fmt.Errorf("ccd: segment: embedded index has %d docs, corpus has %d entries", ix.Len(), len(entries))
 	}
-	return &Corpus{cfg: cfg, index: ix, entries: entries, spans: spans}, nil
+	dict.index = nil // complete: only a corpus being built interns
+	return &Corpus{cfg: cfg, index: ix, entries: entries, dict: dict}, nil
 }

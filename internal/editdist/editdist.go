@@ -3,10 +3,12 @@
 //
 //	δ(s1,s2) = (max(len(s1),len(s2)) − d(s1,s2)) / max(len(s1),len(s2)) · 100
 //
-// SimilarityAtLeast scores δ for every production caller through
-// DistanceBounded, which runs Myers' bit-vector algorithm whenever one of
-// the two strings fits a 64-bit word: one word operation per character of
-// the other string in place of one DP row. Distance is the plain two-row
+// Every production score is δ over DistanceBounded, which runs Myers'
+// bit-vector algorithm whenever one of the two strings fits a 64-bit word:
+// one word operation per character of the other string in place of one DP
+// row. SimilarityAtLeast scores one pair; Algorithm 1 (package ccd) bounds
+// with MaxDist and scores with Delta itself, so that it can test lengths
+// and reuse a distance it already has. Distance is the plain two-row
 // dynamic program, kept as the reference the tests hold DistanceBounded and
 // Algorithm 1 to; no production path calls it.
 package editdist
@@ -217,23 +219,27 @@ func (s *Scratch) bitDistance(p, t string, maxDist int) int {
 // nothing is cut short, so it is δ itself. Two empty strings are identical
 // (100).
 func SimilarityAtLeast(a, b string, threshold float64) (float64, bool) {
-	s := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(s)
-	return s.SimilarityAtLeast(a, b, threshold)
-}
-
-// SimilarityAtLeast is the scratch-reusing form of the package-level
-// SimilarityAtLeast.
-func (s *Scratch) SimilarityAtLeast(a, b string, threshold float64) (float64, bool) {
 	ml := max(len(a), len(b))
 	if ml == 0 {
 		return 100, threshold <= 100
 	}
-	// δ ≥ t  ⇔  d ≤ ml·(100−t)/100
-	maxDist := int(float64(ml) * (100 - threshold) / 100)
-	d := s.DistanceBounded(a, b, maxDist)
-	if d > maxDist {
-		return float64(ml-d) / float64(ml) * 100, false
-	}
-	return float64(ml-d) / float64(ml) * 100, true
+	maxDist := MaxDist(ml, threshold)
+	d := DistanceBounded(a, b, maxDist)
+	return Delta(ml, d), d <= maxDist
+}
+
+// MaxDist is the largest edit distance at which two strings, the longer of
+// them ml bytes, are still threshold similar: δ ≥ t ⇔ d ≤ ml·(100−t)/100.
+// It is negative when threshold exceeds 100, and no pair qualifies. A caller
+// that tests lengths before DistanceBounded uses this same expression, so it
+// rejects exactly the pairs SimilarityAtLeast rejects.
+func MaxDist(ml int, threshold float64) int {
+	return int(float64(ml) * (100 - threshold) / 100)
+}
+
+// Delta is δ for two strings at edit distance d, the longer of them ml > 0
+// bytes: the one expression every score is computed by, so a distance
+// remembered and a distance just computed give the same bits.
+func Delta(ml, d int) float64 {
+	return float64(ml-d) / float64(ml) * 100
 }
