@@ -182,10 +182,8 @@ func (c *Client) walPage(ctx context.Context, url string, next *int, epoch *int6
 		return false, err
 	}
 	defer drainClose(hresp.Body)
-	if v := hresp.Header.Get("X-WAL-Epoch"); v != "" {
-		if e, perr := strconv.ParseInt(v, 10, 64); perr == nil && e > 0 {
-			*epoch = e
-		}
+	if e, perr := strconv.ParseInt(hresp.Header.Get("X-WAL-Epoch"), 10, 64); perr == nil && e > 0 {
+		*epoch = e
 	}
 	err = eachLine(hresp.Body, func(line []byte) error {
 		var rec WALRecord
@@ -230,7 +228,10 @@ func (c *Client) exportPage(ctx context.Context, url string, fn func([]ccd.Entry
 	defer drainClose(hresp.Body)
 	var page []ccd.Entry
 	err = eachLine(hresp.Body, func(line []byte) error {
-		var e ExportEntry
+		var e struct {
+			ID          string `json:"id"`
+			Fingerprint string `json:"fingerprint"`
+		}
 		if err := json.Unmarshal(line, &e); err != nil {
 			return fmt.Errorf("corpus export: bad entry: %w", err)
 		}

@@ -88,14 +88,6 @@ type WALRecord struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
-// ExportEntry is one corpus document on the paginated NDJSON export
-// (GET /v1/corpus/export?format=ndjson), as Client.ExportEntries decodes
-// it.
-type ExportEntry struct {
-	ID          string `json:"id"`
-	Fingerprint string `json:"fingerprint"`
-}
-
 // StatusError is a non-2xx shard response that carries actionable protocol
 // state — most importantly 429/503 with Retry-After, which the router must
 // propagate to the client verbatim instead of flattening into a generic

@@ -187,15 +187,7 @@ func remainingBudgetMs(ctx context.Context) int64 {
 	if !ok {
 		return 0
 	}
-	rem := time.Until(dl)
-	if rem <= 0 {
-		return 1
-	}
-	ms := rem.Milliseconds()
-	if ms == 0 {
-		ms = 1
-	}
-	return ms
+	return max(time.Until(dl).Milliseconds(), 1)
 }
 
 // queryShard runs one partition's request against its primary, failing

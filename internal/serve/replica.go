@@ -51,12 +51,11 @@ const walApplyBatch = 256
 // to echo next, so the peer can tell a position it has truncated away.
 // Duplicate ids supersede, so overlap with the bootstrapped snapshot is harmless.
 func applyWALTail(ctx context.Context, engine *service.Engine, peer *remote.Client, from string, pos int, epoch int64) (next int, nextEpoch int64, err error) {
-	err = applyBatches(ctx, engine, func(add func(id, fp string) error) error {
-		var serr error
-		next, nextEpoch, serr = peer.StreamWAL(ctx, from, pos, epoch, func(rec remote.WALRecord) error {
+	err = applyBatches(ctx, engine, func(add func(id, fp string) error) (err error) {
+		next, nextEpoch, err = peer.StreamWAL(ctx, from, pos, epoch, func(rec remote.WALRecord) error {
 			return add(rec.ID, rec.Fingerprint)
 		})
-		return serr
+		return err
 	})
 	return next, nextEpoch, err
 }
@@ -97,9 +96,8 @@ const replicaTailInterval = time.Second
 // tailReplicaWAL keeps a replica converging on its primary: it polls the WAL
 // stream from its position and generation and applies new records. On 410
 // Gone (the primary snapshotted and truncated its log past ours) it re-syncs
-// from the full export, which supersedes in place, and the next poll starts
-// at 0 in the primary's current generation.
-func tailReplicaWAL(ctx context.Context, engine *service.Engine, peer *remote.Client, from string, pos int, epoch int64, logger *slog.Logger) {
+// from the full export and resumes where the re-sync says.
+func tailReplicaWAL(ctx context.Context, engine *service.Engine, store *service.Store, peer *remote.Client, from string, pos int, epoch int64, logger *slog.Logger) {
 	for {
 		select {
 		case <-ctx.Done():
@@ -113,11 +111,11 @@ func tailReplicaWAL(ctx context.Context, engine *service.Engine, peer *remote.Cl
 			pos, epoch = next, nextEpoch
 		case errors.As(err, &se) && se.Status == http.StatusGone: // the shard's ErrWALTruncated
 			logger.Warn("replica tail: primary truncated its WAL (generation changed); re-syncing via export", "from", from)
-			if err := resyncExport(ctx, engine, peer, from); err != nil {
+			if next, nextEpoch, err = resyncExport(ctx, engine, store, peer, from); err != nil {
 				logger.Warn("replica re-sync failed", "err", err)
 				continue
 			}
-			pos, epoch = 0, 0
+			pos, epoch = next, nextEpoch
 		default:
 			if ctx.Err() != nil {
 				return
@@ -127,12 +125,21 @@ func tailReplicaWAL(ctx context.Context, engine *service.Engine, peer *remote.Cl
 	}
 }
 
-// resyncExport re-applies the primary's full corpus from its paginated
-// export; duplicate ids supersede in place, so no local state is wiped.
-func resyncExport(ctx context.Context, engine *service.Engine, peer *remote.Client, from string) error {
-	return applyBatches(ctx, engine, func(add func(id, fp string) error) error {
+// resyncExport replaces the local corpus with the primary's export: listed
+// ids supersede in place, and the rest, which a replica without client
+// writes holds only if its primary lost them, are dropped. It reads the
+// WAL first and returns where that read ended, so a snapshot the primary
+// takes meanwhile answers the next poll with 410 rather than hide records.
+func resyncExport(ctx context.Context, engine *service.Engine, store *service.Store, peer *remote.Client, from string) (int, int64, error) {
+	pos, epoch, err := applyWALTail(ctx, engine, peer, from, 0, 0)
+	if err != nil {
+		return 0, 0, err
+	}
+	listed := map[string]struct{}{}
+	err = applyBatches(ctx, engine, func(add func(id, fp string) error) error {
 		return peer.ExportEntries(ctx, from, func(page []ccd.Entry) error {
 			for _, e := range page {
+				listed[e.ID] = struct{}{}
 				if err := add(e.ID, string(e.FP)); err != nil {
 					return err
 				}
@@ -140,4 +147,8 @@ func resyncExport(ctx context.Context, engine *service.Engine, peer *remote.Clie
 			return nil
 		})
 	})
+	if err == nil {
+		_, err = store.Retain(listed)
+	}
+	return pos, epoch, err
 }

@@ -228,9 +228,12 @@ func Build(ctx context.Context, c Config, logger *slog.Logger) (*Node, error) {
 	})}
 	opts := []api.Option{api.WithLogger(logger), api.WithMaxDeadline(c.MaxDeadline), api.WithPartition(t.partIdx, t.partTotal),
 		api.WithRateLimit(c.RateLimit, c.RateBurst), api.WithTraceBuffer(c.TraceBuffer, 0)}
-	if t.shardURLs != nil {
+	switch c.Role {
+	case "router":
 		opts = append(opts, api.WithRouter(remote.NewRouter(remote.Config{
 			Targets: t.shardURLs, Replicas: splitList(c.Replicas), Waves: c.Waves, Epsilon: c.CCDEps})))
+	case "replica":
+		opts = append(opts, api.WithReplica())
 	}
 	if c.CorpusDir != "" {
 		if err := node.openStore(ctx, c, logger); err != nil {
@@ -274,7 +277,7 @@ func (n *Node) openStore(ctx context.Context, c Config, logger *slog.Logger) err
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				tailReplicaWAL(tailCtx, n.Engine, peer, c.BootstrapFrom, next, epoch, logger)
+				tailReplicaWAL(tailCtx, n.Engine, store, peer, c.BootstrapFrom, next, epoch, logger)
 			}()
 			stopTail = func() { cancel(); <-done }
 		}

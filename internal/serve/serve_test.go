@@ -1,19 +1,25 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/ccd"
+	"repro/internal/remote"
 	"repro/internal/service"
 )
 
@@ -104,39 +110,40 @@ func TestRoleFlagMatrix(t *testing.T) {
 }
 
 // TestRoleRouteMatrix holds every route × role pair to its status. Each role
-// is built with Build, the router over two live shard nodes, and every route
-// is asked in turn on each. A route is served alike on every role, or a
-// router refuses it: a status of its own and an error JSON, with trace_id,
-// that names the router. The matrix is written here, apart from the api
-// route table; a route a node registers (an endpoint key of its /metrics)
-// without a row here fails the test, and so does a row no node registers.
+// is built with Build, the router over two live shard nodes and the replica
+// bootstrapped from the first, and every route is asked in turn on each. A
+// route is served as on a single node, or a role refuses it: a status of its
+// own and an error JSON, with trace_id, that names the role. The matrix is
+// written here, apart from the api route table; a route a node registers (an
+// endpoint key of its /metrics) without a row here fails the test, and so
+// does a row no node registers.
 func TestRoleRouteMatrix(t *testing.T) {
 	const src = `"contract A { uint x; function f() public { x = 1; } }"`
 	matrix := []struct {
 		pattern, method, path, body string
-		served, router              int // single and shard, router
+		served, replica, router     int // single and shard, replica, router
 	}{
-		{"POST /v1/analyze", "POST", "/v1/analyze", `{"source": ` + src + `}`, 200, 200},
-		{"POST /v1/fingerprint", "POST", "/v1/fingerprint", `{"source": ` + src + `}`, 200, 200},
-		{"POST /v1/corpus", "POST", "/v1/corpus", `{"entries": [{"id": "a", "source": ` + src + `}]}`, 200, 200},
-		{"POST /v1/corpus/bulk", "POST", "/v1/corpus/bulk", `{"id": "b", "source": ` + src + `}` + "\n", 200, 200},
-		{"GET /v1/corpus", "GET", "/v1/corpus", "", 200, 200},
-		{"POST /v1/corpus/snapshot", "POST", "/v1/corpus/snapshot", "", 200, 409},
-		{"GET /v1/corpus/export", "GET", "/v1/corpus/export", "", 200, 409},
-		{"GET /v1/corpus/export", "GET", "/v1/corpus/export?format=ndjson", "", 200, 409},
-		{"POST /v1/match", "POST", "/v1/match", `{"source": ` + src + `}`, 200, 200},
-		{"POST /v1/study", "POST", "/v1/study", `{"mode": "corpus"}`, 202, 202},
-		{"GET /v1/study/{id}", "GET", "/v1/study/study-1", "", 200, 200},
-		{"GET /v1/study", "GET", "/v1/study", "", 200, 200},
-		{"GET /v1/clusters", "GET", "/v1/clusters", "", 200, 200},
-		{"GET /v1/clusters/export", "GET", "/v1/clusters/export", "", 200, 200},
-		{"POST /v1/shard/match", "POST", "/v1/shard/match", `{"fingerprint": "QxRtYuIoPAbCdEfGh", "k": 3}`, 200, 404},
-		{"GET /v1/wal/stream", "GET", "/v1/wal/stream", "", 200, 404},
-		{"GET /healthz", "GET", "/healthz", "", 200, 200},
-		{"GET /readyz", "GET", "/readyz", "", 200, 200},
-		{"GET /metrics", "GET", "/metrics", "", 200, 200},
-		{"GET /debug/traces", "GET", "/debug/traces", "", 200, 200},
-		{"GET /debug/traces/{id}", "GET", "/debug/traces/route-matrix", "", 200, 200},
+		{"POST /v1/analyze", "POST", "/v1/analyze", `{"source": ` + src + `}`, 200, 200, 200},
+		{"POST /v1/fingerprint", "POST", "/v1/fingerprint", `{"source": ` + src + `}`, 200, 200, 200},
+		{"POST /v1/corpus", "POST", "/v1/corpus", `{"entries": [{"id": "a", "source": ` + src + `}]}`, 200, 409, 200},
+		{"POST /v1/corpus/bulk", "POST", "/v1/corpus/bulk", `{"id": "b", "source": ` + src + `}` + "\n", 200, 409, 200},
+		{"GET /v1/corpus", "GET", "/v1/corpus", "", 200, 200, 200},
+		{"POST /v1/corpus/snapshot", "POST", "/v1/corpus/snapshot", "", 200, 200, 409},
+		{"GET /v1/corpus/export", "GET", "/v1/corpus/export", "", 200, 200, 409},
+		{"GET /v1/corpus/export", "GET", "/v1/corpus/export?format=ndjson", "", 200, 200, 409},
+		{"POST /v1/match", "POST", "/v1/match", `{"source": ` + src + `}`, 200, 200, 200},
+		{"POST /v1/study", "POST", "/v1/study", `{"mode": "corpus"}`, 202, 202, 202},
+		{"GET /v1/study/{id}", "GET", "/v1/study/study-1", "", 200, 200, 200},
+		{"GET /v1/study", "GET", "/v1/study", "", 200, 200, 200},
+		{"GET /v1/clusters", "GET", "/v1/clusters", "", 200, 200, 200},
+		{"GET /v1/clusters/export", "GET", "/v1/clusters/export", "", 200, 200, 200},
+		{"POST /v1/shard/match", "POST", "/v1/shard/match", `{"fingerprint": "QxRtYuIoPAbCdEfGh", "k": 3}`, 200, 200, 404},
+		{"GET /v1/wal/stream", "GET", "/v1/wal/stream", "", 200, 200, 404},
+		{"GET /healthz", "GET", "/healthz", "", 200, 200, 200},
+		{"GET /readyz", "GET", "/readyz", "", 200, 200, 200},
+		{"GET /metrics", "GET", "/metrics", "", 200, 200, 200},
+		{"GET /debug/traces", "GET", "/debug/traces", "", 200, 200, 200},
+		{"GET /debug/traces/{id}", "GET", "/debug/traces/route-matrix", "", 200, 200, 200},
 	}
 
 	rows := map[string]bool{}
@@ -166,7 +173,11 @@ func TestRoleRouteMatrix(t *testing.T) {
 	}
 	router := minimal("router")
 	router.Shards = strings.Join(shards, ",")
-	nodes := []struct{ role, url string }{{"single", build(single)}, {"shard", shards[0]}, {"router", build(router)}}
+	replica := minimal("replica")
+	replica.CorpusDir, replica.BootstrapFrom = t.TempDir(), shards[0]
+	nodes := []struct{ role, url string }{
+		{"single", build(single)}, {"shard", shards[0]}, {"router", build(router)}, {"replica", build(replica)},
+	}
 
 	do := func(method, url, body string) (int, []byte) {
 		t.Helper()
@@ -186,7 +197,10 @@ func TestRoleRouteMatrix(t *testing.T) {
 	for _, n := range nodes {
 		for _, m := range matrix {
 			want := m.served
-			if n.role == "router" {
+			switch n.role {
+			case "replica":
+				want = m.replica
+			case "router":
 				want = m.router
 			}
 			status, body := do(m.method, n.url+m.path, m.body)
@@ -346,4 +360,159 @@ func TestReplicaBootstrapsAndTails(t *testing.T) {
 	if _, err := Build(ctx, rc, logger); err == nil || !strings.Contains(err.Error(), rc.BootstrapFrom) {
 		t.Fatalf("bootstrap from a missing peer: %v", err)
 	}
+}
+
+// TestReplicaResyncsAfterTruncation drives the replica's 410 path. The
+// primary snapshots, which truncates its WAL and moves its epoch, then takes
+// one more add: the replica's next tail gets a 410, it re-syncs from the
+// export and ends holding exactly the primary's ids. Then the primary loses
+// its -corpus-dir and comes back empty at the same address under a new
+// epoch: the replica re-syncs again and drops what the primary no longer
+// holds, so failover reads cannot serve documents the partition lost.
+func TestReplicaResyncsAfterTruncation(t *testing.T) {
+	ctx := context.Background()
+	logs := &syncBuffer{}
+	logger := slog.New(slog.NewTextHandler(logs, nil))
+	build := func(c Config) *Node {
+		t.Helper()
+		n, err := Build(ctx, c, logger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	add := func(n *Node, ids ...string) { addIDs(t, n, ids...) }
+
+	pc := minimal("shard")
+	pc.Partition, pc.CorpusDir = "0/1", t.TempDir()
+	primary := build(pc)
+	var current atomic.Pointer[Node] // the node answering at the primary's address
+	current.Store(primary)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		current.Load().Handler.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	add(primary, "a", "b", "c")
+
+	rc := minimal("replica")
+	rc.Partition, rc.CorpusDir, rc.BootstrapFrom = "0/1", t.TempDir(), ts.URL
+	replica := build(rc)
+	defer replica.Stop()
+
+	converge := func(resyncs int, after string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * replicaTailInterval)
+		for {
+			want, got := corpusIDs(current.Load()), corpusIDs(replica)
+			n := strings.Count(logs.String(), "re-syncing via export")
+			if slices.Equal(got, want) && n == resyncs {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: replica holds %v after %d re-syncs, want the primary's %v after %d", after, got, n, want, resyncs)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	if _, err := primary.Store.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	add(primary, "d")
+	converge(1, "the primary's snapshot and fourth add")
+	// A tail that brings "e" is answered in the primary's current epoch.
+	add(primary, "e")
+	converge(1, "the primary's fifth add")
+
+	pc.CorpusDir = t.TempDir()
+	current.Store(build(pc))
+	defer current.Load().Stop()
+	primary.Stop()
+	add(current.Load(), "f")
+	converge(2, "the primary came back empty")
+}
+
+// TestReplicaResyncResumesInThePrimarysGeneration: a re-sync returns the WAL
+// position and generation its read of the primary ended at, so a snapshot
+// the primary takes before the next poll makes that poll a 410 (and another
+// re-sync), never a quiet read of the new log that misses what the snapshot
+// took out of the old one. The node re-synced here is bootstrapped as a
+// shard, so no tail loop polls behind the test's back.
+func TestReplicaResyncResumesInThePrimarysGeneration(t *testing.T) {
+	ctx := context.Background()
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	pc := minimal("shard")
+	pc.Partition, pc.CorpusDir = "0/1", t.TempDir()
+	primary, err := Build(ctx, pc, logger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Stop()
+	ts := httptest.NewServer(primary.Handler)
+	defer ts.Close()
+	addIDs(t, primary, "a")
+	rc := minimal("shard")
+	rc.Partition, rc.CorpusDir, rc.BootstrapFrom = "0/1", t.TempDir(), ts.URL
+	node, err := Build(ctx, rc, logger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Stop()
+
+	peer := remote.NewClient(time.Minute)
+	pos, epoch, err := resyncExport(ctx, node.Engine, node.Store, peer, ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addIDs(t, primary, "x")
+	if _, err := primary.Store.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = applyWALTail(ctx, node.Engine, peer, ts.URL, pos, epoch)
+	if se := (*remote.StatusError)(nil); !errors.As(err, &se) || se.Status != http.StatusGone {
+		t.Fatalf("tail after the primary's snapshot: %v (holding %v), want a 410", err, corpusIDs(node))
+	}
+}
+
+// addIDs adds one fingerprint per id to n's corpus, as its primary's WAL
+// or a client would.
+func addIDs(t *testing.T, n *Node, ids ...string) {
+	t.Helper()
+	for _, id := range ids {
+		fp := ccd.Fingerprint("QxRtYuIoPAbCdEfGhZvNmQwErTyUiOp" + id)
+		if err := n.Engine.CorpusAddBatch([]service.CorpusEntry{{ID: id, Fingerprint: fp}})[0]; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// corpusIDs lists the ids n's corpus holds, sorted.
+func corpusIDs(n *Node) []string {
+	var ids []string
+	c := n.Engine.Corpus()
+	for i := range c.Shards() {
+		entries, _ := c.ShardEntries(i)
+		for _, e := range entries {
+			ids = append(ids, e.ID)
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// syncBuffer is a log sink that tests read while the node writes it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }

@@ -49,7 +49,7 @@ type Server struct {
 	endpoints map[string]*endpointStats
 	recorder  *trace.Recorder
 	logger    *slog.Logger // nil disables request logging
-	ready     func() bool  // readiness probe; defaults to the store's state
+	ready     func() bool  // the store's readiness, or always true without one
 
 	// limiter is the per-client token-bucket (nil without WithRateLimit);
 	// rateLimited counts requests it refused.
@@ -60,8 +60,8 @@ type Server struct {
 	// DefaultMaxDeadline; see WithMaxDeadline).
 	maxDeadline time.Duration
 
-	// router puts the server in router mode (WithRouter): match and ingest
-	// fan out to remote shard nodes instead of the local corpus.
+	// role is what this server answers as; every role decision reads it.
+	role   role
 	router *remote.Router
 	// match answers one /v1/match query the way this server's role does
 	// (matchLocal or matchRouted); fanout is the partition count its
@@ -70,9 +70,8 @@ type Server struct {
 	match  matchFunc
 	fanout int
 	ingest ingestFunc
-	// partRing/partIdx pin a shard node to its partition (WithPartition):
-	// ingest refuses entries another partition owns. partRing nil =
-	// unpartitioned.
+	// partRing/partIdx pin a shard to its partition (WithPartition): ingest
+	// skips entries another partition owns.
 	partRing *remote.Ring
 	partIdx  int
 
@@ -94,13 +93,6 @@ func WithStore(store *service.Store) Option {
 // everything else at Debug), each line carrying the request's trace id.
 func WithLogger(l *slog.Logger) Option {
 	return func(s *Server) { s.logger = l }
-}
-
-// WithReadiness overrides the /readyz probe. Without it, readiness follows
-// the store (not ready during boot replay or after a rollback-pending fsync
-// failure), or is always true when persistence is disabled.
-func WithReadiness(ready func() bool) Option {
-	return func(s *Server) { s.ready = ready }
 }
 
 // WithRateLimit enables per-client token-bucket rate limiting on the /v1
@@ -154,15 +146,12 @@ func NewServer(engine *service.Engine, opts ...Option) *Server {
 		s.maxDeadline = DefaultMaxDeadline
 	}
 	s.match, s.fanout, s.ingest = s.matchLocal, engine.Corpus().Shards(), s.ingestLocal
-	if s.router != nil {
+	if s.role == roleRouter {
 		s.match, s.fanout, s.ingest = s.matchRouted, s.router.N(), s.ingestRouted
 	}
-	if s.ready == nil {
-		if st := s.store; st != nil {
-			s.ready = st.Ready
-		} else {
-			s.ready = func() bool { return true }
-		}
+	s.ready = func() bool { return true }
+	if s.store != nil {
+		s.ready = s.store.Ready
 	}
 
 	s.mux = http.NewServeMux()
@@ -189,6 +178,18 @@ const (
 	observe
 )
 
+// role is what a server answers as, fixed by its options: single by default,
+// or WithPartition's shard, WithReplica's replica, WithRouter's router (of two,
+// the later constant wins).
+type role uint8
+
+const (
+	roleSingle role = iota
+	roleShard
+	roleReplica
+	roleRouter
+)
+
 // refusal is a role's answer to a route it does not serve: a status and a
 // reason naming the role, in the usual error JSON.
 type refusal struct {
@@ -197,33 +198,36 @@ type refusal struct {
 }
 
 // route is one row of the route table: a pattern, its handler, its guards
-// and what a router does with it (nil: serves it). Single, shard and replica
-// nodes serve every route.
+// and the roles that refuse it, each with its refusal (nil: none).
 type route struct {
-	pattern  string
-	handle   func(*Server, http.ResponseWriter, *http.Request)
-	guards   guards
-	onRouter *refusal
+	pattern string
+	handle  func(*Server, http.ResponseWriter, *http.Request)
+	guards  guards
+	refuse  map[role]refusal
 }
 
 // notOnRouter refuses the multi-node plumbing a shard serves: a partition-
 // local match and the WAL tail a replica bootstraps from. A single node
 // serves both, so a single-process deployment can still be tailed.
-var notOnRouter = &refusal{http.StatusNotFound, "not served on a router"}
+var notOnRouter = map[role]refusal{roleRouter: {http.StatusNotFound, "not served on a router"}}
+
+// clientWrite refuses ingest on a replica, whose corpus is its primary's: a
+// client write there would be served on failover as the partition's.
+var clientWrite = map[role]refusal{roleReplica: {http.StatusConflict, "a replica takes writes only from its primary's WAL"}}
 
 // routes is every endpoint, registered on every role, so /metrics keys the
-// same endpoints everywhere. A router holds no corpus, snapshot or WAL, so it
-// refuses what only those can answer.
+// same endpoints everywhere. A replica refuses client ingest, and a router,
+// holding no corpus, snapshot or WAL, what only those can answer.
 var routes = []route{
 	{"POST /v1/analyze", (*Server).handleAnalyze, admit, nil},
 	{"POST /v1/fingerprint", (*Server).handleFingerprint, admit, nil},
-	{"POST /v1/corpus", (*Server).handleCorpusAdd, admit | write, nil},
+	{"POST /v1/corpus", (*Server).handleCorpusAdd, admit | write, clientWrite},
 	{"GET /v1/corpus", (*Server).handleCorpusInfo, 0, nil},
-	{"POST /v1/corpus/bulk", (*Server).handleCorpusBulk, admit | write, nil},
+	{"POST /v1/corpus/bulk", (*Server).handleCorpusBulk, admit | write, clientWrite},
 	{"POST /v1/corpus/snapshot", (*Server).handleCorpusSnapshot, write,
-		&refusal{http.StatusConflict, "a router holds no corpus to snapshot; snapshot each shard"}},
+		map[role]refusal{roleRouter: {http.StatusConflict, "a router holds no corpus to snapshot; snapshot each shard"}}},
 	{"GET /v1/corpus/export", (*Server).handleCorpusExport, 0,
-		&refusal{http.StatusConflict, "a router holds no corpus; export each shard"}},
+		map[role]refusal{roleRouter: {http.StatusConflict, "a router holds no corpus; export each shard"}}},
 	{"POST /v1/match", (*Server).handleMatch, admit, nil},
 	{"POST /v1/study", (*Server).handleStudyStart, 0, nil},
 	{"GET /v1/study", (*Server).handleStudyList, 0, nil},
@@ -246,7 +250,7 @@ var routes = []route{
 func (s *Server) handler(rt route) http.HandlerFunc {
 	h := func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) }
 	g := rt.guards
-	if f := rt.onRouter; s.router != nil && f != nil {
+	if f, ok := rt.refuse[s.role]; ok {
 		h, g = func(w http.ResponseWriter, _ *http.Request) { writeError(w, f.status, f.reason) }, 0
 	}
 	if g&write != 0 {
@@ -540,7 +544,7 @@ func (s *Server) handleCorpusInfo(w http.ResponseWriter, r *http.Request) {
 		"eta":     cfg.Eta,
 		"epsilon": cfg.Epsilon,
 	}
-	if s.router != nil {
+	if s.role == roleRouter {
 		var partial bool
 		if count, partial = s.routedCount(r.Context(), nil); partial {
 			info["partial"] = true
@@ -774,7 +778,7 @@ func (s *Server) startCorpusStudy(w http.ResponseWriter, req StudyRequest) {
 		// every query fans back out over the fleet.
 		study := &studyClusters{ref: ClusterStudy{ID: job.ID, Limit: req.Limit}, created: job.Created}
 		var j *service.SelfJoin
-		if s.router != nil {
+		if s.role == roleRouter {
 			j = service.NewPlannedSelfJoin(s.router.StudyPlan(), s.router.CloneQuery, s.engine.Corpus().Config(), req.Limit)
 		} else {
 			// Read before the plan is captured: a publish in between can
@@ -901,7 +905,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		RateLimited: s.rateLimited.Load(),
 		Uptime:      time.Since(s.start).Round(time.Millisecond).String(),
 	}
-	if s.router != nil {
+	if s.role == roleRouter {
 		rs := s.router.Stats()
 		resp.Remote = &rs
 	}

@@ -25,11 +25,11 @@ type ClustersResponse struct {
 	Top []cluster.Cluster `json:"top,omitempty"`
 }
 
-// ClusterStudy names the corpus study a clusters answer comes from. Only a
-// role with a local corpus (not a router) reports Generation, the corpus
-// generation the study started at, and Stale, true once the corpus has
-// published since (an ingest or a supersede; a snapshot changes no document
-// and leaves it false).
+// ClusterStudy names the corpus study a clusters answer comes from. A single
+// node, shard or replica (not a router, which holds no corpus) reports
+// Generation, the corpus generation the study started at, and Stale, true
+// once the corpus has published since (an ingest, a supersede or a replica's
+// re-sync drop; a snapshot changes no document and leaves it false).
 type ClusterStudy struct {
 	ID         string  `json:"id"`
 	Limit      int     `json:"limit"`

@@ -73,14 +73,16 @@ type BulkResponse struct {
 // batch is not used once the next one is asked for.
 type ingestFunc func(ctx context.Context, batches iter.Seq[[]service.CorpusEntry]) (BulkResponse, error)
 
-// ingestLocal is a single or shard node's ingestFunc: a partition-pinned node
-// counts the entries another partition owns as skipped (dropping them from
-// the batch in place), and the rest of a batch go through the engine at once.
+// ingestLocal is a single or shard node's ingestFunc: a shard counts the
+// entries another partition owns as skipped (dropping them from the batch in
+// place), and the rest of a batch go through the engine at once.
 func (s *Server) ingestLocal(ctx context.Context, batches iter.Seq[[]service.CorpusEntry]) (BulkResponse, error) {
 	var resp BulkResponse
 	var persistErr error
 	for batch := range batches {
-		owned := slices.DeleteFunc(batch, func(e service.CorpusEntry) bool { return !s.ownsID(e.ID) })
+		owned := slices.DeleteFunc(batch, func(e service.CorpusEntry) bool {
+			return s.role == roleShard && s.partRing.Owner(e.ID) != s.partIdx
+		})
 		resp.Skipped += len(batch) - len(owned)
 		for _, err := range s.engine.CorpusAddBatchCtx(ctx, owned) {
 			switch {

@@ -795,12 +795,12 @@ func TestRoutedIngestLeavesIdlePartitionsAlone(t *testing.T) {
 	var shards []*httptest.Server
 	for i := 0; i < 2; i++ {
 		engine := service.New(service.Options{Workers: 2, CCD: ccd.ConservativeConfig})
-		opts := []Option{WithPartition(i, 2)}
+		srv := NewServer(engine, WithPartition(i, 2))
 		if i == 1 {
-			opts = append(opts, WithReadiness(func() bool { return false }))
+			srv.ready = func() bool { return false }
 			engine.CorpusAddBatch([]service.CorpusEntry{{ID: "held", Fingerprint: "QxRtYuIoPAbCdEfGhZvNmWq"}})
 		}
-		ts := httptest.NewServer(NewServer(engine, opts...).Handler())
+		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		targets, shards = append(targets, ts.URL), append(shards, ts)
 	}

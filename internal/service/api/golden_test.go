@@ -103,8 +103,8 @@ func TestGoldenOverloadShapes(t *testing.T) {
 	}
 	runGoldenCase(t, lts, "ratelimited", http.MethodGet, "/v1/corpus", nil)
 
-	notReady := NewServer(service.New(service.Options{Workers: 2, Shards: 2}),
-		WithReadiness(func() bool { return false }))
+	notReady := NewServer(service.New(service.Options{Workers: 2, Shards: 2}))
+	notReady.ready = func() bool { return false }
 	nts := httptest.NewServer(notReady.Handler())
 	t.Cleanup(nts.Close)
 	runGoldenCase(t, nts, "ingest_not_ready", http.MethodPost, "/v1/corpus",

@@ -263,7 +263,7 @@ func TestErrorPayloadCarriesTraceID(t *testing.T) {
 }
 
 // TestReadiness covers /readyz and the ?ready=1 fold into /healthz: without
-// a store the server is always ready; a WithReadiness override flips both.
+// a store the server is always ready; a probe that reads false flips both.
 func TestReadiness(t *testing.T) {
 	ts, _ := newTestServer(t)
 	if resp, m := get(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusOK || m["ready"] != true {
@@ -271,7 +271,8 @@ func TestReadiness(t *testing.T) {
 	}
 
 	engine := service.New(service.Options{Workers: 1, Shards: 1})
-	notReady := NewServer(engine, WithReadiness(func() bool { return false }))
+	notReady := NewServer(engine)
+	notReady.ready = func() bool { return false }
 	nts := httptest.NewServer(notReady.Handler())
 	defer nts.Close()
 	if resp, m := get(t, nts.URL+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable || m["ready"] != false {

@@ -221,7 +221,7 @@ func (s *Server) writePrometheus(w io.Writer, snap service.Snapshot, uptimeSec f
 	// nodes — the families render on every role so dashboards and the docs
 	// table keep one schema.
 	var rstats remote.Stats
-	if s.router != nil {
+	if s.role == roleRouter {
 		rstats = s.router.Stats()
 	}
 	p.header("ccd_remote_shard_errors_total", "Failed requests per remote shard.", "counter")
@@ -281,13 +281,11 @@ func (s *Server) writePrometheus(w io.Writer, snap service.Snapshot, uptimeSec f
 			}
 		}
 	}
-	if len(patterns) > 0 {
-		p.header("ccd_http_request_duration_seconds", "Request duration per route.", "histogram")
-		for _, pat := range patterns {
-			ls := service.SummarizeLatency(&s.endpoints[pat].latency)
-			p.histogramSeries("ccd_http_request_duration_seconds", label("endpoint", pat),
-				ls.Buckets, ls.Count, ls.TotalSec, 1e-6)
-		}
+	p.header("ccd_http_request_duration_seconds", "Request duration per route.", "histogram")
+	for _, pat := range patterns {
+		ls := service.SummarizeLatency(&s.endpoints[pat].latency)
+		p.histogramSeries("ccd_http_request_duration_seconds", label("endpoint", pat),
+			ls.Buckets, ls.Count, ls.TotalSec, 1e-6)
 	}
 
 	// Trace recorder.

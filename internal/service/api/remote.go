@@ -18,33 +18,29 @@ import (
 	"repro/internal/service"
 )
 
-// WithRouter puts the server in router mode: /v1/match fans out to the
-// given router's shard nodes (merging through the shared admission bound),
-// corpus ingest forwards each entry to the shard owning its id under the
-// consistent-hash ring, and the corpus study streams partition exports
-// through the router. The local engine still fingerprints sources and
-// serves /v1/analyze; its (empty) local corpus is not matched against.
+// WithRouter makes the server a router over r's shard nodes: /v1/match fans
+// out (merging through the shared admission bound), ingest forwards each
+// entry to the shard that owns its id, and the corpus study streams the
+// partitions' exports. The local engine only fingerprints and analyzes.
 func WithRouter(r *remote.Router) Option {
-	return func(s *Server) { s.router = r }
+	return func(s *Server) { s.router, s.role = r, roleRouter }
 }
 
-// WithPartition pins the server to one partition of an N-way cluster:
-// ingest drops entries whose ring owner is a different partition (counted
-// in the response as skipped), so a misrouted write can never make two
-// shards disagree about ownership. Shard and replica nodes run with this.
+// WithPartition makes the server a shard of partition idx of total: ingest
+// skips (and counts) the entries another partition owns, so a misrouted
+// write can never make two shards disagree about ownership.
 func WithPartition(idx, total int) Option {
 	return func(s *Server) {
 		if total > 0 && idx >= 0 && idx < total {
-			s.partIdx = idx
-			s.partRing = remote.NewRing(total)
+			s.partIdx, s.partRing, s.role = idx, remote.NewRing(total), max(s.role, roleShard)
 		}
 	}
 }
 
-// ownsID reports whether this node's partition owns id (true when the
-// server is not partition-pinned).
-func (s *Server) ownsID(id string) bool {
-	return s.partRing == nil || s.partRing.Owner(id) == s.partIdx
+// WithReplica makes the server a replica of its partition's primary: served
+// as a shard, but its corpus comes only from the primary's WAL.
+func WithReplica() Option {
+	return func(s *Server) { s.role = max(s.role, roleReplica) }
 }
 
 // --- shard-side handlers ------------------------------------------------------

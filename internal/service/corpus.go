@@ -249,22 +249,8 @@ func (c *Corpus) publish(sh *shard, upTo uint64) {
 	c.supersedes.Add(int64(len(batch) - indexed))
 
 	old := sh.gen.Load()
-	live := old.segments
-	removed := 0
-	if len(stale) > 0 {
-		// Splice every published segment holding a superseded copy. The
-		// spliced segments are fresh values, so concurrent readers keep
-		// scanning the old generation untouched.
-		live = make([]*ccd.Corpus, 0, len(old.segments))
-		for _, s := range old.segments {
-			kept, n := s.WithoutIDs(stale)
-			removed += n
-			if kept.Len() > 0 {
-				live = append(live, kept)
-			}
-		}
-		c.supersedes.Add(int64(removed))
-	}
+	live, removed := splice(old.segments, stale)
+	c.supersedes.Add(int64(removed))
 	segs := append(slices.Clip(slices.Clone(live)), seg)
 	// Logarithmic compaction: the tail merges while the newest segment has
 	// reached at least half its predecessor, keeping sizes strictly
@@ -293,6 +279,49 @@ func (c *Corpus) publish(sh *shard, upTo uint64) {
 	})
 	sh.published += uint64(len(batch)) // the watermark advances by drained entries, deduped or not
 	c.publishes.Add(1)
+}
+
+// splice returns segs without the documents whose id is in dead, and how
+// many it dropped. The spliced segments are fresh values, so concurrent
+// readers keep scanning the old generation untouched.
+func splice(segs []*ccd.Corpus, dead map[string]struct{}) ([]*ccd.Corpus, int) {
+	if len(dead) == 0 {
+		return segs, 0
+	}
+	live, removed := make([]*ccd.Corpus, 0, len(segs)), 0
+	for _, s := range segs {
+		kept, n := s.WithoutIDs(dead)
+		removed += n
+		if kept.Len() > 0 {
+			live = append(live, kept)
+		}
+	}
+	return live, removed
+}
+
+// retain drops every document whose id is not in keep, one new generation
+// per shard it touches, and returns how many it dropped. The caller holds
+// ingest off (the store's exclusive lock), so no batch is pending.
+func (c *Corpus) retain(keep map[string]struct{}) int {
+	dropped := 0
+	for _, sh := range c.shards {
+		sh.pubMu.Lock()
+		dead := make(map[string]struct{})
+		for id := range sh.ids {
+			if _, ok := keep[id]; !ok {
+				dead[id] = struct{}{}
+				delete(sh.ids, id)
+			}
+		}
+		if len(dead) > 0 {
+			old := sh.gen.Load()
+			live, removed := splice(old.segments, dead)
+			sh.gen.Store(&generation{segments: live, size: old.size - removed, seq: old.seq + 1})
+			dropped += removed
+		}
+		sh.pubMu.Unlock()
+	}
+	return dropped
 }
 
 // Len returns the number of indexed documents across all shards.

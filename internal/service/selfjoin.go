@@ -331,27 +331,3 @@ func (j *SelfJoin) Report(topN int) *CloneReport {
 		Top:     j.set.Top(topN),
 	}
 }
-
-// NaiveSelfJoin is the ablation baseline the planner is benchmarked
-// against: an all-pairs scoring pass with no posting-list blocking. Returns
-// the resulting cluster set.
-func NaiveSelfJoin(entries []ccd.Entry, cfg ccd.Config) *cluster.Set {
-	if cfg.N == 0 {
-		cfg = ccd.DefaultConfig
-	}
-	set := cluster.New()
-	for _, e := range entries {
-		set.Add(e.ID)
-	}
-	for i := 0; i < len(entries); i++ {
-		for k := i + 1; k < len(entries); k++ {
-			if entries[i].ID == entries[k].ID {
-				continue
-			}
-			if _, ok := ccd.SimilarityAtLeast(entries[i].FP, entries[k].FP, cfg.Epsilon); ok {
-				set.Union(entries[i].ID, entries[k].ID)
-			}
-		}
-	}
-	return set
-}

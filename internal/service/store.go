@@ -309,7 +309,27 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.snapshotLocked(start)
+}
 
+// Retain drops every document whose id is not in keep and returns how many
+// it dropped. A drop is made durable by a snapshot taken before ingest
+// resumes, so the WAL cannot replay a dropped document; a crash before that
+// snapshot completes restores the documents.
+func (s *Store) Retain(keep map[string]struct{}) (int, error) {
+	start := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := s.corpus.retain(keep)
+	if n == 0 {
+		return 0, nil
+	}
+	_, err := s.snapshotLocked(start)
+	return n, err
+}
+
+// snapshotLocked is Snapshot, begun at start, with s.mu held exclusively.
+func (s *Store) snapshotLocked(start time.Time) (SnapshotInfo, error) {
 	final := filepath.Join(s.dir, SnapshotFile)
 	size, err := WriteFileAtomic(final, s.corpus.WriteSnapshot)
 	if err != nil {

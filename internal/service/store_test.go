@@ -523,6 +523,52 @@ func TestStoreReplaySupersededRecords(t *testing.T) {
 	_ = store
 }
 
+// TestStoreRetainIsDurable: Retain drops documents from the snapshot and
+// from the WAL alike, a crash right after it restores none of them, and a
+// Retain that drops nothing takes no snapshot.
+func TestStoreRetainIsDurable(t *testing.T) {
+	dir := t.TempDir()
+	c1 := NewCorpus(ccd.DefaultConfig, 4)
+	s1, err := OpenStore(dir, c1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAdd(t, c1, 10)
+	if _, err := s1.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 10; i < 20; i++ { // these live only in the WAL
+		if err := c1.Add(fmt.Sprintf("doc-%d", i), testFP(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	even := map[string]struct{}{}
+	for i := 0; i < 20; i += 2 {
+		even[fmt.Sprintf("doc-%d", i)] = struct{}{}
+	}
+	if n, err := s1.Retain(even); n != 10 || err != nil {
+		t.Fatalf("Retain = %d, %v; want 10 dropped", n, err)
+	}
+	if n, err := s1.Retain(even); n != 0 || err != nil || s1.Info().Snapshots != 2 {
+		t.Fatalf("second Retain = %d, %v with %d snapshots; want 0 dropped and no snapshot", n, err, s1.Info().Snapshots)
+	}
+	// Crash: no Close. Reopen from disk alone.
+	c2, _ := reopen(t, dir, 4)
+	for _, c := range []*Corpus{c1, c2} {
+		if c.Len() != 10 {
+			t.Fatalf("corpus holds %d entries, want 10", c.Len())
+		}
+		for i := range c.Shards() {
+			entries, _ := c.ShardEntries(i)
+			for _, e := range entries {
+				if _, ok := even[e.ID]; !ok {
+					t.Fatalf("%s survived Retain", e.ID)
+				}
+			}
+		}
+	}
+}
+
 // TestStoreWALReplayAfterCrash is the acceptance-criteria test: every
 // acknowledged Add must survive a kill -9 (simulated by abandoning the store
 // without Close or Snapshot — exactly the on-disk state a crash leaves).
