@@ -73,11 +73,6 @@ func (ls lines) match(needles ...string) []int {
 	return out
 }
 
-// contains reports whether any line contains the needle.
-func (ls lines) contains(needle string) bool {
-	return len(ls.match(needle)) > 0
-}
-
 // guardedBefore reports whether a line within dist before idx (1-based)
 // contains the needle.
 func (ls lines) guardedBefore(idx, dist int, needle string) bool {

@@ -3,17 +3,15 @@
 //
 //	δ(s1,s2) = (max(len(s1),len(s2)) − d(s1,s2)) / max(len(s1),len(s2)) · 100
 //
-// Every production score is δ over DistanceBounded, which runs Myers'
-// bit-vector algorithm whenever one of the two strings fits a 64-bit word:
-// one word operation per character of the other string in place of one DP
-// row. SimilarityAtLeast scores one pair; Algorithm 1 (package ccd) bounds
-// with MaxDist and scores with Delta itself, so that it can test lengths
-// and reuse a distance it already has. Distance is the plain two-row
-// dynamic program, kept as the reference the tests hold DistanceBounded and
-// Algorithm 1 to; no production path calls it.
+// Every production score is δ over (*Scratch).DistanceBounded, which runs
+// Myers' bit-vector algorithm whenever one of the two strings fits a 64-bit
+// word: one word operation per character of the other string in place of
+// one DP row. Algorithm 1 (package ccd) bounds with MaxDist and scores with
+// Delta, so that it can test lengths and reuse a distance it already has.
+// Distance is the plain two-row dynamic program, kept as the reference the
+// tests hold DistanceBounded and Algorithm 1 to; no production path calls
+// it.
 package editdist
-
-import "sync"
 
 // wordBits is the longest pattern the bit-parallel kernel takes: one bit of
 // a uint64 per pattern byte.
@@ -35,10 +33,6 @@ type Scratch struct {
 	pat [wordBits]byte
 	m   int
 }
-
-// scratchPool backs the package-level one-shot helpers, which would
-// otherwise clear a Scratch's 2 KB of masks on every call.
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // rows returns the two DP rows, each with at least n entries.
 func (s *Scratch) rows(n int) ([]int, []int) {
@@ -91,18 +85,10 @@ func Distance(a, b string) int {
 
 // DistanceBounded returns the edit distance if it is at most maxDist, or
 // maxDist+1 otherwise. Early exit keeps corpus matching fast when most
-// candidate pairs are far apart.
-func DistanceBounded(a, b string, maxDist int) int {
-	s := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(s)
-	return s.DistanceBounded(a, b, maxDist)
-}
-
-// DistanceBounded is the scratch-reusing form of the package-level
-// DistanceBounded. When either string is at most 64 bytes it is the
-// pattern of the bit-parallel kernel, a first so that a caller holding a
-// fixed and b varying keeps its masks; only a pair of two longer strings
-// takes the row DP.
+// candidate pairs are far apart. When either string is at most 64 bytes it
+// is the pattern of the bit-parallel kernel, a first so that a caller
+// holding a fixed and b varying keeps its masks; only a pair of two longer
+// strings takes the row DP.
 func (s *Scratch) DistanceBounded(a, b string, maxDist int) int {
 	if maxDist < 0 {
 		return 0
@@ -214,25 +200,11 @@ func (s *Scratch) bitDistance(p, t string, maxDist int) int {
 	return score
 }
 
-// SimilarityAtLeast reports whether δ(a,b) ≥ threshold, using the bounded
-// distance for early exit. The score is exact when ok; at threshold 0
-// nothing is cut short, so it is δ itself. Two empty strings are identical
-// (100).
-func SimilarityAtLeast(a, b string, threshold float64) (float64, bool) {
-	ml := max(len(a), len(b))
-	if ml == 0 {
-		return 100, threshold <= 100
-	}
-	maxDist := MaxDist(ml, threshold)
-	d := DistanceBounded(a, b, maxDist)
-	return Delta(ml, d), d <= maxDist
-}
-
 // MaxDist is the largest edit distance at which two strings, the longer of
 // them ml bytes, are still threshold similar: δ ≥ t ⇔ d ≤ ml·(100−t)/100.
 // It is negative when threshold exceeds 100, and no pair qualifies. A caller
 // that tests lengths before DistanceBounded uses this same expression, so it
-// rejects exactly the pairs SimilarityAtLeast rejects.
+// rejects exactly the pairs DistanceBounded would put beyond the bound.
 func MaxDist(ml int, threshold float64) int {
 	return int(float64(ml) * (100 - threshold) / 100)
 }

@@ -65,9 +65,9 @@ func TestDistanceBoundedAgreesWhenWithin(t *testing.T) {
 		if len(b) > 40 {
 			b = b[:40]
 		}
+		var s Scratch
 		d := Distance(a, b)
-		got := DistanceBounded(a, b, d)
-		return got == d
+		return s.DistanceBounded(a, b, d) == d
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -75,17 +75,18 @@ func TestDistanceBoundedAgreesWhenWithin(t *testing.T) {
 }
 
 func TestDistanceBoundedEarlyExit(t *testing.T) {
+	var s Scratch
 	a := "aaaaaaaaaaaaaaaaaaaa"
 	b := "bbbbbbbbbbbbbbbbbbbb"
-	if got := DistanceBounded(a, b, 3); got != 4 {
+	if got := s.DistanceBounded(a, b, 3); got != 4 {
 		t.Errorf("got %d, want maxDist+1 = 4", got)
 	}
-	if got := DistanceBounded("abc", "abcdefgh", 2); got != 3 {
+	if got := s.DistanceBounded("abc", "abcdefgh", 2); got != 3 {
 		t.Errorf("length gap: got %d want 3", got)
 	}
 }
 
-// similarity is δ over the reference Distance: the oracle SimilarityAtLeast
+// similarity is δ over the reference Distance: the oracle similarityAtLeast
 // is held to.
 func similarity(a, b string) float64 {
 	ml := max(len(a), len(b))
@@ -95,13 +96,29 @@ func similarity(a, b string) float64 {
 	return float64(ml-Distance(a, b)) / float64(ml) * 100
 }
 
-// delta is the score SimilarityAtLeast gives at threshold 0, where it must
+// similarityAtLeast scores one pair the way Algorithm 1 (package ccd) scores
+// each sub pair: MaxDist bounds the distance, a Scratch measures it, and
+// Delta scores it. It reports whether δ(a,b) ≥ threshold; the score is
+// exact when ok, and at threshold 0 it is δ itself. Two empty strings are
+// identical (100).
+func similarityAtLeast(a, b string, threshold float64) (float64, bool) {
+	ml := max(len(a), len(b))
+	if ml == 0 {
+		return 100, threshold <= 100
+	}
+	var s Scratch
+	maxDist := MaxDist(ml, threshold)
+	d := s.DistanceBounded(a, b, maxDist)
+	return Delta(ml, d), d <= maxDist
+}
+
+// delta is the score similarityAtLeast gives at threshold 0, where it must
 // be δ itself.
 func delta(t *testing.T, a, b string) float64 {
 	t.Helper()
-	s, ok := SimilarityAtLeast(a, b, 0)
+	s, ok := similarityAtLeast(a, b, 0)
 	if !ok {
-		t.Fatalf("SimilarityAtLeast(%q, %q, 0) failed", a, b)
+		t.Fatalf("similarityAtLeast(%q, %q, 0) failed", a, b)
 	}
 	return s
 }
@@ -141,11 +158,11 @@ func TestSimilarityRange(t *testing.T) {
 }
 
 func TestSimilarityAtLeast(t *testing.T) {
-	s, ok := SimilarityAtLeast("abcd", "abcx", 70)
+	s, ok := similarityAtLeast("abcd", "abcx", 70)
 	if !ok || s != 75 {
 		t.Errorf("got %v %v", s, ok)
 	}
-	_, ok = SimilarityAtLeast("abcd", "wxyz", 70)
+	_, ok = similarityAtLeast("abcd", "wxyz", 70)
 	if ok {
 		t.Error("should fail threshold")
 	}
@@ -161,7 +178,7 @@ func TestSimilarityAtLeastConsistent(t *testing.T) {
 		}
 		exact := similarity(a, b)
 		for _, th := range []float64{0, 50, 70, 90, 100} {
-			_, ok := SimilarityAtLeast(a, b, th)
+			_, ok := similarityAtLeast(a, b, th)
 			if ok != (exact >= th) && !(exact == th) {
 				// Allow boundary rounding at exact threshold.
 				if ok != (exact >= th) {

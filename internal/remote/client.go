@@ -75,10 +75,12 @@ func (c *Client) post(ctx context.Context, url, contentType string, body []byte,
 // W3C traceparent when it has the canonical 32-hex shape, and X-Request-Id
 // otherwise, so a request's spans on router and shard share one trace id end
 // to end. A context deadline rides along as X-Request-Timeout (remaining
-// milliseconds at send time), so every shard-bound request — match fanout,
-// ingest forwarding, exports — inherits the router's remaining budget.
+// milliseconds at send time, at least 1 so that a shard still learns a
+// budget applies), so every shard-bound request — match fanout, ingest
+// forwarding, exports — inherits the router's remaining budget.
 func (c *Client) decorate(ctx context.Context, hreq *http.Request) {
-	if ms := remainingBudgetMs(ctx); ms > 0 {
+	if dl, ok := ctx.Deadline(); ok {
+		ms := max(time.Until(dl).Milliseconds(), 1)
 		hreq.Header.Set("X-Request-Timeout", strconv.FormatInt(ms, 10))
 	}
 	tr := trace.SpanFrom(ctx).Trace()

@@ -37,11 +37,6 @@ type ShardMatchRequest struct {
 	Fingerprint string  `json:"fingerprint"`
 	K           int     `json:"k"`
 	Bound       float64 `json:"bound,omitempty"`
-	// BudgetMs is the router's *remaining* request budget at send time, in
-	// milliseconds. A shard derives its own scan deadline from it and
-	// self-cancels into a degraded partial instead of being abandoned by a
-	// router that already gave up.
-	BudgetMs int64 `json:"budget_ms,omitempty"`
 }
 
 // Match is one scored result on the wire. It mirrors ccd.Match, which

@@ -138,12 +138,13 @@ func (r *Router) Match(ctx context.Context, fingerprint string, k int) (service.
 }
 
 // scanShard is the remote partition scan: one shard request carrying the
-// bound as it stands when the request leaves (0 under NoBoundShip) and the
-// remaining budget. Both are snapshots: the shipped bound is the value the
-// shard prunes with and what the savings counter attributes, and a shard
-// asked in a later wave inherits a smaller budget and self-cancels instead
-// of being abandoned. A shard that answered degraded returns its partial
-// top K with service.ErrBudgetExhausted.
+// bound as it stands when the request leaves (0 under NoBoundShip) and, in
+// its X-Request-Timeout header (Client.decorate), the remaining budget. Both
+// are snapshots: the shipped bound is the value the shard prunes with and
+// what the savings counter attributes, and a shard asked in a later wave
+// inherits a smaller budget and self-cancels instead of being abandoned. A
+// shard that answered degraded returns its partial top K with
+// service.ErrBudgetExhausted.
 func (r *Router) scanShard(ctx context.Context, part int, fingerprint string, k int, bound *ccd.AtomicBound) ([]ccd.Match, ccd.MatchStats, error) {
 	shipped := 0.0
 	if !r.cfg.NoBoundShip {
@@ -153,7 +154,6 @@ func (r *Router) scanShard(ctx context.Context, part int, fingerprint string, k 
 		Fingerprint: fingerprint,
 		K:           k,
 		Bound:       shipped,
-		BudgetMs:    remainingBudgetMs(ctx),
 	})
 	if err != nil {
 		r.shardErrs[part].Add(1)
@@ -177,17 +177,6 @@ func (r *Router) scanShard(ctx context.Context, part int, fingerprint string, k 
 		ms[i] = ccd.Match{ID: m.ID, Score: m.Score}
 	}
 	return ms, st, err
-}
-
-// remainingBudgetMs snapshots the budget left on ctx in whole milliseconds
-// (minimum 1 when a deadline exists but under a millisecond remains, so the
-// shard still learns a budget applies; 0 = no deadline, ship nothing).
-func remainingBudgetMs(ctx context.Context) int64 {
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return 0
-	}
-	return max(time.Until(dl).Milliseconds(), 1)
 }
 
 // queryShard runs one partition's request against its primary, failing
@@ -214,9 +203,9 @@ func (r *Router) queryShard(ctx context.Context, part int, req ShardMatchRequest
 var errPartialAnswer = errors.New("remote: partial answer (a partition did not respond)")
 
 // StudyPlan is the clone-study plan over the fleet, for
-// service.NewPlannedSelfJoin: one checkpoint unit per partition, whose pages
-// are the partition's paginated NDJSON export pages, so the study holds at
-// most one page and resumes per partition.
+// service.NewPlannedSelfJoin: one unit per partition, whose pages are the
+// partition's paginated NDJSON export pages, so the study holds at most one
+// page at a time.
 func (r *Router) StudyPlan() [][]service.StudyUnit {
 	plan := make([][]service.StudyUnit, r.N())
 	for i := range plan {

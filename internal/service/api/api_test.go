@@ -158,6 +158,12 @@ func TestHandlersTableDriven(t *testing.T) {
 			wantStatus: 400,
 		},
 		{
+			// A shard request carries its budget only in X-Request-Timeout.
+			name: "shard match budget field", method: "POST", path: "/v1/shard/match",
+			body:       map[string]any{"fingerprint": "QxRtYuIoP", "k": 1, "budget_ms": 1000},
+			wantStatus: 400,
+		},
+		{
 			name: "fingerprint", method: "POST", path: "/v1/fingerprint",
 			body:       map[string]any{"source": reentrantSrc},
 			wantStatus: 200,

@@ -327,12 +327,13 @@ func TestRoutedMatchesCountedOnEveryRole(t *testing.T) {
 }
 
 // TestShardCountsMidScanDeadlineExpiry pins that a shard whose scan runs out
-// of budget counts it in deadline.expired, as a single node does. Time cannot
-// be advanced inside a scan, so the budget the shard enforces is spent before
-// the scan starts: the request context carries an already-expired budget,
-// which the handler keeps over the (roomier) shipped one. The scan then stops
-// at its first segment check — the path a shipped budget that runs out
-// mid-scan takes — and the answer is a degraded partial.
+// of budget counts it in deadline.shipped and deadline.expired, as a single
+// node counts the expiry. Time cannot be advanced inside a scan, so the budget
+// the shard enforces is spent before the scan starts: the request context
+// carries an already-expired budget, where the middleware puts the one a
+// router ships in X-Request-Timeout. The scan then stops at its first segment
+// check — the path a shipped budget that runs out mid-scan takes — and the
+// answer is a degraded partial.
 func TestShardCountsMidScanDeadlineExpiry(t *testing.T) {
 	_, srv := newTestServerOpts(t, service.Options{Workers: 2, Shards: 2, CCD: ccd.ConservativeConfig})
 	entries := studyFingerprints(29, 100)
@@ -341,7 +342,7 @@ func TestShardCountsMidScanDeadlineExpiry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	body, _ := json.Marshal(remote.ShardMatchRequest{Fingerprint: string(entries[0].FP), K: 3, BudgetMs: 60_000})
+	body, _ := json.Marshal(remote.ShardMatchRequest{Fingerprint: string(entries[0].FP), K: 3})
 	req := httptest.NewRequest(http.MethodPost, "/v1/shard/match", bytes.NewReader(body))
 	spent := service.Budget{Deadline: time.Now().Add(-time.Second)}
 	req = req.WithContext(service.WithBudget(req.Context(), spent))
@@ -838,9 +839,9 @@ func TestRoutedIngestLeavesIdlePartitionsAlone(t *testing.T) {
 	}
 }
 
-// corpusStudy runs POST /v1/study {"mode": "corpus"} on base to completion
-// and returns the report's stats and cluster summary.
-func corpusStudy(t *testing.T, base string, limit int) (stats, summary map[string]any) {
+// runCorpusStudy runs POST /v1/study {"mode": "corpus"} on base until its
+// job is done or failed and returns the job.
+func runCorpusStudy(t *testing.T, base string, limit int) map[string]any {
 	t.Helper()
 	resp, m := post(t, base+"/v1/study", map[string]any{"mode": "corpus", "limit": limit})
 	if resp.StatusCode != http.StatusAccepted {
@@ -848,12 +849,23 @@ func corpusStudy(t *testing.T, base string, limit int) (stats, summary map[strin
 	}
 	id := m["id"].(string)
 	deadline := time.Now().Add(time.Minute)
-	for m["status"] != "done" {
-		if m["status"] == "failed" || time.Now().After(deadline) {
+	for m["status"] != "done" && m["status"] != "failed" {
+		if time.Now().After(deadline) {
 			t.Fatalf("study on %s: %v", base, m)
 		}
 		time.Sleep(20 * time.Millisecond)
 		_, m = get(t, base+"/v1/study/"+id)
+	}
+	return m
+}
+
+// corpusStudy runs a corpus study on base to completion and returns the
+// report's stats and cluster summary.
+func corpusStudy(t *testing.T, base string, limit int) (stats, summary map[string]any) {
+	t.Helper()
+	m := runCorpusStudy(t, base, limit)
+	if m["status"] != "done" {
+		t.Fatalf("study on %s: %v", base, m)
 	}
 	clone := m["summary"].(map[string]any)["clone"].(map[string]any)
 	return clone["stats"].(map[string]any), clone["summary"].(map[string]any)
@@ -912,5 +924,35 @@ func TestRoutedCloneStudyEqualsSingleNode(t *testing.T) {
 	_, m := get(t, c.router.URL+"/metrics")
 	if got := m["self_join"].(map[string]any)["completed"]; got != float64(len(limits)) {
 		t.Errorf("router self_join.completed %v, want %d", got, len(limits))
+	}
+}
+
+// TestRoutedCloneStudyFailsOnPartialAnswer: a router's corpus study whose
+// second partition is down fails as a whole. Every query of the first
+// partition's documents comes back partial, so the job ends failed naming
+// the partial answer, the router counts one failed study and no completed
+// one, and no clusters are served, since no study completed.
+func TestRoutedCloneStudyFailsOnPartialAnswer(t *testing.T) {
+	c := newTestCluster(t, 2, remote.Config{})
+	entries := studyFingerprints(5, 40)
+	if br := c.ingestBulk(t, entries); br.Added != len(entries) {
+		t.Fatalf("router bulk: added %d of %d", br.Added, len(entries))
+	}
+	c.shards[1].Close()
+
+	job := runCorpusStudy(t, c.router.URL, 0)
+	if job["status"] != "failed" || !strings.Contains(job["error"].(string), "partial answer") {
+		t.Fatalf("study with a partition down: %v, want failed naming the partial answer", job)
+	}
+	_, m := get(t, c.router.URL+"/metrics")
+	sj := m["self_join"].(map[string]any)
+	if sj["started"] != 1.0 || sj["failed"] != 1.0 || sj["completed"] != 0.0 {
+		t.Errorf("router self_join %v, want started 1, failed 1, completed 0", sj)
+	}
+	if study, sum := getClusters(t, c.router.URL); study != nil || sum != nil {
+		t.Errorf("clusters after a failed study: %v %v, want none", study, sum)
+	}
+	if resp, body := get(t, c.router.URL+"/v1/clusters/export"); resp.StatusCode != http.StatusConflict {
+		t.Errorf("clusters export after a failed study: %d %v, want 409", resp.StatusCode, body)
 	}
 }

@@ -248,7 +248,6 @@ func (s *Server) writePrometheus(w io.Writer, snap service.Snapshot, uptimeSec f
 	sj := snap.SelfJoin
 	p.counter("ccd_study_started_total", "Corpus-wide clone studies started.", sj.Started)
 	p.counter("ccd_study_completed_total", "Studies completed.", sj.Completed)
-	p.counter("ccd_study_cancelled_total", "Studies cancelled by the client.", sj.Cancelled)
 	p.counter("ccd_study_failed_total", "Studies aborted by backend errors.", sj.Failed)
 	p.counter("ccd_study_matches_total", "Clone pairs found across studies.", sj.Matches)
 

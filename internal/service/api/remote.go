@@ -66,20 +66,14 @@ func (s *Server) handleShardMatch(w http.ResponseWriter, r *http.Request) {
 	if req.Bound < 0 {
 		req.Bound = 0
 	}
+	// The router's remaining budget rides X-Request-Timeout, which the
+	// middleware made ctx's deadline and service.Budget: the scan
+	// self-cancels into a degraded partial under it instead of being
+	// stranded by a router that already gave up.
 	ctx := r.Context()
-	if req.BudgetMs > 0 {
-		// The router shipped its remaining budget: scan under it and
-		// self-cancel into a degraded partial instead of letting an
-		// abandoning router strand this scan. The middleware may already
-		// have installed a (header-derived) budget; keep the tighter one.
+	_, budgeted := service.BudgetOf(ctx)
+	if budgeted {
 		s.engine.NoteDeadlineShipped()
-		deadline := time.Now().Add(time.Duration(req.BudgetMs) * time.Millisecond)
-		if b, ok := service.BudgetOf(ctx); !ok || deadline.Before(b.Deadline) {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, deadline)
-			defer cancel()
-			ctx = service.WithBudget(ctx, service.Budget{Deadline: deadline})
-		}
 	}
 	var ms []ccd.Match
 	var st ccd.MatchStats
@@ -87,8 +81,8 @@ func (s *Server) handleShardMatch(w http.ResponseWriter, r *http.Request) {
 	if derr := s.engine.DoCtx(ctx, func() {
 		ms, st, err = s.engine.MatchFingerprint(ctx, ccd.Fingerprint(req.Fingerprint), req.K, ccd.NewAtomicBound(req.Bound))
 	}); derr != nil {
-		if req.BudgetMs > 0 && errors.Is(derr, context.DeadlineExceeded) {
-			// The shipped budget drained while queued: an honest (empty)
+		if budgeted && errors.Is(derr, context.DeadlineExceeded) {
+			// The budget drained while queued: an honest (empty)
 			// degraded response beats a 504 the router must write off.
 			writeJSON(w, http.StatusOK, remote.ShardMatchResponse{
 				Matches: []remote.Match{}, Degraded: []string{"deadline"},

@@ -326,14 +326,13 @@ func (e *Engine) RunCloneStudy(ctx context.Context, limit, topN int) (*CloneRepo
 	return e.RunSelfJoin(ctx, NewSelfJoin(e.corpus, limit), topN)
 }
 
-// RunSelfJoin runs j from its checkpoint to completion, folding its funnel
-// into the engine's study metrics, and returns the report with the topN
-// largest clusters attached. Every role runs its clone study here: a single
-// node over its serving corpus (RunCloneStudy), a router over its
-// partitions' exports (remote.Router.StudyPlan). The join fans out through
-// the engine's worker pool at ClassBackground — every per-document query
-// yields to waiting interactive traffic, and the join's (shard, segment)
-// checkpoints make the resulting pauses free.
+// RunSelfJoin runs j once, folding its funnel into the engine's study
+// metrics, and returns the report with the topN largest clusters attached.
+// Every role runs its clone study here: a single node over its serving
+// corpus (RunCloneStudy), a router over its partitions' exports
+// (remote.Router.StudyPlan). The join fans out through the engine's worker
+// pool at ClassBackground: DoCtx parks each per-document query while
+// interactive traffic waits for a slot.
 func (e *Engine) RunSelfJoin(ctx context.Context, j *SelfJoin, topN int) (*CloneReport, error) {
 	j.par = func(ctx context.Context, n int, fn func(int)) error {
 		return e.MapCtx(WithClass(ctx, ClassBackground), n, fn)

@@ -37,7 +37,6 @@ type counters struct {
 	// per-phase funnel across every self-join this engine ran.
 	studiesStarted   atomic.Int64
 	studiesCompleted atomic.Int64
-	studiesCancelled atomic.Int64
 	studiesFailed    atomic.Int64
 	studyDocs        atomic.Int64
 	studyQueried     atomic.Int64
@@ -49,18 +48,12 @@ type counters struct {
 	studyErrors      atomic.Int64
 }
 
-// observeStudy folds a finished self-join's funnel in, classifying the
-// outcome by err: nil is a completion, a context error a client
-// cancellation, anything else a failure. Conflating the last two would send
-// an operator chasing a phantom client cancel instead of the backend error
-// that actually aborted the study.
+// observeStudy folds a finished self-join's funnel in, counting the study
+// completed when err is nil and failed otherwise.
 func (c *counters) observeStudy(st SelfJoinStats, err error) {
-	switch {
-	case err == nil:
+	if err == nil {
 		c.studiesCompleted.Add(1)
-	case isCancellation(err):
-		c.studiesCancelled.Add(1)
-	default:
+	} else {
 		c.studiesFailed.Add(1)
 	}
 	c.studyDocs.Add(st.Docs)
@@ -211,7 +204,6 @@ type Snapshot struct {
 type StudyFunnel struct {
 	Started       int64 `json:"started"`
 	Completed     int64 `json:"completed"`
-	Cancelled     int64 `json:"cancelled"`
 	Failed        int64 `json:"failed"`
 	Docs          int64 `json:"docs"`
 	Queried       int64 `json:"queried"`
@@ -279,7 +271,6 @@ func (e *Engine) Metrics() Snapshot {
 		SelfJoin: StudyFunnel{
 			Started:       e.ctr.studiesStarted.Load(),
 			Completed:     e.ctr.studiesCompleted.Load(),
-			Cancelled:     e.ctr.studiesCancelled.Load(),
 			Failed:        e.ctr.studiesFailed.Load(),
 			Docs:          e.ctr.studyDocs.Load(),
 			Queried:       e.ctr.studyQueried.Load(),

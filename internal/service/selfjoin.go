@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -10,19 +9,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/trace"
 )
-
-// ErrSelfJoinRunning is returned by SelfJoin.Run when the join is already
-// executing: overlapping runs would process the same segments twice
-// concurrently, move the (shard, segment) checkpoint backwards and
-// double-count the funnel. Resume only after the active run has returned.
-var ErrSelfJoinRunning = errors.New("service: self-join already running")
-
-// isCancellation is the one place that decides whether an error means "the
-// client cut the work" (a pause, for the self-join) rather than a real
-// failure; recordQueryFailure and the study-outcome metrics must agree on it.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
 
 // SelfJoin is the corpus-wide clone study planner: it enumerates every
 // document of a plan and finds its clones by running each one through a
@@ -35,19 +21,15 @@ func isCancellation(err error) bool {
 // same join over its partitions' exports, with every query fanned out over
 // the fleet (remote.Router.StudyPlan).
 //
-// The join is context-cancellable and resumable: work is checkpointed by
-// (shard, segment) of the enumeration plan, which is captured once at
-// construction and therefore stable across pauses, compactions and
-// concurrent ingest. Cancelling Run mid-segment loses nothing — re-running a
-// segment re-derives the same edges, and union-find is idempotent — so
-// Resume simply calls Run again.
+// The plan is captured once at construction, so concurrent ingest and
+// compaction do not change what the join enumerates. A join runs once: a
+// failed study is run again from a new join.
 type SelfJoin struct {
 	query CloneQuery // answers each enumerated document's clone query
 	cfg   ccd.Config // the clone parameters the report names
 	limit int        // per-query match cap (0 = every clone at ε)
 
-	// plan is the captured enumeration: one list of checkpoint units per
-	// shard.
+	// plan is the captured enumeration: one list of units per shard.
 	plan [][]StudyUnit
 
 	// par fans a page's queries out; the engine wires its pooled MapCtx
@@ -56,19 +38,14 @@ type SelfJoin struct {
 
 	set *cluster.Set
 
-	mu      sync.Mutex
-	stats   SelfJoinStats
-	shard   int   // checkpoint: next shard
-	segment int   // checkpoint: next segment within that shard
-	segErr  error // first non-cancellation query failure of the running segment
-	started bool
-	running bool // a Run call is active (rejects overlapping runs)
-	done    bool
+	mu     sync.Mutex
+	stats  SelfJoinStats
+	segErr error // first query failure of the running segment
 }
 
-// A StudyUnit is one checkpoint unit of a clone study's plan (a segment, in
-// the join's checkpoint). It hands its documents to page one page at a time and
-// stops at the first error page returns.
+// A StudyUnit is one unit of a clone study's plan (a segment of a local
+// corpus, a partition of a router's fleet). It hands its documents to page
+// one page at a time and stops at the first error page returns.
 type StudyUnit func(ctx context.Context, page func([]ccd.Entry) error) error
 
 // A CloneQuery answers one document's clone query: its k best matches at ε
@@ -79,7 +56,7 @@ type CloneQuery func(ctx context.Context, fp ccd.Fingerprint, k int) ([]ccd.Matc
 type SelfJoinStats struct {
 	// Enumeration phase.
 	Docs          int64 `json:"docs"`           // documents enumerated
-	SegmentsDone  int   `json:"segments_done"`  // checkpointed segments
+	SegmentsDone  int   `json:"segments_done"`  // segments joined
 	SegmentsTotal int   `json:"segments_total"` // segments in the plan
 
 	// Query phase (per-document posting-list matching).
@@ -93,10 +70,7 @@ type SelfJoinStats struct {
 	Matches int64 `json:"matches"` // clone pairs reported (self-hits excluded)
 	Unions  int64 `json:"unions"`  // edges that merged two components
 
-	// Lifecycle.
-	Resumes   int64 `json:"resumes,omitempty"`
-	Cancelled int64 `json:"cancelled,omitempty"` // queries cut by ctx
-	Errors    int64 `json:"errors,omitempty"`    // queries that failed for a non-cancellation reason
+	Errors int64 `json:"errors,omitempty"` // queries that failed
 }
 
 // add folds one query's outcome in. Callers hold j.mu.
@@ -163,59 +137,24 @@ func (j *SelfJoin) Stats() SelfJoinStats {
 	return j.stats
 }
 
-// Run executes the join from its checkpoint. A cancelled ctx stops at the
-// next query boundary and returns ctx.Err(); calling Run again resumes from
-// the last completed segment (the unfinished segment re-runs — edge
-// derivation is deterministic and union-find idempotent, so the partial
-// work is absorbed, with the funnel counters recording the extra queries).
-// At most one Run may be active at a time: an overlapping call returns
-// ErrSelfJoinRunning instead of racing the checkpoint.
+// Run joins every unit of the plan once, in order, and stops at the first
+// unit that fails: a failed query or a done ctx fails the join.
 func (j *SelfJoin) Run(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	j.mu.Lock()
-	if j.done {
-		j.mu.Unlock()
-		return nil
-	}
-	if j.running {
-		j.mu.Unlock()
-		return ErrSelfJoinRunning
-	}
-	j.running = true
-	if j.started {
-		j.stats.Resumes++
-	}
-	j.started = true
-	shard, segment := j.shard, j.segment
-	j.mu.Unlock()
-	defer func() {
-		j.mu.Lock()
-		j.running = false
-		j.mu.Unlock()
-	}()
-
-	for ; shard < len(j.plan); shard, segment = shard+1, 0 {
-		for ; segment < len(j.plan[shard]); segment++ {
-			if err := j.runSegment(ctx, j.plan[shard][segment]); err != nil {
+	for _, units := range j.plan {
+		for _, unit := range units {
+			if err := j.runSegment(ctx, unit); err != nil {
 				return err
 			}
 			j.mu.Lock()
-			j.shard, j.segment = shard, segment+1
 			j.stats.SegmentsDone++
 			j.mu.Unlock()
 		}
 	}
-	j.mu.Lock()
-	j.done = true
-	j.mu.Unlock()
 	return nil
 }
 
-// runSegment self-joins every document of one checkpoint unit, page by
-// page. A query failure that is not a cancellation fails the page, and with
-// it the segment.
+// runSegment self-joins every document of one unit, page by page. A query
+// failure fails the page, and with it the segment.
 func (j *SelfJoin) runSegment(ctx context.Context, unit StudyUnit) error {
 	ctx, sp := trace.Start(ctx, "selfjoin.segment")
 	defer sp.End()
@@ -246,8 +185,6 @@ func (j *SelfJoin) runSegment(ctx context.Context, unit StudyUnit) error {
 		if err != nil {
 			return err
 		}
-		// Failing the segment keeps the checkpoint behind it, so a retry
-		// re-runs the whole segment and no document's edges are lost.
 		return segErr
 	})
 }
@@ -284,18 +221,11 @@ func linkClones(ctx context.Context, set *cluster.Set, query CloneQuery, e ccd.E
 	return st, edges, unions, nil
 }
 
-// recordQueryFailure classifies one failed per-document query. Context
-// cancellation is a pause — the unfinished segment re-runs on resume, so the
-// query is merely counted. Anything else is a real failure: silently
-// counting it as a cancellation would drop the document's edges and bias
-// the study, so it is tallied apart and fails the segment via segErr.
+// recordQueryFailure counts one failed per-document query and fails the
+// segment via segErr: dropping the document's edges would bias the study.
 func (j *SelfJoin) recordQueryFailure(id string, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if isCancellation(err) {
-		j.stats.Cancelled++
-		return
-	}
 	j.stats.Errors++
 	if j.segErr == nil {
 		j.segErr = fmt.Errorf("service: self-join query %q: %w", id, err)

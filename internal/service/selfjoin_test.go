@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/ccd"
@@ -111,144 +110,30 @@ func TestSelfJoinFindsGroundTruthClusters(t *testing.T) {
 		if st.Candidates < st.Scored+st.CutoffSkipped {
 			t.Fatalf("shards=%d: funnel inconsistent: %+v", shards, st)
 		}
-		if !j.done {
-			t.Fatalf("shards=%d: join not marked done", shards)
-		}
-		// Running a finished join is a no-op.
-		if err := j.Run(context.Background()); err != nil {
-			t.Fatal(err)
+		if st.SegmentsDone != st.SegmentsTotal {
+			t.Fatalf("shards=%d: %d of %d segments joined", shards, st.SegmentsDone, st.SegmentsTotal)
 		}
 	}
 }
 
-// TestSelfJoinCancelAndResume: a cancelled join stops with ctx.Err() and a
-// checkpoint; resuming completes it with the identical partition (and the
-// funnel records the resume).
-func TestSelfJoinCancelAndResume(t *testing.T) {
-	entries, _ := clusteredFingerprints(9, 30, 5)
-	c := seedCorpus(t, 3, entries)
-
-	ref := NewSelfJoin(c, 0)
-	if err := ref.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Clusters().Clusters(1, true)
-
-	j := NewSelfJoin(c, 0)
-	// Cancel from inside the fan-out after a handful of queries.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	inner := j.par
-	queries := 0
-	j.par = func(ctx context.Context, n int, fn func(int)) error {
-		return inner(ctx, n, func(i int) {
-			queries++
-			if queries > 3 {
-				cancel()
-			}
-			fn(i)
-		})
-	}
-	if err := j.Run(ctx); err != context.Canceled {
-		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
-	}
-	if j.done {
-		t.Fatal("cancelled join reports done")
-	}
-	j.par = inner
-	if err := j.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !j.done {
-		t.Fatal("resumed join not done")
-	}
-	if got := j.Clusters().Clusters(1, true); !reflect.DeepEqual(got, want) {
-		t.Fatal("resumed join produced a different partition")
-	}
-	if st := j.Stats(); st.Resumes != 1 {
-		t.Fatalf("resumes %d, want 1", st.Resumes)
-	}
-}
-
-// TestSelfJoinRejectsOverlappingRun: only one Run may drive a join at a
-// time — an overlapping call (e.g. an embedder resuming a study that is
-// still executing) returns ErrSelfJoinRunning instead of re-running the same
-// segments concurrently and racing the checkpoint.
-func TestSelfJoinRejectsOverlappingRun(t *testing.T) {
-	entries, _ := clusteredFingerprints(21, 10, 4)
-	c := seedCorpus(t, 2, entries)
-	j := NewSelfJoin(c, 0)
-	inner := j.par
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	j.par = func(ctx context.Context, n int, fn func(int)) error {
-		once.Do(func() {
-			close(entered)
-			<-release
-		})
-		return inner(ctx, n, fn)
-	}
-	done := make(chan error, 1)
-	go func() { done <- j.Run(context.Background()) }()
-	<-entered
-	if err := j.Run(context.Background()); !errors.Is(err, ErrSelfJoinRunning) {
-		t.Fatalf("overlapping Run returned %v, want ErrSelfJoinRunning", err)
-	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	// The guard clears with the run: a finished join accepts Run again (as a
-	// no-op) and reports no spurious resume.
-	if err := j.Run(context.Background()); err != nil {
-		t.Fatalf("Run after completion: %v", err)
-	}
-	if st := j.Stats(); st.Resumes != 0 || st.Errors != 0 {
-		t.Fatalf("stats %+v, want no resumes or errors", st)
-	}
-}
-
-// TestSelfJoinQueryErrorFailsSegment: a per-document query failure that is
-// NOT a context cancellation must surface from Run (keeping the checkpoint
-// behind the segment) and be counted apart from Cancelled — not silently
-// absorbed as if the query had been cut by ctx.
+// TestSelfJoinQueryErrorFailsSegment: a per-document query failure, a
+// cancellation included, fails its segment and the join and is counted in
+// Errors, not silently absorbed: that would drop the document's edges.
 func TestSelfJoinQueryErrorFailsSegment(t *testing.T) {
 	entries, _ := clusteredFingerprints(27, 8, 4)
 	c := seedCorpus(t, 2, entries)
-	j := NewSelfJoin(c, 0)
-
-	// Cancellations are pauses, tallied but never fatal.
-	j.recordQueryFailure("doc-x", context.Canceled)
-	j.recordQueryFailure("doc-y", fmt.Errorf("wrapped: %w", context.DeadlineExceeded))
-	if st := j.Stats(); st.Cancelled != 2 || st.Errors != 0 {
-		t.Fatalf("stats %+v, want 2 cancelled / 0 errors", st)
-	}
-
-	// A real backend failure fails the run at the segment boundary.
-	inner := j.par
-	boom := errors.New("backend exploded")
-	j.par = func(ctx context.Context, n int, fn func(int)) error {
-		j.recordQueryFailure("doc-z", boom)
-		return nil
-	}
-	if err := j.Run(context.Background()); !errors.Is(err, boom) {
-		t.Fatalf("Run returned %v, want wrapped %v", err, boom)
-	}
-	if st := j.Stats(); st.Errors != 1 {
-		t.Fatalf("stats %+v, want 1 error", st)
-	}
-	if j.shard != 0 || j.segment != 0 || j.done {
-		t.Fatalf("checkpoint advanced past failed segment: shard=%d segment=%d done=%v", j.shard, j.segment, j.done)
-	}
-
-	// Retrying after the fault clears re-runs the segment and completes.
-	j.par = inner
-	if err := j.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !j.done {
-		t.Fatal("retried join not done")
+	for _, cause := range []error{errors.New("backend exploded"), context.Canceled} {
+		j := NewSelfJoin(c, 0)
+		j.par = func(ctx context.Context, n int, fn func(int)) error {
+			j.recordQueryFailure("doc-z", cause)
+			return nil
+		}
+		if err := j.Run(context.Background()); !errors.Is(err, cause) {
+			t.Fatalf("Run returned %v, want wrapped %v", err, cause)
+		}
+		if st := j.Stats(); st.Errors != 1 || st.SegmentsDone != 0 {
+			t.Fatalf("%v: stats %+v, want 1 error and no segment joined", cause, st)
+		}
 	}
 }
 
@@ -300,9 +185,8 @@ func TestEngineCloneStudyMatchesOfflineJoin(t *testing.T) {
 	}
 }
 
-// TestObserveStudyClassifiesOutcome: the study funnel distinguishes a
-// client cancellation from a real failure — conflating them sends an
-// operator chasing a phantom cancel instead of the backend error.
+// TestObserveStudyClassifiesOutcome: a study either completes or fails; a
+// cancelled or timed-out study is a failure like a backend error.
 func TestObserveStudyClassifiesOutcome(t *testing.T) {
 	var c counters
 	c.observeStudy(SelfJoinStats{}, nil)
@@ -312,11 +196,8 @@ func TestObserveStudyClassifiesOutcome(t *testing.T) {
 	if got := c.studiesCompleted.Load(); got != 1 {
 		t.Fatalf("completed %d, want 1", got)
 	}
-	if got := c.studiesCancelled.Load(); got != 2 {
-		t.Fatalf("cancelled %d, want 2", got)
-	}
-	if got := c.studiesFailed.Load(); got != 1 {
-		t.Fatalf("failed %d, want 1", got)
+	if got := c.studiesFailed.Load(); got != 3 {
+		t.Fatalf("failed %d, want 3", got)
 	}
 	if got := c.studyErrors.Load(); got != 2 {
 		t.Fatalf("query errors %d, want 2", got)
