@@ -1,9 +1,9 @@
 // Package binfmt holds the byte-level primitives the snapshot codecs share:
 // the NGIX index codec (internal/ngram), the CCDSNAP segment format
-// (internal/ccd) and the SVCSNAP envelope (internal/service). Fields are
-// uvarints, little-endian float64s and uvarint-length-prefixed byte strings.
-// Both directions keep a sticky error, so a codec reads or writes a run of
-// fields and checks once.
+// (internal/ccd), the SVCSNAP envelope (internal/service) and the shard match
+// messages (internal/remote). Fields are uvarints, little-endian float64s and
+// uvarint-length-prefixed byte strings. Both directions keep a sticky error,
+// so a codec reads or writes a run of fields and checks once.
 package binfmt
 
 import (
@@ -36,13 +36,15 @@ func (r *Cursor) Err() error { return r.err }
 // Len reports the bytes not yet read.
 func (r *Cursor) Len() int { return len(r.b) }
 
-// Uvarint reads one uvarint.
+// Uvarint reads one uvarint in its shortest form. An over-long encoding
+// (a last byte of zero) is refused, so each value has one byte form and a
+// decoded message re-encodes to the bytes it came from.
 func (r *Cursor) Uvarint(what string) uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, w := binary.Uvarint(r.b)
-	if w <= 0 {
+	if w <= 0 || (w > 1 && r.b[w-1] == 0) {
 		r.err = fmt.Errorf("%s read %s: bad uvarint", r.prefix, what)
 		return 0
 	}

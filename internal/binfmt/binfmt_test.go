@@ -66,4 +66,8 @@ func TestCursorSticksAndCaps(t *testing.T) {
 	if s := NewCursor([]byte{3, 'a', 'b', 'c'}, "test:").Str(2, "s"); s != "" {
 		t.Fatalf("Str over its limit returned %q", s)
 	}
+	// 0x80 0x00 is zero in two bytes: one value, one byte form.
+	if r := NewCursor([]byte{0x80, 0x00}, "test:"); r.Uvarint("long") != 0 || r.Err() == nil {
+		t.Fatal("an over-long uvarint was read")
+	}
 }

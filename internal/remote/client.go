@@ -16,11 +16,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Client is the router's transport to shard nodes: plain JSON over HTTP/1.1
-// with keep-alive connection pooling, so steady-state fanout reuses warm
-// TCP connections and a shard request costs one write + one read, no
-// handshake. A Client is safe for concurrent use and shared across every
-// shard the router talks to.
+// Client is the router's transport to shard nodes: HTTP/1.1 with keep-alive
+// connection pooling, so steady-state fanout reuses warm TCP connections and
+// a shard request costs one write + one read, no handshake. Match fanout
+// speaks the binary shard match messages (see the package doc); ingest
+// forwarding, exports and the WAL stream speak JSON and NDJSON. A Client is
+// safe for concurrent use and shared across every shard the router talks to.
 type Client struct {
 	hc *http.Client
 }
@@ -43,12 +44,21 @@ func NewClient(timeout time.Duration) *Client {
 
 // MatchShard runs one partition-local match on the shard at base
 // (e.g. "http://10.0.0.7:8080"). Non-2xx responses come back as
-// *StatusError with any Retry-After preserved.
+// *StatusError with any Retry-After preserved; a 2xx body that does not
+// decode is an error as well.
 func (c *Client) MatchShard(ctx context.Context, base string, req ShardMatchRequest) (ShardMatchResponse, error) {
 	var resp ShardMatchResponse
-	body, err := json.Marshal(req)
-	if err == nil {
-		err = c.post(ctx, base+"/v1/shard/match", "application/json", body, &resp)
+	body, err := req.MarshalBinary()
+	if err != nil {
+		return resp, err
+	}
+	hresp, err := c.send(ctx, http.MethodPost, base+"/v1/shard/match", "application/octet-stream", body, nil)
+	if err != nil {
+		return resp, err
+	}
+	defer drainClose(hresp.Body)
+	if body, err = io.ReadAll(hresp.Body); err == nil {
+		err = resp.UnmarshalBinary(body)
 	}
 	return resp, err
 }

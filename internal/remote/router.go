@@ -162,21 +162,10 @@ func (r *Router) scanShard(ctx context.Context, part int, fingerprint string, k 
 	if shipped > 0 {
 		r.boundShipSavings.Add(int64(resp.Stats.CutoffSkipped))
 	}
-	st := ccd.MatchStats{
-		Candidates:    resp.Stats.Candidates,
-		FilterPruned:  resp.Stats.FilterPruned,
-		Scored:        resp.Stats.Scored,
-		CutoffSkipped: resp.Stats.CutoffSkipped,
-		Abandoned:     resp.Stats.Abandoned,
-	}
-	if len(resp.Degraded) > 0 {
+	if resp.Degraded {
 		err = service.ErrBudgetExhausted
 	}
-	ms := make([]ccd.Match, len(resp.Matches))
-	for i, m := range resp.Matches {
-		ms[i] = ccd.Match{ID: m.ID, Score: m.Score}
-	}
-	return ms, st, err
+	return resp.Matches, resp.Stats, err
 }
 
 // queryShard runs one partition's request against its primary, failing

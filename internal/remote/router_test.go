@@ -4,11 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"sync"
 	"testing"
+
+	"repro/internal/ccd"
 )
 
 // shardFixture is an in-process fake shard node: it answers
@@ -16,7 +19,7 @@ import (
 // shipped bound exactly like the real handler's AtomicBound path.
 type shardFixture struct {
 	mu     sync.Mutex
-	docs   []Match
+	docs   []ccd.Match
 	bounds []float64 // bound received per request, in arrival order
 	hits   int
 }
@@ -28,14 +31,18 @@ func (f *shardFixture) handler() http.Handler {
 			return
 		}
 		var req ShardMatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		body, err := io.ReadAll(r.Body)
+		if err == nil {
+			err = req.UnmarshalBinary(body)
+		}
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		f.mu.Lock()
 		f.bounds = append(f.bounds, req.Bound)
 		f.hits++
-		docs := append([]Match(nil), f.docs...)
+		docs := append([]ccd.Match(nil), f.docs...)
 		f.mu.Unlock()
 		var resp ShardMatchResponse
 		for _, m := range docs {
@@ -51,8 +58,12 @@ func (f *shardFixture) handler() http.Handler {
 		if req.K > 0 && len(resp.Matches) > req.K {
 			resp.Matches = resp.Matches[:req.K]
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(resp)
+		b, err := resp.MarshalBinary()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		_, _ = w.Write(b)
 	})
 }
 
@@ -64,8 +75,8 @@ func startShard(t *testing.T, f *shardFixture) *httptest.Server {
 }
 
 func TestRouterMergesGlobalTopK(t *testing.T) {
-	s0 := &shardFixture{docs: []Match{{ID: "a", Score: 91}, {ID: "b", Score: 72}, {ID: "c", Score: 55}}}
-	s1 := &shardFixture{docs: []Match{{ID: "d", Score: 88}, {ID: "e", Score: 63}}}
+	s0 := &shardFixture{docs: []ccd.Match{{ID: "a", Score: 91}, {ID: "b", Score: 72}, {ID: "c", Score: 55}}}
+	s1 := &shardFixture{docs: []ccd.Match{{ID: "d", Score: 88}, {ID: "e", Score: 63}}}
 	r := NewRouter(Config{Targets: []string{startShard(t, s0).URL, startShard(t, s1).URL}})
 
 	res, err := r.Match(context.Background(), "fp", 3)
@@ -90,8 +101,8 @@ func TestRouterMergesGlobalTopK(t *testing.T) {
 // must receive the bound the first wave's merge established, so remote
 // shards prune exactly like local ones sharing an AtomicBound.
 func TestRouterShipsTightenedBound(t *testing.T) {
-	s0 := &shardFixture{docs: []Match{{ID: "a", Score: 90}, {ID: "b", Score: 80}, {ID: "c", Score: 70}}}
-	s1 := &shardFixture{docs: []Match{{ID: "d", Score: 75}, {ID: "e", Score: 10}}}
+	s0 := &shardFixture{docs: []ccd.Match{{ID: "a", Score: 90}, {ID: "b", Score: 80}, {ID: "c", Score: 70}}}
+	s1 := &shardFixture{docs: []ccd.Match{{ID: "d", Score: 75}, {ID: "e", Score: 10}}}
 	r := NewRouter(Config{
 		Targets: []string{startShard(t, s0).URL, startShard(t, s1).URL},
 		Waves:   2, // shard 0 alone in wave 1, shard 1 alone in wave 2
@@ -113,8 +124,8 @@ func TestRouterShipsTightenedBound(t *testing.T) {
 }
 
 func TestRouterNoBoundShip(t *testing.T) {
-	s0 := &shardFixture{docs: []Match{{ID: "a", Score: 90}, {ID: "b", Score: 80}}}
-	s1 := &shardFixture{docs: []Match{{ID: "d", Score: 75}}}
+	s0 := &shardFixture{docs: []ccd.Match{{ID: "a", Score: 90}, {ID: "b", Score: 80}}}
+	s1 := &shardFixture{docs: []ccd.Match{{ID: "d", Score: 75}}}
 	r := NewRouter(Config{
 		Targets:     []string{startShard(t, s0).URL, startShard(t, s1).URL},
 		Waves:       2,
@@ -139,8 +150,8 @@ func TestRouterPropagatesRetryAfter(t *testing.T) {
 		_ = json.NewEncoder(w).Encode(map[string]any{"error": "overloaded"})
 	}))
 	t.Cleanup(busy.Close)
-	ok := &shardFixture{docs: []Match{{ID: "a", Score: 90}}}
-	rep := &shardFixture{docs: []Match{{ID: "a", Score: 90}}}
+	ok := &shardFixture{docs: []ccd.Match{{ID: "a", Score: 90}}}
+	rep := &shardFixture{docs: []ccd.Match{{ID: "a", Score: 90}}}
 	r := NewRouter(Config{
 		Targets:  []string{busy.URL, startShard(t, ok).URL},
 		Replicas: []string{startShard(t, rep).URL},
@@ -162,7 +173,7 @@ func TestRouterPropagatesRetryAfter(t *testing.T) {
 }
 
 func TestRouterPartialOnDeadShard(t *testing.T) {
-	ok := &shardFixture{docs: []Match{{ID: "a", Score: 90}}}
+	ok := &shardFixture{docs: []ccd.Match{{ID: "a", Score: 90}}}
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close() // connection refused from here on
 	r := NewRouter(Config{Targets: []string{startShard(t, ok).URL, dead.URL}})
@@ -186,6 +197,56 @@ func TestRouterPartialOnDeadShard(t *testing.T) {
 	}
 }
 
+// TestRouterPartialOnOldFormatShard: a shard of the JSON format refuses the
+// binary request with 400, and a JSON answer does not decode; either way the
+// router counts a failed shard request and answers Partial with exactly the
+// other partition's matches and funnel, never a mis-merge.
+func TestRouterPartialOnOldFormatShard(t *testing.T) {
+	oldShards := map[string]http.HandlerFunc{
+		"refuses the request": func(w http.ResponseWriter, r *http.Request) {
+			var req struct {
+				Fingerprint string  `json:"fingerprint"`
+				K           int     `json:"k"`
+				Bound       float64 `json:"bound"`
+			}
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				w.WriteHeader(http.StatusBadRequest)
+				_ = json.NewEncoder(w).Encode(map[string]string{"error": "bad request body: " + err.Error()})
+				return
+			}
+			t.Error("a JSON decoder read the binary request")
+		},
+		"answers in JSON": func(w http.ResponseWriter, r *http.Request) {
+			_ = json.NewEncoder(w).Encode(map[string]any{
+				"matches": []map[string]any{{"id": "z", "score": 99}},
+				"stats":   map[string]int{"candidates": 1, "scored": 1},
+			})
+		},
+	}
+	for name, old := range oldShards {
+		t.Run(name, func(t *testing.T) {
+			ok := &shardFixture{docs: []ccd.Match{{ID: "a", Score: 90}, {ID: "b", Score: 80}}}
+			oldSrv := httptest.NewServer(old)
+			t.Cleanup(oldSrv.Close)
+			r := NewRouter(Config{Targets: []string{startShard(t, ok).URL, oldSrv.URL}})
+
+			res, err := r.Match(context.Background(), "fp", 3)
+			if err != nil || !res.Partial {
+				t.Fatalf("partial %v, err %v; want a partial answer", res.Partial, err)
+			}
+			if len(res.Matches) != 2 || res.Matches[0] != ok.docs[0] || res.Matches[1] != ok.docs[1] {
+				t.Errorf("matches %+v, want exactly the live partition's %+v", res.Matches, ok.docs)
+			}
+			if res.Stats.Candidates != 2 || res.Stats.Scored != 2 {
+				t.Errorf("funnel %+v, want the live partition's alone", res.Stats)
+			}
+			if errs := r.Stats().ShardErrors; errs[0] != 0 || errs[1] != 1 {
+				t.Errorf("shard errors %v, want [0 1]", errs)
+			}
+		})
+	}
+}
+
 func TestRouterAllShardsDeadErrors(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
@@ -198,7 +259,7 @@ func TestRouterAllShardsDeadErrors(t *testing.T) {
 func TestRouterFailsOverToReplica(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
-	rep := &shardFixture{docs: []Match{{ID: "a", Score: 90}}}
+	rep := &shardFixture{docs: []ccd.Match{{ID: "a", Score: 90}}}
 	r := NewRouter(Config{
 		Targets:  []string{dead.URL},
 		Replicas: []string{startShard(t, rep).URL},
@@ -216,7 +277,7 @@ func TestRouterFailsOverToReplica(t *testing.T) {
 // did not answer is an error, not a short answer, so the study fails the
 // partition instead of silently dropping its edges.
 func TestCloneQueryFailsOnPartialAnswer(t *testing.T) {
-	s0 := &shardFixture{docs: []Match{{ID: "a", Score: 91}}}
+	s0 := &shardFixture{docs: []ccd.Match{{ID: "a", Score: 91}}}
 	dead := startShard(t, &shardFixture{})
 	r := NewRouter(Config{Targets: []string{startShard(t, s0).URL, dead.URL}})
 	dead.Close()

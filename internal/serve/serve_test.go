@@ -119,6 +119,10 @@ func TestRoleFlagMatrix(t *testing.T) {
 // does a row no node registers.
 func TestRoleRouteMatrix(t *testing.T) {
 	const src = `"contract A { uint x; function f() public { x = 1; } }"`
+	shardMatch, err := remote.ShardMatchRequest{Fingerprint: "QxRtYuIoPAbCdEfGh", K: 3}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
 	matrix := []struct {
 		pattern, method, path, body string
 		served, replica, router     int // single and shard, replica, router
@@ -137,7 +141,7 @@ func TestRoleRouteMatrix(t *testing.T) {
 		{"GET /v1/study", "GET", "/v1/study", "", 200, 200, 200},
 		{"GET /v1/clusters", "GET", "/v1/clusters", "", 200, 200, 200},
 		{"GET /v1/clusters/export", "GET", "/v1/clusters/export", "", 200, 200, 200},
-		{"POST /v1/shard/match", "POST", "/v1/shard/match", `{"fingerprint": "QxRtYuIoPAbCdEfGh", "k": 3}`, 200, 200, 404},
+		{"POST /v1/shard/match", "POST", "/v1/shard/match", string(shardMatch), 200, 200, 404},
 		{"GET /v1/wal/stream", "GET", "/v1/wal/stream", "", 200, 200, 404},
 		{"GET /healthz", "GET", "/healthz", "", 200, 200, 200},
 		{"GET /readyz", "GET", "/readyz", "", 200, 200, 200},

@@ -8,9 +8,11 @@ package api
 import (
 	"bufio"
 	"context"
+	"encoding"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/url"
@@ -918,16 +920,32 @@ func decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		status := http.StatusBadRequest
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, "bad request body: "+err.Error())
-		return false
+	return bodyDecoded(w, dec.Decode(into))
+}
+
+// decodeBinary is decode for a binary body.
+func decodeBinary(w http.ResponseWriter, r *http.Request, into encoding.BinaryUnmarshaler) bool {
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = into.UnmarshalBinary(b)
 	}
-	return true
+	return bodyDecoded(w, err)
+}
+
+// bodyDecoded reports whether err, a request body's decode error, is nil,
+// and otherwise answers 413 for a body over maxBodyBytes and 400 for any
+// other.
+func bodyDecoded(w http.ResponseWriter, err error) bool {
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, "bad request body: "+err.Error())
+	return false
 }
 
 // intParam reads query parameter name as an integer of at least least (0 or
@@ -967,6 +985,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeBinary answers 200 with v's binary encoding.
+func writeBinary(w http.ResponseWriter, v encoding.BinaryMarshaler) {
+	b, err := v.MarshalBinary()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_, _ = w.Write(b) // a client gone mid-write has stopped waiting for it
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

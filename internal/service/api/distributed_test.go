@@ -3,8 +3,11 @@ package api
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -342,7 +345,10 @@ func TestShardCountsMidScanDeadlineExpiry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	body, _ := json.Marshal(remote.ShardMatchRequest{Fingerprint: string(entries[0].FP), K: 3})
+	body, err := remote.ShardMatchRequest{Fingerprint: string(entries[0].FP), K: 3}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
 	req := httptest.NewRequest(http.MethodPost, "/v1/shard/match", bytes.NewReader(body))
 	spent := service.Budget{Deadline: time.Now().Add(-time.Second)}
 	req = req.WithContext(service.WithBudget(req.Context(), spent))
@@ -350,15 +356,77 @@ func TestShardCountsMidScanDeadlineExpiry(t *testing.T) {
 	srv.Handler().ServeHTTP(rec, req)
 
 	var resp remote.ShardMatchResponse
-	if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil || rec.Code != http.StatusOK {
+	if err := resp.UnmarshalBinary(rec.Body.Bytes()); err != nil || rec.Code != http.StatusOK {
 		t.Fatalf("shard match: status %d, decode %v", rec.Code, err)
 	}
-	if len(resp.Degraded) != 1 || resp.Degraded[0] != "deadline" {
+	if !resp.Degraded {
 		t.Fatalf("spent budget not answered degraded: %+v", resp)
 	}
 	m := srv.engine.Metrics()
 	if m.Deadline.Shipped != 1 || m.Deadline.Expired != 1 || m.Matches != 1 {
 		t.Fatalf("deadline %+v, matches %d; want shipped 1, expired 1, matches 1", m.Deadline, m.Matches)
+	}
+}
+
+// shardBody lays a shard match request out by hand, so that a test can
+// break any field of it: k is its uvarint bytes.
+func shardBody(version byte, k []byte, bound float64, fp string) []byte {
+	b := append([]byte{version}, k...)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(bound))
+	b = binary.AppendUvarint(b, uint64(len(fp)))
+	return append(b, fp...)
+}
+
+// TestShardMatchRefusesMalformedBodies: a shard answers 400 to every body
+// the binary layout does not admit and to a k, bound or fingerprint no query
+// can use, and clamps a negative bound to 0.
+func TestShardMatchRefusesMalformedBodies(t *testing.T) {
+	ts, srv := newTestServerOpts(t, service.Options{Workers: 2, Shards: 2, CCD: ccd.ConservativeConfig})
+	entries := studyFingerprints(3, 20)
+	for _, e := range entries {
+		if err := addFP(srv.engine, e.ID, e.FP); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fp := string(entries[0].FP)
+	k3 := []byte{3}
+	valid := shardBody(1, k3, 0, fp)
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want int
+	}{
+		{"valid", valid, http.StatusOK},
+		{"negative bound clamped", shardBody(1, k3, -5, fp), http.StatusOK},
+		{"empty body", nil, http.StatusBadRequest},
+		{"unknown version", shardBody(2, k3, 0, fp), http.StatusBadRequest},
+		{"trailing bytes", append(shardBody(1, k3, 0, fp), 0), http.StatusBadRequest},
+		{"truncated bound", valid[:5], http.StatusBadRequest},
+		{"truncated fingerprint", valid[:len(valid)-1], http.StatusBadRequest},
+		{"over-long k", shardBody(1, []byte{0x83, 0}, 0, fp), http.StatusBadRequest},
+		{"k overflows int", shardBody(1, binary.AppendUvarint(nil, 1<<63), 0, fp), http.StatusBadRequest},
+		{"NaN bound", shardBody(1, k3, math.NaN(), fp), http.StatusBadRequest},
+		{"+Inf bound", shardBody(1, k3, math.Inf(1), fp), http.StatusBadRequest},
+		{"-Inf bound", shardBody(1, k3, math.Inf(-1), fp), http.StatusBadRequest},
+		{"empty fingerprint", shardBody(1, k3, 0, ""), http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/shard/match", "application/octet-stream", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, resp.StatusCode, b, tc.want)
+			continue
+		}
+		if tc.want != http.StatusOK {
+			continue
+		}
+		var sm remote.ShardMatchResponse
+		if err := sm.UnmarshalBinary(b); err != nil || len(sm.Matches) == 0 || sm.Matches[0].Score != 100 {
+			t.Errorf("%s: answer %+v (decode %v), want the query's own fingerprint at 100", tc.name, sm, err)
+		}
 	}
 }
 
@@ -928,10 +996,12 @@ func TestRoutedCloneStudyEqualsSingleNode(t *testing.T) {
 }
 
 // TestRoutedCloneStudyFailsOnPartialAnswer: a router's corpus study whose
-// second partition is down fails as a whole. Every query of the first
+// second partition is down fails as a whole. The first query of the first
 // partition's documents comes back partial, so the job ends failed naming
 // the partial answer, the router counts one failed study and no completed
-// one, and no clusters are served, since no study completed.
+// one, and no clusters are served, since no study completed. The page stops
+// at that failure: at most the queries already running on the router's
+// workers fail with it, not every document of the page.
 func TestRoutedCloneStudyFailsOnPartialAnswer(t *testing.T) {
 	c := newTestCluster(t, 2, remote.Config{})
 	entries := studyFingerprints(5, 40)
@@ -948,6 +1018,9 @@ func TestRoutedCloneStudyFailsOnPartialAnswer(t *testing.T) {
 	sj := m["self_join"].(map[string]any)
 	if sj["started"] != 1.0 || sj["failed"] != 1.0 || sj["completed"] != 0.0 {
 		t.Errorf("router self_join %v, want started 1, failed 1, completed 0", sj)
+	}
+	if routerWorkers := 2.0; sj["errors"].(float64) < 1 || sj["errors"].(float64) > routerWorkers {
+		t.Errorf("router self_join.errors %v, want 1 to %v (the router's workers)", sj["errors"], routerWorkers)
 	}
 	if study, sum := getClusters(t, c.router.URL); study != nil || sum != nil {
 		t.Errorf("clusters after a failed study: %v %v, want none", study, sum)

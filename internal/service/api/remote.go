@@ -48,24 +48,15 @@ func WithReplica() Option {
 // handleShardMatch serves POST /v1/shard/match: one partition-local match
 // with the router's shipped admission bound seeding the local scatter-
 // gather, so this shard prunes against evidence other partitions already
-// produced. It goes through Engine.MatchFingerprint, so a shard counts its
-// matches, latency and deadline expiries as a single node does.
+// produced. Request and response are the binary shard match messages of
+// package remote. It goes through Engine.MatchFingerprint, so a shard counts
+// its matches, latency and deadline expiries as a single node does.
 func (s *Server) handleShardMatch(w http.ResponseWriter, r *http.Request) {
 	var req remote.ShardMatchRequest
-	if !decode(w, r, &req) {
+	if !decodeBinary(w, r, &req) {
 		return
 	}
-	if req.Fingerprint == "" {
-		writeError(w, http.StatusBadRequest, "provide \"fingerprint\"")
-		return
-	}
-	if req.K < 0 {
-		writeError(w, http.StatusBadRequest, "\"k\" must be ≥ 0")
-		return
-	}
-	if req.Bound < 0 {
-		req.Bound = 0
-	}
+	bound := max(req.Bound, 0)
 	// The router's remaining budget rides X-Request-Timeout, which the
 	// middleware made ctx's deadline and service.Budget: the scan
 	// self-cancels into a degraded partial under it instead of being
@@ -75,45 +66,26 @@ func (s *Server) handleShardMatch(w http.ResponseWriter, r *http.Request) {
 	if budgeted {
 		s.engine.NoteDeadlineShipped()
 	}
-	var ms []ccd.Match
-	var st ccd.MatchStats
+	var resp remote.ShardMatchResponse
 	var err error
 	if derr := s.engine.DoCtx(ctx, func() {
-		ms, st, err = s.engine.MatchFingerprint(ctx, ccd.Fingerprint(req.Fingerprint), req.K, ccd.NewAtomicBound(req.Bound))
+		resp.Matches, resp.Stats, err = s.engine.MatchFingerprint(ctx, ccd.Fingerprint(req.Fingerprint), req.K, ccd.NewAtomicBound(bound))
 	}); derr != nil {
 		if budgeted && errors.Is(derr, context.DeadlineExceeded) {
 			// The budget drained while queued: an honest (empty)
 			// degraded response beats a 504 the router must write off.
-			writeJSON(w, http.StatusOK, remote.ShardMatchResponse{
-				Matches: []remote.Match{}, Degraded: []string{"deadline"},
-			})
+			writeBinary(w, remote.ShardMatchResponse{Degraded: true})
 		}
 		return // client gone while queued
 	}
-	degraded := errors.Is(err, service.ErrBudgetExhausted)
-	if err != nil && !degraded {
+	resp.Degraded = errors.Is(err, service.ErrBudgetExhausted)
+	if err != nil && !resp.Degraded {
 		if ctx.Err() == nil { // else cancelled mid-scan
 			writeError(w, http.StatusInternalServerError, err.Error())
 		}
 		return
 	}
-	resp := remote.ShardMatchResponse{
-		Matches: make([]remote.Match, len(ms)),
-		Stats: remote.ShardMatchStats{
-			Candidates:    st.Candidates,
-			FilterPruned:  st.FilterPruned,
-			Scored:        st.Scored,
-			CutoffSkipped: st.CutoffSkipped,
-			Abandoned:     st.Abandoned,
-		},
-	}
-	if degraded {
-		resp.Degraded = []string{"deadline"}
-	}
-	for i, m := range ms {
-		resp.Matches[i] = remote.Match{ID: m.ID, Score: m.Score}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBinary(w, resp)
 }
 
 // handleWALStream serves GET /v1/wal/stream?from=N[&limit=M][&epoch=E]: one

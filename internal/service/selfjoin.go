@@ -38,9 +38,10 @@ type SelfJoin struct {
 
 	set *cluster.Set
 
-	mu     sync.Mutex
-	stats  SelfJoinStats
-	segErr error // first query failure of the running segment
+	mu       sync.Mutex
+	stats    SelfJoinStats
+	segErr   error              // first query failure of the running page
+	stopPage context.CancelFunc // cancels the running page's queries
 }
 
 // A StudyUnit is one unit of a clone study's plan (a segment of a local
@@ -70,7 +71,7 @@ type SelfJoinStats struct {
 	Matches int64 `json:"matches"` // clone pairs reported (self-hits excluded)
 	Unions  int64 `json:"unions"`  // edges that merged two components
 
-	Errors int64 `json:"errors,omitempty"` // queries that failed
+	Errors int64 `json:"errors,omitempty"` // failed queries: a page stops at its first, the one counted
 }
 
 // add folds one query's outcome in. Callers hold j.mu.
@@ -154,7 +155,8 @@ func (j *SelfJoin) Run(ctx context.Context) error {
 }
 
 // runSegment self-joins every document of one unit, page by page. A query
-// failure fails the page, and with it the segment.
+// failure fails the page, and with it the segment: it cancels the page's
+// context, so the page's queries not yet run are never started.
 func (j *SelfJoin) runSegment(ctx context.Context, unit StudyUnit) error {
 	ctx, sp := trace.Start(ctx, "selfjoin.segment")
 	defer sp.End()
@@ -168,8 +170,13 @@ func (j *SelfJoin) runSegment(ctx context.Context, unit StudyUnit) error {
 		for _, e := range entries {
 			j.set.Add(e.ID)
 		}
-		err := j.par(ctx, len(entries), func(i int) {
-			st, matches, unions, err := linkClones(ctx, j.set, j.query, entries[i], j.limit)
+		page, stop := context.WithCancel(ctx)
+		defer stop()
+		j.mu.Lock()
+		j.stopPage = stop
+		j.mu.Unlock()
+		err := j.par(page, len(entries), func(i int) {
+			st, matches, unions, err := linkClones(page, j.set, j.query, entries[i], j.limit)
 			if err != nil {
 				j.recordQueryFailure(entries[i].ID, err)
 				return
@@ -182,10 +189,10 @@ func (j *SelfJoin) runSegment(ctx context.Context, unit StudyUnit) error {
 		segErr := j.segErr
 		j.segErr = nil
 		j.mu.Unlock()
-		if err != nil {
-			return err
+		if segErr != nil {
+			return segErr
 		}
-		return segErr
+		return err
 	})
 }
 
@@ -221,15 +228,19 @@ func linkClones(ctx context.Context, set *cluster.Set, query CloneQuery, e ccd.E
 	return st, edges, unions, nil
 }
 
-// recordQueryFailure counts one failed per-document query and fails the
-// segment via segErr: dropping the document's edges would bias the study.
+// recordQueryFailure counts one failed per-document query, fails the segment
+// via segErr (dropping the document's edges would bias the study) and stops
+// the page. Only a page's first failure counts: a query that fails after it
+// may have failed only because the page was stopped.
 func (j *SelfJoin) recordQueryFailure(id string, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.stats.Errors++
-	if j.segErr == nil {
-		j.segErr = fmt.Errorf("service: self-join query %q: %w", id, err)
+	if j.segErr != nil {
+		return
 	}
+	j.stats.Errors++
+	j.segErr = fmt.Errorf("service: self-join query %q: %w", id, err)
+	j.stopPage()
 }
 
 // CloneReport is the outcome of a corpus-wide clone study: the clone

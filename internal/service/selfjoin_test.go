@@ -137,6 +137,32 @@ func TestSelfJoinQueryErrorFailsSegment(t *testing.T) {
 	}
 }
 
+// TestSelfJoinStopsPageAtFirstFailure: once a page's first query fails, the
+// rest of the page is not queried. Under the serial par the failing query of
+// document 0 is the only one run, it alone is counted, and Run returns its
+// failure, not the cancellation that stopped the page.
+func TestSelfJoinStopsPageAtFirstFailure(t *testing.T) {
+	entries := make([]ccd.Entry, 10)
+	for i := range entries {
+		entries[i] = ccd.Entry{ID: fmt.Sprintf("doc-%d", i), FP: "QxRtYuIoP"}
+	}
+	unit := func(ctx context.Context, page func([]ccd.Entry) error) error { return page(entries) }
+	down := errors.New("partition down")
+	queries := 0
+	query := func(ctx context.Context, fp ccd.Fingerprint, k int) ([]ccd.Match, ccd.MatchStats, error) {
+		queries++
+		return nil, ccd.MatchStats{}, down
+	}
+	j := NewPlannedSelfJoin([][]StudyUnit{{unit}}, query, ccd.DefaultConfig, 0)
+	err := j.Run(context.Background())
+	if !errors.Is(err, down) || errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v, want the query's failure", err)
+	}
+	if st := j.Stats(); queries != 1 || st.Errors != 1 || st.Docs != 10 {
+		t.Fatalf("%d queries, stats %+v; want 1 query, 1 error, 10 docs", queries, st)
+	}
+}
+
 // TestEngineCloneStudyMatchesOfflineJoin is the shared-implementation
 // equivalence at the service layer: the engine's pooled, sharded study and
 // the offline single-shard join produce the identical cluster-size
