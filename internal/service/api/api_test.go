@@ -158,10 +158,11 @@ func TestHandlersTableDriven(t *testing.T) {
 			wantStatus: 400,
 		},
 		{
-			// The shard body is binary: an old-format JSON body opens with
-			// '{', an unknown version byte.
-			name: "shard match old JSON body", method: "POST", path: "/v1/shard/match",
-			body:       map[string]any{"fingerprint": "QxRtYuIoP", "k": 1},
+			// A shard request carries its budget only in X-Request-Timeout:
+			// the binary body has no budget field, and an old-format JSON
+			// body that names one opens with '{', an unknown version byte.
+			name: "shard match budget field", method: "POST", path: "/v1/shard/match",
+			body:       map[string]any{"fingerprint": "QxRtYuIoP", "k": 1, "budget_ms": 1000},
 			wantStatus: 400,
 		},
 		{
